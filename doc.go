@@ -71,6 +71,15 @@
 //	chaos    (seeded fault scheduler)    -> revelio-bench -chaos, bench.RunChaos
 //	lint     (invariant analyzers)       -> revelio-lint ./..., go vet -vettool
 //
+// Fig 5's volume is aes-xts-plain64 as in the paper, and like kernel
+// dm-crypt it runs on pipelined AES-NI: internal/xts carries an amd64
+// assembly kernel with eight blocks in flight over its own
+// constant-time key schedules, chosen by CPUID, and falls back to
+// crypto/aes on other architectures or under -tags purego (see
+// DESIGN.md's "Storage-engine concurrency model"). The figure prints a
+// serial (sector-by-sector) and a parallel (batched; sharded from
+// 256 KiB requests) row per size; go test -bench XTS ./internal/xts
+// shows the two engines side by side.
 // Table 4 is this reproduction's extension of the paper's Table 3
 // caching argument: verifications/sec cold, with a warm VCEK cache, and
 // on the full attestation fast path (parsed-certificate caches, sharded

@@ -54,13 +54,13 @@ func TestRunFig5(t *testing.T) {
 	if len(res.Reads) != len(sizes) || len(res.Writes) != len(sizes) {
 		t.Fatalf("points = %d/%d", len(res.Reads), len(res.Writes))
 	}
-	// Paper shape: encryption costs something on the larger transfers.
-	lastRead := res.Reads[len(res.Reads)-1]
-	if lastRead.Crypt <= lastRead.Plain {
-		t.Errorf("1MiB read: crypt (%v) not slower than plain (%v)", lastRead.Crypt, lastRead.Plain)
-	}
-	if lastRead.CryptPar <= 0 || lastRead.Speedup <= 0 {
-		t.Errorf("parallel row not measured: %+v", lastRead)
+	// Structure only: every row of every point was measured. RunFig5
+	// itself fails if a read does not return the bytes written; which
+	// engine is faster is a timing claim and belongs to benchmark/.
+	for _, p := range append(append([]Fig5Point{}, res.Reads...), res.Writes...) {
+		if p.Crypt <= 0 || p.CryptPar <= 0 || p.Speedup <= 0 {
+			t.Errorf("size %d: row not measured: %+v", p.SizeBytes, p)
+		}
 	}
 	out := res.Render()
 	for _, want := range []string{"dm-crypt", "serial", "parallel"} {

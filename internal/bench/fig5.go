@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -85,14 +86,22 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 		return nil, fmt.Errorf("bench: fig5 format parallel: %w", err)
 	}
 
+	pattern := make([]byte, requestSize)
+	for i := range pattern {
+		pattern[i] = byte(i*131 + 17)
+	}
 	sweep := func(write bool) ([]Fig5Point, error) {
 		out := make([]Fig5Point, 0, len(sizes))
 		buf := make([]byte, requestSize)
+		if write {
+			copy(buf, pattern)
+		}
 		for _, size := range sizes {
 			run := func(dev blockdev.Device) (time.Duration, error) {
+				var n int64
 				start := time.Now()
 				for off := int64(0); off < size; off += requestSize {
-					n := int64(requestSize)
+					n = int64(requestSize)
 					if size-off < n {
 						n = size - off
 					}
@@ -106,7 +115,13 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 						return 0, err
 					}
 				}
-				return time.Since(start), nil
+				elapsed := time.Since(start)
+				// Every request wrote the same pattern, so the last read
+				// must hold its prefix whichever engine decrypted it.
+				if !write && !bytes.Equal(buf[:n], pattern[:n]) {
+					return 0, fmt.Errorf("bench: fig5 %s read-back differs from what was written", humanSize(size))
+				}
+				return elapsed, nil
 			}
 			plain, err := run(plainDev)
 			if err != nil {

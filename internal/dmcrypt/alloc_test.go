@@ -49,6 +49,42 @@ func TestSerialReadZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestBatchedSpanZeroAllocs is the allocs/op guard for the batched path a
+// 64 KiB pad write or read takes: the span and the read-modify-write edge
+// vectors come from spanPool, so neither the aligned nor the unaligned
+// request allocates in steady state.
+func TestBatchedSpanZeroAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	raw := blockdev.NewMem(headerBytes + 256*1024)
+	dev, err := Format(raw, []byte("alloc-test"),
+		Options{Iterations: 10, Tuning: Tuning{Concurrency: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64*1024)
+	for _, tc := range []struct {
+		name string
+		off  int64
+	}{{"aligned", 64 * 1024}, {"unaligned", 64*1024 + 100}} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := dev.WriteAt(buf, tc.off); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s 64 KiB WriteAt: %.1f allocs/op, want 0", tc.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := dev.ReadAt(buf, tc.off); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s 64 KiB ReadAt: %.1f allocs/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // BenchmarkSerialSectorRead reports allocs/op for the pooled serial read
 // path (run with -benchmem to see the guard's numbers over time).
 func BenchmarkSerialSectorRead(b *testing.B) {

@@ -11,13 +11,17 @@ import (
 	"revelio/internal/blockdev"
 )
 
+// parVolSize leaves room for requests several times the sharding
+// threshold, so the worker pool really runs.
+const parVolSize = headerBytes + 4*minParallelSectors*SectorSize
+
 // pairVol formats two byte-identical volumes — same deterministic
 // entropy, so same master key and salts — one opened with the serial
 // engine and one with the given parallel tuning.
 func pairVol(t *testing.T, conc int) (serialRaw, parRaw *blockdev.Mem, serial, par *Device) {
 	t.Helper()
 	mk := func(tuning Tuning) (*blockdev.Mem, *Device) {
-		raw := blockdev.NewMem(testVolSize)
+		raw := blockdev.NewMem(parVolSize)
 		dev, err := Format(raw, []byte("sealing-key"), Options{
 			Iterations: 10,
 			Rand:       rand.New(rand.NewSource(7)),
@@ -45,13 +49,16 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}{
 		{"sub-sector", 700, 100},
 		{"single sector aligned", 2 * SectorSize, SectorSize},
-		{"below parallel threshold", 0, (minParallelSectors - 1) * SectorSize},
-		{"at parallel threshold", 0, minParallelSectors * SectorSize},
+		{"below batch threshold", 0, (minBatchSectors - 1) * SectorSize},
+		{"at batch threshold", 0, minBatchSectors * SectorSize},
 		{"aligned span", 4 * SectorSize, 64 * SectorSize},
 		{"unaligned head", 100, 32 * SectorSize},
 		{"unaligned tail", 3 * SectorSize, 32*SectorSize + 213},
 		{"unaligned both", 37, 16*SectorSize + 41},
-		{"whole device", 0, 256 * SectorSize},
+		{"below parallel threshold", 0, (minParallelSectors - 1) * SectorSize},
+		{"at parallel threshold", SectorSize, minParallelSectors * SectorSize},
+		{"sharded unaligned both", 37, 3*minParallelSectors*SectorSize + 41},
+		{"whole device", 0, 4 * minParallelSectors * SectorSize},
 	}
 	for _, conc := range []int{2, 8} {
 		serialRaw, parRaw, serial, par := pairVol(t, conc)
@@ -128,7 +135,10 @@ func TestSerialFormattedOpensParallel(t *testing.T) {
 // contract under the race detector: concurrent readers plus concurrent
 // writers to disjoint sector ranges.
 func TestConcurrentDisjointIO(t *testing.T) {
-	raw := blockdev.NewMem(headerBytes + 64*1024)
+	// Regions are one sharding threshold each, so every request below
+	// also fans out over the worker pool.
+	const regions = 8
+	raw := blockdev.NewMem(headerBytes + regions*minParallelSectors*SectorSize)
 	dev, err := Format(raw, []byte("pw"), Options{Iterations: 10, Tuning: Tuning{Concurrency: 4}})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +146,6 @@ func TestConcurrentDisjointIO(t *testing.T) {
 	if err := dev.WriteAt(make([]byte, dev.Size()), 0); err != nil {
 		t.Fatal(err)
 	}
-	const regions = 8
 	regionLen := dev.Size() / regions
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*regions)

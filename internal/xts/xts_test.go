@@ -18,6 +18,23 @@ func mustHex(t *testing.T, s string) []byte {
 	return b
 }
 
+// engine is one of the block engines a Cipher can run on.
+type engine struct {
+	name string
+	new  func(key []byte) (*Cipher, error)
+}
+
+// engines lists the engines this build and CPU offer: always crypto/aes,
+// plus the AES-NI kernel where NewCipher would select it. The published
+// vectors run over each.
+func engines() []engine {
+	e := []engine{{"generic", newGeneric}}
+	if newKernel(make([]byte, 32)) != nil {
+		e = append(e, engine{"kernel", NewCipher})
+	}
+	return e
+}
+
 // TestXTSVectorsIEEE1619 checks published IEEE P1619 XTS-AES-128 vectors.
 func TestXTSVectorsIEEE1619(t *testing.T) {
 	tests := []struct {
@@ -60,25 +77,29 @@ func TestXTSVectorsIEEE1619(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			c, err := NewCipher(mustHex(t, tt.key))
-			if err != nil {
-				t.Fatalf("NewCipher: %v", err)
-			}
-			pt := mustHex(t, tt.plaintext)
-			want := mustHex(t, tt.ciphertext)
-			got := make([]byte, len(pt))
-			if err := c.Encrypt(got, pt, tt.sector); err != nil {
-				t.Fatalf("Encrypt: %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("ciphertext = %x, want %x", got, want)
-			}
-			back := make([]byte, len(got))
-			if err := c.Decrypt(back, got, tt.sector); err != nil {
-				t.Fatalf("Decrypt: %v", err)
-			}
-			if !bytes.Equal(back, pt) {
-				t.Errorf("roundtrip = %x, want %x", back, pt)
+			for _, e := range engines() {
+				t.Run(e.name, func(t *testing.T) {
+					c, err := e.new(mustHex(t, tt.key))
+					if err != nil {
+						t.Fatalf("NewCipher: %v", err)
+					}
+					pt := mustHex(t, tt.plaintext)
+					want := mustHex(t, tt.ciphertext)
+					got := make([]byte, len(pt))
+					if err := c.Encrypt(got, pt, tt.sector); err != nil {
+						t.Fatalf("Encrypt: %v", err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("ciphertext = %x, want %x", got, want)
+					}
+					back := make([]byte, len(got))
+					if err := c.Decrypt(back, got, tt.sector); err != nil {
+						t.Fatalf("Decrypt: %v", err)
+					}
+					if !bytes.Equal(back, pt) {
+						t.Errorf("roundtrip = %x, want %x", back, pt)
+					}
+				})
 			}
 		})
 	}
@@ -172,27 +193,31 @@ func TestXTSRoundTripProperty(t *testing.T) {
 func TestXTSCiphertextStealingVector(t *testing.T) {
 	key := mustHex(t,
 		"fffefdfcfbfaf9f8f7f6f5f4f3f2f1f0"+"bfbebdbcbbbab9b8b7b6b5b4b3b2b1b0")
-	c, err := NewCipher(key)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Expected value cross-validated against OpenSSL's XTS implementation
 	// (same key/tweak/plaintext through EVP aes-256-xts).
 	pt := mustHex(t, "000102030405060708090a0b0c0d0e0f10")
 	want := mustHex(t, "641610679dcbf92e505c41333fb06c2a95")
-	got := make([]byte, len(pt))
-	if err := c.Encrypt(got, pt, 0x9a78563412); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("ciphertext = %x, want %x", got, want)
-	}
-	back := make([]byte, len(pt))
-	if err := c.Decrypt(back, got, 0x9a78563412); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, pt) {
-		t.Errorf("roundtrip = %x, want %x", back, pt)
+	for _, e := range engines() {
+		t.Run(e.name, func(t *testing.T) {
+			c, err := e.new(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(pt))
+			if err := c.Encrypt(got, pt, 0x9a78563412); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("ciphertext = %x, want %x", got, want)
+			}
+			back := make([]byte, len(pt))
+			if err := c.Decrypt(back, got, 0x9a78563412); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(back, pt) {
+				t.Errorf("roundtrip = %x, want %x", back, pt)
+			}
+		})
 	}
 }
 
@@ -217,12 +242,52 @@ func TestXTSInPlace(t *testing.T) {
 	}
 }
 
-func BenchmarkXTSEncrypt4K(b *testing.B) {
-	c, _ := NewCipher(make([]byte, 64))
-	buf := make([]byte, 4096)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.Encrypt(buf, buf, uint64(i))
+// benchEngines runs fn once per engine so `go test -bench XTS` shows the
+// kernel next to the crypto/aes fallback.
+func benchEngines(b *testing.B, fn func(b *testing.B, c *Cipher)) {
+	for _, e := range engines() {
+		b.Run(e.name, func(b *testing.B) {
+			c, err := e.new(make([]byte, 64))
+			if err != nil {
+				b.Fatal(err)
+			}
+			fn(b, c)
+		})
 	}
+}
+
+func BenchmarkXTSEncrypt4K(b *testing.B) {
+	benchEngines(b, func(b *testing.B, c *Cipher) {
+		buf := make([]byte, 4096)
+		b.SetBytes(4096)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = c.Encrypt(buf, buf, uint64(i))
+		}
+	})
+}
+
+func BenchmarkXTSDecrypt4K(b *testing.B) {
+	benchEngines(b, func(b *testing.B, c *Cipher) {
+		buf := make([]byte, 4096)
+		b.SetBytes(4096)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = c.Decrypt(buf, buf, uint64(i))
+		}
+	})
+}
+
+// BenchmarkXTSEncryptSectors64K is dm-crypt's unit of work: 128 sectors
+// of 512 bytes in one span call. Set against Encrypt4K it shows the
+// per-sector fixed cost (tweak seed, one engine call per sector).
+func BenchmarkXTSEncryptSectors64K(b *testing.B) {
+	benchEngines(b, func(b *testing.B, c *Cipher) {
+		buf := make([]byte, 64*1024)
+		b.SetBytes(int64(len(buf)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = c.EncryptSectors(buf, buf, uint64(i), 512)
+		}
+	})
 }
