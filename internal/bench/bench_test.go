@@ -84,7 +84,7 @@ func TestRunFig6(t *testing.T) {
 		if p.Slowdown <= 1 {
 			t.Errorf("size %d: slowdown %.2f <= 1", p.SizeBytes, p.Slowdown)
 		}
-		if p.VerityPar <= 0 || p.VerityHot <= 0 {
+		if p.VerityPar <= 0 || p.VerityHot <= 0 || p.VerityCached <= 0 {
 			t.Errorf("size %d: parallel/warm rows not measured: %+v", p.SizeBytes, p)
 		}
 	}
@@ -92,7 +92,7 @@ func TestRunFig6(t *testing.T) {
 		t.Errorf("avg slowdown %.2f <= 1", res.AvgSlowdown)
 	}
 	out := res.Render()
-	for _, want := range []string{"average slowdown", "serial", "parallel", "parallel+cache"} {
+	for _, want := range []string{"average slowdown", "serial", "parallel", "parallel+tree", "parallel+cache"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render lacks %q", want)
 		}

@@ -105,6 +105,10 @@ func (m *Mem) Snapshot() []byte {
 	return out
 }
 
+// Clone returns an independent in-memory device with the same contents,
+// at the cost of one copy (NewMemFrom(m.Snapshot()) makes two).
+func (m *Mem) Clone() *Mem { return &Mem{data: m.Snapshot()} }
+
 // FlipBit flips a single bit, modelling the offline single-bit corruption
 // the paper's §6.1.3 argues dm-verity must catch.
 func (m *Mem) FlipBit(byteOff int64, bit uint) error {

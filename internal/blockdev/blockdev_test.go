@@ -67,6 +67,23 @@ func TestNewMemFromCopies(t *testing.T) {
 	}
 }
 
+func TestCloneIsIndependent(t *testing.T) {
+	dev := NewMemFrom([]byte{1, 2, 3, 4})
+	clone := dev.Clone()
+	if err := dev.WriteAt([]byte{99}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := clone.WriteAt([]byte{77}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := clone.Snapshot(); !bytes.Equal(got, []byte{1, 2, 3, 77}) {
+		t.Errorf("clone = %v, want [1 2 3 77]", got)
+	}
+	if got := dev.Snapshot(); !bytes.Equal(got, []byte{99, 2, 3, 4}) {
+		t.Errorf("original = %v, want [99 2 3 4]", got)
+	}
+}
+
 func TestFlipBit(t *testing.T) {
 	dev := NewMem(8)
 	if err := dev.FlipBit(3, 5); err != nil {

@@ -386,7 +386,7 @@ func (d *Deployment) launchNode(chipSeed []byte) (*Node, error) {
 		return nil, err
 	}
 	// Each node gets a private copy of the disk.
-	disk := blockdev.NewMemFrom(d.Image.Disk.Snapshot())
+	disk := d.Image.Disk.Clone()
 	guestVM, err := vm.Boot(guest, vm.BootConfig{
 		Disk:       disk,
 		Table:      d.Image.Table,

@@ -8,7 +8,7 @@ import (
 )
 
 // newVerifiedDevice formats a small tree and opens it with a serial
-// engine and a cache sized to hold the whole tree.
+// engine and a cache sized to hold the whole device and its tree.
 func newVerifiedDevice(t testing.TB, blocks int64) *Device {
 	t.Helper()
 	bs := int64(DefaultBlockSize)
@@ -27,41 +27,73 @@ func newVerifiedDevice(t testing.TB, blocks int64) *Device {
 		t.Fatal(err)
 	}
 	dev, err := OpenWithConfig(data, hashDev, meta, meta.RootHash,
-		Config{Concurrency: 1, CacheBlocks: 64})
+		Config{Concurrency: 1, CacheBlocks: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return dev
 }
 
-// TestVerifiedReadZeroAllocs is the allocs/op guard for the per-block
-// verify hot path: with the hash-block cache warm, pooled read buffers
-// and pooled SHA-256 states, a verified single-block read must not
-// allocate.
+// TestVerifiedReadZeroAllocs is the allocs/op guard for the two read
+// hot paths. Verifying one block with its tree path cached (a data miss
+// under a warm tree: the capacity-1 device below caches its one leaf
+// hash block and, data never displacing hash blocks, nothing else) uses
+// pooled scratch and pooled SHA-256 states. Serving cached blocks is a
+// plain copy on the caller's goroutine, whatever the worker count:
+// parallel.Shards allocates its WaitGroup and closures, so zero
+// allocations on the multi-block read also proves there was no fan-out.
 func TestVerifiedReadZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops entries at random under -race")
 	}
-	dev := newVerifiedDevice(t, 16)
-	bs := int64(dev.meta.BlockSize)
-	buf := make([]byte, bs)
-	// Warm the verified hash-block cache over the whole device.
-	for i := int64(0); i < 16; i++ {
-		if err := dev.ReadAt(buf, i*bs); err != nil {
+	// 256 blocks: two leaf hash blocks under the pinned top block.
+	warm := newVerifiedDevice(t, 256)
+	bs := int64(warm.meta.BlockSize)
+	treeOnly, err := OpenWithConfig(warm.data, warm.hash, warm.meta, warm.meta.RootHash,
+		Config{Concurrency: 1, CacheBlocks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := blockdev.NewStats(warm.data)
+	wide, err := OpenWithConfig(stats, warm.hash, warm.meta, warm.meta.RootHash, Config{Concurrency: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := make([]byte, 16*bs) // 64 KiB
+	for _, dev := range []*Device{warm, treeOnly, wide} {
+		if err := dev.ReadAt(span, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if cached(treeOnly, dataKey(0)) {
+		t.Fatal("capacity-1 device cached a data block; its read would not exercise the verify path")
+	}
+	coldOps, _, _, _ := stats.Counters()
 
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := dev.ReadAt(buf, 0); err != nil {
-			t.Fatal(err)
+	buf := span[:bs]
+	for _, tc := range []struct {
+		name string
+		dev  *Device
+		p    []byte
+	}{
+		{"cached single-block", warm, buf},
+		{"verified single-block, warm tree", treeOnly, buf},
+		{"cached 64 KiB multi-block, 4 workers", wide, span},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := tc.dev.ReadAt(tc.p, 0); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s ReadAt: %.1f allocs/op, want 0", tc.name, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("warm verified single-block ReadAt: %.1f allocs/op, want 0", allocs)
+	}
+	if ops, _, _, _ := stats.Counters(); ops != coldOps {
+		t.Errorf("cached multi-block reads went to the data device %d times", ops-coldOps)
 	}
 }
 
-// BenchmarkVerifiedBlockRead reports allocs/op for the warm verify path
+// BenchmarkVerifiedBlockRead reports allocs/op for the cached read path
 // (run with -benchmem to track the guard's numbers over time).
 func BenchmarkVerifiedBlockRead(b *testing.B) {
 	dev := newVerifiedDevice(b, 16)

@@ -7,8 +7,18 @@
 // on the measured kernel command line, the tree itself lives on a
 // designated metadata partition, and the guest's init verifies and mounts
 // the device at boot (internal/vm). Any single-bit change to the data
-// device makes the corresponding read fail with a *MismatchError, which is
-// the property the paper's §6.1.2–§6.1.3 security arguments rest on.
+// device makes the next read that fetches the affected block fail with a
+// *MismatchError, which is the property the paper's §6.1.2–§6.1.3
+// security arguments rest on.
+//
+// What is trusted is guest memory, not the disk: a block is hashed when
+// it crosses from the device into the guest and, once it matched, is
+// served from a bounded cache of verified blocks (blockCache) until it
+// is evicted — as on Linux, where the page cache sits above dm-verity.
+// Every byte a read returns was therefore verified against the measured
+// root hash when it entered guest memory; a disk tampered after a block
+// was cached is caught when that block is next fetched (after eviction,
+// by VerifyAll, or at the next boot), not by a read the cache answers.
 package dmverity
 
 import (
@@ -73,11 +83,15 @@ type Params struct {
 // what is accepted or rejected, only how fast: any root hash that opens
 // under one config opens under all of them.
 type Config struct {
-	// CacheBlocks bounds the LRU cache of verified hash blocks; 0
-	// selects DefaultCacheBlocks. Repeated reads whose tree path is
-	// cached skip re-verification up the tree; evicted blocks are fully
-	// re-verified on next use, so the cache never weakens fail-closed
-	// behaviour.
+	// CacheBlocks bounds the cache of verified blocks, data and hash
+	// blocks together; 0 selects DefaultCacheBlocks. A read copies the
+	// data blocks it finds there and verifies only the others, and a
+	// verification whose tree path is cached skips the walk up the
+	// tree. Nothing enters the cache before its digest matched and
+	// evicted blocks are fully re-verified on next use, so the cache
+	// never weakens fail-closed behaviour; data blocks never displace
+	// hash blocks, so a capacity no larger than the tree caches the
+	// tree alone.
 	CacheBlocks int
 	// Concurrency is the number of workers verifying the data blocks of
 	// a single large read (or VerifyAll pass); 0 selects GOMAXPROCS, 1
@@ -251,11 +265,18 @@ func Format(data blockdev.Device, params Params) (*blockdev.Mem, *Metadata, erro
 }
 
 // Device is an opened verity target: a read-only view of the data device
-// whose every read is verified against the tree. It implements
-// blockdev.Device and is safe for concurrent readers. Reads spanning
-// several blocks are verified by a sharded worker pool, and hash blocks
-// whose digests have already been chained to the root are served from a
-// bounded LRU cache (see Config).
+// that returns only bytes verified against the tree. It implements
+// blockdev.Device and is safe for concurrent readers.
+//
+// Verified blocks — tree blocks whose digests chained to the root, and
+// data blocks whose digests matched the tree — are kept in one bounded
+// cache (see Config.CacheBlocks), the way the guest's page cache sits
+// above dm-verity on Linux. A read copies the blocks it finds there and
+// verifies only the rest: batched inner reads, sharded across the worker
+// pool when the run of missing blocks is long enough. A block enters the
+// cache only after its digest matched, and an evicted block is fully
+// re-verified on next use, so every byte ever returned was checked
+// against the trusted root hash when it entered guest memory.
 type Device struct {
 	data     blockdev.Device
 	hash     blockdev.Device
@@ -268,23 +289,14 @@ type Device struct {
 	top       []byte
 	lastLevel int
 
-	cache   *hashCache
+	cache   *blockCache
 	workers int
-
-	// bufPool recycles block-sized scratch buffers for the serial read
-	// path and hash-block verification, keeping the warm-cache hot path
-	// allocation-free (guarded by TestVerifiedReadZeroAllocs).
-	bufPool sync.Pool
 }
 
-// getBlockBuf returns a block-sized scratch buffer from the device pool.
-func (d *Device) getBlockBuf() *[]byte {
-	if b, ok := d.bufPool.Get().(*[]byte); ok {
-		return b
-	}
-	b := make([]byte, d.meta.BlockSize)
-	return &b
-}
+// scratchPool recycles the miss path's batch read buffers, which only
+// ever grow (up to readBatchBlocks blocks), so a cold read allocates
+// only what the cache keeps.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 var _ blockdev.Device = (*Device)(nil)
 
@@ -317,7 +329,7 @@ func OpenWithConfig(data, hashDev blockdev.Device, meta *Metadata, rootHash [Dig
 		meta:      meta,
 		perBlock:  int64(meta.BlockSize / DigestSize),
 		lastLevel: len(meta.LevelStarts) - 1,
-		cache:     newHashCache(cfg.CacheBlocks),
+		cache:     newBlockCache(cfg.CacheBlocks),
 		workers:   parallel.Workers(cfg.Concurrency),
 	}
 	top := make([]byte, meta.BlockSize)
@@ -341,67 +353,37 @@ func (d *Device) hashBlockFor(level int, idx int64) (blockOff, entryOff int64) {
 
 // verifyHashBlock ensures the hash block at level `level` covering child
 // index idx chains up to the (already verified) root, returning its
-// contents. Returned slices are shared with the cache and must not be
-// modified.
-func (d *Device) verifyHashBlock(level int, idx int64) ([]byte, error) {
+// contents. A freshly verified block enters the cache, displacing an
+// older one only if evict is set. Returned slices are shared with the
+// cache and must not be modified.
+func (d *Device) verifyHashBlock(level int, idx int64, evict bool) ([]byte, error) {
 	if level == d.lastLevel {
 		return d.top, nil
 	}
 	blockOff, _ := d.hashBlockFor(level, idx)
-	if block, ok := d.cache.get(blockOff); ok {
+	if block, ok := d.cache.get(hashKey(blockOff)); ok {
 		return block, nil
 	}
-	// On success the buffer's ownership transfers to the cache (cached
-	// slices are shared with callers), so it is returned to the pool only
-	// on the failure paths.
-	blockp := d.getBlockBuf()
-	block := *blockp
+	// Once verified the block belongs to the cache, so it is allocated,
+	// not pooled.
+	block := make([]byte, d.meta.BlockSize)
 	if err := d.hash.ReadAt(block, blockOff); err != nil {
-		d.bufPool.Put(blockp)
 		return nil, fmt.Errorf("dmverity: read hash block: %w", err)
 	}
 	// Verify this block against its parent entry (recursively verified).
 	parentIdx := idx / d.perBlock // index of this block within its level
-	parent, err := d.verifyHashBlock(level+1, parentIdx)
+	parent, err := d.verifyHashBlock(level+1, parentIdx, evict)
 	if err != nil {
-		d.bufPool.Put(blockp)
 		return nil, err
 	}
 	_, entryOff := d.hashBlockFor(level+1, parentIdx)
 	want := parent[entryOff : entryOff+DigestSize]
 	got := saltedDigest(d.meta.Salt, block)
 	if !bytes.Equal(got[:], want) {
-		d.bufPool.Put(blockp)
 		return nil, &MismatchError{Level: level, Block: parentIdx}
 	}
-	d.cache.put(blockOff, block)
+	d.cache.putHash(blockOff, block, evict)
 	return block, nil
-}
-
-// verifyDataBlock checks data block i against the tree and returns its
-// contents in buf.
-func (d *Device) verifyDataBlock(i int64, buf []byte) error {
-	bs := int64(d.meta.BlockSize)
-	if err := d.data.ReadAt(buf, i*bs); err != nil {
-		return fmt.Errorf("dmverity: read data block %d: %w", i, err)
-	}
-	return d.verifyDataIn(i, buf)
-}
-
-// verifyDataIn checks an already-read copy of data block i against the
-// tree.
-func (d *Device) verifyDataIn(i int64, buf []byte) error {
-	level0, err := d.verifyHashBlock(0, i)
-	if err != nil {
-		return err
-	}
-	_, entryOff := d.hashBlockFor(0, i)
-	want := level0[entryOff : entryOff+DigestSize]
-	got := saltedDigest(d.meta.Salt, buf)
-	if !bytes.Equal(got[:], want) {
-		return &MismatchError{Level: 0, Block: i}
-	}
-	return nil
 }
 
 // readBatchBlocks bounds how many data blocks one worker fetches per
@@ -412,39 +394,86 @@ const (
 	minParallelBlocks = 4
 )
 
-// forEachBlockIn reads data blocks [first, first+n) in batched inner
-// reads and hands each block to fn. The buffer passed to fn is reused
-// across calls.
-func (d *Device) forEachBlockIn(first, n int64, fn func(i int64, block []byte) error) error {
-	bs := int64(d.meta.BlockSize)
-	batch := int64(readBatchBlocks)
-	if n < batch {
-		batch = n
+// copyBlock copies into p, which holds the device bytes from off on, the
+// part of block (at device offset blockOff) that p covers.
+func copyBlock(p []byte, off, blockOff int64, block []byte) {
+	lo, hi := blockOff, blockOff+int64(len(block))
+	if lo < off {
+		lo = off
 	}
-	buf := make([]byte, batch*bs)
-	for b := first; b < first+n; b += batch {
-		cnt := batch
-		if first+n-b < cnt {
-			cnt = first + n - b
+	if end := off + int64(len(p)); hi > end {
+		hi = end
+	}
+	copy(p[lo-off:hi-off], block[lo-blockOff:hi-blockOff])
+}
+
+// verifyRun reads data blocks [first, first+n) from the data device in
+// batched inner reads and checks every one against the tree; any
+// mismatch fails the run. A read passes p, its buffer of device bytes
+// from off on: each block is copied into it once its own digest has
+// matched, and each fully verified batch then enters the cache,
+// displacing older blocks. A scan passes nil: what it verifies only
+// fills free cache slots.
+func (d *Device) verifyRun(first, n int64, p []byte, off int64) error {
+	bs := int64(d.meta.BlockSize)
+	evict := p != nil
+	bufp := scratchPool.Get().(*[]byte)
+	defer scratchPool.Put(bufp)
+	if need := min(n, readBatchBlocks) * bs; int64(cap(*bufp)) < need {
+		*bufp = make([]byte, need)
+	}
+	buf := *bufp
+	// level0 is the verified hash block holding the digests of the
+	// blocks being checked; it is looked up once per perBlock of them.
+	var level0 []byte
+	for b := first; b < first+n; b += readBatchBlocks {
+		cnt := first + n - b
+		if cnt > readBatchBlocks {
+			cnt = readBatchBlocks
 		}
 		seg := buf[:cnt*bs]
 		if err := d.data.ReadAt(seg, b*bs); err != nil {
 			return fmt.Errorf("dmverity: read data block %d: %w", b, err)
 		}
-		for j := int64(0); j < cnt; j++ {
-			if err := fn(b+j, seg[j*bs:(j+1)*bs]); err != nil {
-				return err
+		for i := b; i < b+cnt; i++ {
+			if level0 == nil || i%d.perBlock == 0 {
+				var err error
+				if level0, err = d.verifyHashBlock(0, i, evict); err != nil {
+					return err
+				}
+			}
+			_, entryOff := d.hashBlockFor(0, i)
+			block := seg[(i-b)*bs : (i-b+1)*bs]
+			got := saltedDigest(d.meta.Salt, block)
+			if !bytes.Equal(got[:], level0[entryOff:entryOff+DigestSize]) {
+				return &MismatchError{Level: 0, Block: i}
+			}
+			if p != nil {
+				copyBlock(p, off, i*bs, block)
 			}
 		}
+		d.cache.putData(b, seg, int(bs), evict)
 	}
 	return nil
 }
 
-// ReadAt implements blockdev.Device with per-block verification. Reads
-// spanning at least minParallelBlocks blocks are sharded across the
-// worker pool, each worker batch-reading its range of the data device
-// and verifying block by block; any mismatch anywhere fails the whole
-// read.
+// readMisses verifies the uncached data blocks [first, first+n) of a
+// read into p (device bytes from off on). Runs of at least
+// minParallelBlocks blocks are sharded across the worker pool.
+func (d *Device) readMisses(p []byte, off, first, n int64) error {
+	if d.workers == 1 || n < minParallelBlocks {
+		return d.verifyRun(first, n, p, off)
+	}
+	return parallel.Shards(d.workers, n, func(lo, hi int64) error {
+		return d.verifyRun(first+lo, hi-lo, p, off)
+	})
+}
+
+// ReadAt implements blockdev.Device. Blocks of the request found in the
+// verified-block cache are copied out on the caller's goroutine; each
+// maximal run of missing blocks is read from the data device and
+// verified block by block (see verifyRun). Any mismatch anywhere fails
+// the whole read, and nothing unverified is ever copied into p.
 func (d *Device) ReadAt(p []byte, off int64) error {
 	if off < 0 || off+int64(len(p)) > d.Size() {
 		return fmt.Errorf("%w: off=%d len=%d size=%d",
@@ -454,39 +483,28 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 		return nil
 	}
 	bs := int64(d.meta.BlockSize)
-	end := off + int64(len(p))
-	first := off / bs
-	nBlocks := (end-1)/bs - first + 1
-	if d.workers == 1 || nBlocks < minParallelBlocks {
-		bufp := d.getBlockBuf()
-		defer d.bufPool.Put(bufp)
-		buf := *bufp
-		for n := 0; n < len(p); {
-			i := (off + int64(n)) / bs
-			inner := (off + int64(n)) % bs
-			if err := d.verifyDataBlock(i, buf); err != nil {
-				return err
+	first, last := off/bs, (off+int64(len(p))-1)/bs
+	missFrom := int64(-1) // start of the current run of uncached blocks
+	for i := first; i <= last; i++ {
+		block, ok := d.cache.get(dataKey(i))
+		if !ok {
+			if missFrom < 0 {
+				missFrom = i
 			}
-			n += copy(p[n:], buf[inner:])
+			continue
 		}
-		return nil
-	}
-	return parallel.Shards(d.workers, nBlocks, func(lo, hi int64) error {
-		return d.forEachBlockIn(first+lo, hi-lo, func(i int64, block []byte) error {
-			if err := d.verifyDataIn(i, block); err != nil {
+		if missFrom >= 0 {
+			if err := d.readMisses(p, off, missFrom, i-missFrom); err != nil {
 				return err
 			}
-			devLo, devHi := i*bs, (i+1)*bs
-			if devLo < off {
-				devLo = off
-			}
-			if devHi > end {
-				devHi = end
-			}
-			copy(p[devLo-off:devHi-off], block[devLo-i*bs:devHi-i*bs])
-			return nil
-		})
-	})
+			missFrom = -1
+		}
+		copyBlock(p, off, i*bs, block)
+	}
+	if missFrom >= 0 {
+		return d.readMisses(p, off, missFrom, last+1-missFrom)
+	}
+	return nil
 }
 
 // WriteAt implements blockdev.Device by always failing: verity targets are
@@ -496,12 +514,15 @@ func (d *Device) WriteAt([]byte, int64) error { return blockdev.ErrReadOnly }
 // Size implements blockdev.Device.
 func (d *Device) Size() int64 { return d.meta.DataBlocks * int64(d.meta.BlockSize) }
 
-// VerifyAll walks the entire device, verifying every data block. This is
-// the "dm-verity verify" boot service of Table 1; it shards the walk
-// across the worker pool and batches its data reads.
+// VerifyAll walks the entire device, re-reading and re-hashing every
+// data block whether or not it is cached. This is the "dm-verity verify"
+// boot service of Table 1; it shards the walk across the worker pool and
+// batches its data reads. Being a scan it evicts nothing, but blocks it
+// has just verified fill free cache slots, so the reads that follow a
+// boot do not hash them a second time.
 func (d *Device) VerifyAll() error {
 	return parallel.Shards(d.workers, d.meta.DataBlocks, func(lo, hi int64) error {
-		return d.forEachBlockIn(lo, hi-lo, d.verifyDataIn)
+		return d.verifyRun(lo, hi-lo, nil, 0)
 	})
 }
 

@@ -159,45 +159,66 @@ func TestParallelCorruptionFailsClosed(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionStaysFailClosed bounds the cache at two blocks,
-// forces eviction, then tampers with an evicted hash block: the next
-// read must re-verify and catch it. The cache may serve only bytes it
-// proved; eviction must never downgrade to trust-on-reread.
+// TestCacheEvictionStaysFailClosed bounds the cache at two blocks, reads
+// data block 0 (caching it and its leaf hash block), forces both out,
+// then tampers with one of them on disk: the next read must re-verify
+// and catch it. The cache may serve only bytes it proved; eviction must
+// never downgrade to trust-on-reread.
 func TestCacheEvictionStaysFailClosed(t *testing.T) {
-	// 600 data blocks -> several leaf hash blocks at 128 digests/block
-	// with BlockSize 4096.
-	data := blockdev.NewMemFrom(fixtureData(600))
-	hashDev, meta, err := Format(data, Params{BlockSize: DefaultBlockSize})
-	if err != nil {
-		t.Fatal(err)
+	table := []struct {
+		name   string
+		tamper func(data, hash *blockdev.Mem, meta *Metadata) error
+	}{
+		// Level 0 starts at offset 0 of the hash device, with the leaf
+		// hash block covering data block 0.
+		{"hash block", func(_, hash *blockdev.Mem, meta *Metadata) error {
+			return hash.FlipBit(meta.LevelStarts[0]+3, 1)
+		}},
+		{"data block", func(data, _ *blockdev.Mem, _ *Metadata) error {
+			return data.FlipBit(77, 6)
+		}},
 	}
-	dev, err := OpenWithConfig(data, hashDev, meta, meta.RootHash,
-		Config{Concurrency: 1, CacheBlocks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, DefaultBlockSize)
-	// Verify block 0 (caches its leaf hash block), then read far-away
-	// blocks to evict it.
-	if err := dev.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int64{200, 350, 599} {
-		if err := dev.ReadAt(buf, i*DefaultBlockSize); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := dev.cache.len(); got > 2 {
-		t.Errorf("cache holds %d blocks, capacity 2", got)
-	}
-	// Tamper with the leaf hash block covering data block 0 (level 0
-	// starts at offset 0 of the hash device).
-	if err := hashDev.FlipBit(int64(meta.LevelStarts[0])+3, 1); err != nil {
-		t.Fatal(err)
-	}
-	var mismatch *MismatchError
-	if err := dev.ReadAt(buf, 0); !errors.As(err, &mismatch) {
-		t.Errorf("read after eviction+tamper: err = %v, want MismatchError", err)
+	for _, tc := range table {
+		t.Run(tc.name, func(t *testing.T) {
+			// 600 data blocks -> several leaf hash blocks at 128
+			// digests/block with BlockSize 4096.
+			data := blockdev.NewMemFrom(fixtureData(600))
+			hashDev, meta, err := Format(data, Params{BlockSize: DefaultBlockSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev, err := OpenWithConfig(data, hashDev, meta, meta.RootHash,
+				Config{Concurrency: 1, CacheBlocks: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, DefaultBlockSize)
+			if err := dev.ReadAt(buf, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !cached(dev, dataKey(0)) || !cached(dev, hashKey(meta.LevelStarts[0])) {
+				t.Fatal("first read did not cache data block 0 and its hash block")
+			}
+			// Far-away blocks under other leaf hash blocks evict both.
+			for _, i := range []int64{200, 350, 599} {
+				if err := dev.ReadAt(buf, i*DefaultBlockSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := dev.cache.len(); got > 2 {
+				t.Errorf("cache holds %d blocks, capacity 2", got)
+			}
+			if cached(dev, dataKey(0)) || cached(dev, hashKey(meta.LevelStarts[0])) {
+				t.Fatal("block 0 or its hash block survived eviction; the test would prove nothing")
+			}
+			if err := tc.tamper(data, hashDev, meta); err != nil {
+				t.Fatal(err)
+			}
+			var mismatch *MismatchError
+			if err := dev.ReadAt(buf, 0); !errors.As(err, &mismatch) {
+				t.Errorf("read after eviction+tamper: err = %v, want MismatchError", err)
+			}
+		})
 	}
 }
 
@@ -230,7 +251,9 @@ func TestCacheSpeedsRepeatReads(t *testing.T) {
 
 // TestConcurrentVerifiedReaders hammers one shared device from many
 // goroutines under -race: the verified-block cache and worker pool must
-// be safe for concurrent readers.
+// be safe for concurrent readers — with a capacity far below the working
+// set, where hits, inserts and evictions of the same blocks interleave,
+// and with the default, where after the first pass every read is a hit.
 func TestConcurrentVerifiedReaders(t *testing.T) {
 	raw := fixtureData(64)
 	data := blockdev.NewMemFrom(raw)
@@ -238,38 +261,43 @@ func TestConcurrentVerifiedReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := OpenWithConfig(data, hashDev, meta, meta.RootHash,
-		Config{Concurrency: 4, CacheBlocks: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			buf := make([]byte, 8*DefaultBlockSize)
-			for i := 0; i < 10; i++ {
-				off := rng.Int63n(dev.Size() - int64(len(buf)))
-				if err := dev.ReadAt(buf, off); err != nil {
-					errs <- err
-					return
-				}
-				if !bytes.Equal(buf, raw[off:off+int64(len(buf))]) {
-					errs <- errors.New("concurrent read returned wrong bytes")
-					return
-				}
-			}
-			errs <- nil
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	for _, capacity := range []int{8, DefaultCacheBlocks} {
+		dev, err := OpenWithConfig(data, hashDev, meta, meta.RootHash,
+			Config{Concurrency: 4, CacheBlocks: capacity})
 		if err != nil {
 			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 16)
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				buf := make([]byte, 8*DefaultBlockSize)
+				for i := 0; i < 10; i++ {
+					off := rng.Int63n(dev.Size() - int64(len(buf)))
+					if err := dev.ReadAt(buf, off); err != nil {
+						errs <- err
+						return
+					}
+					if !bytes.Equal(buf, raw[off:off+int64(len(buf))]) {
+						errs <- errors.New("concurrent read returned wrong bytes")
+						return
+					}
+				}
+				errs <- nil
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("capacity %d: %v", capacity, err)
+			}
+		}
+		if got := dev.cache.len(); got > capacity {
+			t.Errorf("cache holds %d blocks, capacity %d", got, capacity)
 		}
 	}
 }

@@ -53,7 +53,12 @@ func Build(files []File) ([]byte, error) {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 
 	seen := make(map[string]struct{}, len(sorted))
+	size := 16 + BlockSize // header, and room for the padding
+	for _, f := range sorted {
+		size += 4 + len(f.Path) + 4 + 8 + len(f.Content)
+	}
 	var b bytes.Buffer
+	b.Grow(size) // one allocation, not a doubling series of them
 	w := func(v any) { _ = binary.Write(&b, binary.LittleEndian, v) }
 	w(uint32(archiveMagic))
 	w(uint32(archiveVersion))
@@ -109,15 +114,17 @@ type entry struct {
 // file contents are verified on read.
 func Mount(dev blockdev.Device) (*FS, error) {
 	r := &deviceReader{dev: dev}
-	var magic, version uint32
-	if err := r.read(&magic); err != nil || magic != archiveMagic {
+	if magic, err := r.u32(); err != nil || magic != archiveMagic {
 		return nil, fmt.Errorf("%w: magic", ErrBadArchive)
 	}
-	if err := r.read(&version); err != nil || version != archiveVersion {
+	if version, err := r.u32(); err != nil || version != archiveVersion {
 		return nil, fmt.Errorf("%w: version", ErrBadArchive)
 	}
-	var count uint64
-	if err := r.read(&count); err != nil || count > maxFiles {
+	// The count sizes the index, so besides maxFiles it is held to what
+	// the device could possibly contain: a 16-byte header must not be
+	// able to demand a million-entry map.
+	count, err := r.u64()
+	if err != nil || count > maxFiles || count > uint64(dev.Size())/minEntryLen {
 		return nil, fmt.Errorf("%w: file count", ErrBadArchive)
 	}
 	fsys := &FS{
@@ -126,23 +133,23 @@ func Mount(dev blockdev.Device) (*FS, error) {
 		paths: make([]string, 0, count),
 	}
 	for i := uint64(0); i < count; i++ {
-		var nameLen uint32
-		if err := r.read(&nameLen); err != nil || nameLen == 0 || nameLen > maxNameLen {
+		nameLen, err := r.u32()
+		if err != nil || nameLen == 0 || nameLen > maxNameLen {
 			return nil, fmt.Errorf("%w: name length", ErrBadArchive)
 		}
-		name := make([]byte, nameLen)
-		if err := r.readBytes(name); err != nil {
+		name, err := r.next(int(nameLen))
+		if err != nil {
 			return nil, fmt.Errorf("%w: name", ErrBadArchive)
 		}
-		var mode uint32
-		if err := r.read(&mode); err != nil {
+		p := string(name) // name is only valid until the next field is decoded
+		mode, err := r.u32()
+		if err != nil {
 			return nil, fmt.Errorf("%w: mode", ErrBadArchive)
 		}
-		var size uint64
-		if err := r.read(&size); err != nil || size > maxFileSize {
+		size, err := r.u64()
+		if err != nil || size > maxFileSize {
 			return nil, fmt.Errorf("%w: size", ErrBadArchive)
 		}
-		p := string(name)
 		if _, dup := fsys.index[p]; dup {
 			return nil, fmt.Errorf("%w: duplicate path %q", ErrBadArchive, p)
 		}
@@ -156,33 +163,70 @@ func Mount(dev blockdev.Device) (*FS, error) {
 	return fsys, nil
 }
 
+// minEntryLen is the shortest index entry: name length, a one-byte name,
+// mode and size.
+const minEntryLen = 4 + 1 + 4 + 8
+
+var errTruncated = errors.New("rootfs: truncated archive")
+
+// deviceReader decodes the archive's little-endian fields in device
+// order through a read-ahead buffer. A refill reads from the current
+// offset through the end of the block the wanted field ends in — the
+// very blocks a verity device would verify for a read of the field
+// alone — so file contents are never touched while mounting.
 type deviceReader struct {
-	dev blockdev.Device
-	off int64
+	dev   blockdev.Device
+	off   int64  // device offset of the next undecoded byte
+	buf   []byte // device bytes [off, off+len(buf)), a window of ahead
+	ahead [2 * BlockSize]byte
 }
 
-func (r *deviceReader) readBytes(p []byte) error {
-	if err := r.dev.ReadAt(p, r.off); err != nil {
-		return err
+// next returns the next n bytes (n <= BlockSize) and advances past them.
+// The slice is valid until the following call.
+func (r *deviceReader) next(n int) ([]byte, error) {
+	if n > len(r.buf) {
+		end := (r.off + int64(n) + BlockSize - 1) / BlockSize * BlockSize
+		if size := r.dev.Size(); end > size {
+			end = size
+		}
+		if end-r.off < int64(n) {
+			return nil, errTruncated
+		}
+		r.buf = r.ahead[:end-r.off]
+		if err := r.dev.ReadAt(r.buf, r.off); err != nil {
+			r.buf = nil
+			return nil, err
+		}
 	}
-	r.off += int64(len(p))
-	return nil
+	out := r.buf[:n]
+	r.buf = r.buf[n:]
+	r.off += int64(n)
+	return out, nil
 }
 
-func (r *deviceReader) read(v any) error {
-	size := binary.Size(v)
-	buf := make([]byte, size)
-	if err := r.readBytes(buf); err != nil {
-		return err
+func (r *deviceReader) u32() (uint32, error) {
+	b, err := r.next(4)
+	if err != nil {
+		return 0, err
 	}
-	return binary.Read(bytes.NewReader(buf), binary.LittleEndian, v)
+	return binary.LittleEndian.Uint32(b), nil
 }
 
+func (r *deviceReader) u64() (uint64, error) {
+	b, err := r.next(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
+}
+
+// skip advances past n bytes of file content without reading them.
 func (r *deviceReader) skip(n int64) error {
 	if r.off+n > r.dev.Size() {
-		return errors.New("rootfs: truncated archive")
+		return errTruncated
 	}
 	r.off += n
+	r.buf = r.buf[min(n, int64(len(r.buf))):]
 	return nil
 }
 

@@ -190,3 +190,47 @@ func TestMountNeverPanics(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzMount feeds Mount arbitrary device contents, seeded with real
+// archives and damaged copies of them. Mount must never panic, and
+// whatever it accepts must be self-consistent: every listed file lies
+// within the device and reads back at its stated size.
+func FuzzMount(f *testing.F) {
+	for _, files := range [][]File{
+		nil,
+		sampleFiles(),
+		{{Path: "a", Content: bytes.Repeat([]byte{7}, 2*BlockSize), Mode: 0o644}},
+		{{Path: "x/" + string(bytes.Repeat([]byte{'n'}, maxNameLen-2)), Content: []byte("long name")}},
+	} {
+		archive, err := Build(files)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(archive)
+		f.Add(archive[:len(archive)/2])
+		f.Add(archive[:20])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dev := blockdev.NewMemFrom(data)
+		fsys, err := Mount(dev)
+		if err != nil {
+			if !errors.Is(err, ErrBadArchive) {
+				t.Fatalf("Mount error %v is not ErrBadArchive", err)
+			}
+			return
+		}
+		for _, p := range fsys.List() {
+			size, _, err := fsys.Stat(p)
+			if err != nil {
+				t.Fatalf("Stat(%q) of a listed file: %v", p, err)
+			}
+			if e := fsys.index[p]; e.off < 0 || e.off+size > dev.Size() {
+				t.Fatalf("%q: content [%d,+%d) outside the %d-byte device", p, e.off, size, dev.Size())
+			}
+			got, err := fsys.ReadFile(p)
+			if err != nil || int64(len(got)) != size {
+				t.Fatalf("ReadFile(%q) = %d bytes, %v; want %d", p, len(got), err, size)
+			}
+		}
+	})
+}
