@@ -59,6 +59,7 @@ func run() error {
 
 	// --- Alice: attest the server, then create an encrypted pad ----------
 	aliceBrowser := webclient.NewBrowser(svc.CARootPool(), 0)
+	defer aliceBrowser.Close()
 	aliceBrowser.Resolve(domain, svc.WebAddr(0))
 	aliceExt := webclient.NewExtension(aliceBrowser, svc.Verifier())
 	aliceExt.RegisterSite(domain, svc.Golden())
@@ -85,6 +86,7 @@ func run() error {
 
 	// --- Bob: attest, then open the pad via the share link ---------------
 	bobBrowser := webclient.NewBrowser(svc.CARootPool(), 0)
+	defer bobBrowser.Close()
 	bobBrowser.Resolve(domain, svc.WebAddr(0))
 	bobExt := webclient.NewExtension(bobBrowser, svc.Verifier())
 	bobExt.RegisterSite(domain, svc.Golden())

@@ -63,6 +63,7 @@ func run() error {
 	}
 
 	b := webclient.NewBrowser(svc.CARootPool(), 0)
+	defer b.Close() // the session's keep-alive connections
 	b.Resolve(domain, svc.WebAddr(0))
 	ext := webclient.NewExtension(b, svc.Verifier())
 

@@ -32,10 +32,16 @@ func TestRunTable1(t *testing.T) {
 			}
 		}
 	}
-	// Paper shape: BN boots slower than CP (more services, bigger rootfs).
-	if res.Profiles[0].TotalBoot <= res.Profiles[1].TotalBoot {
-		t.Errorf("BN boot (%v) not slower than CP (%v)",
-			res.Profiles[0].TotalBoot, res.Profiles[1].TotalBoot)
+	// Structure only: the paper's "BN boots slower than CP" comes from
+	// BN's image being the bigger one, and that is what is checked. Which
+	// boot takes longer on this machine right now is a timing claim and
+	// belongs to benchmark/ (vm.boot_ms).
+	bn, cp := res.Profiles[0], res.Profiles[1]
+	if bn.Services <= cp.Services {
+		t.Errorf("BN has %d services, CP %d: want more", bn.Services, cp.Services)
+	}
+	if bn.RootfsBytes <= cp.RootfsBytes {
+		t.Errorf("BN rootfs is %d bytes, CP %d: want larger", bn.RootfsBytes, cp.RootfsBytes)
 	}
 	out := res.Render()
 	for _, want := range []string{"dm-crypt setup", "dm-verity verify", "Identity creation"} {

@@ -20,7 +20,11 @@ type Table1Profile struct {
 	Name      string
 	TotalBoot time.Duration
 	FirstBoot bool
-	Rows      []Table1Row
+	// Services and RootfsBytes size the image that booted: what the
+	// paper's "BN boots slower than CP" comes from.
+	Services    int
+	RootfsBytes int64
+	Rows        []Table1Row
 }
 
 // Table1Result reproduces Table 1: Revelio-imposed delays on first boot
@@ -53,6 +57,7 @@ func RunTable1() (*Table1Result, error) {
 			return nil, fmt.Errorf("bench: table1 %s: %w", s.name, err)
 		}
 		tm := d.Nodes[0].VM.Timings()
+		rootfsBytes := d.Image.Table.RootfsLen
 		d.Close()
 
 		total := tm.Total
@@ -63,9 +68,11 @@ func RunTable1() (*Table1Result, error) {
 			return float64(d) / float64(total)
 		}
 		result.Profiles = append(result.Profiles, Table1Profile{
-			Name:      s.name,
-			TotalBoot: total,
-			FirstBoot: tm.FirstBoot,
+			Name:        s.name,
+			TotalBoot:   total,
+			FirstBoot:   tm.FirstBoot,
+			Services:    len(s.spec.Services),
+			RootfsBytes: rootfsBytes,
 			Rows: []Table1Row{
 				{"dm-crypt setup", tm.DmCryptSetup, frac(tm.DmCryptSetup)},
 				{"dm-verity setup", tm.DmVeritySetup, frac(tm.DmVeritySetup)},

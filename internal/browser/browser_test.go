@@ -11,15 +11,41 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"revelio/internal/acme"
 )
 
-// startTLSServer issues a CA-signed certificate for domain and serves
-// handler over TLS on a loopback listener, returning the address.
-func startTLSServer(t *testing.T, ca *acme.CA, zone *acme.Zone, domain string, handler http.Handler) (addr string, pubDER []byte) {
+// tlsServer is a loopback HTTPS server for domain under the test CA
+// that counts its handshakes and can kill its connections.
+type tlsServer struct {
+	addr string
+	// pubs[i] is the key presented in handshake i (the last one from
+	// then on).
+	pubs       [][]byte
+	handshakes atomic.Int64
+
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+}
+
+// closeConns closes every open connection from the server's side, the
+// way a server times out idle keep-alive connections (or an attacker
+// in the network path resets them).
+func (s *tlsServer) closeConns() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c := range s.conns {
+		_ = c.Close()
+	}
+}
+
+// issueCert generates a key and obtains a CA-signed certificate for
+// domain.
+func issueCert(t *testing.T, ca *acme.CA, zone *acme.Zone, domain string) (tls.Certificate, []byte) {
 	t.Helper()
 	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
@@ -36,23 +62,61 @@ func startTLSServer(t *testing.T, ca *acme.CA, zone *acme.Zone, domain string, h
 	if err != nil {
 		t.Fatal(err)
 	}
+	pubDER, err := x509.MarshalPKIXPublicKey(&key.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tls.Certificate{Certificate: [][]byte{certDER}, PrivateKey: key}, pubDER
+}
 
+// startServer serves handler over TLS on a loopback listener with
+// `keys` certificates for domain, one key each: handshake i presents
+// certificate i, the last one from then on.
+func startServer(t *testing.T, ca *acme.CA, zone *acme.Zone, domain string, keys int, handler http.Handler) *tlsServer {
+	t.Helper()
+	s := &tlsServer{conns: make(map[net.Conn]struct{})}
+	certs := make([]tls.Certificate, keys)
+	for i := range certs {
+		var pub []byte
+		certs[i], pub = issueCert(t, ca, zone, domain)
+		s.pubs = append(s.pubs, pub)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.addr = ln.Addr().String()
 	tlsLn := tls.NewListener(ln, &tls.Config{
-		Certificates: []tls.Certificate{{Certificate: [][]byte{certDER}, PrivateKey: key}},
+		GetCertificate: func(*tls.ClientHelloInfo) (*tls.Certificate, error) {
+			i := int(s.handshakes.Add(1)) - 1
+			return &certs[min(i, len(certs)-1)], nil
+		},
 	})
-	server := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+	server := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+		ConnState: func(c net.Conn, state http.ConnState) {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			switch state {
+			case http.StateNew:
+				s.conns[c] = struct{}{}
+			case http.StateClosed, http.StateHijacked:
+				delete(s.conns, c)
+			}
+		},
+	}
 	go func() { _ = server.Serve(tlsLn) }()
 	t.Cleanup(func() { _ = server.Close() })
+	return s
+}
 
-	pubDER, err = x509.MarshalPKIXPublicKey(&key.PublicKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ln.Addr().String(), pubDER
+// startTLSServer issues a CA-signed certificate for domain and serves
+// handler over TLS on a loopback listener, returning the address.
+func startTLSServer(t *testing.T, ca *acme.CA, zone *acme.Zone, domain string, handler http.Handler) (addr string, pubDER []byte) {
+	t.Helper()
+	s := startServer(t, ca, zone, domain, 1, handler)
+	return s.addr, s.pubs[0]
 }
 
 func newTestCA(t *testing.T) (*acme.CA, *acme.Zone, *x509.CertPool) {

@@ -79,6 +79,11 @@ var (
 // gateways — can shed work the caller has already given up on.
 const DeadlineHeader = "Revelio-Deadline-Ms"
 
+// upstreamIdleTimeout ages out pooled upstream connections nobody
+// closed: a node removed from the fleet closes its own servers (which
+// evicts its connections at once), one that merely vanishes does not.
+const upstreamIdleTimeout = 90 * time.Second
+
 // Source publishes the serving view the gateway routes over. The fleet
 // engine implements it; View adapts any other membership owner.
 type Source interface {
@@ -386,6 +391,7 @@ func New(cfg Config) (*Gateway, error) {
 				Timeout: cfg.DialTimeout,
 			}).DialContext,
 			MaxIdleConnsPerHost: cfg.MaxIdleConnsPerHost,
+			IdleConnTimeout:     upstreamIdleTimeout,
 			// The per-attempt header deadline: a node that accepts the
 			// connection but never sends headers fails this attempt
 			// instead of pinning the client until WriteTimeout.
@@ -418,18 +424,15 @@ func New(cfg Config) (*Gateway, error) {
 	g.sync(snap)
 	release()
 
-	// Watch the view: on churn, retire departed endpoints promptly and
-	// drop their warm connections instead of waiting for the next
-	// request to notice.
+	// Watch the view: on churn, retire departed endpoints promptly
+	// instead of waiting for the next request to notice.
 	ch, unsub := cfg.Source.Subscribe()
 	g.unsub = unsub
 	g.watchWG.Add(1)
 	go func() {
 		defer g.watchWG.Done()
 		for snap := range ch {
-			if g.sync(snap) {
-				g.transport.CloseIdleConnections()
-			}
+			g.sync(snap)
 		}
 	}()
 	// Probe loop: breaker-open upstreams re-enter rotation only through
@@ -528,16 +531,18 @@ func (g *Gateway) checkPolicyEpoch() {
 }
 
 // sync reconciles the routing table with a snapshot, preserving pending
-// counts, ejection state, and breaker state for surviving endpoints. It
-// reports whether any endpoint departed (so callers must drop its
-// pooled connections); whichever path observes a version first — the
-// per-request fast path or the subscription watcher — consumes it, so
-// both act on the result.
-func (g *Gateway) sync(snap fleet.Snapshot) (removed bool) {
+// counts, ejection state, and breaker state for surviving endpoints.
+// Whichever path observes a version first — the per-request fast path
+// or the subscription watcher — consumes it. A departed endpoint's
+// pooled connections are not flushed here: the node closes its own
+// servers on removal, which evicts its idle connections from the pool,
+// pick can no longer select it, and flushing the whole transport would
+// cost every surviving node its warm RA-TLS connections too.
+func (g *Gateway) sync(snap fleet.Snapshot) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if snap.Version <= g.version && g.version != 0 {
-		return false
+		return
 	}
 	g.version = snap.Version
 	g.domain = snap.Domain
@@ -573,16 +578,7 @@ func (g *Gateway) sync(snap fleet.Snapshot) (removed bool) {
 			breaker: resilience.NewBreaker(g.breakerConfig()),
 		}
 	}
-	for addr := range g.ups {
-		if _, ok := keep[addr]; !ok {
-			// Departure by address, not by count: a same-size swap
-			// (replace) retires an endpoint too.
-			removed = true
-			break
-		}
-	}
 	g.ups = keep
-	return removed
 }
 
 // pick selects the upstream for one attempt through the four routing
@@ -830,11 +826,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	snap, release := g.cfg.Source.Acquire()
 	defer release()
 	g.checkPolicyEpoch()
-	if g.sync(snap) {
-		// A node left the view since the last observed version: its
-		// warm connections must not linger in the pool.
-		g.transport.CloseIdleConnections()
-	}
+	g.sync(snap)
 	g.requests.Add(1)
 
 	// The routing decision is computed once per request and applied to

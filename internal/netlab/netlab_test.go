@@ -1,6 +1,7 @@
 package netlab
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -289,5 +290,46 @@ func TestSlowDripRationsResponseBodies(t *testing.T) {
 	_ = resp.Body.Close()
 	if len(body) != len(payload) {
 		t.Fatalf("post-clear read: %d bytes", len(body))
+	}
+}
+
+// TestRelayForwardsCountsAndCuts: the relay is transparent to HTTP,
+// counts one accepted connection per client connection, and Cut ends
+// the established ones without stopping the relay.
+func TestRelayForwardsCountsAndCuts(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write([]byte("ok"))
+	}))
+	defer srv.Close()
+	relay, err := NewRelay(context.Background(), srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	get := func() {
+		t.Helper()
+		resp, err := client.Get("http://" + relay.Addr() + "/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if string(body) != "ok" {
+			t.Fatalf("body = %q", body)
+		}
+	}
+	get()
+	get()
+	if n := relay.Accepted(); n != 1 {
+		t.Fatalf("%d connections for two keep-alive requests, want 1", n)
+	}
+	relay.Cut()
+	get() // the client redials through the still-open relay
+	if n := relay.Accepted(); n != 2 {
+		t.Fatalf("%d connections after a cut, want 2", n)
 	}
 }

@@ -3,10 +3,19 @@ package secanalysis
 import (
 	"bytes"
 	"context"
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
+	"crypto/tls"
+	"crypto/x509"
+	"crypto/x509/pkix"
 	"errors"
 	"io"
+	"net"
 	"net/http"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"revelio/internal/acme"
 	"revelio/internal/blockdev"
@@ -15,6 +24,7 @@ import (
 	"revelio/internal/core"
 	"revelio/internal/dmcrypt"
 	"revelio/internal/imagebuild"
+	"revelio/internal/netlab"
 	"revelio/internal/sev"
 	"revelio/internal/webext"
 )
@@ -79,6 +89,95 @@ func TestEndUserDetectsMaliciousServiceSoftware(t *testing.T) {
 	if !errors.Is(err, webext.ErrMeasurementMismatch) {
 		t.Errorf("err = %v, want ErrMeasurementMismatch", err)
 	}
+}
+
+// TestKillAndRedirectMidSession is the §5.3.2 redirect attack against a
+// browser that keeps its attested connection alive: the session's
+// navigations ride one pooled TLS connection, so the attacker — on the
+// network path and in control of DNS — first resets that connection and
+// then repoints the domain at a server of theirs holding a CA-valid
+// certificate for it under another key. The browser has to dial again,
+// and the extension's pin turns the new connection away in its
+// handshake: the user is warned and the attacker's server never sees
+// the request.
+func TestKillAndRedirectMidSession(t *testing.T) {
+	d := deploy(t, nil)
+	path, err := netlab.NewRelay(context.Background(), d.Nodes[0].WebAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(path.Close)
+
+	b := browser.New(d.CARootPool(), 0)
+	t.Cleanup(b.Close)
+	b.Resolve(domain, path.Addr())
+	ext := webext.New(b, d.Verifier)
+	ext.RegisterSite(domain, d.Golden)
+	for i := 0; i < 3; i++ {
+		if _, m, err := ext.Navigate(context.Background(), domain, "/"); err != nil || m.Attested != (i == 0) {
+			t.Fatalf("navigation %d: err=%v metrics=%+v", i, err, m)
+		}
+	}
+	if n := path.Accepted(); n != 1 {
+		t.Fatalf("the session opened %d connections, want 1: there is no pooled connection to kill", n)
+	}
+
+	var phished atomic.Int64
+	attacker := startValidTLSServer(t, d, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		phished.Add(1)
+		_, _ = w.Write([]byte("phish"))
+	}))
+	path.Cut()
+	b.Resolve(domain, attacker)
+
+	if _, _, err := ext.Navigate(context.Background(), domain, "/account"); !errors.Is(err, webext.ErrConnectionHijacked) {
+		t.Errorf("err = %v, want ErrConnectionHijacked", err)
+	}
+	if n := phished.Load(); n != 0 {
+		t.Errorf("the attacker's server received %d requests, want 0", n)
+	}
+
+	// Control: the attacker's certificate is genuinely valid — a browser
+	// without the extension loads the page.
+	plain := browser.New(d.CARootPool(), 0)
+	t.Cleanup(plain.Close)
+	plain.Resolve(domain, attacker)
+	if resp, err := plain.Get(context.Background(), domain, "/account"); err != nil || string(resp.Body) != "phish" {
+		t.Errorf("plain browser: err=%v; the attack should succeed without the extension", err)
+	}
+}
+
+// startValidTLSServer serves handler behind a fresh key and a
+// certificate for the service's domain from the deployment's CA — what
+// a provider who controls the domain's DNS can always obtain.
+func startValidTLSServer(t *testing.T, d *core.Deployment, handler http.Handler) string {
+	t.Helper()
+	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, err := x509.CreateCertificateRequest(rand.Reader, &x509.CertificateRequest{
+		Subject:  pkix.Name{CommonName: domain},
+		DNSNames: []string{domain},
+	}, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certDER, err := acme.NewClient(d.CA, d.Zone).ObtainCertificate(context.Background(), domain, csr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tlsLn := tls.NewListener(ln, &tls.Config{
+		Certificates: []tls.Certificate{{Certificate: [][]byte{certDER}, PrivateKey: key}},
+	})
+	server := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+	go func() { _ = server.Serve(tlsLn) }()
+	t.Cleanup(func() { _ = server.Close() })
+	return ln.Addr().String()
 }
 
 // TestDecommissioningLeavesNoPlaintext is the §3.2 decommissioning-phase

@@ -10,6 +10,19 @@
 // REPORT_DATA. Every subsequent request is monitored: if the connection
 // is reset onto a different certificate — the malicious-DNS redirect
 // attack — the extension flags it before any data flows.
+//
+// The attestation binds a connection, and the browser keeps that
+// connection alive for the session (see package browser), so the later
+// requests of a session ride the attested connection itself and cost no
+// handshake. The binding is enforced at two points. The attested key is
+// handed to the browser as a pin, so any new connection for the domain —
+// after a DNS change, a connection the peer killed, an idle timeout — is
+// refused during its handshake unless it presents the attested key, and
+// the request is never written to a hijacker. And after every response
+// the key of the connection that served it is compared with the pin
+// again. A session, and the connection with it, ends with ResetSession
+// (a new browser context re-attests over a fresh handshake), with the
+// browser's Close, or when browser and extension become garbage.
 package webext
 
 import (
@@ -109,11 +122,13 @@ func (e *Extension) RegisterSite(domain string, golden measure.Measurement) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.sites[domain] = &site{golden: golden}
+	e.browser.Pin(domain, nil)
 }
 
 // ResetSession clears per-session attestation state (a new browser
 // context re-attests on first access). Override decisions are also
-// per-session and cleared.
+// per-session and cleared, and so are the browser's pins and
+// connections: the re-attestation rides a fresh handshake.
 func (e *Extension) ResetSession() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -122,13 +137,14 @@ func (e *Extension) ResetSession() {
 		s.pinnedKey = nil
 		s.overridden = false
 	}
+	e.browser.ResetSession()
 }
 
 // Override records the user's explicit decision to proceed with a site
 // despite a failed check (§5.3.2: "this is flagged to the user and they
 // have to make a decision to proceed with or abort the access"). The
 // decision lasts for the session; subsequent navigations skip attestation
-// and connection validation for this domain.
+// and connection validation for this domain, the browser's pin included.
 func (e *Extension) Override(domain string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -137,6 +153,7 @@ func (e *Extension) Override(domain string) error {
 		return fmt.Errorf("%w: %q", ErrSiteNotRegistered, domain)
 	}
 	s.overridden = true
+	e.browser.Pin(domain, nil)
 	return nil
 }
 
@@ -180,6 +197,7 @@ func (e *Extension) ImportSites(data []byte) error {
 	}
 	e.mu.Lock()
 	e.sites = sites
+	e.browser.ResetSession()
 	e.mu.Unlock()
 	return nil
 }
@@ -244,11 +262,18 @@ func (e *Extension) Navigate(ctx context.Context, domain, path string) (*browser
 
 	resp, err := e.browser.Get(ctx, domain, path)
 	if err != nil {
+		if errors.Is(err, browser.ErrPinnedKeyMismatch) {
+			// The browser had to open a new connection and the server
+			// behind it does not hold the attested key: refused in the
+			// handshake, before the request was written.
+			return nil, nil, fmt.Errorf("%w: %q: %w", ErrConnectionHijacked, domain, err)
+		}
 		return nil, nil, err
 	}
 
-	// Per-request connection validation: the TLS key must still be the
-	// attested one.
+	// Per-request connection validation, the second line behind the
+	// browser's handshake-time pin: the key of the connection that
+	// served this response must still be the attested one.
 	t0 := time.Now()
 	connKey, err := e.browser.ConnectionPublicKey(domain)
 	if err != nil {
@@ -318,6 +343,9 @@ func (e *Extension) attestSite(ctx context.Context, domain string, s *site, metr
 	e.mu.Lock()
 	s.attested = true
 	s.pinnedKey = append([]byte(nil), bundle.Payload...)
+	// From here on the browser refuses, in the handshake, any new
+	// connection for the domain that does not hold the attested key.
+	e.browser.Pin(domain, s.pinnedKey)
 	e.mu.Unlock()
 
 	metrics.Attested = true

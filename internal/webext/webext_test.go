@@ -138,18 +138,26 @@ func TestDiscoverNonRevelioSite(t *testing.T) {
 // startPlainTLS brings up a non-Revelio HTTPS site under the same CA.
 func startPlainTLS(t *testing.T, d *core.Deployment) string {
 	t.Helper()
+	return startTLSSite(t, d, "plain.example.org", http.NotFoundHandler())
+}
+
+// startTLSSite serves handler for name under a fresh key and a
+// certificate the deployment's CA issued for it — which anyone who
+// controls the name's DNS can obtain, an attacker included.
+func startTLSSite(t *testing.T, d *core.Deployment, name string, handler http.Handler) string {
+	t.Helper()
 	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	csr, err := x509.CreateCertificateRequest(rand.Reader, &x509.CertificateRequest{
-		Subject:  pkix.Name{CommonName: "plain.example.org"},
-		DNSNames: []string{"plain.example.org"},
+		Subject:  pkix.Name{CommonName: name},
+		DNSNames: []string{name},
 	}, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	certDER, err := acme.NewClient(d.CA, d.Zone).ObtainCertificate(context.Background(), "plain.example.org", csr)
+	certDER, err := acme.NewClient(d.CA, d.Zone).ObtainCertificate(context.Background(), name, csr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +168,7 @@ func startPlainTLS(t *testing.T, d *core.Deployment) string {
 	tlsLn := tls.NewListener(ln, &tls.Config{
 		Certificates: []tls.Certificate{{Certificate: [][]byte{certDER}, PrivateKey: key}},
 	})
-	server := &http.Server{Handler: http.NotFoundHandler(), ReadHeaderTimeout: 5 * time.Second}
+	server := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = server.Serve(tlsLn) }()
 	t.Cleanup(func() { _ = server.Close() })
 	return ln.Addr().String()

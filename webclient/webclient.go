@@ -5,6 +5,18 @@
 // every navigation — fresh-session attestation, per-request connection
 // monitoring, and the two failure modes users are protected from
 // (measurement mismatch, connection hijack).
+//
+// A Browser keeps its TLS connections alive for the browser session, as
+// a real browser does, so a session pays one handshake and one
+// attestation and every later navigation rides the attested connection.
+// The session's connections end when Resolve points the domain at a
+// different address, on Extension.ResetSession (a new browser context:
+// it re-attests over a fresh handshake), on Browser.Close, or when the
+// Browser is garbage collected — call Close to release them at once.
+// The attested key is checked twice: in the handshake of every new
+// connection for the domain, so a hijacker's server is refused before
+// the request is written, and against the connection that served each
+// response.
 package webclient
 
 import (
@@ -17,7 +29,8 @@ import (
 )
 
 // Browser is a minimal browser: local DNS overrides, a CA root pool,
-// and per-connection key introspection for the extension.
+// keep-alive connections for the session (released by Close), and
+// per-connection key introspection for the extension.
 type Browser = browser.Browser
 
 // Response is one fetched page.

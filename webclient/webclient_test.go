@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"revelio"
+	"revelio/internal/netlab"
 	"revelio/webclient"
 )
 
@@ -65,7 +66,9 @@ func TestAttestedNavigation(t *testing.T) {
 // service's gateway instead of a node and still gets the full attested
 // verdict — the gateway terminates TLS with the shared attested key, so
 // the extension's connection pinning and the proxied attestation bundle
-// agree. Scale-out and node removal behind the gateway stay invisible.
+// agree. Scale-out and node removal behind the gateway stay invisible,
+// and the whole session — attestation, churn and all — rides the one
+// downstream TLS connection the browser opened first.
 func TestAttestedNavigationThroughGateway(t *testing.T) {
 	ctx := context.Background()
 	svc, err := revelio.New(ctx,
@@ -90,8 +93,16 @@ func TestAttestedNavigationThroughGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The browser reaches the gateway through a relay that counts the
+	// connections (that is, the downstream handshakes) it opens.
+	path, err := netlab.NewRelay(ctx, gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(path.Close)
 	b := webclient.NewBrowser(svc.CARootPool(), 0)
-	b.Resolve(svc.Domain(), gw.Addr())
+	t.Cleanup(b.Close)
+	b.Resolve(svc.Domain(), path.Addr())
 	ext := webclient.NewExtension(b, svc.Verifier())
 	ext.RegisterSite(svc.Domain(), svc.Golden())
 
@@ -122,5 +133,8 @@ func TestAttestedNavigationThroughGateway(t *testing.T) {
 	}
 	if stats := gw.Stats(); stats.Requests == 0 || len(stats.Ejected) != 0 {
 		t.Errorf("gateway stats = %+v", stats)
+	}
+	if n := path.Accepted(); n != 1 {
+		t.Errorf("the session opened %d downstream connections, want 1", n)
 	}
 }
