@@ -9,6 +9,8 @@ package revelio_test
 import (
 	"bytes"
 	"context"
+	"crypto/ecdsa"
+	"crypto/x509"
 	"errors"
 	"net/http/httptest"
 	"testing"
@@ -99,26 +101,22 @@ func TestStackedImageBootsAndAttests(t *testing.T) {
 	verifier := attest.NewVerifier(kds.NewClient(kdsServer.URL, nil), attest.NewStaticGolden(golden))
 
 	id := v.Identity()
-	res, err := verifier.VerifyReport(context.Background(), id.KeyReport)
+	res, err := verifier.VerifyReport(context.Background(), id.CSRReport)
 	if err != nil {
 		t.Fatalf("verify identity report: %v", err)
 	}
 	if res.Report.Measurement != golden {
 		t.Errorf("attested measurement %s != golden %s", res.Report.Measurement, golden)
 	}
-	pubDER, err := id.PublicKeyDER()
+	if res.Report.ReportData != vm.HashOf(id.CSRDER) {
+		t.Error("identity report does not bind the CSR")
+	}
+	csr, err := x509.ParseCertificateRequest(id.CSRDER)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.ReportData != vm.HashOf(pubDER) {
-		t.Error("identity report does not bind the public key")
-	}
-	csrRes, err := verifier.VerifyReport(context.Background(), id.CSRReport)
-	if err != nil {
-		t.Fatalf("verify CSR report: %v", err)
-	}
-	if csrRes.Report.ReportData != vm.HashOf(id.CSRDER) {
-		t.Error("CSR report does not bind the CSR")
+	if pub, ok := csr.PublicKey.(*ecdsa.PublicKey); !ok || !pub.Equal(&id.Key.PublicKey) || csr.CheckSignature() != nil {
+		t.Error("attested CSR does not bind the identity public key")
 	}
 
 	// Reboot on the same chip and disk: the measurement-derived sealing

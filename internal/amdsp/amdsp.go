@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"revelio/internal/kdf"
@@ -97,7 +98,49 @@ type Manufacturer struct {
 	ask    *x509.Certificate
 	notBef time.Time
 	mu     sync.Mutex
-	minted map[sev.ChipID][]byte // chipID -> chip secret
+	// minted is the ledger of fabricated chips: per chip, the VCEK public
+	// key at every TCB version it was minted or certified at, so issuing
+	// the certificate never repeats the derivation MintProcessor paid.
+	minted map[sev.ChipID]map[uint64]*ecdsa.PublicKey
+	ops    opCounters
+}
+
+// opCounters are the manufacturer-wide P-384 operation counts; every chip
+// a Manufacturer mints counts its report signatures here too.
+type opCounters struct {
+	reportsSigned, vcekKeysDerived, vcekCertsMinted atomic.Uint64
+}
+
+// Stats is an exact count of the P-384 private-key work done under one
+// Manufacturer since it was created — by the manufacturer itself and by
+// every SecureProcessor it minted. Tests read it before and after an
+// operation to pin that operation's signature budget.
+type Stats struct {
+	// ReportsSigned counts attestation reports signed by any minted chip.
+	ReportsSigned uint64 `json:"reports_signed"`
+	// VCEKKeysDerived counts VCEK key-pair derivations (one scalar
+	// multiplication each).
+	VCEKKeysDerived uint64 `json:"vcek_keys_derived"`
+	// VCEKCertsMinted counts VCEK certificates signed with the ASK.
+	VCEKCertsMinted uint64 `json:"vcek_certs_minted"`
+}
+
+// Sub returns the operations counted since an earlier snapshot.
+func (s Stats) Sub(earlier Stats) Stats {
+	return Stats{
+		ReportsSigned:   s.ReportsSigned - earlier.ReportsSigned,
+		VCEKKeysDerived: s.VCEKKeysDerived - earlier.VCEKKeysDerived,
+		VCEKCertsMinted: s.VCEKCertsMinted - earlier.VCEKCertsMinted,
+	}
+}
+
+// Stats returns the current operation counts.
+func (m *Manufacturer) Stats() Stats {
+	return Stats{
+		ReportsSigned:   m.ops.reportsSigned.Load(),
+		VCEKKeysDerived: m.ops.vcekKeysDerived.Load(),
+		VCEKCertsMinted: m.ops.vcekCertsMinted.Load(),
+	}
 }
 
 // NewManufacturer creates a manufacturer whose entire key hierarchy is
@@ -109,7 +152,7 @@ func NewManufacturer(seed []byte) (*Manufacturer, error) {
 	m := &Manufacturer{
 		secret: append([]byte(nil), seed...),
 		notBef: time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC),
-		minted: make(map[sev.ChipID][]byte),
+		minted: make(map[sev.ChipID]map[uint64]*ecdsa.PublicKey),
 	}
 	var err error
 	if m.arkKey, err = deriveECDSAKey(m.secret, "ark"); err != nil {
@@ -173,6 +216,7 @@ func (m *Manufacturer) chipSecret(chipSeed []byte) []byte {
 func (m *Manufacturer) vcekKey(chipID sev.ChipID, tcb uint64) (*ecdsa.PrivateKey, error) {
 	var tcbBytes [8]byte
 	binary.LittleEndian.PutUint64(tcbBytes[:], tcb)
+	m.ops.vcekKeysDerived.Add(1)
 	return deriveECDSAKey(m.secret, "vcek:"+string(chipID[:])+":"+string(tcbBytes[:]))
 }
 
@@ -188,13 +232,17 @@ func (m *Manufacturer) MintProcessor(chipSeed []byte, tcb uint64) (*SecureProces
 		return nil, err
 	}
 	m.mu.Lock()
-	m.minted[chipID] = secret
+	if m.minted[chipID] == nil {
+		m.minted[chipID] = make(map[uint64]*ecdsa.PublicKey)
+	}
+	m.minted[chipID][tcb] = &vcek.PublicKey
 	m.mu.Unlock()
 	return &SecureProcessor{
 		chipID:   chipID,
 		tcb:      tcb,
 		vcek:     vcek,
 		sealRoot: secret,
+		ops:      &m.ops,
 		launches: make(map[LaunchHandle]*launch),
 	}, nil
 }
@@ -203,14 +251,23 @@ func (m *Manufacturer) MintProcessor(chipSeed []byte, tcb uint64) (*SecureProces
 // version, signed by the ASK. This is what the KDS serves.
 func (m *Manufacturer) VCEKCertDER(chipID sev.ChipID, tcb uint64) ([]byte, error) {
 	m.mu.Lock()
-	_, ok := m.minted[chipID]
+	pubs, ok := m.minted[chipID]
+	pub := pubs[tcb]
 	m.mu.Unlock()
 	if !ok {
 		return nil, ErrUnknownChip
 	}
-	vcek, err := m.vcekKey(chipID, tcb)
-	if err != nil {
-		return nil, err
+	if pub == nil {
+		// A TCB version the chip was never minted at (a firmware update
+		// the KDS is asked about first): derive it now, once.
+		vcek, err := m.vcekKey(chipID, tcb)
+		if err != nil {
+			return nil, err
+		}
+		pub = &vcek.PublicKey
+		m.mu.Lock()
+		pubs[tcb] = pub
+		m.mu.Unlock()
 	}
 	var tcbBytes [8]byte
 	binary.BigEndian.PutUint64(tcbBytes[:], tcb)
@@ -225,10 +282,11 @@ func (m *Manufacturer) VCEKCertDER(chipID sev.ChipID, tcb uint64) ([]byte, error
 			{Id: OIDTCB, Value: tcbBytes[:]},
 		},
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, m.ask, &vcek.PublicKey, m.askKey)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, m.ask, pub, m.askKey)
 	if err != nil {
 		return nil, fmt.Errorf("amdsp: create vcek cert: %w", err)
 	}
+	m.ops.vcekCertsMinted.Add(1)
 	return der, nil
 }
 
@@ -280,6 +338,7 @@ type SecureProcessor struct {
 	tcb      uint64
 	vcek     *ecdsa.PrivateKey
 	sealRoot []byte
+	ops      *opCounters // the minting Manufacturer's
 
 	mu       sync.Mutex
 	next     LaunchHandle
@@ -383,6 +442,7 @@ func (g *GuestChannel) Report(data sev.ReportData) (*sev.Report, error) {
 		return nil, fmt.Errorf("amdsp: sign report: %w", err)
 	}
 	r.Signature = sig
+	g.sp.ops.reportsSigned.Add(1)
 	return r, nil
 }
 

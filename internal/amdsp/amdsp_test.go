@@ -283,3 +283,65 @@ func TestCrossManufacturerIsolation(t *testing.T) {
 		t.Error("report verified under a different manufacturer's key")
 	}
 }
+
+// TestStatsCountEachKeyOperationOnce: minting a chip derives its VCEK key
+// once and the certificate for the minted TCB reuses that public key; a
+// certificate for a TCB the chip was never minted at derives once more,
+// then never again; every report signed by any of the manufacturer's chips
+// is counted.
+func TestStatsCountEachKeyOperationOnce(t *testing.T) {
+	mfr, sp := newTestSetup(t) // one chip minted at TCB 5
+	if got := mfr.Stats(); got != (Stats{VCEKKeysDerived: 1}) {
+		t.Fatalf("after MintProcessor: %+v, want one derivation and nothing else", got)
+	}
+	for i := 0; i < 2; i++ {
+		der, err := mfr.VCEKCertDER(sp.ChipID(), sp.TCB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert, err := x509.ParseCertificate(der)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pub, ok := cert.PublicKey.(*ecdsa.PublicKey); !ok || !pub.Equal(sp.VCEKPublic()) {
+			t.Fatal("certificate does not carry the chip's VCEK key")
+		}
+	}
+	if got := mfr.Stats(); got != (Stats{VCEKKeysDerived: 1, VCEKCertsMinted: 2}) {
+		t.Errorf("after two certificates at the minted TCB: %+v", got)
+	}
+
+	// A TCB the chip was not minted at: the same key MintProcessor would
+	// derive for it, derived once across repeated requests.
+	derNext, err := mfr.VCEKCertDER(sp.ChipID(), sp.TCB()+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mfr.VCEKCertDER(sp.ChipID(), sp.TCB()+1); err != nil {
+		t.Fatal(err)
+	}
+	if got := mfr.Stats(); got != (Stats{VCEKKeysDerived: 2, VCEKCertsMinted: 4}) {
+		t.Errorf("after two certificates at another TCB: %+v", got)
+	}
+	upgraded, err := mfr.MintProcessor([]byte("chip-0"), sp.TCB()+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certNext, err := x509.ParseCertificate(derNext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pub, ok := certNext.PublicKey.(*ecdsa.PublicKey); !ok || !pub.Equal(upgraded.VCEKPublic()) {
+		t.Error("certificate issued before the upgrade does not match the upgraded chip's key")
+	}
+
+	before := mfr.Stats().ReportsSigned
+	for _, chip := range []*SecureProcessor{sp, upgraded} {
+		if _, err := launchGuest(t, chip, "fw").Report(sev.ReportData{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := mfr.Stats().ReportsSigned - before; got != 2 {
+		t.Errorf("two reports on two chips counted as %d", got)
+	}
+}

@@ -94,9 +94,12 @@ func (g StaticGolden) IsTrusted(m measure.Measurement) bool {
 //
 // Positive verifications are memoized in two sharded proof caches — one
 // keyed by report digest (skips the whole chain walk + ECDSA signature
-// check for already-proven reports) and one keyed by VCEK DER digest
-// (skips just the chain walk when a fresh report arrives under a known
-// VCEK, the warm-session case). Policy judgments (TCB floor, chip
+// check for already-proven reports) and one keyed by certificate digest,
+// which holds two tiers: a proof per VCEK DER (skips the chain walk when a
+// fresh report arrives under a known VCEK, the warm-session case) and a
+// proof of the ASK→ARK link per ASK+ARK DER pair (a VCEK never seen
+// before — a new chip joining — is walked only as far as the proven ASK:
+// one signature check instead of two). Policy judgments (TCB floor, chip
 // allow-list, measurement trust) are re-run on every hit, so a registry
 // revocation fails a cached report immediately. Failures are never
 // cached.
@@ -108,9 +111,55 @@ type Verifier struct {
 	now    func() time.Time
 
 	reports   *proofCache // report digest -> proof; nil = disabled
-	chains    *proofCache // VCEK DER digest -> proof; nil = disabled
+	chains    *proofCache // VCEK DER / ASK+ARK DER digest -> proof; nil = disabled
 	cacheSize int
 	policyRev atomic.Uint64
+
+	reportsVerified, linksVerified  atomic.Uint64
+	reportHits, chainHits, linkHits atomic.Uint64
+}
+
+// Stats is an exact count of the P-384 verifications a Verifier has
+// performed and of the ones its proof tiers answered instead. Tests read
+// it before and after an operation to pin that operation's verification
+// budget.
+type Stats struct {
+	// ReportsVerified counts report signatures checked and found good.
+	ReportsVerified uint64 `json:"reports_verified"`
+	// ChainLinksVerified counts certificate signatures checked by
+	// successful chain walks: two for a whole VCEK→ASK→ARK walk, one for a
+	// walk anchored at an ASK whose link to the ARK was already proven.
+	ChainLinksVerified uint64 `json:"chain_links_verified"`
+	// ReportHits counts verifications answered from the report-proof
+	// tier (no cryptography; policy re-judged).
+	ReportHits uint64 `json:"report_hits"`
+	// ChainHits counts chain walks skipped because the VCEK was proven.
+	ChainHits uint64 `json:"chain_hits"`
+	// LinkHits counts chain walks shortened because the ASK→ARK link was
+	// proven.
+	LinkHits uint64 `json:"link_hits"`
+}
+
+// Sub returns the operations counted since an earlier snapshot.
+func (s Stats) Sub(earlier Stats) Stats {
+	return Stats{
+		ReportsVerified:    s.ReportsVerified - earlier.ReportsVerified,
+		ChainLinksVerified: s.ChainLinksVerified - earlier.ChainLinksVerified,
+		ReportHits:         s.ReportHits - earlier.ReportHits,
+		ChainHits:          s.ChainHits - earlier.ChainHits,
+		LinkHits:           s.LinkHits - earlier.LinkHits,
+	}
+}
+
+// Stats returns the current verification counts.
+func (v *Verifier) Stats() Stats {
+	return Stats{
+		ReportsVerified:    v.reportsVerified.Load(),
+		ChainLinksVerified: v.linksVerified.Load(),
+		ReportHits:         v.reportHits.Load(),
+		ChainHits:          v.chainHits.Load(),
+		LinkHits:           v.linkHits.Load(),
+	}
 }
 
 // Option configures a Verifier.
@@ -221,6 +270,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 	if v.reports != nil {
 		rkey = reportProofKey(report)
 		if p, ok := v.reports.get(rkey, rev, now); ok {
+			v.reportHits.Add(1)
 			if err := v.CheckPolicy(report); err != nil {
 				return nil, err
 			}
@@ -255,33 +305,56 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		chainProof, chainProven = v.chains.get(ckey, rev, now)
 	}
 	if chainProven {
+		v.chainHits.Add(1)
 		notAfter = chainProof.notAfter
 	} else {
 		ask, ark, err := v.source.CertChain(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("attest: fetch cert chain: %w", err)
 		}
-		roots := x509.NewCertPool()
-		roots.AddCert(ark)
-		inters := x509.NewCertPool()
-		inters.AddCert(ask)
-		if _, err := vcekCert.Verify(x509.VerifyOptions{
-			Roots:         roots,
-			Intermediates: inters,
-			CurrentTime:   now,
-			KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
-		}); err != nil {
+		// The ASK→ARK link is the same for every chip. Once a whole walk
+		// has proven it for this exact ASK and ARK, under this policy
+		// revision and while both are inside their validity window, the
+		// walk for a new VCEK anchors at the ASK. Any other ASK or ARK DER
+		// — rotated or forged — misses and walks the whole chain.
+		var lkey proofKey
+		linkProven := false
+		if v.chains != nil {
+			lkey = linkProofKey(ask, ark)
+			_, linkProven = v.chains.get(lkey, rev, now)
+		}
+		opts := x509.VerifyOptions{
+			Roots:       x509.NewCertPool(),
+			CurrentTime: now,
+			KeyUsages:   []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
+		}
+		links := uint64(2) // VCEK→ASK and ASK→ARK
+		if linkProven {
+			links = 1
+			v.linkHits.Add(1)
+			opts.Roots.AddCert(ask)
+		} else {
+			opts.Roots.AddCert(ark)
+			opts.Intermediates = x509.NewCertPool()
+			opts.Intermediates.AddCert(ask)
+		}
+		if _, err := vcekCert.Verify(opts); err != nil {
 			var invalid x509.CertificateInvalidError
 			if errors.As(err, &invalid) && invalid.Reason == x509.Expired {
 				return nil, fmt.Errorf("%w: %v", ErrEvidenceExpired, err)
 			}
 			return nil, fmt.Errorf("%w: %v", ErrChainInvalid, err)
 		}
-		if ask.NotAfter.Before(notAfter) {
-			notAfter = ask.NotAfter
+		v.linksVerified.Add(links)
+		linkNotAfter := ask.NotAfter
+		if ark.NotAfter.Before(linkNotAfter) {
+			linkNotAfter = ark.NotAfter
 		}
-		if ark.NotAfter.Before(notAfter) {
-			notAfter = ark.NotAfter
+		if !linkProven && v.chains != nil {
+			v.chains.put(&proof{key: lkey, rev: rev, notAfter: linkNotAfter})
+		}
+		if linkNotAfter.Before(notAfter) {
+			notAfter = linkNotAfter
 		}
 	}
 
@@ -303,6 +376,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 	if err := report.Verify(pub); err != nil {
 		return nil, fmt.Errorf("attest: %w", err)
 	}
+	v.reportsVerified.Add(1)
 
 	if err := v.CheckPolicy(report); err != nil {
 		return nil, err

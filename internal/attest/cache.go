@@ -21,7 +21,8 @@ const DefaultReportCacheSize = 4096
 
 // proofKey is the SHA-256 of the evidence being memoized: the full
 // serialized report (signed bytes plus signature) for report proofs, or
-// the raw certificate DER for chain proofs. Any bit flipped in the
+// the raw certificate DER for chain proofs (the VCEK's, or the ASK's and
+// ARK's for a link proof). Any bit flipped in the
 // evidence changes the key, so tampered evidence can never hit a cached
 // proof — it falls through to full cryptographic verification and fails
 // there.
@@ -37,6 +38,19 @@ func reportProofKey(r *sev.Report) proofKey {
 	return k
 }
 
+// linkProofKey digests the ASK and ARK certificates whose link a whole
+// chain walk proved. The label keeps it apart from a VCEK's key in the
+// same cache; DER is self-delimiting, so the pair cannot be re-split.
+func linkProofKey(ask, ark *x509.Certificate) proofKey {
+	h := sha256.New()
+	h.Write([]byte("revelio/ask-ark-link"))
+	h.Write(ask.Raw)
+	h.Write(ark.Raw)
+	var k proofKey
+	h.Sum(k[:0])
+	return k
+}
+
 // proof is one cached positive verification result. Only successes are
 // ever stored; failures always re-run the full pipeline. A proof is
 // only served while the verifier's clock is inside the proving VCEK's
@@ -44,7 +58,7 @@ func reportProofKey(r *sev.Report) proofKey {
 // outlived by its cached result.
 type proof struct {
 	key      proofKey
-	vcek     *x509.Certificate // the chain-validated VCEK that proved the evidence
+	vcek     *x509.Certificate // the chain-validated VCEK that proved the evidence; nil for an ASK-link proof
 	rev      uint64            // policy revision at proof time
 	notAfter time.Time         // earliest NotAfter in the proving chain: hard expiry
 }

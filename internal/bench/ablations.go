@@ -53,6 +53,9 @@ func (r *AblationVerityResult) Render() string {
 type AblationPBKDF2Result struct {
 	Iterations []int
 	Unlock     []time.Duration
+	// Rounds is the number of PBKDF2 HMAC invocations each unlock
+	// executed — the cost the iteration count buys, on any machine.
+	Rounds []uint64
 }
 
 // RunAblationPBKDF2 measures volume unlock time across iteration counts.
@@ -66,11 +69,13 @@ func RunAblationPBKDF2(iterations []int) (*AblationPBKDF2Result, error) {
 		if _, err := dmcrypt.Format(raw, []byte("key"), dmcrypt.Options{Iterations: iters}); err != nil {
 			return nil, fmt.Errorf("bench: pbkdf2 ablation format: %w", err)
 		}
+		rounds := kdf.PBKDF2Rounds()
 		start := time.Now()
 		if _, err := dmcrypt.Open(raw, []byte("key")); err != nil {
 			return nil, fmt.Errorf("bench: pbkdf2 ablation open: %w", err)
 		}
 		res.Unlock = append(res.Unlock, time.Since(start))
+		res.Rounds = append(res.Rounds, kdf.PBKDF2Rounds()-rounds)
 	}
 	return res, nil
 }

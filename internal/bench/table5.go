@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"time"
 
+	"revelio/internal/amdsp"
+	"revelio/internal/attest"
+	"revelio/internal/blockdev"
 	"revelio/internal/fleet"
 )
 
@@ -65,6 +68,9 @@ type Table5Row struct {
 	// Join is the latency of one node joining the standing fleet through
 	// the single-node §5.3.1 path (attest + key acquisition, no CA).
 	Join time.Duration `json:"join_ns"`
+	// JoinOps is what that join did, as counts no machine's speed can
+	// move — the D3 claim in checkable form: the same at every fleet size.
+	JoinOps JoinOps `json:"join_ops"`
 	// Requests/PerSec measure the steady-state attested-TLS serving
 	// plane across the whole fleet.
 	Requests int           `json:"requests"`
@@ -73,6 +79,18 @@ type Table5Row struct {
 	// CertGeneration is the CA-bound share of Provision — the step that
 	// must stay constant as the fleet grows.
 	CertGeneration time.Duration `json:"cert_generation_ns"`
+}
+
+// JoinOps counts the P-384 operations and the disk bytes one join cost.
+type JoinOps struct {
+	// Signed is the private-key work of the manufacturer's chips and KDS.
+	Signed amdsp.Stats `json:"signed"`
+	// Verified is the work of the deployment's verifier, shared by the SP
+	// node, the leader and the joiner.
+	Verified attest.Stats `json:"verified"`
+	// DiskBytes is how much of the disk image the joiner holds privately
+	// once it serves (the rest it shares with the image, copy-on-write).
+	DiskBytes int64 `json:"disk_bytes"`
 }
 
 // Table5Result reports the sweep.
@@ -130,12 +148,21 @@ func table5Cell(ctx context.Context, cfg Table5Config, n int) (Table5Row, error)
 	row.CertGeneration = tm.CertGeneration
 
 	// Join latency: one node scaling out through the standing leader.
+	d := f.Deployment()
+	signed, verified := d.Manufacturer.Stats(), d.Verifier.Stats()
 	t0 = time.Now()
 	idx, err := f.AddNode(ctx)
 	if err != nil {
 		return row, err
 	}
 	row.Join = time.Since(t0)
+	row.JoinOps = JoinOps{
+		Signed:   d.Manufacturer.Stats().Sub(signed),
+		Verified: d.Verifier.Stats().Sub(verified),
+	}
+	if disk, ok := d.Nodes[idx].Disk().(*blockdev.Mem); ok {
+		row.JoinOps.DiskBytes = disk.PrivateBytes()
+	}
 	// Return to the swept size before measuring steady state.
 	if err := f.RemoveNode(ctx, idx); err != nil {
 		return row, err

@@ -5,11 +5,18 @@
 // random-access devices addressed by byte offset, plus stacking wrappers
 // (read-only views, linear remaps, I/O accounting) used by the guest VM and
 // by the benchmark harness.
+//
+// The in-memory device, Mem, clones copy-on-write: a deployment builds one
+// disk image and every node's private disk is a Clone of it that shares the
+// image's bytes until the node writes them, 64 KiB at a time. What a node
+// writes — its sealed volume, a tampered sector in a security test — stays
+// the node's own; see Mem.
 package blockdev
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -47,34 +54,89 @@ func checkRange(size, off int64, n int) error {
 	return nil
 }
 
+// cowChunk is the granularity at which cloned Mem devices stop sharing
+// bytes: 64 KiB is the largest I/O the storage engines above issue, so a
+// write faults at most two chunks.
+const cowChunk = 64 << 10
+
 // Mem is an in-memory block device.
+//
+// A Mem that was never cloned is one flat byte slice. Clone turns the
+// device and its clone into copy-on-write relatives: both hold the same
+// table of 64 KiB chunks as they are at clone time, and each copies a
+// chunk the first time *it* writes into it. A shared chunk is never
+// written by anyone — relatives only ever see each other's bytes from
+// before the clone — so every Mem stays as private as a full copy would
+// be, at the cost of the chunks it actually dirties.
 type Mem struct {
 	mu   sync.RWMutex
-	data []byte
+	size int64
+	data []byte // the whole device; nil once the device has relatives
+	// chunks and owned are the copy-on-write form (nil while flat):
+	// chunks[i] holds bytes [i*cowChunk, (i+1)*cowChunk) — the last one
+	// may be shorter — and owned[i] says no relative can reach it.
+	chunks [][]byte
+	owned  []bool
 }
 
 var _ Device = (*Mem)(nil)
 
 // NewMem creates a zero-filled in-memory device of the given size.
 func NewMem(size int64) *Mem {
-	return &Mem{data: make([]byte, size)}
+	return &Mem{size: size, data: make([]byte, size)}
 }
 
 // NewMemFrom creates an in-memory device holding a copy of data.
 func NewMemFrom(data []byte) *Mem {
 	d := make([]byte, len(data))
 	copy(d, data)
-	return &Mem{data: d}
+	return &Mem{size: int64(len(d)), data: d}
+}
+
+// read copies [off, off+len(p)) into p; the caller holds mu and has
+// checked the range.
+func (m *Mem) read(p []byte, off int64) {
+	if m.chunks == nil {
+		copy(p, m.data[off:])
+		return
+	}
+	for len(p) > 0 {
+		n := copy(p, m.chunks[off/cowChunk][off%cowChunk:])
+		p, off = p[n:], off+int64(n)
+	}
+}
+
+// write stores p at off; the caller holds mu for writing and has checked
+// the range. A chunk still shared with a relative is replaced by a
+// private one first — copied, unless p overwrites all of it.
+func (m *Mem) write(p []byte, off int64) {
+	if m.chunks == nil {
+		copy(m.data[off:], p)
+		return
+	}
+	for len(p) > 0 {
+		i, o := off/cowChunk, off%cowChunk
+		chunk := m.chunks[i]
+		if !m.owned[i] {
+			private := make([]byte, len(chunk))
+			if o != 0 || len(p) < len(chunk) {
+				copy(private, chunk)
+			}
+			m.chunks[i], m.owned[i], chunk = private, true, private
+		}
+		n := copy(chunk[o:], p)
+		p, off = p[n:], off+int64(n)
+	}
 }
 
 // ReadAt implements Device.
 func (m *Mem) ReadAt(p []byte, off int64) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if err := checkRange(int64(len(m.data)), off, len(p)); err != nil {
+	if err := checkRange(m.size, off, len(p)); err != nil {
 		return err
 	}
-	copy(p, m.data[off:])
+	m.read(p, off)
 	return nil
 }
 
@@ -82,32 +144,69 @@ func (m *Mem) ReadAt(p []byte, off int64) error {
 func (m *Mem) WriteAt(p []byte, off int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := checkRange(int64(len(m.data)), off, len(p)); err != nil {
+	if err := checkRange(m.size, off, len(p)); err != nil {
 		return err
 	}
-	copy(m.data[off:], p)
+	m.write(p, off)
 	return nil
 }
 
 // Size implements Device.
-func (m *Mem) Size() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return int64(len(m.data))
-}
+func (m *Mem) Size() int64 { return m.size }
 
 // Snapshot returns a copy of the device contents, for image serialization.
 func (m *Mem) Snapshot() []byte {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]byte, len(m.data))
-	copy(out, m.data)
+	out := make([]byte, m.size)
+	m.read(out, 0)
 	return out
 }
 
-// Clone returns an independent in-memory device with the same contents,
-// at the cost of one copy (NewMemFrom(m.Snapshot()) makes two).
-func (m *Mem) Clone() *Mem { return &Mem{data: m.Snapshot()} }
+// Clone returns an independent in-memory device with the same contents
+// without copying them: the clone and m share every chunk as it is now,
+// and whichever of them writes to a chunk first takes a private copy of
+// it (see Mem). Cloning costs one chunk table, not one disk image.
+func (m *Mem) Clone() *Mem {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.chunks == nil {
+		// First clone: cut the flat array into chunks in place.
+		m.chunks = make([][]byte, (m.size+cowChunk-1)/cowChunk)
+		for i := range m.chunks {
+			lo := int64(i) * cowChunk
+			hi := min(lo+cowChunk, m.size)
+			m.chunks[i] = m.data[lo:hi:hi]
+		}
+		m.data = nil
+	}
+	// Every chunk m holds is now reachable from the clone too.
+	m.owned = make([]bool, len(m.chunks))
+	return &Mem{
+		size:   m.size,
+		chunks: slices.Clone(m.chunks),
+		owned:  make([]bool, len(m.chunks)),
+	}
+}
+
+// PrivateBytes returns how many of the device's bytes no relative can
+// reach: all of them for a device that was never cloned, none right after
+// a Clone (on either side), and from then on one chunk per chunk written.
+// It is what a clone has cost in copied or newly allocated memory.
+func (m *Mem) PrivateBytes() int64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if m.chunks == nil {
+		return m.size
+	}
+	var n int64
+	for i, own := range m.owned {
+		if own {
+			n += int64(len(m.chunks[i]))
+		}
+	}
+	return n
+}
 
 // FlipBit flips a single bit, modelling the offline single-bit corruption
 // the paper's §6.1.3 argues dm-verity must catch.
@@ -117,10 +216,13 @@ func (m *Mem) FlipBit(byteOff int64, bit uint) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := checkRange(int64(len(m.data)), byteOff, 1); err != nil {
+	if err := checkRange(m.size, byteOff, 1); err != nil {
 		return err
 	}
-	m.data[byteOff] ^= 1 << bit
+	var b [1]byte
+	m.read(b[:], byteOff)
+	b[0] ^= 1 << bit
+	m.write(b[:], byteOff)
 	return nil
 }
 

@@ -73,10 +73,10 @@ func (m *Mem) ReadSectors(bufs [][]byte, offs []int64) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	for i, buf := range bufs {
-		if err := checkRange(int64(len(m.data)), offs[i], len(buf)); err != nil {
+		if err := checkRange(m.size, offs[i], len(buf)); err != nil {
 			return err
 		}
-		copy(buf, m.data[offs[i]:])
+		m.read(buf, offs[i])
 	}
 	return nil
 }
@@ -88,12 +88,12 @@ func (m *Mem) WriteSectors(bufs [][]byte, offs []int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, buf := range bufs {
-		if err := checkRange(int64(len(m.data)), offs[i], len(buf)); err != nil {
+		if err := checkRange(m.size, offs[i], len(buf)); err != nil {
 			return err
 		}
 	}
 	for i, buf := range bufs {
-		copy(m.data[offs[i]:], buf)
+		m.write(buf, offs[i])
 	}
 	return nil
 }

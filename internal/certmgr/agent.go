@@ -4,6 +4,20 @@
 // the leader over a mutually attested exchange — so the key only ever
 // travels between VMs that have proven their measured state, encrypted to
 // an attested public key, and lands on the sealed persistent volume.
+//
+// A node has one piece of identity evidence, the report over its CSR, and
+// shows the same bundle to both judges: the SP node fetches it, and the
+// node's key request to the leader carries it again. The CSR embeds the
+// public key and is signed with the private one, so the leader learns from
+// it exactly what a separate report over the bare key would tell it, and
+// passes the same judgment the SP node did (verifyCSRBundle). Where SP and
+// leader share a verifier — every core.Deployment — the second judgment is
+// a report-proof hit: no signature check, policy judged afresh.
+//
+// The attestation endpoint's nonce-less discovery bundle is minted by the
+// first request that asks for it after an install, not by the install: a
+// node joining a fleet behind a gateway is only ever asked nonce-bound
+// questions, and never pays for that report.
 package certmgr
 
 import (
@@ -22,6 +36,7 @@ import (
 	"sync"
 
 	"revelio/internal/attest"
+	"revelio/internal/sev"
 	"revelio/internal/vm"
 )
 
@@ -59,22 +74,34 @@ type Agent struct {
 	vm       *vm.VM
 	verifier *attest.Verifier
 	httpc    *http.Client
+	// report asks the AMD-SP for a report (vm.Report); a field so tests
+	// can make the request fail.
+	report func(sev.ReportData) (*sev.Report, error)
 
 	mu       sync.Mutex
-	certDER  []byte
 	tlsKey   *ecdsa.PrivateKey
 	isLeader bool
 	ready    bool
-	// servingBundle binds the shared TLS public key to a fresh report,
-	// built once provisioning completes.
-	servingBundle *attest.Bundle
-	// servingBundleJSON is the bundle's JSON encoding, computed once at
-	// install time so the nonce-less discovery endpoint never re-marshals
-	// per request (the server half of the attestation fast path).
-	servingBundleJSON []byte
-	// servingPubDER is the shared TLS public key, kept for nonce-bound
-	// freshness challenges.
-	servingPubDER []byte
+	// serving is the installed credential in the shape TLS front ends
+	// resolve per handshake, built once per install with its leaf parsed
+	// so no handshake re-parses it. Never modified after it is published.
+	serving *tls.Certificate
+	// wellKnown is what the attestation endpoint serves for the installed
+	// key; every install replaces it.
+	wellKnown *wellKnown
+}
+
+// wellKnown is the attestation endpoint's state for one installed TLS key.
+type wellKnown struct {
+	// pubDER is the shared TLS public key every served report binds.
+	pubDER []byte
+
+	// mu makes the first nonce-less request the only one that mints:
+	// concurrent first requests queue behind it and are served its result.
+	mu sync.Mutex
+	// discoveryJSON is the nonce-less bundle's JSON encoding — nil until a
+	// request asks for it, and still nil after a failed attempt.
+	discoveryJSON []byte
 }
 
 // NewAgent creates the agent for a booted VM. The verifier carries the
@@ -84,7 +111,7 @@ func NewAgent(v *vm.VM, verifier *attest.Verifier, httpc *http.Client) *Agent {
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-	return &Agent{vm: v, verifier: verifier, httpc: httpc}
+	return &Agent{vm: v, verifier: verifier, httpc: httpc, report: v.Report}
 }
 
 // ServeHTTP implements http.Handler for the agent's control endpoints.
@@ -105,14 +132,40 @@ func (a *Agent) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 var _ http.Handler = (*Agent)(nil)
 
-func (a *Agent) handleCSRBundle(w http.ResponseWriter) {
+// csrBundle is the node's identity evidence: its CSR under the report
+// that binds it, as shown to the SP node and to the leader.
+func (a *Agent) csrBundle() (*attest.Bundle, error) {
 	id := a.vm.Identity()
-	bundle, err := attest.NewBundle(id.CSRReport, id.CSRDER)
+	return attest.NewBundle(id.CSRReport, id.CSRDER)
+}
+
+func (a *Agent) handleCSRBundle(w http.ResponseWriter) {
+	bundle, err := a.csrBundle()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	writeJSON(w, bundle)
+}
+
+// verifyCSRBundle is the judgment the SP node and the leader both pass on
+// a node's identity evidence: the report verifies under the current
+// policy, its REPORT_DATA binds the CSR, and the CSR is well-formed and
+// signed by the key it carries — which proves the measured VM holds that
+// key's private half.
+func verifyCSRBundle(ctx context.Context, verifier *attest.Verifier, b *attest.Bundle) (*attest.Result, *x509.CertificateRequest, error) {
+	res, err := verifier.VerifyBundle(ctx, b, vm.HashOf)
+	if err != nil {
+		return nil, nil, err
+	}
+	csr, err := x509.ParseCertificateRequest(b.Payload)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bad csr: %w", err)
+	}
+	if err := csr.CheckSignature(); err != nil {
+		return nil, nil, fmt.Errorf("csr signature: %w", err)
+	}
+	return res, csr, nil
 }
 
 func (a *Agent) handleCertificate(w http.ResponseWriter, r *http.Request) {
@@ -144,7 +197,7 @@ func (a *Agent) installCertificate(ctx context.Context, msg certMsg) error {
 	id := a.vm.Identity()
 	if certPub.Equal(&id.Key.PublicKey) {
 		// We are the leader: the cert was issued for our CSR.
-		return a.finishInstall(msg.CertDER, id.Key, true)
+		return a.finishInstall(cert, id.Key, true)
 	}
 
 	// Non-leader: request the key from the leader.
@@ -155,16 +208,12 @@ func (a *Agent) installCertificate(ctx context.Context, msg certMsg) error {
 	if !certPub.Equal(&key.PublicKey) {
 		return ErrCertKeyMismatch
 	}
-	return a.finishInstall(msg.CertDER, key, false)
+	return a.finishInstall(cert, key, false)
 }
 
 func (a *Agent) fetchKeyFromLeader(ctx context.Context, leaderURL string) (*ecdsa.PrivateKey, error) {
 	id := a.vm.Identity()
-	pubDER, err := id.PublicKeyDER()
-	if err != nil {
-		return nil, err
-	}
-	reqBundle, err := attest.NewBundle(id.KeyReport, pubDER)
+	reqBundle, err := a.csrBundle()
 	if err != nil {
 		return nil, err
 	}
@@ -209,42 +258,28 @@ func (a *Agent) fetchKeyFromLeader(ctx context.Context, leaderURL string) (*ecds
 	return key, nil
 }
 
-func (a *Agent) finishInstall(certDER []byte, key *ecdsa.PrivateKey, leader bool) error {
+func (a *Agent) finishInstall(cert *x509.Certificate, key *ecdsa.PrivateKey, leader bool) error {
 	// Persist the credentials on the sealed volume before serving
 	// (the paper's encrypted-partition install step).
 	keyDER, err := x509.MarshalECPrivateKey(key)
 	if err != nil {
 		return err
 	}
-	if err := a.storePersistentCredentials(keyDER, certDER); err != nil {
+	if err := a.storePersistentCredentials(keyDER, cert.Raw); err != nil {
 		return err
 	}
-
 	pubDER, err := x509.MarshalPKIXPublicKey(&key.PublicKey)
 	if err != nil {
 		return err
 	}
-	servingReport, err := a.vm.Report(vm.HashOf(pubDER))
-	if err != nil {
-		return err
-	}
-	bundle, err := attest.NewBundle(servingReport, pubDER)
-	if err != nil {
-		return err
-	}
-	bundleJSON, err := json.Marshal(bundle)
-	if err != nil {
-		return err
-	}
+	serving := &tls.Certificate{Certificate: [][]byte{cert.Raw}, PrivateKey: key, Leaf: cert}
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.certDER = append([]byte(nil), certDER...)
 	a.tlsKey = key
 	a.isLeader = leader
-	a.servingBundle = bundle
-	a.servingBundleJSON = bundleJSON
-	a.servingPubDER = pubDER
+	a.serving = serving
+	a.wellKnown = &wellKnown{pubDER: pubDER}
 	a.ready = true
 	return nil
 }
@@ -270,7 +305,7 @@ var ErrNoPersistedCredentials = errors.New("certmgr: no persisted credentials")
 // — the rebooted node's alternative to re-running the Fig 4 protocol.
 // It only succeeds if the VM unsealed the same volume, i.e. booted with
 // the identical measurement.
-func (a *Agent) LoadPersistentCredentials() (*ecdsa.PrivateKey, []byte, error) {
+func (a *Agent) LoadPersistentCredentials() (*ecdsa.PrivateKey, *x509.Certificate, error) {
 	readBlob := func(off int64, limit uint32) ([]byte, int64, error) {
 		hdr := make([]byte, 4)
 		if err := a.vm.Persist().ReadAt(hdr, off); err != nil {
@@ -298,10 +333,11 @@ func (a *Agent) LoadPersistentCredentials() (*ecdsa.PrivateKey, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := x509.ParseCertificate(certDER); err != nil {
+	cert, err := x509.ParseCertificate(certDER)
+	if err != nil {
 		return nil, nil, fmt.Errorf("%w: bad certificate: %v", ErrNoPersistedCredentials, err)
 	}
-	return key, certDER, nil
+	return key, cert, nil
 }
 
 // RestoreFromPersist brings a rebooted node back into service from the
@@ -309,11 +345,11 @@ func (a *Agent) LoadPersistentCredentials() (*ecdsa.PrivateKey, []byte, error) {
 // resumes as a non-leader (leader election happens at provisioning time);
 // run Provision again to rotate certificates or re-elect.
 func (a *Agent) RestoreFromPersist() error {
-	key, certDER, err := a.LoadPersistentCredentials()
+	key, cert, err := a.LoadPersistentCredentials()
 	if err != nil {
 		return err
 	}
-	return a.finishInstall(certDER, key, false)
+	return a.finishInstall(cert, key, false)
 }
 
 func (a *Agent) handleKeyRequest(w http.ResponseWriter, r *http.Request) {
@@ -339,17 +375,14 @@ func (a *Agent) handleKeyRequest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Mutual attestation: the leader validates the requester exactly as
-	// the SP node validated us.
-	if _, err := a.verifier.VerifyBundle(r.Context(), reqBundle, vm.HashOf); err != nil {
+	// the SP node did, on the same evidence, under the policy as it is
+	// now — a measurement revoked since the SP looked is refused here.
+	_, csr, err := verifyCSRBundle(r.Context(), a.verifier, reqBundle)
+	if err != nil {
 		http.Error(w, ErrPeerRejected.Error(), http.StatusForbidden)
 		return
 	}
-	peerPubAny, err := x509.ParsePKIXPublicKey(reqBundle.Payload)
-	if err != nil {
-		http.Error(w, "bad peer key", http.StatusBadRequest)
-		return
-	}
-	peerPub, ok := peerPubAny.(*ecdsa.PublicKey)
+	peerPub, ok := csr.PublicKey.(*ecdsa.PublicKey)
 	if !ok {
 		http.Error(w, "bad peer key type", http.StatusBadRequest)
 		return
@@ -365,7 +398,7 @@ func (a *Agent) handleKeyRequest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	report, err := a.vm.Report(vm.HashOf(encKey))
+	report, err := a.report(vm.HashOf(encKey))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -379,23 +412,26 @@ func (a *Agent) handleKeyRequest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWellKnown serves the attestation bundle. Without a nonce the
-// cached bundle from provisioning time is returned (enough for
-// discovery); with ?nonce=<hex> a *fresh* report is produced whose
-// REPORT_DATA binds both the TLS key and the caller's nonce, defeating
-// replay of recorded bundles.
+// discovery bundle is returned — one report binding the TLS key, minted by
+// the first such request after an install and served to every later one
+// (enough for discovery); with ?nonce=<hex> a *fresh* report is produced
+// whose REPORT_DATA binds both the TLS key and the caller's nonce,
+// defeating replay of recorded bundles.
 func (a *Agent) handleWellKnown(w http.ResponseWriter, r *http.Request) {
 	a.mu.Lock()
-	bundle := a.servingBundle
-	bundleJSON := a.servingBundleJSON
-	pubDER := a.servingPubDER
+	wk := a.wellKnown
 	a.mu.Unlock()
-	if bundle == nil {
+	if wk == nil {
 		http.Error(w, ErrNotReady.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	nonceHex := r.URL.Query().Get("nonce")
 	if nonceHex == "" {
-		// Discovery path: serve the JSON encoded once at install time.
+		bundleJSON, err := a.discoveryBundle(wk)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(bundleJSON)
 		return
@@ -405,17 +441,42 @@ func (a *Agent) handleWellKnown(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad nonce", http.StatusBadRequest)
 		return
 	}
-	report, err := a.vm.Report(vm.HashOfWithNonce(pubDER, nonce))
+	report, err := a.report(vm.HashOfWithNonce(wk.pubDER, nonce))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	fresh, err := attest.NewBundle(report, pubDER)
+	fresh, err := attest.NewBundle(report, wk.pubDER)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	writeJSON(w, fresh)
+}
+
+// discoveryBundle returns wk's nonce-less bundle, minting it if no request
+// has yet. A failed attempt leaves nothing behind, so the next request
+// tries again.
+func (a *Agent) discoveryBundle(wk *wellKnown) ([]byte, error) {
+	wk.mu.Lock()
+	defer wk.mu.Unlock()
+	if wk.discoveryJSON != nil {
+		return wk.discoveryJSON, nil
+	}
+	report, err := a.report(vm.HashOf(wk.pubDER))
+	if err != nil {
+		return nil, err
+	}
+	bundle, err := attest.NewBundle(report, wk.pubDER)
+	if err != nil {
+		return nil, err
+	}
+	bundleJSON, err := json.Marshal(bundle)
+	if err != nil {
+		return nil, err
+	}
+	wk.discoveryJSON = bundleJSON
+	return bundleJSON, nil
 }
 
 // Ready reports whether provisioning completed.
@@ -449,25 +510,29 @@ func (a *Agent) BecomeLeader() error {
 }
 
 // TLSCredentials returns the shared certificate and private key once
-// ready — what the HTTPS front end (nginx) is restarted with.
+// ready — what the HTTPS front end (nginx) is restarted with. The DER is
+// the caller's own copy.
 func (a *Agent) TLSCredentials() (certDER []byte, key *ecdsa.PrivateKey, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.ready {
 		return nil, nil, ErrNotReady
 	}
-	return append([]byte(nil), a.certDER...), a.tlsKey, nil
+	return append([]byte(nil), a.serving.Leaf.Raw...), a.tlsKey, nil
 }
 
-// ServingCertificate packages TLSCredentials as a tls.Certificate —
-// the per-handshake shape TLS-terminating front ends (the node web
-// tier, an attested gateway) resolve.
+// ServingCertificate returns the installed credential as a tls.Certificate
+// with its leaf parsed — the per-handshake shape TLS-terminating front
+// ends (the node web tier, an attested gateway) resolve. Every call
+// between two installs returns the same value, shared with every other
+// caller: treat it as read-only, as crypto/tls does.
 func (a *Agent) ServingCertificate() (*tls.Certificate, error) {
-	certDER, key, err := a.TLSCredentials()
-	if err != nil {
-		return nil, err
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !a.ready {
+		return nil, ErrNotReady
 	}
-	return &tls.Certificate{Certificate: [][]byte{certDER}, PrivateKey: key}, nil
+	return a.serving, nil
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

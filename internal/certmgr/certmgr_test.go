@@ -9,6 +9,7 @@ import (
 	"crypto/x509"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -21,6 +22,8 @@ import (
 	"revelio/internal/hypervisor"
 	"revelio/internal/imagebuild"
 	"revelio/internal/kds"
+	"revelio/internal/measure"
+	"revelio/internal/registry"
 	"revelio/internal/sev"
 	"revelio/internal/vm"
 )
@@ -33,6 +36,7 @@ type cluster struct {
 	fw       *firmware.Firmware
 	kds      *kds.Client
 	verifier *attest.Verifier
+	golden   measure.Measurement
 	agents   []*Agent
 	urls     []string
 	approved map[string]sev.ChipID
@@ -42,6 +46,14 @@ type cluster struct {
 }
 
 func newCluster(t *testing.T, nodes int) *cluster {
+	t.Helper()
+	return newClusterUnder(t, nodes, nil)
+}
+
+// newClusterUnder builds the cluster with a live trust registry as the
+// verifier's policy (the golden measurement voted in) instead of the
+// hard-coded golden value; nil keeps the latter.
+func newClusterUnder(t *testing.T, nodes int, trust *registry.Registry) *cluster {
 	t.Helper()
 	c := &cluster{approved: make(map[string]sev.ChipID, nodes)}
 
@@ -69,7 +81,19 @@ func newCluster(t *testing.T, nodes int) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.verifier = attest.NewVerifier(c.kds, attest.NewStaticGolden(golden))
+	var policy attest.TrustPolicy = attest.NewStaticGolden(golden)
+	if trust != nil {
+		trust.AddVoter("operator")
+		if err := trust.Propose(golden, "golden"); err != nil {
+			t.Fatal(err)
+		}
+		if err := trust.Vote("operator", golden); err != nil {
+			t.Fatal(err)
+		}
+		policy = trust
+	}
+	c.golden = golden
+	c.verifier = attest.NewVerifier(c.kds, policy)
 
 	for i := 0; i < nodes; i++ {
 		v := c.bootNode(t, []byte{byte(i)})
@@ -78,7 +102,7 @@ func newCluster(t *testing.T, nodes int) *cluster {
 		t.Cleanup(server.Close)
 		c.agents = append(c.agents, agent)
 		c.urls = append(c.urls, server.URL)
-		c.approved[server.URL] = v.Identity().KeyReport.ChipID
+		c.approved[server.URL] = v.Identity().CSRReport.ChipID
 	}
 
 	c.zone = acme.NewZone()
@@ -278,7 +302,7 @@ func TestProvisionRejectsWrongMeasurement(t *testing.T) {
 	evilAgent := NewAgent(evilVM, c.verifier, nil)
 	evilServer := httptest.NewServer(evilAgent)
 	t.Cleanup(evilServer.Close)
-	c.approved[evilServer.URL] = evilVM.Identity().KeyReport.ChipID
+	c.approved[evilServer.URL] = evilVM.Identity().CSRReport.ChipID
 
 	sp := NewSPNode(c.verifier, acme.NewClient(c.ca, c.zone),
 		"svc.example.org", c.approved, nil)
@@ -301,14 +325,16 @@ func TestLeaderRejectsUnattestedKeyRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pubDER, err := x509.MarshalPKIXPublicKey(&attackerKey.PublicKey)
+	attackerCSR, err := x509.CreateCertificateRequest(rand.Reader, &x509.CertificateRequest{
+		DNSNames: []string{"svc.example.org"},
+	}, attackerKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reuse a legitimate node's report but with the attacker's key: the
-	// REPORT_DATA binding fails.
-	legitimate := c.agents[1].vm.Identity().KeyReport
-	forged, err := attest.NewBundle(legitimate, pubDER)
+	// Reuse a legitimate node's report but with the attacker's CSR (and so
+	// the attacker's key): the REPORT_DATA binding fails.
+	legitimate := c.agents[1].vm.Identity().CSRReport
+	forged, err := attest.NewBundle(legitimate, attackerCSR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,12 +356,7 @@ func TestNonLeaderRefusesKeyRequests(t *testing.T) {
 	if _, err := c.sp.Provision(context.Background(), c.urls); err != nil {
 		t.Fatal(err)
 	}
-	id := c.agents[1].vm.Identity()
-	pubDER, err := id.PublicKeyDER()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundle, err := attest.NewBundle(id.KeyReport, pubDER)
+	bundle, err := c.agents[1].csrBundle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +389,7 @@ func TestPersistedCredentialsSurvive(t *testing.T) {
 	if loadedKey.D.Cmp(key.D) != 0 {
 		t.Error("persisted key differs from installed key")
 	}
-	if !bytes.Equal(loadedCert, cert) {
+	if !bytes.Equal(loadedCert.Raw, cert) {
 		t.Error("persisted certificate differs from installed one")
 	}
 }
@@ -421,12 +442,7 @@ func TestWellKnownBundleBindsTLSKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, a := range c.agents {
-		a.mu.Lock()
-		bundle := a.servingBundle
-		a.mu.Unlock()
-		if bundle == nil {
-			t.Fatalf("agent %d has no serving bundle", i)
-		}
+		bundle := c.discoveryBundle(t, i)
 		if _, err := c.verifier.VerifyBundle(context.Background(), bundle, vm.HashOf); err != nil {
 			t.Errorf("agent %d serving bundle: %v", i, err)
 		}
@@ -445,6 +461,28 @@ func TestWellKnownBundleBindsTLSKey(t *testing.T) {
 	}
 }
 
+// discoveryBundle fetches agent i's nonce-less well-known bundle.
+func (c *cluster) discoveryBundle(t *testing.T, i int) *attest.Bundle {
+	t.Helper()
+	resp, err := http.Get(c.urls[i] + WellKnownPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("agent %d well-known: status %d: %s", i, resp.StatusCode, body)
+	}
+	bundle, err := attest.DecodeBundle(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bundle
+}
+
 // joinNode boots a fresh VM, wires an agent around it and registers it
 // with the SP — the commissioning half of a scale-out join.
 func (c *cluster) joinNode(t *testing.T, seed []byte) (*Agent, string) {
@@ -453,7 +491,7 @@ func (c *cluster) joinNode(t *testing.T, seed []byte) (*Agent, string) {
 	agent := NewAgent(v, c.verifier, nil)
 	server := httptest.NewServer(agent)
 	t.Cleanup(server.Close)
-	c.sp.Approve(server.URL, v.Identity().KeyReport.ChipID)
+	c.sp.Approve(server.URL, v.Identity().CSRReport.ChipID)
 	return agent, server.URL
 }
 

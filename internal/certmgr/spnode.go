@@ -15,7 +15,6 @@ import (
 	"revelio/internal/acme"
 	"revelio/internal/attest"
 	"revelio/internal/sev"
-	"revelio/internal/vm"
 )
 
 var (
@@ -184,7 +183,7 @@ func (sp *SPNode) Provision(ctx context.Context, nodeURLs []string) (*ProvisionR
 // the CSR bundle, chip/address allow-list membership, and CSR
 // well-formedness. On success ev.report and ev.csr are populated.
 func (sp *SPNode) validateEvidence(ctx context.Context, ev *nodeEvidence) error {
-	res, err := sp.verifier.VerifyBundle(ctx, ev.bundle, vm.HashOf)
+	res, csr, err := verifyCSRBundle(ctx, sp.verifier, ev.bundle)
 	if err != nil {
 		return fmt.Errorf("%w: %s: %w", ErrNodeRejected, ev.url, err)
 	}
@@ -194,13 +193,6 @@ func (sp *SPNode) validateEvidence(ctx context.Context, ev *nodeEvidence) error 
 	}
 	if res.Report.ChipID != wantChip {
 		return fmt.Errorf("%w: %s runs on unexpected chip", ErrUnapprovedNode, ev.url)
-	}
-	csr, err := x509.ParseCertificateRequest(ev.bundle.Payload)
-	if err != nil {
-		return fmt.Errorf("%w: %s: bad csr: %w", ErrNodeRejected, ev.url, err)
-	}
-	if err := csr.CheckSignature(); err != nil {
-		return fmt.Errorf("%w: %s: csr signature: %w", ErrNodeRejected, ev.url, err)
 	}
 	ev.report = res.Report
 	ev.csr = csr

@@ -385,7 +385,8 @@ func (d *Deployment) launchNode(chipSeed []byte) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each node gets a private copy of the disk.
+	// Each node gets a private disk: a copy-on-write clone of the image,
+	// which costs the node only the chunks it goes on to write.
 	disk := d.Image.Disk.Clone()
 	guestVM, err := vm.Boot(guest, vm.BootConfig{
 		Disk:       disk,
@@ -425,9 +426,9 @@ func (d *Deployment) launchNode(chipSeed []byte) (*Node, error) {
 	}, nil
 }
 
-// AddNode launches one additional node (fresh chip, private disk copy of
-// the deployment's current image and firmware), starts its control
-// server, and registers it in the SP node's approved set. The node is
+// AddNode launches one additional node (fresh chip, private copy-on-write
+// clone of the deployment's current image, current firmware), starts its
+// control server, and registers it in the SP node's approved set. The node is
 // launched but unprovisioned: run the SP's single-node flow
 // (SP.ProvisionNode) to hand it the shared credentials, then
 // StartNodeWeb to open its HTTPS front end.
@@ -629,14 +630,7 @@ func (d *Deployment) startNodeWeb(n *Node) error {
 	// installs the renewed credentials — no listener restart, no window
 	// where a client sees a refused connection. The old certificate keeps
 	// serving until the atomic install, and both chain to the same CA.
-	agent := n.Agent
-	web, err := startHTTPSDynamic(counted, func() (*tls.Certificate, error) {
-		certDER, key, err := agent.TLSCredentials()
-		if err != nil {
-			return nil, err
-		}
-		return &tls.Certificate{Certificate: [][]byte{certDER}, PrivateKey: key}, nil
-	})
+	web, err := startHTTPSDynamic(counted, n.Agent.ServingCertificate)
 	if err != nil {
 		return err
 	}

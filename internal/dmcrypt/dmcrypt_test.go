@@ -2,6 +2,7 @@ package dmcrypt
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"testing"
@@ -223,6 +224,47 @@ func TestDefaultIterationsApplied(t *testing.T) {
 	}
 	if h.iterations != DefaultPBKDF2Iterations {
 		t.Errorf("iterations = %d, want %d", h.iterations, DefaultPBKDF2Iterations)
+	}
+}
+
+// TestPBKDF2HeaderFromEarlierFormatStillOpens pins the on-disk contract
+// across the kdf rewrite: a volume formatted (1000 iterations) and written
+// by the commit before PBKDF2 stopped re-keying its HMAC unlocks with the
+// same passphrase and decrypts to what was written then.
+func TestPBKDF2HeaderFromEarlierFormatStillOpens(t *testing.T) {
+	const (
+		headerHex = "4b56534c01000000e8030000c3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac31750000000e7ae3db4a025e20cf545e8c00fdcb3c653b270977462041b105dfde44a42fa9a536b468ead04411eab4739d0210c471e2ad2588b7a3873e286b487334932f47ca0ffd6143b271872893ac54c06ea76e7fe1cbf8f8c769da6c546edfd25a165721777d1cb2cff771e1e78e28f6e7307b4"
+		sectorHex = "be6693f3aea97d2b25e89d1d57ea4bb474dd16db2ef9e68dcfeb42ac99210839"
+		plaintext = "written before the kdf rewrite.."
+	)
+	hdr, err := hex.DecodeString(headerHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ciphertext, err := hex.DecodeString(sectorHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := blockdev.NewMem(headerBytes + 4096)
+	if err := raw.WriteAt(hdr, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.WriteAt(ciphertext, headerBytes+512); err != nil {
+		t.Fatal(err)
+	}
+	dev, err := Open(raw, []byte("sealing key of the parent commit"))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	got := make([]byte, len(plaintext))
+	if err := dev.ReadAt(got, 512); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != plaintext {
+		t.Errorf("decrypted %q, want %q", got, plaintext)
+	}
+	if _, err := Open(raw, []byte("another key")); !errors.Is(err, ErrBadPassphrase) {
+		t.Errorf("wrong passphrase: err = %v, want ErrBadPassphrase", err)
 	}
 }
 

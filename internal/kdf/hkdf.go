@@ -5,7 +5,9 @@
 // HKDF derives sealing keys and per-session keys from the AMD-SP's secret
 // material and the VM measurement (see internal/amdsp). PBKDF2 stretches
 // dm-crypt volume passphrases exactly as the paper configures cryptsetup
-// ("pbkdf2 with 1000 iterations").
+// ("pbkdf2 with 1000 iterations"); it sits on every guest boot — format on
+// the first, unlock on every later one — so it keys its HMAC once per call
+// and counts the rounds it executes (PBKDF2Rounds).
 package kdf
 
 import (

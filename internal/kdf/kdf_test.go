@@ -2,10 +2,13 @@ package kdf
 
 import (
 	"bytes"
+	"crypto/hmac"
 	"crypto/sha1"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash"
 	"testing"
 	"testing/quick"
 )
@@ -226,5 +229,91 @@ func BenchmarkPBKDF2Paper1000(b *testing.B) {
 		if _, err := PBKDF2(sha256.New, []byte("pw"), []byte("salt"), 1000, 32); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// pbkdf2Reference is RFC 8018 §5.2 written the obvious way — a new HMAC
+// per iteration — and is what PBKDF2 must keep matching byte for byte.
+func pbkdf2Reference(h func() hash.Hash, password, salt []byte, iter, keyLen int) []byte {
+	hashLen := h().Size()
+	var out []byte
+	for block := 1; len(out) < keyLen; block++ {
+		mac := hmac.New(h, password)
+		mac.Write(salt)
+		mac.Write(binary.BigEndian.AppendUint32(nil, uint32(block)))
+		u := mac.Sum(nil)
+		acc := append([]byte(nil), u...)
+		for i := 1; i < iter; i++ {
+			mac = hmac.New(h, password)
+			mac.Write(u)
+			u = mac.Sum(nil)
+			for j := range acc {
+				acc[j] ^= u[j]
+			}
+		}
+		out = append(out, acc[:hashLen]...)
+	}
+	return out[:keyLen]
+}
+
+// plainHash hides a hash's BinaryMarshaler, which sends crypto/hmac's
+// Reset down its other path (re-hashing the pads instead of restoring
+// them).
+type plainHash struct{ hash.Hash }
+
+// TestPBKDF2MatchesReference: the one-HMAC-per-call loop is the same
+// function as the reference over random inputs — passwords longer than the
+// hash's block, empty salts, multi-block outputs, both HMAC reset paths.
+func TestPBKDF2MatchesReference(t *testing.T) {
+	hashes := map[string]func() hash.Hash{
+		"sha1":   sha1.New,
+		"sha256": sha256.New,
+		"plain":  func() hash.Hash { return plainHash{sha256.New()} },
+	}
+	for name, h := range hashes {
+		f := func(pw, salt []byte, iter uint8, keyLen uint8) bool {
+			it := int(iter)%40 + 1
+			got, err := PBKDF2(h, pw, salt, it, int(keyLen))
+			return err == nil && bytes.Equal(got, pbkdf2Reference(h, pw, salt, it, int(keyLen)))
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	long := bytes.Repeat([]byte("k"), 200) // keyed through the hash, not padded
+	got, err := PBKDF2(sha256.New, long, nil, 7, 70)
+	if err != nil || !bytes.Equal(got, pbkdf2Reference(sha256.New, long, nil, 7, 70)) {
+		t.Errorf("long password, 3 blocks: got %x err %v", got, err)
+	}
+}
+
+// TestPBKDF2RoundsCountsIterationsTimesBlocks: the round counter is the
+// work actually done — one HMAC per iteration per output block.
+func TestPBKDF2RoundsCountsIterationsTimesBlocks(t *testing.T) {
+	for _, tt := range []struct{ iter, keyLen, want int }{
+		{1, 32, 1}, {1000, 32, 1000}, {10, 33, 20}, {5, 0, 0},
+	} {
+		before := PBKDF2Rounds()
+		if _, err := PBKDF2(sha256.New, []byte("pw"), []byte("salt"), tt.iter, tt.keyLen); err != nil {
+			t.Fatal(err)
+		}
+		if got := PBKDF2Rounds() - before; got != uint64(tt.want) {
+			t.Errorf("iter=%d keyLen=%d: %d rounds, want %d", tt.iter, tt.keyLen, got, tt.want)
+		}
+	}
+}
+
+// TestPBKDF2AllocationsDoNotGrowWithIterations: the loop allocates
+// nothing, so 1000 iterations allocate exactly what 10 do.
+func TestPBKDF2AllocationsDoNotGrowWithIterations(t *testing.T) {
+	allocs := func(iter int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := PBKDF2(sha256.New, []byte("pw"), []byte("salt"), iter, 32); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(1000); many != few {
+		t.Errorf("1000 iterations allocate %.0f objects, 10 allocate %.0f", many, few)
 	}
 }

@@ -10,8 +10,8 @@
 //  4. mount the read-only rootfs and load the baked-in network policy,
 //  5. unlock (first boot: create) the dm-crypt persistent volume with the
 //     measurement-derived sealing key,
-//  6. create the VM's unique TLS identity, its CSR, and the pair of
-//     attestation reports binding both to the TEE,
+//  6. create the VM's unique TLS identity, its CSR, and the attestation
+//     report binding the CSR — and through it the key — to the TEE,
 //  7. start the image's services.
 //
 // Every step is timed; the timings drive the Table 1 reproduction.
@@ -65,20 +65,17 @@ type BootTimings struct {
 }
 
 // Identity is the VM's unique key pair and the attestation evidence bound
-// to it (§5.2.2).
+// to it (§5.2.2). One report covers both uses of the key: the CSR embeds
+// the public key and is signed with the private one, so a report over the
+// CSR proves to the SP node (which has the CA sign it) and to the leader
+// (which encrypts the shared TLS key to it) alike that the key lives in
+// this measured VM.
 type Identity struct {
 	Key *ecdsa.PrivateKey
 	// CSRDER is the PKCS#10 certificate signing request for Key.
 	CSRDER []byte
-	// KeyReport carries SHA-512(public key DER) as REPORT_DATA.
-	KeyReport *sev.Report
 	// CSRReport carries SHA-512(CSRDER) as REPORT_DATA.
 	CSRReport *sev.Report
-}
-
-// PublicKeyDER returns the DER encoding of the identity public key.
-func (id *Identity) PublicKeyDER() ([]byte, error) {
-	return x509.MarshalPKIXPublicKey(&id.Key.PublicKey)
 }
 
 // HashOf returns the 64-byte REPORT_DATA binding for a blob.
@@ -240,7 +237,7 @@ func Boot(guest *hypervisor.Guest, cfg BootConfig) (*VM, error) {
 	}
 	v.timings.DmCryptSetup = time.Since(t0)
 
-	// Unique VM identity: key pair, CSR, and the two reports (§5.2.2).
+	// Unique VM identity: key pair, CSR, and the report over it (§5.2.2).
 	t0 = time.Now()
 	if v.identity, err = createIdentity(guest, cfg.Domain, cfg.Rand); err != nil {
 		return nil, err
@@ -303,19 +300,11 @@ func createIdentity(guest *hypervisor.Guest, domain string, rng io.Reader) (*Ide
 	if err != nil {
 		return nil, fmt.Errorf("vm: create csr: %w", err)
 	}
-	pubDER, err := x509.MarshalPKIXPublicKey(&key.PublicKey)
-	if err != nil {
-		return nil, fmt.Errorf("vm: marshal public key: %w", err)
-	}
-	keyReport, err := guest.Channel.Report(HashOf(pubDER))
-	if err != nil {
-		return nil, fmt.Errorf("vm: key report: %w", err)
-	}
 	csrReport, err := guest.Channel.Report(HashOf(csrDER))
 	if err != nil {
 		return nil, fmt.Errorf("vm: csr report: %w", err)
 	}
-	return &Identity{Key: key, CSRDER: csrDER, KeyReport: keyReport, CSRReport: csrReport}, nil
+	return &Identity{Key: key, CSRDER: csrDER, CSRReport: csrReport}, nil
 }
 
 // FS exposes the mounted, verity-protected rootfs.

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"bytes"
+	"crypto/ecdsa"
+	"crypto/x509"
 	"errors"
 	"strings"
 	"testing"
@@ -99,24 +101,26 @@ func TestIdentityReportsVerify(t *testing.T) {
 	v := bootRig(t, r)
 	id := v.Identity()
 
-	pubDER, err := id.PublicKeyDER()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id.KeyReport.ReportData != HashOf(pubDER) {
-		t.Error("key report does not bind the public key")
-	}
 	if id.CSRReport.ReportData != HashOf(id.CSRDER) {
 		t.Error("csr report does not bind the CSR")
 	}
-	if err := id.KeyReport.Verify(r.sp.VCEKPublic()); err != nil {
-		t.Errorf("key report verify: %v", err)
+	// The CSR carries the identity key and proves possession of it, which
+	// is what lets the one report stand for the key as well.
+	csr, err := x509.ParseCertificateRequest(id.CSRDER)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := csr.CheckSignature(); err != nil {
+		t.Errorf("csr self-signature: %v", err)
+	}
+	if pub, ok := csr.PublicKey.(*ecdsa.PublicKey); !ok || !pub.Equal(&id.Key.PublicKey) {
+		t.Error("csr does not carry the identity public key")
 	}
 	if err := id.CSRReport.Verify(r.sp.VCEKPublic()); err != nil {
 		t.Errorf("csr report verify: %v", err)
 	}
-	if id.KeyReport.Measurement != v.Measurement() {
-		t.Error("key report measurement mismatch")
+	if id.CSRReport.Measurement != v.Measurement() {
+		t.Error("csr report measurement mismatch")
 	}
 }
 
