@@ -4,6 +4,8 @@
 // fleet scalability) under paper-scale network conditions. Every result
 // renders paper-style rows (Render) and marshals to JSON for
 // regression tracking; cmd/revelio-bench is the CLI over this package.
+// Gateway throughput is measured by the repository's benchmark
+// (go run ./benchmark), not here.
 package bench
 
 import "revelio/internal/bench"
@@ -30,10 +32,6 @@ type (
 	// Table5Config / Table5Result cover fleet scalability under churn.
 	Table5Config = bench.Table5Config
 	Table5Result = bench.Table5Result
-	// Table6Config / Table6Result cover attested-gateway throughput:
-	// fleet-wide balancing vs direct-to-leader, plus churn-under-load.
-	Table6Config = bench.Table6Config
-	Table6Result = bench.Table6Result
 	// Fig5Config / Fig5Result cover dm-crypt I/O throughput.
 	Fig5Config = bench.Fig5Config
 	Fig5Result = bench.Fig5Result
@@ -93,17 +91,6 @@ func DefaultTable5Config() Table5Config { return bench.DefaultTable5Config() }
 // steady-state attested-TLS throughput over fleet sizes (Table 5).
 func RunFleetScalability(cfg Table5Config) (*Table5Result, error) {
 	return bench.RunFleetScalability(cfg)
-}
-
-// DefaultTable6Config returns the default Table 6 configuration.
-func DefaultTable6Config() Table6Config { return bench.DefaultTable6Config() }
-
-// RunGatewayThroughput measures aggregate req/s through the attested
-// gateway vs direct-to-leader over fleet size × client concurrency, and
-// proves zero failed requests while nodes are replaced behind the
-// gateway (Table 6).
-func RunGatewayThroughput(cfg Table6Config) (*Table6Result, error) {
-	return bench.RunGatewayThroughput(cfg)
 }
 
 // DefaultChaosConfig returns the CI chaos sweep shape (twenty seeds,

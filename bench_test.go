@@ -8,7 +8,6 @@
 //	Table 3  -> BenchmarkTable3_ClientSide
 //	Table 4  -> BenchmarkTable4_AttestationThroughput
 //	Table 5  -> BenchmarkTable5_FleetScalability
-//	Table 6  -> BenchmarkTable6_GatewayThroughput
 //	Fig 5    -> BenchmarkFig5_DmCryptIO
 //	Fig 6    -> BenchmarkFig6_DmVerityRead
 //	ablations -> BenchmarkAblation_*
@@ -180,27 +179,6 @@ func BenchmarkTable5_FleetScalability(b *testing.B) {
 			b.Fatal(err)
 		}
 		renderOnce(b, "table5", res.Render())
-	}
-}
-
-// BenchmarkTable6_GatewayThroughput regenerates Table 6: aggregate
-// req/s through the attested gateway vs direct-to-leader over fleet
-// size × client concurrency, plus zero-failed-requests churn behind the
-// gateway. Node counts are scaled down from the paper-scale sweep; use
-// cmd/revelio-bench -table 6 for the full table.
-func BenchmarkTable6_GatewayThroughput(b *testing.B) {
-	cfg := bench.Table6Config{
-		NodeCounts:  []int{1, 4},
-		Clients:     []int{16},
-		Requests:    256,
-		ServiceTime: time.Millisecond,
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunGatewayThroughput(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderOnce(b, "table6", res.Render())
 	}
 }
 

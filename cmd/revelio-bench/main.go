@@ -7,7 +7,6 @@
 //	revelio-bench -table 1        # just Table 1
 //	revelio-bench -figure 5       # just Fig 5
 //	revelio-bench -table 4        # attestation throughput (fast path)
-//	revelio-bench -table 6        # attested gateway throughput
 //	revelio-bench -table 4 -table 5   # several tables in one run
 //	revelio-bench -ablations      # just the ablation sweeps
 //	revelio-bench -quick          # scaled-down sizes and latencies
@@ -112,9 +111,6 @@ func run(args []string, stdout io.Writer) error {
 	chaosRouted := fs.Bool("chaos.routed", false, "install a context-aware routing policy and include the routing chaos faults (broken-canary rollouts, zone bursts)")
 	chaosOut := fs.String("chaos.out", "", "write every executed chaos schedule to this file")
 	chaosVerbose := fs.Bool("chaos.v", false, "log every injected chaos fault as it runs")
-	t6Clients := fs.Int("t6.clients", -1, "Table 6 high-concurrency client count (0 disables the cell; default 10000, or 256 with -quick)")
-	t6Duration := fs.Duration("t6.duration", 0, "Table 6 high-concurrency steady-state window (default 10s, or 3s with -quick)")
-	t6Profile := fs.String("t6.profile", "", "directory for Table 6 high-concurrency pprof CPU/heap profiles")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -239,39 +235,6 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		emit("table5", res)
-	}
-	if selected(6, 0) {
-		cfg := bench.DefaultTable6Config()
-		if *quick {
-			cfg = bench.Table6Config{
-				NodeCounts:          []int{1, 2, 4, 8},
-				Clients:             []int{32},
-				Requests:            512,
-				OverloadClients:     32,
-				OverloadMaxInFlight: 8,
-				OverloadRequests:    256,
-				CanaryNodes:         2,
-				CanaryWeight:        25,
-				CanaryRequests:      200,
-				// The scaled-down high-concurrency cell: enough clients to
-				// exercise the multiplexed connection pool and the profile
-				// capture without the full 10k-goroutine footprint.
-				HCClients:  256,
-				HCDuration: 3 * time.Second,
-			}
-		}
-		if *t6Clients >= 0 {
-			cfg.HCClients = *t6Clients
-		}
-		if *t6Duration > 0 {
-			cfg.HCDuration = *t6Duration
-		}
-		cfg.HCProfileDir = *t6Profile
-		res, err := bench.RunGatewayThroughput(cfg)
-		if err != nil {
-			return err
-		}
-		emit("table6", res)
 	}
 	if selected(0, 0) && len(tables) == 0 && *figureNum == 0 {
 		scal, err := bench.RunScalability([]int{1, 2, 4, 8})
@@ -418,9 +381,9 @@ func compareBaseline(current map[string]any, base map[string]any, tol float64) (
 		if cv, bv, ok := floatPair(c["speedup_fast_vs_cold"], b["speedup_fast_vs_cold"]); ok && cv < bv*(1-tol) {
 			fail("table4: fast-path speedup %.1fx dropped below %.1fx·(1-%.2f)", cv, bv, tol)
 		}
-		// Singleflight collapse is machine-independent: the cold burst
-		// must not cost more KDS round trips than the baseline plus noise.
-		if cv, bv, ok := floatPair(c["cold_burst_kds_hits"], b["cold_burst_kds_hits"]); ok && cv > bv+2 {
+		// Singleflight collapse is a count, not a speed: the cold burst
+		// must not cost one KDS round trip more than the baseline's.
+		if cv, bv, ok := floatPair(c["cold_burst_kds_hits"], b["cold_burst_kds_hits"]); ok && cv > bv {
 			fail("table4: cold burst cost %.0f KDS requests, baseline %.0f", cv, bv)
 		}
 		if cv, bv, ok := floatPair(maxRowMetric(c, "verifications_per_sec", "mode", "fast-path"),
@@ -432,39 +395,6 @@ func compareBaseline(current map[string]any, base map[string]any, tol float64) (
 		if cv, bv, ok := floatPair(maxRowMetric(c, "requests_per_sec", "", ""),
 			maxRowMetric(b, "requests_per_sec", "", "")); ok && cv < bv*(1-tol) {
 			fail("table5: fleet throughput %.0f req/s dropped below %.0f·(1-%.2f)", cv, bv, tol)
-		}
-	}
-	if c, b := subMap(cur, "table6"), subMap(base, "table6"); c != nil && b != nil {
-		if cv, bv, ok := floatPair(maxRowMetric(c, "requests_per_sec_gateway", "", ""),
-			maxRowMetric(b, "requests_per_sec_gateway", "", "")); ok && cv < bv*(1-tol) {
-			fail("table6: gateway throughput %.0f req/s dropped below %.0f·(1-%.2f)", cv, bv, tol)
-		}
-		// The zero-failed-requests invariant is machine-independent and
-		// compared strictly.
-		if cv, ok := c["churn_failures"].(float64); ok && cv != 0 {
-			fail("table6: %.0f requests failed through the gateway during churn", cv)
-		}
-		// So is graceful degradation: overload must shed, not starve.
-		if cv, ok := c["overload_served"].(float64); ok && cv == 0 {
-			fail("table6: zero goodput under overload")
-		}
-		// And canary routing: a broken canary rolls back exactly once and
-		// the rolled-back measurement receives nothing afterwards.
-		if cv, ok := c["canary_rollbacks"].(float64); ok && cv != 1 {
-			fail("table6: canary rollback fired %.0f times, want exactly once", cv)
-		}
-		if cv, ok := c["canary_stray_after_rollback"].(float64); ok && cv != 0 {
-			fail("table6: %.0f requests reached the rolled-back canary measurement", cv)
-		}
-		// High-concurrency cell (when both runs include it): zero failed
-		// requests is machine-independent and strict, and proxy allocs/op
-		// is a property of the code, not the machine — a small additive
-		// slack absorbs Go-version and sampling noise.
-		if cv, ok := c["hc_failures"].(float64); ok && cv != 0 {
-			fail("table6: %.0f requests failed in the high-concurrency cell", cv)
-		}
-		if cv, bv, ok := floatPair(c["hc_proxy_allocs_per_op"], b["hc_proxy_allocs_per_op"]); ok && cv > bv*1.5+8 {
-			fail("table6: proxy allocs/op %.1f regressed past baseline %.1f·1.5+8", cv, bv)
 		}
 	}
 	return regressions, nil

@@ -183,40 +183,30 @@ func TestRunBaselineBadJSON(t *testing.T) {
 	}
 }
 
-// TestCompareBaselineTable6: gateway throughput regresses with the
-// shared tolerance, and any churn failure is flagged strictly.
-func TestCompareBaselineTable6(t *testing.T) {
-	base := currentDoc(t, `{
-		"table6": {
-			"rows": [{"nodes": 8, "requests_per_sec_gateway": 10000.0, "requests_per_sec_direct": 2000.0}],
-			"churn_failures": 0
-		}
-	}`)
-	clean := currentDoc(t, `{
-		"table6": {
-			"rows": [{"nodes": 8, "requests_per_sec_gateway": 9000.0, "requests_per_sec_direct": 2100.0}],
-			"churn_failures": 0
-		}
-	}`)
-	regs, err := compareBaseline(clean, base, 0.5)
+// countersOnly runs Table 4 once and writes a baseline holding only its
+// machine-independent counters. A run compared against its own timings
+// is a stopwatch test (it failed under parallel package load); compared
+// against its own counters it must be clean on any machine.
+func countersOnly(t *testing.T, path string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run([]string{"-quick", "-json", "-table", "4"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Table4 struct {
+			ColdBurstKDSHits int64 `json:"cold_burst_kds_hits"`
+		} `json:"table4"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 0 {
-		t.Errorf("clean table6 run flagged: %v", regs)
-	}
-	regressed := currentDoc(t, `{
-		"table6": {
-			"rows": [{"nodes": 8, "requests_per_sec_gateway": 100.0}],
-			"churn_failures": 3
-		}
-	}`)
-	regs, err = compareBaseline(regressed, base, 0.5)
-	if err != nil {
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if len(regs) != 2 {
-		t.Errorf("regressions = %d (%v), want 2 (throughput + churn failures)", len(regs), regs)
 	}
 }
 
@@ -224,14 +214,8 @@ func TestCompareBaselineTable6(t *testing.T) {
 // documents — the CI shape where each table pins its own file.
 func TestRunMergedBaselines(t *testing.T) {
 	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-json", "-table", "4"}, &buf); err != nil {
-		t.Fatal(err)
-	}
 	self := dir + "/table4.json"
-	if err := os.WriteFile(self, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	countersOnly(t, self)
 	// A second baseline for a table not in this run: merged in, then
 	// skipped by the comparison.
 	other := dir + "/table5.json"
@@ -240,35 +224,29 @@ func TestRunMergedBaselines(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-quick", "-json", "-table", "4",
-		"-baseline", self, "-baseline", other, "-tolerance", "0.9"}, io.Discard); err != nil {
+		"-baseline", self, "-baseline", other}, io.Discard); err != nil {
 		t.Errorf("merged baselines regressed: %v", err)
 	}
 }
 
-// TestRunBaselineEndToEnd: a -json run regressed against itself is
-// always clean, and against an impossible baseline it fails.
+// TestRunBaselineEndToEnd: a run's counters regressed against themselves
+// are clean, and against a baseline one KDS round trip cheaper they fail
+// — counters are compared strictly, with no tolerance.
 func TestRunBaselineEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-json", "-table", "4"}, &buf); err != nil {
-		t.Fatal(err)
-	}
 	self := dir + "/self.json"
-	if err := os.WriteFile(self, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-quick", "-json", "-table", "4", "-baseline", self, "-tolerance", "0.9"},
-		io.Discard); err != nil {
+	countersOnly(t, self)
+	if err := run([]string{"-quick", "-json", "-table", "4", "-baseline", self}, io.Discard); err != nil {
 		t.Errorf("self-baseline regressed: %v", err)
 	}
 
 	impossible := dir + "/impossible.json"
 	if err := os.WriteFile(impossible,
-		[]byte(`{"table4": {"speedup_fast_vs_cold": 1e12, "cold_burst_kds_hits": 0}}`), 0o644); err != nil {
+		[]byte(`{"table4": {"cold_burst_kds_hits": 1}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-quick", "-json", "-table", "4", "-baseline", impossible},
 		io.Discard); err == nil {
-		t.Error("impossible baseline passed")
+		t.Error("a baseline one KDS round trip cheaper passed")
 	}
 }

@@ -64,7 +64,6 @@
 //	Table 3  (client-side attestation)   -> BenchmarkTable3_ClientSide
 //	Table 4  (attestation throughput)    -> BenchmarkTable4_AttestationThroughput
 //	Table 5  (fleet scalability)         -> BenchmarkTable5_FleetScalability
-//	Table 6  (gateway throughput)        -> BenchmarkTable6_GatewayThroughput
 //	Fig 5    (dm-crypt I/O)              -> BenchmarkFig5_DmCryptIO
 //	Fig 6    (dm-verity reads)           -> BenchmarkFig6_DmVerityRead
 //	ablations                            -> BenchmarkAblation_*
@@ -88,22 +87,12 @@
 // to fleets under churn: provisioning and join latency plus
 // steady-state attested-TLS throughput swept over fleet sizes, driven
 // by the fleet lifecycle engine (see DESIGN.md's "Fleet lifecycle").
-// Table 6 measures the attested gateway data plane: aggregate req/s
-// through the gateway vs direct-to-leader over fleet size × client
-// concurrency, zero failed requests while nodes are replaced behind
-// the proxy, the overload cell — far more clients than the
-// admission bound, where every response must be a success or a
-// deliberate shed — and the canary cell: a staged firmware rollout
-// whose canary serves errors, reporting the observed canary fraction,
-// the attempts and wall time until the router's auto-rollback, and a
-// strict zero requests reaching the canary afterwards — and the
-// high-concurrency cell (-t6.clients, 10000 by default): that many
-// long-lived keep-alive clients held in flight for a timed
-// steady-state window, reporting req/s, p50/p99, a strict zero failed
-// requests, and allocs/op on the proxy path, with CPU and heap pprof
-// profiles of exactly that window written via -t6.profile (see
-// DESIGN.md's "Attested gateway", "Gateway hot path", "Resilience
-// layer", and "Context-aware routing").
+// The attested gateway data plane is measured by the repository's
+// benchmark (go run ./benchmark, see benchmark/README.md): its steady
+// and churn workloads drive the real fleet behind the real gateway and
+// gate on throughput, latency and a strict zero failed requests while
+// nodes are replaced (see DESIGN.md's "Attested gateway", "Gateway hot
+// path", "Resilience layer", and "Context-aware routing").
 // revelio-bench -json emits every result as one machine-readable JSON
 // document for tracking across revisions, and -baseline (repeatable;
 // files merge per experiment) regresses a run against stored documents.

@@ -222,7 +222,7 @@ func NewVerifier(source CertSource, policy TrustPolicy, opts ...Option) *Verifie
 func (v *Verifier) InvalidatePolicy() { v.policyRev.Add(1) }
 
 // PolicyRevision returns the current policy revision. Fast-path layers
-// stacked above the verifier (ratls.PeerVerifier's certificate memo) key
+// stacked above the verifier (ratls.ProviderPeerVerifier's certificate memo) key
 // their own entries on it so InvalidatePolicy cascades through them.
 func (v *Verifier) PolicyRevision() uint64 { return v.policyRev.Load() }
 
@@ -269,7 +269,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 	var rkey proofKey
 	if v.reports != nil {
 		rkey = reportProofKey(report)
-		if p, ok := v.reports.get(rkey, rev, now); ok {
+		if p, ok := v.reports.Get(rkey, rev, now); ok {
 			v.reportHits.Add(1)
 			if err := v.CheckPolicy(report); err != nil {
 				return nil, err
@@ -296,13 +296,13 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 	// never outlives any validity check the walk performed.
 	var (
 		ckey        proofKey
-		chainProof  *proof
+		chainProof  proof
 		chainProven bool
 	)
 	notAfter := vcekCert.NotAfter
 	if v.chains != nil {
 		ckey = sha256.Sum256(vcekCert.Raw)
-		chainProof, chainProven = v.chains.get(ckey, rev, now)
+		chainProof, chainProven = v.chains.Get(ckey, rev, now)
 	}
 	if chainProven {
 		v.chainHits.Add(1)
@@ -321,7 +321,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		linkProven := false
 		if v.chains != nil {
 			lkey = linkProofKey(ask, ark)
-			_, linkProven = v.chains.get(lkey, rev, now)
+			_, linkProven = v.chains.Get(lkey, rev, now)
 		}
 		opts := x509.VerifyOptions{
 			Roots:       x509.NewCertPool(),
@@ -351,7 +351,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 			linkNotAfter = ark.NotAfter
 		}
 		if !linkProven && v.chains != nil {
-			v.chains.put(&proof{key: lkey, rev: rev, notAfter: linkNotAfter})
+			v.chains.Put(lkey, proof{notAfter: linkNotAfter}, rev, linkNotAfter)
 		}
 		if linkNotAfter.Before(notAfter) {
 			notAfter = linkNotAfter
@@ -366,7 +366,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		return nil, ErrIdentityMismatch
 	}
 	if !chainProven && v.chains != nil {
-		v.chains.put(&proof{key: ckey, vcek: vcekCert, rev: rev, notAfter: notAfter})
+		v.chains.Put(ckey, proof{vcek: vcekCert, notAfter: notAfter}, rev, notAfter)
 	}
 
 	pub, ok := vcekCert.PublicKey.(*ecdsa.PublicKey)
@@ -382,7 +382,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		return nil, err
 	}
 	if v.reports != nil {
-		v.reports.put(&proof{key: rkey, vcek: vcekCert, rev: rev, notAfter: notAfter})
+		v.reports.Put(rkey, proof{vcek: vcekCert, notAfter: notAfter}, rev, notAfter)
 	}
 	return &Result{Report: report, VCEK: vcekCert}, nil
 }

@@ -398,7 +398,7 @@ func TestChainWalkCachesNothingWhenKDSFailsMidWalk(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("walk cut by cancellation: err = %v, want context.Canceled", err)
 	}
-	if n := v.chains.len() + v.reports.len(); n != 0 {
+	if n := v.chains.Len() + v.reports.Len(); n != 0 {
 		t.Errorf("%d proofs cached by a walk that never finished", n)
 	}
 

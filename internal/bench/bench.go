@@ -10,6 +10,12 @@
 // makes (which operation dominates boot, how overhead scales with I/O
 // size, what the VCEK cache buys) are reproduced in shape. EXPERIMENTS.md
 // records the side-by-side values.
+//
+// What the package reproduces is the paper's tables and figures plus
+// Tables 4 and 5 (attestation throughput, fleet scalability), as reports
+// whose tests check structure and counts, not speed. How fast the
+// gateway data plane is, steady and under churn, is not measured here:
+// that is the repository's benchmark (benchmark/, BENCHMARK.json).
 package bench
 
 import (

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"revelio/internal/race"
 )
 
 func TestRunTable1(t *testing.T) {
@@ -145,9 +143,14 @@ func TestRunTable3(t *testing.T) {
 	if res.GETWithAttestation <= res.GETWithConnCheck {
 		t.Errorf("attested GET %v <= conn-validated %v", res.GETWithAttestation, res.GETWithConnCheck)
 	}
-	if res.WarmAttestation >= res.GETWithAttestation {
-		t.Errorf("warm attestation %v not faster than cold %v",
-			res.WarmAttestation, res.GETWithAttestation)
+	// What the warm VCEK cache buys, as counts: the cold session goes to
+	// the KDS, the warm one does not and walks no chain; both still check
+	// the fresh report's signature.
+	if res.ColdOps.KDSRequests == 0 {
+		t.Errorf("cold attestation made no KDS round trip: %+v", res.ColdOps)
+	}
+	if w := res.WarmOps; w.KDSRequests != 0 || w.Verified.ChainLinksVerified != 0 || w.Verified.ReportsVerified == 0 {
+		t.Errorf("warm attestation: %+v, want 0 KDS round trips, 0 chain links, the report verified", w)
 	}
 	if !strings.Contains(res.Render(), "remote attestation") {
 		t.Error("render lacks rows")
@@ -163,13 +166,19 @@ func TestRunTable4(t *testing.T) {
 	if len(res.Rows) != 6 { // 3 modes x 2 concurrency levels
 		t.Fatalf("rows = %d, want 6", len(res.Rows))
 	}
-	perSec := map[string]float64{}
 	for _, row := range res.Rows {
 		if row.PerSec <= 0 {
 			t.Errorf("%s/%d: no throughput measured", row.Mode, row.Clients)
 		}
-		if row.Clients == 4 {
-			perSec[row.Mode] = row.PerSec
+		// What the report-proof tier buys, as a count: without it every op
+		// checks the report's signature, with it none does.
+		want := uint64(row.Ops)
+		if row.Mode == "fast-path" {
+			want = 0
+		}
+		if row.ReportsVerified != want {
+			t.Errorf("%s/%d: %d report signatures verified over %d ops, want %d",
+				row.Mode, row.Clients, row.ReportsVerified, row.Ops, want)
 		}
 		// The warm and fast modes never touch the KDS in steady state.
 		if row.Mode != "cold" && row.KDSRequests != 0 {
@@ -180,10 +189,6 @@ func TestRunTable4(t *testing.T) {
 	// (in practice it is orders of magnitude, even with zero KDS RTT).
 	if res.Speedup < 5 {
 		t.Errorf("fast path speedup %.1fx < 5x", res.Speedup)
-	}
-	if perSec["fast-path"] <= perSec["warm-vcek"] {
-		t.Errorf("fast path (%.1f/s) not faster than warm VCEK (%.1f/s)",
-			perSec["fast-path"], perSec["warm-vcek"])
 	}
 	// Singleflight: a cold burst of N clients must cost far fewer than
 	// the 2N requests the herd would issue without it (2 when no request
@@ -233,62 +238,6 @@ func TestRunTable5(t *testing.T) {
 	}
 	out := res.Render()
 	for _, want := range []string{"Table 5", "Join(ms)", "Reqs/sec"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render lacks %q", want)
-		}
-	}
-}
-
-func TestRunTable6(t *testing.T) {
-	cfg := Table6Config{
-		NodeCounts:          []int{1, 4},
-		Clients:             []int{16},
-		Requests:            512,
-		ServiceTime:         time.Millisecond,
-		ChurnNodes:          2,
-		ChurnClients:        4,
-		OverloadClients:     16,
-		OverloadMaxInFlight: 4,
-		OverloadRequests:    96,
-	}
-	res, err := RunGatewayThroughput(cfg)
-	if err != nil {
-		t.Fatalf("RunGatewayThroughput: %v", err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.GatewayPerSec <= 0 || row.DirectPerSec <= 0 {
-			t.Errorf("n=%d: missing throughput: %+v", row.Nodes, row)
-		}
-	}
-	// The gateway's whole point: aggregate throughput grows with fleet
-	// size while direct-to-leader stays pinned at one node's capacity.
-	// Under -race the data plane's per-request overhead balloons past
-	// the per-node service time and masks the scaling, so the ratio is
-	// only asserted in normal builds.
-	if r0, r1 := res.Rows[0], res.Rows[1]; !race.Enabled && r1.GatewayPerSec < 1.5*r0.GatewayPerSec {
-		t.Errorf("gateway throughput did not scale: %.0f req/s (n=%d) -> %.0f req/s (n=%d)",
-			r0.GatewayPerSec, r0.Nodes, r1.GatewayPerSec, r1.Nodes)
-	}
-	if res.ChurnFailures != 0 || res.ChurnRequests == 0 {
-		t.Errorf("churn: %d failures over %d requests", res.ChurnFailures, res.ChurnRequests)
-	}
-	// Overload: a populated result implies zero outright failures (they
-	// abort the run); the bound must actually bite, and goodput survive.
-	if res.OverloadServed == 0 {
-		t.Error("overload: zero requests served")
-	}
-	if res.OverloadShed == 0 {
-		t.Errorf("overload: %d clients vs admission bound %d shed nothing",
-			cfg.OverloadClients, cfg.OverloadMaxInFlight)
-	}
-	if res.OverloadShedRate <= 0 || res.OverloadShedRate >= 1 {
-		t.Errorf("overload: shed rate %.2f outside (0,1)", res.OverloadShedRate)
-	}
-	out := res.Render()
-	for _, want := range []string{"Table 6", "Gateway(req/s)", "Direct(req/s)", "Churn:", "Overload:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render lacks %q", want)
 		}

@@ -65,6 +65,9 @@ type Table4Row struct {
 	Elapsed     time.Duration `json:"elapsed_ns"`
 	PerSec      float64       `json:"verifications_per_sec"`
 	KDSRequests int64         `json:"kds_requests"`
+	// ReportsVerified counts the report signatures the row checked: one
+	// per op until the report-proof tier answers instead, then none.
+	ReportsVerified uint64 `json:"reports_verified"`
 }
 
 // Table4Result reports the sweep plus the headline comparisons.
@@ -180,17 +183,19 @@ func RunAttestationThroughput(cfg Table4Config) (*Table4Result, error) {
 		// Cold: every verification builds an uncached client and
 		// verifier — full KDS fetches, parses, chain walk, signature.
 		before := rig.hits.Load()
+		var coldVerified atomic.Uint64
 		elapsed, done, err := rig.run(clients, cfg.ColdOps, func() error {
 			v := attest.NewVerifier(kds.NewClient(rig.url, rig.httpc), policy,
 				attest.WithoutReportCache())
 			_, err := v.VerifyReport(ctx, rig.report)
+			coldVerified.Add(v.Stats().ReportsVerified)
 			return err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: table4 cold: %w", err)
 		}
 		res.Rows = append(res.Rows, table4Row("cold", clients, done, elapsed,
-			rig.hits.Load()-before))
+			rig.hits.Load()-before, coldVerified.Load()))
 
 		// Warm VCEK: shared caching client (certificates fetched and
 		// parsed once), but no proof caches — chain walk + ECDSA per op.
@@ -202,6 +207,7 @@ func RunAttestationThroughput(cfg Table4Config) (*Table4Result, error) {
 			return nil, fmt.Errorf("bench: table4 warm prime: %w", err)
 		}
 		before = rig.hits.Load()
+		verified := warmVerifier.Stats().ReportsVerified
 		elapsed, done, err = rig.run(clients, cfg.Ops, func() error {
 			_, err := warmVerifier.VerifyReport(ctx, rig.report)
 			return err
@@ -210,7 +216,7 @@ func RunAttestationThroughput(cfg Table4Config) (*Table4Result, error) {
 			return nil, fmt.Errorf("bench: table4 warm: %w", err)
 		}
 		res.Rows = append(res.Rows, table4Row("warm-vcek", clients, done, elapsed,
-			rig.hits.Load()-before))
+			rig.hits.Load()-before, warmVerifier.Stats().ReportsVerified-verified))
 
 		// Full fast path: caching client + chain/report proof caches +
 		// singleflight. Steady state re-judges policy per op and skips
@@ -222,6 +228,7 @@ func RunAttestationThroughput(cfg Table4Config) (*Table4Result, error) {
 			return nil, fmt.Errorf("bench: table4 fast prime: %w", err)
 		}
 		before = rig.hits.Load()
+		verified = fastVerifier.Stats().ReportsVerified
 		elapsed, done, err = rig.run(clients, cfg.Ops, func() error {
 			_, err := fastVerifier.VerifyReport(ctx, rig.report)
 			return err
@@ -230,7 +237,7 @@ func RunAttestationThroughput(cfg Table4Config) (*Table4Result, error) {
 			return nil, fmt.Errorf("bench: table4 fast: %w", err)
 		}
 		res.Rows = append(res.Rows, table4Row("fast-path", clients, done, elapsed,
-			rig.hits.Load()-before))
+			rig.hits.Load()-before, fastVerifier.Stats().ReportsVerified-verified))
 	}
 
 	// Headline speedup at the highest swept concurrency.
@@ -269,18 +276,19 @@ func RunAttestationThroughput(cfg Table4Config) (*Table4Result, error) {
 	return res, nil
 }
 
-func table4Row(mode string, clients, ops int, elapsed time.Duration, kdsReqs int64) Table4Row {
+func table4Row(mode string, clients, ops int, elapsed time.Duration, kdsReqs int64, verified uint64) Table4Row {
 	perSec := 0.0
 	if elapsed > 0 {
 		perSec = float64(ops) / elapsed.Seconds()
 	}
 	return Table4Row{
-		Mode:        mode,
-		Clients:     clients,
-		Ops:         ops,
-		Elapsed:     elapsed,
-		PerSec:      perSec,
-		KDSRequests: kdsReqs,
+		Mode:            mode,
+		Clients:         clients,
+		Ops:             ops,
+		Elapsed:         elapsed,
+		PerSec:          perSec,
+		KDSRequests:     kdsReqs,
+		ReportsVerified: verified,
 	}
 }
 

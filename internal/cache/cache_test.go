@@ -1,0 +1,226 @@
+package cache
+
+import (
+	"crypto/sha256"
+	"crypto/tls"
+	"crypto/x509"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"revelio/attestation"
+)
+
+// The fence is the security property every user of this package leans
+// on, so it is tested against a model: an unbounded map that remembers
+// the revision and notAfter each value was stored under. Over random
+// interleavings of every operation the cache offers, plus the two ways
+// a caller invalidates without touching it (bumping its revision, its
+// clock passing notAfter), a lookup must return exactly what the model
+// filtered by the fence holds — or, where capacity may have evicted it,
+// a miss. It must never return a value the fence excludes.
+
+type modelEntry[V any] struct {
+	val      V
+	rev      uint64
+	notAfter time.Time
+}
+
+// instantiation is one of the key/value shapes the repository builds
+// the cache with.
+type instantiation[K comparable, V any] struct {
+	new  func(capacity int) *Cache[K, V]
+	key  func(i int) K
+	val  func() V               // a value distinguishable from every earlier one
+	same func(a, b V) bool      // identity of two values
+	cap  func(capacity int) int // the most entries a cache built with capacity may hold
+}
+
+func exact(capacity int) int { return capacity }
+
+func digest(i int) [sha256.Size]byte { return sha256.Sum256([]byte{byte(i), byte(i >> 8)}) }
+
+func name(i int) string { return fmt.Sprintf("node-%d", i) }
+
+func samePtr[T any](a, b *T) bool { return a == b }
+
+// chainProof mirrors attest's proof value: the proving certificate and
+// the expiry it hands on.
+type chainProof struct {
+	vcek     *x509.Certificate
+	notAfter time.Time
+}
+
+func TestFenceAgainstModel(t *testing.T) {
+	t.Run("attest proofs", func(t *testing.T) {
+		checkAgainstModel(t, instantiation[[sha256.Size]byte, chainProof]{
+			new: func(capacity int) *Cache[[sha256.Size]byte, chainProof] {
+				return NewSharded[[sha256.Size]byte, chainProof](capacity, func(k [sha256.Size]byte) uint8 { return k[0] })
+			},
+			key:  digest,
+			val:  func() chainProof { return chainProof{vcek: new(x509.Certificate)} },
+			same: func(a, b chainProof) bool { return a == b },
+			// Per-shard bounds: capacity/16 each, at least one.
+			cap: func(capacity int) int { return max(capacity/shardCount, 1) * shardCount },
+		})
+	})
+	t.Run("kds parsed VCEKs", func(t *testing.T) {
+		checkAgainstModel(t, instantiation[string, *x509.Certificate]{
+			new: New[string, *x509.Certificate], key: name, cap: exact,
+			val: func() *x509.Certificate { return new(x509.Certificate) }, same: samePtr[x509.Certificate],
+		})
+	})
+	t.Run("kds DER responses", func(t *testing.T) {
+		checkAgainstModel(t, instantiation[string, []byte]{
+			new: New[string, []byte], key: name, cap: exact,
+			val:  func() []byte { return make([]byte, 1) },
+			same: func(a, b []byte) bool { return &a[0] == &b[0] },
+		})
+	})
+	t.Run("ratls verified peers", func(t *testing.T) {
+		checkAgainstModel(t, instantiation[[sha256.Size]byte, *attestation.Result]{
+			new: New[[sha256.Size]byte, *attestation.Result], key: digest, cap: exact,
+			val: func() *attestation.Result { return new(attestation.Result) }, same: samePtr[attestation.Result],
+		})
+	})
+	t.Run("gateway sessions", func(t *testing.T) {
+		checkAgainstModel(t, instantiation[string, *tls.ClientSessionState]{
+			new: New[string, *tls.ClientSessionState], key: name, cap: exact,
+			val: func() *tls.ClientSessionState { return new(tls.ClientSessionState) }, same: samePtr[tls.ClientSessionState],
+		})
+	})
+}
+
+func checkAgainstModel[K comparable, V any](t *testing.T, in instantiation[K, V]) {
+	// roomy: every key fits, so the cache must agree with the model
+	// exactly. tight: keys overflow the capacity, so a miss is allowed
+	// where the model holds a value, a stale or foreign value never is.
+	for _, shape := range []struct {
+		name           string
+		capacity, keys int
+	}{
+		{"roomy", 1024, 24},
+		{"tight", 8, 40},
+	} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c := in.new(shape.capacity)
+			roomy := shape.keys*shardCount <= shape.capacity // fits even if every key lands in one shard
+			model := map[K]modelEntry[V]{}
+			rev := uint64(1)
+			now := time.Unix(1_700_000_000, 0)
+			fail := func(step int, format string, args ...any) {
+				t.Helper()
+				t.Fatalf("%s seed %d step %d: %s", shape.name, seed, step, fmt.Sprintf(format, args...))
+			}
+			for step := 0; step < 2000; step++ {
+				k := in.key(rng.Intn(shape.keys))
+				switch op := rng.Intn(100); {
+				case op < 35: // put, expiring or not
+					var notAfter time.Time
+					if rng.Intn(3) > 0 {
+						notAfter = now.Add(time.Duration(rng.Intn(50)) * time.Second)
+					}
+					v := in.val()
+					c.Put(k, v, rev, notAfter)
+					model[k] = modelEntry[V]{val: v, rev: rev, notAfter: notAfter}
+					if got, ok := c.Get(k, rev, now); !ok || !in.same(got, v) {
+						fail(step, "a value just stored is not served")
+					}
+				case op < 80: // get
+					got, ok := c.Get(k, rev, now)
+					want, held := model[k]
+					live := held && want.rev == rev && (want.notAfter.IsZero() || !now.After(want.notAfter))
+					if held && !live {
+						delete(model, k) // dropped on sight
+					}
+					switch {
+					case ok && !live:
+						fail(step, "served a value the fence excludes (held=%v)", held)
+					case ok && !in.same(got, want.val):
+						fail(step, "served a value other than the last one stored")
+					case !ok && live && roomy:
+						fail(step, "missed a live value with room to spare")
+					case !ok:
+						delete(model, k) // evicted: the cache will not bring it back
+					}
+				case op < 86: // the caller's revision moves on
+					rev++
+				case op < 92: // the caller's clock moves on, sometimes past every notAfter
+					now = now.Add(time.Duration(rng.Intn(40)) * time.Second)
+				case op < 97:
+					c.Delete(k)
+					delete(model, k)
+				default:
+					c.Purge()
+					clear(model)
+				}
+				if n, bound := c.Len(), in.cap(shape.capacity); n > bound {
+					fail(step, "holds %d entries, bound %d", n, bound)
+				}
+				if roomy && c.Len() != len(model) {
+					fail(step, "holds %d entries, model %d", c.Len(), len(model))
+				}
+			}
+		}
+	}
+}
+
+// TestFenceUnderConcurrency runs lookups and stores from many goroutines
+// (under -race in CI) while the revision and the clock move. Each value
+// records the fence it was stored under, so a reader can tell a stale
+// hit from a good one without a lock-step model.
+func TestFenceUnderConcurrency(t *testing.T) {
+	type stamped struct {
+		rev      uint64
+		notAfter time.Time
+	}
+	for _, c := range []*Cache[[sha256.Size]byte, stamped]{
+		New[[sha256.Size]byte, stamped](16),
+		NewSharded[[sha256.Size]byte, stamped](64, func(k [sha256.Size]byte) uint8 { return k[0] }),
+	} {
+		var (
+			mu    sync.Mutex // guards rev and now, the callers' fence
+			rev   = uint64(1)
+			now   = time.Unix(1_700_000_000, 0)
+			fence = func() (uint64, time.Time) {
+				mu.Lock()
+				defer mu.Unlock()
+				return rev, now
+			}
+			wg sync.WaitGroup
+		)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				for i := 0; i < 3000; i++ {
+					k := digest(rng.Intn(48))
+					r, at := fence()
+					switch rng.Intn(10) {
+					case 0:
+						mu.Lock()
+						rev++
+						mu.Unlock()
+					case 1:
+						mu.Lock()
+						now = now.Add(time.Second)
+						mu.Unlock()
+					case 2:
+						c.Purge()
+					case 3, 4, 5:
+						c.Put(k, stamped{r, at.Add(3 * time.Second)}, r, at.Add(3*time.Second))
+					default:
+						if v, ok := c.Get(k, r, at); ok && (v.rev != r || at.After(v.notAfter)) {
+							t.Errorf("stale hit: stored at rev %d until %v, served at rev %d, %v", v.rev, v.notAfter, r, at)
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"revelio/internal/attest"
 	"revelio/internal/blockdev"
 	"revelio/internal/certmgr"
+	"revelio/internal/drain"
 	"revelio/internal/firmware"
 	"revelio/internal/hypervisor"
 	"revelio/internal/imagebuild"
@@ -177,6 +178,8 @@ type Deployment struct {
 	// client's TTL expiry) from the wall clock. Chaos scenarios advance
 	// it to rehearse cert-expiry waves; zero means wall time.
 	clockSkew atomic.Int64
+
+	undrained atomic.Int64 // node listeners cut off at the end of their shutdown grace
 }
 
 // now is the deployment's verification-plane clock: wall time plus the
@@ -198,8 +201,16 @@ func (d *Deployment) ClockSkew() time.Duration { return time.Duration(d.clockSke
 // httpServer is a minimal managed HTTP(S) server on a loopback listener.
 type httpServer struct {
 	listener net.Listener
-	server   *http.Server
+	server   *drain.Server
 	url      string
+}
+
+func newHTTPServer(ln net.Listener, handler http.Handler, scheme string) *httpServer {
+	return &httpServer{
+		listener: ln,
+		server:   drain.New(&http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}),
+		url:      scheme + "://" + ln.Addr().String(),
+	}
 }
 
 func startHTTP(handler http.Handler) (*httpServer, error) {
@@ -207,11 +218,7 @@ func startHTTP(handler http.Handler) (*httpServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: listen: %w", err)
 	}
-	s := &httpServer{
-		listener: ln,
-		server:   &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second},
-		url:      "http://" + ln.Addr().String(),
-	}
+	s := newHTTPServer(ln, handler, "http")
 	go func() { _ = s.server.Serve(ln) }()
 	return s, nil
 }
@@ -227,29 +234,36 @@ func startHTTPSDynamic(handler http.Handler, getCert func() (*tls.Certificate, e
 	tlsLn := tls.NewListener(ln, &tls.Config{
 		GetCertificate: func(*tls.ClientHelloInfo) (*tls.Certificate, error) { return getCert() },
 	})
-	s := &httpServer{
-		listener: ln,
-		server:   &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second},
-		url:      "https://" + ln.Addr().String(),
-	}
+	s := newHTTPServer(ln, handler, "https")
 	go func() { _ = s.server.Serve(tlsLn) }()
 	return s, nil
 }
 
-func (s *httpServer) close() {
+// close stops the server — every caller has drained its traffic or is
+// tearing down — and reports whether it went quietly inside the 2 s
+// grace (false: something was still in flight and was cut off).
+func (s *httpServer) close() (drained bool) {
 	if s == nil {
-		return
+		return true
 	}
-	//revelio:allow ctxfirst teardown path with no caller context; the drain deadline is the bound
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	// Graceful drain first so in-flight requests complete, then a hard
-	// Close so connections that outlive the deadline (idle keep-alives,
-	// stuck readers) cannot strand their goroutines past teardown —
-	// repeated start/stop cycles under fleet churn would accumulate them.
-	_ = s.server.Shutdown(ctx)
-	_ = s.server.Close()
+	return s.server.Stop(2 * time.Second)
 }
+
+// stopServers closes a node's listeners, user-facing tier first, and
+// counts the ones that did not drain inside their grace period.
+func (d *Deployment) stopServers(n *Node) {
+	for _, s := range []*httpServer{n.Web, n.Upstream, n.Control} {
+		if !s.close() {
+			d.undrained.Add(1)
+		}
+	}
+}
+
+// UndrainedCloses counts node listeners that were still busy when their
+// 2 s shutdown grace ran out and were cut off. Every caller that stops a
+// node has drained its traffic first, so anything but zero means a
+// request or a connection outlived the drain.
+func (d *Deployment) UndrainedCloses() int64 { return d.undrained.Load() }
 
 // New builds the image, launches the nodes and starts the control plane.
 // Call ProvisionCertificates and StartWeb afterwards, and Close when done.
@@ -465,9 +479,7 @@ func (d *Deployment) RemoveNode(ctx context.Context, i int) (blockdev.Device, er
 	}
 	n := d.Nodes[i]
 	d.SP.Forget(n.ControlURL())
-	n.Web.close()
-	n.Upstream.close()
-	n.Control.close()
+	d.stopServers(n)
 	if n.client != nil {
 		n.client.CloseIdleConnections()
 	}
@@ -516,9 +528,7 @@ func (d *Deployment) RebootNode(ctx context.Context, i int) error {
 		return fmt.Errorf("core: reboot node %d: %w", i, err)
 	}
 	n := d.Nodes[i]
-	n.Control.close()
-	n.Web.close()
-	n.Upstream.close()
+	d.stopServers(n)
 	hadWeb := n.Web != nil
 	n.Web = nil
 	n.Upstream = nil
@@ -682,9 +692,7 @@ func (d *Deployment) close() {
 		if n == nil {
 			continue
 		}
-		n.Web.close()
-		n.Upstream.close()
-		n.Control.close()
+		d.stopServers(n)
 		if n.client != nil {
 			n.client.CloseIdleConnections()
 		}

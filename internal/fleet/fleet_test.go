@@ -8,6 +8,7 @@ import (
 	"net"
 	"testing"
 
+	"revelio/attestation/snp"
 	"revelio/internal/attest"
 	"revelio/internal/ratls"
 )
@@ -155,7 +156,7 @@ func TestScenarioRevocationStorm(t *testing.T) {
 
 	// Prime the RA-TLS path: a node-to-node style attested channel with
 	// a memoized peer and a resumable session.
-	serverCert, err := ratls.CreateCertificate(f.d.Nodes[0].VM, f.cfg.Domain)
+	serverCert, err := ratls.CreateProviderCertificate(ctx, snp.NewNodeProvider(f.d.Nodes[0].VM, verifier), f.cfg.Domain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,8 @@ func TestScenarioRevocationStorm(t *testing.T) {
 			}(conn)
 		}
 	}()
-	ratlsCfg := ratls.ClientConfig(verifier)
+	ratlsCfg := ratls.ProviderClientConfig(f.Mux())
+	ratlsCfg.ClientSessionCache = tls.NewLRUClientSessionCache(4)
 	dial := func() error {
 		conn, err := tls.Dial("tcp", ln.Addr().String(), ratlsCfg)
 		if err != nil {

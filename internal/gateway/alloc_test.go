@@ -126,8 +126,8 @@ func TestGatewayProxyAllocs(t *testing.T) {
 
 // BenchmarkGatewayProxy reports ns/op and allocs/op for the gateway's
 // own proxy path over the stubbed transport (run with -benchmem). The
-// whole-path number including net/http lives in Table 6's
-// high-concurrency cell.
+// whole-path number including net/http is the benchmark's
+// gateway.serve_allocs.
 func BenchmarkGatewayProxy(b *testing.B) {
 	g := newAllocGateway(b, "hello from the fleet")
 	req := allocRequest()

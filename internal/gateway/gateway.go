@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"revelio/attestation"
+	"revelio/internal/drain"
 	"revelio/internal/fleet"
 	"revelio/internal/ratls"
 	"revelio/internal/resilience"
@@ -339,7 +340,7 @@ type Gateway struct {
 	// flushedEpoch is the policy epoch the pools were last flushed at.
 	flushedEpoch atomic.Uint64
 
-	server *http.Server
+	server *drain.Server
 	// serverTLS is the downstream listener's TLS config (nil before
 	// Start); its session-ticket key rotates on every policy-epoch bump
 	// so outstanding tickets stop resuming (guarded by mu).
@@ -402,20 +403,11 @@ func New(cfg Config) (*Gateway, error) {
 	// Upstream session resumption, fenced by the policy epoch: a cached
 	// session never resumes across an epoch bump (so a revocation bites
 	// through resumed sessions), and the resumptions that are allowed
-	// still re-judge the peer's saved evidence against current policy via
-	// VerifyConnection — resumed handshakes skip VerifyPeerCertificate.
-	g.sessions = newEpochSessionCache(g.flushedEpoch.Load, defaultSessionCacheSize)
+	// still re-judge the peer's saved evidence against current policy in
+	// the config's VerifyConnection — resumed handshakes skip
+	// VerifyPeerCertificate.
+	g.sessions = newEpochSessionCache(g.flushedEpoch.Load)
 	tlsCfg.ClientSessionCache = g.sessions
-	verifyPeer := tlsCfg.VerifyPeerCertificate
-	tlsCfg.VerifyConnection = func(cs tls.ConnectionState) error {
-		if !cs.DidResume {
-			return nil // full handshake: VerifyPeerCertificate already ran
-		}
-		if len(cs.PeerCertificates) == 0 {
-			return ratls.ErrNoPeerCertificate
-		}
-		return verifyPeer([][]byte{cs.PeerCertificates[0].Raw}, nil)
-	}
 	g.revs = revisionSources(cfg.Verifier)
 	g.mu.Lock()
 	g.flushedEpoch.Store(g.advanceEpochLocked())
@@ -1181,14 +1173,14 @@ func (g *Gateway) Start() error {
 	tlsLn := tls.NewListener(ln, serverTLS)
 	g.serverTLS = serverTLS
 	g.listener = ln
-	g.server = &http.Server{
+	g.server = drain.New(&http.Server{
 		Handler:           g,
 		ReadHeaderTimeout: 10 * time.Second,
 		// WriteTimeout caps how long a slow or stalled client can hold
 		// the serving-view admission (see Config.WriteTimeout).
 		WriteTimeout: g.cfg.WriteTimeout,
 		IdleTimeout:  2 * time.Minute,
-	}
+	})
 	srv := g.server
 	go func() { _ = srv.Serve(tlsLn) }()
 	return nil
@@ -1254,11 +1246,7 @@ func (g *Gateway) Close() {
 	}
 	g.watchWG.Wait()
 	if server != nil {
-		//revelio:allow ctxfirst Close is the end of the gateway's lifecycle — there is no caller context left to inherit, and the grace is bounded
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_ = server.Shutdown(ctx)
-		cancel()
-		_ = server.Close()
+		server.Stop(2 * time.Second)
 	}
 	g.transport.CloseIdleConnections()
 }

@@ -3,7 +3,9 @@ package gateway
 import (
 	"crypto/rand"
 	"crypto/tls"
-	"sync"
+	"time"
+
+	"revelio/internal/cache"
 )
 
 // TLS session resumption skips certificate verification on both of the
@@ -28,81 +30,40 @@ import (
 const defaultSessionCacheSize = 256
 
 // epochSessionCache is a tls.ClientSessionCache fenced by a monotone
-// epoch (the gateway's policy epoch): sessions stored under an older
-// epoch are never resumed. The shape mirrors ratls's
-// revisionBoundSessionCache, with the gateway's accumulated epoch in
-// place of a single verifier's revision.
+// epoch (the gateway's policy epoch): the fenced cache's revision is the
+// epoch a session was stored under, so sessions stored under an older
+// epoch are never resumed. Sessions carry no expiry of their own.
 type epochSessionCache struct {
-	epoch func() uint64
-	cap   int
-
-	mu     sync.Mutex
-	inner  tls.ClientSessionCache
-	epochs map[string]uint64 // session key -> epoch at Put time
+	epoch    func() uint64
+	sessions *cache.Cache[string, *tls.ClientSessionState]
 }
 
-func newEpochSessionCache(epoch func() uint64, capacity int) *epochSessionCache {
-	if capacity <= 0 {
-		capacity = defaultSessionCacheSize
-	}
+func newEpochSessionCache(epoch func() uint64) *epochSessionCache {
 	return &epochSessionCache{
-		epoch:  epoch,
-		cap:    capacity,
-		inner:  tls.NewLRUClientSessionCache(capacity),
-		epochs: make(map[string]uint64, capacity),
+		epoch:    epoch,
+		sessions: cache.New[string, *tls.ClientSessionState](defaultSessionCacheSize),
 	}
 }
 
+// Put implements tls.ClientSessionCache; a nil session removes the key.
 func (c *epochSessionCache) Put(key string, cs *tls.ClientSessionState) {
-	c.mu.Lock()
 	if cs == nil {
-		delete(c.epochs, key)
-	} else {
-		c.epochs[key] = c.epoch()
-		// Bound the bookkeeping: the inner LRU holds at most cap live
-		// sessions, so entries beyond a small multiple belong to silently
-		// evicted ones. Dropping a surplus entry is fail-closed — a
-		// still-live session just re-handshakes.
-		for len(c.epochs) > 2*c.cap {
-			for k := range c.epochs {
-				if k != key {
-					delete(c.epochs, k)
-					break
-				}
-			}
-		}
+		c.sessions.Delete(key)
+		return
 	}
-	inner := c.inner
-	c.mu.Unlock()
-	inner.Put(key, cs)
+	c.sessions.Put(key, cs, c.epoch(), time.Time{})
 }
 
+// Get implements tls.ClientSessionCache.
 func (c *epochSessionCache) Get(key string) (*tls.ClientSessionState, bool) {
-	c.mu.Lock()
-	epoch, ok := c.epochs[key]
-	stale := ok && epoch != c.epoch()
-	if !ok || stale {
-		delete(c.epochs, key)
-	}
-	inner := c.inner
-	c.mu.Unlock()
-	if !ok || stale {
-		inner.Put(key, nil) // drop the unusable session
-		return nil, false
-	}
-	return inner.Get(key)
+	return c.sessions.Get(key, c.epoch(), time.Time{})
 }
 
 // flush drops every stored session. The epoch fence alone already
 // refuses stale resumptions; flushing on the bump additionally frees
 // the ticket bytes promptly instead of leaving dead sessions to age out
 // of the LRU.
-func (c *epochSessionCache) flush() {
-	c.mu.Lock()
-	c.inner = tls.NewLRUClientSessionCache(c.cap)
-	clear(c.epochs)
-	c.mu.Unlock()
-}
+func (c *epochSessionCache) flush() { c.sessions.Purge() }
 
 // rotateTicketKey installs a fresh random session-ticket key on the
 // downstream TLS config, replacing — not appending to — the previous

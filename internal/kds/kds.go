@@ -30,6 +30,7 @@ import (
 
 	"revelio/attestation"
 	"revelio/internal/amdsp"
+	"revelio/internal/cache"
 	"revelio/internal/sev"
 	"revelio/internal/singleflight"
 )
@@ -63,8 +64,8 @@ var (
 type Server struct {
 	mfr      *amdsp.Manufacturer
 	mux      *http.ServeMux
-	chainPEM []byte            // precomputed cert_chain response body
-	vcekDER  *ttlCache[[]byte] // memoized DER responses per (chip, tcb)
+	chainPEM []byte                       // precomputed cert_chain response body
+	vcekDER  *cache.Cache[string, []byte] // memoized DER responses per (chip, tcb); never expire
 	flight   singleflight.Group[string, []byte]
 }
 
@@ -77,7 +78,7 @@ func NewServer(mfr *amdsp.Manufacturer) *Server {
 	s := &Server{
 		mfr:     mfr,
 		mux:     http.NewServeMux(),
-		vcekDER: newTTLCache[[]byte](DefaultVCEKCacheSize, 0),
+		vcekDER: cache.New[string, []byte](DefaultVCEKCacheSize),
 	}
 	var chain []byte
 	chain = append(chain, pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: mfr.ASKCertDER()})...)
@@ -110,7 +111,7 @@ func (s *Server) handleVCEK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("chipid") + ":" + strconv.FormatUint(tcb, 10)
-	der, hit := s.vcekDER.get(key, time.Time{})
+	der, hit := s.vcekDER.Get(key, 0, time.Time{})
 	if !hit {
 		// Issuing a VCEK certificate signs with the ASK — the expensive
 		// step; collapse concurrent first requests and memoize the DER.
@@ -119,7 +120,7 @@ func (s *Server) handleVCEK(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			s.vcekDER.put(key, der, time.Time{})
+			s.vcekDER.Put(key, der, 0, time.Time{})
 			return der, nil
 		})
 		if err != nil {
@@ -145,7 +146,8 @@ type Client struct {
 	now  func() time.Time
 
 	ttl     time.Duration
-	vcek    *ttlCache[*x509.Certificate] // parsed VCEKs per chipidhex:tcb
+	size    int
+	vcek    *cache.Cache[string, *x509.Certificate] // parsed VCEKs per chipidhex:tcb, each served for ttl
 	vflight singleflight.Group[string, *x509.Certificate]
 	cflight singleflight.Group[string, chainPair]
 
@@ -161,16 +163,13 @@ type ClientOption func(*Client)
 // DefaultVCEKCacheSize; a non-positive n also selects the default —
 // caching is controlled by SetCaching, not by the size).
 func WithVCEKCacheSize(n int) ClientOption {
-	return func(c *Client) { c.vcek = newTTLCache[*x509.Certificate](n, c.ttl) }
+	return func(c *Client) { c.size = n }
 }
 
 // WithVCEKTTL sets how long cached VCEKs are served before re-fetching
 // (default DefaultVCEKTTL; 0 = never expire).
 func WithVCEKTTL(d time.Duration) ClientOption {
-	return func(c *Client) {
-		c.ttl = d
-		c.vcek = newTTLCache[*x509.Certificate](c.vcek.cap, d)
-	}
+	return func(c *Client) { c.ttl = d }
 }
 
 // WithClock injects a test clock for TTL expiry.
@@ -190,10 +189,13 @@ func NewClient(base string, httpClient *http.Client, opts ...ClientOption) *Clie
 		now:  time.Now,
 		ttl:  DefaultVCEKTTL,
 	}
-	c.vcek = newTTLCache[*x509.Certificate](DefaultVCEKCacheSize, c.ttl)
 	for _, o := range opts {
 		o(c)
 	}
+	if c.size <= 0 {
+		c.size = DefaultVCEKCacheSize
+	}
+	c.vcek = cache.New[string, *x509.Certificate](c.size)
 	return c
 }
 
@@ -206,9 +208,18 @@ func (c *Client) SetCaching(on bool) {
 	defer c.mu.Unlock()
 	c.caching = on
 	if !on {
-		c.vcek.purge()
+		c.vcek.Purge()
 		c.chain = nil
 	}
+}
+
+// vcekNotAfter is when a VCEK cached now stops being served: ttl from
+// now, or never (the zero time) when the TTL is disabled.
+func (c *Client) vcekNotAfter() time.Time {
+	if c.ttl <= 0 {
+		return time.Time{}
+	}
+	return c.now().Add(c.ttl)
 }
 
 func (c *Client) cachingOn() bool {
@@ -325,7 +336,7 @@ func (c *Client) fetchChain(ctx context.Context, retry bool) (chainPair, error) 
 func (c *Client) VCEK(ctx context.Context, chipID sev.ChipID, tcb uint64) (*x509.Certificate, error) {
 	key := hex.EncodeToString(chipID[:]) + ":" + strconv.FormatUint(tcb, 10)
 	if c.cachingOn() {
-		if cert, ok := c.vcek.get(key, c.now()); ok {
+		if cert, ok := c.vcek.Get(key, 0, c.now()); ok {
 			return cert, nil
 		}
 	}
@@ -333,7 +344,7 @@ func (c *Client) VCEK(ctx context.Context, chipID sev.ChipID, tcb uint64) (*x509
 		// Re-check under the flight: a caller that missed the cache just
 		// before a previous leader completed must not fetch again.
 		if c.cachingOn() {
-			if cert, ok := c.vcek.get(key, c.now()); ok {
+			if cert, ok := c.vcek.Get(key, 0, c.now()); ok {
 				return cert, nil
 			}
 		}
@@ -347,7 +358,7 @@ func (c *Client) VCEK(ctx context.Context, chipID sev.ChipID, tcb uint64) (*x509
 			return nil, fmt.Errorf("%w: %v", ErrBadResponse, err)
 		}
 		if c.cachingOn() {
-			c.vcek.put(key, cert, c.now())
+			c.vcek.Put(key, cert, 0, c.vcekNotAfter())
 		}
 		return cert, nil
 	}

@@ -370,7 +370,7 @@ func TestVCEKCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := c.vcek.len(); n > 4 {
+	if n := c.vcek.Len(); n > 4 {
 		t.Errorf("cache holds %d entries, cap 4", n)
 	}
 	// The most recent entry is still a hit…

@@ -13,23 +13,22 @@ import (
 	"encoding/asn1"
 	"fmt"
 	"math/big"
-	"sync"
 	"time"
 
 	"revelio/attestation"
+	"revelio/internal/cache"
 )
 
 // OIDAttestationEvidence is the X.509 extension carrying a
-// provider-neutral attestation.Evidence envelope — the provider-tagged
-// sibling of OIDAttestationBundle, which carries a bare SEV-SNP bundle.
-// A certificate minted through CreateProviderCertificate can terminate a
-// handshake verified by any provider a Mux knows about.
+// provider-neutral attestation.Evidence envelope. A certificate minted
+// through CreateProviderCertificate can terminate a handshake verified
+// by any provider a Mux knows about.
 var OIDAttestationEvidence = asn1.ObjectIdentifier{1, 3, 6, 1, 4, 1, 56789, 2, 2}
 
 // CreateProviderCertificate builds a fresh key pair and a self-signed
 // certificate for commonName whose evidence — issued by any
 // attestation.Issuer, hardware or software — binds the certificate's
-// public key. It is the provider-neutral CreateCertificate.
+// public key. The returned tls.Certificate is ready for a tls.Config.
 func CreateProviderCertificate(ctx context.Context, issuer attestation.Issuer, commonName string) (tls.Certificate, error) {
 	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
@@ -104,33 +103,36 @@ func VerifyProviderCertificate(ctx context.Context, v attestation.Verifier, cert
 	return res, nil
 }
 
-// resultProof is one memoized provider-neutral verification; the result
-// is retained so hits re-judge policy through ResultPolicy.
-type resultProof struct {
-	res      *attestation.Result
-	rev      uint64
-	notAfter time.Time
-}
+// DefaultPeerCacheSize bounds ProviderPeerVerifier's per-callback memo
+// of verified peer certificates. One entry per distinct attested node a
+// config dials; 256 covers a sizeable fleet.
+const DefaultPeerCacheSize = 256
 
 // ProviderPeerVerifier returns a tls.Config.VerifyPeerCertificate
 // callback enforcing provider-neutral RA-TLS: the handshake completes
 // only if the peer's embedded evidence verifies under v — a single
 // provider's verifier or an attestation.Mux fronting several — and
-// binds the peer's TLS key. Use with InsecureSkipVerify, exactly like
-// PeerVerifier.
+// binds the peer's TLS key. Use with InsecureSkipVerify (the CA path is
+// intentionally bypassed — the HRoT replaces it).
 //
 // When v implements attestation.Revisioned, successful verifications
-// are memoized by certificate hash and fenced by the policy revision;
-// when it also implements attestation.ResultPolicy, every hit re-judges
-// policy, so revocations bite on the very next handshake. A verifier
-// with neither capability simply runs the full verification each time —
+// are memoized by the SHA-256 of the certificate's DER — repeated
+// handshakes against the same attested node skip the evidence decode,
+// KDS round trips, chain walk and signature checks — and the memo is
+// fenced by the policy revision and by the earlier of the certificate's
+// and the evidence's expiry. The verified result is what is kept, so
+// when v also implements attestation.ResultPolicy every hit re-judges
+// policy and a revocation bites on the very next handshake. A tampered
+// or substituted certificate hashes to a different key and goes through
+// full verification; failures are never memoized. A verifier with
+// neither capability simply runs the full verification each time —
 // correct, just cold.
 func ProviderPeerVerifier(v attestation.Verifier) func(rawCerts [][]byte, _ [][]*x509.Certificate) error {
 	revisioned, hasRev := v.(attestation.Revisioned)
 	policy, hasPolicy := v.(attestation.ResultPolicy)
-	var cache *muxProofCache
+	var memo *cache.Cache[[sha256.Size]byte, *attestation.Result]
 	if hasRev {
-		cache = newMuxProofCache(DefaultPeerCacheSize)
+		memo = cache.New[[sha256.Size]byte, *attestation.Result](DefaultPeerCacheSize)
 	}
 	return func(rawCerts [][]byte, _ [][]*x509.Certificate) error {
 		if len(rawCerts) == 0 {
@@ -141,9 +143,9 @@ func ProviderPeerVerifier(v attestation.Verifier) func(rawCerts [][]byte, _ [][]
 		if hasRev {
 			key = sha256.Sum256(rawCerts[0])
 			rev = revisioned.PolicyRevision()
-			if p, ok := cache.get(key, rev, revisioned.Now()); ok {
+			if res, ok := memo.Get(key, rev, revisioned.Now()); ok {
 				if hasPolicy {
-					return policy.CheckResult(p.res)
+					return policy.CheckResult(res)
 				}
 				return nil
 			}
@@ -158,7 +160,7 @@ func ProviderPeerVerifier(v attestation.Verifier) func(rawCerts [][]byte, _ [][]
 			return err
 		}
 		if hasRev {
-			cache.put(key, &resultProof{res: res, rev: rev, notAfter: proofNotAfter(res, cert)})
+			memo.Put(key, res, rev, proofNotAfter(res, cert))
 		}
 		return nil
 	}
@@ -174,53 +176,29 @@ func proofNotAfter(res *attestation.Result, cert *x509.Certificate) time.Time {
 	return notAfter
 }
 
-// muxProofCache is the provider-neutral twin of peerCache: a bounded
-// map of verified peer certificates keyed by DER hash. (Eviction is
-// wholesale rather than LRU — the neutral path trades a little cold
-// latency for zero list bookkeeping; the SEV-specific PeerVerifier
-// keeps the tuned LRU.)
-type muxProofCache struct {
-	mu    sync.Mutex
-	cap   int
-	proof map[[sha256.Size]byte]*resultProof
-}
-
-func newMuxProofCache(capacity int) *muxProofCache {
-	if capacity <= 0 {
-		capacity = DefaultPeerCacheSize
-	}
-	return &muxProofCache{cap: capacity, proof: make(map[[sha256.Size]byte]*resultProof, capacity)}
-}
-
-func (c *muxProofCache) get(key [sha256.Size]byte, rev uint64, now time.Time) (*resultProof, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.proof[key]
-	if !ok {
-		return nil, false
-	}
-	if p.rev != rev || now.After(p.notAfter) {
-		delete(c.proof, key)
-		return nil, false
-	}
-	return p, true
-}
-
-func (c *muxProofCache) put(key [sha256.Size]byte, p *resultProof) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.proof) >= c.cap {
-		clear(c.proof)
-	}
-	c.proof[key] = p
-}
-
 // ProviderClientConfig builds a tls.Config for dialing a
 // provider-neutral RA-TLS server: the CA path is replaced by evidence
 // verification through v.
+//
+// The config installs no ClientSessionCache, so by default every
+// connection is a full, verified handshake. A caller that adds one gets
+// resumption that still cannot outlive policy: a resumed handshake skips
+// VerifyPeerCertificate, so VerifyConnection puts the certificate the
+// session saved through the same callback — a memo hit that re-judges
+// policy while the revision stands, a full verification after a bump.
 func ProviderClientConfig(v attestation.Verifier) *tls.Config {
+	verifyPeer := ProviderPeerVerifier(v)
 	return &tls.Config{
-		InsecureSkipVerify:    true, //nolint:gosec // see PeerVerifier doc
-		VerifyPeerCertificate: ProviderPeerVerifier(v),
+		InsecureSkipVerify:    true, //nolint:gosec // see ProviderPeerVerifier doc
+		VerifyPeerCertificate: verifyPeer,
+		VerifyConnection: func(cs tls.ConnectionState) error {
+			if !cs.DidResume {
+				return nil // the full handshake ran verifyPeer
+			}
+			if len(cs.PeerCertificates) == 0 {
+				return ErrNoPeerCertificate
+			}
+			return verifyPeer([][]byte{cs.PeerCertificates[0].Raw}, nil)
+		},
 	}
 }

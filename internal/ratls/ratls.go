@@ -7,37 +7,18 @@
 //
 // The result is an attested channel with no CA in the loop: the verifier
 // ignores the (meaningless) issuer signature and instead validates the
-// embedded report — VCEK chain via the KDS, measurement policy, and the
-// REPORT_DATA binding to the certificate's public key. This is the
-// natural transport for SP-to-node and node-to-node connections, where
-// both ends know the golden values and no browser is involved.
+// embedded evidence — for SEV-SNP the VCEK chain via the KDS, the
+// measurement policy, and the binding to the certificate's public key.
+// This is the transport between the gateway and the nodes behind it,
+// where both ends know the golden values and no browser is involved.
+//
+// There is one dialect: the evidence is a provider-neutral
+// attestation.Evidence envelope, issued by any attestation.Issuer and
+// verified by any attestation.Verifier (one provider's, or a Mux over
+// several).
 package ratls
 
-import (
-	"container/list"
-	"context"
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"crypto/rand"
-	"crypto/sha256"
-	"crypto/tls"
-	"crypto/x509"
-	"crypto/x509/pkix"
-	"encoding/asn1"
-	"errors"
-	"fmt"
-	"math/big"
-	"sync"
-	"time"
-
-	"revelio/internal/attest"
-	"revelio/internal/sev"
-	"revelio/internal/vm"
-)
-
-// OIDAttestationBundle is the X.509 extension carrying the JSON-encoded
-// attest.Bundle.
-var OIDAttestationBundle = asn1.ObjectIdentifier{1, 3, 6, 1, 4, 1, 56789, 2, 1}
+import "errors"
 
 var (
 	// ErrNoEvidence reports a peer certificate without the attestation
@@ -50,305 +31,3 @@ var (
 	// certificate.
 	ErrNoPeerCertificate = errors.New("ratls: no peer certificate")
 )
-
-// ReportSigner produces attestation reports over caller-chosen
-// REPORT_DATA — the guest-side capability (implemented by *vm.VM and by
-// amdsp.GuestChannel via a tiny adapter).
-type ReportSigner interface {
-	Report(data sev.ReportData) (*sev.Report, error)
-}
-
-var _ ReportSigner = (*vm.VM)(nil)
-
-// CreateCertificate builds a fresh key pair inside the TEE and a
-// self-signed certificate for commonName embedding the attestation
-// bundle. The returned tls.Certificate is ready for a tls.Config.
-func CreateCertificate(signer ReportSigner, commonName string) (tls.Certificate, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return tls.Certificate{}, fmt.Errorf("ratls: generate key: %w", err)
-	}
-	pubDER, err := x509.MarshalPKIXPublicKey(&key.PublicKey)
-	if err != nil {
-		return tls.Certificate{}, fmt.Errorf("ratls: marshal key: %w", err)
-	}
-	report, err := signer.Report(vm.HashOf(pubDER))
-	if err != nil {
-		return tls.Certificate{}, fmt.Errorf("ratls: obtain report: %w", err)
-	}
-	bundle, err := attest.NewBundle(report, pubDER)
-	if err != nil {
-		return tls.Certificate{}, err
-	}
-	bundleJSON, err := bundle.Encode()
-	if err != nil {
-		return tls.Certificate{}, err
-	}
-
-	serial, err := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), 128))
-	if err != nil {
-		return tls.Certificate{}, fmt.Errorf("ratls: serial: %w", err)
-	}
-	tmpl := &x509.Certificate{
-		SerialNumber: serial,
-		Subject:      pkix.Name{CommonName: commonName},
-		DNSNames:     []string{commonName},
-		NotBefore:    time.Now().Add(-time.Hour),
-		NotAfter:     time.Now().Add(90 * 24 * time.Hour),
-		KeyUsage:     x509.KeyUsageDigitalSignature,
-		ExtKeyUsage:  []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth, x509.ExtKeyUsageClientAuth},
-		ExtraExtensions: []pkix.Extension{
-			{Id: OIDAttestationBundle, Value: bundleJSON},
-		},
-	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
-	if err != nil {
-		return tls.Certificate{}, fmt.Errorf("ratls: create certificate: %w", err)
-	}
-	return tls.Certificate{Certificate: [][]byte{der}, PrivateKey: key}, nil
-}
-
-// ExtractBundle parses the attestation bundle from a certificate.
-func ExtractBundle(cert *x509.Certificate) (*attest.Bundle, error) {
-	for _, ext := range cert.Extensions {
-		if ext.Id.Equal(OIDAttestationBundle) {
-			return attest.DecodeBundle(ext.Value)
-		}
-	}
-	return nil, ErrNoEvidence
-}
-
-// VerifyCertificate validates an RA-TLS certificate: the embedded report
-// must verify under the verifier's policy and bind this certificate's
-// public key.
-func VerifyCertificate(ctx context.Context, verifier *attest.Verifier, cert *x509.Certificate) (*attest.Result, error) {
-	bundle, err := ExtractBundle(cert)
-	if err != nil {
-		return nil, err
-	}
-	res, err := verifier.VerifyBundle(ctx, bundle, vm.HashOf)
-	if err != nil {
-		return nil, err
-	}
-	pubDER, err := x509.MarshalPKIXPublicKey(cert.PublicKey)
-	if err != nil {
-		return nil, fmt.Errorf("ratls: marshal peer key: %w", err)
-	}
-	if string(pubDER) != string(bundle.Payload) {
-		return nil, ErrKeyMismatch
-	}
-	return res, nil
-}
-
-// DefaultPeerCacheSize bounds PeerVerifier's per-callback memo of
-// verified peer certificates. One entry per distinct attested node a
-// config dials; 256 covers a sizeable fleet.
-const DefaultPeerCacheSize = 256
-
-// peerProof is one memoized successful certificate verification. The
-// report is retained so every cache hit still re-judges the verifier's
-// policy; notAfter bounds the memo by the certificate's own validity.
-type peerProof struct {
-	key      [sha256.Size]byte
-	report   *sev.Report
-	rev      uint64
-	notAfter time.Time
-}
-
-// peerCache is a bounded LRU of verified peer certificates, keyed by the
-// SHA-256 of the certificate's DER. A tampered or substituted certificate
-// hashes to a different key and goes through full verification.
-type peerCache struct {
-	mu  sync.Mutex
-	cap int
-	lru *list.List // holds *peerProof
-	idx map[[sha256.Size]byte]*list.Element
-}
-
-func newPeerCache(capacity int) *peerCache {
-	if capacity <= 0 {
-		capacity = DefaultPeerCacheSize
-	}
-	return &peerCache{
-		cap: capacity,
-		lru: list.New(),
-		idx: make(map[[sha256.Size]byte]*list.Element, capacity),
-	}
-}
-
-// get returns the memoized proof if it is still valid at the given
-// policy revision and time; stale entries are dropped on sight so dead
-// proofs never occupy LRU capacity.
-func (c *peerCache) get(key [sha256.Size]byte, rev uint64, now time.Time) (*peerProof, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.idx[key]
-	if !ok {
-		return nil, false
-	}
-	p := el.Value.(*peerProof)
-	// now.After matches x509 semantics (valid through NotAfter inclusive)
-	// and the attest proofCache boundary.
-	if p.rev != rev || now.After(p.notAfter) {
-		c.lru.Remove(el)
-		delete(c.idx, key)
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return p, true
-}
-
-func (c *peerCache) put(p *peerProof) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.idx[p.key]; ok {
-		c.lru.MoveToFront(el)
-		el.Value = p
-		return
-	}
-	c.idx[p.key] = c.lru.PushFront(p)
-	for c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.idx, oldest.Value.(*peerProof).key)
-	}
-}
-
-// PeerVerifier returns a tls.Config.VerifyPeerCertificate callback that
-// enforces RA-TLS on the handshake: the connection only completes if the
-// peer presents valid, policy-matching attestation evidence bound to its
-// TLS key. Use with InsecureSkipVerify (the CA path is intentionally
-// bypassed — the HRoT replaces it).
-//
-// The callback memoizes successful verifications by certificate hash:
-// repeated handshakes against the same attested node skip the bundle
-// decode, KDS round trips, chain walk and signature checks, paying only
-// a digest and a policy re-judgment (so registry revocations still take
-// effect on the very next handshake). Failed verifications are never
-// memoized, and the memo expires with the certificate and with the
-// verifier's policy revision.
-func PeerVerifier(verifier *attest.Verifier) func(rawCerts [][]byte, _ [][]*x509.Certificate) error {
-	cache := newPeerCache(DefaultPeerCacheSize)
-	return func(rawCerts [][]byte, _ [][]*x509.Certificate) error {
-		if len(rawCerts) == 0 {
-			return ErrNoPeerCertificate
-		}
-		key := sha256.Sum256(rawCerts[0])
-		if p, ok := cache.get(key, verifier.PolicyRevision(), verifier.Now()); ok {
-			return verifier.CheckPolicy(p.report)
-		}
-		cert, err := x509.ParseCertificate(rawCerts[0])
-		if err != nil {
-			return fmt.Errorf("ratls: parse peer certificate: %w", err)
-		}
-		rev := verifier.PolicyRevision()
-		//revelio:allow ctxfirst crypto/tls VerifyPeerCertificate callbacks carry no context; the handshake deadline bounds this
-		res, err := VerifyCertificate(context.Background(), verifier, cert)
-		if err != nil {
-			return err
-		}
-		cache.put(&peerProof{key: key, report: res.Report, rev: rev, notAfter: cert.NotAfter})
-		return nil
-	}
-}
-
-// revisionBoundSessionCache wraps a tls.ClientSessionCache so that
-// sessions minted under an older policy revision are never resumed. TLS
-// resumption skips VerifyPeerCertificate entirely, so without this bound
-// a revoked policy would keep admitting resumed connections until the
-// ticket expired; with it, attest.InvalidatePolicy severs resumption and
-// forces the next connection through a full, policy-judged handshake.
-type revisionBoundSessionCache struct {
-	verifier *attest.Verifier
-	inner    tls.ClientSessionCache
-	cap      int
-
-	mu   sync.Mutex
-	revs map[string]uint64 // session key -> policy revision at Put time
-}
-
-func newRevisionBoundSessionCache(verifier *attest.Verifier, capacity int) *revisionBoundSessionCache {
-	return &revisionBoundSessionCache{
-		verifier: verifier,
-		inner:    tls.NewLRUClientSessionCache(capacity),
-		cap:      capacity,
-		revs:     make(map[string]uint64, capacity),
-	}
-}
-
-func (c *revisionBoundSessionCache) Put(key string, cs *tls.ClientSessionState) {
-	c.mu.Lock()
-	if cs == nil {
-		delete(c.revs, key)
-	} else {
-		c.revs[key] = c.verifier.PolicyRevision()
-		// Bound the bookkeeping: the inner LRU holds at most cap live
-		// sessions, so anything beyond a small multiple belongs to
-		// silently evicted ones. Dropping an arbitrary surplus entry is
-		// fail-closed — a still-live session just re-handshakes.
-		for len(c.revs) > 2*c.cap {
-			for k := range c.revs {
-				if k != key {
-					delete(c.revs, k)
-					break
-				}
-			}
-		}
-	}
-	c.mu.Unlock()
-	c.inner.Put(key, cs)
-}
-
-func (c *revisionBoundSessionCache) Get(key string) (*tls.ClientSessionState, bool) {
-	c.mu.Lock()
-	rev, ok := c.revs[key]
-	stale := ok && rev != c.verifier.PolicyRevision()
-	if !ok || stale {
-		delete(c.revs, key)
-	}
-	c.mu.Unlock()
-	if !ok || stale {
-		c.inner.Put(key, nil) // drop the unusable session
-		return nil, false
-	}
-	return c.inner.Get(key)
-}
-
-// ClientConfig builds a tls.Config for dialing an RA-TLS server. The
-// config carries a TLS session cache, so reconnects to an
-// already-attested node resume the session and skip the certificate
-// *cryptography* entirely — the resumed session is cryptographically
-// bound to the handshake that was attested. Policy is never skipped:
-// resumed connections re-judge the original evidence's policy in
-// VerifyConnection (so a registry revocation rejects the very next
-// connection, resumed or not), and the session cache is additionally
-// fenced by the verifier's policy revision — attest.InvalidatePolicy
-// drops every cached session, forcing full RA-TLS handshakes.
-func ClientConfig(verifier *attest.Verifier) *tls.Config {
-	return &tls.Config{
-		// The CA path is replaced by attestation verification.
-		InsecureSkipVerify:    true, //nolint:gosec // see PeerVerifier doc
-		VerifyPeerCertificate: PeerVerifier(verifier),
-		ClientSessionCache:    newRevisionBoundSessionCache(verifier, DefaultPeerCacheSize),
-		VerifyConnection: func(cs tls.ConnectionState) error {
-			if !cs.DidResume {
-				return nil // the full handshake ran PeerVerifier
-			}
-			// Resumption restores the peer certificates from the
-			// attested session; re-judge their evidence against the
-			// current policy without redoing the proven crypto.
-			if len(cs.PeerCertificates) == 0 {
-				return ErrNoPeerCertificate
-			}
-			bundle, err := ExtractBundle(cs.PeerCertificates[0])
-			if err != nil {
-				return err
-			}
-			var report sev.Report
-			if err := report.UnmarshalBinary(bundle.ReportRaw); err != nil {
-				return err
-			}
-			return verifier.CheckPolicy(&report)
-		},
-	}
-}

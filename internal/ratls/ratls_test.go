@@ -1,6 +1,7 @@
 package ratls
 
 import (
+	"bytes"
 	"context"
 	"crypto/tls"
 	"crypto/x509"
@@ -14,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"revelio/attestation"
+	"revelio/attestation/snp"
 	"revelio/internal/amdsp"
 	"revelio/internal/attest"
 	"revelio/internal/firmware"
@@ -33,7 +36,7 @@ type rig struct {
 	hits     atomic.Int64 // KDS round trips observed
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	mfr, err := amdsp.NewManufacturer([]byte("ratls-test"))
 	if err != nil {
@@ -82,21 +85,51 @@ func newRig(t *testing.T) *rig {
 	return r
 }
 
+// provider is both halves of the SEV-SNP provider over the rig's guest:
+// the issuer a node mints its certificate with and the verifier (with
+// the revision and policy re-judgment capabilities) a relying party
+// checks it under.
+func (r *rig) provider(v *attest.Verifier) *snp.Provider {
+	return snp.NewNodeProvider(r.vm, v)
+}
+
+// mint issues an RA-TLS certificate for the rig's guest.
+func (r *rig) mint(t testing.TB) tls.Certificate {
+	t.Helper()
+	cert, err := CreateProviderCertificate(context.Background(), r.provider(r.verifier), "node.internal")
+	if err != nil {
+		t.Fatalf("CreateProviderCertificate: %v", err)
+	}
+	return cert
+}
+
+// votedRegistry returns a registry that trusts the rig's golden value by
+// vote, so a test can revoke it.
+func (r *rig) votedRegistry(t *testing.T) *registry.Registry {
+	t.Helper()
+	reg := registry.New(1)
+	reg.AddVoter("dao")
+	if err := reg.Propose(r.golden, "v1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Vote("dao", r.golden); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
 func TestCertificateCarriesValidEvidence(t *testing.T) {
 	r := newRig(t)
-	cert, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatalf("CreateCertificate: %v", err)
-	}
+	cert := r.mint(t)
 	parsed, err := x509.ParseCertificate(cert.Certificate[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := VerifyCertificate(context.Background(), r.verifier, parsed)
+	res, err := VerifyProviderCertificate(context.Background(), r.provider(r.verifier), parsed)
 	if err != nil {
-		t.Fatalf("VerifyCertificate: %v", err)
+		t.Fatalf("VerifyProviderCertificate: %v", err)
 	}
-	if res.Report.Measurement != r.golden {
+	if res.Measurement != r.golden {
 		t.Error("evidence measurement differs from golden")
 	}
 }
@@ -107,28 +140,25 @@ func TestCertificateWithoutEvidenceRejected(t *testing.T) {
 	srv := httptest.NewTLSServer(http.NotFoundHandler())
 	t.Cleanup(srv.Close)
 	plain := srv.Certificate()
-	if _, err := VerifyCertificate(context.Background(), r.verifier, plain); !errors.Is(err, ErrNoEvidence) {
+	if _, err := VerifyProviderCertificate(context.Background(), r.provider(r.verifier), plain); !errors.Is(err, ErrNoEvidence) {
 		t.Errorf("err = %v, want ErrNoEvidence", err)
 	}
 }
 
-// TestEvidenceTransplantRejected: stealing a valid bundle and grafting it
+// TestEvidenceTransplantRejected: stealing valid evidence and grafting it
 // onto a different key pair fails the key binding.
 func TestEvidenceTransplantRejected(t *testing.T) {
 	r := newRig(t)
-	victim, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
+	victim := r.mint(t)
 	victimParsed, err := x509.ParseCertificate(victim.Certificate[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundle, err := ExtractBundle(victimParsed)
+	evidence, err := ExtractEvidence(victimParsed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundleJSON, err := bundle.Encode()
+	evidenceJSON, err := evidence.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +168,12 @@ func TestEvidenceTransplantRejected(t *testing.T) {
 	attacker.StartTLS()
 	t.Cleanup(attacker.Close)
 	atkCert := attacker.Certificate()
-	// Simulate the graft: verify the stolen bundle against the attacker's
-	// certificate key.
+	// Simulate the graft: verify the stolen evidence against the
+	// attacker's certificate key.
 	fake := *atkCert
 	fake.Extensions = append(append([]pkix.Extension(nil), fake.Extensions...),
-		pkix.Extension{Id: OIDAttestationBundle, Value: bundleJSON})
-	if _, err := VerifyCertificate(context.Background(), r.verifier, &fake); !errors.Is(err, ErrKeyMismatch) {
+		pkix.Extension{Id: OIDAttestationEvidence, Value: evidenceJSON})
+	if _, err := VerifyProviderCertificate(context.Background(), r.provider(r.verifier), &fake); !errors.Is(err, ErrKeyMismatch) {
 		t.Errorf("err = %v, want ErrKeyMismatch", err)
 	}
 }
@@ -152,10 +182,7 @@ func TestEvidenceTransplantRejected(t *testing.T) {
 // completes the handshake against attested servers.
 func TestFullRATLSHandshake(t *testing.T) {
 	r := newRig(t)
-	serverCert, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
+	serverCert := r.mint(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +194,7 @@ func TestFullRATLSHandshake(t *testing.T) {
 	go func() { _ = server.Serve(tlsLn) }()
 	t.Cleanup(func() { _ = server.Close() })
 
-	client := &http.Client{Transport: &http.Transport{TLSClientConfig: ClientConfig(r.verifier)}}
+	client := &http.Client{Transport: &http.Transport{TLSClientConfig: ProviderClientConfig(r.provider(r.verifier))}}
 	resp, err := client.Get("https://" + ln.Addr().String() + "/")
 	if err != nil {
 		t.Fatalf("RA-TLS GET: %v", err)
@@ -194,12 +221,8 @@ func TestFullRATLSHandshake(t *testing.T) {
 // trips; a tampered certificate misses the memo and fails closed.
 func TestPeerVerifierMemoizesHandshakes(t *testing.T) {
 	r := newRig(t)
-	cert, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := cert.Certificate[0]
-	verify := PeerVerifier(r.verifier)
+	raw := r.mint(t).Certificate[0]
+	verify := ProviderPeerVerifier(r.provider(r.verifier))
 
 	if err := verify([][]byte{raw}, nil); err != nil {
 		t.Fatalf("first handshake: %v", err)
@@ -233,20 +256,10 @@ func TestPeerVerifierMemoizesHandshakes(t *testing.T) {
 // next handshake even though the certificate's crypto proof is memoized.
 func TestPeerVerifierPolicyRevocation(t *testing.T) {
 	r := newRig(t)
-	reg := registry.New(1)
-	reg.AddVoter("dao")
-	if err := reg.Propose(r.golden, "v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Vote("dao", r.golden); err != nil {
-		t.Fatal(err)
-	}
+	reg := r.votedRegistry(t)
 	verifier := attest.NewVerifier(r.client, reg)
-	cert, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	verify := PeerVerifier(verifier)
+	cert := r.mint(t)
+	verify := ProviderPeerVerifier(r.provider(verifier))
 
 	if err := verify([][]byte{cert.Certificate[0]}, nil); err != nil {
 		t.Fatalf("voted measurement rejected: %v", err)
@@ -263,11 +276,8 @@ func TestPeerVerifierPolicyRevocation(t *testing.T) {
 // revision the ratls memo is keyed on, forcing full re-verification.
 func TestPeerVerifierInvalidateCascades(t *testing.T) {
 	r := newRig(t)
-	cert, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	verify := PeerVerifier(r.verifier)
+	cert := r.mint(t)
+	verify := ProviderPeerVerifier(r.provider(r.verifier))
 	if err := verify([][]byte{cert.Certificate[0]}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -281,26 +291,17 @@ func TestPeerVerifierInvalidateCascades(t *testing.T) {
 	}
 }
 
-// TestSessionResumptionFencedByPolicyRevision: ClientConfig's session
-// cache lets reconnects skip certificate verification, but only within
-// one policy revision — InvalidatePolicy severs resumption, and a
-// subsequent revocation is enforced on the forced full handshake.
+// TestSessionResumptionFencedByPolicyRevision: a session cache on
+// ProviderClientConfig lets reconnects skip the certificate
+// cryptography, but never policy and only within one policy revision —
+// a resumed connection re-judges the saved evidence, and after
+// InvalidatePolicy it pays the full verification again.
 func TestSessionResumptionFencedByPolicyRevision(t *testing.T) {
 	r := newRig(t)
-	reg := registry.New(1)
-	reg.AddVoter("dao")
-	if err := reg.Propose(r.golden, "v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Vote("dao", r.golden); err != nil {
-		t.Fatal(err)
-	}
+	reg := r.votedRegistry(t)
 	verifier := attest.NewVerifier(r.client, reg)
 
-	serverCert, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
+	serverCert := r.mint(t)
 	ln, err := tls.Listen("tcp", "127.0.0.1:0", &tls.Config{
 		Certificates: []tls.Certificate{serverCert},
 	})
@@ -323,7 +324,8 @@ func TestSessionResumptionFencedByPolicyRevision(t *testing.T) {
 		}
 	}()
 
-	cfg := ClientConfig(verifier)
+	cfg := ProviderClientConfig(r.provider(verifier))
+	cfg.ClientSessionCache = tls.NewLRUClientSessionCache(4)
 	dial := func() (resumed bool, err error) {
 		conn, err := tls.Dial("tcp", ln.Addr().String(), cfg)
 		if err != nil {
@@ -347,6 +349,22 @@ func TestSessionResumptionFencedByPolicyRevision(t *testing.T) {
 	if !resumed {
 		t.Skip("TLS stack did not resume; fence not exercisable here")
 	}
+	// The revision fence: a resumption inside the revision is a memo hit,
+	// one after a bump re-verifies the saved certificate in full.
+	warm := r.hits.Load()
+	if _, err := dial(); err != nil {
+		t.Fatalf("third dial: %v", err)
+	}
+	if n := r.hits.Load(); n != warm {
+		t.Errorf("resumption inside the revision cost %d KDS round trips, want 0", n-warm)
+	}
+	verifier.InvalidatePolicy()
+	if resumed, err := dial(); err != nil || !resumed {
+		t.Fatalf("dial after InvalidatePolicy: resumed=%v err=%v", resumed, err)
+	}
+	if r.hits.Load() == warm {
+		t.Error("resumption across a revision bump skipped re-verification")
+	}
 
 	// Revocation alone (no InvalidatePolicy) must already reject the
 	// next connection: resumed connections re-judge policy in
@@ -357,8 +375,8 @@ func TestSessionResumptionFencedByPolicyRevision(t *testing.T) {
 	if _, err := dial(); err == nil {
 		t.Error("revoked node accepted on resumed connection")
 	}
-	// InvalidatePolicy severs the tickets too: the next attempt is a
-	// full handshake and fails on the revoked measurement.
+	// A revision bump changes nothing about that: the next attempt
+	// re-verifies in full and fails on the revoked measurement.
 	verifier.InvalidatePolicy()
 	if _, err := dial(); err == nil {
 		t.Error("revoked node accepted after InvalidatePolicy")
@@ -369,14 +387,10 @@ func TestSessionResumptionFencedByPolicyRevision(t *testing.T) {
 // (run under -race) with valid and tampered certificates interleaved.
 func TestPeerVerifierConcurrent(t *testing.T) {
 	r := newRig(t)
-	cert, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := cert.Certificate[0]
+	raw := r.mint(t).Certificate[0]
 	tampered := append([]byte(nil), raw...)
 	tampered[10] ^= 1
-	verify := PeerVerifier(r.verifier)
+	verify := ProviderPeerVerifier(r.provider(r.verifier))
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -394,4 +408,50 @@ func TestPeerVerifierConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// FuzzExtractEvidence feeds hostile bytes to the one parser RA-TLS runs
+// on a peer's certificate before anything is verified: the evidence
+// extension. Whatever the bytes, extraction either fails or yields an
+// envelope that names a provider and whose encoding is stable across a
+// decode/encode round trip; it never panics.
+func FuzzExtractEvidence(f *testing.F) {
+	r := newRig(f)
+	parsed, err := x509.ParseCertificate(r.mint(f).Certificate[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, ext := range parsed.Extensions {
+		if ext.Id.Equal(OIDAttestationEvidence) {
+			f.Add(ext.Value)
+		}
+	}
+	f.Add([]byte(`{"provider":"sev-snp"}`))
+	f.Add([]byte(`{"provider":""}`))
+	f.Add([]byte("{"))
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, value []byte) {
+		cert := &x509.Certificate{Extensions: []pkix.Extension{{Id: OIDAttestationEvidence, Value: value}}}
+		ev, err := ExtractEvidence(cert)
+		if err != nil {
+			if !errors.Is(err, attestation.ErrEvidenceInvalid) {
+				t.Fatalf("unclassified failure: %v", err)
+			}
+			return
+		}
+		if ev.Provider == "" {
+			t.Fatal("extracted evidence names no provider")
+		}
+		encoded, err := ev.Encode()
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		again, err := attestation.DecodeEvidence(encoded)
+		if err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+		if stable, err := again.Encode(); err != nil || !bytes.Equal(stable, encoded) {
+			t.Fatalf("encoding is not stable across a round trip (%v):\n%s\n%s", err, encoded, stable)
+		}
+	})
 }
