@@ -7,15 +7,10 @@
 // Usage:
 //
 //	revelio-lint [-run name,name] [-list] packages...
-//	go vet -vettool=$(which revelio-lint) ./...
 //
-// In the first form it loads packages itself (via `go list -export`)
-// and prints every finding as file:line:col: [analyzer] message,
-// exiting 1 when any survive suppression. The second form speaks just
-// enough of cmd/go's vettool protocol (-V=full, the JSON .cfg package
-// summary, the .vetx facts output) to ride go vet's build graph and
-// caching; it is implemented in-repo because the offline toolchain has
-// no golang.org/x/tools unitchecker to import.
+// It loads packages itself (via `go list -export`) and prints every
+// finding as file:line:col: [analyzer] message, exiting 1 when any
+// survive suppression.
 //
 // Suppressions: //revelio:allow <analyzer> <reason> on the offending
 // line or the line above. Unexplained, unknown, and stale directives

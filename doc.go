@@ -68,7 +68,7 @@
 //	Fig 6    (dm-verity reads)           -> BenchmarkFig6_DmVerityRead
 //	ablations                            -> BenchmarkAblation_*
 //	chaos    (seeded fault scheduler)    -> revelio-bench -chaos, bench.RunChaos
-//	lint     (invariant analyzers)       -> revelio-lint ./..., go vet -vettool
+//	lint     (invariant analyzers)       -> revelio-lint ./...
 //
 // Fig 5's volume is aes-xts-plain64 as in the paper, and like kernel
 // dm-crypt it runs on pipelined AES-NI: internal/xts carries an amd64
@@ -76,9 +76,11 @@
 // constant-time key schedules, chosen by CPUID, and falls back to
 // crypto/aes on other architectures or under -tags purego (see
 // DESIGN.md's "Storage-engine concurrency model"). The figure prints a
-// serial (sector-by-sector) and a parallel (batched; sharded from
-// 256 KiB requests) row per size; go test -bench XTS ./internal/xts
-// shows the two engines side by side.
+// plain and a dm-crypt row per size, in the paper's 4 KiB requests; Fig 6
+// a cold, a tree-warm and a data-warm dm-verity row. Neither storage
+// target has an engine option — a guest's storage runs the way its
+// request sizes and GOMAXPROCS decide. go test -bench XTS ./internal/xts
+// shows the two block engines side by side.
 // Table 4 is this reproduction's extension of the paper's Table 3
 // caching argument: verifications/sec cold, with a warm VCEK cache, and
 // on the full attestation fast path (parsed-certificate caches, sharded
@@ -115,6 +117,5 @@
 // deterministic time/rand seams those chaos replays depend on, the
 // context-first lifecycle, and the lock and pool disciplines — are
 // additionally mechanized as a custom analyzer suite, revelio-lint,
-// run in CI both standalone and as a go vet -vettool (see DESIGN.md's
-// "Static analysis").
+// run in CI and by go test (see DESIGN.md's "Static analysis").
 package revelio

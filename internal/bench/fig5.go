@@ -7,44 +7,32 @@ import (
 
 	"revelio/internal/blockdev"
 	"revelio/internal/dmcrypt"
-	"revelio/internal/parallel"
 )
 
 // Fig5Config tunes the dm-crypt latency sweep.
 type Fig5Config struct {
 	// Sizes are the total transfer sizes; nil selects DefaultFig5Sizes.
 	Sizes []int64
-	// Concurrency is the worker count for the parallel-engine rows; 0
-	// selects GOMAXPROCS. The serial rows always run with one worker.
-	Concurrency int
-	// RequestSize is the per-request transfer size; 0 selects the
-	// paper's 4 KiB dd blocks. Larger requests give the parallel engine
-	// more sectors to shard over.
-	RequestSize int64
 }
 
+// fig5RequestSize is the per-request transfer size: the paper's dd runs
+// use 4 KiB blocks.
+const fig5RequestSize = 4 * KiB
+
 // Fig5Point is one I/O size in the dm-crypt latency sweep, measured
-// against the plain device, the serial engine, and the parallel engine.
+// against the plain device.
 type Fig5Point struct {
 	SizeBytes int64
 	Plain     time.Duration
-	Crypt     time.Duration // serial engine (Concurrency = 1)
-	CryptPar  time.Duration // parallel engine
-	Overhead  float64       // (crypt-plain)/plain, serial engine
-	Speedup   float64       // crypt / cryptPar
+	Crypt     time.Duration
+	Overhead  float64 // (crypt-plain)/plain
 }
 
 // Fig5Result reproduces Fig 5: dm-crypt read/write latency vs plain
-// device across request sizes (dd with 4 KiB blocks in the paper), now
-// with a serial and a parallel row per size so the storage engine's
-// scaling is part of the figure.
+// device across transfer sizes (dd with 4 KiB blocks in the paper).
 type Fig5Result struct {
 	Reads  []Fig5Point
 	Writes []Fig5Point
-	// Workers is the resolved parallel-engine worker count.
-	Workers int
-	// RequestSize is the per-request transfer size used.
-	RequestSize int64
 }
 
 // DefaultFig5Sizes mirrors the paper's sweep up to 256 MiB; callers with
@@ -53,9 +41,7 @@ var DefaultFig5Sizes = []int64{4 * KiB, 64 * KiB, 1 * MiB, 4 * MiB, 16 * MiB, 64
 
 // RunFig5 measures sequential read and write latency through dm-crypt
 // versus the raw device for each total size, in 4 KiB requests as the
-// paper's dd runs (tunable via RequestSize), once through the serial
-// engine and once through the parallel one. Both engines work on
-// volumes formatted identically, so the comparison is pure engine cost.
+// paper's dd runs.
 func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 	sizes := cfg.Sizes
 	if len(sizes) == 0 {
@@ -67,32 +53,21 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 			maxSize = s
 		}
 	}
-	requestSize := cfg.RequestSize
-	if requestSize == 0 {
-		requestSize = 4 * KiB
-	}
 
 	plainDev := blockdev.NewMem(maxSize)
-	serialRaw := blockdev.NewMem(maxSize + dmcrypt.HeaderSectors*dmcrypt.SectorSize)
-	serialDev, err := dmcrypt.Format(serialRaw, []byte("bench-sealing-key"),
-		dmcrypt.Options{Tuning: dmcrypt.Tuning{Concurrency: 1}})
+	cryptRaw := blockdev.NewMem(maxSize + dmcrypt.HeaderSectors*dmcrypt.SectorSize)
+	cryptDev, err := dmcrypt.Format(cryptRaw, []byte("bench-sealing-key"), dmcrypt.Options{})
 	if err != nil {
-		return nil, fmt.Errorf("bench: fig5 format serial: %w", err)
-	}
-	parRaw := blockdev.NewMem(maxSize + dmcrypt.HeaderSectors*dmcrypt.SectorSize)
-	parDev, err := dmcrypt.Format(parRaw, []byte("bench-sealing-key"),
-		dmcrypt.Options{Tuning: dmcrypt.Tuning{Concurrency: cfg.Concurrency}})
-	if err != nil {
-		return nil, fmt.Errorf("bench: fig5 format parallel: %w", err)
+		return nil, fmt.Errorf("bench: fig5 format: %w", err)
 	}
 
-	pattern := make([]byte, requestSize)
+	pattern := make([]byte, fig5RequestSize)
 	for i := range pattern {
 		pattern[i] = byte(i*131 + 17)
 	}
 	sweep := func(write bool) ([]Fig5Point, error) {
 		out := make([]Fig5Point, 0, len(sizes))
-		buf := make([]byte, requestSize)
+		buf := make([]byte, fig5RequestSize)
 		if write {
 			copy(buf, pattern)
 		}
@@ -100,11 +75,8 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 			run := func(dev blockdev.Device) (time.Duration, error) {
 				var n int64
 				start := time.Now()
-				for off := int64(0); off < size; off += requestSize {
-					n = int64(requestSize)
-					if size-off < n {
-						n = size - off
-					}
+				for off := int64(0); off < size; off += fig5RequestSize {
+					n = min(fig5RequestSize, size-off)
 					var err error
 					if write {
 						err = dev.WriteAt(buf[:n], off)
@@ -117,7 +89,7 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 				}
 				elapsed := time.Since(start)
 				// Every request wrote the same pattern, so the last read
-				// must hold its prefix whichever engine decrypted it.
+				// must hold its prefix.
 				if !write && !bytes.Equal(buf[:n], pattern[:n]) {
 					return 0, fmt.Errorf("bench: fig5 %s read-back differs from what was written", humanSize(size))
 				}
@@ -127,30 +99,19 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			crypt, err := run(serialDev)
+			crypt, err := run(cryptDev)
 			if err != nil {
 				return nil, err
-			}
-			cryptPar, err := run(parDev)
-			if err != nil {
-				return nil, err
-			}
-			overhead, speedup := 0.0, 0.0
-			if plain > 0 {
-				overhead = float64(crypt-plain) / float64(plain)
-			}
-			if cryptPar > 0 {
-				speedup = float64(crypt) / float64(cryptPar)
 			}
 			out = append(out, Fig5Point{
-				SizeBytes: size, Plain: plain, Crypt: crypt, CryptPar: cryptPar,
-				Overhead: overhead, Speedup: speedup,
+				SizeBytes: size, Plain: plain, Crypt: crypt,
+				Overhead: safeRatio(crypt-plain, plain),
 			})
 		}
 		return out, nil
 	}
 
-	res := &Fig5Result{Workers: parallel.Workers(cfg.Concurrency), RequestSize: requestSize}
+	res := &Fig5Result{}
 	// Writes first so reads see initialized sectors, as dd over a written
 	// volume would.
 	if res.Writes, err = sweep(true); err != nil {
@@ -162,22 +123,19 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 	return res, nil
 }
 
-// Render prints the two series with one row per size and engine.
+// Render prints the two series with a plain and a dm-crypt row per size.
 func (r *Fig5Result) Render() string {
 	render := func(name string, points []Fig5Point) string {
-		rows := make([][]string, 0, 3*len(points))
+		rows := make([][]string, 0, 2*len(points))
 		for _, p := range points {
 			rows = append(rows,
-				[]string{humanSize(p.SizeBytes), "plain", fmtMS(p.Plain), "-", "-"},
-				[]string{humanSize(p.SizeBytes), "serial", fmtMS(p.Crypt), fmtPct(p.Overhead), "1.00x"},
-				[]string{humanSize(p.SizeBytes), "parallel", fmtMS(p.CryptPar),
-					fmtPct(safeRatio(p.CryptPar-p.Plain, p.Plain)), fmt.Sprintf("%.2fx", p.Speedup)},
+				[]string{humanSize(p.SizeBytes), "plain", fmtMS(p.Plain), "-"},
+				[]string{humanSize(p.SizeBytes), "dm-crypt", fmtMS(p.Crypt), fmtPct(p.Overhead)},
 			)
 		}
-		return name + "\n" + table([]string{"Size", "Engine", "Latency(ms)", "Overhead(%)", "Speedup"}, rows)
+		return name + "\n" + table([]string{"Size", "Device", "Latency(ms)", "Overhead(%)"}, rows)
 	}
-	return fmt.Sprintf("Fig 5: dm-crypt I/O latency (%s requests, parallel = %d workers)\n",
-		humanSize(r.RequestSize), r.Workers) +
+	return fmt.Sprintf("Fig 5: dm-crypt I/O latency (%s requests)\n", humanSize(fig5RequestSize)) +
 		render("reads:", r.Reads) + render("writes:", r.Writes)
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"revelio/internal/blockdev"
 	"revelio/internal/dmverity"
-	"revelio/internal/parallel"
 )
 
 // Fig6Config tunes the dm-verity read sweep.
@@ -17,13 +16,10 @@ type Fig6Config struct {
 	// BlockSize is the verity data/hash block size; 0 selects
 	// dmverity.DefaultBlockSize.
 	BlockSize int
-	// Concurrency is the worker count for the parallel rows; 0 selects
-	// GOMAXPROCS. The serial rows always run with one worker.
-	Concurrency int
 	// CacheBlocks bounds the verified-block cache (data and hash blocks)
-	// of the parallel and parallel+cache rows; 0 selects
+	// of the cold and data-warm rows; 0 selects
 	// dmverity.DefaultCacheBlocks. A size that does not fit re-verifies
-	// its data on the parallel+cache row too, and the row shows it.
+	// its data on the data-warm row too, and the row shows it.
 	CacheBlocks int
 }
 
@@ -31,44 +27,39 @@ type Fig6Config struct {
 type Fig6Point struct {
 	SizeBytes int64
 	Plain     time.Duration
-	Verity    time.Duration // serial engine, cold cache
-	VerityPar time.Duration // parallel engine, cold cache
-	// VerityHot is the parallel engine with the tree cached and every
-	// data block fetched and hashed again: what the hash-block cache
-	// alone buys, and the cost of a re-read whose data was evicted.
+	Verity    time.Duration // first read on a fresh device: cold cache
+	// VerityHot is a re-read with the tree cached and every data block
+	// fetched and hashed again: what the hash-block cache alone buys,
+	// and the cost of a re-read whose data was evicted.
 	VerityHot time.Duration
-	// VerityCached is the parallel engine re-reading the range on the
-	// device that just read it: data blocks that fit the cache are
-	// copied out of guest memory without touching the disk or SHA-256.
+	// VerityCached is a re-read of the range on the device that just
+	// read it: data blocks that fit the cache are copied out of guest
+	// memory without touching the disk or SHA-256.
 	VerityCached time.Duration
-	Slowdown     float64 // verity/plain (serial, the paper's metric)
-	Speedup      float64 // verity/verityPar
+	Slowdown     float64 // verity/plain (cold, the paper's metric)
 }
 
 // Fig6Result reproduces Fig 6: read latency of files on the integrity-
 // protected rootfs versus a plain device (the paper reads the BN rootfs,
 // largest file 94.8 MB, and sees a 9.35x average slowdown), extended
-// with a parallel-engine row and two warm rows per size.
+// with two warm rows per size.
 type Fig6Result struct {
 	Points []Fig6Point
-	// AvgSlowdown is the mean serial verity/plain ratio across the sweep.
+	// AvgSlowdown is the mean cold verity/plain ratio across the sweep.
 	AvgSlowdown float64
 	// BlockSize records the verity block size (ablation knob).
 	BlockSize int
-	// Workers is the resolved parallel-engine worker count.
-	Workers int
 }
 
 // DefaultFig6Sizes approximates the BN rootfs file-size distribution.
 var DefaultFig6Sizes = []int64{4 * KiB, 64 * KiB, 1 * MiB, 8 * MiB, 32 * MiB, 96 * MiB}
 
-// RunFig6 measures verity reads in four configurations per size. Two are
-// cold — the serial engine (the paper's first-read cost) and the
-// parallel engine, each on a device opened for that one read so no
-// verification state carries over. Two are warm re-reads on the parallel
-// engine: with only the tree cached, so every data block is fetched and
-// hashed again, and on the device that just read the range, so whatever
-// fits its cache is served from guest memory.
+// RunFig6 measures verity reads in three configurations per size. One is
+// cold (the paper's first-read cost), on a device opened for that one
+// read so no verification state carries over. Two are warm re-reads:
+// with only the tree cached, so every data block is fetched and hashed
+// again, and on the device that just read the range, so whatever fits
+// its cache is served from guest memory.
 func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 	sizes := cfg.Sizes
 	if len(sizes) == 0 {
@@ -90,15 +81,12 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 	data := make([]byte, devSize)
 	rand.New(rand.NewSource(6)).Read(data)
 	dataDev := blockdev.NewMemFrom(data)
-	hashDev, meta, err := dmverity.Format(dataDev, dmverity.Params{
-		BlockSize:   blockSize,
-		Concurrency: cfg.Concurrency,
-	})
+	hashDev, meta, err := dmverity.Format(dataDev, dmverity.Params{BlockSize: blockSize})
 	if err != nil {
 		return nil, fmt.Errorf("bench: fig6 format: %w", err)
 	}
 
-	res := &Fig6Result{BlockSize: blockSize, Workers: parallel.Workers(cfg.Concurrency)}
+	res := &Fig6Result{BlockSize: blockSize}
 	var sum float64
 	for _, size := range sizes {
 		buf := make([]byte, size)
@@ -117,9 +105,9 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 
 		// read opens a fresh device and times its first read of the
 		// range, or with reread set its second.
-		read := func(conc, cacheBlocks int, reread bool) (time.Duration, *dmverity.Device, error) {
+		read := func(cacheBlocks int, reread bool) (time.Duration, *dmverity.Device, error) {
 			dev, err := dmverity.OpenWithConfig(dataDev, hashDev, meta, meta.RootHash,
-				dmverity.Config{Concurrency: conc, CacheBlocks: cacheBlocks})
+				dmverity.Config{CacheBlocks: cacheBlocks})
 			if err != nil {
 				return 0, nil, err
 			}
@@ -135,38 +123,28 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 			return time.Since(start), dev, nil
 		}
 
-		verity, _, err := read(1, cfg.CacheBlocks, false)
-		if err != nil {
-			return nil, err
-		}
-		verityPar, parDev, err := read(cfg.Concurrency, cfg.CacheBlocks, false)
+		verity, coldDev, err := read(cfg.CacheBlocks, false)
 		if err != nil {
 			return nil, err
 		}
 		// Tree-warm: data blocks never displace hash blocks, so a cache
 		// the size of the tree over the range holds that and no data.
-		verityHot, _, err := read(cfg.Concurrency, treeBlocksOver(meta, size), true)
+		verityHot, _, err := read(treeBlocksOver(meta, size), true)
 		if err != nil {
 			return nil, err
 		}
 		// Data-warm: the same device again, the range just verified.
 		start = time.Now()
-		if err := parDev.ReadAt(buf, 0); err != nil {
+		if err := coldDev.ReadAt(buf, 0); err != nil {
 			return nil, err
 		}
 		verityCached := time.Since(start)
 
-		slowdown, speedup := 0.0, 0.0
-		if plain > 0 {
-			slowdown = float64(verity) / float64(plain)
-		}
-		if verityPar > 0 {
-			speedup = float64(verity) / float64(verityPar)
-		}
+		slowdown := safeRatio(verity, plain)
 		sum += slowdown
 		res.Points = append(res.Points, Fig6Point{
-			SizeBytes: size, Plain: plain, Verity: verity, VerityPar: verityPar,
-			VerityHot: verityHot, VerityCached: verityCached, Slowdown: slowdown, Speedup: speedup,
+			SizeBytes: size, Plain: plain, Verity: verity,
+			VerityHot: verityHot, VerityCached: verityCached, Slowdown: slowdown,
 		})
 	}
 	res.AvgSlowdown = sum / float64(len(res.Points))
@@ -189,30 +167,22 @@ func treeBlocksOver(meta *dmverity.Metadata, size int64) int {
 }
 
 // Render prints the series with one row per size and configuration:
-// "serial" and "parallel" are cold reads, "parallel+tree" re-reads with
-// the tree cached and the data re-verified, "parallel+cache" re-reads
-// with the data cached as well.
+// "cold" is the first read, "tree-warm" re-reads with the tree cached
+// and the data re-verified, "data-warm" re-reads with the data cached as
+// well.
 func (r *Fig6Result) Render() string {
-	rows := make([][]string, 0, 5*len(r.Points))
+	rows := make([][]string, 0, 4*len(r.Points))
 	for _, p := range r.Points {
-		rows = append(rows,
-			[]string{humanSize(p.SizeBytes), "plain", fmtMS(p.Plain), "-", "-"},
-			[]string{humanSize(p.SizeBytes), "serial", fmtMS(p.Verity),
-				fmt.Sprintf("%.2fx", p.Slowdown), "1.00x"},
-			[]string{humanSize(p.SizeBytes), "parallel", fmtMS(p.VerityPar),
-				fmt.Sprintf("%.2fx", safeRatio(p.VerityPar, p.Plain)), fmt.Sprintf("%.2fx", p.Speedup)},
-		)
-		for _, warm := range []struct {
+		rows = append(rows, []string{humanSize(p.SizeBytes), "plain", fmtMS(p.Plain), "-"})
+		for _, row := range []struct {
 			name string
 			d    time.Duration
-		}{{"parallel+tree", p.VerityHot}, {"parallel+cache", p.VerityCached}} {
-			rows = append(rows, []string{humanSize(p.SizeBytes), warm.name, fmtMS(warm.d),
-				fmt.Sprintf("%.2fx", safeRatio(warm.d, p.Plain)),
-				fmt.Sprintf("%.2fx", safeRatio(p.Verity, warm.d))})
+		}{{"cold", p.Verity}, {"tree-warm", p.VerityHot}, {"data-warm", p.VerityCached}} {
+			rows = append(rows, []string{humanSize(p.SizeBytes), row.name, fmtMS(row.d),
+				fmt.Sprintf("%.2fx", safeRatio(row.d, p.Plain))})
 		}
 	}
-	return fmt.Sprintf("Fig 6: dm-verity read latency (block size %d, parallel = %d workers)\n",
-		r.BlockSize, r.Workers) +
-		table([]string{"File size", "Engine", "Latency(ms)", "Slowdown", "Speedup"}, rows) +
-		fmt.Sprintf("average slowdown (serial): %.2fx\n", r.AvgSlowdown)
+	return fmt.Sprintf("Fig 6: dm-verity read latency (block size %d)\n", r.BlockSize) +
+		table([]string{"File size", "Read", "Latency(ms)", "Slowdown"}, rows) +
+		fmt.Sprintf("average slowdown (cold): %.2fx\n", r.AvgSlowdown)
 }

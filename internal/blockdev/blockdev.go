@@ -46,9 +46,11 @@ type Device interface {
 	Size() int64
 }
 
-// checkRange validates an access window against a device size.
+// checkRange validates an access window against a device size. It
+// subtracts instead of adding, so an offset near the top of int64 cannot
+// wrap its way inside the device.
 func checkRange(size, off int64, n int) error {
-	if off < 0 || n < 0 || off+int64(n) > size {
+	if off < 0 || n < 0 || off > size || int64(n) > size-off {
 		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, n, size)
 	}
 	return nil

@@ -3,6 +3,7 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,7 @@ func TestMemRangeChecks(t *testing.T) {
 		{"negative offset", -1, 4},
 		{"past end", 61, 4},
 		{"offset at end plus one", 65, 0},
+		{"offset plus length wraps", math.MaxInt64 - 2, 4},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

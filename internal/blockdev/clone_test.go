@@ -54,7 +54,7 @@ func (f *cloneFamily) mutate(t *testing.T, rng *rand.Rand, i int) {
 	t.Helper()
 	dev, model := f.devs[i], f.models[i]
 	size := int64(len(model))
-	switch rng.Intn(6) {
+	switch rng.Intn(5) {
 	case 0, 1:
 		off, n := span(rng, size)
 		p := make([]byte, n)
@@ -64,40 +64,24 @@ func (f *cloneFamily) mutate(t *testing.T, rng *rand.Rand, i int) {
 		}
 		copy(model[off:], p)
 	case 2:
-		bufs, offs := make([][]byte, 1+rng.Intn(4)), []int64{}
-		for j := range bufs {
-			off, n := span(rng, size)
-			bufs[j] = make([]byte, n)
-			rng.Read(bufs[j])
-			offs = append(offs, off)
-		}
-		if err := dev.WriteSectors(bufs, offs); err != nil {
-			t.Fatalf("WriteSectors: %v", err)
-		}
-		for j, p := range bufs {
-			copy(model[offs[j]:], p)
-		}
-	case 3:
 		off, bit := rng.Int63n(size), uint(rng.Intn(8))
 		if err := dev.FlipBit(off, bit); err != nil {
 			t.Fatalf("FlipBit: %v", err)
 		}
 		model[off] ^= 1 << bit
-	case 4:
-		// A rejected batch must leave nothing behind, private chunk or byte.
-		off, n := span(rng, size)
-		err := dev.WriteSectors([][]byte{make([]byte, n), {1, 2, 3}}, []int64{off, size - 2})
-		if !errors.Is(err, ErrOutOfRange) {
-			t.Fatalf("out-of-range batch: err = %v", err)
+	case 3:
+		// A rejected write must leave nothing behind, private chunk or byte.
+		if err := dev.WriteAt([]byte{1, 2, 3}, size-2); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("out-of-range write: err = %v", err)
 		}
-	case 5:
+	case 4:
 		if len(f.devs) < 7 {
 			f.clone(i)
 		}
 	}
 }
 
-// check reads device i (dev, which must equal model) back three ways.
+// check reads device i (dev, which must equal model) back two ways.
 func check(t *testing.T, rng *rand.Rand, i int, dev *Mem, model []byte) {
 	if got := dev.Snapshot(); !bytes.Equal(got, model) {
 		t.Errorf("device %d: snapshot differs from model at byte %d", i, firstDiff(got, model))
@@ -107,12 +91,6 @@ func check(t *testing.T, rng *rand.Rand, i int, dev *Mem, model []byte) {
 	p := make([]byte, n)
 	if err := dev.ReadAt(p, off); err != nil || !bytes.Equal(p, model[off:off+int64(n)]) {
 		t.Errorf("device %d: ReadAt(%d, %d) differs from model (err %v)", i, off, n, err)
-	}
-	off2, n2 := span(rng, int64(len(model)))
-	q := make([]byte, n2)
-	if err := dev.ReadSectors([][]byte{p, q}, []int64{off, off2}); err != nil ||
-		!bytes.Equal(p, model[off:off+int64(n)]) || !bytes.Equal(q, model[off2:off2+int64(n2)]) {
-		t.Errorf("device %d: ReadSectors differs from model (err %v)", i, err)
 	}
 	if dev.Size() != int64(len(model)) {
 		t.Errorf("device %d: size %d, want %d", i, dev.Size(), len(model))
@@ -129,7 +107,7 @@ func firstDiff(a, b []byte) int {
 }
 
 // TestCloneFamilyMatchesFlatCopies is the isolation property: over random
-// Clone/WriteAt/WriteSectors/FlipBit sequences — clones of written clones,
+// Clone/WriteAt/FlipBit sequences — clones of written clones,
 // writes straddling chunk and device ends — every device of a family reads
 // exactly what a family of full copies would. While one device is written,
 // all its relatives are read from other goroutines, so under -race a chunk

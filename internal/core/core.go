@@ -76,9 +76,6 @@ type Config struct {
 	// node obtain certificates over the network, as against a real
 	// Let's Encrypt. Off, the SP calls the CA in process.
 	RemoteCA bool
-	// SkipVerityVerifyPass skips the boot-time full-device verification
-	// (ablation knob; per-read verification always stays on).
-	SkipVerityVerifyPass bool
 	// Localities labels nodes with deployment zones: each launched node
 	// takes the next label round-robin in launch order, so a three-node
 	// deployment over ["zone-a", "zone-b"] lands in zone-a, zone-b,
@@ -403,10 +400,9 @@ func (d *Deployment) launchNode(chipSeed []byte) (*Node, error) {
 	// which costs the node only the chunks it goes on to write.
 	disk := d.Image.Disk.Clone()
 	guestVM, err := vm.Boot(guest, vm.BootConfig{
-		Disk:       disk,
-		Table:      d.Image.Table,
-		Domain:     d.cfg.Domain,
-		SkipVerify: d.cfg.SkipVerityVerifyPass,
+		Disk:   disk,
+		Table:  d.Image.Table,
+		Domain: d.cfg.Domain,
 	})
 	if err != nil {
 		return nil, err
@@ -541,10 +537,9 @@ func (d *Deployment) RebootNode(ctx context.Context, i int) error {
 		return fmt.Errorf("core: relaunch node %d: %w", i, err)
 	}
 	guestVM, err := vm.Boot(guest, vm.BootConfig{
-		Disk:       n.disk,
-		Table:      d.Image.Table,
-		Domain:     d.cfg.Domain,
-		SkipVerify: d.cfg.SkipVerityVerifyPass,
+		Disk:   n.disk,
+		Table:  d.Image.Table,
+		Domain: d.cfg.Domain,
 	})
 	if err != nil {
 		return fmt.Errorf("core: reboot node %d: %w", i, err)

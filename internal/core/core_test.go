@@ -12,9 +12,13 @@ import (
 	"time"
 
 	"revelio/internal/attest"
+	"revelio/internal/blockdev"
 	"revelio/internal/certmgr"
+	"revelio/internal/dmverity"
 	"revelio/internal/imagebuild"
 	"revelio/internal/registry"
+	"revelio/internal/rootfs"
+	"revelio/internal/vm"
 )
 
 func testConfig(nodes int) (Config, *imagebuild.Registry) {
@@ -166,16 +170,89 @@ func TestVerifierSeesNodes(t *testing.T) {
 	}
 }
 
-func TestSkipVerityVerifyPass(t *testing.T) {
+// bootReads replays every read a boot makes of the rootfs on disk — mount,
+// network policy, service manifest, service binaries — through a fresh
+// dm-verity device and nothing else: no verification pass. It returns
+// the first read that fails.
+func bootReads(t *testing.T, d *Deployment, disk blockdev.Device) error {
+	t.Helper()
+	table := d.Image.Table
+	part := func(start, length int64) blockdev.Device {
+		dev, err := blockdev.NewLinear(disk, start, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev
+	}
+	super := make([]byte, rootfs.BlockSize)
+	if err := disk.ReadAt(super, table.HashStart); err != nil {
+		t.Fatal(err)
+	}
+	var meta dmverity.Metadata
+	if err := meta.UnmarshalBinary(super); err != nil {
+		t.Fatal(err)
+	}
+	verity, err := dmverity.Open(part(table.RootfsStart, table.RootfsLen),
+		part(table.HashStart+rootfs.BlockSize, table.HashLen-rootfs.BlockSize), &meta, d.Image.RootHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := rootfs.Mount(verity)
+	if err != nil {
+		return err
+	}
+	paths := []string{imagebuild.PolicyPath, imagebuild.ServicesPath}
+	for _, svc := range d.Nodes[0].VM.Services() {
+		paths = append(paths, "usr/bin/"+svc.Name)
+	}
+	for _, path := range paths {
+		if _, err := fs.ReadFile(path); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestUnreadRootfsBlockTamperFailsBoot: every boot re-hashes the whole
+// rootfs, so one flipped bit in a block that nothing reads while booting
+// — per-read verification alone lets it through — stops a launch, an
+// AddNode and a RebootNode before the node exists.
+func TestUnreadRootfsBlockTamperFailsBoot(t *testing.T) {
 	cfg, _ := testConfig(1)
-	cfg.SkipVerityVerifyPass = true
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if d.Nodes[0].VM.Timings().DmVerityVerify != 0 {
-		t.Error("verify pass ran despite SkipVerityVerifyPass")
+	// The archive's second block holds only the body of its first file,
+	// bin/sh, which is no service; bootReads checks that no boot reads it.
+	off := d.Image.Table.RootfsStart + rootfs.BlockSize + 77
+	tamper := func(disk blockdev.Device) {
+		t.Helper()
+		if err := disk.(*blockdev.Mem).FlipBit(off, 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := bootReads(t, d, disk); err != nil {
+			t.Fatalf("a boot reads the tampered block, so the test would prove nothing: %v", err)
+		}
+	}
+
+	// Nodes launched from here on clone the tampered image; node 0 keeps
+	// the chunks it cloned before.
+	tamper(d.Image.Disk)
+	if _, err := d.launchNode(d.nextChipSeed()); !errors.Is(err, vm.ErrRootfsVerification) {
+		t.Errorf("launchNode on a tampered image: err = %v, want ErrRootfsVerification", err)
+	}
+	if _, err := d.AddNode(context.Background()); !errors.Is(err, vm.ErrRootfsVerification) {
+		t.Errorf("AddNode on a tampered image: err = %v, want ErrRootfsVerification", err)
+	}
+	if len(d.Nodes) != 1 {
+		t.Fatalf("a node that failed to boot joined: %d nodes", len(d.Nodes))
+	}
+
+	tamper(d.Nodes[0].Disk())
+	if err := d.RebootNode(context.Background(), 0); !errors.Is(err, vm.ErrRootfsVerification) {
+		t.Errorf("RebootNode on a tampered disk: err = %v, want ErrRootfsVerification", err)
 	}
 }
 

@@ -7,13 +7,11 @@ import (
 	"revelio/internal/race"
 )
 
-// newSerialDevice formats a small volume and returns a serial-engine
-// device (Concurrency 1) over an in-memory substrate.
-func newSerialDevice(t testing.TB, dataBytes int64) *Device {
+// newDevice formats a small volume over an in-memory substrate.
+func newDevice(t testing.TB, dataBytes int64) *Device {
 	t.Helper()
 	raw := blockdev.NewMem(dataBytes + HeaderSectors*SectorSize)
-	dev, err := Format(raw, []byte("alloc-test"),
-		Options{Iterations: 10, Tuning: Tuning{Concurrency: 1}})
+	dev, err := Format(raw, []byte("alloc-test"), Options{Iterations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +25,7 @@ func TestSerialReadZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops entries at random under -race")
 	}
-	dev := newSerialDevice(t, 64*SectorSize)
+	dev := newDevice(t, 64*SectorSize)
 	buf := make([]byte, SectorSize)
 	if err := dev.WriteAt(buf, 0); err != nil {
 		t.Fatal(err)
@@ -50,19 +48,14 @@ func TestSerialReadZeroAllocs(t *testing.T) {
 }
 
 // TestBatchedSpanZeroAllocs is the allocs/op guard for the batched path a
-// 64 KiB pad write or read takes: the span and the read-modify-write edge
-// vectors come from spanPool, so neither the aligned nor the unaligned
-// request allocates in steady state.
+// 64 KiB pad write or read takes: the span, read-modify-write edge
+// sectors included, comes from spanPool, so neither the aligned nor the
+// unaligned request allocates in steady state.
 func TestBatchedSpanZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops entries at random under -race")
 	}
-	raw := blockdev.NewMem(headerBytes + 256*1024)
-	dev, err := Format(raw, []byte("alloc-test"),
-		Options{Iterations: 10, Tuning: Tuning{Concurrency: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := newDevice(t, 256*1024)
 	buf := make([]byte, 64*1024)
 	for _, tc := range []struct {
 		name string
@@ -88,7 +81,7 @@ func TestBatchedSpanZeroAllocs(t *testing.T) {
 // BenchmarkSerialSectorRead reports allocs/op for the pooled serial read
 // path (run with -benchmem to see the guard's numbers over time).
 func BenchmarkSerialSectorRead(b *testing.B) {
-	dev := newSerialDevice(b, 64*SectorSize)
+	dev := newDevice(b, 64*SectorSize)
 	buf := make([]byte, SectorSize)
 	if err := dev.WriteAt(buf, 0); err != nil {
 		b.Fatal(err)

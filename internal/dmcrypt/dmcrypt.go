@@ -25,7 +25,6 @@ import (
 
 	"revelio/internal/blockdev"
 	"revelio/internal/kdf"
-	"revelio/internal/parallel"
 	"revelio/internal/xts"
 )
 
@@ -59,16 +58,6 @@ var (
 	ErrDeviceTooSmall = errors.New("dmcrypt: device too small for header")
 )
 
-// Tuning configures the opened device's parallel sector engine. It never
-// influences bytes on disk — only how many workers produce them — so any
-// two tunings of the same volume are byte-for-byte interchangeable.
-type Tuning struct {
-	// Concurrency is the number of workers that encrypt or decrypt the
-	// sectors of a single request; 0 selects GOMAXPROCS, 1 forces the
-	// serial path.
-	Concurrency int
-}
-
 // Options configures Format.
 type Options struct {
 	// Iterations is the PBKDF2 iteration count; 0 selects
@@ -77,8 +66,6 @@ type Options struct {
 	// Rand supplies entropy for the master key and salts; nil selects
 	// crypto/rand. Tests inject a deterministic reader.
 	Rand io.Reader
-	// Tuning configures the returned device's parallel engine.
-	Tuning Tuning
 }
 
 type header struct {
@@ -202,19 +189,11 @@ func Format(dev blockdev.Device, passphrase []byte, opts Options) (*Device, erro
 	if err := dev.WriteAt(h.marshal(), 0); err != nil {
 		return nil, fmt.Errorf("dmcrypt: write header: %w", err)
 	}
-	return open(dev, masterKey, opts.Tuning)
+	return open(dev, masterKey)
 }
 
-// Open unlocks a previously formatted device with the passphrase and the
-// default tuning (one worker per CPU).
+// Open unlocks a previously formatted device with the passphrase.
 func Open(dev blockdev.Device, passphrase []byte) (*Device, error) {
-	return OpenTuned(dev, passphrase, Tuning{})
-}
-
-// OpenTuned unlocks a previously formatted device with an explicit
-// engine tuning. Tuning{Concurrency: 1} reproduces the historical serial
-// engine exactly.
-func OpenTuned(dev blockdev.Device, passphrase []byte, tuning Tuning) (*Device, error) {
 	if dev.Size() < headerBytes {
 		return nil, ErrDeviceTooSmall
 	}
@@ -241,10 +220,10 @@ func OpenTuned(dev blockdev.Device, passphrase []byte, tuning Tuning) (*Device, 
 	if digestKey(masterKey, h.salt[:]) != h.keyDigest {
 		return nil, ErrBadPassphrase
 	}
-	return open(dev, masterKey, tuning)
+	return open(dev, masterKey)
 }
 
-func open(dev blockdev.Device, masterKey []byte, tuning Tuning) (*Device, error) {
+func open(dev blockdev.Device, masterKey []byte) (*Device, error) {
 	c, err := xts.NewCipher(masterKey)
 	if err != nil {
 		return nil, fmt.Errorf("dmcrypt: master key: %w", err)
@@ -253,37 +232,24 @@ func open(dev blockdev.Device, masterKey []byte, tuning Tuning) (*Device, error)
 		inner:   dev,
 		cipher:  c,
 		dataLen: dev.Size() - headerBytes,
-		workers: parallel.Workers(tuning.Concurrency),
 	}, nil
 }
 
-const (
-	// minBatchSectors is the request size below which the engine goes
-	// sector by sector: one span read or write of the inner device beats
-	// per-sector I/O from 4 KiB up.
-	minBatchSectors = 8
-
-	// minParallelSectors is the request size from which the span is
-	// sharded over the worker pool, each worker taking at least half of
-	// it. With the AES-NI kernel a sector costs ~0.15 µs, so a goroutine
-	// hand-off only pays for itself against hundreds of sectors:
-	// measured on the 2-vCPU reference box, two workers lose at 128 KiB
-	// (47 µs vs 42 µs serial) and win from 256 KiB (58 µs vs 69 µs).
-	// DESIGN.md has the full table.
-	minParallelSectors = 512
-)
+// minBatchSectors is the request size below which the engine goes sector
+// by sector: one span read or write of the inner device beats per-sector
+// I/O from 4 KiB up.
+const minBatchSectors = 8
 
 // Device is an opened dm-crypt target: a plaintext view of the encrypted
 // data area. It implements blockdev.Device. Concurrent reads are safe;
 // writes to disjoint sectors are safe (sector updates are read-modify-
-// write within a single sector only). Requests spanning many sectors are
-// encrypted or decrypted by a sharded worker pool (see Tuning); the
-// bytes produced are identical to the serial engine's on every path.
+// write within a single sector only). A request runs on its caller's
+// goroutine, and the bytes it leaves on disk are the same whichever of
+// the two request-size paths produced them.
 type Device struct {
 	inner   blockdev.Device
 	cipher  *xts.Cipher
 	dataLen int64
-	workers int
 }
 
 var _ blockdev.Device = (*Device)(nil)
@@ -291,52 +257,22 @@ var _ blockdev.Device = (*Device)(nil)
 // Size implements blockdev.Device: the plaintext data-area size.
 func (d *Device) Size() int64 { return d.dataLen }
 
-// spanBuf is the pooled scratch of one batched request: the sector-aligned
-// span, which only ever grows (the GC empties idle pools, so one large
-// request does not pin its buffer), and the read-modify-write edge
-// vectors, which would otherwise be heap-allocated per call because they
-// pass through the blockdev.Vectored interface.
-type spanBuf struct {
-	b        []byte
-	edgeBufs [2][]byte
-	edgeOffs [2]int64
-}
+// spanPool recycles the sector-aligned scratch of batched requests. A
+// buffer only ever grows (the GC empties idle pools, so one large
+// request does not pin its buffer).
+var spanPool = sync.Pool{New: func() any { return new([]byte) }}
 
-var spanPool = sync.Pool{New: func() any { return new(spanBuf) }}
-
-// span returns the buffer resized to n bytes; the contents are stale.
-func (sb *spanBuf) span(n int64) []byte {
-	if int64(cap(sb.b)) < n {
-		sb.b = make([]byte, n)
+// grow returns *bp resized to n bytes; the contents are stale.
+func grow(bp *[]byte, n int64) []byte {
+	if int64(cap(*bp)) < n {
+		*bp = make([]byte, n)
 	}
-	return sb.b[:n]
-}
-
-// cryptSpan encrypts or decrypts a sector-aligned span in place, sharding
-// it over the worker pool when every worker gets a shard worth the
-// hand-off.
-func (d *Device) cryptSpan(span []byte, first int64, encrypt bool) error {
-	nSectors := int64(len(span) / SectorSize)
-	workers := min(int64(d.workers), nSectors/(minParallelSectors/2))
-	if workers < 2 {
-		return d.cryptSectors(span, first, encrypt)
-	}
-	return parallel.Shards(int(workers), nSectors, func(lo, hi int64) error {
-		return d.cryptSectors(span[lo*SectorSize:hi*SectorSize], first+lo, encrypt)
-	})
-}
-
-func (d *Device) cryptSectors(seg []byte, first int64, encrypt bool) error {
-	if encrypt {
-		return d.cipher.EncryptSectors(seg, seg, uint64(first), SectorSize)
-	}
-	return d.cipher.DecryptSectors(seg, seg, uint64(first), SectorSize)
+	return (*bp)[:n]
 }
 
 // ReadAt implements blockdev.Device. Small requests decrypt per sector;
-// larger ones fetch the whole aligned span in one batched inner read and
-// decrypt it with one span call, sharded across the worker pool when it
-// is large enough.
+// larger ones fetch the whole aligned span in one inner read and decrypt
+// it with one span call.
 func (d *Device) ReadAt(p []byte, off int64) error {
 	if off < 0 || off+int64(len(p)) > d.dataLen {
 		return fmt.Errorf("%w: off=%d len=%d size=%d",
@@ -348,7 +284,7 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 	first := off / SectorSize
 	last := (off + int64(len(p)) - 1) / SectorSize
 	nSectors := last - first + 1
-	if d.workers == 1 || nSectors < minBatchSectors {
+	if nSectors < minBatchSectors {
 		return d.readSerial(p, off)
 	}
 
@@ -357,9 +293,9 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 	if off%SectorSize == 0 && int64(len(p))%SectorSize == 0 {
 		return d.readSpan(p, first)
 	}
-	sb := spanPool.Get().(*spanBuf)
-	defer spanPool.Put(sb)
-	span := sb.span(nSectors * SectorSize)
+	bp := spanPool.Get().(*[]byte)
+	defer spanPool.Put(bp)
+	span := grow(bp, nSectors*SectorSize)
 	if err := d.readSpan(span, first); err != nil {
 		return err
 	}
@@ -371,12 +307,12 @@ func (d *Device) readSpan(span []byte, first int64) error {
 	if err := d.inner.ReadAt(span, headerBytes+first*SectorSize); err != nil {
 		return err
 	}
-	return d.cryptSpan(span, first, false)
+	return d.cipher.DecryptSectors(span, span, uint64(first), SectorSize)
 }
 
-// sectorPool recycles the per-call sector scratch buffers of the serial
-// read/write paths, keeping the steady-state single-sector hot path
-// allocation-free (guarded by TestSerialReadZeroAllocs).
+// sectorPool recycles the per-call sector scratch buffers of the
+// per-sector read/write paths, keeping the steady-state single-sector
+// hot path allocation-free (guarded by TestSerialReadZeroAllocs).
 var sectorPool = sync.Pool{New: func() any {
 	b := make([]byte, SectorSize)
 	return &b
@@ -399,9 +335,9 @@ func (d *Device) readSerial(p []byte, off int64) error {
 
 // WriteAt implements blockdev.Device, encrypting per sector with
 // read-modify-write at unaligned edges. Requests spanning enough sectors
-// take the batched path: the two edge sectors (at most) are fetched in a
-// single vectored read, the span is encrypted in a pooled buffer, and
-// one inner write lands the whole request.
+// take the batched path: the edge sectors (at most two) are read and
+// decrypted into a pooled span, the span is encrypted, and one inner
+// write lands the whole request.
 func (d *Device) WriteAt(p []byte, off int64) error {
 	if off < 0 || off+int64(len(p)) > d.dataLen {
 		return fmt.Errorf("%w: off=%d len=%d size=%d",
@@ -414,38 +350,27 @@ func (d *Device) WriteAt(p []byte, off int64) error {
 	end := off + int64(len(p))
 	last := (end - 1) / SectorSize
 	nSectors := last - first + 1
-	if d.workers == 1 || nSectors < minBatchSectors {
+	if nSectors < minBatchSectors {
 		return d.writeSerial(p, off)
 	}
 
-	sb := spanPool.Get().(*spanBuf)
-	defer spanPool.Put(sb)
-	span := sb.span(nSectors * SectorSize)
-	// Read-modify-write for the unaligned edges, batched into one
-	// vectored read of at most two discontiguous sectors. Together with
-	// p they define every byte of the (stale) pooled span.
-	edges := 0
+	bp := spanPool.Get().(*[]byte)
+	defer spanPool.Put(bp)
+	span := grow(bp, nSectors*SectorSize)
+	// Read-modify-write for the unaligned edges. Together with p they
+	// define every byte of the (stale) pooled span.
 	if off%SectorSize != 0 {
-		sb.edgeBufs[edges], sb.edgeOffs[edges] = span[:SectorSize], headerBytes+first*SectorSize
-		edges++
-	}
-	if end%SectorSize != 0 {
-		sb.edgeBufs[edges], sb.edgeOffs[edges] = span[(nSectors-1)*SectorSize:], headerBytes+last*SectorSize
-		edges++
-	}
-	if edges > 0 {
-		if err := blockdev.ReadSectors(d.inner, sb.edgeBufs[:edges], sb.edgeOffs[:edges]); err != nil {
+		if err := d.readSector(first, span[:SectorSize]); err != nil {
 			return err
 		}
-		for i, buf := range sb.edgeBufs[:edges] {
-			sector := (sb.edgeOffs[i] - headerBytes) / SectorSize
-			if err := d.cipher.Decrypt(buf, buf, uint64(sector)); err != nil {
-				return err
-			}
+	}
+	if end%SectorSize != 0 {
+		if err := d.readSector(last, span[(nSectors-1)*SectorSize:]); err != nil {
+			return err
 		}
 	}
 	copy(span[off-first*SectorSize:], p)
-	if err := d.cryptSpan(span, first, true); err != nil {
+	if err := d.cipher.EncryptSectors(span, span, uint64(first), SectorSize); err != nil {
 		return err
 	}
 	return d.inner.WriteAt(span, headerBytes+first*SectorSize)

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -227,17 +228,20 @@ func TestDefaultIterationsApplied(t *testing.T) {
 	}
 }
 
+// earlierHeaderHex is the header of the volume
+// TestPBKDF2HeaderFromEarlierFormatStillOpens opens.
+const earlierHeaderHex = "4b56534c01000000e8030000c3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac31750000000e7ae3db4a025e20cf545e8c00fdcb3c653b270977462041b105dfde44a42fa9a536b468ead04411eab4739d0210c471e2ad2588b7a3873e286b487334932f47ca0ffd6143b271872893ac54c06ea76e7fe1cbf8f8c769da6c546edfd25a165721777d1cb2cff771e1e78e28f6e7307b4"
+
 // TestPBKDF2HeaderFromEarlierFormatStillOpens pins the on-disk contract
 // across the kdf rewrite: a volume formatted (1000 iterations) and written
 // by the commit before PBKDF2 stopped re-keying its HMAC unlocks with the
 // same passphrase and decrypts to what was written then.
 func TestPBKDF2HeaderFromEarlierFormatStillOpens(t *testing.T) {
 	const (
-		headerHex = "4b56534c01000000e8030000c3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac3175ac31750000000e7ae3db4a025e20cf545e8c00fdcb3c653b270977462041b105dfde44a42fa9a536b468ead04411eab4739d0210c471e2ad2588b7a3873e286b487334932f47ca0ffd6143b271872893ac54c06ea76e7fe1cbf8f8c769da6c546edfd25a165721777d1cb2cff771e1e78e28f6e7307b4"
 		sectorHex = "be6693f3aea97d2b25e89d1d57ea4bb474dd16db2ef9e68dcfeb42ac99210839"
 		plaintext = "written before the kdf rewrite.."
 	)
-	hdr, err := hex.DecodeString(headerHex)
+	hdr, err := hex.DecodeString(earlierHeaderHex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +269,40 @@ func TestPBKDF2HeaderFromEarlierFormatStillOpens(t *testing.T) {
 	}
 	if _, err := Open(raw, []byte("another key")); !errors.Is(err, ErrBadPassphrase) {
 		t.Errorf("wrong passphrase: err = %v, want ErrBadPassphrase", err)
+	}
+}
+
+// TestInnerIOCounts pins what a 64 KiB request costs the device below:
+// one inner write, preceded by one inner read per unaligned edge, and one
+// inner read. It runs on one CPU: a 1-vCPU guest batches like any other.
+func TestInnerIOCounts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	inner := blockdev.NewStats(blockdev.NewMem(headerBytes + 256*1024))
+	dev, err := Format(inner, []byte("pw"), Options{Iterations: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64*1024)
+	for _, tc := range []struct {
+		name          string
+		io            func(p []byte, off int64) error
+		off           int64
+		reads, writes int64
+	}{
+		{"aligned write", dev.WriteAt, 64 * 1024, 0, 1},
+		{"unaligned write", dev.WriteAt, 64*1024 + 100, 2, 1},
+		{"aligned read", dev.ReadAt, 64 * 1024, 1, 0},
+		{"unaligned read", dev.ReadAt, 64*1024 + 100, 1, 0},
+	} {
+		r0, _, w0, _ := inner.Counters()
+		if err := tc.io(buf, tc.off); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		r1, _, w1, _ := inner.Counters()
+		if r1-r0 != tc.reads || w1-w0 != tc.writes {
+			t.Errorf("%s: %d inner reads + %d inner writes, want %d + %d",
+				tc.name, r1-r0, w1-w0, tc.reads, tc.writes)
+		}
 	}
 }
 

@@ -11,36 +11,50 @@ import (
 	"revelio/internal/blockdev"
 )
 
-// parVolSize leaves room for requests several times the sharding
-// threshold, so the worker pool really runs.
-const parVolSize = headerBytes + 4*minParallelSectors*SectorSize
+// bigSectors is a request size far above minBatchSectors: 256 KiB.
+const bigSectors = 512
+
+const parVolSize = headerBytes + 4*bigSectors*SectorSize
 
 // pairVol formats two byte-identical volumes — same deterministic
-// entropy, so same master key and salts — one opened with the serial
-// engine and one with the given parallel tuning.
-func pairVol(t *testing.T, conc int) (serialRaw, parRaw *blockdev.Mem, serial, par *Device) {
+// entropy, so same master key and salts.
+func pairVol(t *testing.T) (refRaw, raw *blockdev.Mem, ref, dev *Device) {
 	t.Helper()
-	mk := func(tuning Tuning) (*blockdev.Mem, *Device) {
+	mk := func() (*blockdev.Mem, *Device) {
 		raw := blockdev.NewMem(parVolSize)
 		dev, err := Format(raw, []byte("sealing-key"), Options{
 			Iterations: 10,
 			Rand:       rand.New(rand.NewSource(7)),
-			Tuning:     tuning,
 		})
 		if err != nil {
 			t.Fatalf("Format: %v", err)
 		}
 		return raw, dev
 	}
-	serialRaw, serial = mk(Tuning{Concurrency: 1})
-	parRaw, par = mk(Tuning{Concurrency: conc})
-	return serialRaw, parRaw, serial, par
+	refRaw, ref = mk()
+	raw, dev = mk()
+	return refRaw, raw, ref, dev
 }
 
-// TestParallelMatchesSerial drives identical I/O through the serial and
-// parallel engines and requires byte-identical ciphertext on disk and
-// byte-identical plaintext on read-back — the on-disk format must not
-// depend on the engine.
+// bySector issues the request [off, off+len(p)) one sector at a time:
+// every piece stays inside one sector, so each takes the per-sector
+// engine, the reference the batched engine is compared against.
+func bySector(p []byte, off int64, io func(p []byte, off int64) error) error {
+	for len(p) > 0 {
+		n := min(int64(len(p)), SectorSize-off%SectorSize)
+		if err := io(p[:n], off); err != nil {
+			return err
+		}
+		p, off = p[n:], off+n
+	}
+	return nil
+}
+
+// TestParallelMatchesSerial drives identical bytes through a device as
+// one request and, on a twin volume, one sector at a time, and requires
+// byte-identical ciphertext on disk and byte-identical plaintext on
+// read-back either way — the on-disk format must not depend on the size
+// or alignment of the request that wrote it.
 func TestParallelMatchesSerial(t *testing.T) {
 	cases := []struct {
 		name string
@@ -55,59 +69,56 @@ func TestParallelMatchesSerial(t *testing.T) {
 		{"unaligned head", 100, 32 * SectorSize},
 		{"unaligned tail", 3 * SectorSize, 32*SectorSize + 213},
 		{"unaligned both", 37, 16*SectorSize + 41},
-		{"below parallel threshold", 0, (minParallelSectors - 1) * SectorSize},
-		{"at parallel threshold", SectorSize, minParallelSectors * SectorSize},
-		{"sharded unaligned both", 37, 3*minParallelSectors*SectorSize + 41},
-		{"whole device", 0, 4 * minParallelSectors * SectorSize},
+		{"large aligned", SectorSize, bigSectors * SectorSize},
+		{"large unaligned both", 37, 3*bigSectors*SectorSize + 41},
+		{"whole device", 0, 4 * bigSectors * SectorSize},
 	}
-	for _, conc := range []int{2, 8} {
-		serialRaw, parRaw, serial, par := pairVol(t, conc)
-		rng := rand.New(rand.NewSource(99))
-		for _, tc := range cases {
-			data := make([]byte, tc.n)
-			rng.Read(data)
-			if err := serial.WriteAt(data, tc.off); err != nil {
-				t.Fatalf("conc=%d %s: serial WriteAt: %v", conc, tc.name, err)
-			}
-			if err := par.WriteAt(data, tc.off); err != nil {
-				t.Fatalf("conc=%d %s: parallel WriteAt: %v", conc, tc.name, err)
-			}
-			if !bytes.Equal(serialRaw.Snapshot(), parRaw.Snapshot()) {
-				t.Fatalf("conc=%d %s: ciphertext diverged between engines", conc, tc.name)
-			}
-			// Cross-read: each engine decrypts what the other wrote.
-			gotSerial := make([]byte, tc.n)
-			gotPar := make([]byte, tc.n)
-			if err := serial.ReadAt(gotSerial, tc.off); err != nil {
-				t.Fatalf("conc=%d %s: serial ReadAt: %v", conc, tc.name, err)
-			}
-			if err := par.ReadAt(gotPar, tc.off); err != nil {
-				t.Fatalf("conc=%d %s: parallel ReadAt: %v", conc, tc.name, err)
-			}
-			if !bytes.Equal(gotSerial, data) || !bytes.Equal(gotPar, data) {
-				t.Fatalf("conc=%d %s: plaintext mismatch on read-back", conc, tc.name)
-			}
+	refRaw, raw, ref, dev := pairVol(t)
+	rng := rand.New(rand.NewSource(99))
+	for _, tc := range cases {
+		data := make([]byte, tc.n)
+		rng.Read(data)
+		if err := bySector(data, tc.off, ref.WriteAt); err != nil {
+			t.Fatalf("%s: per-sector WriteAt: %v", tc.name, err)
+		}
+		if err := dev.WriteAt(data, tc.off); err != nil {
+			t.Fatalf("%s: WriteAt: %v", tc.name, err)
+		}
+		if !bytes.Equal(refRaw.Snapshot(), raw.Snapshot()) {
+			t.Fatalf("%s: ciphertext differs from the per-sector reference", tc.name)
+		}
+		// Read what the one request wrote back both ways.
+		whole := make([]byte, tc.n)
+		pieces := make([]byte, tc.n)
+		if err := dev.ReadAt(whole, tc.off); err != nil {
+			t.Fatalf("%s: ReadAt: %v", tc.name, err)
+		}
+		if err := bySector(pieces, tc.off, dev.ReadAt); err != nil {
+			t.Fatalf("%s: per-sector ReadAt: %v", tc.name, err)
+		}
+		if !bytes.Equal(whole, data) || !bytes.Equal(pieces, data) {
+			t.Fatalf("%s: plaintext mismatch on read-back", tc.name)
 		}
 	}
 }
 
 // TestSerialFormattedOpensParallel is the on-disk stability check: a
-// fixture volume written entirely by the serial engine must open and
-// decrypt identically under the parallel engine, and its ciphertext must
-// match a pinned digest so format drift cannot slip in unnoticed.
+// fixture volume written entirely one sector at a time must reopen and
+// decrypt identically in a single whole-device request, and its
+// ciphertext must match a pinned digest so format drift cannot slip in
+// unnoticed.
 func TestSerialFormattedOpensParallel(t *testing.T) {
 	raw := blockdev.NewMem(testVolSize)
-	serial, err := Format(raw, []byte("fixture-key"), Options{
+	dev, err := Format(raw, []byte("fixture-key"), Options{
 		Iterations: 10,
 		Rand:       rand.New(rand.NewSource(1)),
-		Tuning:     Tuning{Concurrency: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := make([]byte, serial.Size())
+	plain := make([]byte, dev.Size())
 	rand.New(rand.NewSource(2)).Read(plain)
-	if err := serial.WriteAt(plain, 0); err != nil {
+	if err := bySector(plain, 0, dev.WriteAt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,16 +129,16 @@ func TestSerialFormattedOpensParallel(t *testing.T) {
 		t.Errorf("on-disk digest = %x, want %s (format drift!)", got, wantDigest)
 	}
 
-	par, err := OpenTuned(raw, []byte("fixture-key"), Tuning{Concurrency: 8})
+	reopened, err := Open(raw, []byte("fixture-key"))
 	if err != nil {
-		t.Fatalf("parallel open of serial-formatted volume: %v", err)
+		t.Fatalf("reopening the fixture volume: %v", err)
 	}
-	got := make([]byte, par.Size())
-	if err := par.ReadAt(got, 0); err != nil {
+	got := make([]byte, reopened.Size())
+	if err := reopened.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, plain) {
-		t.Error("parallel engine decrypted serial-formatted volume incorrectly")
+		t.Error("whole-device read decrypted the sector-written volume incorrectly")
 	}
 }
 
@@ -135,11 +146,9 @@ func TestSerialFormattedOpensParallel(t *testing.T) {
 // contract under the race detector: concurrent readers plus concurrent
 // writers to disjoint sector ranges.
 func TestConcurrentDisjointIO(t *testing.T) {
-	// Regions are one sharding threshold each, so every request below
-	// also fans out over the worker pool.
 	const regions = 8
-	raw := blockdev.NewMem(headerBytes + regions*minParallelSectors*SectorSize)
-	dev, err := Format(raw, []byte("pw"), Options{Iterations: 10, Tuning: Tuning{Concurrency: 4}})
+	raw := blockdev.NewMem(headerBytes + regions*bigSectors*SectorSize)
+	dev, err := Format(raw, []byte("pw"), Options{Iterations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,30 +191,21 @@ func TestConcurrentDisjointIO(t *testing.T) {
 }
 
 func BenchmarkCryptRead64K(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		conc int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			raw := blockdev.NewMem(headerBytes + 1<<20)
-			dev, err := Format(raw, []byte("bench"), Options{
-				Iterations: 10, Tuning: Tuning{Concurrency: mode.conc},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]byte, 64*1024)
-			if err := dev.WriteAt(make([]byte, dev.Size()), 0); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(64 * 1024)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := int64(i%(1<<20/(64*1024))) * 64 * 1024
-				if err := dev.ReadAt(buf, off); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	raw := blockdev.NewMem(headerBytes + 1<<20)
+	dev, err := Format(raw, []byte("bench"), Options{Iterations: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 64*1024)
+	if err := dev.WriteAt(make([]byte, dev.Size()), 0); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(64 * 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := int64(i%(1<<20/(64*1024))) * 64 * 1024
+		if err := dev.ReadAt(buf, off); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -26,11 +26,7 @@ func newVerifiedDevice(t testing.TB, blocks int64) *Device {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := OpenWithConfig(data, hashDev, meta, meta.RootHash,
-		Config{Concurrency: 1, CacheBlocks: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := openWorkers(t, data, hashDev, meta, Config{CacheBlocks: 512}, 1)
 	return dev
 }
 
@@ -49,16 +45,9 @@ func TestVerifiedReadZeroAllocs(t *testing.T) {
 	// 256 blocks: two leaf hash blocks under the pinned top block.
 	warm := newVerifiedDevice(t, 256)
 	bs := int64(warm.meta.BlockSize)
-	treeOnly, err := OpenWithConfig(warm.data, warm.hash, warm.meta, warm.meta.RootHash,
-		Config{Concurrency: 1, CacheBlocks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	treeOnly := openWorkers(t, warm.data, warm.hash, warm.meta, Config{CacheBlocks: 1}, 1)
 	stats := blockdev.NewStats(warm.data)
-	wide, err := OpenWithConfig(stats, warm.hash, warm.meta, warm.meta.RootHash, Config{Concurrency: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wide := openWorkers(t, stats, warm.hash, warm.meta, Config{}, 4)
 	span := make([]byte, 16*bs) // 64 KiB
 	for _, dev := range []*Device{warm, treeOnly, wide} {
 		if err := dev.ReadAt(span, 0); err != nil {

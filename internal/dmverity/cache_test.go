@@ -61,11 +61,7 @@ func TestCachedReadsNeverReturnUnverifiedBytes(t *testing.T) {
 	}
 	for seq := 0; seq < sequences; seq++ {
 		rng := rand.New(rand.NewSource(int64(seq)))
-		dev, err := OpenWithConfig(data, hashDev, meta, meta.RootHash,
-			Config{CacheBlocks: 1 + rng.Intn(12), Concurrency: 1 + 2*rng.Intn(2)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		dev := openWorkers(t, data, hashDev, meta, Config{CacheBlocks: 1 + rng.Intn(12)}, 1+2*rng.Intn(2))
 		var flips []flip
 		toggle := func(f flip) {
 			if err := f.dev.FlipBit(f.off, f.bit); err != nil {
@@ -165,10 +161,7 @@ func TestFailedReadCachesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := blockdev.NewStats(data)
-	dev, err := OpenWithConfig(stats, hashDev, meta, meta.RootHash, Config{Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := openWorkers(t, stats, hashDev, meta, Config{}, 1)
 	const k = 10
 	if err := data.FlipBit(k*DefaultBlockSize+5, 2); err != nil {
 		t.Fatal(err)
@@ -210,10 +203,7 @@ func TestVerifyAllIgnoresTheCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := OpenWithConfig(data, hashDev, meta, meta.RootHash, Config{Concurrency: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := openWorkers(t, data, hashDev, meta, Config{}, 4)
 	buf := make([]byte, 8*DefaultBlockSize)
 	if err := dev.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
@@ -243,10 +233,7 @@ func TestVerifyAllFillsFreeSlotsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := blockdev.NewStats(data)
-	roomy, err := OpenWithConfig(stats, hashDev, meta, meta.RootHash, Config{Concurrency: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	roomy := openWorkers(t, stats, hashDev, meta, Config{}, 4)
 	if err := roomy.VerifyAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +258,7 @@ func TestVerifyAllFillsFreeSlotsOnly(t *testing.T) {
 	// hot's six blocks and their leaf hash block fill the cache: the
 	// scan may keep nothing, not even the other leaf hash block.
 	const capacity = 7
-	tight, err := OpenWithConfig(data, hashDev, meta, meta.RootHash,
-		Config{Concurrency: 1, CacheBlocks: capacity})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tight := openWorkers(t, data, hashDev, meta, Config{CacheBlocks: capacity}, 1)
 	hot := []int64{150, 151, 152, 153, 154, 155}
 	if err := tight.ReadAt(buf[:len(hot)*DefaultBlockSize], hot[0]*DefaultBlockSize); err != nil {
 		t.Fatal(err)

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"io"
 	"sync"
 
 	"revelio/internal/blockdev"
@@ -73,15 +74,11 @@ type Params struct {
 	// Salt is prepended to every block before hashing (dm-verity v1
 	// semantics). May be empty.
 	Salt []byte
-	// Concurrency is the number of workers hashing blocks during Format;
-	// 0 selects GOMAXPROCS, 1 forces the serial builder. The resulting
-	// tree — and therefore the root hash — is identical at any setting.
-	Concurrency int
 }
 
-// Config tunes an opened device. Like dmcrypt.Tuning it never affects
-// what is accepted or rejected, only how fast: any root hash that opens
-// under one config opens under all of them.
+// Config tunes an opened device. It never affects what is accepted or
+// rejected, only how fast: any root hash that opens under one config
+// opens under all of them.
 type Config struct {
 	// CacheBlocks bounds the cache of verified blocks, data and hash
 	// blocks together; 0 selects DefaultCacheBlocks. A read copies the
@@ -93,10 +90,6 @@ type Config struct {
 	// hash blocks, so a capacity no larger than the tree caches the
 	// tree alone.
 	CacheBlocks int
-	// Concurrency is the number of workers verifying the data blocks of
-	// a single large read (or VerifyAll pass); 0 selects GOMAXPROCS, 1
-	// forces the serial path.
-	Concurrency int
 }
 
 // Metadata describes a built tree: everything the guest needs, besides the
@@ -115,6 +108,41 @@ type Metadata struct {
 	LevelBlocks []int64
 	// RootHash is the digest of the single top-level hash block.
 	RootHash [DigestSize]byte
+}
+
+// validate checks the geometry the (untrusted) metadata claims against
+// the two devices, so that every offset the device later computes from it
+// lies inside them: a positive block count the data device can hold, and
+// levels that each hold exactly the digests of the one below, end in a
+// single block and fit the hash device. The comparisons divide instead of
+// multiplying, so no claimed count can overflow its way past them.
+func (m *Metadata) validate(dataSize, hashSize int64) error {
+	if len(m.LevelStarts) == 0 || len(m.LevelStarts) != len(m.LevelBlocks) {
+		return fmt.Errorf("%w: inconsistent levels", ErrBadSuperblock)
+	}
+	if p := (Params{BlockSize: m.BlockSize}); p.validate() != nil {
+		return fmt.Errorf("%w: block size %d", ErrBadSuperblock, m.BlockSize)
+	}
+	bs := int64(m.BlockSize)
+	if m.DataBlocks <= 0 || m.DataBlocks > dataSize/bs {
+		return fmt.Errorf("%w: %d data blocks on a data device of %d bytes", ErrBadSuperblock, m.DataBlocks, dataSize)
+	}
+	perBlock := bs / DigestSize
+	below := m.DataBlocks
+	for l, start := range m.LevelStarts {
+		blocks := m.LevelBlocks[l]
+		if blocks != (below-1)/perBlock+1 {
+			return fmt.Errorf("%w: level %d has %d blocks for %d digests", ErrBadSuperblock, l, blocks, below)
+		}
+		if start < 0 || start > hashSize || blocks > (hashSize-start)/bs {
+			return fmt.Errorf("%w: level %d outside the hash device", ErrBadSuperblock, l)
+		}
+		below = blocks
+	}
+	if below != 1 {
+		return fmt.Errorf("%w: top level has %d blocks", ErrBadSuperblock, below)
+	}
+	return nil
 }
 
 func (p Params) validate() error {
@@ -152,6 +180,12 @@ func saltedDigest(salt, data []byte) [DigestSize]byte {
 // holding it plus the resulting metadata. The data device length must be a
 // multiple of the block size.
 func Format(data blockdev.Device, params Params) (*blockdev.Mem, *Metadata, error) {
+	return formatWorkers(data, params, parallel.Workers(0))
+}
+
+// formatWorkers is Format hashing over the given number of workers; the
+// tree — and therefore the root hash — is identical at any count.
+func formatWorkers(data blockdev.Device, params Params, workers int) (*blockdev.Mem, *Metadata, error) {
 	if err := params.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -167,10 +201,9 @@ func Format(data blockdev.Device, params Params) (*blockdev.Mem, *Metadata, erro
 	// contiguously on a fresh hash device. Each digest depends only on
 	// its own block, so every level is hashed by a sharded worker pool;
 	// workers write disjoint slots of the level slice and the result is
-	// bit-identical to the serial builder. The bottom level — by far the
+	// bit-identical at any worker count. The bottom level — by far the
 	// widest — batches its data reads instead of one round-trip per
 	// block.
-	workers := parallel.Workers(params.Concurrency)
 	levels := make([][][DigestSize]byte, 0, 8)
 	cur := make([][DigestSize]byte, dataBlocks)
 	err := parallel.Shards(workers, dataBlocks, func(lo, hi int64) error {
@@ -289,7 +322,9 @@ type Device struct {
 	top       []byte
 	lastLevel int
 
-	cache   *blockCache
+	cache *blockCache
+	// workers is how many goroutines VerifyAll and a long run of missing
+	// blocks shard over: GOMAXPROCS at open. Tests vary it.
 	workers int
 }
 
@@ -314,14 +349,8 @@ func OpenWithConfig(data, hashDev blockdev.Device, meta *Metadata, rootHash [Dig
 	if meta == nil {
 		return nil, fmt.Errorf("%w: nil metadata", ErrBadSuperblock)
 	}
-	if len(meta.LevelStarts) == 0 || len(meta.LevelStarts) != len(meta.LevelBlocks) {
-		return nil, fmt.Errorf("%w: inconsistent levels", ErrBadSuperblock)
-	}
-	if p := (Params{BlockSize: meta.BlockSize, Salt: meta.Salt}); p.validate() != nil {
-		return nil, fmt.Errorf("%w: block size %d", ErrBadSuperblock, meta.BlockSize)
-	}
-	if data.Size() < meta.DataBlocks*int64(meta.BlockSize) {
-		return nil, fmt.Errorf("%w: data device smaller than metadata claims", ErrBadSuperblock)
+	if err := meta.validate(data.Size(), hashDev.Size()); err != nil {
+		return nil, err
 	}
 	d := &Device{
 		data:      data,
@@ -330,7 +359,7 @@ func OpenWithConfig(data, hashDev blockdev.Device, meta *Metadata, rootHash [Dig
 		perBlock:  int64(meta.BlockSize / DigestSize),
 		lastLevel: len(meta.LevelStarts) - 1,
 		cache:     newBlockCache(cfg.CacheBlocks),
-		workers:   parallel.Workers(cfg.Concurrency),
+		workers:   parallel.Workers(0),
 	}
 	top := make([]byte, meta.BlockSize)
 	if err := hashDev.ReadAt(top, meta.LevelStarts[d.lastLevel]); err != nil {
@@ -564,7 +593,7 @@ func (m *Metadata) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: salt length", ErrBadSuperblock)
 	}
 	salt := make([]byte, saltLen)
-	if _, err := r.Read(salt); err != nil && saltLen > 0 {
+	if _, err := io.ReadFull(r, salt); err != nil {
 		return fmt.Errorf("%w: salt", ErrBadSuperblock)
 	}
 	var dataBlocks int64
@@ -586,7 +615,7 @@ func (m *Metadata) UnmarshalBinary(data []byte) error {
 		}
 	}
 	var root [DigestSize]byte
-	if n, err := r.Read(root[:]); err != nil || n != DigestSize {
+	if _, err := io.ReadFull(r, root[:]); err != nil {
 		return fmt.Errorf("%w: root hash", ErrBadSuperblock)
 	}
 	m.BlockSize = int(blockSize)

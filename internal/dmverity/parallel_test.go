@@ -11,6 +11,18 @@ import (
 	"revelio/internal/blockdev"
 )
 
+// openWorkers opens a device that shards VerifyAll and long runs of
+// missing blocks over the given worker count instead of GOMAXPROCS.
+func openWorkers(t testing.TB, data, hashDev blockdev.Device, meta *Metadata, cfg Config, workers int) *Device {
+	t.Helper()
+	dev, err := OpenWithConfig(data, hashDev, meta, meta.RootHash, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.workers = workers
+	return dev
+}
+
 // fixtureData returns deterministic data covering nBlocks 4 KiB blocks.
 func fixtureData(nBlocks int) []byte {
 	data := make([]byte, nBlocks*DefaultBlockSize)
@@ -24,12 +36,12 @@ func fixtureData(nBlocks int) []byte {
 func TestFormatParallelMatchesSerial(t *testing.T) {
 	data := blockdev.NewMemFrom(fixtureData(33)) // odd count: partial top blocks
 	salt := []byte("engine-salt")
-	serialHash, serialMeta, err := Format(data, Params{BlockSize: DefaultBlockSize, Salt: salt, Concurrency: 1})
+	serialHash, serialMeta, err := formatWorkers(data, Params{BlockSize: DefaultBlockSize, Salt: salt}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, conc := range []int{2, 8} {
-		parHash, parMeta, err := Format(data, Params{BlockSize: DefaultBlockSize, Salt: salt, Concurrency: conc})
+		parHash, parMeta, err := formatWorkers(data, Params{BlockSize: DefaultBlockSize, Salt: salt}, conc)
 		if err != nil {
 			t.Fatalf("conc=%d: %v", conc, err)
 		}
@@ -49,7 +61,7 @@ func TestFormatParallelMatchesSerial(t *testing.T) {
 func TestSerialFormattedRootHashPinned(t *testing.T) {
 	data := blockdev.NewMemFrom(fixtureData(16))
 	salt := []byte("revelio")
-	hashDev, meta, err := Format(data, Params{BlockSize: DefaultBlockSize, Salt: salt, Concurrency: 1})
+	hashDev, meta, err := formatWorkers(data, Params{BlockSize: DefaultBlockSize, Salt: salt}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +72,7 @@ func TestSerialFormattedRootHashPinned(t *testing.T) {
 		t.Errorf("fixture root hash = %s, want %s (format drift!)", got, wantRoot)
 	}
 
-	par, err := OpenWithConfig(data, hashDev, meta, meta.RootHash, Config{Concurrency: 8})
-	if err != nil {
-		t.Fatalf("parallel open of serial-formatted image: %v", err)
-	}
+	par := openWorkers(t, data, hashDev, meta, Config{}, 8)
 	if err := par.VerifyAll(); err != nil {
 		t.Errorf("parallel VerifyAll on serial-formatted image: %v", err)
 	}
@@ -78,14 +87,8 @@ func TestParallelReadMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := OpenWithConfig(data, hashDev, meta, meta.RootHash, Config{Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := OpenWithConfig(data, hashDev, meta, meta.RootHash, Config{Concurrency: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := openWorkers(t, data, hashDev, meta, Config{}, 1)
+	par := openWorkers(t, data, hashDev, meta, Config{}, 8)
 	cases := []struct {
 		name string
 		off  int64
@@ -143,10 +146,8 @@ func TestParallelCorruptionFailsClosed(t *testing.T) {
 			if err := tc.corrupt(data, hashDev); err != nil {
 				t.Fatal(err)
 			}
-			dev, err := OpenWithConfig(data, hashDev, meta, meta.RootHash, Config{Concurrency: 8})
-			if err != nil {
-				t.Fatal(err) // top block untouched; open must succeed
-			}
+			// The top block is untouched, so open must succeed.
+			dev := openWorkers(t, data, hashDev, meta, Config{}, 8)
 			var mismatch *MismatchError
 			buf := make([]byte, dev.Size())
 			if err := dev.ReadAt(buf, 0); !errors.As(err, &mismatch) {
@@ -187,11 +188,7 @@ func TestCacheEvictionStaysFailClosed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dev, err := OpenWithConfig(data, hashDev, meta, meta.RootHash,
-				Config{Concurrency: 1, CacheBlocks: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			dev := openWorkers(t, data, hashDev, meta, Config{CacheBlocks: 2}, 1)
 			buf := make([]byte, DefaultBlockSize)
 			if err := dev.ReadAt(buf, 0); err != nil {
 				t.Fatal(err)
@@ -231,10 +228,7 @@ func TestCacheSpeedsRepeatReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := blockdev.NewStats(hashDev)
-	dev, err := OpenWithConfig(data, stats, meta, meta.RootHash, Config{Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := openWorkers(t, data, stats, meta, Config{}, 1)
 	buf := make([]byte, dev.Size())
 	if err := dev.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
@@ -262,11 +256,7 @@ func TestConcurrentVerifiedReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, capacity := range []int{8, DefaultCacheBlocks} {
-		dev, err := OpenWithConfig(data, hashDev, meta, meta.RootHash,
-			Config{Concurrency: 4, CacheBlocks: capacity})
-		if err != nil {
-			t.Fatal(err)
-		}
+		dev := openWorkers(t, data, hashDev, meta, Config{CacheBlocks: capacity}, 4)
 		var wg sync.WaitGroup
 		errs := make(chan error, 16)
 		for g := 0; g < 16; g++ {

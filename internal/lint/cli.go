@@ -1,65 +1,27 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"revelio/internal/lint/load"
 )
 
-// selfID hashes the running executable for the -V=full handshake.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer func() { _ = f.Close() }()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return hex.EncodeToString(h.Sum(nil)[:12])
-}
-
-// Main is the revelio-lint CLI: the direct package loader, the -list
-// and -run selection flags, and cmd/go's vettool protocol. It returns
-// the process exit code; cmd/revelio-lint (through the public
-// revelio/lint facade) is a thin wrapper over it.
+// Main is the revelio-lint CLI: the package loader and the -list and
+// -run selection flags. It returns the process exit code;
+// cmd/revelio-lint (through the public revelio/lint facade) is a thin
+// wrapper over it.
 func Main(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("revelio-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	listFlag := fs.Bool("list", false, "list analyzers and exit")
 	runFlag := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-	versionFlag := fs.String("V", "", "print version for cmd/go's vettool handshake (-V=full)")
-	flagsFlag := fs.Bool("flags", false, "print the tool's flag definitions as JSON for cmd/go")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	// cmd/go probes the tool's identity before using it as a vettool.
-	// With a "devel" version the final field must be a buildID; deriving
-	// it from the binary's own content hash makes go vet's result cache
-	// invalidate exactly when the tool is rebuilt.
-	if *versionFlag != "" {
-		fmt.Fprintf(stdout, "revelio-lint version devel buildID=%s\n", selfID())
-		return 0
-	}
-	// …and asks for the flags it may forward from the go vet command
-	// line. We expose none beyond the protocol's own, so the answer is
-	// the empty set.
-	if *flagsFlag {
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
 	if *listFlag {
 		for _, a := range Suite() {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
@@ -75,11 +37,6 @@ func Main(args []string, stdout, stderr *os.File) int {
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
-	}
-
-	// Vettool mode: cmd/go hands us one JSON package config.
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVettool(rest[0], analyzers, stderr)
 	}
 
 	root, err := load.ModuleRoot(".")

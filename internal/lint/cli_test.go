@@ -2,12 +2,8 @@ package lint
 
 import (
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"revelio/internal/lint/load"
 )
 
 // capture runs the CLI with stdout/stderr redirected to temp files and
@@ -46,17 +42,6 @@ func TestListFlag(t *testing.T) {
 	}
 }
 
-func TestVersionHandshake(t *testing.T) {
-	// cmd/go probes -V=full before trusting a vettool.
-	code, out, _ := capture(t, "-V=full")
-	if code != 0 {
-		t.Fatalf("-V=full exited %d", code)
-	}
-	if !strings.Contains(out, "revelio-lint version") {
-		t.Errorf("handshake output %q lacks the version banner", out)
-	}
-}
-
 func TestUnknownAnalyzer(t *testing.T) {
 	code, _, errOut := capture(t, "-run", "nosuch", "./...")
 	if code != 2 {
@@ -68,7 +53,7 @@ func TestUnknownAnalyzer(t *testing.T) {
 }
 
 // TestLintPackageClean is satellite coverage for "the suite is clean on
-// itself": direct-loader mode over internal/lint and this command.
+// itself": the CLI over internal/lint and this command.
 func TestLintPackageClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes go list -export")
@@ -76,30 +61,5 @@ func TestLintPackageClean(t *testing.T) {
 	code, out, errOut := capture(t, "./internal/lint/...", "./lint/...", "./cmd/revelio-lint/...")
 	if code != 0 {
 		t.Fatalf("revelio-lint on its own packages exited %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
-	}
-}
-
-// TestVettoolProtocol builds the binary and rides go vet's unitchecker
-// protocol over the lint packages themselves — the -V handshake, the
-// JSON .cfg, and the .vetx facts file all have to work for this to
-// exit 0.
-func TestVettoolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the vettool binary and runs go vet")
-	}
-	root, err := load.ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := filepath.Join(t.TempDir(), "revelio-lint")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/revelio-lint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building vettool: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./internal/lint/...")
-	vet.Dir = root
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool: %v\n%s", err, out)
 	}
 }

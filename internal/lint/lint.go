@@ -31,34 +31,12 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
-	"strings"
 
 	"revelio/internal/lint/analysis"
 	"revelio/internal/lint/load"
 )
-
-// withoutTestFiles returns a shallow copy of pkg with _test.go files
-// dropped, or nil when nothing needs dropping.
-func withoutTestFiles(pkg *load.Package) *load.Package {
-	var kept []*ast.File
-	dropped := false
-	for _, f := range pkg.Files {
-		if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
-			dropped = true
-			continue
-		}
-		kept = append(kept, f)
-	}
-	if !dropped {
-		return nil
-	}
-	copied := *pkg
-	copied.Files = kept
-	return &copied
-}
 
 // Suite returns the full analyzer suite in stable order.
 func Suite() []*analysis.Analyzer {
@@ -103,20 +81,10 @@ func (f Finding) String() string {
 // through the package's //revelio:allow directives, audits those
 // directives, and returns the surviving findings in source order.
 //
-// Test files and test-variant packages are out of scope: the invariants
-// govern production code, and tests legitimately sleep, mint root
-// contexts, and poke guarded fields. (The direct loader never sees test
-// files; this filter is for go vet's vettool mode, whose package
-// configs include them.)
+// Test files are out of scope: the invariants govern production code, and
+// tests legitimately sleep, mint root contexts, and poke guarded fields.
+// The loader never hands them over (`go list`'s GoFiles excludes them).
 func Run(pkg *load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	if strings.Contains(pkg.PkgPath, " [") ||
-		strings.HasSuffix(pkg.PkgPath, ".test") ||
-		strings.HasSuffix(pkg.PkgPath, "_test") {
-		return nil, nil
-	}
-	if filtered := withoutTestFiles(pkg); filtered != nil {
-		pkg = filtered
-	}
 	var findings []Finding
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {

@@ -1,14 +1,11 @@
-// Package parallel is the shard scheduler under Revelio's concurrent
-// storage engine (internal/dmcrypt, internal/dmverity).
+// Package parallel is the shard scheduler under internal/dmverity's
+// whole-device passes (Format, VerifyAll) and long runs of missing blocks.
 //
-// Storage requests decompose into per-sector (dm-crypt) or per-block
-// (dm-verity) units that are independent by construction — XTS tweaks and
-// Merkle leaves depend only on the unit's index, never on its neighbours —
-// so a request can be split into contiguous index ranges and processed by
-// a pool of workers without changing any byte that hits the disk. This
-// package owns that splitting so both targets shard identically and the
-// tuning knob ("Concurrency" throughout the repo) means the same thing
-// everywhere.
+// That work decomposes into per-block units that are independent by
+// construction — a Merkle leaf depends only on its block's bytes and
+// index, never on its neighbours — so it can be split into contiguous
+// index ranges and processed by a pool of workers without changing any
+// byte of the tree or any verdict.
 package parallel
 
 import (
@@ -16,7 +13,7 @@ import (
 	"sync"
 )
 
-// Workers resolves a concurrency knob: values <= 0 select GOMAXPROCS,
+// Workers resolves a worker count: values <= 0 select GOMAXPROCS,
 // everything else passes through. A result of 1 means "stay serial".
 func Workers(n int) int {
 	if n <= 0 {

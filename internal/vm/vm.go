@@ -42,7 +42,6 @@ import (
 	"revelio/internal/netguard"
 	"revelio/internal/rootfs"
 	"revelio/internal/sev"
-	"revelio/internal/vtpm"
 )
 
 var (
@@ -107,23 +106,7 @@ type BootConfig struct {
 	Domain string
 	// Rand supplies identity-key entropy; nil selects crypto/rand.
 	Rand io.Reader
-	// SkipVerify skips the full-rootfs verification pass (the service is
-	// part of Table 1; benches toggle it for ablation). Per-read
-	// verification still happens.
-	SkipVerify bool
-	// EnableVTPM attaches a virtual TPM and measures every started
-	// service binary into PCR ServicePCR — the runtime-monitoring
-	// extension of §7 (Narayanan et al.).
-	EnableVTPM bool
-	// StorageConcurrency tunes the dm-crypt/dm-verity engines for this
-	// guest: 0 selects GOMAXPROCS, 1 reproduces the paper's serial
-	// storage methodology (the Table 1 boot-delay configuration). The
-	// setting never changes bytes on disk or what verifies.
-	StorageConcurrency int
 }
-
-// ServicePCR is the vTPM register runtime service starts extend.
-const ServicePCR = 8
 
 // VM is a booted Revelio guest.
 type VM struct {
@@ -136,7 +119,6 @@ type VM struct {
 	timings     BootTimings
 	measurement measure.Measurement
 	domain      string
-	vtpm        *vtpm.VTPM
 }
 
 // Boot runs the genuine init sequence inside the launched guest.
@@ -186,21 +168,18 @@ func Boot(guest *hypervisor.Guest, cfg BootConfig) (*VM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vm: hash tree partition: %w", err)
 	}
-	verityDev, err := dmverity.OpenWithConfig(blockdev.NewReadOnly(rootPart), treeDev, &meta, rootHash,
-		dmverity.Config{Concurrency: cfg.StorageConcurrency})
+	verityDev, err := dmverity.Open(blockdev.NewReadOnly(rootPart), treeDev, &meta, rootHash)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrRootfsVerification, err)
 	}
 	v.timings.DmVeritySetup = time.Since(t0)
 
 	// Full verification pass (the rootfs verification service).
-	if !cfg.SkipVerify {
-		t0 = time.Now()
-		if err := verityDev.VerifyAll(); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrRootfsVerification, err)
-		}
-		v.timings.DmVerityVerify = time.Since(t0)
+	t0 = time.Now()
+	if err := verityDev.VerifyAll(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrRootfsVerification, err)
 	}
+	v.timings.DmVerityVerify = time.Since(t0)
 
 	// Mount the rootfs and load the measured network policy.
 	if v.fs, err = rootfs.Mount(verityDev); err != nil {
@@ -223,12 +202,11 @@ func Boot(guest *hypervisor.Guest, cfg BootConfig) (*VM, error) {
 		return nil, err
 	}
 	t0 = time.Now()
-	tuning := dmcrypt.Tuning{Concurrency: cfg.StorageConcurrency}
-	v.persist, err = dmcrypt.OpenTuned(persistPart, sealingKey, tuning)
+	v.persist, err = dmcrypt.Open(persistPart, sealingKey)
 	switch {
 	case errors.Is(err, dmcrypt.ErrBadHeader):
 		v.timings.FirstBoot = true
-		v.persist, err = dmcrypt.Format(persistPart, sealingKey, dmcrypt.Options{Tuning: tuning})
+		v.persist, err = dmcrypt.Format(persistPart, sealingKey, dmcrypt.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("vm: format persistent volume: %w", err)
 		}
@@ -244,11 +222,7 @@ func Boot(guest *hypervisor.Guest, cfg BootConfig) (*VM, error) {
 	}
 	v.timings.IdentityCreation = time.Since(t0)
 
-	// Start services: each start reads the binary through dm-verity and,
-	// with the vTPM enabled, measures it into the runtime PCR.
-	if cfg.EnableVTPM {
-		v.vtpm = vtpm.New(v)
-	}
+	// Start services: each start reads the binary through dm-verity.
 	t0 = time.Now()
 	svcJSON, err := v.fs.ReadFile(imagebuild.ServicesPath)
 	if err != nil {
@@ -258,14 +232,8 @@ func Boot(guest *hypervisor.Guest, cfg BootConfig) (*VM, error) {
 		return nil, fmt.Errorf("vm: parse services manifest: %w", err)
 	}
 	for _, svc := range v.services {
-		bin, err := v.fs.ReadFile("usr/bin/" + svc.Name)
-		if err != nil {
+		if _, err := v.fs.ReadFile("usr/bin/" + svc.Name); err != nil {
 			return nil, fmt.Errorf("vm: start service %q: %w", svc.Name, err)
-		}
-		if v.vtpm != nil {
-			if err := v.vtpm.Extend(ServicePCR, bin, "service:"+svc.Name); err != nil {
-				return nil, fmt.Errorf("vm: measure service %q: %w", svc.Name, err)
-			}
 		}
 	}
 	v.timings.ServiceStartup = time.Since(t0)
@@ -340,6 +308,3 @@ func (v *VM) Services() []imagebuild.ServiceSpec {
 func (v *VM) Report(data sev.ReportData) (*sev.Report, error) {
 	return v.channel.Channel.Report(data)
 }
-
-// VTPM returns the runtime-measurement TPM, or nil if not enabled.
-func (v *VM) VTPM() *vtpm.VTPM { return v.vtpm }

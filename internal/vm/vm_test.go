@@ -291,75 +291,3 @@ func TestFreshReportMatchesBootMeasurement(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSkipVerifyStillVerifiesPerRead(t *testing.T) {
-	r := newRig(t)
-	v, err := Boot(r.guest, BootConfig{
-		Disk: r.img.Disk, Table: r.img.Table, Domain: "x", SkipVerify: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Timings().DmVerityVerify != 0 {
-		t.Error("verify pass ran despite SkipVerify")
-	}
-	if _, err := v.FS().ReadFile(imagebuild.ReleasePath); err != nil {
-		t.Errorf("read through verity: %v", err)
-	}
-}
-
-// TestVTPMRuntimeMeasurement: with the vTPM enabled, boot measures every
-// service binary into the runtime PCR, and identical boots agree on it.
-func TestVTPMRuntimeMeasurement(t *testing.T) {
-	r := newRig(t)
-	v, err := Boot(r.guest, BootConfig{
-		Disk: r.img.Disk, Table: r.img.Table, Domain: "x", EnableVTPM: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tpm := v.VTPM()
-	if tpm == nil {
-		t.Fatal("vTPM not attached")
-	}
-	pcr, err := tpm.PCR(ServicePCR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var zero [32]byte
-	if pcr == zero {
-		t.Error("service PCR not extended")
-	}
-	if got := len(tpm.EventLog()); got != len(v.Services()) {
-		t.Errorf("event log has %d entries, want %d", got, len(v.Services()))
-	}
-
-	// A second boot of the same image yields the same runtime PCR.
-	guest2, err := hypervisor.New(r.sp).Launch(hypervisor.Config{
-		Firmware: r.fw,
-		Blobs: hypervisor.BootBlobs{
-			Kernel: r.img.Kernel, Initrd: r.img.Initrd, Cmdline: r.img.Cmdline,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := Boot(guest2, BootConfig{
-		Disk: r.img.Disk, Table: r.img.Table, Domain: "x", EnableVTPM: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcr2, err := v2.VTPM().PCR(ServicePCR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pcr != pcr2 {
-		t.Error("identical boots disagree on runtime PCR")
-	}
-
-	// Without the flag there is no vTPM.
-	if v3 := bootRig(t, newRig(t)); v3.VTPM() != nil {
-		t.Error("vTPM attached without EnableVTPM")
-	}
-}

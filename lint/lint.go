@@ -3,11 +3,11 @@
 // fail-closed error taxonomy, deterministic time/rand seams, the
 // context-first lifecycle, sync.Pool scratch discipline, and mutex
 // guard annotations — mechanized as go/analysis-style analyzers.
-// cmd/revelio-lint is the CLI over this package; the analyzers and
-// both driver pipelines (the direct loader and cmd/go's vettool
-// protocol) live in revelio/internal/lint. See DESIGN.md's "Static
-// analysis" for the invariant table, the //revelio:allow suppression
-// policy, and the recipe for adding an analyzer.
+// cmd/revelio-lint is the CLI over this package; the analyzers, the
+// package loader and the driver live in revelio/internal/lint. See
+// DESIGN.md's "Static analysis" for the invariant table, the
+// //revelio:allow suppression policy, and the recipe for adding an
+// analyzer.
 package lint
 
 import (
@@ -16,9 +16,9 @@ import (
 	"revelio/internal/lint"
 )
 
-// Main runs the revelio-lint command line — package patterns in direct
-// mode, or a cmd/go .cfg in go vet -vettool mode — and returns the
-// process exit code: 0 clean, 1 findings, 2 usage or load failure.
+// Main runs the revelio-lint command line over the given package
+// patterns and returns the process exit code: 0 clean, 1 findings,
+// 2 usage or load failure.
 func Main(args []string, stdout, stderr *os.File) int {
 	return lint.Main(args, stdout, stderr)
 }
