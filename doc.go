@@ -28,8 +28,11 @@
 //	revelio/gateway              — the attested gateway data plane: a
 //	                               TLS-terminating reverse proxy whose
 //	                               RA-TLS upstreams balance across every
-//	                               attested node (Service.ServeGateway),
-//	                               with circuit breakers, retry budgets,
+//	                               attested node of a Fleet (gateway.New
+//	                               with Source: fleet, Verifier:
+//	                               fleet.Mux(), GetCertificate:
+//	                               fleet.ServingCertificate), with
+//	                               circuit breakers, retry budgets,
 //	                               deadline propagation, and load
 //	                               shedding (Config.Resilience), plus
 //	                               context-aware routing policy: path
@@ -43,8 +46,9 @@
 //	                               boundary, ic)
 //	revelio/bench                — the experiment harness
 //
-// Every lifecycle operation is context-first (AddNode, RemoveNode,
-// RebootNode, SetFirmware, Provision, fleet scenarios): cancellation
+// Every lifecycle operation is context-first (Provision, RebootNode,
+// SetFirmware on a Service; AddNode, RemoveNode and the fleet scenarios
+// on a Fleet, the one membership owner): cancellation
 // surfaces as a wrapped context error, never poisons a fail-closed
 // cache, and never leaves a half-joined node behind. Verification
 // failures map onto the attestation taxonomy, so callers branch with

@@ -14,7 +14,7 @@ import (
 // node — joins during a staged rollout boot the new firmware — then
 // judge the canary bad and abort: canary nodes are removed first, the
 // abort revokes the canary measurement, and the fleet re-verifies on
-// the restored golden. A gateway subscribed to this fleet steers
+// the restored golden. A gateway over this fleet steers
 // traffic by the same snapshot (see revelio/gateway's Routing example
 // and examples/canary for the full data-plane loop).
 func ExampleNewFleet_canaryRollout() {

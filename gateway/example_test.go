@@ -9,8 +9,8 @@ import (
 // ExampleRouting builds the routing policy from OPERATIONS.md: a path
 // class pinned to high-TCB SEV-SNP nodes, a zone-pinned class, a 3:1
 // provider split, and canary routing for staged firmware rollouts. The
-// policy plugs into gateway.Config.Routing (or Service.ServeGateway's
-// config); its zero value routes exactly like the pre-policy gateway.
+// policy plugs into gateway.Config.Routing; its zero value routes
+// exactly like the pre-policy gateway.
 func ExampleRouting() {
 	routing := gateway.Routing{
 		// Hard rules: first PathPrefix match wins, and a request whose

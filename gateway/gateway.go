@@ -3,12 +3,13 @@
 // attested nodes, dialing every upstream over RA-TLS so a node that
 // stops proving its measured state is ejected from rotation.
 //
-// The usual wiring is one call on the facade — Service.ServeGateway —
-// or, for a churning fleet, a gateway over the fleet's serving view:
+// The usual wiring is a gateway over a fleet — the fleet owns the
+// membership, the gateway pulls its serving view on every request and
+// every probe tick:
 //
 //	f, err := revelio.NewFleet(ctx, revelio.FleetConfig{Nodes: 8})
 //	gw, err := gateway.New(gateway.Config{
-//		Source:         f,                      // subscribable serving view
+//		Source:         f,                      // the fleet's serving view
 //		Verifier:       f.Mux(),                // RA-TLS upstream trust
 //		GetCertificate: f.ServingCertificate,   // downstream termination
 //	})
@@ -48,8 +49,8 @@ type (
 	Gateway = igateway.Gateway
 	// Config describes a gateway (source, verifier, certificate).
 	Config = igateway.Config
-	// Source publishes the serving view a gateway routes over. Fleet
-	// implements it; View adapts any other membership owner.
+	// Source publishes the serving view a gateway routes over; Fleet
+	// implements it.
 	Source = igateway.Source
 	// Stats is a point-in-time picture of the data plane.
 	Stats = igateway.Stats
@@ -68,9 +69,6 @@ type (
 	// staged rollout: steer Weight percent to the new measurement,
 	// auto-rollback past MaxFailureRate over MinSamples attempts.
 	CanaryConfig = igateway.CanaryConfig
-	// View is a standalone publishable serving view with the same drain
-	// semantics as the fleet engine's.
-	View = igateway.View
 
 	// Snapshot is one immutable version of a serving view.
 	Snapshot = fleet.Snapshot
@@ -111,7 +109,3 @@ var (
 
 // New builds a gateway over cfg; Start opens its TLS listener.
 func New(cfg Config) (*Gateway, error) { return igateway.New(cfg) }
-
-// NewView creates a publishable serving view (version 1) for sources
-// other than a Fleet.
-func NewView(domain string, eps ...Endpoint) *View { return igateway.NewView(domain, eps...) }

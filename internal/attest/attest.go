@@ -112,7 +112,7 @@ type Verifier struct {
 
 	reports   *proofCache // report digest -> proof; nil = disabled
 	chains    *proofCache // VCEK DER / ASK+ARK DER digest -> proof; nil = disabled
-	cacheSize int
+	noCache   bool
 	policyRev atomic.Uint64
 
 	reportsVerified, linksVerified  atomic.Uint64
@@ -186,15 +186,10 @@ func WithClock(now func() time.Time) Option { return func(v *Verifier) { v.now =
 // firmware underneath it is not).
 func WithMinTCB(tcb uint64) Option { return func(v *Verifier) { v.minTCB = tcb } }
 
-// WithReportCache bounds the verified-report and VCEK-chain proof caches
-// (default DefaultReportCacheSize entries each). A non-positive n also
-// selects the default — use WithoutReportCache to disable caching.
-func WithReportCache(n int) Option { return func(v *Verifier) { v.cacheSize = n } }
-
 // WithoutReportCache disables proof caching entirely: every VerifyReport
 // re-runs the full cryptographic pipeline. This is the pre-fast-path
 // behaviour, kept for benchmarking the cold path.
-func WithoutReportCache() Option { return func(v *Verifier) { v.cacheSize = -1 } }
+func WithoutReportCache() Option { return func(v *Verifier) { v.noCache = true } }
 
 // NewVerifier creates a verifier fetching certificates from source
 // (typically a *kds.Client, but any CertSource works) and judging
@@ -205,9 +200,9 @@ func NewVerifier(source CertSource, policy TrustPolicy, opts ...Option) *Verifie
 	for _, o := range opts {
 		o(v)
 	}
-	if v.cacheSize >= 0 {
-		v.reports = newProofCache(v.cacheSize)
-		v.chains = newProofCache(v.cacheSize)
+	if !v.noCache {
+		v.reports = newProofCache()
+		v.chains = newProofCache()
 	}
 	return v
 }

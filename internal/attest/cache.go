@@ -9,9 +9,9 @@ import (
 	"revelio/internal/sev"
 )
 
-// DefaultReportCacheSize bounds the verifier's proof caches (entries
-// across all shards, for each of the report and VCEK-chain caches).
-const DefaultReportCacheSize = 4096
+// reportCacheSize bounds the verifier's proof caches (entries across all
+// shards, for each of the report and VCEK-chain caches).
+const reportCacheSize = 4096
 
 // proofKey is the SHA-256 of the evidence being memoized: the full
 // serialized report (signed bytes plus signature) for report proofs, or
@@ -60,9 +60,6 @@ type proof struct {
 // busy node) don't serialize on one mutex.
 type proofCache = cache.Cache[proofKey, proof]
 
-func newProofCache(capacity int) *proofCache {
-	if capacity <= 0 {
-		capacity = DefaultReportCacheSize
-	}
-	return cache.NewSharded[proofKey, proof](capacity, func(k proofKey) uint8 { return k[0] })
+func newProofCache() *proofCache {
+	return cache.NewSharded[proofKey, proof](reportCacheSize, func(k proofKey) uint8 { return k[0] })
 }

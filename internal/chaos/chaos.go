@@ -714,6 +714,10 @@ func (r *run) crashJoin(ctx context.Context, which int) error {
 	size := r.f.Size()
 	r.f.SetCrashHook(func(p fleet.CrashPoint) error {
 		if p == point {
+			// Stats takes the fleet's admission to pull the view; a
+			// crash point sits between the join's locked sections, so
+			// reading the gateway from here must not deadlock.
+			_ = r.gw.Stats()
 			return errInjected
 		}
 		return nil
@@ -774,7 +778,17 @@ func (r *run) expiryWave(ctx context.Context) error {
 	r.f.SetClockSkew(0)
 	restored = true
 	r.f.Deployment().Verifier.InvalidatePolicy()
-	return r.probeServes(ctx, 3, 10*time.Second)
+	if err := r.probeServes(ctx, 3, 10*time.Second); err != nil {
+		return err
+	}
+	// The wave's failed handshakes also fed the breakers, and concurrent
+	// traffic can trip one before the ejection takes its node out. A
+	// breaker re-closes only through a probe, a dwell later: that is
+	// still the wave, so it ends inside the wave's fault window (the next
+	// event may need that very node, as a zone burst does).
+	return r.waitGateway(10*time.Second, func(s gateway.Stats) bool {
+		return len(s.BreakerOpen) == 0
+	}, "breakers never re-closed after the expiry wave healed")
 }
 
 // crashRollout crashes a rolling upgrade between replacements, asserts

@@ -13,15 +13,14 @@ import (
 // attestationExpired is the error class an expiry wave must surface.
 var attestationExpired = attestation.ErrEvidenceExpired
 
-// coherent asserts the gateway's routing state tracks the fleet: the
-// gateway has observed the current serving-view version, and neither an
-// ejection nor an open breaker references an endpoint that no longer
-// exists (no ghost state for departed nodes). The view propagates
-// through a subscription, so the check polls briefly. Routed profiles
-// add the zone-pinning invariant: across everything the schedule has
-// done so far, not one request under the zone-pinned path class may
-// have reached an out-of-zone node — the per-node app counters (which
-// survive a node's departure) are the evidence.
+// coherent asserts the gateway's routing state tracks the fleet: neither
+// an ejection nor an open breaker references an endpoint that no longer
+// exists (no ghost state for departed nodes). Stats pulls the fleet's
+// current view before it reports, so there is nothing to wait for.
+// Routed profiles add the zone-pinning invariant: across everything the
+// schedule has done so far, not one request under the zone-pinned path
+// class may have reached an out-of-zone node — the per-node app counters
+// (which survive a node's departure) are the evidence.
 func (r *run) coherent() error {
 	if r.cfg.Routed {
 		for _, a := range r.appList() {
@@ -31,43 +30,26 @@ func (r *run) coherent() error {
 			}
 		}
 	}
-	deadline := r.clock.Now().Add(5 * time.Second)
-	for {
-		snap := r.f.Endpoints()
-		s := r.gw.Stats()
-		ghost, list := "", ""
-		if s.ViewVersion >= snap.Version {
-			known := make(map[string]bool, len(snap.Endpoints))
-			for _, ep := range snap.Endpoints {
-				known[ep.UpstreamAddr] = true
-			}
-			for _, addr := range s.Ejected {
-				if !known[addr] {
-					ghost, list = addr, "ejection"
-					break
-				}
-			}
-			if ghost == "" {
-				for _, addr := range s.BreakerOpen {
-					if !known[addr] {
-						ghost, list = addr, "open breaker"
-						break
-					}
-				}
-			}
-			if ghost == "" {
-				return nil
-			}
-		}
-		if r.clock.Now().After(deadline) {
-			if ghost != "" {
-				return fmt.Errorf("gateway %s references departed endpoint %s (view v%d, gateway v%d)",
-					list, ghost, snap.Version, s.ViewVersion)
-			}
-			return fmt.Errorf("gateway never observed view v%d (still at v%d)", snap.Version, s.ViewVersion)
-		}
-		r.clock.Sleep(5 * time.Millisecond)
+	snap := r.f.Endpoints()
+	s := r.gw.Stats()
+	if s.ViewVersion < snap.Version {
+		return fmt.Errorf("gateway stats report view v%d, fleet is at v%d", s.ViewVersion, snap.Version)
 	}
+	known := make(map[string]bool, len(snap.Endpoints))
+	for _, ep := range snap.Endpoints {
+		known[ep.UpstreamAddr] = true
+	}
+	for _, addr := range s.Ejected {
+		if !known[addr] {
+			return fmt.Errorf("gateway ejection references departed endpoint %s (view v%d)", addr, snap.Version)
+		}
+	}
+	for _, addr := range s.BreakerOpen {
+		if !known[addr] {
+			return fmt.Errorf("gateway open breaker references departed endpoint %s (view v%d)", addr, snap.Version)
+		}
+	}
+	return nil
 }
 
 // probeServes requires `consecutive` back-to-back successful requests

@@ -36,7 +36,7 @@ func newVerifiedDevice(t testing.TB, blocks int64) *Device {
 // hash block and, data never displacing hash blocks, nothing else) uses
 // pooled scratch and pooled SHA-256 states. Serving cached blocks is a
 // plain copy on the caller's goroutine, whatever the worker count:
-// parallel.Shards allocates its WaitGroup and closures, so zero
+// shards allocates its WaitGroup and closures, so zero
 // allocations on the multi-block read also proves there was no fan-out.
 func TestVerifiedReadZeroAllocs(t *testing.T) {
 	if race.Enabled {

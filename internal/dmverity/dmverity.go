@@ -29,10 +29,10 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"runtime"
 	"sync"
 
 	"revelio/internal/blockdev"
-	"revelio/internal/parallel"
 )
 
 const (
@@ -180,7 +180,7 @@ func saltedDigest(salt, data []byte) [DigestSize]byte {
 // holding it plus the resulting metadata. The data device length must be a
 // multiple of the block size.
 func Format(data blockdev.Device, params Params) (*blockdev.Mem, *Metadata, error) {
-	return formatWorkers(data, params, parallel.Workers(0))
+	return formatWorkers(data, params, runtime.GOMAXPROCS(0))
 }
 
 // formatWorkers is Format hashing over the given number of workers; the
@@ -206,7 +206,7 @@ func formatWorkers(data blockdev.Device, params Params, workers int) (*blockdev.
 	// block.
 	levels := make([][][DigestSize]byte, 0, 8)
 	cur := make([][DigestSize]byte, dataBlocks)
-	err := parallel.Shards(workers, dataBlocks, func(lo, hi int64) error {
+	err := shards(workers, dataBlocks, func(lo, hi int64) error {
 		batch := int64(formatBatchBlocks)
 		if hi-lo < batch {
 			batch = hi - lo
@@ -239,7 +239,7 @@ func formatWorkers(data blockdev.Device, params Params, workers int) (*blockdev.
 		}
 		next := make([][DigestSize]byte, numBlocks)
 		prev := cur
-		err := parallel.Shards(workers, numBlocks, func(lo, hi int64) error {
+		err := shards(workers, numBlocks, func(lo, hi int64) error {
 			block := make([]byte, params.BlockSize)
 			for b := lo; b < hi; b++ {
 				clear(block)
@@ -359,7 +359,7 @@ func OpenWithConfig(data, hashDev blockdev.Device, meta *Metadata, rootHash [Dig
 		perBlock:  int64(meta.BlockSize / DigestSize),
 		lastLevel: len(meta.LevelStarts) - 1,
 		cache:     newBlockCache(cfg.CacheBlocks),
-		workers:   parallel.Workers(0),
+		workers:   runtime.GOMAXPROCS(0),
 	}
 	top := make([]byte, meta.BlockSize)
 	if err := hashDev.ReadAt(top, meta.LevelStarts[d.lastLevel]); err != nil {
@@ -493,7 +493,7 @@ func (d *Device) readMisses(p []byte, off, first, n int64) error {
 	if d.workers == 1 || n < minParallelBlocks {
 		return d.verifyRun(first, n, p, off)
 	}
-	return parallel.Shards(d.workers, n, func(lo, hi int64) error {
+	return shards(d.workers, n, func(lo, hi int64) error {
 		return d.verifyRun(first+lo, hi-lo, p, off)
 	})
 }
@@ -550,7 +550,7 @@ func (d *Device) Size() int64 { return d.meta.DataBlocks * int64(d.meta.BlockSiz
 // has just verified fill free cache slots, so the reads that follow a
 // boot do not hash them a second time.
 func (d *Device) VerifyAll() error {
-	return parallel.Shards(d.workers, d.meta.DataBlocks, func(lo, hi int64) error {
+	return shards(d.workers, d.meta.DataBlocks, func(lo, hi int64) error {
 		return d.verifyRun(lo, hi-lo, nil, 0)
 	})
 }

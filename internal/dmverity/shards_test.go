@@ -1,4 +1,4 @@
-package parallel
+package dmverity
 
 import (
 	"errors"
@@ -6,24 +6,12 @@ import (
 	"testing"
 )
 
-func TestWorkersResolution(t *testing.T) {
-	if Workers(4) != 4 {
-		t.Errorf("Workers(4) = %d", Workers(4))
-	}
-	if Workers(0) < 1 {
-		t.Errorf("Workers(0) = %d, want >= 1", Workers(0))
-	}
-	if Workers(-3) != Workers(0) {
-		t.Errorf("Workers(-3) = %d, want GOMAXPROCS", Workers(-3))
-	}
-}
-
 func TestShardsCoverRangeExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 64} {
 		for _, n := range []int64{0, 1, 2, 5, 63, 64, 65, 1000} {
 			var count atomic.Int64
 			seen := make([]atomic.Bool, n)
-			err := Shards(workers, n, func(lo, hi int64) error {
+			err := shards(workers, n, func(lo, hi int64) error {
 				if lo < 0 || hi > n || lo >= hi {
 					return errors.New("bad shard bounds")
 				}
@@ -47,7 +35,7 @@ func TestShardsCoverRangeExactlyOnce(t *testing.T) {
 
 func TestShardsReportError(t *testing.T) {
 	want := errors.New("shard failed")
-	err := Shards(4, 100, func(lo, hi int64) error {
+	err := shards(4, 100, func(lo, hi int64) error {
 		if lo == 0 {
 			return want
 		}
@@ -60,7 +48,7 @@ func TestShardsReportError(t *testing.T) {
 
 func TestShardsSerialRunsInline(t *testing.T) {
 	calls := 0
-	if err := Shards(1, 10, func(lo, hi int64) error {
+	if err := shards(1, 10, func(lo, hi int64) error {
 		calls++
 		if lo != 0 || hi != 10 {
 			t.Errorf("shard = [%d,%d), want [0,10)", lo, hi)

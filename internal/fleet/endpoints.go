@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"crypto/tls"
-	"sync"
 
 	"revelio/attestation/snp"
 	"revelio/internal/core"
@@ -97,7 +96,7 @@ func (s Snapshot) Serving() []Endpoint {
 
 // NodeEndpoint renders one serving node's published view — the single
 // mapping from a core.Node to its Endpoint, shared by the fleet engine
-// and every other serving-view publisher (the Service facade, tests).
+// and the tests that publish a static view.
 // The node's web tier must be up (or stably down): callers synchronize
 // with whatever starts and stops the node's servers.
 func NodeEndpoint(n *core.Node, leaderURL string, state EndpointState) Endpoint {
@@ -112,70 +111,6 @@ func NodeEndpoint(n *core.Node, leaderURL string, state EndpointState) Endpoint 
 		Provider:     snp.ProviderName,
 		Load:         n.InFlight(),
 		Locality:     n.Locality(),
-	}
-}
-
-// Subscribers is the latest-wins snapshot fan-out shared by every
-// snapshot publisher (the fleet engine, gateway views). It does no
-// locking of its own: callers guard it with whatever lock guards their
-// view.
-type Subscribers struct {
-	chans map[int]chan Snapshot
-	next  int
-}
-
-// Add registers a subscription seeded with snap and returns its channel
-// and id.
-func (s *Subscribers) Add(seed Snapshot) (chan Snapshot, int) {
-	if s.chans == nil {
-		s.chans = make(map[int]chan Snapshot)
-	}
-	ch := make(chan Snapshot, 1)
-	id := s.next
-	s.next++
-	s.chans[id] = ch
-	ch <- seed
-	return ch, id
-}
-
-// Remove unregisters and closes subscription id; it reports whether the
-// id was still registered (false after CloseAll or a previous Remove).
-func (s *Subscribers) Remove(id int) bool {
-	ch, ok := s.chans[id]
-	if !ok {
-		return false
-	}
-	delete(s.chans, id)
-	close(ch)
-	return true
-}
-
-// Publish delivers snap to every subscription, coalescing: a slow
-// consumer's stale pending snapshot is replaced by the newest one, and
-// delivery never blocks the publisher.
-func (s *Subscribers) Publish(snap Snapshot) {
-	for _, ch := range s.chans {
-		select {
-		case ch <- snap:
-		default:
-			// Replace the stale pending snapshot with the newest one.
-			select {
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- snap:
-			default:
-			}
-		}
-	}
-}
-
-// CloseAll ends every subscription.
-func (s *Subscribers) CloseAll() {
-	for id, ch := range s.chans {
-		delete(s.chans, id)
-		close(ch)
 	}
 }
 
@@ -199,7 +134,7 @@ func (f *Fleet) snapshotLocked() Snapshot {
 		snap.Endpoints = append(snap.Endpoints, NodeEndpoint(n, f.leaderURL, state))
 	}
 	// Nodes outside the serving view (joining ones) are published too,
-	// so subscribers can watch a join progress; their state says they
+	// so consumers can watch a join progress; their state says they
 	// must not receive traffic yet. Only their stable fields are read —
 	// the join is concurrently starting their web and upstream servers,
 	// and those addresses are meaningless until the node serves.
@@ -223,14 +158,12 @@ func (f *Fleet) snapshotLocked() Snapshot {
 	return snap
 }
 
-// publishLocked bumps the view version, rebuilds the cached snapshot,
-// and hands it to every subscriber. Callers hold memberMu for writing.
-// Delivery is coalescing and never blocks: a slow subscriber sees the
-// latest snapshot, not every intermediate one.
+// publishLocked bumps the view version and rebuilds the cached
+// snapshot; consumers pull it (Acquire, Endpoints). Callers hold
+// memberMu for writing.
 func (f *Fleet) publishLocked() {
 	f.version++
 	f.snap = f.snapshotLocked()
-	f.subs.Publish(f.snap)
 }
 
 // Endpoints returns the current serving-view snapshot. Snapshots are
@@ -241,26 +174,6 @@ func (f *Fleet) Endpoints() Snapshot {
 	f.memberMu.RLock()
 	defer f.memberMu.RUnlock()
 	return f.snap
-}
-
-// Subscribe registers for serving-view change notifications. Every
-// membership, leader or rollout change delivers the latest Snapshot on
-// the returned channel (coalesced — a slow consumer skips intermediate
-// versions, never blocks the fleet), seeded with the current view.
-// cancel unregisters and closes the channel; Close does the same for
-// every remaining subscriber.
-func (f *Fleet) Subscribe() (<-chan Snapshot, func()) {
-	f.memberMu.Lock()
-	ch, id := f.subs.Add(f.snap)
-	f.memberMu.Unlock()
-	var once sync.Once
-	return ch, func() {
-		once.Do(func() {
-			f.memberMu.Lock()
-			f.subs.Remove(id)
-			f.memberMu.Unlock()
-		})
-	}
 }
 
 // Acquire admits one request against the current membership: it returns

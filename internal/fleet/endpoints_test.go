@@ -15,8 +15,7 @@ import (
 
 // TestEndpointSnapshots: the published serving view carries every node
 // with URL, upstream address, leader role and measurement; versions are
-// strictly monotone; subscribers see joins pass through StateJoining
-// and removals through StateDraining.
+// strictly monotone across a join and a removal.
 func TestEndpointSnapshots(t *testing.T) {
 	ctx := context.Background()
 	f, err := New(ctx, Config{Nodes: 2, Domain: "endpoints.test.example.org"})
@@ -54,51 +53,61 @@ func TestEndpointSnapshots(t *testing.T) {
 		t.Fatalf("snapshot marks %d leaders, want 1", leaders)
 	}
 
-	ch, cancel := f.Subscribe()
-	defer cancel()
-	// The subscription is seeded with the current view.
-	seed := <-ch
-	if seed.Version != f.Endpoints().Version {
-		t.Fatalf("seed snapshot version %d, want current %d", seed.Version, f.Endpoints().Version)
+	// Drive a join and a removal: every lifecycle step publishes a new
+	// version, strictly increasing, and the final view is back to 2
+	// serving nodes.
+	last := snap.Version
+	bumped := func(after string) {
+		t.Helper()
+		v := f.Endpoints().Version
+		if v <= last {
+			t.Fatalf("snapshot version after %s went %d -> %d", after, last, v)
+		}
+		last = v
 	}
-
-	// Drive a join and a removal, then replay the notification stream:
-	// versions must be strictly increasing, and the final view must be
-	// back to 2 serving nodes.
 	idx, err := f.AddNode(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bumped("AddNode")
 	if err := f.RemoveNode(ctx, idx); err != nil {
 		t.Fatal(err)
 	}
-	// Replay the (coalesced) notification stream: versions must be
-	// strictly increasing; intermediate views may be skipped.
-	last := seed
-	for {
-		select {
-		case snap := <-ch:
-			if snap.Version <= last.Version {
-				t.Fatalf("snapshot version went %d -> %d", last.Version, snap.Version)
-			}
-			last = snap
-			continue
-		default:
-		}
-		break
-	}
+	bumped("RemoveNode")
 	if got := len(f.Endpoints().Serving()); got != 2 {
 		t.Fatalf("serving endpoints after churn = %d, want 2", got)
 	}
+}
 
-	// cancel is idempotent; a cancelled subscription's channel closes.
+// TestLifecycleCancellation: AddNode and RemoveNode refuse a dead
+// context before any side effect — no node launched, none drained, no
+// new view version published — and succeed under a live one.
+func TestLifecycleCancellation(t *testing.T) {
+	f := newTestFleet(t, 2)
+	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, ok := <-ch; ok {
-		// A buffered snapshot may still be pending; the channel must be
-		// closed after draining it.
-		if _, ok := <-ch; ok {
-			t.Fatal("subscription channel not closed after cancel")
-		}
+
+	before := f.Endpoints()
+	if _, err := f.AddNode(dead); !errors.Is(err, context.Canceled) {
+		t.Errorf("AddNode(dead): %v", err)
+	}
+	if err := f.RemoveNode(dead, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("RemoveNode(dead): %v", err)
+	}
+	if got := len(f.d.Nodes); got != 2 || f.Size() != 2 {
+		t.Errorf("cancelled operations left %d nodes, %d serving; want 2 and 2", got, f.Size())
+	}
+	if after := f.Endpoints(); after.Version != before.Version {
+		t.Errorf("cancelled operations published view v%d -> v%d", before.Version, after.Version)
+	}
+
+	ctx := context.Background()
+	idx, err := f.AddNode(ctx)
+	if err != nil {
+		t.Fatalf("AddNode: %v", err)
+	}
+	if err := f.RemoveNode(ctx, idx); err != nil {
+		t.Fatalf("RemoveNode: %v", err)
 	}
 }
 

@@ -139,10 +139,9 @@ type Fleet struct {
 	states map[string]EndpointState
 	// version counts serving-view changes; snap caches the immutable
 	// snapshot for the current version (rebuilt by publishLocked, read
-	// by Endpoints/Acquire); subs receive each new snapshot.
+	// by Endpoints/Acquire).
 	version uint64
 	snap    Snapshot
-	subs    Subscribers
 
 	leaderURL string
 	certDER   []byte
@@ -287,9 +286,6 @@ func (f *Fleet) approveMeasurement(m measure.Measurement, desc string) error {
 // Deployment exposes the underlying core deployment.
 func (f *Fleet) Deployment() *core.Deployment { return f.d }
 
-// Trust exposes the fleet's live trust registry.
-func (f *Fleet) Trust() *registry.Registry { return f.trust }
-
 // Mux exposes the fleet's provider-neutral verification plane. The
 // deployment's SEV-SNP provider is always registered; additional
 // providers attach through AttachProvider.
@@ -334,8 +330,6 @@ func (f *Fleet) Close() {
 		defer f.memberMu.Unlock()
 		f.serving = nil
 		f.publishLocked()
-		// Every subscription ends with the (empty) final snapshot.
-		f.subs.CloseAll()
 		f.webMu.Lock()
 		if f.webTransport != nil {
 			f.webTransport.CloseIdleConnections()
@@ -374,7 +368,7 @@ func (f *Fleet) addNodeLocked(ctx context.Context) (int, error) {
 	node := f.d.Nodes[idx]
 	f.memberMu.Lock()
 	leaderURL, certDER := f.leaderURL, f.certDER
-	// Publish the join in progress: subscribers see the node as
+	// Publish the join in progress: consumers see the node as
 	// StateJoining — visible, but ineligible for traffic.
 	f.states[node.ControlURL()] = StateJoining
 	f.publishLocked()
@@ -432,7 +426,7 @@ func (f *Fleet) removeNodeLocked(ctx context.Context, i int) error {
 	}
 	node := f.d.Nodes[i]
 
-	// Announce the drain first: subscribers (the gateway) see the node
+	// Announce the drain first: consumers (the gateway) see the node
 	// flip to StateDraining and stop routing *new* requests to it while
 	// requests already admitted keep completing against open servers.
 	f.memberMu.Lock()

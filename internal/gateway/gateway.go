@@ -23,9 +23,10 @@
 // snapshot's TCB, provider and locality context, plus canary routing
 // during a staged rollout), then attestation ejection, then the circuit
 // breaker, then least-pending-requests with round-robin tie-breaking
-// over the survivors. The serving view is published by a Source (the
-// fleet engine, or any snapshot publisher). Each proxied request holds
-// the source's admission (Source.Acquire) for its lifetime, which is
+// over the survivors. The serving view is owned by a Source (the fleet
+// engine) and pulled, never pushed: on every request, every probe tick
+// and every Stats call. Each proxied request holds the source's
+// admission (Source.Acquire) for its lifetime, which is
 // the same mechanism behind the fleet's zero-failed-request drain: a
 // lifecycle operation waits for admitted requests before closing a
 // node, so churn never surfaces as a failed request through the proxy.
@@ -85,16 +86,17 @@ const DeadlineHeader = "Revelio-Deadline-Ms"
 // evicts its connections at once), one that merely vanishes does not.
 const upstreamIdleTimeout = 90 * time.Second
 
+// dialTimeout bounds one upstream dial and, separately, its RA-TLS
+// handshake.
+const dialTimeout = 10 * time.Second
+
 // Source publishes the serving view the gateway routes over. The fleet
-// engine implements it; View adapts any other membership owner.
+// engine is the production implementation.
 type Source interface {
 	// Acquire admits one request: it returns the current snapshot and a
 	// release func the caller invokes when the request completes.
 	// Membership mutations must wait for admitted requests (the drain).
 	Acquire() (fleet.Snapshot, func())
-	// Subscribe returns a channel of view changes (latest-wins
-	// coalescing) and a cancel func.
-	Subscribe() (<-chan fleet.Snapshot, func())
 }
 
 // Resilience configures the gateway's graceful-degradation layer. The
@@ -129,11 +131,6 @@ type Resilience struct {
 	// ProbeInterval paces the background probe loop that re-admits
 	// breaker-open upstreams (default 250ms).
 	ProbeInterval time.Duration
-	// ProbePath is the upstream health endpoint probed over RA-TLS
-	// (default fleet.HealthPath). Probes ride the same attested
-	// transport as traffic, so a node whose evidence stopped verifying
-	// cannot probe its way back into rotation.
-	ProbePath string
 	// MaxInFlight bounds concurrently admitted requests per gateway
 	// (default 1024); beyond it requests shed with 503 + Retry-After.
 	MaxInFlight int
@@ -176,9 +173,6 @@ func (r Resilience) withDefaults() Resilience {
 	if r.ProbeInterval <= 0 {
 		r.ProbeInterval = 250 * time.Millisecond
 	}
-	if r.ProbePath == "" {
-		r.ProbePath = fleet.HealthPath
-	}
 	if r.MaxInFlight <= 0 {
 		r.MaxInFlight = 1024
 	}
@@ -209,8 +203,6 @@ type Config struct {
 	// MaxIdleConnsPerHost bounds the warm connection pool per node
 	// (default 64).
 	MaxIdleConnsPerHost int
-	// DialTimeout bounds one upstream dial+handshake (default 10s).
-	DialTimeout time.Duration
 	// WriteTimeout bounds writing one response to a downstream client
 	// (default 30s). A proxied request holds the serving-view admission
 	// for its lifetime — that is the zero-failed-request drain — so
@@ -346,9 +338,9 @@ type Gateway struct {
 	// so outstanding tickets stop resuming (guarded by mu).
 	serverTLS *tls.Config
 	listener  net.Listener
-	unsub     func()
 	probeStop chan struct{}
-	watchWG   sync.WaitGroup
+	// bg tracks the probe loop and the probes it has in flight.
+	bg sync.WaitGroup
 }
 
 // New builds a gateway over cfg. Call Start to open the listener, or
@@ -362,9 +354,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.MaxIdleConnsPerHost <= 0 {
 		cfg.MaxIdleConnsPerHost = 64
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = 30 * time.Second
@@ -387,9 +376,9 @@ func New(cfg Config) (*Gateway, error) {
 		probeStop: make(chan struct{}),
 		transport: &http.Transport{
 			TLSClientConfig:     tlsCfg,
-			TLSHandshakeTimeout: cfg.DialTimeout,
+			TLSHandshakeTimeout: dialTimeout,
 			DialContext: (&net.Dialer{
-				Timeout: cfg.DialTimeout,
+				Timeout: dialTimeout,
 			}).DialContext,
 			MaxIdleConnsPerHost: cfg.MaxIdleConnsPerHost,
 			IdleConnTimeout:     upstreamIdleTimeout,
@@ -412,26 +401,34 @@ func New(cfg Config) (*Gateway, error) {
 	g.mu.Lock()
 	g.flushedEpoch.Store(g.advanceEpochLocked())
 	g.mu.Unlock()
-	snap, release := cfg.Source.Acquire()
-	g.sync(snap)
-	release()
-
-	// Watch the view: on churn, retire departed endpoints promptly
-	// instead of waiting for the next request to notice.
-	ch, unsub := cfg.Source.Subscribe()
-	g.unsub = unsub
-	g.watchWG.Add(1)
-	go func() {
-		defer g.watchWG.Done()
-		for snap := range ch {
-			g.sync(snap)
-		}
-	}()
-	// Probe loop: breaker-open upstreams re-enter rotation only through
-	// a successful attested health probe.
-	g.watchWG.Add(1)
+	g.pull()
+	// Probe loop, the gateway's one background goroutine: breaker-open
+	// upstreams re-enter rotation only through a successful attested
+	// health probe, and each tick pulls the view first, so an idle
+	// gateway stops probing departed nodes within one ProbeInterval.
+	g.bg.Add(1)
 	go g.probeLoop()
 	return g, nil
+}
+
+// pull observes the source's current snapshot outside a request, holding
+// the admission only for the observation.
+func (g *Gateway) pull() {
+	snap, release := g.cfg.Source.Acquire()
+	g.observe(snap)
+	release()
+}
+
+// observe is the one way the gateway learns the serving view: it checks
+// the policy epoch, then reconciles the routing table with snap. Every
+// request calls it with the snapshot it was admitted under; the probe
+// tick and Stats pull one for it. The two steps are one function on
+// purpose — reconciling rebuilds the revision sources the epoch is
+// computed over, so a reconcile that skipped the epoch check could lose
+// a bump; nothing else calls either.
+func (g *Gateway) observe(snap fleet.Snapshot) {
+	g.checkPolicyEpoch()
+	g.sync(snap)
 }
 
 // breakerConfig derives each upstream's breaker parameters from the
@@ -524,8 +521,8 @@ func (g *Gateway) checkPolicyEpoch() {
 
 // sync reconciles the routing table with a snapshot, preserving pending
 // counts, ejection state, and breaker state for surviving endpoints.
-// Whichever path observes a version first — the per-request fast path
-// or the subscription watcher — consumes it. A departed endpoint's
+// Whichever caller of observe sees a version first consumes it; for
+// everyone else it is a version compare. A departed endpoint's
 // pooled connections are not flushed here: the node closes its own
 // servers on removal, which evicts its idle connections from the pool,
 // pick can no longer select it, and flushing the whole transport would
@@ -817,8 +814,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	snap, release := g.cfg.Source.Acquire()
 	defer release()
-	g.checkPolicyEpoch()
-	g.sync(snap)
+	g.observe(snap)
 	g.requests.Add(1)
 
 	// The routing decision is computed once per request and applied to
@@ -1068,12 +1064,12 @@ func (g *Gateway) writeResponse(w http.ResponseWriter, sc *proxyScratch, resp *h
 	sc.wireClean()
 }
 
-// probeLoop drives active health probing: every ProbeInterval it asks
-// each breaker whether its open dwell has elapsed (ProbeDue claims the
-// half-open slot, so exactly one probe flies per dwell) and probes the
-// claimed upstreams concurrently.
+// probeLoop drives active health probing: every ProbeInterval it pulls
+// the serving view, asks each surviving breaker whether its open dwell
+// has elapsed (ProbeDue claims the half-open slot, so exactly one probe
+// flies per dwell) and probes the claimed upstreams concurrently.
 func (g *Gateway) probeLoop() {
-	defer g.watchWG.Done()
+	defer g.bg.Done()
 	//revelio:allow timeseam probe pacing needs a real channel to select against probeStop; breaker dwell judgments stay on the seam
 	ticker := time.NewTicker(g.res.ProbeInterval)
 	defer ticker.Stop()
@@ -1083,6 +1079,7 @@ func (g *Gateway) probeLoop() {
 			return
 		case <-ticker.C:
 		}
+		g.pull()
 		g.mu.Lock()
 		domain := g.domain
 		var due []*upstream
@@ -1093,9 +1090,9 @@ func (g *Gateway) probeLoop() {
 		}
 		g.mu.Unlock()
 		for _, up := range due {
-			g.watchWG.Add(1)
+			g.bg.Add(1)
 			go func(up *upstream) {
-				defer g.watchWG.Done()
+				defer g.bg.Done()
 				g.probe(up, domain)
 			}(up)
 		}
@@ -1110,7 +1107,7 @@ func (g *Gateway) probe(up *upstream, domain string) {
 	ctx, cancel := context.WithTimeout(context.Background(), g.res.PerTryTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"https://"+up.ep.UpstreamAddr+g.res.ProbePath, nil)
+		"https://"+up.ep.UpstreamAddr+fleet.HealthPath, nil)
 	if err != nil {
 		g.probeFail.Add(1)
 		up.breaker.ProbeResult(false)
@@ -1197,8 +1194,12 @@ func (g *Gateway) Addr() string {
 	return g.listener.Addr().String()
 }
 
-// Stats reports the data plane's counters and current ejections.
+// Stats reports the data plane's counters and current ejections, against
+// the source's current view: it pulls the view first, so a departed
+// node is never listed. That takes the source's admission for a moment;
+// do not call Stats while holding one.
 func (g *Gateway) Stats() Stats {
+	g.pull()
 	s := Stats{
 		Requests:           g.requests.Load(),
 		Retries:            g.retries.Load(),
@@ -1227,8 +1228,8 @@ func (g *Gateway) Stats() Stats {
 	return s
 }
 
-// Close stops the listener, the view watcher, the probe loop, and the
-// upstream pools. Idempotent and safe for concurrent use.
+// Close stops the listener, the probe loop, and the upstream pools.
+// Idempotent and safe for concurrent use.
 func (g *Gateway) Close() {
 	g.mu.Lock()
 	if g.closed {
@@ -1237,14 +1238,11 @@ func (g *Gateway) Close() {
 	}
 	g.closed = true
 	close(g.probeStop)
-	server, unsub := g.server, g.unsub
+	server := g.server
 	g.server, g.listener = nil, nil
 	g.mu.Unlock()
 
-	if unsub != nil {
-		unsub()
-	}
-	g.watchWG.Wait()
+	g.bg.Wait()
 	if server != nil {
 		server.Stop(2 * time.Second)
 	}

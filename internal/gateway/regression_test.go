@@ -56,7 +56,10 @@ func TestGatewayStripsClientForwardedFor(t *testing.T) {
 // Regression: the gateway used to compare the *sum* of source
 // revisions; deregistering a source with revision R and then bumping a
 // surviving source by R lands the sum back on its old value, and the
-// revoked provider's warm pooled connections keep serving.
+// revoked provider's warm pooled connections keep serving. The epoch is
+// checked over the sources known before each view change and the
+// sources are rebuilt right after, so a sum sees the same number on
+// both sides of the churn; only per-source increments notice the bump.
 func TestGatewayPolicyEpochSurvivesSourceChurn(t *testing.T) {
 	soft, softReg, softGolden := softProvider(t, "epoch-churn")
 	extra := &testProvider{name: "extra"}
@@ -67,29 +70,33 @@ func TestGatewayPolicyEpochSurvivesSourceChurn(t *testing.T) {
 
 	softAddr := startUpstream(t, soft, idHandler("soft"))
 	view := NewView(testDomain, serving(softAddr))
-	g, client := startGateway(t, view, mux)
+	// Requests are the only observers here: no probe tick, and no Stats
+	// call until the end (both observe the view, and under a sum a second
+	// observation after the churn would flush on the shrunken sum and
+	// hide the bug).
+	g, client := startGatewayRes(t, view, mux, Resilience{ProbeInterval: time.Hour})
 
 	// Warm the pool: the upstream connection is verified and cached.
 	if body, status := get(t, client, "https://"+g.Addr()+"/"); status != http.StatusOK || body != "soft" {
 		t.Fatalf("warm-up: status=%d body=%q", status, body)
 	}
-	v0 := g.Stats().ViewVersion
 
-	// The extra source drops out, and the view watcher rebuilds the
-	// revision sources with no request (and hence no epoch check)
-	// in between — the exact interleaving the sum was blind to.
+	// The extra source drops out and the view changes. The next request
+	// observes it: the epoch check still runs over the old source list
+	// (nothing bumped, no flush), then the sources are rebuilt without
+	// the departed one.
 	mux.Deregister("extra")
 	view.Set(serving(softAddr))
-	deadline := time.Now().Add(5 * time.Second)
-	for g.Stats().ViewVersion <= v0 {
-		if time.Now().After(deadline) {
-			t.Fatal("view watcher never consumed the new version")
-		}
-		time.Sleep(time.Millisecond)
+	if body, status := get(t, client, "https://"+g.Addr()+"/"); status != http.StatusOK || body != "soft" {
+		t.Fatalf("after source churn: status=%d body=%q", status, body)
+	}
+	if !view.consumedBy(g) {
+		t.Fatal("request did not consume the new view")
 	}
 
 	// Revoke the serving provider and bump its revision by exactly the
 	// departed source's revision, landing the sum back on its old value.
+	flushes := g.flushes.Load()
 	if err := softReg.Revoke(softGolden); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +104,6 @@ func TestGatewayPolicyEpochSurvivesSourceChurn(t *testing.T) {
 		soft.InvalidatePolicy()
 	}
 
-	flushes := g.Stats().PolicyFlushes
 	resp, err := client.Get("https://" + g.Addr() + "/")
 	if err == nil {
 		_, _ = io.Copy(io.Discard, resp.Body)

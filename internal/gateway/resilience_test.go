@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"regexp"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 
 	"revelio/attestation"
 	"revelio/internal/fleet"
+	"revelio/internal/resilience"
 )
 
 // startGatewayRes is startGateway with explicit resilience knobs.
@@ -528,4 +531,93 @@ func TestGatewayGrayFailureTrips(t *testing.T) {
 	if after := slowHits.Load(); after != before {
 		t.Fatalf("gray-failed node received %d requests after the trip", after-before)
 	}
+}
+
+// TestGatewayProbeTickDropsDepartedUpstream: an idle gateway learns of a
+// removal from its probe tick. With no request (and no Stats call) after
+// the removal, the tick pulls the new view before it picks due
+// upstreams, so the departed node — breaker open, probe due — is not
+// probed again and Stats no longer lists it.
+func TestGatewayProbeTickDropsDepartedUpstream(t *testing.T) {
+	provider, _, _ := softProvider(t, "departed")
+	mux := attestation.NewMux()
+	mux.RegisterProvider(provider)
+
+	deadAddr, _ := blackhole(t)
+	okAddr := startUpstream(t, provider, idHandler("ok"))
+	view := NewView(testDomain, serving(deadAddr), serving(okAddr))
+	const tick = 10 * time.Millisecond
+	g, client := startGatewayRes(t, view, mux, Resilience{
+		PerTryTimeout:   150 * time.Millisecond,
+		BreakerFailures: 2,
+		BreakerOpenFor:  20 * time.Millisecond,
+		ProbeInterval:   tick,
+		BackoffBase:     time.Millisecond,
+		BackoffMax:      4 * time.Millisecond,
+	})
+
+	// Trip the dead node's breaker through traffic, then watch the probe
+	// loop work on it: only the dead node can fail a probe.
+	for i := 0; i < 20 && len(g.Stats().BreakerOpen) == 0; i++ {
+		if _, status := get(t, client, "https://"+g.Addr()+"/"); status != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, status)
+		}
+	}
+	if s := g.Stats(); len(s.BreakerOpen) != 1 || s.BreakerOpen[0] != deadAddr {
+		t.Fatalf("breaker never tripped: %+v", s)
+	}
+	waitFor(t, 3*time.Second, func() bool { return g.probeFail.Load() > 0 },
+		"probes against the dead node")
+	g.mu.Lock()
+	dead := g.ups[deadAddr]
+	g.mu.Unlock()
+
+	// Remove it, and from here on leave the gateway alone: the tick is
+	// the only thing that can consume the new view.
+	view.Set(serving(okAddr))
+	waitFor(t, 3*time.Second, func() bool { return view.consumedBy(g) },
+		"the probe tick to pull the new view")
+	// A probe claimed by an earlier tick may still be in flight; it holds
+	// the breaker half-open until it reports.
+	waitFor(t, 3*time.Second, func() bool { return dead.breaker.State() == resilience.BreakerOpen },
+		"the last in-flight probe to settle")
+
+	probes := g.probeFail.Load() + g.probeOK.Load()
+	time.Sleep(10 * tick) // several dwells and ticks: a kept upstream would be probed again
+	if n := g.probeFail.Load() + g.probeOK.Load(); n != probes {
+		t.Errorf("%d probes sent after the node left the view", n-probes)
+	}
+	if s := g.Stats(); len(s.BreakerOpen) != 0 {
+		t.Errorf("Stats lists a departed upstream: BreakerOpen = %v", s.BreakerOpen)
+	}
+}
+
+var startedByGateway = regexp.MustCompile(`created by revelio/internal/gateway\.(New|\(\*Gateway\))`)
+
+// gatewayGoroutines counts live goroutines started by New or by any
+// Gateway method.
+func gatewayGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return len(startedByGateway.FindAll(buf, -1))
+}
+
+// TestGatewayNewStartsOneGoroutine: New starts the probe loop and
+// nothing else — no view watcher — and Close stops it.
+func TestGatewayNewStartsOneGoroutine(t *testing.T) {
+	// Earlier tests' listeners wind down asynchronously after Close.
+	waitFor(t, 5*time.Second, func() bool { return gatewayGoroutines() == 0 },
+		"goroutines of earlier gateways to exit")
+	mux := attestation.NewMux()
+	g, err := New(Config{Source: NewView(testDomain), Verifier: mux})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := gatewayGoroutines(); n != 1 {
+		g.Close()
+		t.Fatalf("New started %d goroutines, want 1 (the probe loop)", n)
+	}
+	g.Close()
+	waitFor(t, 5*time.Second, func() bool { return gatewayGoroutines() == 0 },
+		"the probe loop to exit after Close")
 }

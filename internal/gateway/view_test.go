@@ -7,17 +7,14 @@ import (
 	"revelio/internal/measure"
 )
 
-// View is a standalone publishable serving view: a Source for
-// membership owners other than the fleet engine (the Service facade,
-// static test topologies). Set replaces the view under the write half
-// of the admission lock, so — exactly as in the fleet engine — a
-// membership change drains every admitted request before it lands, and
-// the zero-failed-request property holds through a gateway running over
-// a View.
+// View is the tests' fake Source: a static, republishable serving view
+// for topologies built without a fleet engine. Set replaces the view
+// under the write half of the admission lock, so — exactly as in the
+// fleet engine — a membership change drains every admitted request
+// before it lands.
 type View struct {
 	mu   sync.RWMutex
 	snap fleet.Snapshot
-	subs fleet.Subscribers
 	// release is the precomputed Acquire release func: the method value
 	// v.mu.RUnlock, bound once here instead of allocated per request.
 	release func()
@@ -34,16 +31,14 @@ func NewView(domain string, eps ...fleet.Endpoint) *View {
 	return v
 }
 
-// Set replaces the view's endpoints and notifies subscribers. It
-// returns only after every request admitted against the previous view
-// has released — the drain a caller relies on before closing a
-// departed endpoint's servers.
+// Set replaces the view's endpoints. It returns only after every
+// request admitted against the previous view has released — the drain a
+// caller relies on before closing a departed endpoint's servers.
 func (v *View) Set(eps ...fleet.Endpoint) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.snap.Version++
 	v.snap.Endpoints = eps
-	v.subs.Publish(v.snap)
 }
 
 // SetRollout publishes rollout context alongside the endpoints: golden
@@ -63,31 +58,22 @@ func (v *View) SetRollout(golden measure.Measurement, prior *measure.Measurement
 	} else {
 		v.snap.PriorGolden = nil
 	}
-	v.subs.Publish(v.snap)
+}
+
+// consumedBy reports whether g has reconciled its routing table with the
+// view's current version — read from g's own state, because Stats would
+// pull the view itself.
+func (v *View) consumedBy(g *Gateway) bool {
+	v.mu.RLock()
+	want := v.snap.Version
+	v.mu.RUnlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.version == want
 }
 
 // Acquire implements Source.
 func (v *View) Acquire() (fleet.Snapshot, func()) {
 	v.mu.RLock()
-	if v.release != nil {
-		return v.snap, v.release
-	}
-	// Zero-value View (no NewView): fall back to the per-call method
-	// value rather than racing to cache one under the read lock.
-	return v.snap, v.mu.RUnlock
-}
-
-// Subscribe implements Source.
-func (v *View) Subscribe() (<-chan fleet.Snapshot, func()) {
-	v.mu.Lock()
-	ch, id := v.subs.Add(v.snap)
-	v.mu.Unlock()
-	var once sync.Once
-	return ch, func() {
-		once.Do(func() {
-			v.mu.Lock()
-			v.subs.Remove(id)
-			v.mu.Unlock()
-		})
-	}
+	return v.snap, v.release
 }

@@ -1,7 +1,8 @@
-package singleflight
+package kds
 
 import (
 	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestConcurrentCallsCollapse(t *testing.T) {
-	var g Group[string, int]
+	var g flight[int]
 	var execs atomic.Int64
 	var startedOnce sync.Once
 	started := make(chan struct{})
@@ -62,7 +63,7 @@ func TestConcurrentCallsCollapse(t *testing.T) {
 }
 
 func TestSequentialCallsEachExecute(t *testing.T) {
-	var g Group[string, int]
+	var g flight[int]
 	var execs int
 	for i := 0; i < 3; i++ {
 		v, err, shared := g.Do("key", func() (int, error) {
@@ -79,7 +80,7 @@ func TestSequentialCallsEachExecute(t *testing.T) {
 }
 
 func TestErrorsAreSharedButNotCached(t *testing.T) {
-	var g Group[string, int]
+	var g flight[int]
 	boom := errors.New("boom")
 	if _, err, _ := g.Do("key", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -92,7 +93,7 @@ func TestErrorsAreSharedButNotCached(t *testing.T) {
 }
 
 func TestPanicReleasesKey(t *testing.T) {
-	var g Group[string, int]
+	var g flight[int]
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -119,14 +120,14 @@ func TestPanicReleasesKey(t *testing.T) {
 }
 
 func TestDistinctKeysDoNotCollapse(t *testing.T) {
-	var g Group[int, int]
+	var g flight[int]
 	var execs atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, _ = g.Do(i, func() (int, error) {
+			_, _, _ = g.Do(strconv.Itoa(i), func() (int, error) {
 				execs.Add(1)
 				return i, nil
 			})

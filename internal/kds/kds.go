@@ -32,7 +32,6 @@ import (
 	"revelio/internal/amdsp"
 	"revelio/internal/cache"
 	"revelio/internal/sev"
-	"revelio/internal/singleflight"
 )
 
 const (
@@ -66,7 +65,7 @@ type Server struct {
 	mux      *http.ServeMux
 	chainPEM []byte                       // precomputed cert_chain response body
 	vcekDER  *cache.Cache[string, []byte] // memoized DER responses per (chip, tcb); never expire
-	flight   singleflight.Group[string, []byte]
+	flight   flight[[]byte]
 }
 
 var _ http.Handler = (*Server)(nil)
@@ -148,8 +147,8 @@ type Client struct {
 	ttl     time.Duration
 	size    int
 	vcek    *cache.Cache[string, *x509.Certificate] // parsed VCEKs per chipidhex:tcb, each served for ttl
-	vflight singleflight.Group[string, *x509.Certificate]
-	cflight singleflight.Group[string, chainPair]
+	vflight flight[*x509.Certificate]
+	cflight flight[chainPair]
 
 	mu      sync.Mutex
 	caching bool

@@ -37,6 +37,11 @@ func fixedDial(addr string) func(ctx context.Context, network, _ string) (net.Co
 	}
 }
 
+// staticSource is a gateway.Source over a membership that never changes.
+type staticSource fleet.Snapshot
+
+func (s staticSource) Acquire() (fleet.Snapshot, func()) { return fleet.Snapshot(s), func() {} }
+
 func TestCryptpadOverAttestedTLS(t *testing.T) {
 	const domain = "pad.example.org"
 	reg := imagebuild.NewRegistry()
@@ -474,15 +479,14 @@ func TestBoundaryNodeBehindGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A deployment without the fleet engine publishes its nodes through
-	// a View — the same Source contract, same drain semantics.
+	// The boundary-node image has no fleet engine behind it, so the test
+	// stands in for one with a fixed view of the two nodes.
 	mux := attestation.NewMux()
 	mux.RegisterProvider(snp.NewProvider(d.Verifier))
-	eps := make([]fleet.Endpoint, 0, len(d.Nodes))
+	view := staticSource{Version: 1, Domain: domain}
 	for _, n := range d.Nodes {
-		eps = append(eps, fleet.NodeEndpoint(n, "", fleet.StateServing))
+		view.Endpoints = append(view.Endpoints, fleet.NodeEndpoint(n, "", fleet.StateServing))
 	}
-	view := gateway.NewView(domain, eps...)
 	gw, err := gateway.New(gateway.Config{
 		Source:         view,
 		Verifier:       mux,

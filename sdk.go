@@ -52,8 +52,8 @@ type (
 	// FleetSnapshot is one immutable version of a fleet's serving view.
 	FleetSnapshot = fleet.Snapshot
 
-	// Gateway is the attested gateway data plane fronting a service or
-	// fleet (see revelio/gateway and Service.ServeGateway).
+	// Gateway is the attested gateway data plane fronting a fleet (see
+	// revelio/gateway: gateway.New over NewFleet's Fleet).
 	Gateway = gateway.Gateway
 )
 

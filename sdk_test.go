@@ -158,9 +158,10 @@ func TestProvisionCancellation(t *testing.T) {
 	}
 }
 
-// TestLifecycleCancellation: every ctx-first lifecycle method refuses a
-// dead context with a wrapped context error and leaves the deployment
-// unchanged.
+// TestLifecycleCancellation: the facade's ctx-first lifecycle methods
+// refuse a dead context with a wrapped context error and leave the
+// deployment unchanged. (Membership changes live on Fleet; their
+// cancellation contract is internal/fleet's TestLifecycleCancellation.)
 func TestLifecycleCancellation(t *testing.T) {
 	svc := newTestService(t)
 	if _, err := svc.Provision(context.Background()); err != nil {
@@ -169,51 +170,40 @@ func TestLifecycleCancellation(t *testing.T) {
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	before := svc.NumNodes()
-	if _, err := svc.AddNode(dead); !errors.Is(err, context.Canceled) {
-		t.Errorf("AddNode(dead): %v", err)
-	}
-	if err := svc.RemoveNode(dead, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("RemoveNode(dead): %v", err)
-	}
+	golden := svc.Golden()
 	if err := svc.RebootNode(dead, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("RebootNode(dead): %v", err)
 	}
 	if _, err := svc.SetFirmware(dead, "2031.01"); !errors.Is(err, context.Canceled) {
 		t.Errorf("SetFirmware(dead): %v", err)
 	}
-	if svc.NumNodes() != before {
-		t.Errorf("node count changed by cancelled operations: %d -> %d", before, svc.NumNodes())
+	if svc.Golden() != golden {
+		t.Error("golden changed by a cancelled SetFirmware")
 	}
-	golden := svc.Golden()
 
-	// The same operations succeed under a live context.
-	if _, err := svc.AddNode(context.Background()); err != nil {
-		t.Fatalf("AddNode: %v", err)
-	}
+	// The same operation succeeds under a live context.
 	if err := svc.RebootNode(context.Background(), 0); err != nil {
 		t.Fatalf("RebootNode: %v", err)
-	}
-	if err := svc.RemoveNode(context.Background(), svc.NumNodes()-1); err != nil {
-		t.Fatalf("RemoveNode: %v", err)
 	}
 	if svc.Golden() != golden {
 		t.Error("golden changed without SetFirmware")
 	}
 }
 
-// TestLeaderRemovalReElects: removing the standing leader promotes a
-// survivor, so later joins still acquire the shared key.
+// TestLeaderRemovalReElects: through the public fleet surface, removing
+// the standing leader promotes a survivor, so a later join still
+// acquires the shared key.
 func TestLeaderRemovalReElects(t *testing.T) {
 	ctx := context.Background()
-	svc := newTestService(t, revelio.WithNodes(2))
-	report, err := svc.Provision(ctx)
+	f, err := revelio.NewFleet(ctx, revelio.FleetConfig{Nodes: 2, Domain: "sdk.test.example.org"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(f.Close)
+	oldLeader := f.LeaderURL()
 	leaderIdx := -1
-	for i := 0; i < svc.NumNodes(); i++ {
-		if svc.Node(i).ControlURL() == report.LeaderURL {
+	for i, n := range f.Deployment().Nodes {
+		if n.ControlURL() == oldLeader {
 			leaderIdx = i
 			break
 		}
@@ -221,18 +211,18 @@ func TestLeaderRemovalReElects(t *testing.T) {
 	if leaderIdx < 0 {
 		t.Fatal("leader not among nodes")
 	}
-	if err := svc.RemoveNode(ctx, leaderIdx); err != nil {
+	if err := f.RemoveNode(ctx, leaderIdx); err != nil {
 		t.Fatalf("remove leader: %v", err)
 	}
+	if got := f.LeaderURL(); got == "" || got == oldLeader {
+		t.Fatalf("leader not re-elected: %q", got)
+	}
 	// The join path below needs a live leader for key acquisition.
-	if _, err := svc.AddNode(ctx); err != nil {
+	if _, err := f.AddNode(ctx); err != nil {
 		t.Fatalf("AddNode after leader removal: %v", err)
 	}
-	// Refusing to orphan the fleet: the sole remaining provisioned
-	// leader cannot be removed while a joiner may still need it... but
-	// with 2 ready nodes again, removal of the new leader re-elects.
-	if svc.NumNodes() != 2 {
-		t.Fatalf("node count = %d, want 2", svc.NumNodes())
+	if f.Size() != 2 {
+		t.Fatalf("fleet size = %d, want 2", f.Size())
 	}
 }
 
@@ -271,13 +261,5 @@ func TestServeWebEndToEnd(t *testing.T) {
 	}
 	if svc.WebAddr(0) == "" {
 		t.Fatal("no web address after ServeWeb")
-	}
-	// Scale out through the facade: the joiner is provisioned and serving.
-	idx, err := svc.AddNode(context.Background())
-	if err != nil {
-		t.Fatalf("AddNode on a serving deployment: %v", err)
-	}
-	if svc.WebAddr(idx) == "" {
-		t.Error("joining node is not serving")
 	}
 }

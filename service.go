@@ -2,7 +2,6 @@ package revelio
 
 import (
 	"context"
-	"crypto/tls"
 	"crypto/x509"
 	"fmt"
 	"net/http"
@@ -12,10 +11,7 @@ import (
 	"revelio/attestation"
 	"revelio/attestation/snp"
 	"revelio/internal/acme"
-	"revelio/internal/certmgr"
 	"revelio/internal/core"
-	"revelio/internal/fleet"
-	igateway "revelio/internal/gateway"
 )
 
 // Option configures a Service.
@@ -95,6 +91,11 @@ func WithNetworkLatency(kds, spNet, ca time.Duration) Option {
 // Verification is provider-neutral: Verifier returns the SEV-SNP
 // verifier, Mux the dispatching front that additional providers
 // (attestation/softtee) register into.
+//
+// A Service is one staged deployment with a fixed node set. Membership
+// that changes under traffic — joins, removals, leader re-election, an
+// attested gateway in front — belongs to a Fleet (NewFleet), the one
+// membership owner.
 type Service struct {
 	d        *core.Deployment
 	domain   string
@@ -102,26 +103,9 @@ type Service struct {
 	mux      *attestation.Mux
 
 	// opMu serializes lifecycle operations (Provision, ServeWeb,
-	// AddNode, RemoveNode, RebootNode, SetFirmware): the deployment's
-	// node slice is not safe for concurrent mutation, and interleaved
-	// joins/removals would race on indices.
+	// RebootNode, SetFirmware): the deployment is not safe for
+	// concurrent mutation.
 	opMu sync.Mutex
-
-	mu          sync.Mutex
-	provisioned bool
-	leaderURL   string // standing leader's control URL (re-elected on removal)
-	certDER     []byte // shared certificate handed to joining nodes
-	webStarted  bool
-
-	// view/gw carry the attested gateway once ServeGateway ran: view is
-	// the service's published serving view (lifecycle ops republish it,
-	// draining in-flight proxied requests first), gw the data plane.
-	// certAgents is the stable per-publication agent list the gateway's
-	// TLS handshakes resolve the serving credential from — handshake
-	// goroutines must never walk d.Nodes, which lifecycle ops mutate.
-	view       *igateway.View
-	gw         *igateway.Gateway
-	certAgents []*certmgr.Agent
 
 	closeOnce sync.Once
 }
@@ -233,17 +217,7 @@ func (s *Service) WebAddr(i int) string { return s.d.Nodes[i].WebAddr() }
 func (s *Service) Provision(ctx context.Context) (*ProvisionReport, error) {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
-	res, err := s.d.ProvisionCertificates(ctx)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.provisioned = true
-	s.leaderURL = res.LeaderURL
-	s.certDER = res.CertDER
-	s.mu.Unlock()
-	s.republishGateway(-1)
-	return res, nil
+	return s.d.ProvisionCertificates(ctx)
 }
 
 // ServeWeb opens every node's HTTPS front end with the provisioned
@@ -253,212 +227,7 @@ func (s *Service) Provision(ctx context.Context) (*ProvisionReport, error) {
 func (s *Service) ServeWeb(app func(*Node) http.Handler) error {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
-	if err := s.d.StartWeb(app); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.webStarted = true
-	s.mu.Unlock()
-	return nil
-}
-
-// ServeGateway opens the service's attested gateway: a TLS-terminating
-// reverse proxy over every serving node. Downstream it serves the
-// provisioned shared certificate (resolved per handshake, so rotations
-// propagate), which means a Revelio browser extension navigating to the
-// gateway still sees the attested TLS key and still validates the
-// attestation bundle — proxied from a real node — against it. Upstream,
-// every connection is RA-TLS through the service's provider mux:
-// fail-closed, with nodes that stop verifying ejected from rotation.
-//
-// The service must be provisioned and serving (Provision, ServeWeb)
-// first. Lifecycle operations republish the gateway's serving view and
-// drain in-flight proxied requests before touching a node, so AddNode
-// and RemoveNode are invisible to gateway clients. ServeGateway is
-// idempotent: subsequent calls return the running gateway.
-func (s *Service) ServeGateway(ctx context.Context) (*Gateway, error) {
-	s.opMu.Lock()
-	defer s.opMu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("revelio: serve gateway: %w", err)
-	}
-	s.mu.Lock()
-	provisioned, webStarted, gw := s.provisioned, s.webStarted, s.gw
-	s.mu.Unlock()
-	if gw != nil {
-		return gw, nil
-	}
-	if !provisioned || !webStarted {
-		return nil, fmt.Errorf("revelio: serve gateway: service must be provisioned and serving first")
-	}
-	eps, agents := s.endpoints(-1)
-	s.mu.Lock()
-	s.certAgents = agents
-	s.mu.Unlock()
-	view := igateway.NewView(s.domain, eps...)
-	gw, err := igateway.New(igateway.Config{
-		Source:         view,
-		Verifier:       s.mux,
-		GetCertificate: s.servingCertificate,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := gw.Start(); err != nil {
-		gw.Close()
-		return nil, err
-	}
-	s.mu.Lock()
-	s.view, s.gw = view, gw
-	s.mu.Unlock()
-	return gw, nil
-}
-
-// Gateway returns the running attested gateway, or nil before
-// ServeGateway.
-func (s *Service) Gateway() *Gateway {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gw
-}
-
-// servingCertificate resolves the shared serving credential from any
-// provisioned node — the gateway's per-handshake certificate source.
-// It reads the published agent list, not d.Nodes: handshakes race
-// lifecycle operations, the node slice does not tolerate that.
-func (s *Service) servingCertificate() (*tls.Certificate, error) {
-	s.mu.Lock()
-	agents := s.certAgents
-	s.mu.Unlock()
-	for _, a := range agents {
-		if cert, err := a.ServingCertificate(); err == nil {
-			return cert, nil
-		}
-	}
-	return nil, fmt.Errorf("revelio: no provisioned node holds the serving certificate")
-}
-
-// endpoints renders the current node set as a serving view, skipping
-// node index `exclude` (pass -1 to include everyone) and any node whose
-// web tier is down. Callers hold opMu, which serializes every mutation
-// of d.Nodes.
-func (s *Service) endpoints(exclude int) ([]fleet.Endpoint, []*certmgr.Agent) {
-	s.mu.Lock()
-	leaderURL := s.leaderURL
-	s.mu.Unlock()
-	var eps []fleet.Endpoint
-	var agents []*certmgr.Agent
-	for i, n := range s.d.Nodes {
-		if i == exclude || n.WebAddr() == "" {
-			continue
-		}
-		eps = append(eps, fleet.NodeEndpoint(n, leaderURL, fleet.StateServing))
-		agents = append(agents, n.Agent)
-	}
-	return eps, agents
-}
-
-// republishGateway refreshes the gateway's serving view after a
-// lifecycle change. With exclude >= 0 the node at that index is dropped
-// from the view first — Set returns only once every in-flight proxied
-// request has drained, making it safe to close that node's servers.
-func (s *Service) republishGateway(exclude int) {
-	s.mu.Lock()
-	view := s.view
-	s.mu.Unlock()
-	if view == nil {
-		return
-	}
-	eps, agents := s.endpoints(exclude)
-	s.mu.Lock()
-	s.certAgents = agents
-	s.mu.Unlock()
-	view.Set(eps...)
-}
-
-// AddNode scales the service out by one node: launch, and — when the
-// service is already provisioned — run the single-node join flow (the
-// SP attests the newcomer, the standing leader hands it the shared key
-// over mutual attestation) and open its web front end if the web tier
-// is up. Returns the new node's index. On any failure, including a ctx
-// cancellation mid-join, the node is removed again: joins are
-// all-or-nothing.
-//
-// The facade keeps scale-out simple; for churn under live traffic with
-// a drained serving view and zero failed requests, drive a Fleet
-// (NewFleet) instead.
-func (s *Service) AddNode(ctx context.Context) (int, error) {
-	s.opMu.Lock()
-	defer s.opMu.Unlock()
-	s.mu.Lock()
-	provisioned, webStarted := s.provisioned, s.webStarted
-	leaderURL, certDER := s.leaderURL, s.certDER
-	s.mu.Unlock()
-	idx, err := s.d.AddNode(ctx)
-	if err != nil {
-		return 0, err
-	}
-	if provisioned {
-		node := s.d.Nodes[idx]
-		if err := s.d.SP.ProvisionNode(ctx, node.ControlURL(), leaderURL, certDER); err != nil {
-			_, _ = s.d.RemoveNode(context.Background(), idx)
-			return 0, fmt.Errorf("revelio: provision joining node: %w", err)
-		}
-		if webStarted {
-			if err := s.d.StartNodeWeb(idx); err != nil {
-				_, _ = s.d.RemoveNode(context.Background(), idx)
-				return 0, fmt.Errorf("revelio: start web on joining node: %w", err)
-			}
-		}
-	}
-	s.republishGateway(-1)
-	return idx, nil
-}
-
-// RemoveNode decommissions node i (drain web, stop control plane, leave
-// the SP's approved set). If node i holds the leader role, a surviving
-// provisioned node is promoted first so later AddNode joins keep
-// working; removing the last node of a provisioned service is refused
-// for the same reason.
-func (s *Service) RemoveNode(ctx context.Context, i int) error {
-	s.opMu.Lock()
-	defer s.opMu.Unlock()
-	if i < 0 || i >= len(s.d.Nodes) {
-		return fmt.Errorf("revelio: no node %d", i)
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("revelio: remove node %d: %w", i, err)
-	}
-	s.mu.Lock()
-	needElection := s.provisioned && s.d.Nodes[i].ControlURL() == s.leaderURL
-	s.mu.Unlock()
-	if needElection {
-		promoted := ""
-		for j, n := range s.d.Nodes {
-			if j == i || !n.Agent.Ready() {
-				continue
-			}
-			if err := n.Agent.BecomeLeader(); err != nil {
-				return fmt.Errorf("revelio: promote node %d: %w", j, err)
-			}
-			promoted = n.ControlURL()
-			break
-		}
-		if promoted == "" {
-			return fmt.Errorf("revelio: cannot remove node %d: it is the only provisioned leader", i)
-		}
-		s.mu.Lock()
-		s.leaderURL = promoted
-		s.mu.Unlock()
-	}
-	// Past the election the removal runs to completion regardless of ctx
-	// (a half-decommissioned node serves nobody). The gateway view drops
-	// the node first and drains its in-flight proxied requests, so the
-	// servers close with nothing talking to them.
-	s.republishGateway(i)
-	_, err := s.d.RemoveNode(context.Background(), i)
-	s.republishGateway(-1)
-	return err
+	return s.d.StartWeb(app)
 }
 
 // RebootNode power-cycles node i through measured direct boot; an
@@ -467,14 +236,7 @@ func (s *Service) RemoveNode(ctx context.Context, i int) error {
 func (s *Service) RebootNode(ctx context.Context, i int) error {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
-	if i >= 0 && i < len(s.d.Nodes) {
-		// Drain the node out of the gateway view for the power cycle;
-		// its listeners come back on fresh ports.
-		s.republishGateway(i)
-	}
-	err := s.d.RebootNode(ctx, i)
-	s.republishGateway(-1)
-	return err
+	return s.d.RebootNode(ctx, i)
 }
 
 // SetFirmware switches the deployment to a different measured firmware
@@ -495,16 +257,5 @@ func (s *Service) ObtainCertificate(ctx context.Context, domain string, csrDER [
 	return acme.NewClient(s.d.CA, s.d.Zone).ObtainCertificate(ctx, domain, csrDER)
 }
 
-// Close tears the service down — gateway first (stop admitting
-// traffic), then the deployment. Idempotent and safe for concurrent use.
-func (s *Service) Close() {
-	s.closeOnce.Do(func() {
-		s.mu.Lock()
-		gw := s.gw
-		s.mu.Unlock()
-		if gw != nil {
-			gw.Close()
-		}
-		s.d.Close()
-	})
-}
+// Close tears the service down. Idempotent and safe for concurrent use.
+func (s *Service) Close() { s.closeOnce.Do(s.d.Close) }

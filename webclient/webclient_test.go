@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"revelio"
+	"revelio/gateway"
 	"revelio/internal/netlab"
 	"revelio/webclient"
 )
@@ -62,8 +63,8 @@ func TestAttestedNavigation(t *testing.T) {
 	}
 }
 
-// TestAttestedNavigationThroughGateway: the browser navigates to the
-// service's gateway instead of a node and still gets the full attested
+// TestAttestedNavigationThroughGateway: the browser navigates to a
+// fleet's gateway instead of a node and still gets the full attested
 // verdict — the gateway terminates TLS with the shared attested key, so
 // the extension's connection pinning and the proxied attestation bundle
 // agree. Scale-out and node removal behind the gateway stay invisible,
@@ -71,25 +72,30 @@ func TestAttestedNavigation(t *testing.T) {
 // downstream TLS connection the browser opened first.
 func TestAttestedNavigationThroughGateway(t *testing.T) {
 	ctx := context.Background()
-	svc, err := revelio.New(ctx,
-		revelio.WithDomain("gateway.webclient.test.example.org"),
-		revelio.WithNodes(2))
+	const domain = "gateway.webclient.test.example.org"
+	f, err := revelio.NewFleet(ctx, revelio.FleetConfig{
+		Nodes:  2,
+		Domain: domain,
+		App: func(*revelio.Node) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				_, _ = w.Write([]byte("balanced body"))
+			})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(svc.Close)
-	if _, err := svc.Provision(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.ServeWeb(func(*revelio.Node) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			_, _ = w.Write([]byte("balanced body"))
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	gw, err := svc.ServeGateway(ctx)
+	t.Cleanup(f.Close)
+	gw, err := gateway.New(gateway.Config{
+		Source:         f,
+		Verifier:       f.Mux(),
+		GetCertificate: f.ServingCertificate,
+	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	if err := gw.Start(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,13 +106,13 @@ func TestAttestedNavigationThroughGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(path.Close)
-	b := webclient.NewBrowser(svc.CARootPool(), 0)
+	b := webclient.NewBrowser(f.Deployment().CARootPool(), 0)
 	t.Cleanup(b.Close)
-	b.Resolve(svc.Domain(), path.Addr())
-	ext := webclient.NewExtension(b, svc.Verifier())
-	ext.RegisterSite(svc.Domain(), svc.Golden())
+	b.Resolve(domain, path.Addr())
+	ext := webclient.NewExtension(b, f.Deployment().Verifier)
+	ext.RegisterSite(domain, f.Golden())
 
-	resp, metrics, err := ext.Navigate(ctx, svc.Domain(), "/")
+	resp, metrics, err := ext.Navigate(ctx, domain, "/")
 	if err != nil {
 		t.Fatalf("Navigate through gateway: %v", err)
 	}
@@ -116,14 +122,14 @@ func TestAttestedNavigationThroughGateway(t *testing.T) {
 
 	// Churn behind the gateway: scale out, drop the original node, and
 	// keep navigating — the attested-origin verdict must survive both.
-	if _, err := svc.AddNode(ctx); err != nil {
+	if _, err := f.AddNode(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.RemoveNode(ctx, 0); err != nil {
+	if err := f.RemoveNode(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		resp, _, err := ext.Navigate(ctx, svc.Domain(), "/")
+		resp, _, err := ext.Navigate(ctx, domain, "/")
 		if err != nil {
 			t.Fatalf("Navigate %d after churn: %v", i, err)
 		}
