@@ -93,6 +93,16 @@
 // to fleets under churn: provisioning and join latency plus
 // steady-state attested-TLS throughput swept over fleet sizes, driven
 // by the fleet lifecycle engine (see DESIGN.md's "Fleet lifecycle").
+// Every one of those verifications — a browser session's, a join's, the
+// gateway's first dial to a node — ends in one P-384 signature check,
+// sev.Report.Verify, and that runs on the repository's own kernel:
+// internal/p384, a pure-Go verifier that is variable-time on purpose
+// (report, signature and VCEK key are all public) and exports nothing
+// but verification; signing and the certificate chain stay on
+// crypto/ecdsa and crypto/x509, and crypto/ecdsa is the oracle its
+// tests and fuzz target hold it to (see DESIGN.md's "The
+// report-signature kernel"). go test -bench Verify ./internal/p384
+// shows the two side by side.
 // The attested gateway data plane is measured by the repository's
 // benchmark (go run ./benchmark, see benchmark/README.md): its steady
 // and churn workloads drive the real fleet behind the real gateway and

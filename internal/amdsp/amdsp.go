@@ -436,7 +436,8 @@ func (g *GuestChannel) Report(data sev.ReportData) (*sev.Report, error) {
 		ReportData:  data,
 		ChipID:      g.sp.chipID,
 	}
-	digest := sha512.Sum384(r.SignedBytes())
+	var signed [sev.SignedSize]byte
+	digest := sha512.Sum384(r.AppendSigned(signed[:0]))
 	sig, err := ecdsa.SignASN1(rand.Reader, g.sp.vcek, digest[:])
 	if err != nil {
 		return nil, fmt.Errorf("amdsp: sign report: %w", err)

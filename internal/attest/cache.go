@@ -22,14 +22,14 @@ const reportCacheSize = 4096
 // there.
 type proofKey [sha256.Size]byte
 
-// reportProofKey digests everything the ECDSA verification covers.
+// reportProofKey digests everything the ECDSA verification covers: the
+// fixed-size signed bytes, then the signature's own digest so that a
+// signature of any length fits the one stack buffer (it runs on every
+// lookup, and allocates nothing).
 func reportProofKey(r *sev.Report) proofKey {
-	h := sha256.New()
-	h.Write(r.SignedBytes())
-	h.Write(r.Signature)
-	var k proofKey
-	h.Sum(k[:0])
-	return k
+	var buf [sev.SignedSize + sha256.Size]byte
+	sig := sha256.Sum256(r.Signature)
+	return sha256.Sum256(append(r.AppendSigned(buf[:0]), sig[:]...))
 }
 
 // linkProofKey digests the ASK and ARK certificates whose link a whole

@@ -46,10 +46,11 @@ type Device interface {
 	Size() int64
 }
 
-// checkRange validates an access window against a device size. It
-// subtracts instead of adding, so an offset near the top of int64 cannot
-// wrap its way inside the device.
-func checkRange(size, off int64, n int) error {
+// CheckRange validates an access window against a device size, for this
+// package's devices and the targets stacked on them. It subtracts instead
+// of adding, so an offset near the top of int64 cannot wrap its way inside
+// the device.
+func CheckRange(size, off int64, n int) error {
 	if off < 0 || n < 0 || off > size || int64(n) > size-off {
 		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, n, size)
 	}
@@ -135,7 +136,7 @@ func (m *Mem) write(p []byte, off int64) {
 func (m *Mem) ReadAt(p []byte, off int64) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if err := checkRange(m.size, off, len(p)); err != nil {
+	if err := CheckRange(m.size, off, len(p)); err != nil {
 		return err
 	}
 	m.read(p, off)
@@ -146,7 +147,7 @@ func (m *Mem) ReadAt(p []byte, off int64) error {
 func (m *Mem) WriteAt(p []byte, off int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := checkRange(m.size, off, len(p)); err != nil {
+	if err := CheckRange(m.size, off, len(p)); err != nil {
 		return err
 	}
 	m.write(p, off)
@@ -218,7 +219,7 @@ func (m *Mem) FlipBit(byteOff int64, bit uint) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := checkRange(m.size, byteOff, 1); err != nil {
+	if err := CheckRange(m.size, byteOff, 1); err != nil {
 		return err
 	}
 	var b [1]byte
@@ -260,19 +261,16 @@ var _ Device = (*Linear)(nil)
 
 // NewLinear maps [start, start+length) of dev as a standalone device.
 func NewLinear(dev Device, start, length int64) (*Linear, error) {
-	if err := checkRange(dev.Size(), start, 0); err != nil {
-		return nil, err
-	}
-	if length < 0 || start+length > dev.Size() {
-		return nil, fmt.Errorf("%w: linear extent [%d,%d) on size %d",
-			ErrOutOfRange, start, start+length, dev.Size())
+	if size := dev.Size(); start < 0 || start > size || length < 0 || length > size-start {
+		return nil, fmt.Errorf("%w: linear extent start=%d length=%d on size %d",
+			ErrOutOfRange, start, length, size)
 	}
 	return &Linear{inner: dev, start: start, length: length}, nil
 }
 
 // ReadAt implements Device.
 func (l *Linear) ReadAt(p []byte, off int64) error {
-	if err := checkRange(l.length, off, len(p)); err != nil {
+	if err := CheckRange(l.length, off, len(p)); err != nil {
 		return err
 	}
 	return l.inner.ReadAt(p, l.start+off)
@@ -280,7 +278,7 @@ func (l *Linear) ReadAt(p []byte, off int64) error {
 
 // WriteAt implements Device.
 func (l *Linear) WriteAt(p []byte, off int64) error {
-	if err := checkRange(l.length, off, len(p)); err != nil {
+	if err := CheckRange(l.length, off, len(p)); err != nil {
 		return err
 	}
 	return l.inner.WriteAt(p, l.start+off)

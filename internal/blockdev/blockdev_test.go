@@ -172,16 +172,33 @@ func TestLinearRemapping(t *testing.T) {
 	}
 }
 
+// TestLinearConstruction is the extent check's table. The last rows are
+// the ones an adding check (start+length > size) lets through: the sum
+// wraps negative.
 func TestLinearConstruction(t *testing.T) {
 	base := NewMem(100)
-	if _, err := NewLinear(base, 90, 20); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("oversized extent: err = %v, want ErrOutOfRange", err)
-	}
-	if _, err := NewLinear(base, -1, 5); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("negative start: err = %v, want ErrOutOfRange", err)
-	}
-	if _, err := NewLinear(base, 100, 0); err != nil {
-		t.Errorf("empty extent at end: %v", err)
+	for _, tc := range []struct {
+		name          string
+		start, length int64
+		ok            bool
+	}{
+		{"whole device", 0, 100, true},
+		{"empty extent at end", 100, 0, true},
+		{"oversized extent", 90, 20, false},
+		{"negative start", -1, 5, false},
+		{"negative length", 5, -1, false},
+		{"start past end", 101, 0, false},
+		{"start near MaxInt64", math.MaxInt64 - 1, 2, false},
+		{"length MaxInt64", 1, math.MaxInt64, false},
+		{"both MaxInt64", math.MaxInt64, math.MaxInt64, false},
+	} {
+		lin, err := NewLinear(base, tc.start, tc.length)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !tc.ok && !errors.Is(err, ErrOutOfRange):
+			t.Errorf("%s: device %v, err = %v, want ErrOutOfRange", tc.name, lin, err)
+		}
 	}
 }
 

@@ -274,9 +274,8 @@ func grow(bp *[]byte, n int64) []byte {
 // larger ones fetch the whole aligned span in one inner read and decrypt
 // it with one span call.
 func (d *Device) ReadAt(p []byte, off int64) error {
-	if off < 0 || off+int64(len(p)) > d.dataLen {
-		return fmt.Errorf("%w: off=%d len=%d size=%d",
-			blockdev.ErrOutOfRange, off, len(p), d.dataLen)
+	if err := blockdev.CheckRange(d.dataLen, off, len(p)); err != nil {
+		return err
 	}
 	if len(p) == 0 {
 		return nil
@@ -339,9 +338,8 @@ func (d *Device) readSerial(p []byte, off int64) error {
 // decrypted into a pooled span, the span is encrypted, and one inner
 // write lands the whole request.
 func (d *Device) WriteAt(p []byte, off int64) error {
-	if off < 0 || off+int64(len(p)) > d.dataLen {
-		return fmt.Errorf("%w: off=%d len=%d size=%d",
-			blockdev.ErrOutOfRange, off, len(p), d.dataLen)
+	if err := blockdev.CheckRange(d.dataLen, off, len(p)); err != nil {
+		return err
 	}
 	if len(p) == 0 {
 		return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -154,13 +155,37 @@ func TestHeaderGarbage(t *testing.T) {
 	}
 }
 
+// TestRangeChecks is the table for both directions. The MaxInt64 rows are
+// the ones an adding check (off+len > size) lets through: the sum wraps
+// negative and the request goes on to index with it.
 func TestRangeChecks(t *testing.T) {
 	_, dev := formatVol(t, "pw")
-	if err := dev.ReadAt(make([]byte, 1), dev.Size()); !errors.Is(err, blockdev.ErrOutOfRange) {
-		t.Errorf("read past end: err = %v, want ErrOutOfRange", err)
-	}
-	if err := dev.WriteAt(make([]byte, 2), dev.Size()-1); !errors.Is(err, blockdev.ErrOutOfRange) {
-		t.Errorf("write past end: err = %v, want ErrOutOfRange", err)
+	size := dev.Size()
+	for _, tc := range []struct {
+		name string
+		off  int64
+		n    int
+		ok   bool
+	}{
+		{"last byte", size - 1, 1, true},
+		{"empty at end", size, 0, true},
+		{"one past end", size, 1, false},
+		{"straddles end", size - 1, 2, false},
+		{"negative offset", -1, 1, false},
+		{"empty past end", size + 1, 0, false},
+		{"offset MaxInt64-1", math.MaxInt64 - 1, 2, false},
+		{"offset MaxInt64", math.MaxInt64, 1, false},
+		{"offset MaxInt64, two sectors", math.MaxInt64, 2 * SectorSize, false},
+	} {
+		for dir, io := range map[string]func([]byte, int64) error{"read": dev.ReadAt, "write": dev.WriteAt} {
+			err := io(make([]byte, tc.n), tc.off)
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%s %s: %v", dir, tc.name, err)
+			case !tc.ok && !errors.Is(err, blockdev.ErrOutOfRange):
+				t.Errorf("%s %s: err = %v, want ErrOutOfRange", dir, tc.name, err)
+			}
+		}
 	}
 }
 

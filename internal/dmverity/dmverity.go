@@ -504,9 +504,8 @@ func (d *Device) readMisses(p []byte, off, first, n int64) error {
 // verified block by block (see verifyRun). Any mismatch anywhere fails
 // the whole read, and nothing unverified is ever copied into p.
 func (d *Device) ReadAt(p []byte, off int64) error {
-	if off < 0 || off+int64(len(p)) > d.Size() {
-		return fmt.Errorf("%w: off=%d len=%d size=%d",
-			blockdev.ErrOutOfRange, off, len(p), d.Size())
+	if err := blockdev.CheckRange(d.Size(), off, len(p)); err != nil {
+		return err
 	}
 	if len(p) == 0 {
 		return nil

@@ -3,6 +3,7 @@ package dmverity
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -185,6 +186,37 @@ func TestUnalignedReads(t *testing.T) {
 	}
 	if err := dev.ReadAt(make([]byte, 1), dev.Size()); !errors.Is(err, blockdev.ErrOutOfRange) {
 		t.Errorf("read past end: err = %v, want ErrOutOfRange", err)
+	}
+}
+
+// TestReadRangeChecks: the MaxInt64 rows are the ones an adding check
+// (off+len > size) lets through, the sum wrapping negative.
+func TestReadRangeChecks(t *testing.T) {
+	dev := newVerifiedDevice(t, 4)
+	size := dev.Size()
+	for _, tc := range []struct {
+		name string
+		off  int64
+		n    int
+		ok   bool
+	}{
+		{"last byte", size - 1, 1, true},
+		{"empty at end", size, 0, true},
+		{"one past end", size, 1, false},
+		{"straddles end", size - 1, 2, false},
+		{"negative offset", -1, 1, false},
+		{"empty past end", size + 1, 0, false},
+		{"offset MaxInt64-1", math.MaxInt64 - 1, 2, false},
+		{"offset MaxInt64", math.MaxInt64, 1, false},
+		{"offset MaxInt64, two blocks", math.MaxInt64, 2 * DefaultBlockSize, false},
+	} {
+		err := dev.ReadAt(make([]byte, tc.n), tc.off)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !tc.ok && !errors.Is(err, blockdev.ErrOutOfRange):
+			t.Errorf("%s: err = %v, want ErrOutOfRange", tc.name, err)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@
 package sev
 
 import (
-	"bytes"
 	"crypto/ecdsa"
 	"crypto/sha512"
 	"encoding/binary"
@@ -17,6 +16,7 @@ import (
 	"fmt"
 
 	"revelio/internal/measure"
+	"revelio/internal/p384"
 )
 
 const (
@@ -63,26 +63,39 @@ type Report struct {
 	Signature []byte
 }
 
-// SignedBytes returns the canonical byte string the VCEK signs: every
-// field except the signature, in fixed order.
-func (r *Report) SignedBytes() []byte {
-	var b bytes.Buffer
-	w := func(v any) { _ = binary.Write(&b, binary.LittleEndian, v) }
-	w(uint32(reportMagic))
-	w(r.Version)
-	w(r.GuestSVN)
-	w(r.Policy)
-	w(r.TCBVersion)
-	b.Write(r.Measurement[:])
-	b.Write(r.ReportData[:])
-	b.Write(r.ChipID[:])
-	return b.Bytes()
+// SignedSize is the length of the signed portion of a report: magic,
+// version, guest SVN, policy, TCB version, measurement, REPORT_DATA and
+// chip identity, fixed-width and little-endian.
+const SignedSize = 4 + 4 + 4 + 8 + 8 + measure.Size + ReportDataSize + ChipIDSize
+
+// AppendSigned appends the canonical byte string the VCEK signs — every
+// field except the signature, in fixed order — to b. Handed a stack array
+// of SignedSize bytes it does not allocate, which is how Verify, the
+// AMD-SP's signer and the proof-cache key hash a report.
+func (r *Report) AppendSigned(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, reportMagic)
+	b = binary.LittleEndian.AppendUint32(b, r.Version)
+	b = binary.LittleEndian.AppendUint32(b, r.GuestSVN)
+	b = binary.LittleEndian.AppendUint64(b, r.Policy)
+	b = binary.LittleEndian.AppendUint64(b, r.TCBVersion)
+	b = append(b, r.Measurement[:]...)
+	b = append(b, r.ReportData[:]...)
+	return append(b, r.ChipID[:]...)
 }
 
-// Verify checks the report signature against the given VCEK public key.
+// SignedBytes returns AppendSigned's bytes in a new slice.
+func (r *Report) SignedBytes() []byte {
+	return r.AppendSigned(make([]byte, 0, SignedSize))
+}
+
+// Verify checks the report signature against the given VCEK public key,
+// which must be on P-384 as the SEV-SNP ABI has it. Report, signature and
+// key are all public, so the check runs on the variable-time kernel in
+// internal/p384.
 func (r *Report) Verify(vcek *ecdsa.PublicKey) error {
-	digest := sha512.Sum384(r.SignedBytes())
-	if !ecdsa.VerifyASN1(vcek, digest[:], r.Signature) {
+	var signed [SignedSize]byte
+	digest := sha512.Sum384(r.AppendSigned(signed[:0]))
+	if !p384.Verify(vcek, digest[:], r.Signature) {
 		return ErrBadSignature
 	}
 	return nil
@@ -94,63 +107,35 @@ func (r *Report) MarshalBinary() ([]byte, error) {
 	if len(r.Signature) == 0 || len(r.Signature) > maxSigLen {
 		return nil, fmt.Errorf("sev: signature length %d out of range", len(r.Signature))
 	}
-	signed := r.SignedBytes()
-	out := make([]byte, 0, len(signed)+2+len(r.Signature))
-	out = append(out, signed...)
+	out := r.AppendSigned(make([]byte, 0, SignedSize+2+len(r.Signature)))
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(r.Signature)))
-	out = append(out, r.Signature...)
-	return out, nil
+	return append(out, r.Signature...), nil
 }
 
 // UnmarshalBinary parses a report produced by MarshalBinary. It validates
 // structure only; call Verify for cryptographic validation.
 func (r *Report) UnmarshalBinary(data []byte) error {
-	br := bytes.NewReader(data)
-	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
-
-	var magic uint32
-	if err := read(&magic); err != nil || magic != reportMagic {
+	if len(data) < SignedSize+2 {
+		return fmt.Errorf("%w: %d bytes is shorter than the fixed part", ErrBadReport, len(data))
+	}
+	if binary.LittleEndian.Uint32(data) != reportMagic {
 		return fmt.Errorf("%w: magic", ErrBadReport)
 	}
-	if err := read(&r.Version); err != nil || r.Version != ReportVersion {
+	if binary.LittleEndian.Uint32(data[4:]) != ReportVersion {
 		return fmt.Errorf("%w: version", ErrBadReport)
 	}
-	if err := read(&r.GuestSVN); err != nil {
-		return fmt.Errorf("%w: guest svn", ErrBadReport)
+	sig := data[SignedSize+2:]
+	if n := int(binary.LittleEndian.Uint16(data[SignedSize:])); n == 0 || n > maxSigLen || n != len(sig) {
+		return fmt.Errorf("%w: signature length %d with %d bytes left", ErrBadReport, n, len(sig))
 	}
-	if err := read(&r.Policy); err != nil {
-		return fmt.Errorf("%w: policy", ErrBadReport)
-	}
-	if err := read(&r.TCBVersion); err != nil {
-		return fmt.Errorf("%w: tcb", ErrBadReport)
-	}
-	if _, err := readFull(br, r.Measurement[:]); err != nil {
-		return fmt.Errorf("%w: measurement", ErrBadReport)
-	}
-	if _, err := readFull(br, r.ReportData[:]); err != nil {
-		return fmt.Errorf("%w: report data", ErrBadReport)
-	}
-	if _, err := readFull(br, r.ChipID[:]); err != nil {
-		return fmt.Errorf("%w: chip id", ErrBadReport)
-	}
-	var sigLen uint16
-	if err := read(&sigLen); err != nil || sigLen == 0 || int(sigLen) > maxSigLen {
-		return fmt.Errorf("%w: signature length", ErrBadReport)
-	}
-	r.Signature = make([]byte, sigLen)
-	if _, err := readFull(br, r.Signature); err != nil {
-		return fmt.Errorf("%w: signature", ErrBadReport)
-	}
-	if br.Len() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadReport, br.Len())
-	}
+	r.Version = ReportVersion
+	r.GuestSVN = binary.LittleEndian.Uint32(data[8:])
+	r.Policy = binary.LittleEndian.Uint64(data[12:])
+	r.TCBVersion = binary.LittleEndian.Uint64(data[20:])
+	rest := data[28:]
+	rest = rest[copy(r.Measurement[:], rest):]
+	rest = rest[copy(r.ReportData[:], rest):]
+	copy(r.ChipID[:], rest)
+	r.Signature = append([]byte(nil), sig...)
 	return nil
-}
-
-func readFull(r *bytes.Reader, p []byte) (int, error) {
-	n, err := r.Read(p)
-	if err == nil && n < len(p) {
-		return n, errors.New("short read")
-	}
-	return n, err
 }
