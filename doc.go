@@ -101,8 +101,13 @@
 // but verification; signing and the certificate chain stay on
 // crypto/ecdsa and crypto/x509, and crypto/ecdsa is the oracle its
 // tests and fuzz target hold it to (see DESIGN.md's "The
-// report-signature kernel"). go test -bench Verify ./internal/p384
-// shows the two side by side.
+// report-signature kernel"). The kernel splits the work by what it
+// depends on: a key is prepared once (p384.NewPublicKey: validation and
+// the tables of its multiples, about 4.6 KB) and verified against many
+// times, and the verifier keeps a VCEK's prepared key inside the proof
+// that the VCEK chains to the ARK, so it lives exactly as long as that
+// proof does. go test -bench Verify ./internal/p384 shows prepared,
+// prepare, oneshot and crypto/ecdsa side by side.
 // The attested gateway data plane is measured by the repository's
 // benchmark (go run ./benchmark, see benchmark/README.md): its steady
 // and churn workloads drive the real fleet behind the real gateway and

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -66,6 +67,54 @@ func TestObtainCertificateHappyPath(t *testing.T) {
 	// Challenge record cleaned up.
 	if got := zone.LookupTXT("_acme-challenge.service.example.org"); len(got) != 0 {
 		t.Errorf("challenge TXT left behind: %v", got)
+	}
+}
+
+// TestIssuedCertificateCarriesCanonicalKeyEncoding: the browser hands the
+// extension, and checks pins against, the server certificate's
+// SubjectPublicKeyInfo as it stands; attested payloads and pins are
+// x509.MarshalPKIXPublicKey of the key. For what this CA issues the two
+// are the same bytes, whichever curve the CSR's key is on.
+func TestIssuedCertificateCarriesCanonicalKeyEncoding(t *testing.T) {
+	zone := NewZone()
+	ca, err := NewCA(zone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, curve := range map[string]elliptic.Curve{"P-256": elliptic.P256(), "P-384": elliptic.P384()} {
+		key, err := ecdsa.GenerateKey(curve, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		domain := "spki-" + strings.ToLower(name) + ".example.org"
+		csr, err := x509.CreateCertificateRequest(rand.Reader, &x509.CertificateRequest{
+			Subject:  pkix.Name{CommonName: domain},
+			DNSNames: []string{domain},
+		}, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		der, err := NewClient(ca, zone).ObtainCertificate(context.Background(), domain, csr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert, err := x509.ParseCertificate(der)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, c := range map[string]*x509.Certificate{"leaf": cert, "root": ca.RootCert()} {
+			canonical, err := x509.MarshalPKIXPublicKey(c.PublicKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(c.RawSubjectPublicKeyInfo, canonical) {
+				t.Errorf("%s %s: raw SubjectPublicKeyInfo\n %x is not MarshalPKIXPublicKey of the parsed key\n %x",
+					name, what, c.RawSubjectPublicKeyInfo, canonical)
+			}
+		}
+		if want, _ := x509.MarshalPKIXPublicKey(&key.PublicKey); !bytes.Equal(cert.RawSubjectPublicKeyInfo, want) {
+			t.Errorf("%s: leaf does not carry the CSR's key", name)
+		}
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 
 	"revelio/internal/kdf"
 	"revelio/internal/measure"
+	"revelio/internal/p384"
 	"revelio/internal/sev"
 )
 
@@ -244,6 +245,13 @@ func (m *Manufacturer) MintProcessor(chipSeed []byte, tcb uint64) (*SecureProces
 		sealRoot: secret,
 		ops:      &m.ops,
 		launches: make(map[LaunchHandle]*launch),
+		vcekPub: sync.OnceValue(func() *p384.PublicKey {
+			pub, err := p384.NewPublicKey(&vcek.PublicKey)
+			if err != nil {
+				panic("amdsp: derived VCEK: " + err.Error())
+			}
+			return pub
+		}),
 	}, nil
 }
 
@@ -337,6 +345,7 @@ type SecureProcessor struct {
 	chipID   sev.ChipID
 	tcb      uint64
 	vcek     *ecdsa.PrivateKey
+	vcekPub  func() *p384.PublicKey // vcek's public half, prepared on first use
 	sealRoot []byte
 	ops      *opCounters // the minting Manufacturer's
 
@@ -351,8 +360,9 @@ func (sp *SecureProcessor) ChipID() sev.ChipID { return sp.chipID }
 // TCB returns the SNP firmware TCB version.
 func (sp *SecureProcessor) TCB() uint64 { return sp.tcb }
 
-// VCEKPublic returns the chip's current VCEK public key.
-func (sp *SecureProcessor) VCEKPublic() *ecdsa.PublicKey { return &sp.vcek.PublicKey }
+// VCEKPublic returns the chip's current VCEK public key, prepared for
+// sev.Report.Verify (on first use: a chip nobody asks pays nothing).
+func (sp *SecureProcessor) VCEKPublic() *p384.PublicKey { return sp.vcekPub() }
 
 // LaunchStart opens a new guest launch context with the given guest policy
 // and SVN.

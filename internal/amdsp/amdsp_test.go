@@ -62,7 +62,7 @@ func TestManufacturerDeterminism(t *testing.T) {
 	if sp1.ChipID() != sp2.ChipID() {
 		t.Error("same seeds produced different chip IDs")
 	}
-	if sp1.VCEKPublic().X.Cmp(sp2.VCEKPublic().X) != 0 {
+	if sp1.vcek.X.Cmp(sp2.vcek.X) != 0 {
 		t.Error("same seeds produced different VCEKs")
 	}
 	if _, err := NewManufacturer(nil); err == nil {
@@ -83,7 +83,7 @@ func TestVCEKRotatesWithTCB(t *testing.T) {
 	if spOld.ChipID() != spNew.ChipID() {
 		t.Fatal("TCB update changed the chip ID")
 	}
-	if spOld.VCEKPublic().X.Cmp(spNew.VCEKPublic().X) == 0 {
+	if spOld.vcek.X.Cmp(spNew.vcek.X) == 0 {
 		t.Error("TCB update did not rotate the VCEK")
 	}
 }
@@ -234,7 +234,7 @@ func TestVCEKCertChainValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub, ok := vcekCert.PublicKey.(*ecdsa.PublicKey)
-	if !ok || !pub.Equal(sp.VCEKPublic()) {
+	if !ok || !pub.Equal(&sp.vcek.PublicKey) {
 		t.Error("VCEK cert public key differs from report signing key")
 	}
 	if err := report.Verify(sp.VCEKPublic()); err != nil {
@@ -303,7 +303,7 @@ func TestStatsCountEachKeyOperationOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pub, ok := cert.PublicKey.(*ecdsa.PublicKey); !ok || !pub.Equal(sp.VCEKPublic()) {
+		if pub, ok := cert.PublicKey.(*ecdsa.PublicKey); !ok || !pub.Equal(&sp.vcek.PublicKey) {
 			t.Fatal("certificate does not carry the chip's VCEK key")
 		}
 	}
@@ -331,7 +331,7 @@ func TestStatsCountEachKeyOperationOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pub, ok := certNext.PublicKey.(*ecdsa.PublicKey); !ok || !pub.Equal(upgraded.VCEKPublic()) {
+	if pub, ok := certNext.PublicKey.(*ecdsa.PublicKey); !ok || !pub.Equal(&upgraded.vcek.PublicKey) {
 		t.Error("certificate issued before the upgrade does not match the upgraded chip's key")
 	}
 

@@ -25,6 +25,7 @@ import (
 	"revelio/attestation"
 	"revelio/internal/amdsp"
 	"revelio/internal/measure"
+	"revelio/internal/p384"
 	"revelio/internal/sev"
 )
 
@@ -96,13 +97,14 @@ func (g StaticGolden) IsTrusted(m measure.Measurement) bool {
 // keyed by report digest (skips the whole chain walk + ECDSA signature
 // check for already-proven reports) and one keyed by certificate digest,
 // which holds two tiers: a proof per VCEK DER (skips the chain walk when a
-// fresh report arrives under a known VCEK, the warm-session case) and a
-// proof of the ASK→ARK link per ASK+ARK DER pair (a VCEK never seen
-// before — a new chip joining — is walked only as far as the proven ASK:
-// one signature check instead of two). Policy judgments (TCB floor, chip
-// allow-list, measurement trust) are re-run on every hit, so a registry
-// revocation fails a cached report immediately. Failures are never
-// cached.
+// fresh report arrives under a known VCEK, the warm-session case, and
+// carries the VCEK's prepared P-384 key, so that report's signature check
+// finds the key's tables built) and a proof of the ASK→ARK link per
+// ASK+ARK DER pair (a VCEK never seen before — a new chip joining — is
+// walked only as far as the proven ASK: one signature check instead of
+// two). Policy judgments (TCB floor, chip allow-list, measurement trust)
+// are re-run on every hit, so a registry revocation fails a cached report
+// immediately. Failures are never cached.
 type Verifier struct {
 	source CertSource
 	policy TrustPolicy
@@ -117,12 +119,13 @@ type Verifier struct {
 
 	reportsVerified, linksVerified  atomic.Uint64
 	reportHits, chainHits, linkHits atomic.Uint64
+	keysPrepared                    atomic.Uint64
 }
 
-// Stats is an exact count of the P-384 verifications a Verifier has
-// performed and of the ones its proof tiers answered instead. Tests read
-// it before and after an operation to pin that operation's verification
-// budget.
+// Stats is an exact count of the P-384 verifications and key preparations
+// a Verifier has performed and of the ones its proof tiers answered
+// instead. Tests read it before and after an operation to pin that
+// operation's verification budget.
 type Stats struct {
 	// ReportsVerified counts report signatures checked and found good.
 	ReportsVerified uint64 `json:"reports_verified"`
@@ -138,6 +141,11 @@ type Stats struct {
 	// LinkHits counts chain walks shortened because the ASK→ARK link was
 	// proven.
 	LinkHits uint64 `json:"link_hits"`
+	// KeysPrepared counts VCEK keys validated and given their
+	// verification tables (p384.NewPublicKey, about two signature checks'
+	// worth of work): one per chain walk that got as far as the key, none
+	// on a chain hit, which finds the key in the proof.
+	KeysPrepared uint64 `json:"keys_prepared"`
 }
 
 // Sub returns the operations counted since an earlier snapshot.
@@ -148,6 +156,7 @@ func (s Stats) Sub(earlier Stats) Stats {
 		ReportHits:         s.ReportHits - earlier.ReportHits,
 		ChainHits:          s.ChainHits - earlier.ChainHits,
 		LinkHits:           s.LinkHits - earlier.LinkHits,
+		KeysPrepared:       s.KeysPrepared - earlier.KeysPrepared,
 	}
 }
 
@@ -159,6 +168,7 @@ func (v *Verifier) Stats() Stats {
 		ReportHits:         v.reportHits.Load(),
 		ChainHits:          v.chainHits.Load(),
 		LinkHits:           v.linkHits.Load(),
+		KeysPrepared:       v.keysPrepared.Load(),
 	}
 }
 
@@ -285,10 +295,11 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 
 	// Chain walk, skipped when this exact VCEK DER was already proven at
 	// this policy revision (a fresh nonce-bound report from a known node
-	// pays only the signature check — the warm-session case). The ASK/ARK
-	// chain is only fetched when the walk actually runs. Proofs expire at
-	// the earliest NotAfter of the whole proving chain, so a cached proof
-	// never outlives any validity check the walk performed.
+	// pays only the signature check, against the key the proof carries —
+	// the warm-session case). The ASK/ARK chain is only fetched when the
+	// walk actually runs. Proofs expire at the earliest NotAfter of the
+	// whole proving chain, so a cached proof never outlives any validity
+	// check the walk performed.
 	var (
 		ckey        proofKey
 		chainProof  proof
@@ -299,6 +310,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		ckey = sha256.Sum256(vcekCert.Raw)
 		chainProof, chainProven = v.chains.Get(ckey, rev, now)
 	}
+	key := chainProof.key
 	if chainProven {
 		v.chainHits.Add(1)
 		notAfter = chainProof.notAfter
@@ -360,15 +372,25 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 	if chipID != report.ChipID || tcb != report.TCBVersion {
 		return nil, ErrIdentityMismatch
 	}
-	if !chainProven && v.chains != nil {
-		v.chains.Put(ckey, proof{vcek: vcekCert, notAfter: notAfter}, rev, notAfter)
+	if !chainProven {
+		// The key is prepared once per proven chain and kept in the proof,
+		// under the proof's fence: every report under this VCEK until the
+		// policy revision moves, the chain expires or the entry is evicted
+		// verifies against these tables. A VCEK that is not a point on
+		// P-384 proves nothing and stores nothing.
+		pub, ok := vcekCert.PublicKey.(*ecdsa.PublicKey)
+		if !ok {
+			return nil, fmt.Errorf("%w: VCEK key type %T", ErrChainInvalid, vcekCert.PublicKey)
+		}
+		if key, err = p384.NewPublicKey(pub); err != nil {
+			return nil, fmt.Errorf("attest: %w: %v", sev.ErrBadSignature, err)
+		}
+		v.keysPrepared.Add(1)
+		if v.chains != nil {
+			v.chains.Put(ckey, proof{vcek: vcekCert, key: key, notAfter: notAfter}, rev, notAfter)
+		}
 	}
-
-	pub, ok := vcekCert.PublicKey.(*ecdsa.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("%w: VCEK key type %T", ErrChainInvalid, vcekCert.PublicKey)
-	}
-	if err := report.Verify(pub); err != nil {
+	if err := report.Verify(key); err != nil {
 		return nil, fmt.Errorf("attest: %w", err)
 	}
 	v.reportsVerified.Add(1)

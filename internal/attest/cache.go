@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"revelio/internal/cache"
+	"revelio/internal/p384"
 	"revelio/internal/sev"
 )
 
@@ -53,6 +54,7 @@ func linkProofKey(ask, ark *x509.Certificate) proofKey {
 // its cached result.
 type proof struct {
 	vcek     *x509.Certificate // the chain-validated VCEK that proved the evidence; nil for an ASK-link proof
+	key      *p384.PublicKey   // vcek's key with its verification tables (≈ 4.6 KB); set on a VCEK's chain proof only
 	notAfter time.Time         // earliest NotAfter in the proving chain, handed on to proofs built on this one
 }
 

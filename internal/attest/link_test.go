@@ -37,6 +37,15 @@ func mintChip(t *testing.T, mfr *amdsp.Manufacturer, seed string) (*amdsp.Secure
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, err := launchGuest(t, sp).Report(sev.ReportData{0x11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp, rep
+}
+
+func launchGuest(t *testing.T, sp *amdsp.SecureProcessor) *amdsp.GuestChannel {
+	t.Helper()
 	h := sp.LaunchStart(0, 0)
 	if err := sp.LaunchUpdate(h, measure.PageNormal, 0, []byte("fw"), "ovmf"); err != nil {
 		t.Fatal(err)
@@ -48,11 +57,22 @@ func mintChip(t *testing.T, mfr *amdsp.Manufacturer, seed string) (*amdsp.Secure
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := guest.Report(sev.ReportData{0x11})
+	return guest
+}
+
+// chipKey returns chip's VCEK public key, out of the certificate its
+// manufacturer issues for it.
+func chipKey(t *testing.T, mfr *amdsp.Manufacturer, chip *amdsp.SecureProcessor) *ecdsa.PublicKey {
+	t.Helper()
+	der, err := mfr.VCEKCertDER(chip.ChipID(), chip.TCB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sp, rep
+	cert, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cert.PublicKey.(*ecdsa.PublicKey)
 }
 
 // TestChainLinkProvenOncePerChain: the first chip pays the whole
@@ -67,7 +87,7 @@ func TestChainLinkProvenOncePerChain(t *testing.T) {
 	if _, err := v.VerifyReport(ctx, first); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := v.Stats(), (Stats{ReportsVerified: 1, ChainLinksVerified: 2}); got != want {
+	if got, want := v.Stats(), (Stats{ReportsVerified: 1, ChainLinksVerified: 2, KeysPrepared: 1}); got != want {
 		t.Fatalf("first chip: %+v, want %+v", got, want)
 	}
 	for _, seed := range []string{"chip-b", "chip-c"} {
@@ -75,7 +95,7 @@ func TestChainLinkProvenOncePerChain(t *testing.T) {
 			t.Fatalf("%s: %v", seed, err)
 		}
 	}
-	if got, want := v.Stats(), (Stats{ReportsVerified: 3, ChainLinksVerified: 4, LinkHits: 2}); got != want {
+	if got, want := v.Stats(), (Stats{ReportsVerified: 3, ChainLinksVerified: 4, LinkHits: 2, KeysPrepared: 3}); got != want {
 		t.Fatalf("two more chips: %+v, want %+v", got, want)
 	}
 	if _, err := v.VerifyReport(ctx, r.report(t, sev.ReportData{2})); err != nil {
@@ -84,7 +104,7 @@ func TestChainLinkProvenOncePerChain(t *testing.T) {
 	if _, err := v.VerifyReport(ctx, first); err != nil {
 		t.Fatal(err)
 	}
-	want := Stats{ReportsVerified: 4, ChainLinksVerified: 4, LinkHits: 2, ChainHits: 1, ReportHits: 1}
+	want := Stats{ReportsVerified: 4, ChainLinksVerified: 4, LinkHits: 2, ChainHits: 1, ReportHits: 1, KeysPrepared: 3}
 	if got := v.Stats(); got != want {
 		t.Errorf("fresh + repeated report: %+v, want %+v", got, want)
 	}
@@ -96,7 +116,7 @@ func TestChainLinkProvenOncePerChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := cold.Stats(), (Stats{ReportsVerified: 2, ChainLinksVerified: 4}); got != want {
+	if got, want := cold.Stats(), (Stats{ReportsVerified: 2, ChainLinksVerified: 4, KeysPrepared: 2}); got != want {
 		t.Errorf("uncached verifier: %+v, want %+v", got, want)
 	}
 }
@@ -115,7 +135,7 @@ func TestChainLinkProofDroppedByInvalidatePolicy(t *testing.T) {
 	if _, err := v.VerifyReport(ctx, r.chipReport(t, "chip-b")); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := v.Stats(), (Stats{ReportsVerified: 2, ChainLinksVerified: 4}); got != want {
+	if got, want := v.Stats(), (Stats{ReportsVerified: 2, ChainLinksVerified: 4, KeysPrepared: 2}); got != want {
 		t.Errorf("after InvalidatePolicy: %+v, want %+v (no link hit)", got, want)
 	}
 }
@@ -163,6 +183,13 @@ func (p *pki) ca(cn string, parent *x509.Certificate, parentKey *ecdsa.PrivateKe
 	if err != nil {
 		p.t.Fatal(err)
 	}
+	return p.caFor(cn, key, parent, parentKey, notAfter), key
+}
+
+// caFor issues a CA certificate for key: again, with another validity, is
+// a renewal.
+func (p *pki) caFor(cn string, key *ecdsa.PrivateKey, parent *x509.Certificate, parentKey *ecdsa.PrivateKey, notAfter time.Time) *x509.Certificate {
+	p.t.Helper()
 	tmpl := &x509.Certificate{
 		SerialNumber:          big.NewInt(time.Now().UnixNano()),
 		Subject:               pkix.Name{CommonName: cn},
@@ -183,11 +210,13 @@ func (p *pki) ca(cn string, parent *x509.Certificate, parentKey *ecdsa.PrivateKe
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	return cert, key
+	return cert
 }
 
-// endorse issues chip's VCEK certificate under the given ASK.
-func (p *pki) endorse(chip *amdsp.SecureProcessor, ask *x509.Certificate, askKey *ecdsa.PrivateKey, notAfter time.Time) {
+// endorse issues a VCEK certificate for chip under the given ASK, over pub
+// (chipKey(chip), unless the test wants the certificate to lie), and
+// serves it from now on.
+func (p *pki) endorse(chip *amdsp.SecureProcessor, pub any, ask *x509.Certificate, askKey *ecdsa.PrivateKey, notAfter time.Time) *x509.Certificate {
 	p.t.Helper()
 	id := chip.ChipID()
 	tmpl := &x509.Certificate{
@@ -201,7 +230,7 @@ func (p *pki) endorse(chip *amdsp.SecureProcessor, ask *x509.Certificate, askKey
 			{Id: amdsp.OIDTCB, Value: binary.BigEndian.AppendUint64(nil, chip.TCB())},
 		},
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, ask, chip.VCEKPublic(), askKey)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, ask, pub, askKey)
 	if err != nil {
 		p.t.Fatal(err)
 	}
@@ -209,9 +238,16 @@ func (p *pki) endorse(chip *amdsp.SecureProcessor, ask *x509.Certificate, askKey
 	if err != nil {
 		p.t.Fatal(err)
 	}
+	p.serveVCEK(id, cert)
+	return cert
+}
+
+// serveVCEK makes cert, or whatever the test made of it, the VCEK the
+// source answers with for chip.
+func (p *pki) serveVCEK(chip sev.ChipID, cert *x509.Certificate) {
 	p.mu.Lock()
-	p.vceks[id] = cert
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	p.vceks[chip] = cert
 }
 
 func newPKI(t *testing.T, arkNotAfter time.Time) *pki {
@@ -247,7 +283,7 @@ func TestChainLinkProofExpiresWithEarlierOfASKAndARK(t *testing.T) {
 			chipB, repB := mintChip(t, mfr, tt.name+"/b")
 			chipC, repC := mintChip(t, mfr, tt.name+"/c")
 			for _, chip := range []*amdsp.SecureProcessor{chipA, chipB, chipC} {
-				p.endorse(chip, ask, askKey, far)
+				p.endorse(chip, chipKey(t, mfr, chip), ask, askKey, far)
 			}
 
 			var skew atomic.Int64
@@ -303,7 +339,7 @@ func TestChainLinkProofIsForOneASKAndARK(t *testing.T) {
 	ctx := context.Background()
 	verify := func(seed string, vcekASK *x509.Certificate, vcekKey *ecdsa.PrivateKey) error {
 		chip, rep := mintChip(t, mfr, seed)
-		p.endorse(chip, vcekASK, vcekKey, far)
+		p.endorse(chip, chipKey(t, mfr, chip), vcekASK, vcekKey, far)
 		_, err := v.VerifyReport(ctx, rep)
 		return err
 	}
@@ -406,7 +442,7 @@ func TestChainWalkCachesNothingWhenKDSFailsMidWalk(t *testing.T) {
 	if _, err := v.VerifyReport(context.Background(), rep); err != nil {
 		t.Fatalf("retry after the outage: %v", err)
 	}
-	if got, want := v.Stats(), (Stats{ReportsVerified: 1, ChainLinksVerified: 2}); got != want {
+	if got, want := v.Stats(), (Stats{ReportsVerified: 1, ChainLinksVerified: 2, KeysPrepared: 1}); got != want {
 		t.Errorf("retry: %+v, want %+v", got, want)
 	}
 }

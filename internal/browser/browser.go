@@ -64,7 +64,8 @@ type Response struct {
 	Status int
 	Body   []byte
 	// TLSPublicKeyDER is the server certificate's public key from the
-	// connection that served this response.
+	// connection that served this response. It aliases the parsed
+	// certificate: read it, do not write to it.
 	TLSPublicKeyDER []byte
 }
 
@@ -174,27 +175,23 @@ func (n *names) checkPin(domain string, cs tls.ConnectionState) error {
 	if pin == nil {
 		return nil
 	}
-	key, err := peerKeyDER(&cs)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(key, pin) {
+	if !bytes.Equal(peerKeyDER(&cs), pin) {
 		return fmt.Errorf("%w: %q", ErrPinnedKeyMismatch, domain)
 	}
 	return nil
 }
 
 // peerKeyDER is the server certificate's public key, nil when the peer
-// presented none.
-func peerKeyDER(cs *tls.ConnectionState) ([]byte, error) {
+// presented none: the SubjectPublicKeyInfo as the certificate carries it,
+// which for a key a certificate of this repository's can hold is byte for
+// byte what x509.MarshalPKIXPublicKey makes of the parsed key — the form
+// pins and attested payloads are in. Any other encoding of a key matches
+// neither.
+func peerKeyDER(cs *tls.ConnectionState) []byte {
 	if cs == nil || len(cs.PeerCertificates) == 0 {
-		return nil, nil
+		return nil
 	}
-	der, err := x509.MarshalPKIXPublicKey(cs.PeerCertificates[0].PublicKey)
-	if err != nil {
-		return nil, fmt.Errorf("browser: marshal peer key: %w", err)
-	}
-	return der, nil
+	return cs.PeerCertificates[0].RawSubjectPublicKeyInfo
 }
 
 // Resolve points a domain at an address. A malicious service provider can
@@ -294,10 +291,7 @@ func (b *Browser) Get(ctx context.Context, domain, path string) (*Response, erro
 	}
 	defer func() { _ = resp.Body.Close() }()
 
-	pubDER, err := peerKeyDER(resp.TLS)
-	if err != nil {
-		return nil, err
-	}
+	pubDER := peerKeyDER(resp.TLS)
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	if err != nil {
 		return nil, err

@@ -176,8 +176,9 @@ func TestJoinKeyRequestIsAProofHit(t *testing.T) {
 	want.ReportsVerified += 2    // the SP on the joiner, the joiner on the leader's response
 	want.ChainLinksVerified += 1 // the joiner's VCEK, anchored at the proven ASK
 	want.LinkHits++
-	want.ChainHits++  // the leader's VCEK, proven at provisioning
-	want.ReportHits++ // the leader on the joiner
+	want.KeysPrepared++ // the joiner's VCEK key, with that walk; the leader's came with its proof
+	want.ChainHits++    // the leader's VCEK, proven at provisioning
+	want.ReportHits++   // the leader on the joiner
 	if got != want {
 		t.Errorf("join cost %+v, want %+v", got, want)
 	}

@@ -43,7 +43,8 @@ func TestJoinSignatureBudget(t *testing.T) {
 			ReportsVerified:    2, // SP node on the joiner's CSR report; joiner on the leader's response
 			ChainLinksVerified: 1, // new VCEK → ASK; ASK → ARK was proven at provisioning
 			LinkHits:           1,
-			ChainHits:          1, // the leader's VCEK, proven at provisioning
+			KeysPrepared:       1, // the new VCEK's key tables, by the SP node with that walk; nobody prepares it again
+			ChainHits:          1, // the leader's VCEK, proven at provisioning: its key comes with the proof
 			ReportHits:         1, // leader on the CSR report the SP node just verified
 		},
 		diskBytes: 64 << 10, // the one chunk holding the dm-crypt header and the credentials

@@ -141,27 +141,73 @@ func (r *point) finishAdd(u1, s1, h, w, zz *elem) {
 	r.y.sub(&t, &hhh) // w·(u1·h² − x3) − s1·h³
 }
 
-// Window widths of the two scalars' non-adjacent forms. The table for G is
-// built once, so it can be wide and affine; the table for Q is built per
-// call, so it is narrow and stays Jacobian.
+// The scalar multiplication works on 64-bit blocks: a scalar's limb b
+// multiplies 2^(64b)·P, so six limbs recoded on their own and six tables
+// of odd multiples of P, 2⁶⁴·P, …, 2³²⁰·P share one chain of 65 doublings
+// where the whole scalar against one table would need 385.
 const (
+	numLimbs = 6
+	limbBits = 64
+	// nafLen is the most digits a limb's non-adjacent form can have: the
+	// recoding of a limb with its top bits set carries into digit 64.
+	nafLen = limbBits + 1
+
+	// Window widths of the two scalars' non-adjacent forms, which are the
+	// tables' sizes: 2^(w−2) odd multiples per limb. G's tables are built
+	// once per process and read by every verification; a key's are built
+	// once per key and kept with it (≈ 4.6 KB), so they stay narrow.
 	baseWidth = 8
 	keyWidth  = 5
 )
 
-// baseTable returns G, 3G, …, 127G in affine coordinates.
-var baseTable = sync.OnceValue(func() *[1 << (baseWidth - 2)]affine {
-	var jac [1 << (baseWidth - 2)]point
-	oddMultiples(jac[:], &generator)
-	// One inversion for all 64 (Montgomery's trick): prefix[i] = z0·…·zi.
-	var prefix [len(jac)]elem
+// scalar is a value below 2³⁸⁴ as little-endian limbs.
+type scalar [numLimbs]uint64
+
+// keyBlocks and baseBlocks are a point P's tables at the two widths: for
+// each limb b of a scalar and each odd digit 2i+1 below 2^(w−1), the
+// affine point (2i+1)·2^(64b)·P at [b<<(w−2) + i].
+type (
+	keyBlocks  [numLimbs << (keyWidth - 2)]affine
+	baseBlocks [numLimbs << (baseWidth - 2)]affine
+)
+
+// generatorBlocks returns G's tables.
+var generatorBlocks = sync.OnceValue(func() *baseBlocks {
+	t := new(baseBlocks)
+	fillBlocks(t[:], &generator)
+	return t
+})
+
+// fillBlocks fills t, a keyBlocks or a baseBlocks, for the finite point p
+// of prime order: no multiple it computes is the point at infinity, and
+// one inversion (Montgomery's trick) brings them all to affine form.
+func fillBlocks(t []affine, p *affine) {
+	per := len(t) / numLimbs
+	jac := make([]point, len(t))
+	block := point{p.x, p.y, one}
+	for b := 0; b < len(t); b += per {
+		if b > 0 {
+			for range limbBits {
+				block.double(&block)
+			}
+		}
+		// block, 3·block, 5·block, …
+		jac[b] = block
+		var twice point
+		twice.double(&block)
+		for i := b + 1; i < b+per; i++ {
+			jac[i].add(&jac[i-1], &twice)
+		}
+	}
+
+	// prefix[i] = z0·…·zi; inv walks back down as 1/(z0·…·zi).
+	prefix := make([]elem, len(jac))
 	prefix[0] = jac[0].z
 	for i := 1; i < len(jac); i++ {
 		prefix[i].mul(&prefix[i-1], &jac[i].z)
 	}
 	var inv, zinv, zz elem
 	inv.invert(&prefix[len(jac)-1])
-	table := new([len(jac)]affine)
 	for i := len(jac) - 1; i >= 0; i-- {
 		zinv = inv
 		if i > 0 {
@@ -169,85 +215,64 @@ var baseTable = sync.OnceValue(func() *[1 << (baseWidth - 2)]affine {
 			inv.mul(&inv, &jac[i].z)
 		}
 		zz.sqr(&zinv)
-		table[i].x.mul(&jac[i].x, &zz)
+		t[i].x.mul(&jac[i].x, &zz)
 		zz.mul(&zz, &zinv)
-		table[i].y.mul(&jac[i].y, &zz)
-	}
-	return table
-})
-
-// oddMultiples fills t with q, 3q, 5q, ….
-func oddMultiples(t []point, q *affine) {
-	t[0] = point{q.x, q.y, one}
-	var twice point
-	twice.double(&t[0])
-	for i := 1; i < len(t); i++ {
-		t[i].add(&t[i-1], &twice)
+		t[i].y.mul(&jac[i].y, &zz)
 	}
 }
 
-// scalar is a value below 2³⁸⁴ as little-endian limbs.
-type scalar [6]uint64
-
-// window returns w ≤ 8 bits of k starting at bit i; bits from 384 up are 0.
-func (k *scalar) window(i int, w uint) uint64 {
-	limb, off := i/64, uint(i%64)
-	if limb >= len(k) {
-		return 0
-	}
-	v := k[limb] >> off
-	if off+w > 64 && limb+1 < len(k) {
-		v |= k[limb+1] << (64 - off)
-	}
-	return v & (1<<w - 1)
-}
-
-// nafLen is the most digits a non-adjacent form of a scalar can have.
-const nafLen = 385
-
-// wnaf writes the width-w non-adjacent form of k into naf, which must be
-// zero, and returns its length: k = Σ naf[i]·2ⁱ, every non-zero digit is
-// odd with |digit| < 2^(w−1), and any w consecutive digits hold at most
-// one non-zero.
-func (k *scalar) wnaf(w uint, naf *[nafLen]int8) (n int) {
+// limbNAF writes the width-w non-adjacent form of v into naf, which must
+// be zero, and returns its length: v = Σ naf[i]·2ⁱ, every non-zero digit
+// is odd with |digit| < 2^(w−1), and any w consecutive digits hold at most
+// one non-zero. Shifts by 64 and more read as 0, which is what bits beyond
+// the limb are.
+func limbNAF(v uint64, w uint, naf *[nafLen]int8) (n int) {
 	var carry uint64
-	for i := 0; i < nafLen; {
-		if k.window(i, 1) == carry {
+	for i := uint(0); i < nafLen; {
+		if v>>i&1 == carry {
 			i++
 			continue
 		}
-		word := k.window(i, w) + carry // odd
+		word := v>>i&(1<<w-1) + carry // odd, at most 2^w − 1
 		carry = word >> (w - 1)
 		naf[i] = int8(int(word) - int(carry<<w))
-		n = i + 1
-		i += int(w)
+		n = int(i) + 1
+		i += w
 	}
 	return n
 }
 
-// doubleScalarMult returns u1·G + u2·Q: one doubling chain shared by both
-// scalars (Straus), an addition only at each non-zero wNAF digit.
-func doubleScalarMult(u1, u2 *scalar, q *affine) (r point) {
-	var naf1, naf2 [nafLen]int8
-	n := max(u1.wnaf(baseWidth, &naf1), u2.wnaf(keyWidth, &naf2))
-	gs := baseTable()
-	var qs [1 << (keyWidth - 2)]point
-	oddMultiples(qs[:], q)
+// addDigit sets r = r + d·P for a non-zero wNAF digit d, given P's odd
+// multiples P, 3P, 5P, ….
+func (r *point) addDigit(odd []affine, d int8) {
+	if d > 0 {
+		r.addAffine(r, &odd[d>>1])
+		return
+	}
+	q := odd[-d>>1]
+	q.y.neg(&q.y)
+	r.addAffine(r, &q)
+}
+
+// combine returns u1·G + u2·Q for the key Q whose tables qs are: one chain
+// of at most 65 doublings shared by all twelve limbs (Straus), a mixed
+// addition at each non-zero digit of each.
+func (qs *keyBlocks) combine(u1, u2 *scalar) (r point) {
+	var naf1, naf2 [numLimbs][nafLen]int8
+	n := 0
+	for b := range u1 {
+		n = max(n, limbNAF(u1[b], baseWidth, &naf1[b]), limbNAF(u2[b], keyWidth, &naf2[b]))
+	}
+	gs := generatorBlocks()
 	for i := n - 1; i >= 0; i-- {
 		r.double(&r)
-		if d := naf1[i]; d > 0 {
-			r.addAffine(&r, &gs[d>>1])
-		} else if d < 0 {
-			g := gs[-d>>1]
-			g.y.neg(&g.y)
-			r.addAffine(&r, &g)
-		}
-		if d := naf2[i]; d > 0 {
-			r.add(&r, &qs[d>>1])
-		} else if d < 0 {
-			p := qs[-d>>1]
-			p.y.neg(&p.y)
-			r.add(&r, &p)
+		for b := range u1 {
+			if d := naf1[b][i]; d != 0 {
+				r.addDigit(gs[b<<(baseWidth-2):], d)
+			}
+			if d := naf2[b][i]; d != 0 {
+				r.addDigit(qs[b<<(keyWidth-2):], d)
+			}
 		}
 	}
 	return r

@@ -2,8 +2,10 @@ package p384
 
 import (
 	"crypto/elliptic"
+	"math"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -180,43 +182,94 @@ func TestPointOpsMatchReference(t *testing.T) {
 	}
 }
 
-func TestBaseTable(t *testing.T) {
-	table := baseTable()
-	twoG := refAdd(refG, refG)
-	want := refG
-	for i := range table {
-		if !table[i].onCurve() {
-			t.Fatalf("entry %d not on curve", i)
+// shiftedG returns d = ±2^(64k) mod n and d·G: the keys whose tables hold
+// the same points as G's, one block over, so that two streams of one pass
+// can meet on the same or on opposite table entries.
+func shiftedG(k int, negate bool) (d *big.Int, q *refPoint) {
+	d = new(big.Int).Lsh(big.NewInt(1), uint(limbBits*k))
+	if negate {
+		d.Sub(bigN, d)
+	}
+	return d, refMul(d, refG)
+}
+
+// TestBlockTables: every entry of a key's and of G's tables is
+// (2i+1)·2^(64b)·P, walked there by the textbook arithmetic alone.
+func TestBlockTables(t *testing.T) {
+	rnd := rand.New(rand.NewSource(9))
+	check := func(name string, table []affine, p *refPoint) {
+		t.Helper()
+		per := len(table) / numLimbs
+		block := p
+		for b := 0; b < numLimbs; b++ {
+			if b > 0 {
+				for i := 0; i < limbBits; i++ {
+					block = refAdd(block, block)
+				}
+			}
+			want, twice := block, refAdd(block, block)
+			for i := 0; i < per; i++ {
+				e := &table[b*per+i]
+				if !e.onCurve() {
+					t.Fatalf("%s: block %d entry %d not on curve", name, b, i)
+				}
+				if got := (&refPoint{fromMont(&e.x), fromMont(&e.y)}); !got.equal(want) {
+					t.Fatalf("%s: block %d entry %d is not %d·2^%d·P", name, b, i, 2*i+1, limbBits*b)
+				}
+				want = refAdd(want, twice)
+			}
 		}
-		if got := (&refPoint{fromMont(&table[i].x), fromMont(&table[i].y)}); !got.equal(want) {
-			t.Fatalf("entry %d is not %d·G", i, 2*i+1)
-		}
-		want = refAdd(want, twoG)
+	}
+	check("G", generatorBlocks()[:], refG)
+	if len(generatorBlocks()) != numLimbs*64 || len(keyBlocks{}) != numLimbs*8 {
+		t.Fatalf("table sizes %d and %d", len(generatorBlocks()), len(keyBlocks{}))
+	}
+	_, shifted := shiftedG(2, false)
+	for name, p := range map[string]*refPoint{
+		"random key":                        refMul(randScalar(rnd), refG),
+		"Q = -G":                            refNeg(refG),
+		"Q = 2^128·G":                       shifted,
+		"Q = (n-1)/2·G, whose double is -G": refMul(new(big.Int).Rsh(bigN, 1), refG),
+	} {
+		q := p.affine(t)
+		var blocks keyBlocks
+		fillBlocks(blocks[:], &q)
+		check(name, blocks[:], p)
 	}
 }
 
-// scalarEdges are the recoding's corner inputs: 0, 1, runs of ones that
-// carry the whole way up (n−1 nearly is one, 2³⁸⁴−1 is), single high bits.
+// scalarEdges are the recoding's corner inputs: 0, 1, limbs of all ones
+// (each carries into its digit 64), alternating bits, single high bits,
+// whole limbs of zeros between set ones.
 func scalarEdges() []*big.Int {
+	one := big.NewInt(1)
+	alternating, _ := new(big.Int).SetString(strings.Repeat("aa", 48), 16)
 	edges := []*big.Int{
-		new(big.Int), big.NewInt(1), big.NewInt(2), big.NewInt(127), big.NewInt(128), big.NewInt(129),
-		new(big.Int).Sub(bigN, big.NewInt(1)),
-		new(big.Int).Sub(bigR, big.NewInt(1)),
-		new(big.Int).Lsh(big.NewInt(1), 383),
-		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 383), big.NewInt(1)),
+		new(big.Int), one, big.NewInt(2), big.NewInt(127), big.NewInt(128), big.NewInt(129),
+		new(big.Int).Sub(bigN, one),
+		new(big.Int).Sub(bigR, one),
+		new(big.Int).Lsh(one, 383),
+		new(big.Int).Sub(new(big.Int).Lsh(one, 383), one),
+		alternating, new(big.Int).Rsh(alternating, 1),
+		// Limbs 1, 3 and 4 zero.
+		new(big.Int).Add(new(big.Int).Lsh(big.NewInt(0x1234567), 320), new(big.Int).Add(new(big.Int).Lsh(one, 191), big.NewInt(5))),
 	}
-	for i := 1; i < 6; i++ {
+	for i := 1; i < numLimbs; i++ {
 		edges = append(edges,
-			new(big.Int).Lsh(big.NewInt(1), uint(64*i)),
-			new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(64*i)), big.NewInt(1)),
-			new(big.Int).Lsh(big.NewInt(0xff), uint(64*i-4)))
+			new(big.Int).Lsh(one, uint(limbBits*i)),
+			new(big.Int).Sub(new(big.Int).Lsh(one, uint(limbBits*i)), one),
+			new(big.Int).Lsh(big.NewInt(0xff), uint(limbBits*i-4)),
+			// One limb of all ones with nothing above it to absorb the carry.
+			new(big.Int).Lsh(new(big.Int).SetUint64(math.MaxUint64), uint(limbBits*(i-1))))
 	}
 	return edges
 }
 
-// TestWNAF checks the recoding's contract for both widths in use: the
-// digits sum back to the scalar, each non-zero digit is odd and inside
-// the table, and no two non-zero digits are closer than the width.
+// TestWNAF checks the recoding's contract limb by limb for both widths in
+// use: each non-zero digit is odd and inside the table, no two non-zero
+// digits are closer than the width, the digits sum back to the limb — digit
+// 64 being the carry out of it — and the limbs' sums, each shifted to its
+// place, to the scalar.
 func TestWNAF(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	scalars := scalarEdges()
@@ -225,36 +278,81 @@ func TestWNAF(t *testing.T) {
 	}
 	for _, k := range scalars {
 		for _, w := range []uint{keyWidth, baseWidth} {
-			var naf [nafLen]int8
 			s := newScalar(k)
-			n := s.wnaf(w, &naf)
-			sum, last := new(big.Int), -int(w)
-			for i := nafLen - 1; i >= 0; i-- {
-				sum.Lsh(sum, 1).Add(sum, big.NewInt(int64(naf[i])))
-			}
-			for i, d := range naf {
-				if d == 0 {
-					continue
+			whole := new(big.Int)
+			for b := numLimbs - 1; b >= 0; b-- {
+				var naf [nafLen]int8
+				n := limbNAF(s[b], w, &naf)
+				sum, last := new(big.Int), -int(w)
+				for i := nafLen - 1; i >= 0; i-- {
+					sum.Lsh(sum, 1).Add(sum, big.NewInt(int64(naf[i])))
 				}
-				if i >= n || d%2 == 0 || int(d) >= 1<<(w-1) || int(d) <= -(1<<(w-1)) || i-last < int(w) {
-					t.Fatalf("k=%x w=%d: digit %d at %d (previous at %d, length %d)", k, w, d, i, last, n)
+				for i, d := range naf {
+					if d == 0 {
+						continue
+					}
+					if i >= n || d%2 == 0 || int(d) >= 1<<(w-1) || int(d) <= -(1<<(w-1)) || i-last < int(w) {
+						t.Fatalf("k=%x w=%d limb %d: digit %d at %d (previous at %d, length %d)", k, w, b, d, i, last, n)
+					}
+					last = i
 				}
-				last = i
+				if !sum.IsUint64() || sum.Uint64() != s[b] || (n > 0 && naf[n-1] == 0) || (n == 0) != (s[b] == 0) {
+					t.Fatalf("k=%x w=%d limb %d: digits sum to %x, length %d", k, w, b, sum, n)
+				}
+				if naf[limbBits] != 0 && naf[limbBits] != 1 {
+					t.Fatalf("k=%x w=%d limb %d: digit 64 is %d, not a carry", k, w, b, naf[limbBits])
+				}
+				whole.Lsh(whole, limbBits).Add(whole, sum)
 			}
-			if sum.Cmp(k) != 0 || (n > 0 && naf[n-1] == 0) {
-				t.Fatalf("k=%x w=%d: digits sum to %x, length %d", k, w, sum, n)
+			if whole.Cmp(k) != 0 {
+				t.Fatalf("k=%x w=%d: limbs sum to %x", k, w, whole)
 			}
+		}
+	}
+	// 2⁶⁴−1 is −1 + 2⁶⁴ at either width: the carry into digit 64, pinned.
+	for _, w := range []uint{keyWidth, baseWidth} {
+		var naf [nafLen]int8
+		if n := limbNAF(math.MaxUint64, w, &naf); n != nafLen || naf[0] != -1 || naf[limbBits] != 1 {
+			t.Errorf("w=%d: 2^64-1 recoded with length %d, digit 0 = %d, digit 64 = %d", w, n, naf[0], naf[limbBits])
 		}
 	}
 }
 
 // TestDoubleScalarMult holds u1·G + u2·Q to the reference, on random
-// scalars and on the edges, with Q random, G, and −G (where the two
-// tables hold the same points and sums meet their own doubles and
-// inverses on the way).
+// scalars and on the edges, with Q random and Q = ±2^(64k)·G (where the
+// two tables hold the same points and sums meet their own doubles and
+// inverses on the way). Every Q is d·G for a known d, so the reference is
+// (u1 + u2·d)·G.
 func TestDoubleScalarMult(t *testing.T) {
 	rnd := rand.New(rand.NewSource(6))
-	keys := []*refPoint{refG, refNeg(refG), refMul(randScalar(rnd), refG)}
+	type key struct {
+		d      *big.Int
+		blocks keyBlocks
+	}
+	newKey := func(d *big.Int, ref *refPoint) *key {
+		k, q := &key{d: d}, ref.affine(t)
+		fillBlocks(k.blocks[:], &q)
+		return k
+	}
+	check := func(k *key, a, b *big.Int) {
+		t.Helper()
+		u1, u2 := newScalar(a), newScalar(b)
+		got := k.blocks.combine(&u1, &u2)
+		sum := new(big.Int).Mul(b, k.d)
+		if want := refMul(sum.Add(sum, a).Mod(sum, bigN), refG); !toRef(&got).equal(want) {
+			t.Fatalf("%x·G + %x·Q, Q = %x·G: got %+v, want %+v", a, b, k.d, toRef(&got), want)
+		}
+	}
+
+	d := randScalar(rnd)
+	keys := []*key{newKey(d, refMul(d, refG))}
+	var shifted [numLimbs][2]*key
+	for k := range shifted {
+		for neg := range shifted[k] {
+			shifted[k][neg] = newKey(shiftedG(k, neg == 1))
+			keys = append(keys, shifted[k][neg])
+		}
+	}
 	type pair struct{ u1, u2 *big.Int }
 	var pairs []pair
 	for _, a := range scalarEdges() {
@@ -264,17 +362,33 @@ func TestDoubleScalarMult(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pairs = append(pairs, pair{randScalar(rnd), randScalar(rnd)})
 	}
+	// Every pair meets one key, in rotation.
 	for i, c := range pairs {
-		u1, u2 := newScalar(c.u1), newScalar(c.u2)
-		base := refMul(c.u1, refG)
-		// Every pair meets one key, in rotation.
-		ref := keys[i%len(keys)]
-		q := ref.affine(t)
-		got := doubleScalarMult(&u1, &u2, &q)
-		if want := refAdd(base, refMul(c.u2, ref)); !toRef(&got).equal(want) {
-			t.Fatalf("%x·G + %x·Q, Q = (%x, …): got %+v, want %+v", c.u1, c.u2, ref.x, toRef(&got), want)
+		check(keys[i%len(keys)], c.u1, c.u2)
+	}
+	for k := range shifted {
+		for _, c := range coincidences(k) {
+			check(shifted[k][0], c[0], c[1])
+			check(shifted[k][1], c[0], c[1])
 		}
 	}
+}
+
+// coincidences returns pairs (u1, u2) that put two streams of one pass on
+// the same table point at the same position when Q = ±2^(64k)·G, whose
+// block 0 is G's block k. A scalar d·2⁴⁰ + a with d and a odd and below 16
+// recodes to the digits a at 0 and d at 40 at either width, so with
+// u2 = d·2⁴⁰ + c and u1 = (d·2⁴⁰ + a)·2^(64k) the pass first adds d·T to
+// infinity and then adds ±d·T to that: addAffine's equal-operands branch
+// for +, and for − a sum at infinity with forty doublings and (a ≠ c) two
+// additions still to come.
+func coincidences(k int) (pairs [][2]*big.Int) {
+	for _, c := range [][3]int64{{1, 0, 0}, {7, 3, 3}, {15, 1, 5}, {9, 13, 1}} {
+		d, a, c := c[0]<<40, c[1], c[2]
+		u1 := new(big.Int).Lsh(big.NewInt(d+a), uint(limbBits*k))
+		pairs = append(pairs, [2]*big.Int{u1, big.NewInt(d + c)})
+	}
+	return pairs
 }
 
 // TestHasX drives the final comparison directly. Its second candidate,

@@ -21,6 +21,7 @@ type input struct {
 	x, y         *big.Int
 	digest, sig  []byte
 	otherCurve   bool // the key says P-256: rejected by design, the oracle is not consulted
+	badKey       bool // not a point on P-384 with coordinates in range: NewPublicKey must turn it away
 	wantAccepted bool
 }
 
@@ -29,15 +30,40 @@ func (in *input) key(curve elliptic.Curve) *ecdsa.PublicKey {
 }
 
 // agree runs both verifiers on a P-384 key and fails the test if their
-// verdicts differ; it returns the verdict.
+// verdicts differ; it returns the verdict. A key NewPublicKey turns away
+// is a rejection, which the oracle must share.
 func agree(t testing.TB, name string, pub *ecdsa.PublicKey, digest, sig []byte) bool {
 	t.Helper()
-	got, want := Verify(pub, digest, sig), ecdsa.VerifyASN1(pub, digest, sig)
+	k, err := NewPublicKey(pub)
+	if err != nil {
+		if ecdsa.VerifyASN1(pub, digest, sig) {
+			t.Fatalf("%s: NewPublicKey: %v, ecdsa.VerifyASN1 accepts\n key (%x, %x)\n digest %x\n sig %x",
+				name, err, pub.X, pub.Y, digest, sig)
+		}
+		return false
+	}
+	return agreePrepared(t, name, k, pub, digest, sig)
+}
+
+// agreePrepared is agree for a key prepared once and verified against many
+// times, as a verifier holds it: k must be NewPublicKey(pub).
+func agreePrepared(t testing.TB, name string, k *PublicKey, pub *ecdsa.PublicKey, digest, sig []byte) bool {
+	t.Helper()
+	got, want := k.Verify(digest, sig), ecdsa.VerifyASN1(pub, digest, sig)
 	if got != want {
-		t.Fatalf("%s: p384.Verify = %v, ecdsa.VerifyASN1 = %v\n key (%x, %x)\n digest %x\n sig %x",
+		t.Fatalf("%s: (*PublicKey).Verify = %v, ecdsa.VerifyASN1 = %v\n key (%x, %x)\n digest %x\n sig %x",
 			name, got, want, pub.X, pub.Y, digest, sig)
 	}
 	return got
+}
+
+func prepare(t testing.TB, pub *ecdsa.PublicKey) *PublicKey {
+	t.Helper()
+	k, err := NewPublicKey(pub)
+	if err != nil {
+		t.Fatalf("NewPublicKey(%x, %x): %v", pub.X, pub.Y, err)
+	}
+	return k
 }
 
 // derInteger and encodeSig are DER for SEQUENCE { INTEGER r, INTEGER s }
@@ -94,8 +120,9 @@ func sign(t testing.TB, key *ecdsa.PrivateKey, digest []byte) []byte {
 // and on all mutations of every eighth; the rest are held to the verdict
 // their siblings got (reject, or accept for the high-s twin), since a
 // rejection agrees with the oracle whether or not the arithmetic behind it
-// was right. Sized down under -short and -race, where the oracle alone
-// runs several times slower.
+// was right. Each key is prepared once and verified against throughout, as
+// a chain proof holds it. Sized down under -short and -race, where the
+// oracle alone runs several times slower.
 func TestVerifyMatchesStdlib(t *testing.T) {
 	keys, perKey := 50, 200
 	if testing.Short() || race.Enabled {
@@ -108,10 +135,11 @@ func TestVerifyMatchesStdlib(t *testing.T) {
 			t.Parallel()
 			key, other := newKey(t), newKey(t)
 			pub := &key.PublicKey
+			prepared := map[*ecdsa.PublicKey]*PublicKey{pub: prepare(t, pub), &other.PublicKey: prepare(t, &other.PublicKey)}
 			for i := 0; i < perKey; i++ {
 				digest := sha512.Sum384([]byte(fmt.Sprintf("report %d/%d", k, i)))
 				sig := sign(t, key, digest[:])
-				if !agree(t, "honest", pub, digest[:], sig) {
+				if !agreePrepared(t, "honest", prepared[pub], pub, digest[:], sig) {
 					t.Fatalf("honest signature rejected: %x", sig)
 				}
 				r, s := decodeSig(t, sig)
@@ -131,9 +159,9 @@ func TestVerifyMatchesStdlib(t *testing.T) {
 					"high-s twin":  {pub, digest[:], encodeSig(r, new(big.Int).Sub(bigN, s)), true},
 					"key replaced": {&other.PublicKey, digest[:], sig, false},
 				} {
-					got := Verify(m.pub, m.digest, m.sig)
+					got := prepared[m.pub].Verify(m.digest, m.sig)
 					if i%8 == 0 {
-						got = agree(t, name, m.pub, m.digest, m.sig)
+						got = agreePrepared(t, name, prepared[m.pub], m.pub, m.digest, m.sig)
 					}
 					if got != m.want {
 						t.Fatalf("%s: verdict %v\n digest %x\n sig %x", name, got, digest, sig)
@@ -156,7 +184,7 @@ func rejectionTable(t testing.TB) []input {
 		return input{name: name, x: key.X, y: key.Y, digest: digest[:], sig: sig}
 	}
 	keyRow := func(name string, x, y *big.Int) input {
-		return input{name: name, x: x, y: y, digest: digest[:], sig: sig}
+		return input{name: name, x: x, y: y, digest: digest[:], sig: sig, badKey: true}
 	}
 	zero, one := new(big.Int), big.NewInt(1)
 	// raw DER with a hand-set INTEGER body, for encodings encodeSig will not produce.
@@ -169,6 +197,17 @@ func rejectionTable(t testing.TB) []input {
 	p256Key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A point with x below 2³⁸⁴ − p ≈ 2¹²⁸, the only kind whose x + p is
+	// still 48 bytes: it reaches the field's own range check where every
+	// other key's x + p is turned away for its length.
+	var smallX *refPoint
+	for x := new(big.Int); smallX == nil; x.Add(x, one) {
+		rhs := new(big.Int).Exp(x, big.NewInt(3), bigP)
+		rhs.Sub(rhs, new(big.Int).Mul(big.NewInt(3), x)).Add(rhs, elliptic.P384().Params().B)
+		if y := new(big.Int).ModSqrt(rhs.Mod(rhs, bigP), bigP); y != nil {
+			smallX = &refPoint{new(big.Int).Set(x), y}
+		}
 	}
 	// An r whose top bit is set, so that its DER carries a sign pad.
 	padded, paddedSig := r, sig
@@ -193,6 +232,9 @@ func rejectionTable(t testing.TB) []input {
 		row("r non-minimal", seq(rawInt(append([]byte{0, 0}, r.Bytes()...)...), sInt)),
 		row("r padded though high bit clear", seq(rawInt(0, 0x7f, 1), sInt)),
 		row("r empty INTEGER", seq(rawInt(), sInt)),
+		row("s non-minimal", seq(derInteger(r), rawInt(append([]byte{0, 0}, s.Bytes()...)...))),
+		row("s = -1", seq(derInteger(r), rawInt(0xff))),
+		row("s empty INTEGER", seq(derInteger(r), rawInt())),
 		row("trailing byte after SEQUENCE", append(bytes.Clone(sig), 0)),
 		row("trailing byte inside SEQUENCE", seq(sig[2:], []byte{0})),
 		row("third INTEGER", seq(sig[2:], rawInt(1))),
@@ -211,11 +253,12 @@ func rejectionTable(t testing.TB) []input {
 		keyRow("key y = 2^384-1", key.X, new(big.Int).Sub(bigR, one)),
 		keyRow("key x + p", new(big.Int).Add(key.X, bigP), key.Y),
 		keyRow("key y + p", key.X, new(big.Int).Add(key.Y, bigP)),
+		keyRow("key x + p that fits 384 bits", new(big.Int).Add(smallX.x, bigP), smallX.y),
 		keyRow("key x negative", new(big.Int).Neg(key.X), key.Y),
 		keyRow("key y negated as an integer", key.X, new(big.Int).Neg(key.Y)),
 		keyRow("key at infinity (0, 0)", zero, zero),
 		keyRow("key x wider than 384 bits", new(big.Int).Lsh(one, 400), key.Y),
-		keyRow("key -Q", key.X, new(big.Int).Sub(bigP, key.Y)),
+		{name: "key -Q", x: key.X, y: new(big.Int).Sub(bigP, key.Y), digest: digest[:], sig: sig},
 		{name: "digest empty", x: key.X, y: key.Y, sig: sig},
 		{name: "digest short", x: key.X, y: key.Y, digest: digest[:20], sig: sig},
 		{name: "digest with a 49th byte", x: key.X, y: key.Y, digest: append(bytes.Clone(digest[:]), 0xaa), sig: sig, wantAccepted: true},
@@ -232,13 +275,24 @@ func rejectionTable(t testing.TB) []input {
 func TestRejectionTable(t *testing.T) {
 	rows := rejectionTable(t)
 	for _, in := range rows {
+		curve := elliptic.P384()
 		if in.otherCurve {
-			if Verify(in.key(elliptic.P256()), in.digest, in.sig) {
+			curve = elliptic.P256()
+		}
+		pub := in.key(curve)
+		// The key guards sit in NewPublicKey: a row that names a bad key
+		// fails there, before any signature is looked at, and no other row
+		// does.
+		if _, err := NewPublicKey(pub); (err != nil) != (in.badKey || in.otherCurve) {
+			t.Errorf("%s: NewPublicKey: %v", in.name, err)
+		}
+		if in.otherCurve {
+			if Verify(pub, in.digest, in.sig) {
 				t.Errorf("%s: accepted", in.name)
 			}
 			continue
 		}
-		if got := agree(t, in.name, in.key(elliptic.P384()), in.digest, in.sig); got != in.wantAccepted {
+		if got := agree(t, in.name, pub, in.digest, in.sig); got != in.wantAccepted {
 			t.Errorf("%s: both verifiers say %v, want %v", in.name, got, in.wantAccepted)
 		}
 	}
@@ -252,6 +306,9 @@ func TestRejectionTable(t *testing.T) {
 	} {
 		if Verify(pub, honest.digest, honest.sig) {
 			t.Errorf("%s: accepted", name)
+		}
+		if k, err := NewPublicKey(pub); err == nil || k != nil {
+			t.Errorf("%s: prepared", name)
 		}
 	}
 }
@@ -340,6 +397,38 @@ func exceptionalCases(t testing.TB) []input {
 
 	// r below p−n: hasX tries its second candidate (and must not match).
 	add("r small enough for r+n", key, digest[:], encodeSig(big.NewInt(5), s), false)
+
+	// Q = ±2^(64k)·G: the key's block 0 is G's block k. Honest signatures
+	// first; then signatures made for chosen u1 and u2 — R = u1·G + u2·Q,
+	// r = x(R), s = r/u2, e = u1·s — that put two streams of the pass on one
+	// table point at one position (coincidences, in point_test.go): the sum
+	// is its own double there for +, and passes through infinity for −,
+	// where it either recovers (accepted) or ends (no r can be valid).
+	// These rows are the last: the fuzz corpus numbers its seeds in order.
+	for k := 0; k < numLimbs; k++ {
+		for _, negate := range []bool{false, true} {
+			d, q := shiftedG(k, negate)
+			name := fmt.Sprintf("Q = %s2^%d·G", map[bool]string{false: "", true: "-"}[negate], limbBits*k)
+			sk := &ecdsa.PrivateKey{PublicKey: ecdsa.PublicKey{Curve: elliptic.P384(), X: q.x, Y: q.y}, D: d}
+			for i := 0; i < 2; i++ {
+				dg := sha512.Sum384([]byte{byte(k), byte(i)})
+				add(fmt.Sprintf("%s #%d", name, i), sk, dg[:], sign(t, sk, dg[:]), true)
+			}
+			for i, c := range coincidences(k) {
+				u1, u2 := c[0], c[1]
+				sum := new(big.Int).Mul(u2, d)
+				R := refMul(sum.Add(sum, u1).Mod(sum, bigN), refG)
+				r := randScalar(rnd)
+				if R != nil {
+					r = new(big.Int).Mod(R.x, bigN)
+				}
+				s := new(big.Int).ModInverse(u2, bigN)
+				s.Mul(s, r).Mod(s, bigN)
+				e := new(big.Int).Mul(u1, s)
+				add(fmt.Sprintf("%s coincidence #%d", name, i), sk, e.Mod(e, bigN).FillBytes(make([]byte, 48)), encodeSig(r, s), R != nil)
+			}
+		}
+	}
 	return rows
 }
 
@@ -351,19 +440,28 @@ func TestExceptionalCases(t *testing.T) {
 	}
 }
 
-// BenchmarkVerify puts the kernel next to the verifier it replaced.
+// BenchmarkVerify puts the kernel next to the verifier it replaced:
+// against a key that is held (prepared), what holding one costs (prepare),
+// both together for a key seen once (oneshot), and crypto/ecdsa (stdlib).
 func BenchmarkVerify(b *testing.B) {
 	key := newKey(b)
+	pub := &key.PublicKey
 	digest := sha512.Sum384([]byte("benchmark"))
 	sig := sign(b, key, digest[:])
-	for name, verify := range map[string]func(*ecdsa.PublicKey, []byte, []byte) bool{
-		"p384":   Verify,
-		"stdlib": ecdsa.VerifyASN1,
+	held := prepare(b, pub)
+	for _, c := range []struct {
+		name   string
+		verify func() bool
+	}{
+		{"prepared", func() bool { return held.Verify(digest[:], sig) }},
+		{"prepare", func() bool { k, err := NewPublicKey(pub); return err == nil && k != nil }},
+		{"oneshot", func() bool { return Verify(pub, digest[:], sig) }},
+		{"stdlib", func() bool { return ecdsa.VerifyASN1(pub, digest[:], sig) }},
 	} {
-		b.Run(name, func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if !verify(&key.PublicKey, digest[:], sig) {
+				if !c.verify() {
 					b.Fatal("honest signature rejected")
 				}
 			}

@@ -93,11 +93,11 @@ func VerifyProviderCertificate(ctx context.Context, v attestation.Verifier, cert
 	if err != nil {
 		return nil, err
 	}
-	pubDER, err := x509.MarshalPKIXPublicKey(cert.PublicKey)
-	if err != nil {
-		return nil, fmt.Errorf("ratls: marshal peer key: %w", err)
-	}
-	if !bytes.Equal(pubDER, res.Payload) {
+	// The attested payload is x509.MarshalPKIXPublicKey of the key, which
+	// is how CreateProviderCertificate's certificate carries it too: the
+	// bytes are compared as they stand, and a key encoded any other way is
+	// not the attested one.
+	if !bytes.Equal(cert.RawSubjectPublicKeyInfo, res.Payload) {
 		return nil, ErrKeyMismatch
 	}
 	return res, nil

@@ -118,6 +118,34 @@ func (r *rig) votedRegistry(t *testing.T) *registry.Registry {
 	return reg
 }
 
+// TestCertificateCarriesCanonicalKeyEncoding: VerifyProviderCertificate
+// compares the certificate's SubjectPublicKeyInfo as it stands with the
+// attested payload, which is x509.MarshalPKIXPublicKey of the key. For a
+// certificate CreateProviderCertificate mints the two are the same bytes;
+// that, and the evidence binding exactly them, is what the comparison
+// rests on.
+func TestCertificateCarriesCanonicalKeyEncoding(t *testing.T) {
+	r := newRig(t)
+	parsed, err := x509.ParseCertificate(r.mint(t).Certificate[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := x509.MarshalPKIXPublicKey(parsed.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(parsed.RawSubjectPublicKeyInfo, canonical) {
+		t.Errorf("raw SubjectPublicKeyInfo\n %x is not MarshalPKIXPublicKey of the parsed key\n %x", parsed.RawSubjectPublicKeyInfo, canonical)
+	}
+	res, err := VerifyProviderCertificate(context.Background(), r.provider(r.verifier), parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Payload, canonical) {
+		t.Errorf("attested payload %x, want the key's canonical encoding %x", res.Payload, canonical)
+	}
+}
+
 func TestCertificateCarriesValidEvidence(t *testing.T) {
 	r := newRig(t)
 	cert := r.mint(t)

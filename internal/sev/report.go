@@ -9,7 +9,6 @@
 package sev
 
 import (
-	"crypto/ecdsa"
 	"crypto/sha512"
 	"encoding/binary"
 	"errors"
@@ -88,14 +87,16 @@ func (r *Report) SignedBytes() []byte {
 	return r.AppendSigned(make([]byte, 0, SignedSize))
 }
 
-// Verify checks the report signature against the given VCEK public key,
-// which must be on P-384 as the SEV-SNP ABI has it. Report, signature and
-// key are all public, so the check runs on the variable-time kernel in
-// internal/p384.
-func (r *Report) Verify(vcek *ecdsa.PublicKey) error {
+// Verify checks the report signature against the given VCEK public key, a
+// P-384 key as the SEV-SNP ABI has it — p384.NewPublicKey prepares no
+// other. Report, signature and key are all public, so the check runs on
+// the variable-time kernel in internal/p384; the key comes prepared
+// because whoever verifies one report under a VCEK verifies the next one
+// too (attest keeps it with the VCEK's chain proof).
+func (r *Report) Verify(vcek *p384.PublicKey) error {
 	var signed [SignedSize]byte
 	digest := sha512.Sum384(r.AppendSigned(signed[:0]))
-	if !p384.Verify(vcek, digest[:], r.Signature) {
+	if !vcek.Verify(digest[:], r.Signature) {
 		return ErrBadSignature
 	}
 	return nil

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"revelio/internal/p384"
 )
 
 func signedTestReport(t *testing.T) (*Report, *ecdsa.PrivateKey) {
@@ -41,6 +43,16 @@ func signedTestReport(t *testing.T) (*Report, *ecdsa.PrivateKey) {
 	return r, key
 }
 
+// prepared is the form Verify takes a VCEK key in.
+func prepared(t testing.TB, pub *ecdsa.PublicKey) *p384.PublicKey {
+	t.Helper()
+	key, err := p384.NewPublicKey(pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
 func TestReportMarshalRoundTrip(t *testing.T) {
 	r, key := signedTestReport(t)
 	enc, err := r.MarshalBinary()
@@ -57,7 +69,7 @@ func TestReportMarshalRoundTrip(t *testing.T) {
 		back.ChipID != r.ChipID || !bytes.Equal(back.Signature, r.Signature) {
 		t.Error("roundtrip field mismatch")
 	}
-	if err := back.Verify(&key.PublicKey); err != nil {
+	if err := back.Verify(prepared(t, &key.PublicKey)); err != nil {
 		t.Errorf("Verify after roundtrip: %v", err)
 	}
 }
@@ -68,7 +80,7 @@ func TestReportVerifyWrongKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Verify(&other.PublicKey); !errors.Is(err, ErrBadSignature) {
+	if err := r.Verify(prepared(t, &other.PublicKey)); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("Verify with wrong key: err = %v, want ErrBadSignature", err)
 	}
 }
@@ -88,7 +100,7 @@ func TestReportFieldTamper(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			r, key := signedTestReport(t)
 			mutate(r)
-			if err := r.Verify(&key.PublicKey); !errors.Is(err, ErrBadSignature) {
+			if err := r.Verify(prepared(t, &key.PublicKey)); !errors.Is(err, ErrBadSignature) {
 				t.Errorf("tampered %s verified: err = %v", name, err)
 			}
 		})
@@ -175,9 +187,10 @@ func BenchmarkReportSignVerify(b *testing.B) {
 		b.Fatal(err)
 	}
 	r.Signature = sig
+	vcek := prepared(b, &key.PublicKey)
 	b.Run("verify", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := r.Verify(&key.PublicKey); err != nil {
+			if err := r.Verify(vcek); err != nil {
 				b.Fatal(err)
 			}
 		}

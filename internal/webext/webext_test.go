@@ -258,6 +258,31 @@ func TestMultiNodeAllAttestable(t *testing.T) {
 	}
 }
 
+// TestSessionsPrepareEachVCEKKeyOnce: every new session re-attests with a
+// report nobody has seen, so each pays a report signature check — but
+// against a key whose tables the verifier built when it proved that VCEK's
+// chain, not again. However many sessions a verifier serves, it prepares as
+// many keys as there are VCEKs.
+func TestSessionsPrepareEachVCEKKeyOnce(t *testing.T) {
+	d := newDeployment(t, 2)
+	base := d.Verifier.Stats()
+	const sessions = 6
+	for i := 0; i < sessions; i++ {
+		_, ext := newClientSide(t, d, i%len(d.Nodes))
+		ext.RegisterSite(domain, d.Golden)
+		if _, m, err := ext.Navigate(context.Background(), domain, "/"); err != nil || !m.Attested {
+			t.Fatalf("session %d: err=%v metrics=%+v", i, err, m)
+		}
+	}
+	got := d.Verifier.Stats().Sub(base)
+	if got.ReportsVerified != sessions || got.KeysPrepared != 0 || got.ChainHits != sessions {
+		t.Errorf("%d sessions over %d provisioned nodes cost %+v: want a verification and a chain hit each, and no key prepared", sessions, len(d.Nodes), got)
+	}
+	if total := d.Verifier.Stats().KeysPrepared; total != uint64(len(d.Nodes)) {
+		t.Errorf("verifier prepared %d keys for %d VCEKs", total, len(d.Nodes))
+	}
+}
+
 // §5.3.2: after a flagged failure, the user may explicitly decide to
 // proceed — the override is honored for the session and cleared on reset.
 func TestUserOverrideProceeds(t *testing.T) {
