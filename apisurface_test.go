@@ -29,7 +29,6 @@ var publicPackages = []string{
 	".",
 	"attestation",
 	"attestation/snp",
-	"attestation/softtee",
 	"gateway",
 	"webclient",
 	"apps/boundary",

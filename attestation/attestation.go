@@ -1,8 +1,7 @@
 // Package attestation is the provider-neutral core of Revelio's public
-// SDK: the interfaces and error taxonomy every attestation provider —
-// hardware-backed SEV-SNP (attestation/snp) or the in-process software
-// TEE (attestation/softtee) — plugs into, and the Mux that lets one
-// relying party verify evidence from a mixed-provider fleet.
+// SDK: the interfaces and error taxonomy the attestation provider —
+// hardware-backed SEV-SNP (attestation/snp) — plugs into, and that the
+// RA-TLS, gateway and fleet layers speak without naming the provider.
 //
 // The package is a deliberate leaf: it defines vocabulary (Evidence,
 // Result, Issuer, Verifier, Provider, CertSource, TrustPolicy) and the
@@ -24,12 +23,11 @@ import (
 
 // Evidence is the provider-tagged unit of attestation the SDK ships
 // between issuers and verifiers: an opaque provider-specific document
-// (an SEV-SNP report bundle, a software-TEE quote, ...) plus the payload
-// it vouches for. The Provider tag routes the evidence through a Mux to
-// the verifier that understands the document.
+// (an SEV-SNP report bundle) plus the payload it vouches for. A verifier
+// refuses evidence tagged with any provider but its own
+// (ErrUnknownProvider).
 type Evidence struct {
-	// Provider names the provider that issued the document (e.g.
-	// "sev-snp", "soft-tdx").
+	// Provider names the provider that issued the document ("sev-snp").
 	Provider string `json:"provider"`
 	// Payload is the application data the evidence binds — typically a
 	// DER public key whose hash the provider embedded in the document.
@@ -98,7 +96,7 @@ type Verifier interface {
 
 // Provider is a complete attestation provider: it can issue evidence
 // (inside the TEE) and verify it (as a relying party), under a stable
-// name the Mux routes on.
+// name its evidence is tagged with.
 type Provider interface {
 	// Name identifies the provider (the Evidence.Provider tag it stamps
 	// and answers to).
@@ -130,8 +128,7 @@ type ResultPolicy interface {
 }
 
 // TrustPolicy decides whether a measurement is a golden value. The
-// trusted registry and static golden sets implement it; it is shared by
-// every provider so one policy object can govern a mixed fleet.
+// trusted registry and static golden sets implement it.
 type TrustPolicy interface {
 	IsTrusted(m measure.Measurement) bool
 }

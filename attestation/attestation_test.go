@@ -1,7 +1,6 @@
 package attestation
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -63,42 +62,6 @@ func TestJudgeMeasurement(t *testing.T) {
 	}
 	if err := JudgeMeasurement(nil, unknown); err != nil {
 		t.Fatalf("nil policy must trust everything, got %v", err)
-	}
-}
-
-type fakeVerifier struct {
-	name string
-	err  error
-}
-
-func (f *fakeVerifier) VerifyEvidence(_ context.Context, ev *Evidence) (*Result, error) {
-	if f.err != nil {
-		return nil, f.err
-	}
-	return &Result{Provider: f.name, Payload: ev.Payload}, nil
-}
-
-func TestMuxDispatch(t *testing.T) {
-	mux := NewMux()
-	mux.Register("alpha", &fakeVerifier{name: "alpha"})
-	mux.Register("beta", &fakeVerifier{name: "beta", err: ErrUntrustedMeasurement})
-
-	res, err := mux.VerifyEvidence(context.Background(), &Evidence{Provider: "alpha", Document: []byte("{}")})
-	if err != nil || res.Provider != "alpha" {
-		t.Fatalf("alpha dispatch: res=%v err=%v", res, err)
-	}
-	if _, err := mux.VerifyEvidence(context.Background(), &Evidence{Provider: "beta", Document: []byte("{}")}); !errors.Is(err, ErrPolicyRejected) {
-		t.Fatalf("beta dispatch: got %v, want policy rejection", err)
-	}
-	if _, err := mux.VerifyEvidence(context.Background(), &Evidence{Provider: "gamma"}); !errors.Is(err, ErrUnknownProvider) {
-		t.Fatalf("unknown provider: got %v, want ErrUnknownProvider", err)
-	}
-	mux.Deregister("alpha")
-	if _, err := mux.VerifyEvidence(context.Background(), &Evidence{Provider: "alpha"}); !errors.Is(err, ErrUnknownProvider) {
-		t.Fatalf("deregistered provider must fail closed, got %v", err)
-	}
-	if got := mux.Providers(); len(got) != 1 || got[0] != "beta" {
-		t.Fatalf("Providers() = %v, want [beta]", got)
 	}
 }
 

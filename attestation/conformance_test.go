@@ -1,9 +1,8 @@
-// Provider conformance: every attestation provider — the hardware
-// SEV-SNP plane and the software TEE — must behave identically through
-// the neutral interfaces: issue/verify round trips, payload-binding and
-// tamper failures, expiry, policy judgments (untrusted / revoked / TCB
-// floor), policy-revision fencing, and the provider-neutral RA-TLS
-// handshake, alone and behind a Mux.
+// Provider conformance: the attestation provider — the hardware
+// SEV-SNP plane — must keep the neutral interfaces' contract: issue/verify
+// round trips, payload-binding and tamper failures, misrouted evidence,
+// expiry, policy judgments (untrusted / revoked), policy-revision
+// fencing, and the provider-neutral RA-TLS handshake.
 package attestation_test
 
 import (
@@ -18,7 +17,6 @@ import (
 
 	"revelio/attestation"
 	"revelio/attestation/snp"
-	"revelio/attestation/softtee"
 	"revelio/internal/measure"
 	"revelio/internal/ratls"
 	"revelio/internal/registry"
@@ -106,37 +104,9 @@ func newSNPHarness(t *testing.T) *harness {
 	}
 }
 
-func newSoftTEEHarness(t *testing.T) *harness {
-	t.Helper()
-	clock := newTestClock()
-	platform, err := softtee.NewPlatform([]byte("conformance-soft"),
-		softtee.WithTCB(7), softtee.WithPlatformClock(clock.Now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden measure.Measurement
-	golden[0], golden[1] = 0x50, 0x42
-	enclave := platform.Launch(golden)
-	reg := newRegistryPolicy(t, golden)
-	verifier := softtee.NewVerifier(platform.PublicKey(), reg, softtee.WithVerifierClock(clock.Now))
-	return &harness{
-		name:       "soft-tdx",
-		provider:   softtee.NewProvider(enclave, verifier),
-		golden:     golden,
-		registry:   reg,
-		advance:    clock.Advance,
-		invalidate: verifier.InvalidatePolicy,
-		freshIssuer: func(t *testing.T) attestation.Issuer {
-			var rogue measure.Measurement
-			rogue[0] = 0xBB
-			return platform.Launch(rogue)
-		},
-	}
-}
-
 func harnesses(t *testing.T) []*harness {
 	t.Helper()
-	return []*harness{newSNPHarness(t), newSoftTEEHarness(t)}
+	return []*harness{newSNPHarness(t)}
 }
 
 func TestProviderConformance(t *testing.T) {
@@ -241,8 +211,7 @@ func TestProviderExpiry(t *testing.T) {
 			if _, err := h.provider.VerifyEvidence(ctx, ev); err != nil {
 				t.Fatalf("fresh evidence: %v", err)
 			}
-			// Jump far past every validity window (VCEK NotAfter, quote
-			// NotAfter).
+			// Jump far past every validity window (VCEK NotAfter).
 			h.advance(30 * 365 * 24 * time.Hour)
 			if _, err := h.provider.VerifyEvidence(ctx, ev); !errors.Is(err, attestation.ErrEvidenceExpired) {
 				t.Errorf("expired evidence: %v, want ErrEvidenceExpired", err)
@@ -278,63 +247,46 @@ func TestProviderCancellation(t *testing.T) {
 }
 
 // TestProviderRATLS runs the provider-neutral RA-TLS handshake for each
-// provider, and through a Mux registered with both — the mixed-provider
-// fleet's transport path. Each combination gets a fresh harness pair,
-// because the scenario ends in a permanent revocation.
+// provider, dialing with the provider itself as the verifier. Each gets
+// a fresh harness, because the scenario ends in a permanent revocation.
 func TestProviderRATLS(t *testing.T) {
-	for _, mode := range []string{"direct", "mux"} {
-		for which := 0; which < 2; which++ {
-			mode, which := mode, which
-			hs := harnesses(t)
-			h := hs[which]
-			var v attestation.Verifier = h.provider
-			if mode == "mux" {
-				mux := attestation.NewMux()
-				for _, hh := range hs {
-					mux.RegisterProvider(hh.provider)
-				}
-				v = mux
+	for _, h := range harnesses(t) {
+		h := h
+		t.Run(h.name+"/direct", func(t *testing.T) {
+			cert, err := ratls.CreateProviderCertificate(context.Background(), h.provider, "node.internal")
+			if err != nil {
+				t.Fatal(err)
 			}
-			verify := struct {
-				name string
-				v    attestation.Verifier
-			}{mode, v}
-			t.Run(h.name+"/"+verify.name, func(t *testing.T) {
-				cert, err := ratls.CreateProviderCertificate(context.Background(), h.provider, "node.internal")
-				if err != nil {
-					t.Fatal(err)
-				}
-				srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-					_, _ = w.Write([]byte("attested hello"))
-				}))
-				srv.TLS = &tls.Config{Certificates: []tls.Certificate{cert}}
-				srv.StartTLS()
-				defer srv.Close()
+			srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				_, _ = w.Write([]byte("attested hello"))
+			}))
+			srv.TLS = &tls.Config{Certificates: []tls.Certificate{cert}}
+			srv.StartTLS()
+			defer srv.Close()
 
-				client := &http.Client{Transport: &http.Transport{
-					TLSClientConfig: ratls.ProviderClientConfig(verify.v),
-				}}
-				defer client.CloseIdleConnections()
-				resp, err := client.Get(srv.URL)
-				if err != nil {
-					t.Fatalf("attested dial: %v", err)
-				}
-				_ = resp.Body.Close()
+			client := &http.Client{Transport: &http.Transport{
+				TLSClientConfig: ratls.ProviderClientConfig(h.provider),
+			}}
+			defer client.CloseIdleConnections()
+			resp, err := client.Get(srv.URL)
+			if err != nil {
+				t.Fatalf("attested dial: %v", err)
+			}
+			_ = resp.Body.Close()
 
-				// Revoke the golden: the very next handshake fails closed,
-				// even against warmed memos.
-				if err := h.registry.Revoke(h.golden); err != nil {
-					t.Fatal(err)
-				}
-				h.invalidate()
-				client2 := &http.Client{Transport: &http.Transport{
-					TLSClientConfig: ratls.ProviderClientConfig(verify.v),
-				}}
-				defer client2.CloseIdleConnections()
-				if _, err := client2.Get(srv.URL); err == nil {
-					t.Fatal("handshake succeeded after revocation")
-				}
-			})
-		}
+			// Revoke the golden: the very next handshake fails closed,
+			// even against warmed memos.
+			if err := h.registry.Revoke(h.golden); err != nil {
+				t.Fatal(err)
+			}
+			h.invalidate()
+			client2 := &http.Client{Transport: &http.Transport{
+				TLSClientConfig: ratls.ProviderClientConfig(h.provider),
+			}}
+			defer client2.CloseIdleConnections()
+			if _, err := client2.Get(srv.URL); err == nil {
+				t.Fatal("handshake succeeded after revocation")
+			}
+		})
 	}
 }

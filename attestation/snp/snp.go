@@ -206,7 +206,7 @@ func (p *Provider) CheckResult(res *attestation.Result) error {
 // EvidenceFromBundle wraps an existing report bundle — e.g. one fetched
 // from a node's well-known attestation endpoint — in the neutral
 // evidence envelope, so legacy bundle producers feed provider-neutral
-// consumers (a Mux, the neutral ratls path) unchanged.
+// consumers (the neutral ratls path, Fleet.VerifyFleet) unchanged.
 func EvidenceFromBundle(b *attest.Bundle) (*attestation.Evidence, error) {
 	doc, err := json.Marshal(quoteDoc{Bundle: b})
 	if err != nil {

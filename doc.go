@@ -18,13 +18,11 @@
 //
 //	revelio                      — Service builder, image builds, fleets
 //	revelio/attestation          — provider-neutral interfaces (Evidence,
-//	                               Provider, Mux, CertSource) and the typed
+//	                               Provider, CertSource) and the typed
 //	                               error taxonomy (ErrPolicyRejected,
 //	                               ErrRevoked, ErrKDSUnavailable, ...)
 //	revelio/attestation/snp      — the SEV-SNP provider (verifier, KDS
 //	                               client, simulator)
-//	revelio/attestation/softtee  — a second, in-process software-TEE
-//	                               provider (mock TDX-style quotes)
 //	revelio/gateway              — the attested gateway data plane: a
 //	                               TLS-terminating reverse proxy whose
 //	                               RA-TLS upstreams balance across every
@@ -36,11 +34,10 @@
 //	                               deadline propagation, and load
 //	                               shedding (Config.Resilience), plus
 //	                               context-aware routing policy: path
-//	                               classes constrained by TCB floor,
-//	                               provider, measurement, or locality,
-//	                               provider traffic splits, and canary
-//	                               rollouts with measurement-based
-//	                               auto-rollback (Config.Routing)
+//	                               classes constrained by TCB floor or
+//	                               locality, and canary rollouts with
+//	                               measurement-based auto-rollback
+//	                               (Config.Routing)
 //	revelio/webclient            — the end-user browser + web extension
 //	revelio/apps/...             — the paper's use cases (cryptpad,
 //	                               boundary, ic)

@@ -7,8 +7,8 @@ import (
 )
 
 // ExampleRouting builds the routing policy from OPERATIONS.md: a path
-// class pinned to high-TCB SEV-SNP nodes, a zone-pinned class, a 3:1
-// provider split, and canary routing for staged firmware rollouts. The
+// class pinned to high-TCB nodes, a zone-pinned class, and canary
+// routing for staged firmware rollouts. The
 // policy plugs into gateway.Config.Routing; its zero value routes
 // exactly like the pre-policy gateway.
 func ExampleRouting() {
@@ -21,20 +21,12 @@ func ExampleRouting() {
 				Name:       "payments",
 				PathPrefix: "/payments",
 				MinTCB:     8,
-				Providers:  []string{"sev-snp"},
 			},
 			{
 				Name:       "eu-residency",
 				PathPrefix: "/eu",
 				Localities: []string{"eu-west"},
 			},
-		},
-		// Soft preference: steer sev-snp and soft-tdx traffic 3:1,
-		// falling back to the whole in-policy set when the preferred
-		// provider has no healthy endpoint.
-		Splits: []gateway.TrafficSplit{
-			{Provider: "sev-snp", Weight: 3},
-			{Provider: "soft-tdx", Weight: 1},
 		},
 		// During a StageFirmware rollout, steer 25% of eligible traffic
 		// to nodes on the new golden measurement; roll back — hard, until

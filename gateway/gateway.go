@@ -18,11 +18,10 @@
 //
 // Routing is context-aware: Config.Routing evaluates operator policy
 // over each node's published attestation context (TCB version,
-// provider, locality, launch measurement) per request. Hard rules pin
-// route classes to constraints ("only TCB ≥ 8 serves /payments");
-// traffic splits weight providers in mixed fleets; and during a staged
-// firmware rollout, canary routing steers a configured fraction of
-// traffic to nodes on the new measurement and rolls it back
+// locality, launch measurement) per request. Hard rules pin route
+// classes to constraints ("only TCB ≥ 8 serves /payments"). During a
+// staged firmware rollout, canary routing steers a configured fraction
+// of traffic to nodes on the new measurement and rolls it back
 // automatically — routing away from the canary and surfacing the event
 // in Stats — when its failure rate crosses the threshold. The policy
 // filter is tier 1 of the decision order; attestation ejection, the
@@ -57,14 +56,12 @@ type (
 	// Resilience tunes circuit breaking, retry budgets, deadline
 	// propagation, and load shedding (zero value = all defaults).
 	Resilience = igateway.Resilience
-	// Routing configures the context-aware policy layer: hard rules,
-	// provider splits, and canary routing (zero value = disabled).
+	// Routing configures the context-aware policy layer: hard rules and
+	// canary routing (zero value = disabled).
 	Routing = igateway.Routing
-	// RouteRule pins a path class to TCB / provider / locality
-	// constraints; all set constraints must hold.
+	// RouteRule pins a path class to TCB / locality constraints; all
+	// set constraints must hold.
 	RouteRule = igateway.RouteRule
-	// TrafficSplit weights one provider's share of steered traffic.
-	TrafficSplit = igateway.TrafficSplit
 	// CanaryConfig tunes measurement-based canary routing during a
 	// staged rollout: steer Weight percent to the new measurement,
 	// auto-rollback past MaxFailureRate over MinSamples attempts.

@@ -95,14 +95,13 @@ type Node struct {
 	// Upstream is the node's RA-TLS listener: the same handler tree as
 	// Web, but terminated by a certificate whose embedded attestation
 	// evidence binds the listener key — what an attested gateway dials
-	// through attestation.Mux peer verification. Nil until StartWeb.
+	// through RA-TLS peer verification. Nil until StartWeb.
 	Upstream *httpServer
 
 	chip     *amdsp.SecureProcessor
 	disk     blockdev.Device
 	client   *http.Client // the agent's outbound client, reaped at removal
 	locality string       // zone label from Config.Localities, "" when unset
-	inflight atomic.Int64 // requests currently inside the node's handler tree
 }
 
 // TCB returns the chip's reported trusted-computing-base version — the
@@ -113,12 +112,6 @@ func (n *Node) TCB() uint64 { return n.chip.TCB() }
 // Locality returns the node's zone label (Config.Localities, assigned
 // round-robin at launch), or "" when the deployment runs unzoned.
 func (n *Node) Locality() string { return n.locality }
-
-// InFlight returns the number of requests currently being served by the
-// node's handler tree (web and upstream listeners combined). It is a
-// point-in-time sample published as advisory load context; the gateway's
-// live balancing keeps its own per-upstream pending counters.
-func (n *Node) InFlight() int64 { return n.inflight.Load() }
 
 // ControlURL returns the node's control-plane base URL.
 func (n *Node) ControlURL() string { return n.Control.url }
@@ -622,20 +615,12 @@ func (d *Deployment) startNodeWeb(n *Node) error {
 			_, _ = w.Write([]byte("ok"))
 		})
 	}
-	// Both listeners count their live requests into the node's in-flight
-	// gauge; the fleet samples it at snapshot publication as advisory
-	// load context for context-aware routing.
-	counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n.inflight.Add(1)
-		defer n.inflight.Add(-1)
-		mux.ServeHTTP(w, r)
-	})
 	// ...but resolve the certificate per handshake, so an SP-driven
 	// rotation propagates to the serving tier the moment the agent
 	// installs the renewed credentials — no listener restart, no window
 	// where a client sees a refused connection. The old certificate keeps
 	// serving until the atomic install, and both chain to the same CA.
-	web, err := startHTTPSDynamic(counted, n.Agent.ServingCertificate)
+	web, err := startHTTPSDynamic(mux, n.Agent.ServingCertificate)
 	if err != nil {
 		return err
 	}
@@ -652,7 +637,7 @@ func (d *Deployment) startNodeWeb(n *Node) error {
 		web.close()
 		return fmt.Errorf("core: mint upstream RA-TLS certificate: %w", err)
 	}
-	upstream, err := startHTTPSDynamic(counted, func() (*tls.Certificate, error) {
+	upstream, err := startHTTPSDynamic(mux, func() (*tls.Certificate, error) {
 		return &upstreamCert, nil
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package fleet
 import (
 	"crypto/tls"
 
-	"revelio/attestation/snp"
 	"revelio/internal/core"
 	"revelio/internal/measure"
 )
@@ -44,14 +43,6 @@ type Endpoint struct {
 	// the same value its attestation evidence carries. Routing rules can
 	// demand a floor ("only TCB ≥ X serves /payments").
 	TCB uint64
-	// Provider names the attestation provider backing the node's evidence
-	// (e.g. "sev-snp", "soft-tdx"). Routing rules can pin route classes
-	// to providers or split traffic across them.
-	Provider string
-	// Load is the node's in-flight request count sampled when this
-	// snapshot was published — advisory context for routing policy; the
-	// gateway's live balancing keeps its own pending counters.
-	Load int64
 	// Locality is the node's zone label (core.Config.Localities), "" in
 	// unzoned deployments.
 	Locality string
@@ -108,8 +99,6 @@ func NodeEndpoint(n *core.Node, leaderURL string, state EndpointState) Endpoint 
 		State:        state,
 		Measurement:  n.VM.Measurement(),
 		TCB:          n.TCB(),
-		Provider:     snp.ProviderName,
-		Load:         n.InFlight(),
 		Locality:     n.Locality(),
 	}
 }
@@ -149,7 +138,6 @@ func (f *Fleet) snapshotLocked() Snapshot {
 					State:       s,
 					Measurement: n.VM.Measurement(),
 					TCB:         n.TCB(),
-					Provider:    snp.ProviderName,
 					Locality:    n.Locality(),
 				})
 			}

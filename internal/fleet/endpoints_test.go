@@ -3,14 +3,8 @@ package fleet
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
-
-	"revelio/attestation"
-	"revelio/attestation/softtee"
-	"revelio/internal/measure"
-	"revelio/internal/registry"
 )
 
 // TestEndpointSnapshots: the published serving view carries every node
@@ -143,73 +137,4 @@ func TestAcquireDrains(t *testing.T) {
 	if got := f.Size(); got != 1 {
 		t.Fatalf("fleet size after drain = %d, want 1", got)
 	}
-}
-
-// TestAttachProviderRaces: AttachProvider racing VerifyFleet and mux
-// verification under -race — the serving plane keeps judging while
-// operators hot-attach providers.
-func TestAttachProviderRaces(t *testing.T) {
-	ctx := context.Background()
-	f, err := New(ctx, Config{Nodes: 2, Domain: "attach.test.example.org"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	platform, err := softtee.NewPlatform([]byte("attach-race"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var softGolden measure.Measurement
-	softGolden[0] = 0xA7
-	reg := registry.New(1)
-	reg.AddVoter("op")
-	if err := reg.Propose(softGolden, "soft"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Vote("op", softGolden); err != nil {
-		t.Fatal(err)
-	}
-	enclave := platform.Launch(softGolden)
-	verifier := softtee.NewVerifier(platform.PublicKey(), reg)
-	softEv, err := enclave.Issue(ctx, []byte("race payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f.AttachProvider(softtee.NewProvider(enclave, verifier))
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := f.VerifyFleet(ctx); err != nil {
-				t.Errorf("VerifyFleet during AttachProvider: %v", err)
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Depending on interleaving the provider may not be attached
-			// yet; both outcomes are legal, racing is the point.
-			if _, err := f.Mux().VerifyEvidence(ctx, softEv); err != nil &&
-				!isUnknownProvider(err) {
-				t.Errorf("soft evidence during AttachProvider: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	if _, err := f.Mux().VerifyEvidence(ctx, softEv); err != nil {
-		t.Fatalf("soft evidence after attach settled: %v", err)
-	}
-}
-
-func isUnknownProvider(err error) bool {
-	return errors.Is(err, attestation.ErrUnknownProvider)
 }

@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"revelio/attestation"
 	"revelio/attestation/snp"
 	"revelio/internal/certmgr"
 	"revelio/internal/core"
@@ -113,11 +112,9 @@ type Fleet struct {
 	d     *core.Deployment
 	trust *registry.Registry
 	cfg   Config
-	// mux is the fleet's provider-neutral verification plane: the
-	// deployment's SEV-SNP provider is registered at construction, and
-	// operators attach further providers (AttachProvider) to run
-	// mixed-provider fleets under one relying-party object.
-	mux *attestation.Mux
+	// verifier is the fleet's provider-neutral verification plane: the
+	// deployment's SEV-SNP provider over its shared verifier.
+	verifier *snp.Provider
 
 	// opMu serializes lifecycle operations (add, remove, rotate, roll).
 	opMu sync.Mutex
@@ -248,10 +245,9 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	d.KDSClient.SetCaching(true)
 
 	f := &Fleet{d: d, trust: trust, cfg: cfg, golden: d.Golden, fwVersion: cfg.FirmwareVersion,
-		mux:    attestation.NewMux(),
-		states: make(map[string]EndpointState)}
+		verifier: snp.NewProvider(d.Verifier),
+		states:   make(map[string]EndpointState)}
 	f.releaseAdmission = f.memberMu.RUnlock
-	f.mux.RegisterProvider(snp.NewProvider(d.Verifier))
 	if err := f.approveMeasurement(d.Golden, "firmware "+cfg.FirmwareVersion); err != nil {
 		d.Close()
 		return nil, err
@@ -286,16 +282,10 @@ func (f *Fleet) approveMeasurement(m measure.Measurement, desc string) error {
 // Deployment exposes the underlying core deployment.
 func (f *Fleet) Deployment() *core.Deployment { return f.d }
 
-// Mux exposes the fleet's provider-neutral verification plane. The
-// deployment's SEV-SNP provider is always registered; additional
-// providers attach through AttachProvider.
-func (f *Fleet) Mux() *attestation.Mux { return f.mux }
-
-// AttachProvider registers an additional attestation provider, so
-// evidence from workloads on other TEE substrates (e.g. the softtee
-// provider) verifies through the same relying-party object — with its
-// own trust policy, independent of the SEV-SNP golden set.
-func (f *Fleet) AttachProvider(p attestation.Provider) { f.mux.RegisterProvider(p) }
+// Mux exposes the fleet's verification plane: the SEV-SNP provider over
+// the deployment's shared verifier, which fails evidence tagged with any
+// other provider closed (attestation.ErrUnknownProvider).
+func (f *Fleet) Mux() *snp.Provider { return f.verifier }
 
 // Golden returns the measurement the fleet currently converges on.
 func (f *Fleet) Golden() measure.Measurement {
@@ -708,9 +698,9 @@ func (f *Fleet) webClient() *http.Client {
 // VerifyFleet checks the full-fleet invariant an auditor cares about:
 // every node is provisioned, serving, and its well-known attestation
 // bundle verifies under the current trust policy. Verification runs
-// through the fleet's provider mux over the deployment's shared
-// verifier, so it exercises (and is protected by) both the neutral
-// dispatch layer and the attestation fast path.
+// through the fleet's provider over the deployment's shared verifier,
+// so it exercises (and is protected by) both the neutral evidence
+// envelope and the attestation fast path.
 func (f *Fleet) VerifyFleet(ctx context.Context) error {
 	f.memberMu.RLock()
 	nodes := append([]*core.Node(nil), f.serving...)
@@ -745,7 +735,7 @@ func (f *Fleet) VerifyFleet(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("fleet: node %d bundle: %w", i, err)
 		}
-		if _, err := f.mux.VerifyEvidence(ctx, evidence); err != nil {
+		if _, err := f.verifier.VerifyEvidence(ctx, evidence); err != nil {
 			return fmt.Errorf("fleet: node %d failed attestation: %w", i, err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"net/url"
 	"testing"
 
-	"revelio/attestation"
 	"revelio/internal/race"
 )
 
@@ -75,7 +74,7 @@ func newAllocGateway(tb testing.TB, payload string) *Gateway {
 	tb.Helper()
 	g, err := New(Config{
 		Source:   NewView(testDomain, serving("127.0.0.1:4433")),
-		Verifier: attestation.NewMux(),
+		Verifier: newTestProvider("alloc"),
 	})
 	if err != nil {
 		tb.Fatal(err)

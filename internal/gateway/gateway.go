@@ -11,16 +11,15 @@
 // Upstream, every connection is RA-TLS: the transport dials the nodes'
 // upstream listeners and verifies, per handshake, the attestation
 // evidence embedded in their certificates through an attestation
-// verifier — usually an attestation.Mux, so a mixed-provider fleet
-// proxies through one gateway. Verification is fail-closed: a node
-// whose evidence stops verifying (revoked measurement, expired
+// verifier — the fleet's SEV-SNP provider. Verification is fail-closed:
+// a node whose evidence stops verifying (revoked measurement, expired
 // evidence, unknown provider) is ejected from rotation, and a bump of
-// any provider's policy revision flushes the connection pools so
+// the verifier's policy revision flushes the connection pools so
 // already-established upstreams re-prove themselves.
 //
 // Routing is context-aware and runs in four tiers per attempt: the
 // policy filter (Config.Routing — hard rule constraints over the
-// snapshot's TCB, provider and locality context, plus canary routing
+// snapshot's TCB and locality context, plus canary routing
 // during a staged rollout), then attestation ejection, then the circuit
 // breaker, then least-pending-requests with round-robin tie-breaking
 // over the survivors. The serving view is owned by a Source (the fleet
@@ -192,9 +191,10 @@ func (r Resilience) withDefaults() Resilience {
 type Config struct {
 	// Source publishes the serving view (required).
 	Source Source
-	// Verifier judges upstream RA-TLS evidence — typically the fleet's
-	// attestation.Mux, so every registered provider's nodes are
-	// dialable (required).
+	// Verifier judges upstream RA-TLS evidence — the fleet's SEV-SNP
+	// provider (Fleet.Mux) in production (required). When it implements
+	// attestation.Revisioned, its policy revision is the gateway's policy
+	// epoch.
 	Verifier attestation.Verifier
 	// GetCertificate resolves the downstream serving certificate per
 	// handshake (required for Start; ServeHTTP alone works without).
@@ -213,9 +213,9 @@ type Config struct {
 	// load shedding; the zero value takes every default.
 	Resilience Resilience
 	// Routing configures the context-aware policy layer: hard rules
-	// (TCB floors, provider and locality constraints by path class),
-	// per-provider traffic splits, and measurement-based canary routing
-	// with auto-rollback. The zero value disables the layer.
+	// (TCB floors and locality constraints by path class) and
+	// measurement-based canary routing with auto-rollback. The zero value
+	// disables the layer.
 	Routing Routing
 }
 
@@ -255,8 +255,8 @@ type Stats struct {
 	// TruncatedResponses counts proxied responses aborted mid-body
 	// because the upstream copy failed after headers were sent.
 	TruncatedResponses int64
-	// PolicyEpoch is the gateway's monotone policy epoch: the sum of
-	// every per-source policy-revision increment observed so far.
+	// PolicyEpoch is the gateway's policy epoch: the verifier's current
+	// policy revision, 0 when the verifier has none.
 	PolicyEpoch uint64
 	// ViewVersion is the serving-view version the routing table last
 	// reconciled against.
@@ -300,24 +300,15 @@ type Gateway struct {
 	// under (see session.go).
 	sessions *epochSessionCache
 	router   *router
+	// rev is the verifier's policy-revision source, nil when it has none:
+	// its monotone PolicyRevision is the gateway's policy epoch.
+	rev attestation.Revisioned
 
 	mu      sync.Mutex
 	ups     map[string]*upstream // by UpstreamAddr
 	version uint64
 	domain  string
 	closed  bool
-	// revs caches the policy-revision sources reachable through the
-	// verifier; rebuilt on every view change (sync) rather than walked
-	// through the mux per request.
-	revs []attestation.Revisioned
-	// epoch accumulates per-source policy-revision *increments* into one
-	// monotone number (guarded by mu, with lastRevs tracking each
-	// source's high-water revision). Summing raw revisions is not enough:
-	// when a source deregisters the sum shrinks, and a later bump can
-	// land the sum back on its old value — silently skipping the
-	// fail-closed pool flush that bump demands.
-	epoch    uint64
-	lastRevs map[attestation.Revisioned]uint64
 
 	rr           atomic.Uint64
 	requests     atomic.Int64
@@ -372,7 +363,6 @@ func New(cfg Config) (*Gateway, error) {
 		admission: resilience.NewAdmission(res.MaxInFlight),
 		router:    newRouter(cfg.Routing),
 		ups:       make(map[string]*upstream),
-		lastRevs:  make(map[attestation.Revisioned]uint64),
 		probeStop: make(chan struct{}),
 		transport: &http.Transport{
 			TLSClientConfig:     tlsCfg,
@@ -389,6 +379,8 @@ func New(cfg Config) (*Gateway, error) {
 		},
 	}
 	g.rt = g.transport
+	g.rev, _ = cfg.Verifier.(attestation.Revisioned)
+	g.flushedEpoch.Store(g.policyEpoch())
 	// Upstream session resumption, fenced by the policy epoch: a cached
 	// session never resumes across an epoch bump (so a revocation bites
 	// through resumed sessions), and the resumptions that are allowed
@@ -397,10 +389,6 @@ func New(cfg Config) (*Gateway, error) {
 	// VerifyPeerCertificate.
 	g.sessions = newEpochSessionCache(g.flushedEpoch.Load)
 	tlsCfg.ClientSessionCache = g.sessions
-	g.revs = revisionSources(cfg.Verifier)
-	g.mu.Lock()
-	g.flushedEpoch.Store(g.advanceEpochLocked())
-	g.mu.Unlock()
 	g.pull()
 	// Probe loop, the gateway's one background goroutine: breaker-open
 	// upstreams re-enter rotation only through a successful attested
@@ -422,10 +410,7 @@ func (g *Gateway) pull() {
 // observe is the one way the gateway learns the serving view: it checks
 // the policy epoch, then reconciles the routing table with snap. Every
 // request calls it with the snapshot it was admitted under; the probe
-// tick and Stats pull one for it. The two steps are one function on
-// purpose — reconciling rebuilds the revision sources the epoch is
-// computed over, so a reconcile that skipped the epoch check could lose
-// a bump; nothing else calls either.
+// tick and Stats pull one for it.
 func (g *Gateway) observe(snap fleet.Snapshot) {
 	g.checkPolicyEpoch()
 	g.sync(snap)
@@ -442,63 +427,28 @@ func (g *Gateway) breakerConfig() resilience.BreakerConfig {
 	}
 }
 
-// revisionSources collects every policy-revision source reachable
-// through v: v itself, and — when v is a Mux — each registered
-// provider. The result is cached on the gateway and refreshed per view
-// change, so the per-request epoch check is a handful of atomic loads
-// instead of a mux walk.
-func revisionSources(v attestation.Verifier) []attestation.Revisioned {
-	var revs []attestation.Revisioned
-	if rev, ok := v.(attestation.Revisioned); ok {
-		revs = append(revs, rev)
+// policyEpoch is the verifier's current policy revision, or 0 when the
+// verifier has none.
+func (g *Gateway) policyEpoch() uint64 {
+	if g.rev == nil {
+		return 0
 	}
-	if mux, ok := v.(*attestation.Mux); ok {
-		for _, name := range mux.Providers() {
-			if pv, ok := mux.Verifier(name); ok {
-				if rev, ok := pv.(attestation.Revisioned); ok {
-					revs = append(revs, rev)
-				}
-			}
-		}
-	}
-	return revs
+	return g.rev.PolicyRevision()
 }
 
-// advanceEpochLocked folds each source's current policy revision into
-// the monotone epoch: only per-source increases count, so the epoch
-// never goes backwards even as sources register and deregister. A
-// source seen for the first time contributes its full revision — a
-// spurious flush on discovery is harmless; a missed one is not.
-// Callers hold g.mu.
-func (g *Gateway) advanceEpochLocked() uint64 {
-	for _, rev := range g.revs {
-		cur := rev.PolicyRevision()
-		last, seen := g.lastRevs[rev]
-		switch {
-		case !seen:
-			g.epoch += cur
-			g.lastRevs[rev] = cur
-		case cur > last:
-			g.epoch += cur - last
-			g.lastRevs[rev] = cur
-		}
-	}
-	return g.epoch
-}
-
-// checkPolicyEpoch flushes the upstream pools when any provider's
-// policy revision moved since the last request: pooled connections were
-// verified under the old policy, and fail-closed means they must
-// re-prove themselves under the new one. Ejections are cleared too —
-// the policy change may equally have reinstated a provider. Circuit
-// breakers are left alone: they track transport health, not policy, and
-// re-close only through a successful probe.
+// checkPolicyEpoch flushes the upstream pools when the verifier's policy
+// revision moved since the last flush: pooled connections were verified
+// under the old policy, and fail-closed means they must re-prove
+// themselves under the new one. Ejections are cleared too — the policy
+// change may equally have reinstated a node. Circuit breakers are left
+// alone: they track transport health, not policy, and re-close only
+// through a successful probe. The revision is monotone, so the CAS lets
+// exactly one request flush per move, however many bumps it spans, and
+// an older reading never moves the flushed epoch back.
 func (g *Gateway) checkPolicyEpoch() {
-	g.mu.Lock()
-	epoch := g.advanceEpochLocked()
-	g.mu.Unlock()
+	epoch := g.policyEpoch()
 	old := g.flushedEpoch.Load()
-	if epoch == old || !g.flushedEpoch.CompareAndSwap(old, epoch) {
+	if epoch <= old || !g.flushedEpoch.CompareAndSwap(old, epoch) {
 		return
 	}
 	g.flushes.Add(1)
@@ -538,20 +488,6 @@ func (g *Gateway) sync(snap fleet.Snapshot) {
 	// Track the rollout context for canary routing: a newly staged
 	// rollout resets the canary accounting, the rollout ending clears it.
 	g.router.observe(snap)
-	// Refresh the revision sources alongside the view: providers are
-	// attached before their nodes join, so a membership change is the
-	// natural moment to notice them. Prune the high-water map to the
-	// live sources; the epoch itself keeps whatever they contributed.
-	g.revs = revisionSources(g.cfg.Verifier)
-	live := make(map[attestation.Revisioned]bool, len(g.revs))
-	for _, rev := range g.revs {
-		live[rev] = true
-	}
-	for rev := range g.lastRevs {
-		if !live[rev] {
-			delete(g.lastRevs, rev)
-		}
-	}
 	keep := make(map[string]*upstream, len(snap.Endpoints))
 	for _, ep := range snap.Endpoints {
 		if ep.UpstreamAddr == "" {
@@ -578,10 +514,10 @@ func (g *Gateway) sync(snap fleet.Snapshot) {
 //	tier 3 — circuit breaker (transport health)
 //	tier 4 — least-pending balancing under the per-upstream bound
 //
-// Soft preferences (canary fraction, provider splits) narrow the
-// surviving candidate set between tiers 3 and 4 but fall back to the
-// full in-policy set when no preferred node is healthy — a preference
-// never fails a servable request. saturated reports that healthy
+// The soft preference (canary fraction) narrows the surviving candidate
+// set between tiers 3 and 4 but falls back to the full in-policy set
+// when no preferred node is healthy — a preference never fails a
+// servable request. saturated reports that healthy
 // in-policy candidates existed but every one was at its in-flight bound
 // — worth a paced re-pick, unlike a genuinely empty rotation. denied
 // reports that serving endpoints existed but tier 1 excluded all of
@@ -634,26 +570,14 @@ func (g *Gateway) pick(d decision, sc *proxyScratch) (up *upstream, saturated, d
 	return best, false, false
 }
 
-// preferCandidates applies the decision's soft preferences — the canary
-// fraction first, then the provider split within the surviving set.
-// Each narrows only when a preferred candidate exists; otherwise the
-// set passes through unchanged.
+// preferCandidates applies the decision's soft preference, the canary
+// fraction. It narrows only when a preferred candidate exists; otherwise
+// the set passes through unchanged.
 func preferCandidates(candidates []*upstream, d decision) []*upstream {
 	if d.canaryMeas != nil {
 		sub := make([]*upstream, 0, len(candidates))
 		for _, u := range candidates {
 			if (u.ep.Measurement == *d.canaryMeas) == d.preferCanary {
-				sub = append(sub, u)
-			}
-		}
-		if len(sub) > 0 {
-			candidates = sub
-		}
-	}
-	if d.provider != "" {
-		sub := make([]*upstream, 0, len(candidates))
-		for _, u := range candidates {
-			if u.ep.Provider == d.provider {
 				sub = append(sub, u)
 			}
 		}
@@ -819,7 +743,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	// The routing decision is computed once per request and applied to
 	// every attempt, so retries stay inside the same policy verdict
-	// (rule, split side, canary side).
+	// (rule, canary side).
 	var d decision
 	if g.router.enabled() {
 		d = g.router.decide(r.URL.Path)
@@ -1211,8 +1135,8 @@ func (g *Gateway) Stats() Stats {
 		TruncatedResponses: g.truncated.Load(),
 	}
 	g.router.snapshotStats(&s)
+	s.PolicyEpoch = g.policyEpoch()
 	g.mu.Lock()
-	s.PolicyEpoch = g.epoch
 	s.ViewVersion = g.version
 	for addr, up := range g.ups {
 		if up.ejected.Load() {

@@ -21,53 +21,95 @@ import (
 	"time"
 
 	"revelio/attestation"
-	"revelio/attestation/softtee"
 	"revelio/internal/fleet"
 	"revelio/internal/measure"
 	"revelio/internal/ratls"
-	"revelio/internal/registry"
 )
 
 const testDomain = "gw.test.example.org"
 
-// testProvider is a minimal second attestation provider: evidence is a
-// signed-by-assertion JSON document, and a flipped switch revokes the
-// whole provider — enough to prove the gateway's per-provider ejection
-// isolation without standing up real TEE machinery.
+// testProviderName tags the test provider's evidence.
+const testProviderName = "test-tee"
+
+// testProvider is the gateway tests' attestation provider, in the shape
+// of the fleet's SEV-SNP provider without the hardware: evidence is a
+// JSON document carrying a launch measurement and the bound payload,
+// policy revokes per measurement, and every policy change bumps a
+// monotone revision. Issue attests the provider's own golden
+// measurement; a testEnclave attests any other.
 type testProvider struct {
-	name    string
-	revoked atomic.Bool
+	golden  measure.Measurement
 	rev     atomic.Uint64
+	mu      sync.Mutex
+	revoked map[measure.Measurement]bool
 }
 
-func (p *testProvider) Name() string { return p.name }
+func newTestProvider(seed string) *testProvider {
+	p := &testProvider{revoked: make(map[measure.Measurement]bool)}
+	copy(p.golden[:], seed)
+	return p
+}
 
 func (p *testProvider) PolicyRevision() uint64 { return p.rev.Load() }
 func (p *testProvider) Now() time.Time         { return time.Now() }
 
-func (p *testProvider) Issue(_ context.Context, payload []byte) (*attestation.Evidence, error) {
-	doc, err := json.Marshal(map[string][]byte{"payload": payload})
-	if err != nil {
-		return nil, err
-	}
-	return &attestation.Evidence{Provider: p.name, Payload: payload, Document: doc}, nil
+// Revoke distrusts m and bumps the policy revision, as a registry
+// revocation followed by InvalidatePolicy does.
+func (p *testProvider) Revoke(m measure.Measurement) {
+	p.mu.Lock()
+	p.revoked[m] = true
+	p.mu.Unlock()
+	p.rev.Add(1)
+}
+
+func (p *testProvider) Issue(ctx context.Context, payload []byte) (*attestation.Evidence, error) {
+	return testEnclave(p.golden).Issue(ctx, payload)
 }
 
 func (p *testProvider) VerifyEvidence(_ context.Context, ev *attestation.Evidence) (*attestation.Result, error) {
-	if ev.Provider != p.name {
+	if ev.Provider != testProviderName {
 		return nil, fmt.Errorf("%w: %q", attestation.ErrUnknownProvider, ev.Provider)
 	}
-	var doc map[string][]byte
+	var doc testDoc
 	if err := json.Unmarshal(ev.Document, &doc); err != nil {
 		return nil, fmt.Errorf("%w: %v", attestation.ErrEvidenceInvalid, err)
 	}
-	if string(doc["payload"]) != string(ev.Payload) {
+	if string(doc.Payload) != string(ev.Payload) {
 		return nil, attestation.ErrBindingMismatch
 	}
-	if p.revoked.Load() {
-		return nil, fmt.Errorf("%w: test provider revoked", attestation.ErrRevoked)
+	res := &attestation.Result{Provider: testProviderName, Measurement: doc.Measurement, Payload: ev.Payload}
+	if err := p.CheckResult(res); err != nil {
+		return nil, err
 	}
-	return &attestation.Result{Provider: p.name, Payload: ev.Payload}, nil
+	return res, nil
+}
+
+// CheckResult re-judges a verified result against the revocations, so
+// the RA-TLS peer memo re-judges policy on every hit.
+func (p *testProvider) CheckResult(res *attestation.Result) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.revoked[res.Measurement] {
+		return fmt.Errorf("%w: %s", attestation.ErrRevoked, res.Measurement)
+	}
+	return nil
+}
+
+// testDoc is the test provider's evidence document.
+type testDoc struct {
+	Measurement measure.Measurement `json:"measurement"`
+	Payload     []byte              `json:"payload"`
+}
+
+// testEnclave issues test-provider evidence for one measurement.
+type testEnclave measure.Measurement
+
+func (e testEnclave) Issue(_ context.Context, payload []byte) (*attestation.Evidence, error) {
+	doc, err := json.Marshal(testDoc{Measurement: measure.Measurement(e), Payload: payload})
+	if err != nil {
+		return nil, err
+	}
+	return &attestation.Evidence{Provider: testProviderName, Payload: payload, Document: doc}, nil
 }
 
 // startUpstream opens an RA-TLS server whose certificate evidence comes
@@ -121,28 +163,6 @@ func selfSigned(t *testing.T) tls.Certificate {
 		t.Fatal(err)
 	}
 	return tls.Certificate{Certificate: [][]byte{der}, PrivateKey: key}
-}
-
-// softProvider stands up a softtee platform/enclave/verifier with a
-// revocable registry policy.
-func softProvider(t *testing.T, seed string) (softtee.Provider, *registry.Registry, measure.Measurement) {
-	t.Helper()
-	platform, err := softtee.NewPlatform([]byte(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden measure.Measurement
-	copy(golden[:], seed)
-	reg := registry.New(1)
-	reg.AddVoter("op")
-	if err := reg.Propose(golden, seed); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Vote("op", golden); err != nil {
-		t.Fatal(err)
-	}
-	verifier := softtee.NewVerifier(platform.PublicKey(), reg)
-	return softtee.NewProvider(platform.Launch(golden), verifier), reg, golden
 }
 
 func idHandler(id string) http.Handler {
@@ -199,9 +219,7 @@ func get(t *testing.T, client *http.Client, url string) (string, int) {
 // TestGatewayBalancesAcrossUpstreams: requests spread over every
 // serving node; joining and draining endpoints receive nothing.
 func TestGatewayBalancesAcrossUpstreams(t *testing.T) {
-	provider, _, _ := softProvider(t, "balance")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("balance")
 
 	var eps []fleet.Endpoint
 	ids := []string{"a", "b", "c"}
@@ -215,7 +233,7 @@ func TestGatewayBalancesAcrossUpstreams(t *testing.T) {
 	eps = append(eps, join)
 
 	view := NewView(testDomain, eps...)
-	g, client := startGateway(t, view, mux)
+	g, client := startGateway(t, view, provider)
 
 	seen := map[string]int{}
 	for i := 0; i < 60; i++ {
@@ -238,40 +256,33 @@ func TestGatewayBalancesAcrossUpstreams(t *testing.T) {
 	}
 }
 
-// TestGatewayProviderRevocationIsolation: two providers behind one mux;
-// revoking one provider's golden ejects only that provider's nodes, and
-// clients never see a failure because requests retry onto the healthy
-// provider's nodes.
+// TestGatewayProviderRevocationIsolation: revoking one golden
+// measurement ejects only the node running it, and clients never see a
+// failure because requests retry onto the node whose measurement still
+// verifies.
 func TestGatewayProviderRevocationIsolation(t *testing.T) {
-	soft, softReg, softGolden := softProvider(t, "isolation")
-	other := &testProvider{name: "test-tee"}
-	mux := attestation.NewMux()
-	mux.RegisterProvider(soft)
-	mux.RegisterProvider(other)
+	provider := newTestProvider("isolation")
+	revokedMeas := testMeas(0xEE)
+	revokedAddr := startUpstream(t, testEnclave(revokedMeas), idHandler("revoked"))
+	keptAddr := startUpstream(t, provider, idHandler("kept"))
+	view := NewView(testDomain, serving(revokedAddr), serving(keptAddr))
+	g, client := startGateway(t, view, provider)
 
-	softAddr := startUpstream(t, soft, idHandler("soft"))
-	otherAddr := startUpstream(t, other, idHandler("other"))
-	view := NewView(testDomain, serving(softAddr), serving(otherAddr))
-	g, client := startGateway(t, view, mux)
-
-	// Healthy estate: both providers' nodes serve.
+	// Healthy estate: both nodes serve, and both hold warm connections.
 	seen := map[string]int{}
 	for i := 0; i < 20; i++ {
 		body, _ := get(t, client, "https://"+g.Addr()+"/")
 		seen[body]++
 	}
-	if seen["soft"] == 0 || seen["other"] == 0 {
-		t.Fatalf("expected both providers to serve, got %v", seen)
+	if seen["revoked"] == 0 || seen["kept"] == 0 {
+		t.Fatalf("expected both nodes to serve, got %v", seen)
 	}
 
-	// Revoke the softtee golden. The policy bump flushes the gateway's
-	// warm pools, so the very next handshake against the softtee node
-	// fails closed and ejects it — while the other provider's node keeps
-	// serving every request.
-	if err := softReg.Revoke(softGolden); err != nil {
-		t.Fatal(err)
-	}
-	soft.InvalidatePolicy()
+	// Revoke one node's measurement. The policy bump flushes the
+	// gateway's warm pools, so the very next handshake against that node
+	// fails closed and ejects it — while the other node keeps serving
+	// every request.
+	provider.Revoke(revokedMeas)
 
 	seen = map[string]int{}
 	for i := 0; i < 20; i++ {
@@ -281,43 +292,114 @@ func TestGatewayProviderRevocationIsolation(t *testing.T) {
 		}
 		seen[body]++
 	}
-	if seen["soft"] != 0 {
-		t.Errorf("revoked provider's node still served %d requests", seen["soft"])
+	if seen["revoked"] != 0 {
+		t.Errorf("revoked node still served %d requests", seen["revoked"])
 	}
-	if seen["other"] != 20 {
-		t.Errorf("healthy provider's node served %d/20", seen["other"])
+	if seen["kept"] != 20 {
+		t.Errorf("healthy node served %d/20", seen["kept"])
 	}
 	s := g.Stats()
-	if len(s.Ejected) != 1 || s.Ejected[0] != softAddr {
-		t.Errorf("ejected = %v, want [%s]", s.Ejected, softAddr)
+	if len(s.Ejected) != 1 || s.Ejected[0] != revokedAddr {
+		t.Errorf("ejected = %v, want [%s]", s.Ejected, revokedAddr)
 	}
 	if s.PolicyFlushes == 0 {
 		t.Error("policy revision bump did not flush the upstream pools")
 	}
 
-	// The revocation is per-provider: evidence from the other provider
-	// still verifies through the mux.
-	ev, err := other.Issue(context.Background(), []byte("payload"))
+	// The revocation is per measurement: the other node's evidence still
+	// verifies.
+	ev, err := provider.Issue(context.Background(), []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mux.VerifyEvidence(context.Background(), ev); err != nil {
-		t.Errorf("healthy provider's evidence stopped verifying: %v", err)
+	if _, err := provider.VerifyEvidence(context.Background(), ev); err != nil {
+		t.Errorf("healthy node's evidence stopped verifying: %v", err)
 	}
+}
+
+// TestGatewayPolicyEpochIsVerifierRevision: the gateway's policy epoch
+// is the verifier's policy revision. A bump flushes the pools once at
+// the next request, however many bumps land between two requests, and a
+// verifier without a revision never flushes.
+func TestGatewayPolicyEpochIsVerifierRevision(t *testing.T) {
+	addr := startUpstream(t, newTestProvider("epoch"), idHandler("a"))
+	// No probe tick: requests are the only observers, so the bumps below
+	// land between two observations exactly as written.
+	newGateway := func(t *testing.T, v attestation.Verifier) *Gateway {
+		t.Helper()
+		g, err := New(Config{
+			Source:     NewView(testDomain, serving(addr)),
+			Verifier:   v,
+			Resilience: Resilience{ProbeInterval: time.Hour},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(g.Close)
+		return g
+	}
+
+	t.Run("one bump", func(t *testing.T) {
+		provider := newTestProvider("epoch")
+		g := newGateway(t, provider)
+		proxyOnce(t, g)
+		if n := g.flushes.Load(); n != 0 {
+			t.Fatalf("%d flushes before any bump", n)
+		}
+		provider.rev.Add(1)
+		proxyOnce(t, g)
+		proxyOnce(t, g)
+		if n := g.flushes.Load(); n != 1 {
+			t.Errorf("one bump: %d flushes, want 1", n)
+		}
+		if s := g.Stats(); s.PolicyEpoch != 1 || s.PolicyFlushes != 1 {
+			t.Errorf("PolicyEpoch = %d, PolicyFlushes = %d; want 1 and 1", s.PolicyEpoch, s.PolicyFlushes)
+		}
+	})
+
+	t.Run("five bumps between two requests", func(t *testing.T) {
+		provider := newTestProvider("epoch")
+		g := newGateway(t, provider)
+		proxyOnce(t, g)
+		for i := 0; i < 5; i++ {
+			provider.rev.Add(1)
+		}
+		proxyOnce(t, g)
+		if n := g.flushes.Load(); n != 1 {
+			t.Errorf("five bumps between two requests: %d flushes, want 1", n)
+		}
+		if s := g.Stats(); s.PolicyEpoch != 5 {
+			t.Errorf("PolicyEpoch = %d, want 5", s.PolicyEpoch)
+		}
+	})
+
+	t.Run("verifier without a revision", func(t *testing.T) {
+		provider := newTestProvider("epoch")
+		// The wrapper hides PolicyRevision: the gateway sees a plain
+		// attestation.Verifier.
+		g := newGateway(t, struct{ attestation.Verifier }{provider})
+		for i := 0; i < 50; i++ {
+			if i%10 == 0 {
+				provider.rev.Add(1)
+			}
+			proxyOnce(t, g)
+		}
+		if s := g.Stats(); s.PolicyFlushes != 0 || s.PolicyEpoch != 0 {
+			t.Errorf("PolicyFlushes = %d, PolicyEpoch = %d; want 0 and 0", s.PolicyFlushes, s.PolicyEpoch)
+		}
+	})
 }
 
 // TestGatewayRejectsUnattestedUpstream: a node serving a plain TLS
 // certificate (no evidence) is never proxied to — fail closed, with the
 // request retried onto an attested node.
 func TestGatewayRejectsUnattestedUpstream(t *testing.T) {
-	provider, _, _ := softProvider(t, "unattested")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("unattested")
 
 	goodAddr := startUpstream(t, provider, idHandler("good"))
 	badAddr := plainUpstream(t, idHandler("bad"))
 	view := NewView(testDomain, serving(goodAddr), serving(badAddr))
-	g, client := startGateway(t, view, mux)
+	g, client := startGateway(t, view, provider)
 
 	for i := 0; i < 10; i++ {
 		body, status := get(t, client, "https://"+g.Addr()+"/")
@@ -334,9 +416,7 @@ func TestGatewayRejectsUnattestedUpstream(t *testing.T) {
 // while an endpoint leaves the view; View.Set's drain means no admitted
 // request ever lands on a closed server, so the run is failure-free.
 func TestGatewayDrainZeroFailures(t *testing.T) {
-	provider, _, _ := softProvider(t, "drain")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("drain")
 
 	cert, err := ratls.CreateProviderCertificate(context.Background(), provider, testDomain)
 	if err != nil {
@@ -356,7 +436,7 @@ func TestGatewayDrainZeroFailures(t *testing.T) {
 	defer func() { _ = srvA.Close() }()
 
 	view := NewView(testDomain, epA, epB)
-	g, client := startGateway(t, view, mux)
+	g, client := startGateway(t, view, provider)
 
 	var failures atomic.Int64
 	stop := make(chan struct{})
@@ -400,11 +480,9 @@ func TestGatewayDrainZeroFailures(t *testing.T) {
 // TestGatewayNoUpstreams: an empty view answers 502 rather than
 // hanging, and the error names the condition.
 func TestGatewayNoUpstreams(t *testing.T) {
-	provider, _, _ := softProvider(t, "empty")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("empty")
 	view := NewView(testDomain)
-	g, client := startGateway(t, view, mux)
+	g, client := startGateway(t, view, provider)
 	body, status := get(t, client, "https://"+g.Addr()+"/")
 	if status != http.StatusBadGateway {
 		t.Fatalf("status = %d, want 502", status)
@@ -416,16 +494,14 @@ func TestGatewayNoUpstreams(t *testing.T) {
 
 // TestGatewayConfigValidation: missing pieces are refused up front.
 func TestGatewayConfigValidation(t *testing.T) {
-	provider, _, _ := softProvider(t, "cfg")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
-	if _, err := New(Config{Verifier: mux}); err == nil {
+	provider := newTestProvider("cfg")
+	if _, err := New(Config{Verifier: provider}); err == nil {
 		t.Error("New without source succeeded")
 	}
 	if _, err := New(Config{Source: NewView(testDomain)}); err == nil {
 		t.Error("New without verifier succeeded")
 	}
-	g, err := New(Config{Source: NewView(testDomain), Verifier: mux})
+	g, err := New(Config{Source: NewView(testDomain), Verifier: provider})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,9 +107,7 @@ func waitFor(t *testing.T, within time.Duration, cond func() bool, msg string) {
 // request at most the per-try budget before it fails over — not the
 // 30s WriteTimeout it cost before the per-attempt deadline existed.
 func TestGatewayStalledUpstreamFailsOverWithinPerTryBudget(t *testing.T) {
-	provider, _, _ := softProvider(t, "stall")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("stall")
 
 	stalled := &stallHandler{id: "stalled"}
 	stalled.stalled.Store(true)
@@ -117,7 +115,7 @@ func TestGatewayStalledUpstreamFailsOverWithinPerTryBudget(t *testing.T) {
 	okAddr := startUpstream(t, provider, idHandler("ok"))
 
 	view := NewView(testDomain, serving(stalledAddr), serving(okAddr))
-	g, client := startGatewayRes(t, view, mux, Resilience{
+	g, client := startGatewayRes(t, view, provider, Resilience{
 		PerTryTimeout:  250 * time.Millisecond,
 		BreakerOpenFor: time.Minute, // keep the tripped node out for the whole test
 		BackoffBase:    time.Millisecond,
@@ -144,15 +142,13 @@ func TestGatewayStalledUpstreamFailsOverWithinPerTryBudget(t *testing.T) {
 // exclusion map was rebuilt per request, so a dead node kept receiving
 // a connection attempt from every new request forever.
 func TestGatewayBreakerStopsPicksAfterTrip(t *testing.T) {
-	provider, _, _ := softProvider(t, "blackhole")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("blackhole")
 
 	deadAddr, accepts := blackhole(t)
 	okAddr := startUpstream(t, provider, idHandler("ok"))
 
 	view := NewView(testDomain, serving(deadAddr), serving(okAddr))
-	g, client := startGatewayRes(t, view, mux, Resilience{
+	g, client := startGatewayRes(t, view, provider, Resilience{
 		BreakerFailures: 2,
 		BreakerOpenFor:  time.Minute, // no probe re-entry during the test
 		BackoffBase:     time.Millisecond,
@@ -198,9 +194,7 @@ func TestGatewayBreakerStopsPicksAfterTrip(t *testing.T) {
 func TestGatewayRetryAmplificationBounded(t *testing.T) {
 	for _, budget := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			provider, _, _ := softProvider(t, "amplify")
-			mux := attestation.NewMux()
-			mux.RegisterProvider(provider)
+			provider := newTestProvider("amplify")
 
 			// Five dead nodes: more than any budget in the table, so the
 			// old walk-the-fleet behavior would exceed every bound here.
@@ -214,7 +208,7 @@ func TestGatewayRetryAmplificationBounded(t *testing.T) {
 			}
 
 			view := NewView(testDomain, eps...)
-			g, client := startGatewayRes(t, view, mux, Resilience{
+			g, client := startGatewayRes(t, view, provider, Resilience{
 				RetryBudget:     budget,
 				BreakerFailures: 100, // keep breakers out of the attempt count
 				BackoffBase:     time.Millisecond,
@@ -246,9 +240,7 @@ func TestGatewayRetryAmplificationBounded(t *testing.T) {
 // + Retry-After immediately instead of queueing, and the shed is
 // counted separately from failures.
 func TestGatewayShedsOverload(t *testing.T) {
-	provider, _, _ := softProvider(t, "overload")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("overload")
 
 	release := make(chan struct{})
 	var entered atomic.Int64
@@ -263,7 +255,7 @@ func TestGatewayShedsOverload(t *testing.T) {
 	addr := startUpstream(t, provider, slow)
 
 	view := NewView(testDomain, serving(addr))
-	g, client := startGatewayRes(t, view, mux, Resilience{
+	g, client := startGatewayRes(t, view, provider, Resilience{
 		MaxInFlight:    2,
 		PerTryTimeout:  5 * time.Second,
 		RequestTimeout: 10 * time.Second,
@@ -310,9 +302,7 @@ func TestGatewayShedsOverload(t *testing.T) {
 // bound is skipped as saturated; when every paced re-pick finds only
 // saturation, the request sheds rather than reporting upstream failure.
 func TestGatewayPerUpstreamBoundSheds(t *testing.T) {
-	provider, _, _ := softProvider(t, "saturate")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("saturate")
 
 	release := make(chan struct{})
 	var entered atomic.Int64
@@ -327,7 +317,7 @@ func TestGatewayPerUpstreamBoundSheds(t *testing.T) {
 	addr := startUpstream(t, provider, slow)
 
 	view := NewView(testDomain, serving(addr))
-	g, client := startGatewayRes(t, view, mux, Resilience{
+	g, client := startGatewayRes(t, view, provider, Resilience{
 		MaxPerUpstream: 1,
 		PerTryTimeout:  5 * time.Second,
 		RequestTimeout: 10 * time.Second,
@@ -366,9 +356,7 @@ func TestGatewayPerUpstreamBoundSheds(t *testing.T) {
 // MinDeadline sheds without an upstream attempt; a workable one reaches
 // the node rewritten to the attempt's carved budget.
 func TestGatewayDeadlineHeaderPropagation(t *testing.T) {
-	provider, _, _ := softProvider(t, "deadline")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("deadline")
 
 	var sawBudget atomic.Int64
 	echo := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -379,7 +367,7 @@ func TestGatewayDeadlineHeaderPropagation(t *testing.T) {
 	})
 	addr := startUpstream(t, provider, echo)
 	view := NewView(testDomain, serving(addr))
-	g, client := startGatewayRes(t, view, mux, Resilience{})
+	g, client := startGatewayRes(t, view, provider, Resilience{})
 
 	// 1ms of budget is below the default MinDeadline: shed, no attempt.
 	req, err := http.NewRequest(http.MethodGet, "https://"+g.Addr()+"/", nil)
@@ -418,9 +406,7 @@ func TestGatewayDeadlineHeaderPropagation(t *testing.T) {
 // rotation only through a successful health probe — and while open it
 // receives probes only, never client traffic.
 func TestGatewayProbeReadmitsRecoveredUpstream(t *testing.T) {
-	provider, _, _ := softProvider(t, "probe")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("probe")
 
 	flaky := &stallHandler{id: "flaky"}
 	flaky.stalled.Store(true)
@@ -428,7 +414,7 @@ func TestGatewayProbeReadmitsRecoveredUpstream(t *testing.T) {
 	okAddr := startUpstream(t, provider, idHandler("ok"))
 
 	view := NewView(testDomain, serving(flakyAddr), serving(okAddr))
-	g, client := startGatewayRes(t, view, mux, Resilience{
+	g, client := startGatewayRes(t, view, provider, Resilience{
 		PerTryTimeout:   150 * time.Millisecond,
 		BreakerFailures: 2,
 		BreakerOpenFor:  50 * time.Millisecond,
@@ -485,9 +471,7 @@ func TestGatewayProbeReadmitsRecoveredUpstream(t *testing.T) {
 // slower than BreakerSlow is treated as failed — the gray-failure
 // detector — and leaves rotation like a dead one.
 func TestGatewayGrayFailureTrips(t *testing.T) {
-	provider, _, _ := softProvider(t, "gray")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("gray")
 
 	var slowHits atomic.Int64
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -501,7 +485,7 @@ func TestGatewayGrayFailureTrips(t *testing.T) {
 	okAddr := startUpstream(t, provider, idHandler("ok"))
 
 	view := NewView(testDomain, serving(slowAddr), serving(okAddr))
-	g, client := startGatewayRes(t, view, mux, Resilience{
+	g, client := startGatewayRes(t, view, provider, Resilience{
 		BreakerFailures: 2,
 		BreakerSlow:     20 * time.Millisecond,
 		BreakerOpenFor:  time.Minute, // stay open for the whole test
@@ -539,15 +523,13 @@ func TestGatewayGrayFailureTrips(t *testing.T) {
 // upstreams, so the departed node — breaker open, probe due — is not
 // probed again and Stats no longer lists it.
 func TestGatewayProbeTickDropsDepartedUpstream(t *testing.T) {
-	provider, _, _ := softProvider(t, "departed")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("departed")
 
 	deadAddr, _ := blackhole(t)
 	okAddr := startUpstream(t, provider, idHandler("ok"))
 	view := NewView(testDomain, serving(deadAddr), serving(okAddr))
 	const tick = 10 * time.Millisecond
-	g, client := startGatewayRes(t, view, mux, Resilience{
+	g, client := startGatewayRes(t, view, provider, Resilience{
 		PerTryTimeout:   150 * time.Millisecond,
 		BreakerFailures: 2,
 		BreakerOpenFor:  20 * time.Millisecond,
@@ -608,8 +590,7 @@ func TestGatewayNewStartsOneGoroutine(t *testing.T) {
 	// Earlier tests' listeners wind down asynchronously after Close.
 	waitFor(t, 5*time.Second, func() bool { return gatewayGoroutines() == 0 },
 		"goroutines of earlier gateways to exit")
-	mux := attestation.NewMux()
-	g, err := New(Config{Source: NewView(testDomain), Verifier: mux})
+	g, err := New(Config{Source: NewView(testDomain), Verifier: newTestProvider("goroutines")})
 	if err != nil {
 		t.Fatal(err)
 	}

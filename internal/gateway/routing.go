@@ -26,24 +26,19 @@ var ErrNoPolicyUpstreams = errors.New("gateway: no upstream endpoint satisfies t
 //
 // Rules are hard constraints: a request whose matched rule excludes
 // every serving endpoint is refused with 503 (ErrNoPolicyUpstreams)
-// rather than routed out of policy. Splits and Canary are soft
-// preferences: they steer the configured fraction of traffic when
-// preferred nodes are healthy and fall back to the full in-policy set
-// when none are — a preference never turns a servable request into a
-// failure. The one exception is a rolled-back canary: after auto-
-// rollback fires, the canary measurement is excluded as hard as any
-// rule, because routing to it would repeat the failure that triggered
-// the rollback.
+// rather than routed out of policy. Canary is a soft preference: it
+// steers the configured fraction of traffic when canary nodes are
+// healthy and falls back to the full in-policy set when none are — a
+// preference never turns a servable request into a failure. The one
+// exception is a rolled-back canary: after auto-rollback fires, the
+// canary measurement is excluded as hard as any rule, because routing to
+// it would repeat the failure that triggered the rollback.
 type Routing struct {
 	// Rules are evaluated per request in order; the first rule whose
 	// PathPrefix matches the request path applies (an empty PathPrefix
 	// matches every path, so a catch-all rule goes last). Requests
 	// matching no rule are unconstrained.
 	Rules []RouteRule
-	// Splits expresses a weighted per-provider traffic split for
-	// mixed-provider fleets. Unlisted providers receive only fallback
-	// traffic.
-	Splits []TrafficSplit
 	// Canary configures measurement-based canary routing during a
 	// staged rollout.
 	Canary CanaryConfig
@@ -60,9 +55,6 @@ type RouteRule struct {
 	// MinTCB, when positive, requires the serving node's chip to report
 	// at least this trusted-computing-base version.
 	MinTCB uint64
-	// Providers, when non-empty, restricts serving to nodes attested by
-	// one of the named providers (e.g. "sev-snp").
-	Providers []string
 	// Localities, when non-empty, restricts serving to nodes in one of
 	// the named zones.
 	Localities []string
@@ -74,9 +66,6 @@ func (r *RouteRule) allows(ep fleet.Endpoint) bool {
 		return true
 	}
 	if r.MinTCB > 0 && ep.TCB < r.MinTCB {
-		return false
-	}
-	if len(r.Providers) > 0 && !containsString(r.Providers, ep.Provider) {
 		return false
 	}
 	if len(r.Localities) > 0 && !containsString(r.Localities, ep.Locality) {
@@ -92,15 +81,6 @@ func containsString(list []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// TrafficSplit weights one provider's share of steered traffic.
-// Effective shares are Weight over the sum of all weights; a deter-
-// ministic weighted counter hands each request its preferred provider,
-// so observed fractions converge exactly, not just in expectation.
-type TrafficSplit struct {
-	Provider string
-	Weight   uint
 }
 
 // CanaryConfig tunes measurement-based canary routing. While a
@@ -145,9 +125,6 @@ func (c CanaryConfig) minSamples() int64 {
 type decision struct {
 	// rule is the matched hard-constraint rule, nil when none matched.
 	rule *RouteRule
-	// provider is the split-preferred provider, "" when no split
-	// applies.
-	provider string
 	// canaryMeas, when non-nil, is the staged rollout's canary
 	// measurement; preferCanary says which side of the split this
 	// request falls on.
@@ -162,11 +139,8 @@ type decision struct {
 // plus the canary tracking that follows the snapshot's rollout context.
 type router struct {
 	cfg         Routing
-	splitTotal  uint
-	splitSeq    atomic.Uint64 // deterministic weighted provider counter
 	canarySeq   atomic.Uint64 // deterministic canary-fraction counter
 	hasRules    bool
-	hasSplits   bool
 	canaryOn    bool
 	policyDeny  atomic.Int64 // requests refused: policy excluded all endpoints
 	canaryTotal atomic.Int64 // attempts on the canary measurement, this rollout
@@ -182,25 +156,17 @@ type router struct {
 }
 
 func newRouter(cfg Routing) *router {
-	rt := &router{
-		cfg:       cfg,
-		hasRules:  len(cfg.Rules) > 0,
-		hasSplits: len(cfg.Splits) > 0,
-		canaryOn:  cfg.Canary.Weight > 0,
+	return &router{
+		cfg:      cfg,
+		hasRules: len(cfg.Rules) > 0,
+		canaryOn: cfg.Canary.Weight > 0,
 	}
-	for _, s := range cfg.Splits {
-		rt.splitTotal += s.Weight
-	}
-	if rt.splitTotal == 0 {
-		rt.hasSplits = false
-	}
-	return rt
 }
 
 // enabled reports whether any routing behavior is configured; when
 // false the gateway skips the policy tier entirely.
 func (rt *router) enabled() bool {
-	return rt.hasRules || rt.hasSplits || rt.canaryOn
+	return rt.hasRules || rt.canaryOn
 }
 
 // observe tracks the snapshot's rollout context. A newly staged rollout
@@ -243,16 +209,6 @@ func (rt *router) decide(path string) decision {
 				d.rule = &rt.cfg.Rules[i]
 				break
 			}
-		}
-	}
-	if rt.hasSplits {
-		n := uint(rt.splitSeq.Add(1) % uint64(rt.splitTotal))
-		for _, s := range rt.cfg.Splits {
-			if n < s.Weight {
-				d.provider = s.Provider
-				break
-			}
-			n -= s.Weight
 		}
 	}
 	if rt.canaryOn {

@@ -67,28 +67,26 @@ func (h *flipHandler) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 }
 
 // TestRoutingRuleFiltersByContext: hard rules pin path classes to TCB
-// floors, providers and localities; requests matching no rule spread
+// floors and localities; requests matching no rule spread
 // over everything.
 func TestRoutingRuleFiltersByContext(t *testing.T) {
-	provider, _, _ := softProvider(t, "rules")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("rules")
 
 	lowAddr := startUpstream(t, provider, idHandler("low"))
 	highAddr := startUpstream(t, provider, idHandler("high"))
 	zoneBAddr := startUpstream(t, provider, idHandler("zone-b"))
 
 	low := serving(lowAddr)
-	low.TCB, low.Provider, low.Locality = 7, "sev-snp", "zone-a"
+	low.TCB, low.Locality = 7, "zone-a"
 	high := serving(highAddr)
-	high.TCB, high.Provider, high.Locality = 9, "sev-snp", "zone-a"
+	high.TCB, high.Locality = 9, "zone-a"
 	zoneB := serving(zoneBAddr)
-	zoneB.TCB, zoneB.Provider, zoneB.Locality = 9, "soft-tdx", "zone-b"
+	zoneB.TCB, zoneB.Locality = 7, "zone-b"
 
 	view := NewView(testDomain, low, high, zoneB)
-	g, client := startGatewayRouted(t, view, mux, Routing{
+	g, client := startGatewayRouted(t, view, provider, Routing{
 		Rules: []RouteRule{
-			{Name: "payments", PathPrefix: "/payments", MinTCB: 8, Providers: []string{"sev-snp"}},
+			{Name: "payments", PathPrefix: "/payments", MinTCB: 8},
 			{Name: "zone-b-only", PathPrefix: "/zone-b", Localities: []string{"zone-b"}},
 		},
 	})
@@ -96,7 +94,7 @@ func TestRoutingRuleFiltersByContext(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		body, status := get(t, client, "https://"+g.Addr()+"/payments/charge")
 		if status != http.StatusOK || body != "high" {
-			t.Fatalf("/payments request %d: status=%d body=%q, want the TCB-9 sev-snp node", i, status, body)
+			t.Fatalf("/payments request %d: status=%d body=%q, want the TCB-9 node", i, status, body)
 		}
 	}
 	for i := 0; i < 20; i++ {
@@ -127,14 +125,12 @@ func TestRoutingRuleFiltersByContext(t *testing.T) {
 // refuses the request with 503 and no Retry-After — backing off cannot
 // help until the policy or the fleet changes.
 func TestRoutingPolicyDenied(t *testing.T) {
-	provider, _, _ := softProvider(t, "denied")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("denied")
 
 	ep := serving(startUpstream(t, provider, idHandler("a")))
 	ep.TCB = 7
 	view := NewView(testDomain, ep)
-	g, client := startGatewayRouted(t, view, mux, Routing{
+	g, client := startGatewayRouted(t, view, provider, Routing{
 		Rules: []RouteRule{{Name: "strict", PathPrefix: "/payments", MinTCB: 8}},
 	})
 
@@ -166,72 +162,13 @@ func TestRoutingPolicyDenied(t *testing.T) {
 	}
 }
 
-// TestRoutingProviderSplit: a 3:1 split steers exactly that share of
-// traffic when both providers are healthy (the weighted counter is
-// deterministic, so the fractions are exact, not statistical).
-func TestRoutingProviderSplit(t *testing.T) {
-	provider, _, _ := softProvider(t, "split")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
-
-	a := serving(startUpstream(t, provider, idHandler("a")))
-	a.Provider = "sev-snp"
-	b := serving(startUpstream(t, provider, idHandler("b")))
-	b.Provider = "soft-tdx"
-	view := NewView(testDomain, a, b)
-	g, client := startGatewayRouted(t, view, mux, Routing{
-		Splits: []TrafficSplit{
-			{Provider: "sev-snp", Weight: 3},
-			{Provider: "soft-tdx", Weight: 1},
-		},
-	})
-
-	seen := map[string]int{}
-	for i := 0; i < 200; i++ {
-		body, status := get(t, client, "https://"+g.Addr()+"/")
-		if status != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, status)
-		}
-		seen[body]++
-	}
-	if seen["a"] != 150 || seen["b"] != 50 {
-		t.Errorf("split = %v, want exactly a:150 b:50", seen)
-	}
-}
-
-// TestRoutingSplitFallsBack: a preference for a provider with no
-// healthy node must not fail requests — the split is soft.
-func TestRoutingSplitFallsBack(t *testing.T) {
-	provider, _, _ := softProvider(t, "fallback")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
-
-	a := serving(startUpstream(t, provider, idHandler("a")))
-	a.Provider = "sev-snp"
-	view := NewView(testDomain, a)
-	g, client := startGatewayRouted(t, view, mux, Routing{
-		Splits: []TrafficSplit{
-			{Provider: "sev-snp", Weight: 1},
-			{Provider: "soft-tdx", Weight: 1}, // nobody serves this
-		},
-	})
-	for i := 0; i < 20; i++ {
-		body, status := get(t, client, "https://"+g.Addr()+"/")
-		if status != http.StatusOK || body != "a" {
-			t.Fatalf("request %d: status=%d body=%q", i, status, body)
-		}
-	}
-}
-
 // TestCanaryFractionAndRollback drives the full canary lifecycle over a
 // View: a staged rollout steers exactly the configured fraction to the
 // canary measurement; when the canary starts failing, auto-rollback
 // fires once, traffic stops reaching the canary, and ending the rollout
 // clears the state.
 func TestCanaryFractionAndRollback(t *testing.T) {
-	provider, _, _ := softProvider(t, "canary")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("canary")
 
 	baseMeas, canaryMeas := testMeas(1), testMeas(2)
 	baseH1, baseH2 := &flipHandler{id: "base1"}, &flipHandler{id: "base2"}
@@ -244,7 +181,7 @@ func TestCanaryFractionAndRollback(t *testing.T) {
 	canary.Measurement = canaryMeas
 
 	view := NewView(testDomain, base1, base2, canary)
-	g, client := startGatewayRouted(t, view, mux, Routing{
+	g, client := startGatewayRouted(t, view, provider, Routing{
 		Canary: CanaryConfig{Weight: 25, MaxFailureRate: 0.5, MinSamples: 10},
 	})
 
@@ -325,16 +262,14 @@ func TestCanaryFractionAndRollback(t *testing.T) {
 // TestCanaryPrefersFallback: canary steering with no healthy canary
 // node must fall back to the base set, never fail the request.
 func TestCanaryPrefersFallback(t *testing.T) {
-	provider, _, _ := softProvider(t, "canary-fallback")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("canary-fallback")
 
 	baseMeas, canaryMeas := testMeas(3), testMeas(4)
 	base := serving(startUpstream(t, provider, idHandler("base")))
 	base.Measurement = baseMeas
 	view := NewView(testDomain, base)
 	view.SetRollout(canaryMeas, &baseMeas)
-	g, client := startGatewayRouted(t, view, mux, Routing{
+	g, client := startGatewayRouted(t, view, provider, Routing{
 		Canary: CanaryConfig{Weight: 100},
 	})
 	for i := 0; i < 20; i++ {
@@ -350,9 +285,7 @@ func TestCanaryPrefersFallback(t *testing.T) {
 // requests are refused as out of policy rather than routed to the
 // image that just failed.
 func TestCanaryRollbackDeniesWhenAlone(t *testing.T) {
-	provider, _, _ := softProvider(t, "canary-alone")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("canary-alone")
 
 	baseMeas, canaryMeas := testMeas(5), testMeas(6)
 	canaryH := &flipHandler{id: "canary"}
@@ -361,7 +294,7 @@ func TestCanaryRollbackDeniesWhenAlone(t *testing.T) {
 	canary.Measurement = canaryMeas
 	view := NewView(testDomain, canary)
 	view.SetRollout(canaryMeas, &baseMeas)
-	g, client := startGatewayRouted(t, view, mux, Routing{
+	g, client := startGatewayRouted(t, view, provider, Routing{
 		Canary: CanaryConfig{Weight: 100, MaxFailureRate: 0.5, MinSamples: 2},
 	})
 

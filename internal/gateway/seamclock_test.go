@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"revelio/attestation"
 	"revelio/internal/ratls"
 )
 
@@ -24,9 +23,7 @@ import (
 // advances on every read makes a fast-in-real-time upstream register
 // as slow, and the breaker must open.
 func TestGatewayBreakerLatencyOnSeamClock(t *testing.T) {
-	provider, _, _ := softProvider(t, "seamclock")
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("seamclock")
 
 	cert, err := ratls.CreateProviderCertificate(context.Background(), provider, testDomain)
 	if err != nil {
@@ -52,7 +49,7 @@ func TestGatewayBreakerLatencyOnSeamClock(t *testing.T) {
 	gwCert := selfSigned(t)
 	g, err := New(Config{
 		Source:         NewView(testDomain, serving(ln.Addr().String())),
-		Verifier:       mux,
+		Verifier:       provider,
 		GetCertificate: func() (*tls.Certificate, error) { return &gwCert, nil },
 		Resilience: Resilience{
 			BreakerSlow:     50 * time.Millisecond,

@@ -7,8 +7,6 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"revelio/attestation"
 )
 
 // resumeHandler reports whether the upstream connection carrying the
@@ -50,12 +48,10 @@ func upstreamAfterRedial(t *testing.T, g *Gateway) string {
 // resumed handshake still re-judges the node's evidence, so resumption
 // never skips the attestation verdict.
 func TestGatewayUpstreamSessionResumption(t *testing.T) {
-	provider := &testProvider{name: "resume-tee"}
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("resume-tee")
 	addr := startUpstream(t, provider, resumeHandler())
 	view := NewView(testDomain, serving(addr))
-	g, err := New(Config{Source: view, Verifier: mux})
+	g, err := New(Config{Source: view, Verifier: provider})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +79,10 @@ func TestGatewayUpstreamSessionResumption(t *testing.T) {
 // the ClientSessionCache this fails — the post-bump reconnect would
 // resume the pre-bump session and skip the full evidence handshake.
 func TestGatewayUpstreamResumptionEpochFence(t *testing.T) {
-	provider := &testProvider{name: "fence-tee"}
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("fence-tee")
 	addr := startUpstream(t, provider, resumeHandler())
 	view := NewView(testDomain, serving(addr))
-	g, err := New(Config{Source: view, Verifier: mux})
+	g, err := New(Config{Source: view, Verifier: provider})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +130,10 @@ func TestGatewayUpstreamResumptionEpochFence(t *testing.T) {
 // minted before the bump stops resuming — and resumption recovers under
 // the new key.
 func TestGatewayDownstreamTicketRotation(t *testing.T) {
-	provider := &testProvider{name: "ticket-tee"}
-	mux := attestation.NewMux()
-	mux.RegisterProvider(provider)
+	provider := newTestProvider("ticket-tee")
 	addr := startUpstream(t, provider, idHandler("ok"))
 	view := NewView(testDomain, serving(addr))
-	g, _ := startGateway(t, view, mux)
+	g, _ := startGateway(t, view, provider)
 
 	// A dedicated client with a session cache; resp.TLS reports whether
 	// its connection's handshake was resumed.

@@ -15,14 +15,13 @@ import (
 // across layers. A bare errors.New or a %v-formatted fmt.Errorf here
 // strands the caller with string matching.
 var taxonomyScope = map[string]bool{
-	"revelio/attestation":         true,
-	"revelio/attestation/snp":     true,
-	"revelio/attestation/softtee": true,
-	"revelio/webclient":           true,
-	"revelio/internal/attest":     true,
-	"revelio/internal/ratls":      true,
-	"revelio/internal/kds":        true,
-	"revelio/internal/webext":     true,
+	"revelio/attestation":     true,
+	"revelio/attestation/snp": true,
+	"revelio/webclient":       true,
+	"revelio/internal/attest": true,
+	"revelio/internal/ratls":  true,
+	"revelio/internal/kds":    true,
+	"revelio/internal/webext": true,
 }
 
 // Taxonomy reports sentinel-less error construction on verification

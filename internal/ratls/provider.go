@@ -22,12 +22,12 @@ import (
 // OIDAttestationEvidence is the X.509 extension carrying a
 // provider-neutral attestation.Evidence envelope. A certificate minted
 // through CreateProviderCertificate can terminate a handshake verified
-// by any provider a Mux knows about.
+// by the provider that issued its evidence.
 var OIDAttestationEvidence = asn1.ObjectIdentifier{1, 3, 6, 1, 4, 1, 56789, 2, 2}
 
 // CreateProviderCertificate builds a fresh key pair and a self-signed
 // certificate for commonName whose evidence — issued by any
-// attestation.Issuer, hardware or software — binds the certificate's
+// attestation.Issuer — binds the certificate's
 // public key. The returned tls.Certificate is ready for a tls.Config.
 func CreateProviderCertificate(ctx context.Context, issuer attestation.Issuer, commonName string) (tls.Certificate, error) {
 	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
@@ -82,8 +82,8 @@ func ExtractEvidence(cert *x509.Certificate) (*attestation.Evidence, error) {
 }
 
 // VerifyProviderCertificate validates a provider-neutral RA-TLS
-// certificate: the embedded evidence must verify under v (a single
-// provider or a Mux) and bind this certificate's public key.
+// certificate: the embedded evidence must verify under v and bind this
+// certificate's public key.
 func VerifyProviderCertificate(ctx context.Context, v attestation.Verifier, cert *x509.Certificate) (*attestation.Result, error) {
 	evidence, err := ExtractEvidence(cert)
 	if err != nil {
@@ -110,9 +110,8 @@ const DefaultPeerCacheSize = 256
 
 // ProviderPeerVerifier returns a tls.Config.VerifyPeerCertificate
 // callback enforcing provider-neutral RA-TLS: the handshake completes
-// only if the peer's embedded evidence verifies under v — a single
-// provider's verifier or an attestation.Mux fronting several — and
-// binds the peer's TLS key. Use with InsecureSkipVerify (the CA path is
+// only if the peer's embedded evidence verifies under v and binds the
+// peer's TLS key. Use with InsecureSkipVerify (the CA path is
 // intentionally bypassed — the HRoT replaces it).
 //
 // When v implements attestation.Revisioned, successful verifications

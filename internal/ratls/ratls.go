@@ -14,8 +14,8 @@
 //
 // There is one dialect: the evidence is a provider-neutral
 // attestation.Evidence envelope, issued by any attestation.Issuer and
-// verified by any attestation.Verifier (one provider's, or a Mux over
-// several).
+// verified by any attestation.Verifier (the SEV-SNP provider's, in
+// production).
 package ratls
 
 import "errors"

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"revelio/attestation"
 	"revelio/attestation/snp"
 	"revelio/internal/boundary"
 	"revelio/internal/browser"
@@ -481,15 +480,13 @@ func TestBoundaryNodeBehindGateway(t *testing.T) {
 
 	// The boundary-node image has no fleet engine behind it, so the test
 	// stands in for one with a fixed view of the two nodes.
-	mux := attestation.NewMux()
-	mux.RegisterProvider(snp.NewProvider(d.Verifier))
 	view := staticSource{Version: 1, Domain: domain}
 	for _, n := range d.Nodes {
 		view.Endpoints = append(view.Endpoints, fleet.NodeEndpoint(n, "", fleet.StateServing))
 	}
 	gw, err := gateway.New(gateway.Config{
 		Source:         view,
-		Verifier:       mux,
+		Verifier:       snp.NewProvider(d.Verifier),
 		GetCertificate: d.Nodes[0].Agent.ServingCertificate,
 	})
 	if err != nil {

@@ -60,8 +60,8 @@ type (
 // ParseMeasurement parses a hex-encoded measurement.
 func ParseMeasurement(s string) (Measurement, error) { return measure.ParseMeasurement(s) }
 
-// NewFleet builds a fleet: image, nodes, provisioning, web tier, and a
-// provider-neutral verification mux, all in one call. See FleetConfig
+// NewFleet builds a fleet: image, nodes, provisioning, web tier, and its
+// SEV-SNP verification plane, all in one call. See FleetConfig
 // for the knobs and Fleet for the lifecycle surface.
 func NewFleet(ctx context.Context, cfg FleetConfig) (*Fleet, error) { return fleet.New(ctx, cfg) }
 

@@ -46,8 +46,8 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 			t.Fatalf("Provision: %v, want ErrUntrustedMeasurement", err)
 		}
 		ev := nodeEvidence(t, svc)
-		if _, err := svc.Mux().VerifyEvidence(ctx, ev); !errors.Is(err, attestation.ErrUntrustedMeasurement) {
-			t.Fatalf("Mux verify: %v, want ErrUntrustedMeasurement", err)
+		if _, err := svc.Provider().VerifyEvidence(ctx, ev); !errors.Is(err, attestation.ErrUntrustedMeasurement) {
+			t.Fatalf("Provider verify: %v, want ErrUntrustedMeasurement", err)
 		}
 	})
 
@@ -57,14 +57,14 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 		svc := newTestService(t, revelio.WithTrustRegistry(reg))
 		vote(t, reg, svc.Golden())
 		ev := nodeEvidence(t, svc)
-		if _, err := svc.Mux().VerifyEvidence(ctx, ev); err != nil {
+		if _, err := svc.Provider().VerifyEvidence(ctx, ev); err != nil {
 			t.Fatalf("trusted evidence rejected: %v", err)
 		}
 		if err := reg.Revoke(svc.Golden()); err != nil {
 			t.Fatal(err)
 		}
 		svc.Verifier().InvalidatePolicy()
-		err := verifyErr(svc.Mux(), ev)
+		err := verifyErr(svc.Provider(), ev)
 		if !errors.Is(err, attestation.ErrRevoked) || !errors.Is(err, attestation.ErrPolicyRejected) {
 			t.Fatalf("revoked golden: %v, want ErrRevoked (under ErrPolicyRejected)", err)
 		}
@@ -77,12 +77,12 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 		svc := newTestService(t)
 		ev := nodeEvidence(t, svc)
 		svc.Deployment().KDSNet().SetOutage(fmt.Errorf("backbone down"))
-		if err := verifyErr(svc.Mux(), ev); !errors.Is(err, attestation.ErrKDSUnavailable) {
+		if err := verifyErr(svc.Provider(), ev); !errors.Is(err, attestation.ErrKDSUnavailable) {
 			t.Fatalf("outage: %v, want ErrKDSUnavailable", err)
 		}
 		// Failure not cached: recovery verifies immediately.
 		svc.Deployment().KDSNet().SetOutage(nil)
-		if _, err := svc.Mux().VerifyEvidence(ctx, ev); err != nil {
+		if _, err := svc.Provider().VerifyEvidence(ctx, ev); err != nil {
 			t.Fatalf("after recovery: %v", err)
 		}
 	})
@@ -90,9 +90,7 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 	t.Run("TCB floor", func(t *testing.T) {
 		svc := newTestService(t)
 		strict := snp.NewVerifier(svc.CertSource(), snp.NewStaticGolden(svc.Golden()), snp.WithMinTCB(99))
-		mux := attestation.NewMux()
-		mux.RegisterProvider(snp.NewProvider(strict))
-		if err := verifyErr(mux, nodeEvidence(t, svc)); !errors.Is(err, attestation.ErrTCBTooOld) {
+		if err := verifyErr(snp.NewProvider(strict), nodeEvidence(t, svc)); !errors.Is(err, attestation.ErrTCBTooOld) {
 			t.Fatalf("TCB floor: %v, want ErrTCBTooOld", err)
 		}
 	})
@@ -102,9 +100,7 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 		future := time.Now().Add(40 * 365 * 24 * time.Hour)
 		late := snp.NewVerifier(svc.CertSource(), snp.NewStaticGolden(svc.Golden()),
 			snp.WithClock(func() time.Time { return future }))
-		mux := attestation.NewMux()
-		mux.RegisterProvider(snp.NewProvider(late))
-		if err := verifyErr(mux, nodeEvidence(t, svc)); !errors.Is(err, attestation.ErrEvidenceExpired) {
+		if err := verifyErr(snp.NewProvider(late), nodeEvidence(t, svc)); !errors.Is(err, attestation.ErrEvidenceExpired) {
 			t.Fatalf("expired: %v, want ErrEvidenceExpired", err)
 		}
 	})

@@ -89,8 +89,7 @@ func WithNetworkLatency(kds, spNet, ca time.Duration) Option {
 //	err = svc.ServeWeb(app)
 //
 // Verification is provider-neutral: Verifier returns the SEV-SNP
-// verifier, Mux the dispatching front that additional providers
-// (attestation/softtee) register into.
+// verifier, Provider its face behind the attestation interfaces.
 //
 // A Service is one staged deployment with a fixed node set. Membership
 // that changes under traffic — joins, removals, leader re-election, an
@@ -100,7 +99,6 @@ type Service struct {
 	d        *core.Deployment
 	domain   string
 	provider *snp.Provider
-	mux      *attestation.Mux
 
 	// opMu serializes lifecycle operations (Provision, ServeWeb,
 	// RebootNode, SetFirmware): the deployment is not safe for
@@ -157,9 +155,7 @@ func New(ctx context.Context, opts ...Option) (*Service, error) {
 		d.Close()
 		return nil, fmt.Errorf("revelio: new service: %w", err)
 	}
-	svc := &Service{d: d, domain: cfg.domain, provider: snp.NewProvider(d.Verifier), mux: attestation.NewMux()}
-	svc.mux.RegisterProvider(svc.provider)
-	return svc, nil
+	return &Service{d: d, domain: cfg.domain, provider: snp.NewProvider(d.Verifier)}, nil
 }
 
 // Deployment exposes the underlying orchestration layer for operations
@@ -184,16 +180,9 @@ func (s *Service) Verifier() *snp.Verifier { return s.d.Verifier }
 func (s *Service) CertSource() attestation.CertSource { return s.d.KDSClient }
 
 // Provider returns the service's SEV-SNP attestation provider — the
-// neutral face of Verifier.
+// neutral face of Verifier, which fails evidence tagged with any other
+// provider closed (attestation.ErrUnknownProvider).
 func (s *Service) Provider() *snp.Provider { return s.provider }
-
-// Mux returns the service's provider-neutral verification plane. The
-// SEV-SNP provider is pre-registered; attach further providers to
-// verify mixed-TEE estates through one object.
-func (s *Service) Mux() *attestation.Mux { return s.mux }
-
-// AttachProvider registers an additional attestation provider.
-func (s *Service) AttachProvider(p attestation.Provider) { s.mux.RegisterProvider(p) }
 
 // CARootPool returns the certificate pool browsers trust (the simulated
 // Let's Encrypt root).
