@@ -21,7 +21,7 @@ const (
 
 // DefaultFirmwareVersion is the OVMF build deployments boot unless
 // overridden.
-const DefaultFirmwareVersion = "2023.05"
+const DefaultFirmwareVersion = firmware.DefaultVersion
 
 // buildSpec carries the image-build parameters the options mutate.
 type buildSpec struct {

@@ -30,9 +30,12 @@
 //	                               with Source: fleet, Verifier:
 //	                               fleet.Mux(), GetCertificate:
 //	                               fleet.ServingCertificate), with
-//	                               circuit breakers, retry budgets,
-//	                               deadline propagation, and load
-//	                               shedding (Config.Resilience), plus
+//	                               circuit breakers (a node that fails,
+//	                               or is slower than the per-try
+//	                               timeout, leaves rotation until an
+//	                               attested probe re-admits it), retry
+//	                               budgets, deadline propagation, and
+//	                               load shedding (Config.Resilience), plus
 //	                               context-aware routing policy: path
 //	                               classes constrained by TCB floor or
 //	                               locality, and canary rollouts with
@@ -42,6 +45,11 @@
 //	revelio/apps/...             — the paper's use cases (cryptpad,
 //	                               boundary, ic)
 //	revelio/bench                — the experiment harness
+//
+// Provision obtains the shared certificate the way the paper's SP node
+// does (§5.3.1): a certbot-style DNS-01 flow against an in-process
+// Let's Encrypt stand-in, whose WAN round trips are modelled by
+// WithNetworkLatency's ca argument.
 //
 // Every lifecycle operation is context-first (Provision, RebootNode,
 // SetFirmware on a Service; AddNode, RemoveNode and the fleet scenarios

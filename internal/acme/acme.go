@@ -37,11 +37,11 @@ var (
 	ErrBadCSR = errors.New("acme: bad certificate signing request")
 )
 
-// DefaultRateLimit mirrors Let's Encrypt's certificates-per-registered-
-// domain limit.
+// rateLimit and rateWindow mirror Let's Encrypt's certificates-per-
+// registered-domain limit.
 const (
-	DefaultRateLimit  = 50
-	DefaultRateWindow = 7 * 24 * time.Hour
+	rateLimit  = 50
+	rateWindow = 7 * 24 * time.Hour
 	// certLifetime mirrors Let's Encrypt's 90-day certificates, which is
 	// why Table 2's operations recur every 90 days.
 	certLifetime = 90 * 24 * time.Hour
@@ -96,14 +96,6 @@ type Option func(*CA)
 // WithClock injects a test clock.
 func WithClock(now func() time.Time) Option { return func(c *CA) { c.now = now } }
 
-// WithRateLimit overrides the issuance rate limit.
-func WithRateLimit(n int, window time.Duration) Option {
-	return func(c *CA) {
-		c.rateLimit = n
-		c.rateWindow = window
-	}
-}
-
 // WithLatency injects a per-operation delay, modelling the WAN round
 // trips to a real CA (the paper's certificate generation takes ~3 s
 // against Let's Encrypt).
@@ -120,8 +112,8 @@ func NewCA(zone *Zone, opts ...Option) (*CA, error) {
 		key:        key,
 		zone:       zone,
 		now:        time.Now,
-		rateLimit:  DefaultRateLimit,
-		rateWindow: DefaultRateWindow,
+		rateLimit:  rateLimit,
+		rateWindow: rateWindow,
 		issuances:  make(map[string][]time.Time),
 		serial:     1,
 	}
@@ -258,9 +250,9 @@ func NewClient(ca *CA, zone *Zone) *Client {
 }
 
 // ObtainCertificate runs the full ACME flow for domain with the given CSR
-// and returns the DER certificate. The in-process flow performs no I/O,
-// but the ctx keeps the contract aligned with the wire-protocol client:
-// a caller's cancellation is honoured between steps.
+// and returns the DER certificate. The flow performs no I/O of its own
+// (WithLatency models the CA round trips), so ctx is checked before the
+// first step: a caller that has given up issues nothing.
 func (cl *Client) ObtainCertificate(ctx context.Context, domain string, csrDER []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

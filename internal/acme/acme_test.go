@@ -8,16 +8,17 @@ import (
 	"crypto/rand"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"encoding/json"
-	"encoding/pem"
 	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 )
+
+// withRateLimit replaces the Let's Encrypt limit with a small one, so a
+// test reaches it in a few issuances.
+func withRateLimit(n int, window time.Duration) Option {
+	return func(c *CA) { c.rateLimit, c.rateWindow = n, window }
+}
 
 func newCSR(t *testing.T, domain string) ([]byte, *ecdsa.PrivateKey) {
 	t.Helper()
@@ -160,7 +161,7 @@ func TestRateLimit(t *testing.T) {
 	zone := NewZone()
 	clock := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
 	ca, err := NewCA(zone,
-		WithRateLimit(3, 24*time.Hour),
+		withRateLimit(3, 24*time.Hour),
 		WithClock(func() time.Time { return clock }))
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +193,7 @@ func TestRateLimit(t *testing.T) {
 // consume N and trip the limit.
 func TestSharedCertificateAvoidsRateLimit(t *testing.T) {
 	zone := NewZone()
-	ca, err := NewCA(zone, WithRateLimit(5, 24*time.Hour))
+	ca, err := NewCA(zone, withRateLimit(5, 24*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,149 +220,5 @@ func TestSharedCertificateAvoidsRateLimit(t *testing.T) {
 	}
 	if !limited {
 		t.Error("per-node issuance never hit the rate limit")
-	}
-}
-
-func TestHTTPProtocolRoundTrip(t *testing.T) {
-	zone := NewZone()
-	ca, err := NewCA(zone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := httptest.NewServer(NewHTTPServer(ca))
-	defer server.Close()
-
-	client := NewHTTPClient(server.URL, zone, nil)
-	csr, key := newCSR(t, "wire.example.org")
-	certDER, err := client.ObtainCertificate(context.Background(), "wire.example.org", csr)
-	if err != nil {
-		t.Fatalf("ObtainCertificate over HTTP: %v", err)
-	}
-	cert, err := x509.ParseCertificate(certDER)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub, ok := cert.PublicKey.(*ecdsa.PublicKey)
-	if !ok || !pub.Equal(&key.PublicKey) {
-		t.Error("issued cert does not carry the CSR key")
-	}
-	roots := x509.NewCertPool()
-	roots.AddCert(ca.RootCert())
-	if _, err := cert.Verify(x509.VerifyOptions{Roots: roots}); err != nil {
-		t.Errorf("chain: %v", err)
-	}
-	// Challenge record cleaned up.
-	if got := zone.LookupTXT("_acme-challenge.wire.example.org"); len(got) != 0 {
-		t.Errorf("challenge TXT left behind: %v", got)
-	}
-}
-
-func TestHTTPProtocolErrors(t *testing.T) {
-	zone := NewZone()
-	ca, err := NewCA(zone, WithRateLimit(1, time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := httptest.NewServer(NewHTTPServer(ca))
-	defer server.Close()
-
-	// An attacker without DNS credentials (their client writes to a
-	// different zone) fails the challenge.
-	attackerZone := NewZone()
-	attacker := NewHTTPClient(server.URL, attackerZone, nil)
-	csr, _ := newCSR(t, "victim.example.org")
-	if _, err := attacker.ObtainCertificate(context.Background(), "victim.example.org", csr); !errors.Is(err, ErrChallengeFailed) {
-		t.Errorf("no DNS control: err = %v, want ErrChallengeFailed", err)
-	}
-
-	// Garbage CSR is rejected at new-order.
-	legit := NewHTTPClient(server.URL, zone, nil)
-	if _, err := legit.ObtainCertificate(context.Background(), "victim.example.org", []byte("junk")); err == nil {
-		t.Error("junk CSR accepted over HTTP")
-	}
-
-	// Rate limit surfaces as ErrRateLimited across the wire.
-	goodCSR, _ := newCSR(t, "busy.example.org")
-	if _, err := legit.ObtainCertificate(context.Background(), "busy.example.org", goodCSR); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legit.ObtainCertificate(context.Background(), "busy.example.org", goodCSR); !errors.Is(err, ErrRateLimited) {
-		t.Errorf("rate limit over HTTP: err = %v, want ErrRateLimited", err)
-	}
-
-	// Unknown order.
-	resp, err := http.Post(server.URL+FinalizePath, "application/json",
-		bytes.NewReader([]byte(`{"orderId":"nope"}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown order: status %d", resp.StatusCode)
-	}
-
-	// Orders are single-use: finalizing twice fails.
-	order, err := legit.newOrder(context.Background(), "busy2.example.org", mustCSR(t, "busy2.example.org"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	zone.SetTXT("_acme-challenge.busy2.example.org", challengeValue(order.Token))
-	if _, err := legit.finalize(context.Background(), order.OrderID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legit.finalize(context.Background(), order.OrderID); !errors.Is(err, ErrUnknownOrder) {
-		t.Errorf("double finalize: err = %v, want ErrUnknownOrder", err)
-	}
-}
-
-func mustCSR(t *testing.T, domain string) []byte {
-	t.Helper()
-	csr, _ := newCSR(t, domain)
-	return csr
-}
-
-func TestDirectoryAndRootEndpoints(t *testing.T) {
-	zone := NewZone()
-	ca, err := NewCA(zone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := httptest.NewServer(NewHTTPServer(ca))
-	defer server.Close()
-
-	resp, err := http.Get(server.URL + DirectoryPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dir struct {
-		NewOrder string `json:"newOrder"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&dir); err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if dir.NewOrder != NewOrderPath {
-		t.Errorf("directory newOrder = %q", dir.NewOrder)
-	}
-
-	resp2, err := http.Get(server.URL + RootCertPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pemBytes, err := io.ReadAll(resp2.Body)
-	_ = resp2.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	block, _ := pem.Decode(pemBytes)
-	if block == nil {
-		t.Fatal("root endpoint returned no PEM")
-	}
-	root, err := x509.ParseCertificate(block.Bytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !root.Equal(ca.RootCert()) {
-		t.Error("served root differs from CA root")
 	}
 }

@@ -16,11 +16,6 @@ type Fig6Config struct {
 	// BlockSize is the verity data/hash block size; 0 selects
 	// dmverity.DefaultBlockSize.
 	BlockSize int
-	// CacheBlocks bounds the verified-block cache (data and hash blocks)
-	// of the cold and data-warm rows; 0 selects
-	// dmverity.DefaultCacheBlocks. A size that does not fit re-verifies
-	// its data on the data-warm row too, and the row shows it.
-	CacheBlocks int
 }
 
 // Fig6Point is one file size in the dm-verity read sweep.
@@ -123,7 +118,11 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 			return time.Since(start), dev, nil
 		}
 
-		verity, coldDev, err := read(cfg.CacheBlocks, false)
+		// The cold and data-warm rows run the production cache
+		// (dmverity.DefaultCacheBlocks): a size that does not fit
+		// re-verifies its data on the data-warm row too, and the row
+		// shows it.
+		verity, coldDev, err := read(dmverity.DefaultCacheBlocks, false)
 		if err != nil {
 			return nil, err
 		}

@@ -42,18 +42,6 @@ type ProvisionResult struct {
 	Timings   Timings
 }
 
-// CertificateObtainer abstracts the certbot flow: both the in-process
-// acme.Client and the wire-protocol acme.HTTPClient satisfy it. The ctx
-// bounds the issuance — over the wire it reaches every request.
-type CertificateObtainer interface {
-	ObtainCertificate(ctx context.Context, domain string, csrDER []byte) ([]byte, error)
-}
-
-var (
-	_ CertificateObtainer = (*acme.Client)(nil)
-	_ CertificateObtainer = (*acme.HTTPClient)(nil)
-)
-
 // SPNode is the service provider's isolated machine: it holds the DNS
 // credentials (through the certbot client), the approved node set, and
 // the golden measurements, and orchestrates certificate issuance and
@@ -64,7 +52,7 @@ var (
 // address can never rejoin with a different chip unnoticed.
 type SPNode struct {
 	verifier *attest.Verifier
-	certbot  CertificateObtainer
+	certbot  *acme.Client
 	domain   string
 	httpc    *http.Client
 
@@ -74,7 +62,7 @@ type SPNode struct {
 
 // NewSPNode creates the SP orchestrator. approved maps each node's base
 // URL to the chip it must run on.
-func NewSPNode(verifier *attest.Verifier, certbot CertificateObtainer, domain string,
+func NewSPNode(verifier *attest.Verifier, certbot *acme.Client, domain string,
 	approved map[string]sev.ChipID, httpc *http.Client) *SPNode {
 	if httpc == nil {
 		httpc = http.DefaultClient

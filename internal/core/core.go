@@ -72,10 +72,6 @@ type Config struct {
 	// TrustRegistry, if set, is used as the verifier trust policy instead
 	// of the static golden value.
 	TrustRegistry *registry.Registry
-	// RemoteCA runs the CA behind its HTTP wire protocol and has the SP
-	// node obtain certificates over the network, as against a real
-	// Let's Encrypt. Off, the SP calls the CA in process.
-	RemoteCA bool
 	// Localities labels nodes with deployment zones: each launched node
 	// takes the next label round-robin in launch order, so a three-node
 	// deployment over ["zone-a", "zone-b"] lands in zone-a, zone-b,
@@ -149,7 +145,6 @@ type Deployment struct {
 	KDSClient    *kds.Client
 	Zone         *acme.Zone
 	CA           *acme.CA
-	CAServer     *httpServer // non-nil when cfg.RemoteCA
 	SP           *certmgr.SPNode
 	Verifier     *attest.Verifier
 	Nodes        []*Node
@@ -268,7 +263,7 @@ func New(cfg Config) (*Deployment, error) {
 		return nil, errors.New("core: empty domain")
 	}
 	if cfg.FirmwareVersion == "" {
-		cfg.FirmwareVersion = "2023.05"
+		cfg.FirmwareVersion = firmware.DefaultVersion
 	}
 	d := &Deployment{cfg: cfg}
 
@@ -317,31 +312,13 @@ func New(cfg Config) (*Deployment, error) {
 		approved[node.ControlURL()] = node.Chip
 	}
 
-	var certbot certmgr.CertificateObtainer = acme.NewClient(d.CA, d.Zone)
-	if cfg.RemoteCA {
-		caServer, err := startHTTP(acme.NewHTTPServer(d.CA))
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.CAServer = caServer
-		certbot = acme.NewHTTPClient(caServer.url, d.Zone, d.netClient(cfg.CARTT))
-	}
 	// The SP's outbound path gets its own named transport so fault
 	// injection (partitioning a node's control link) can target it.
 	d.spNet = &netlab.Transport{RTT: cfg.SPNetRTT}
 	spClient := &http.Client{Transport: d.spNet}
 	d.clients = append(d.clients, spClient)
-	d.SP = certmgr.NewSPNode(d.Verifier, certbot, cfg.Domain, approved, spClient)
+	d.SP = certmgr.NewSPNode(d.Verifier, acme.NewClient(d.CA, d.Zone), cfg.Domain, approved, spClient)
 	return d, nil
-}
-
-// netClient builds a latency-injecting HTTP client and records it so
-// Close can reap its idle connections.
-func (d *Deployment) netClient(rtt time.Duration) *http.Client {
-	c := netlab.Client(rtt, nil)
-	d.clients = append(d.clients, c)
-	return c
 }
 
 // nextChipSeed derives a fresh deterministic chip seed. Seeds never
@@ -659,9 +636,9 @@ func (d *Deployment) CARootPool() *x509.CertPool {
 
 // Close shuts down every server the deployment started and reaps the
 // HTTP clients it created. Teardown runs in dependency order — node web
-// tier first (stop user traffic), then node control servers, then the CA
-// and KDS the nodes depend on — so nothing in flight dials a server that
-// is already gone. Close is idempotent and safe for concurrent use:
+// tier first (stop user traffic), then node control servers, then the
+// KDS the nodes depend on — so nothing in flight dials a server that is
+// already gone. Close is idempotent and safe for concurrent use:
 // every call after the first is a no-op.
 func (d *Deployment) Close() {
 	d.closeOnce.Do(d.close)
@@ -677,7 +654,6 @@ func (d *Deployment) close() {
 			n.client.CloseIdleConnections()
 		}
 	}
-	d.CAServer.close()
 	d.KDSServer.close()
 	// Idle keep-alive connections hold read-loop goroutines; drop them so
 	// repeated deployment cycles (fleet churn, leak tests) settle clean.

@@ -523,27 +523,6 @@ func TestSetFirmwareChangesGolden(t *testing.T) {
 	}
 }
 
-func TestRemoteCAProvisioning(t *testing.T) {
-	cfg, _ := testConfig(2)
-	cfg.RemoteCA = true
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if d.CAServer == nil {
-		t.Fatal("remote CA server not started")
-	}
-	if _, err := d.ProvisionCertificates(context.Background()); err != nil {
-		t.Fatalf("provision over remote CA: %v", err)
-	}
-	for i, n := range d.Nodes {
-		if !n.Agent.Ready() {
-			t.Errorf("node %d not ready", i)
-		}
-	}
-}
-
 // TestClockSkewExpiryWave: advancing the verification-plane clock past
 // certificate validity fails fresh *and* cached verification closed
 // (ErrEvidenceExpired); restoring the skew makes the same evidence

@@ -20,6 +20,11 @@ import (
 // HashSize is the digest size used in the hash table.
 const HashSize = sha256.Size
 
+// DefaultVersion is the OVMF build deployments and fleets boot unless
+// configured otherwise. It is spelled here once so a default Service and
+// a default Fleet always share one golden measurement.
+const DefaultVersion = "2023.05"
+
 var (
 	// ErrHashMismatch is the boot failure raised when a delivered blob
 	// does not match the measured hash table.

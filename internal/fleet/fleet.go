@@ -45,6 +45,7 @@ import (
 	"revelio/attestation/snp"
 	"revelio/internal/certmgr"
 	"revelio/internal/core"
+	"revelio/internal/firmware"
 	"revelio/internal/imagebuild"
 	"revelio/internal/measure"
 	"revelio/internal/registry"
@@ -210,7 +211,7 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		cfg.Domain = "fleet.example.org"
 	}
 	if cfg.FirmwareVersion == "" {
-		cfg.FirmwareVersion = "2023.05"
+		cfg.FirmwareVersion = firmware.DefaultVersion
 	}
 	if cfg.PersistSize <= 0 {
 		cfg.PersistSize = 256 * 1024

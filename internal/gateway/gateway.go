@@ -31,10 +31,10 @@
 // node, so churn never surfaces as a failed request through the proxy.
 //
 // Degradation is governed by the resilience layer (see Resilience):
-// each upstream carries a circuit breaker fed by passive
-// failure/latency observation and re-closed only by an active RA-TLS
-// health probe, so transport-failed and gray-failed (slow-but-alive)
-// nodes leave rotation globally — distinct from, and composing with,
+// each upstream carries a circuit breaker fed by passive failure
+// observation and re-closed only by an active RA-TLS health probe, so
+// transport-failed nodes, and gray-failed ones slower than the per-try
+// timeout, leave rotation globally — distinct from, and composing with,
 // the fail-closed attestation ejection. Retries are paced by
 // exponential backoff with jitter under a fixed attempt budget, every
 // attempt gets its own response-header deadline carved from the request
@@ -89,6 +89,25 @@ const upstreamIdleTimeout = 90 * time.Second
 // handshake.
 const dialTimeout = 10 * time.Second
 
+const (
+	// maxIdleConnsPerHost bounds the warm connection pool per node.
+	maxIdleConnsPerHost = 64
+	// writeTimeout bounds writing one response to a downstream client. A
+	// proxied request holds the serving-view admission for its lifetime —
+	// that is the zero-failed-request drain — so this timeout is also the
+	// longest a stalled client can delay a fleet lifecycle operation.
+	writeTimeout = 30 * time.Second
+	// requestTimeout bounds a whole proxied request when the client sent
+	// no DeadlineHeader.
+	requestTimeout = 15 * time.Second
+	// minDeadline is the smallest remaining deadline worth an upstream
+	// attempt; below it the request sheds instead.
+	minDeadline = 5 * time.Millisecond
+	// maxPerUpstream bounds in-flight attempts per upstream; a node at its
+	// bound is skipped like an unhealthy one.
+	maxPerUpstream = 256
+)
+
 // Source publishes the serving view the gateway routes over. The fleet
 // engine is the production implementation.
 type Source interface {
@@ -110,20 +129,14 @@ type Resilience struct {
 	// ResponseHeaderTimeout, so a node that accepts the connection and
 	// never answers fails the attempt instead of stalling the client.
 	PerTryTimeout time.Duration
-	// RequestTimeout bounds a whole proxied request when the client sent
-	// no DeadlineHeader (default 15s).
-	RequestTimeout time.Duration
 	// BackoffBase and BackoffMax shape the exponential equal-jitter
 	// backoff between attempts (defaults 5ms and 100ms).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// BreakerFailures is how many consecutive failed (or slow) attempts
-	// open an upstream's circuit breaker (default 3).
+	// BreakerFailures is how many consecutive failed attempts open an
+	// upstream's circuit breaker (default 3). An attempt that outlives
+	// PerTryTimeout fails, so this is also the gray-failure detector.
 	BreakerFailures int
-	// BreakerSlow, when positive, additionally counts successful
-	// attempts slower than this toward the trip — the gray-failure
-	// detector. Zero (the default) disables latency tripping.
-	BreakerSlow time.Duration
 	// BreakerOpenFor is the open-state dwell before an active health
 	// probe may run (default 500ms).
 	BreakerOpenFor time.Duration
@@ -133,12 +146,6 @@ type Resilience struct {
 	// MaxInFlight bounds concurrently admitted requests per gateway
 	// (default 1024); beyond it requests shed with 503 + Retry-After.
 	MaxInFlight int
-	// MaxPerUpstream bounds in-flight attempts per upstream (default
-	// 256); a node at its bound is skipped like an unhealthy one.
-	MaxPerUpstream int
-	// MinDeadline is the smallest remaining deadline worth an upstream
-	// attempt (default 5ms); below it the request sheds instead.
-	MinDeadline time.Duration
 	// Rand is the backoff jitter source returning values in [0, 1), and
 	// Now the breaker dwell clock — both injectable so chaos schedules
 	// and tests replay deterministically (defaults math/rand.Float64 and
@@ -153,9 +160,6 @@ func (r Resilience) withDefaults() Resilience {
 	}
 	if r.PerTryTimeout <= 0 {
 		r.PerTryTimeout = 2 * time.Second
-	}
-	if r.RequestTimeout <= 0 {
-		r.RequestTimeout = 15 * time.Second
 	}
 	if r.BackoffBase <= 0 {
 		r.BackoffBase = 5 * time.Millisecond
@@ -174,12 +178,6 @@ func (r Resilience) withDefaults() Resilience {
 	}
 	if r.MaxInFlight <= 0 {
 		r.MaxInFlight = 1024
-	}
-	if r.MaxPerUpstream <= 0 {
-		r.MaxPerUpstream = 256
-	}
-	if r.MinDeadline <= 0 {
-		r.MinDeadline = 5 * time.Millisecond
 	}
 	if r.Now == nil {
 		r.Now = time.Now //revelio:allow timeseam the gateway clock seam's single real-time default
@@ -200,15 +198,6 @@ type Config struct {
 	// handshake (required for Start; ServeHTTP alone works without).
 	// Fleet.ServingCertificate is the usual implementation.
 	GetCertificate func() (*tls.Certificate, error)
-	// MaxIdleConnsPerHost bounds the warm connection pool per node
-	// (default 64).
-	MaxIdleConnsPerHost int
-	// WriteTimeout bounds writing one response to a downstream client
-	// (default 30s). A proxied request holds the serving-view admission
-	// for its lifetime — that is the zero-failed-request drain — so
-	// this timeout is also the longest a stalled client can delay a
-	// fleet lifecycle operation.
-	WriteTimeout time.Duration
 	// Resilience tunes circuit breaking, retry budgets, deadlines, and
 	// load shedding; the zero value takes every default.
 	Resilience Resilience
@@ -286,11 +275,14 @@ type Stats struct {
 
 // Gateway is the attested reverse proxy.
 type Gateway struct {
-	cfg       Config
-	res       Resilience
-	retry     resilience.RetryPolicy
-	admission *resilience.Admission
-	transport *http.Transport
+	cfg Config
+	res Resilience
+	// perUpstream is the in-flight attempt bound per upstream:
+	// maxPerUpstream, lowered only by tests before Start.
+	perUpstream int64
+	retry       resilience.RetryPolicy
+	admission   *resilience.Admission
+	transport   *http.Transport
 	// rt is the round-tripper the data plane calls — g.transport in
 	// production, a stub in the allocation-guard tests, so the guard
 	// measures the gateway's own path rather than net/http internals.
@@ -343,17 +335,12 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Verifier == nil {
 		return nil, errors.New("gateway: nil verifier")
 	}
-	if cfg.MaxIdleConnsPerHost <= 0 {
-		cfg.MaxIdleConnsPerHost = 64
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
 	res := cfg.Resilience.withDefaults()
 	tlsCfg := ratls.ProviderClientConfig(cfg.Verifier)
 	g := &Gateway{
-		cfg: cfg,
-		res: res,
+		cfg:         cfg,
+		res:         res,
+		perUpstream: maxPerUpstream,
 		retry: resilience.RetryPolicy{
 			Budget:      res.RetryBudget,
 			BackoffBase: res.BackoffBase,
@@ -370,11 +357,11 @@ func New(cfg Config) (*Gateway, error) {
 			DialContext: (&net.Dialer{
 				Timeout: dialTimeout,
 			}).DialContext,
-			MaxIdleConnsPerHost: cfg.MaxIdleConnsPerHost,
+			MaxIdleConnsPerHost: maxIdleConnsPerHost,
 			IdleConnTimeout:     upstreamIdleTimeout,
 			// The per-attempt header deadline: a node that accepts the
 			// connection but never sends headers fails this attempt
-			// instead of pinning the client until WriteTimeout.
+			// instead of pinning the client until writeTimeout.
 			ResponseHeaderTimeout: res.PerTryTimeout,
 		},
 	}
@@ -421,7 +408,6 @@ func (g *Gateway) observe(snap fleet.Snapshot) {
 func (g *Gateway) breakerConfig() resilience.BreakerConfig {
 	return resilience.BreakerConfig{
 		FailureThreshold: g.res.BreakerFailures,
-		SlowThreshold:    g.res.BreakerSlow,
 		OpenFor:          g.res.BreakerOpenFor,
 		Now:              g.res.Now,
 	}
@@ -545,7 +531,7 @@ func (g *Gateway) pick(d decision, sc *proxyScratch) (up *upstream, saturated, d
 		if !u.breaker.Allow() {
 			continue
 		}
-		if u.pending.Load() >= int64(g.res.MaxPerUpstream) {
+		if u.pending.Load() >= g.perUpstream {
 			saturated = true
 			continue
 		}
@@ -704,13 +690,13 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	defer g.admission.Release()
 
-	timeout := g.res.RequestTimeout
+	timeout := requestTimeout
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
 			timeout = time.Duration(ms) * time.Millisecond
 		}
 	}
-	if timeout < g.res.MinDeadline {
+	if timeout < minDeadline {
 		// Deadline-aware shed: the caller's remaining budget cannot fit
 		// even one attempt, so refuse cheaply rather than burn a node.
 		g.shed.Add(1)
@@ -765,7 +751,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 		}
-		if deadline.Sub(g.res.Now()) < g.res.MinDeadline {
+		if deadline.Sub(g.res.Now()) < minDeadline {
 			break
 		}
 		up, saturated, denied := g.pick(d, sc)
@@ -848,10 +834,10 @@ func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream
 	// The per-try clock covers dial + request + response headers; once
 	// headers arrive the attempt has succeeded and the same timer is
 	// re-armed to the request deadline, so a slow client draining a long
-	// body is bounded by the deadline and WriteTimeout, not mistaken for
+	// body is bounded by the deadline and writeTimeout, not mistaken for
 	// a stalled node.
 	tryCtx, cancel := context.WithCancel(parent)
-	//revelio:allow timeseam the per-try cancel must fire in real time to abort a real RoundTrip; the measured latency is on the seam
+	//revelio:allow timeseam the per-try cancel must fire in real time to abort a real RoundTrip; deadline judgments stay on the seam
 	timer := time.AfterFunc(perTry, cancel)
 	sc.tryTimer, sc.tryCancel = timer, cancel
 
@@ -921,20 +907,14 @@ func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream
 	// is why the wire carries the inFlight taint below.
 	outreq := wire.req.WithContext(tryCtx)
 
-	// The latency fed to the breaker must come off the same clock as the
-	// breaker's dwell (Resilience.Now): measuring it with the naked wall
-	// clock made SlowThreshold accounting invisible to injected clocks —
-	// chaos replays and tests saw breakers that never tripped on slowness.
 	up.pending.Add(1)
-	start := g.res.Now()
 	wire.inFlight = true
 	resp, err := g.rt.RoundTrip(outreq)
-	latency := g.res.Now().Sub(start)
 	up.pending.Add(-1)
 	if parent.Err() == nil && g.res.Now().Before(deadline) {
 		// Only outcomes the request deadline did not cause feed the
 		// breaker: a client hanging up is not the node's fault.
-		if up.breaker.Observe(latency, err != nil) {
+		if up.breaker.Observe(err != nil) {
 			g.breakerOpens.Add(1)
 		}
 	}
@@ -1097,9 +1077,9 @@ func (g *Gateway) Start() error {
 	g.server = drain.New(&http.Server{
 		Handler:           g,
 		ReadHeaderTimeout: 10 * time.Second,
-		// WriteTimeout caps how long a slow or stalled client can hold
-		// the serving-view admission (see Config.WriteTimeout).
-		WriteTimeout: g.cfg.WriteTimeout,
+		// writeTimeout caps how long a slow or stalled client can hold
+		// the serving-view admission.
+		WriteTimeout: writeTimeout,
 		IdleTimeout:  2 * time.Minute,
 	})
 	srv := g.server

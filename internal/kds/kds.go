@@ -42,14 +42,14 @@ const (
 	// {prefix}/{chipid-hex}?tcb={n}.
 	VCEKPathPrefix = "/kds/v1/vcek/"
 
-	// DefaultVCEKCacheSize bounds the client's parsed-VCEK LRU and the
-	// server's DER memo. One entry per (chip, TCB) pair; 1024 covers a
+	// vcekCacheSize bounds the client's parsed-VCEK LRU and the server's
+	// DER memo. One entry per (chip, TCB) pair; 1024 covers a
 	// thousand-node fleet with headroom for one TCB rotation.
-	DefaultVCEKCacheSize = 1024
-	// DefaultVCEKTTL is how long a cached VCEK is served before the
-	// client re-fetches. The VCEK only rotates on SNP firmware updates,
-	// so a day is conservative; 0 disables expiry entirely.
-	DefaultVCEKTTL = 24 * time.Hour
+	vcekCacheSize = 1024
+	// vcekTTL is how long a cached VCEK is served before the client
+	// re-fetches. The VCEK only rotates on SNP firmware updates, so a day
+	// is conservative.
+	vcekTTL = 24 * time.Hour
 )
 
 var (
@@ -77,7 +77,7 @@ func NewServer(mfr *amdsp.Manufacturer) *Server {
 	s := &Server{
 		mfr:     mfr,
 		mux:     http.NewServeMux(),
-		vcekDER: cache.New[string, []byte](DefaultVCEKCacheSize),
+		vcekDER: cache.New[string, []byte](vcekCacheSize),
 	}
 	var chain []byte
 	chain = append(chain, pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: mfr.ASKCertDER()})...)
@@ -144,9 +144,7 @@ type Client struct {
 	http *http.Client
 	now  func() time.Time
 
-	ttl     time.Duration
-	size    int
-	vcek    *cache.Cache[string, *x509.Certificate] // parsed VCEKs per chipidhex:tcb, each served for ttl
+	vcek    *cache.Cache[string, *x509.Certificate] // parsed VCEKs per chipidhex:tcb, each served for vcekTTL
 	vflight flight[*x509.Certificate]
 	cflight flight[chainPair]
 
@@ -155,21 +153,8 @@ type Client struct {
 	chain   *chainPair // parsed cert_chain, nil until fetched
 }
 
-// ClientOption tunes a Client's fast-path knobs.
+// ClientOption configures a Client.
 type ClientOption func(*Client)
-
-// WithVCEKCacheSize bounds the parsed-VCEK LRU (default
-// DefaultVCEKCacheSize; a non-positive n also selects the default —
-// caching is controlled by SetCaching, not by the size).
-func WithVCEKCacheSize(n int) ClientOption {
-	return func(c *Client) { c.size = n }
-}
-
-// WithVCEKTTL sets how long cached VCEKs are served before re-fetching
-// (default DefaultVCEKTTL; 0 = never expire).
-func WithVCEKTTL(d time.Duration) ClientOption {
-	return func(c *Client) { c.ttl = d }
-}
 
 // WithClock injects a test clock for TTL expiry.
 func WithClock(now func() time.Time) ClientOption {
@@ -186,15 +171,11 @@ func NewClient(base string, httpClient *http.Client, opts ...ClientOption) *Clie
 		base: base,
 		http: httpClient,
 		now:  time.Now,
-		ttl:  DefaultVCEKTTL,
+		vcek: cache.New[string, *x509.Certificate](vcekCacheSize),
 	}
 	for _, o := range opts {
 		o(c)
 	}
-	if c.size <= 0 {
-		c.size = DefaultVCEKCacheSize
-	}
-	c.vcek = cache.New[string, *x509.Certificate](c.size)
 	return c
 }
 
@@ -212,14 +193,8 @@ func (c *Client) SetCaching(on bool) {
 	}
 }
 
-// vcekNotAfter is when a VCEK cached now stops being served: ttl from
-// now, or never (the zero time) when the TTL is disabled.
-func (c *Client) vcekNotAfter() time.Time {
-	if c.ttl <= 0 {
-		return time.Time{}
-	}
-	return c.now().Add(c.ttl)
-}
+// vcekNotAfter is when a VCEK cached now stops being served.
+func (c *Client) vcekNotAfter() time.Time { return c.now().Add(vcekTTL) }
 
 func (c *Client) cachingOn() bool {
 	c.mu.Lock()
@@ -283,6 +258,32 @@ func (c *Client) CertChain(ctx context.Context) (ask, ark *x509.Certificate, err
 	return pair.ask, pair.ark, nil
 }
 
+// parseCertChain parses a cert_chain response: PEM blocks, each a
+// certificate, exactly two of them, ASK first. Bytes outside the blocks
+// are skipped, as pem.Decode skips them. Every failure wraps
+// ErrBadResponse. The body comes from the network, so the parser holds
+// up under FuzzParseCertChain.
+func parseCertChain(body []byte) (chainPair, error) {
+	var certs []*x509.Certificate
+	rest := body
+	for {
+		var block *pem.Block
+		block, rest = pem.Decode(rest)
+		if block == nil {
+			break
+		}
+		cert, err := x509.ParseCertificate(block.Bytes)
+		if err != nil {
+			return chainPair{}, fmt.Errorf("%w: %v", ErrBadResponse, err)
+		}
+		certs = append(certs, cert)
+	}
+	if len(certs) != 2 {
+		return chainPair{}, fmt.Errorf("%w: got %d certificates, want 2", ErrBadResponse, len(certs))
+	}
+	return chainPair{ask: certs[0], ark: certs[1]}, nil
+}
+
 func (c *Client) fetchChain(ctx context.Context, retry bool) (chainPair, error) {
 	pair, err, shared := c.cflight.Do("chain", func() (chainPair, error) {
 		// Re-check under the flight: a caller that missed the cache just
@@ -297,24 +298,10 @@ func (c *Client) fetchChain(ctx context.Context, retry bool) (chainPair, error) 
 		if err != nil {
 			return chainPair{}, err
 		}
-		var certs []*x509.Certificate
-		rest := body
-		for {
-			var block *pem.Block
-			block, rest = pem.Decode(rest)
-			if block == nil {
-				break
-			}
-			cert, err := x509.ParseCertificate(block.Bytes)
-			if err != nil {
-				return chainPair{}, fmt.Errorf("%w: %v", ErrBadResponse, err)
-			}
-			certs = append(certs, cert)
+		pair, err := parseCertChain(body)
+		if err != nil {
+			return chainPair{}, err
 		}
-		if len(certs) != 2 {
-			return chainPair{}, fmt.Errorf("%w: got %d certificates, want 2", ErrBadResponse, len(certs))
-		}
-		pair := chainPair{ask: certs[0], ark: certs[1]}
 		c.mu.Lock()
 		if c.caching {
 			c.chain = &pair

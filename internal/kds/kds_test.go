@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"revelio/internal/amdsp"
+	"revelio/internal/cache"
 	"revelio/internal/sev"
 )
 
@@ -312,7 +313,7 @@ func TestVCEKTTLExpiry(t *testing.T) {
 		defer mu.Unlock()
 		return now
 	}
-	c := NewClient(env.server.URL, nil, WithVCEKTTL(time.Hour), WithClock(clock))
+	c := NewClient(env.server.URL, nil, WithClock(clock))
 	c.SetCaching(true)
 	ctx := context.Background()
 
@@ -327,7 +328,7 @@ func TestVCEKTTLExpiry(t *testing.T) {
 		t.Error("within TTL: cache missed")
 	}
 	mu.Lock()
-	now = now.Add(2 * time.Hour)
+	now = now.Add(vcekTTL + time.Hour)
 	mu.Unlock()
 	if _, err := c.VCEK(ctx, env.sp.ChipID(), env.sp.TCB()); err != nil {
 		t.Fatal(err)
@@ -358,10 +359,11 @@ func TestVCEKFailureNotCached(t *testing.T) {
 	}
 }
 
-// TestVCEKCacheBounded: the LRU never exceeds its configured capacity.
+// TestVCEKCacheBounded: the LRU never exceeds its capacity.
 func TestVCEKCacheBounded(t *testing.T) {
 	env := newTestEnv(t)
-	c := NewClient(env.server.URL, nil, WithVCEKCacheSize(4))
+	c := NewClient(env.server.URL, nil)
+	c.vcek = cache.New[string, *x509.Certificate](4) // a small LRU in place of vcekCacheSize
 	c.SetCaching(true)
 	ctx := context.Background()
 

@@ -6,7 +6,7 @@
 // The pieces are deliberately mechanism, not policy: the breaker knows
 // nothing about HTTP or attestation, the retry policy knows nothing
 // about upstreams. The gateway wires them together — a breaker per
-// upstream driven by passive failure/latency observation plus active
+// upstream driven by passive failure observation plus active
 // RA-TLS probes, a retry budget that caps attempt amplification at a
 // configured constant (not fleet size), and an admission gate that
 // turns overload into prompt 503s instead of queueing.
@@ -52,15 +52,9 @@ func (s BreakerState) String() string {
 
 // BreakerConfig parameterizes one circuit breaker.
 type BreakerConfig struct {
-	// FailureThreshold is how many consecutive failed (or slow — see
-	// SlowThreshold) observations trip the breaker (default 3).
+	// FailureThreshold is how many consecutive failed observations trip
+	// the breaker (default 3).
 	FailureThreshold int
-	// SlowThreshold, when positive, counts a *successful* observation
-	// slower than this toward the trip — the gray-failure detector: a
-	// node that answers, but too slowly to be useful, leaves rotation
-	// just like one that does not answer at all. Zero disables latency
-	// tripping (failures still count).
-	SlowThreshold time.Duration
 	// OpenFor is the dwell in the open state before an active probe may
 	// run (default 500ms). Each failed probe restarts the dwell.
 	OpenFor time.Duration
@@ -117,19 +111,18 @@ func (b *Breaker) Allow() bool {
 	return b.state == BreakerClosed
 }
 
-// Observe records one traffic attempt's outcome. A failure — or a
-// success slower than SlowThreshold — extends the consecutive-failure
-// run; a fast success resets it. Observe reports whether this
-// observation tripped the breaker closed→open. Observations made while
-// the breaker is not closed (stragglers from attempts admitted before
-// the trip) are ignored: re-entry is the probes' decision.
-func (b *Breaker) Observe(latency time.Duration, failed bool) (tripped bool) {
+// Observe records one traffic attempt's outcome. A failure extends the
+// consecutive-failure run; a success resets it. Observe reports whether
+// this observation tripped the breaker closed→open. Observations made
+// while the breaker is not closed (stragglers from attempts admitted
+// before the trip) are ignored: re-entry is the probes' decision.
+func (b *Breaker) Observe(failed bool) (tripped bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state != BreakerClosed {
 		return false
 	}
-	if !failed && (b.cfg.SlowThreshold <= 0 || latency < b.cfg.SlowThreshold) {
+	if !failed {
 		b.consecutive = 0
 		return false
 	}

@@ -31,13 +31,13 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("fresh breaker must allow traffic")
 	}
-	if b.Observe(0, true) {
+	if b.Observe(true) {
 		t.Fatal("first failure must not trip")
 	}
-	if b.Observe(0, true) {
+	if b.Observe(true) {
 		t.Fatal("second failure must not trip")
 	}
-	if !b.Observe(0, true) {
+	if !b.Observe(true) {
 		t.Fatal("third consecutive failure must trip")
 	}
 	if b.Allow() {
@@ -50,39 +50,23 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 
 func TestBreakerSuccessResetsRun(t *testing.T) {
 	b := NewBreaker(BreakerConfig{FailureThreshold: 2})
-	b.Observe(0, true)
-	b.Observe(0, false) // fast success resets the consecutive run
-	if b.Observe(0, true) {
+	b.Observe(true)
+	b.Observe(false) // a success resets the consecutive run
+	if b.Observe(true) {
 		t.Fatal("failure after reset must not trip at threshold 2")
 	}
-	if !b.Observe(0, true) {
+	if !b.Observe(true) {
 		t.Fatal("second consecutive failure must trip")
-	}
-}
-
-func TestBreakerGrayFailureTripsOnSlowSuccesses(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 2, SlowThreshold: 100 * time.Millisecond})
-	if b.Observe(200*time.Millisecond, false) {
-		t.Fatal("first slow success must not trip")
-	}
-	if !b.Observe(300*time.Millisecond, false) {
-		t.Fatal("second consecutive slow success must trip (gray failure)")
-	}
-
-	// With SlowThreshold disabled, slow successes never count.
-	b2 := NewBreaker(BreakerConfig{FailureThreshold: 1})
-	if b2.Observe(time.Hour, false) {
-		t.Fatal("slow success must not trip when SlowThreshold is zero")
 	}
 }
 
 func TestBreakerIgnoresObservationsWhileNotClosed(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(0, 0)}
 	b := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenFor: time.Second, Now: clk.Now})
-	b.Observe(0, true)
+	b.Observe(true)
 	// Straggler success from an attempt admitted before the trip must not
 	// silently close the breaker — re-entry is the probe's decision.
-	b.Observe(0, false)
+	b.Observe(false)
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("state after straggler success = %v, want open", got)
 	}
@@ -91,7 +75,7 @@ func TestBreakerIgnoresObservationsWhileNotClosed(t *testing.T) {
 func TestBreakerProbeLifecycle(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(0, 0)}
 	b := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenFor: time.Second, Now: clk.Now})
-	b.Observe(0, true)
+	b.Observe(true)
 
 	if b.ProbeDue() {
 		t.Fatal("probe must not be due before the open dwell elapses")

@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -104,8 +103,6 @@ type BootConfig struct {
 	Disk   blockdev.Device
 	Table  imagebuild.PartitionTable
 	Domain string
-	// Rand supplies identity-key entropy; nil selects crypto/rand.
-	Rand io.Reader
 }
 
 // VM is a booted Revelio guest.
@@ -126,9 +123,6 @@ func Boot(guest *hypervisor.Guest, cfg BootConfig) (*VM, error) {
 	start := time.Now()
 	if guest == nil || guest.Channel == nil {
 		return nil, errors.New("vm: nil guest")
-	}
-	if cfg.Rand == nil {
-		cfg.Rand = rand.Reader
 	}
 	v := &VM{channel: guest, measurement: guest.Measurement, domain: cfg.Domain}
 
@@ -217,7 +211,7 @@ func Boot(guest *hypervisor.Guest, cfg BootConfig) (*VM, error) {
 
 	// Unique VM identity: key pair, CSR, and the report over it (§5.2.2).
 	t0 = time.Now()
-	if v.identity, err = createIdentity(guest, cfg.Domain, cfg.Rand); err != nil {
+	if v.identity, err = createIdentity(guest, cfg.Domain); err != nil {
 		return nil, err
 	}
 	v.timings.IdentityCreation = time.Since(t0)
@@ -256,12 +250,12 @@ func parseRootHash(cmdline string) (m [dmverity.DigestSize]byte, err error) {
 	return m, ErrNoRootHash
 }
 
-func createIdentity(guest *hypervisor.Guest, domain string, rng io.Reader) (*Identity, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rng)
+func createIdentity(guest *hypervisor.Guest, domain string) (*Identity, error) {
+	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("vm: generate identity key: %w", err)
 	}
-	csrDER, err := x509.CreateCertificateRequest(rng, &x509.CertificateRequest{
+	csrDER, err := x509.CreateCertificateRequest(rand.Reader, &x509.CertificateRequest{
 		Subject:  pkix.Name{CommonName: domain, Organization: []string{"Revelio"}},
 		DNSNames: []string{domain},
 	}, key)

@@ -259,3 +259,28 @@ func TestServeWebEndToEnd(t *testing.T) {
 		t.Fatal("no web address after ServeWeb")
 	}
 }
+
+// TestDefaultServiceAndFleetShareGolden: a Service and a Fleet built with
+// no firmware option boot the same default OVMF build, so an auditor's
+// one published golden value covers both front doors — and so does
+// BuildImage's, which an auditor reruns from sources.
+func TestDefaultServiceAndFleetShareGolden(t *testing.T) {
+	ctx := context.Background()
+	svc := newTestService(t)
+	f, err := revelio.NewFleet(ctx, revelio.FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	if svc.Golden() != f.Golden() {
+		t.Fatalf("default Service golden %s != default Fleet golden %s", svc.Golden(), f.Golden())
+	}
+	build, err := revelio.BuildImage(revelio.ProfileCryptPad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if build.FirmwareVersion != revelio.DefaultFirmwareVersion || build.Golden != svc.Golden() {
+		t.Fatalf("BuildImage: firmware %q golden %s, want %q and %s",
+			build.FirmwareVersion, build.Golden, revelio.DefaultFirmwareVersion, svc.Golden())
+	}
+}

@@ -25,7 +25,6 @@ type serviceConfig struct {
 
 	firmwareVersion string
 	trust           *TrustRegistry
-	remoteCA        bool
 	persistSize     int64
 
 	kdsRTT, spNetRTT, caRTT time.Duration
@@ -60,10 +59,6 @@ func WithFirmwareVersion(v string) Option {
 func WithTrustRegistry(reg *TrustRegistry) Option {
 	return func(c *serviceConfig) { c.trust = reg }
 }
-
-// WithRemoteCA runs the CA behind its HTTP wire protocol, as against a
-// real Let's Encrypt (default: in-process calls).
-func WithRemoteCA() Option { return func(c *serviceConfig) { c.remoteCA = true } }
 
 // WithPersistSize overrides the sealed persistent-volume size.
 func WithPersistSize(bytes int64) Option {
@@ -145,7 +140,6 @@ func New(ctx context.Context, opts ...Option) (*Service, error) {
 		SPNetRTT:        cfg.spNetRTT,
 		CARTT:           cfg.caRTT,
 		TrustRegistry:   cfg.trust,
-		RemoteCA:        cfg.remoteCA,
 	}
 	d, err := core.New(coreCfg)
 	if err != nil {
@@ -187,9 +181,6 @@ func (s *Service) Provider() *snp.Provider { return s.provider }
 // CARootPool returns the certificate pool browsers trust (the simulated
 // Let's Encrypt root).
 func (s *Service) CARootPool() *x509.CertPool { return s.d.CARootPool() }
-
-// NumNodes returns the current node count.
-func (s *Service) NumNodes() int { return len(s.d.Nodes) }
 
 // Node returns node i.
 func (s *Service) Node(i int) *Node { return s.d.Nodes[i] }
