@@ -15,7 +15,6 @@ import (
 	"crypto/x509"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"revelio/internal/measure"
 	"revelio/internal/sev"
@@ -67,15 +66,8 @@ type Result struct {
 	// TCB is the platform's trusted-computing-base version, where the
 	// provider has one (zero otherwise).
 	TCB uint64
-	// Expiry is when the proof stops being valid (the earliest NotAfter
-	// of the proving chain); zero when the provider does not bound it.
-	Expiry time.Time
 	// Payload is the application data the evidence bound.
 	Payload []byte
-	// Details carries the provider-specific verification artifact (e.g.
-	// *sev.Report for SEV-SNP) for callers that need to reach below the
-	// neutral surface.
-	Details any
 }
 
 // Issuer produces evidence binding a caller-chosen payload — the
@@ -105,26 +97,15 @@ type Provider interface {
 	Verifier
 }
 
-// Revisioned is the optional fast-path capability a Verifier exposes so
-// layers stacked above it (ratls peer memos, TLS session caches) can
-// fence their caches on policy changes: InvalidatePolicy bumps the
-// revision, and cached judgments keyed on an older revision are dead.
+// Revisioned is the optional capability a Verifier exposes when it
+// caches verdicts: InvalidatePolicy bumps the revision, and every proof
+// the verifier cached under an older one is dead. The verifier is the
+// only layer that caches a verdict; the gateway reads the revision as its
+// policy epoch, flushing its warm connection pools and rotating its
+// downstream session-ticket key when it moves.
 type Revisioned interface {
 	// PolicyRevision returns the current policy revision.
 	PolicyRevision() uint64
-	// Now returns the verifier's notion of current time (an injected
-	// test clock, or the wall clock) so caches expire consistently.
-	Now() time.Time
-}
-
-// ResultPolicy is the optional capability to re-judge an
-// already-authenticated Result against current policy without redoing
-// cryptography. Fast-path caches call it on every hit so revocations
-// bite immediately even for memoized proofs.
-type ResultPolicy interface {
-	// CheckResult re-runs the policy judgment on a previously verified
-	// result, returning a taxonomy error if it no longer passes.
-	CheckResult(res *Result) error
 }
 
 // TrustPolicy decides whether a measurement is a golden value. The

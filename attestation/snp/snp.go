@@ -117,9 +117,8 @@ type Provider struct {
 }
 
 var (
-	_ attestation.Verifier     = (*Provider)(nil)
-	_ attestation.Revisioned   = (*Provider)(nil)
-	_ attestation.ResultPolicy = (*Provider)(nil)
+	_ attestation.Verifier   = (*Provider)(nil)
+	_ attestation.Revisioned = (*Provider)(nil)
 )
 
 // NewProvider creates a verify-only SEV-SNP provider over v. Use
@@ -142,9 +141,6 @@ func (p *Provider) Verifier() *attest.Verifier { return p.verifier }
 
 // PolicyRevision implements attestation.Revisioned.
 func (p *Provider) PolicyRevision() uint64 { return p.verifier.PolicyRevision() }
-
-// Now implements attestation.Revisioned.
-func (p *Provider) Now() time.Time { return p.verifier.Now() }
 
 // InvalidatePolicy drops every cached proof below the provider.
 func (p *Provider) InvalidatePolicy() { p.verifier.InvalidatePolicy() }
@@ -187,20 +183,8 @@ func (p *Provider) VerifyEvidence(ctx context.Context, ev *attestation.Evidence)
 		Provider:    ProviderName,
 		Measurement: res.Report.Measurement,
 		TCB:         res.Report.TCBVersion,
-		Expiry:      res.VCEK.NotAfter,
 		Payload:     doc.Bundle.Payload,
-		Details:     res.Report,
 	}, nil
-}
-
-// CheckResult implements attestation.ResultPolicy: re-judge an
-// already-proven report against current policy without cryptography.
-func (p *Provider) CheckResult(res *attestation.Result) error {
-	report, ok := res.Details.(*sev.Report)
-	if !ok {
-		return fmt.Errorf("%w: result carries no SEV-SNP report", attestation.ErrEvidenceInvalid)
-	}
-	return p.verifier.CheckPolicy(report)
 }
 
 // EvidenceFromBundle wraps an existing report bundle — e.g. one fetched

@@ -49,12 +49,6 @@ func TestProviderIssueVerify(t *testing.T) {
 	if res.Measurement != r.golden || res.Provider != ProviderName || res.TCB != 5 {
 		t.Errorf("result = %+v", res)
 	}
-	if res.Expiry.IsZero() {
-		t.Error("no VCEK expiry propagated")
-	}
-	if err := p.CheckResult(res); err != nil {
-		t.Errorf("CheckResult: %v", err)
-	}
 }
 
 func TestVerifyOnlyProviderCannotIssue(t *testing.T) {
@@ -151,12 +145,6 @@ func TestRevisionPassThrough(t *testing.T) {
 	p.InvalidatePolicy()
 	if got := p.PolicyRevision(); got != before+1 {
 		t.Errorf("revision = %d, want %d", got, before+1)
-	}
-	if p.Now().IsZero() {
-		t.Error("Now() returned zero")
-	}
-	if err := p.CheckResult(&attestation.Result{Provider: ProviderName}); err == nil {
-		t.Error("CheckResult accepted a result without a report")
 	}
 }
 

@@ -88,7 +88,9 @@ const (
 	// DeadlineHeader carries a request's remaining deadline budget in
 	// integer milliseconds: clients set it to bound the proxied request;
 	// the gateway rewrites it per attempt with that attempt's carved
-	// budget.
+	// budget. A client may shorten the gateway's 15 s bound, not lengthen
+	// it: larger values are clamped to 15 s, since a request holds the
+	// serving-view admission that fleet drains wait on.
 	DeadlineHeader = igateway.DeadlineHeader
 	// HealthPath is the node health endpoint active breaker probes hit
 	// over RA-TLS.

@@ -226,15 +226,10 @@ func NewVerifier(source CertSource, policy TrustPolicy, opts ...Option) *Verifie
 // is re-judged on every cache hit.
 func (v *Verifier) InvalidatePolicy() { v.policyRev.Add(1) }
 
-// PolicyRevision returns the current policy revision. Fast-path layers
-// stacked above the verifier (ratls.ProviderPeerVerifier's certificate memo) key
-// their own entries on it so InvalidatePolicy cascades through them.
+// PolicyRevision returns the current policy revision: the fence of the
+// verifier's proof caches, which the gateway also reads as its policy
+// epoch (flushing warm connections when it moves).
 func (v *Verifier) PolicyRevision() uint64 { return v.policyRev.Load() }
-
-// Now returns the verifier's notion of the current time (the injected
-// WithClock, or the wall clock). Fast-path layers bound their memos with
-// it so cached and uncached verification agree about certificate expiry.
-func (v *Verifier) Now() time.Time { return v.now() }
 
 // CheckPolicy re-judges an already-authenticated report against the
 // verifier's current policy: TCB floor, chip allow-list, and measurement
@@ -383,7 +378,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 			return nil, fmt.Errorf("%w: VCEK key type %T", ErrChainInvalid, vcekCert.PublicKey)
 		}
 		if key, err = p384.NewPublicKey(pub); err != nil {
-			return nil, fmt.Errorf("attest: %w: %v", sev.ErrBadSignature, err)
+			return nil, fmt.Errorf("attest: %w: %w: %v", attestation.ErrEvidenceInvalid, sev.ErrBadSignature, err)
 		}
 		v.keysPrepared.Add(1)
 		if v.chains != nil {
@@ -391,7 +386,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		}
 	}
 	if err := report.Verify(key); err != nil {
-		return nil, fmt.Errorf("attest: %w", err)
+		return nil, fmt.Errorf("attest: %w: %w", attestation.ErrEvidenceInvalid, err)
 	}
 	v.reportsVerified.Add(1)
 
@@ -408,7 +403,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 func (v *Verifier) VerifyRaw(ctx context.Context, raw []byte) (*Result, error) {
 	var report sev.Report
 	if err := report.UnmarshalBinary(raw); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("attest: %w: %w", attestation.ErrEvidenceInvalid, err)
 	}
 	return v.VerifyReport(ctx, &report)
 }
@@ -453,7 +448,7 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 func (v *Verifier) VerifyBundle(ctx context.Context, b *Bundle, hashOf func([]byte) sev.ReportData) (*Result, error) {
 	var report sev.Report
 	if err := report.UnmarshalBinary(b.ReportRaw); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("attest: %w: %w", attestation.ErrEvidenceInvalid, err)
 	}
 	if report.ReportData != hashOf(b.Payload) {
 		return nil, ErrReportDataMismatch

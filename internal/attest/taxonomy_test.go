@@ -117,6 +117,30 @@ func TestErrorTaxonomy(t *testing.T) {
 			want: attestation.ErrEvidenceExpired,
 			not:  []error{attestation.ErrChainInvalid, attestation.ErrPolicyRejected},
 		},
+		{
+			name: "forged signature",
+			verify: func(t *testing.T) error {
+				r := newRig(t)
+				rep := r.report(t, sev.ReportData{16})
+				rep.Measurement[0] ^= 1
+				v := NewVerifier(r.client, NewStaticGolden(rep.Measurement))
+				_, err := v.VerifyReport(context.Background(), rep)
+				return err
+			},
+			want:    sev.ErrBadSignature,
+			parents: []error{attestation.ErrEvidenceInvalid},
+			not:     []error{attestation.ErrPolicyRejected},
+		},
+		{
+			name: "unparseable report",
+			verify: func(t *testing.T) error {
+				r := newRig(t)
+				_, err := NewVerifier(r.client, NewStaticGolden()).VerifyRaw(context.Background(), []byte("junk"))
+				return err
+			},
+			want:    sev.ErrBadReport,
+			parents: []error{attestation.ErrEvidenceInvalid},
+		},
 	}
 	for _, tc := range tests {
 		tc := tc

@@ -1,7 +1,8 @@
 // Package cache is the repository's one bounded cache of things that
 // were expensive to prove: verified attestation reports and certificate
-// chains (attest), parsed VCEK certificates (kds), verified RA-TLS peer
-// certificates (ratls) and resumable upstream TLS sessions (gateway).
+// chains (attest) and VCEK certificates (kds). The attest verifier is the
+// only place an attestation verdict is cached; the layers above it
+// (RA-TLS, the gateway) ask it again on every handshake.
 //
 // Every entry is stored under a fence — the revision it was proven at
 // and the time its proof stops holding — and the fence is enforced here,

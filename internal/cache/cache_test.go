@@ -2,15 +2,12 @@ package cache
 
 import (
 	"crypto/sha256"
-	"crypto/tls"
 	"crypto/x509"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
-
-	"revelio/attestation"
 )
 
 // The fence is the security property every user of this package leans
@@ -77,18 +74,6 @@ func TestFenceAgainstModel(t *testing.T) {
 			new: New[string, []byte], key: name, cap: exact,
 			val:  func() []byte { return make([]byte, 1) },
 			same: func(a, b []byte) bool { return &a[0] == &b[0] },
-		})
-	})
-	t.Run("ratls verified peers", func(t *testing.T) {
-		checkAgainstModel(t, instantiation[[sha256.Size]byte, *attestation.Result]{
-			new: New[[sha256.Size]byte, *attestation.Result], key: digest, cap: exact,
-			val: func() *attestation.Result { return new(attestation.Result) }, same: samePtr[attestation.Result],
-		})
-	})
-	t.Run("gateway sessions", func(t *testing.T) {
-		checkAgainstModel(t, instantiation[string, *tls.ClientSessionState]{
-			new: New[string, *tls.ClientSessionState], key: name, cap: exact,
-			val: func() *tls.ClientSessionState { return new(tls.ClientSessionState) }, same: samePtr[tls.ClientSessionState],
 		})
 	})
 }

@@ -45,7 +45,7 @@ type cluster struct {
 	sp       *SPNode
 }
 
-func newCluster(t *testing.T, nodes int) *cluster {
+func newCluster(t testing.TB, nodes int) *cluster {
 	t.Helper()
 	return newClusterUnder(t, nodes, nil)
 }
@@ -53,7 +53,7 @@ func newCluster(t *testing.T, nodes int) *cluster {
 // newClusterUnder builds the cluster with a live trust registry as the
 // verifier's policy (the golden measurement voted in) instead of the
 // hard-coded golden value; nil keeps the latter.
-func newClusterUnder(t *testing.T, nodes int, trust *registry.Registry) *cluster {
+func newClusterUnder(t testing.TB, nodes int, trust *registry.Registry) *cluster {
 	t.Helper()
 	c := &cluster{approved: make(map[string]sev.ChipID, nodes)}
 
@@ -116,7 +116,7 @@ func newClusterUnder(t *testing.T, nodes int, trust *registry.Registry) *cluster
 
 // bootNode launches and boots one VM on a fresh chip. Each node gets its
 // own disk copy (nodes do not share storage).
-func (c *cluster) bootNode(t *testing.T, chipSeed []byte) *vm.VM {
+func (c *cluster) bootNode(t testing.TB, chipSeed []byte) *vm.VM {
 	t.Helper()
 	sp, err := c.mfr.MintProcessor(chipSeed, 7)
 	if err != nil {

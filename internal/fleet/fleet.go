@@ -16,9 +16,10 @@
 //     certificate serves until every agent has atomically installed the
 //     new one and no client connection ever fails.
 //  3. Revocation storm — RevokeGolden withdraws trust in the current
-//     measurement and bumps the verifier's policy revision; every
-//     fast-path cache (attestation proof caches, RA-TLS peer memos, TLS
-//     session resumption) fails closed fleet-wide on the next judgment.
+//     measurement and bumps the verifier's policy revision; the
+//     verifier's proof caches, the one place a verdict is cached, fail
+//     closed fleet-wide on the next judgment, and every RA-TLS
+//     handshake, resumed or not, asks them.
 //  4. KDS outage and recovery — FailKDS blackholes the verifier-to-KDS
 //     path: evidence already proven keeps verifying (policy is still
 //     re-judged per hit), fresh evidence fails closed, and recovery
@@ -513,10 +514,9 @@ func (f *Fleet) RotateCertificates(ctx context.Context) (*certmgr.ProvisionResul
 
 // RevokeGolden is the revocation storm: the registry withdraws trust in
 // the fleet's current measurement and the verifier's policy revision is
-// bumped. Every fast-path layer re-judges policy on its next hit, so the
-// whole fleet fails closed within this one policy revision — cached
-// attestation proofs, RA-TLS peer memos and resumable TLS sessions
-// included.
+// bumped. The verifier's proof caches re-judge policy on their next hit,
+// and every RA-TLS handshake — resumed or not — asks them, so the whole
+// fleet fails closed within this one policy revision.
 func (f *Fleet) RevokeGolden() error {
 	f.memberMu.RLock()
 	golden := f.golden

@@ -71,13 +71,20 @@ var (
 	ErrNoUpstreams = errors.New("gateway: no healthy upstream endpoints")
 	// ErrClosed reports use of a closed gateway.
 	ErrClosed = errors.New("gateway: closed")
+
+	// errTryTimeout reports an attempt whose per-try timer fired before its
+	// response headers were in hand.
+	errTryTimeout = errors.New("gateway: attempt outlived its per-try budget")
 )
 
 // DeadlineHeader carries a request's remaining deadline budget in
 // integer milliseconds. Inbound, a client (or an upstream gateway) sets
 // it to bound the whole proxied request; outbound, the gateway rewrites
 // it per attempt to that attempt's carved budget, so nodes — and nested
-// gateways — can shed work the caller has already given up on.
+// gateways — can shed work the caller has already given up on. An
+// inbound value may shorten the gateway's own 15 s bound, never lengthen
+// it: a larger one is clamped to 15 s, because a request holds the
+// serving-view admission that fleet drains wait on.
 const DeadlineHeader = "Revelio-Deadline-Ms"
 
 // upstreamIdleTimeout ages out pooled upstream connections nobody
@@ -97,8 +104,8 @@ const (
 	// that is the zero-failed-request drain — so this timeout is also the
 	// longest a stalled client can delay a fleet lifecycle operation.
 	writeTimeout = 30 * time.Second
-	// requestTimeout bounds a whole proxied request when the client sent
-	// no DeadlineHeader.
+	// requestTimeout bounds a whole proxied request: the default when the
+	// client sent no DeadlineHeader, the ceiling when it sent one.
 	requestTimeout = 15 * time.Second
 	// minDeadline is the smallest remaining deadline worth an upstream
 	// attempt; below it the request sheds instead.
@@ -286,12 +293,8 @@ type Gateway struct {
 	// rt is the round-tripper the data plane calls — g.transport in
 	// production, a stub in the allocation-guard tests, so the guard
 	// measures the gateway's own path rather than net/http internals.
-	rt http.RoundTripper
-	// sessions caches upstream TLS sessions, fenced by the policy epoch:
-	// a resumed session must not outlive the policy it was verified
-	// under (see session.go).
-	sessions *epochSessionCache
-	router   *router
+	rt     http.RoundTripper
+	router *router
 	// rev is the verifier's policy-revision source, nil when it has none:
 	// its monotone PolicyRevision is the gateway's policy epoch.
 	rev attestation.Revisioned
@@ -336,7 +339,6 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, errors.New("gateway: nil verifier")
 	}
 	res := cfg.Resilience.withDefaults()
-	tlsCfg := ratls.ProviderClientConfig(cfg.Verifier)
 	g := &Gateway{
 		cfg:         cfg,
 		res:         res,
@@ -352,7 +354,9 @@ func New(cfg Config) (*Gateway, error) {
 		ups:       make(map[string]*upstream),
 		probeStop: make(chan struct{}),
 		transport: &http.Transport{
-			TLSClientConfig:     tlsCfg,
+			// No session cache: every upstream connection is a full
+			// handshake whose evidence cfg.Verifier judges.
+			TLSClientConfig:     ratls.ProviderClientConfig(cfg.Verifier),
 			TLSHandshakeTimeout: dialTimeout,
 			DialContext: (&net.Dialer{
 				Timeout: dialTimeout,
@@ -368,14 +372,6 @@ func New(cfg Config) (*Gateway, error) {
 	g.rt = g.transport
 	g.rev, _ = cfg.Verifier.(attestation.Revisioned)
 	g.flushedEpoch.Store(g.policyEpoch())
-	// Upstream session resumption, fenced by the policy epoch: a cached
-	// session never resumes across an epoch bump (so a revocation bites
-	// through resumed sessions), and the resumptions that are allowed
-	// still re-judge the peer's saved evidence against current policy in
-	// the config's VerifyConnection — resumed handshakes skip
-	// VerifyPeerCertificate.
-	g.sessions = newEpochSessionCache(g.flushedEpoch.Load)
-	tlsCfg.ClientSessionCache = g.sessions
 	g.pull()
 	// Probe loop, the gateway's one background goroutine: breaker-open
 	// upstreams re-enter rotation only through a successful attested
@@ -439,17 +435,14 @@ func (g *Gateway) checkPolicyEpoch() {
 	}
 	g.flushes.Add(1)
 	g.transport.CloseIdleConnections()
-	// Resumption state is policy state on both planes: drop the cached
-	// upstream sessions (the epoch fence already refuses them; flushing
-	// frees them promptly) and rotate the downstream ticket key so
-	// outstanding client tickets stop resuming past the old policy.
-	g.sessions.flush()
 	g.mu.Lock()
 	for _, up := range g.ups {
 		up.ejected.Store(false)
 	}
 	serverTLS := g.serverTLS
 	g.mu.Unlock()
+	// Downstream resumption state is policy state: rotate the ticket key
+	// so outstanding client tickets stop resuming past the old policy.
 	if serverTLS != nil {
 		rotateTicketKey(serverTLS)
 	}
@@ -692,7 +685,9 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	timeout := requestTimeout
 	if h := r.Header.Get(DeadlineHeader); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
+		// Compared as a count, before the conversion could overflow: a
+		// client shortens requestTimeout, never lengthens it.
+		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 && ms < requestTimeout.Milliseconds() {
 			timeout = time.Duration(ms) * time.Millisecond
 		}
 	}
@@ -911,6 +906,17 @@ func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream
 	wire.inFlight = true
 	resp, err := g.rt.RoundTrip(outreq)
 	up.pending.Add(-1)
+	if err == nil && !timer.Stop() {
+		// The per-try timer fired first, so this attempt had already
+		// failed. A response can still come back: cancelling the request
+		// closes the TLS connection with a close_notify, a stalled node's
+		// handler takes that as its client leaving and returns — an empty
+		// 200 — and the transport may read that answer before it sees the
+		// socket close. It answers a request the gateway abandoned; it is
+		// never served.
+		_ = resp.Body.Close()
+		resp, err = nil, errTryTimeout
+	}
 	if parent.Err() == nil && g.res.Now().Before(deadline) {
 		// Only outcomes the request deadline did not cause feed the
 		// breaker: a client hanging up is not the node's fault.
@@ -925,11 +931,14 @@ func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream
 		sc.finishAttempt()
 		return nil, err
 	}
-	// Headers arrived: the attempt has succeeded. Re-arm the per-try
-	// timer to the remaining request deadline to bound body streaming;
-	// writeResponse (or the deferred reset on abort) settles it.
+	// Headers arrived in time: the attempt has succeeded. Re-arm the
+	// stopped per-try timer to the remaining request deadline to bound
+	// body streaming, or cancel now if none remains; writeResponse (or
+	// the deferred reset on abort) settles it.
 	if rem := deadline.Sub(g.res.Now()); rem > 0 {
 		timer.Reset(rem)
+	} else {
+		cancel()
 	}
 	return resp, nil
 }
@@ -1021,7 +1030,9 @@ func (g *Gateway) probe(up *upstream, domain string) {
 		req.Host = domain
 	}
 	resp, err := g.rt.RoundTrip(req)
-	ok := err == nil && resp.StatusCode == http.StatusOK
+	// An answer read after the probe's own deadline is the stalled node
+	// answering the cancellation (see forward), not a sign of health.
+	ok := err == nil && ctx.Err() == nil && resp.StatusCode == http.StatusOK
 	if err == nil {
 		// Drain through the pooled copy buffer (writerOnly masks
 		// io.Discard's ReadFrom, which would otherwise bypass it).

@@ -38,10 +38,12 @@ const testProviderName = "test-tee"
 // monotone revision. Issue attests the provider's own golden
 // measurement; a testEnclave attests any other.
 type testProvider struct {
-	golden  measure.Measurement
-	rev     atomic.Uint64
-	mu      sync.Mutex
-	revoked map[measure.Measurement]bool
+	golden measure.Measurement
+	rev    atomic.Uint64
+	// verified counts the evidence documents VerifyEvidence judged.
+	verified atomic.Int64
+	mu       sync.Mutex
+	revoked  map[measure.Measurement]bool
 }
 
 func newTestProvider(seed string) *testProvider {
@@ -51,7 +53,6 @@ func newTestProvider(seed string) *testProvider {
 }
 
 func (p *testProvider) PolicyRevision() uint64 { return p.rev.Load() }
-func (p *testProvider) Now() time.Time         { return time.Now() }
 
 // Revoke distrusts m and bumps the policy revision, as a registry
 // revocation followed by InvalidatePolicy does.
@@ -77,22 +78,13 @@ func (p *testProvider) VerifyEvidence(_ context.Context, ev *attestation.Evidenc
 	if string(doc.Payload) != string(ev.Payload) {
 		return nil, attestation.ErrBindingMismatch
 	}
-	res := &attestation.Result{Provider: testProviderName, Measurement: doc.Measurement, Payload: ev.Payload}
-	if err := p.CheckResult(res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// CheckResult re-judges a verified result against the revocations, so
-// the RA-TLS peer memo re-judges policy on every hit.
-func (p *testProvider) CheckResult(res *attestation.Result) error {
+	p.verified.Add(1)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.revoked[res.Measurement] {
-		return fmt.Errorf("%w: %s", attestation.ErrRevoked, res.Measurement)
+	if p.revoked[doc.Measurement] {
+		return nil, fmt.Errorf("%w: %s", attestation.ErrRevoked, doc.Measurement)
 	}
-	return nil
+	return &attestation.Result{Provider: testProviderName, Measurement: doc.Measurement, Payload: ev.Payload}, nil
 }
 
 // testDoc is the test provider's evidence document.

@@ -3,8 +3,10 @@ package gateway
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,5 +110,111 @@ func TestStatsEjectedSorted(t *testing.T) {
 	s := g.Stats()
 	if len(s.Ejected) != 3 || !sort.StringsAreSorted(s.Ejected) {
 		t.Errorf("Ejected = %v, want 3 sorted addresses", s.Ejected)
+	}
+}
+
+// roundTripFunc stands in for the transport behind the Gateway.rt seam.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// okResponse is a 200 carrying body.
+func okResponse(body string) *http.Response {
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     make(http.Header),
+		Body:       io.NopCloser(strings.NewReader(body)),
+	}
+}
+
+// TestGatewayNeverServesATimedOutAttempt: a response that arrives after
+// its attempt's per-try timer fired belongs to a request the gateway had
+// already cancelled, and is not served. Regression: the transport can
+// hand back a stalled node's answer to that cancellation — the empty 200
+// its handler writes once its request context ends — and forward checked
+// only RoundTrip's error, so the client got status 200 with an empty
+// body while the breaker counted a success.
+func TestGatewayNeverServesATimedOutAttempt(t *testing.T) {
+	const stalled, healthy = "127.0.0.1:1", "127.0.0.1:2"
+	g, err := New(Config{
+		Source:   NewView(testDomain, serving(stalled), serving(healthy)),
+		Verifier: newTestProvider("late"),
+		Resilience: Resilience{
+			PerTryTimeout: 50 * time.Millisecond,
+			BackoffBase:   time.Millisecond,
+			BackoffMax:    2 * time.Millisecond,
+			ProbeInterval: time.Hour,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	var stalledTries int
+	g.rt = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.URL.Host == stalled {
+			stalledTries++
+			<-r.Context().Done()
+			return okResponse(""), nil
+		}
+		return okResponse("ok"), nil
+	})
+
+	// Which node an attempt tries first is the balancer's choice; send
+	// requests until one has met the stalled node.
+	for i := 0; i < 50 && stalledTries == 0; i++ {
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "http://gw/", nil))
+		if rec.Code != http.StatusOK || rec.Body.String() != "ok" {
+			t.Fatalf("request %d: status=%d body=%q, want the healthy node's ok", i, rec.Code, rec.Body.String())
+		}
+	}
+	if stalledTries != 1 {
+		t.Fatalf("the stalled node was tried %d times, want 1", stalledTries)
+	}
+	if s := g.Stats(); s.Retries != 1 {
+		t.Errorf("Retries = %d, want 1: the timed-out attempt is retried on the healthy node", s.Retries)
+	}
+}
+
+// TestGatewayProbeNeverCountsATimedOutAnswer: the health probe has the
+// attempt's race. A stalled node answers the probe's cancellation with
+// an empty 200; counted as a success, it closed the breaker and put the
+// stalled node back in rotation — how TestGatewayProbeReadmitsRecoveredUpstream
+// missed its window under load.
+func TestGatewayProbeNeverCountsATimedOutAnswer(t *testing.T) {
+	const stalled = "127.0.0.1:1"
+	var elapsed atomic.Int64
+	start := time.Now()
+	g, err := New(Config{
+		Source:   NewView(testDomain, serving(stalled)),
+		Verifier: newTestProvider("late-probe"),
+		Resilience: Resilience{
+			PerTryTimeout:   50 * time.Millisecond,
+			BreakerFailures: 1,
+			ProbeInterval:   time.Hour,
+			Now:             func() time.Time { return start.Add(time.Duration(elapsed.Load())) },
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	g.rt = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		<-r.Context().Done()
+		return okResponse(""), nil
+	})
+	g.mu.Lock()
+	up := g.ups[stalled]
+	g.mu.Unlock()
+	up.breaker.Observe(true)
+	elapsed.Store(int64(time.Hour))
+	if !up.breaker.ProbeDue() {
+		t.Fatal("no probe due after the open dwell")
+	}
+	g.probe(up, testDomain)
+	if s := g.Stats(); s.ProbeSuccesses != 0 || s.ProbeFailures != 1 || len(s.BreakerOpen) != 1 {
+		t.Errorf("probe answered after its deadline: %d successes, %d failures, breaker-open %v; want 0, 1 and the node",
+			s.ProbeSuccesses, s.ProbeFailures, s.BreakerOpen)
 	}
 }

@@ -355,7 +355,11 @@ func TestGatewayPerUpstreamBoundSheds(t *testing.T) {
 
 // TestGatewayDeadlineHeaderPropagation: an inbound deadline below
 // minDeadline sheds without an upstream attempt; a workable one reaches
-// the node rewritten to the attempt's carved budget.
+// the node rewritten to the attempt's carved budget. It shortens the
+// gateway's 15 s bound and never lengthens it, however large — the
+// largest int64 once wrapped to -1 ms and was shed — and an unusable one
+// takes the default. With one attempt, an hour-long per-try ceiling and
+// a stopped clock, the carved budget is the request's bound exactly.
 func TestGatewayDeadlineHeaderPropagation(t *testing.T) {
 	provider := newTestProvider("deadline")
 
@@ -368,38 +372,42 @@ func TestGatewayDeadlineHeaderPropagation(t *testing.T) {
 	})
 	addr := startUpstream(t, provider, echo)
 	view := NewView(testDomain, serving(addr))
-	g, client := startGatewayRes(t, view, provider, Resilience{})
+	now := time.Now()
+	g, client := startGatewayRes(t, view, provider, Resilience{
+		RetryBudget:   1,
+		PerTryTimeout: time.Hour,
+		Now:           func() time.Time { return now },
+	})
 
-	// 1ms of budget is below minDeadline: shed, no attempt.
-	req, err := http.NewRequest(http.MethodGet, "https://"+g.Addr()+"/", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(DeadlineHeader, "1")
-	resp, err := client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503 for a sub-minDeadline budget", resp.StatusCode)
-	}
-	if n := sawBudget.Load(); n != 0 {
-		t.Fatalf("shed request still reached the upstream (saw %dms)", n)
-	}
-
-	// A 5s budget is carved across the retry budget and forwarded.
-	req.Header.Set(DeadlineHeader, "5000")
-	resp, err = client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	if n := sawBudget.Load(); n <= 0 || n > 5000 {
-		t.Fatalf("upstream saw %dms of budget, want within (0, 5000]", n)
+	for _, tc := range []struct {
+		header string
+		status int
+		budget time.Duration // what the node is sent; 0 when nothing is
+	}{
+		{"1", http.StatusServiceUnavailable, 0},
+		{"5000", http.StatusOK, 5 * time.Second},
+		{"15001", http.StatusOK, 15 * time.Second},
+		{"9223372036854775807", http.StatusOK, 15 * time.Second},
+		{"abc", http.StatusOK, requestTimeout},
+		{"-5", http.StatusOK, requestTimeout},
+	} {
+		sawBudget.Store(0)
+		req, err := http.NewRequest(http.MethodGet, "https://"+g.Addr()+"/", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(DeadlineHeader, tc.header)
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status = %d, want %d", tc.header, resp.StatusCode, tc.status)
+		}
+		if got := sawBudget.Load(); got != tc.budget.Milliseconds() {
+			t.Errorf("%s: the node was sent %d ms of budget, want %d", tc.header, got, tc.budget.Milliseconds())
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
-	"crypto/sha256"
 	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"revelio/attestation"
-	"revelio/internal/cache"
 )
 
 // OIDAttestationEvidence is the X.509 extension carrying a
@@ -103,76 +101,31 @@ func VerifyProviderCertificate(ctx context.Context, v attestation.Verifier, cert
 	return res, nil
 }
 
-// DefaultPeerCacheSize bounds ProviderPeerVerifier's per-callback memo
-// of verified peer certificates. One entry per distinct attested node a
-// config dials; 256 covers a sizeable fleet.
-const DefaultPeerCacheSize = 256
-
 // ProviderPeerVerifier returns a tls.Config.VerifyPeerCertificate
 // callback enforcing provider-neutral RA-TLS: the handshake completes
 // only if the peer's embedded evidence verifies under v and binds the
 // peer's TLS key. Use with InsecureSkipVerify (the CA path is
 // intentionally bypassed — the HRoT replaces it).
 //
-// When v implements attestation.Revisioned, successful verifications
-// are memoized by the SHA-256 of the certificate's DER — repeated
-// handshakes against the same attested node skip the evidence decode,
-// KDS round trips, chain walk and signature checks — and the memo is
-// fenced by the policy revision and by the earlier of the certificate's
-// and the evidence's expiry. The verified result is what is kept, so
-// when v also implements attestation.ResultPolicy every hit re-judges
-// policy and a revocation bites on the very next handshake. A tampered
-// or substituted certificate hashes to a different key and goes through
-// full verification; failures are never memoized. A verifier with
-// neither capability simply runs the full verification each time —
-// correct, just cold.
+// The callback keeps nothing: every handshake hands the certificate to v.
+// Caching a verdict is v's business — the SEV-SNP verifier answers a
+// report it has already proven from its own proof cache, fenced by its
+// policy revision and re-judged against current policy on every hit — so
+// a revocation bites on the very next handshake, and a tampered or
+// substituted certificate is judged in full like any other.
 func ProviderPeerVerifier(v attestation.Verifier) func(rawCerts [][]byte, _ [][]*x509.Certificate) error {
-	revisioned, hasRev := v.(attestation.Revisioned)
-	policy, hasPolicy := v.(attestation.ResultPolicy)
-	var memo *cache.Cache[[sha256.Size]byte, *attestation.Result]
-	if hasRev {
-		memo = cache.New[[sha256.Size]byte, *attestation.Result](DefaultPeerCacheSize)
-	}
 	return func(rawCerts [][]byte, _ [][]*x509.Certificate) error {
 		if len(rawCerts) == 0 {
 			return ErrNoPeerCertificate
-		}
-		var key [sha256.Size]byte
-		var rev uint64
-		if hasRev {
-			key = sha256.Sum256(rawCerts[0])
-			rev = revisioned.PolicyRevision()
-			if res, ok := memo.Get(key, rev, revisioned.Now()); ok {
-				if hasPolicy {
-					return policy.CheckResult(res)
-				}
-				return nil
-			}
 		}
 		cert, err := x509.ParseCertificate(rawCerts[0])
 		if err != nil {
 			return fmt.Errorf("ratls: parse peer certificate: %w", err)
 		}
 		//revelio:allow ctxfirst crypto/tls VerifyPeerCertificate callbacks carry no context; the handshake deadline bounds this
-		res, err := VerifyProviderCertificate(context.Background(), v, cert)
-		if err != nil {
-			return err
-		}
-		if hasRev {
-			memo.Put(key, res, rev, proofNotAfter(res, cert))
-		}
-		return nil
+		_, err = VerifyProviderCertificate(context.Background(), v, cert)
+		return err
 	}
-}
-
-// proofNotAfter bounds a memoized proof: the certificate's own expiry,
-// tightened by the evidence's when the provider reports one.
-func proofNotAfter(res *attestation.Result, cert *x509.Certificate) time.Time {
-	notAfter := cert.NotAfter
-	if !res.Expiry.IsZero() && res.Expiry.Before(notAfter) {
-		notAfter = res.Expiry
-	}
-	return notAfter
 }
 
 // ProviderClientConfig builds a tls.Config for dialing a
@@ -183,8 +136,7 @@ func proofNotAfter(res *attestation.Result, cert *x509.Certificate) time.Time {
 // connection is a full, verified handshake. A caller that adds one gets
 // resumption that still cannot outlive policy: a resumed handshake skips
 // VerifyPeerCertificate, so VerifyConnection puts the certificate the
-// session saved through the same callback — a memo hit that re-judges
-// policy while the revision stands, a full verification after a bump.
+// session saved through the same callback, and v judges it afresh.
 func ProviderClientConfig(v attestation.Verifier) *tls.Config {
 	verifyPeer := ProviderPeerVerifier(v)
 	return &tls.Config{

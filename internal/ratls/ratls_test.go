@@ -86,9 +86,8 @@ func newRig(t testing.TB) *rig {
 }
 
 // provider is both halves of the SEV-SNP provider over the rig's guest:
-// the issuer a node mints its certificate with and the verifier (with
-// the revision and policy re-judgment capabilities) a relying party
-// checks it under.
+// the issuer a node mints its certificate with and the verifier a
+// relying party checks it under.
 func (r *rig) provider(v *attest.Verifier) *snp.Provider {
 	return snp.NewNodeProvider(r.vm, v)
 }
@@ -244,10 +243,12 @@ func TestFullRATLSHandshake(t *testing.T) {
 	}
 }
 
-// TestPeerVerifierMemoizesHandshakes: after one full verification,
-// repeated handshakes against the same certificate cost zero KDS round
-// trips; a tampered certificate misses the memo and fails closed.
-func TestPeerVerifierMemoizesHandshakes(t *testing.T) {
+// TestPeerVerifierRepeatsAreProofHits: the callback keeps nothing, so
+// every handshake's certificate reaches the verifier. After the first,
+// each repeat is a report-proof hit there — no KDS round trip, no
+// signature check, policy judged afresh — and a tampered certificate
+// fails every time.
+func TestPeerVerifierRepeatsAreProofHits(t *testing.T) {
 	r := newRig(t)
 	raw := r.mint(t).Certificate[0]
 	verify := ProviderPeerVerifier(r.provider(r.verifier))
@@ -255,18 +256,21 @@ func TestPeerVerifierMemoizesHandshakes(t *testing.T) {
 	if err := verify([][]byte{raw}, nil); err != nil {
 		t.Fatalf("first handshake: %v", err)
 	}
-	cold := r.hits.Load()
+	cold, before := r.hits.Load(), r.verifier.Stats()
 	for i := 0; i < 10; i++ {
 		if err := verify([][]byte{raw}, nil); err != nil {
-			t.Fatalf("memoized handshake %d: %v", i, err)
+			t.Fatalf("repeat handshake %d: %v", i, err)
 		}
 	}
 	if n := r.hits.Load(); n != cold {
-		t.Errorf("memoized handshakes cost %d KDS round trips, want 0", n-cold)
+		t.Errorf("repeat handshakes cost %d KDS round trips, want 0", n-cold)
+	}
+	if got := r.verifier.Stats().Sub(before); got.ReportHits != 10 || got.ReportsVerified != 0 {
+		t.Errorf("ten repeats reached the verifier as %+v, want 10 report hits and no signature check", got)
 	}
 
-	// A single flipped bit in the certificate falls through the memo and
-	// fails full verification — on every attempt (failures not memoized).
+	// A single flipped bit in the certificate fails verification — on
+	// every attempt (failures are never cached).
 	tampered := append([]byte(nil), raw...)
 	tampered[len(tampered)/2] ^= 1
 	for i := 0; i < 2; i++ {
@@ -274,14 +278,14 @@ func TestPeerVerifierMemoizesHandshakes(t *testing.T) {
 			t.Fatalf("attempt %d: tampered certificate accepted", i)
 		}
 	}
-	// The genuine certificate still verifies from the memo.
+	// The genuine certificate still verifies.
 	if err := verify([][]byte{raw}, nil); err != nil {
 		t.Errorf("genuine certificate after tamper attempts: %v", err)
 	}
 }
 
 // TestPeerVerifierPolicyRevocation: a registry revocation fails the very
-// next handshake even though the certificate's crypto proof is memoized.
+// next handshake even though the verifier holds the report's proof.
 func TestPeerVerifierPolicyRevocation(t *testing.T) {
 	r := newRig(t)
 	reg := r.votedRegistry(t)
@@ -296,12 +300,13 @@ func TestPeerVerifierPolicyRevocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := verify([][]byte{cert.Certificate[0]}, nil); !errors.Is(err, attest.ErrRevoked) {
-		t.Errorf("revoked measurement passed the memoized handshake: %v", err)
+		t.Errorf("revoked measurement passed a handshake answered from the proof cache: %v", err)
 	}
 }
 
 // TestPeerVerifierInvalidateCascades: attest.InvalidatePolicy bumps the
-// revision the ratls memo is keyed on, forcing full re-verification.
+// revision the verifier's proof caches are fenced by, so the next
+// handshake re-verifies in full.
 func TestPeerVerifierInvalidateCascades(t *testing.T) {
 	r := newRig(t)
 	cert := r.mint(t)
@@ -377,8 +382,9 @@ func TestSessionResumptionFencedByPolicyRevision(t *testing.T) {
 	if !resumed {
 		t.Skip("TLS stack did not resume; fence not exercisable here")
 	}
-	// The revision fence: a resumption inside the revision is a memo hit,
-	// one after a bump re-verifies the saved certificate in full.
+	// The revision fence: a resumption inside the revision is a proof hit
+	// in the verifier, one after a bump re-verifies the saved certificate
+	// in full.
 	warm := r.hits.Load()
 	if _, err := dial(); err != nil {
 		t.Fatalf("third dial: %v", err)
