@@ -81,9 +81,6 @@ func WithMinTCB(tcb uint64) Option { return attest.WithMinTCB(tcb) }
 // WithClock injects a test clock for validity checks.
 func WithClock(now func() time.Time) Option { return attest.WithClock(now) }
 
-// WithoutReportCache disables the verifier's proof caches.
-func WithoutReportCache() Option { return attest.WithoutReportCache() }
-
 // DecodeBundle parses a JSON report bundle.
 func DecodeBundle(data []byte) (*Bundle, error) { return attest.DecodeBundle(data) }
 

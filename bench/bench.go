@@ -1,9 +1,8 @@
 // Package bench is the public experiment harness: it regenerates the
 // paper's evaluation tables and figures (§6.2–§6.4) plus this
-// reproduction's extensions (Table 4 attestation throughput, Table 5
-// fleet scalability) under paper-scale network conditions. Every result
-// renders paper-style rows (Render) and marshals to JSON for
-// regression tracking; cmd/revelio-bench is the CLI over this package.
+// reproduction's Table 5 (fleet scalability) under paper-scale network
+// conditions. Every result renders paper-style rows (Render) and
+// marshals to JSON; cmd/revelio-bench is the CLI over this package.
 // Gateway throughput is measured by the repository's benchmark
 // (go run ./benchmark), not here.
 package bench
@@ -25,10 +24,6 @@ type (
 	// Table3Config / Table3Result cover client-side attestation.
 	Table3Config = bench.Table3Config
 	Table3Result = bench.Table3Result
-	// Table4Config / Table4Result cover attestation throughput on the
-	// fast path.
-	Table4Config = bench.Table4Config
-	Table4Result = bench.Table4Result
 	// Table5Config / Table5Result cover fleet scalability under churn.
 	Table5Config = bench.Table5Config
 	Table5Result = bench.Table5Result
@@ -45,8 +40,6 @@ type (
 	ChaosConfig = bench.ChaosConfig
 	ChaosResult = bench.ChaosResult
 	ChaosRun    = bench.ChaosRun
-	// ScalabilityResult covers multi-node provisioning sweeps.
-	ScalabilityResult = bench.ScalabilityResult
 	// AblationVerityResult / AblationPBKDF2Result cover the ablations.
 	AblationVerityResult = bench.AblationVerityResult
 	AblationPBKDF2Result = bench.AblationPBKDF2Result
@@ -75,15 +68,6 @@ func DefaultTable3Config() Table3Config { return bench.DefaultTable3Config() }
 // RunTable3 measures client-side attestation latency.
 func RunTable3(cfg Table3Config) (*Table3Result, error) { return bench.RunTable3(cfg) }
 
-// DefaultTable4Config returns the default Table 4 configuration.
-func DefaultTable4Config() Table4Config { return bench.DefaultTable4Config() }
-
-// RunAttestationThroughput measures verification throughput on the
-// attestation fast path (Table 4).
-func RunAttestationThroughput(cfg Table4Config) (*Table4Result, error) {
-	return bench.RunAttestationThroughput(cfg)
-}
-
 // DefaultTable5Config returns the default Table 5 configuration.
 func DefaultTable5Config() Table5Config { return bench.DefaultTable5Config() }
 
@@ -107,11 +91,6 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) { return bench.RunFig5(cfg) }
 
 // RunFig6 measures dm-verity read throughput.
 func RunFig6(cfg Fig6Config) (*Fig6Result, error) { return bench.RunFig6(cfg) }
-
-// RunScalability sweeps multi-node provisioning.
-func RunScalability(nodeCounts []int) (*ScalabilityResult, error) {
-	return bench.RunScalability(nodeCounts)
-}
 
 // RunAblationVerityBlockSize sweeps dm-verity block sizes.
 func RunAblationVerityBlockSize(blockSizes []int) (*AblationVerityResult, error) {

@@ -6,7 +6,6 @@
 //	Table 1  -> BenchmarkTable1_BootDelays
 //	Table 2  -> BenchmarkTable2_CertOperations
 //	Table 3  -> BenchmarkTable3_ClientSide
-//	Table 4  -> BenchmarkTable4_AttestationThroughput
 //	Table 5  -> BenchmarkTable5_FleetScalability
 //	Fig 5    -> BenchmarkFig5_DmCryptIO
 //	Fig 6    -> BenchmarkFig6_DmVerityRead
@@ -130,27 +129,6 @@ func BenchmarkTable3_ClientSide(b *testing.B) {
 	}
 }
 
-// BenchmarkTable4_AttestationThroughput regenerates Table 4: report
-// verifications/sec cold, with a warm VCEK cache, and on the full fast
-// path (proof caches + singleflight), under several client counts. KDS
-// latency is scaled down from the paper's WAN conditions to keep bench
-// runs quick; use cmd/revelio-bench for paper-scale numbers.
-func BenchmarkTable4_AttestationThroughput(b *testing.B) {
-	cfg := bench.Table4Config{
-		KDSRTT:      2 * time.Millisecond,
-		Concurrency: []int{1, 4},
-		ColdOps:     4,
-		Ops:         256,
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunAttestationThroughput(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderOnce(b, "table4", res.Render())
-	}
-}
-
 // BenchmarkTable5_FleetScalability regenerates Table 5: fleet
 // provisioning latency, single-node join latency, and steady-state
 // attested-TLS requests/sec, swept over fleet sizes. Node counts and
@@ -193,18 +171,5 @@ func BenchmarkAblation_PBKDF2Iterations(b *testing.B) {
 			b.Fatal(err)
 		}
 		renderOnce(b, "ablation-pbkdf2", res.Render())
-	}
-}
-
-// BenchmarkScalability_Provisioning sweeps certificate provisioning over
-// cluster sizes (requirement D3: one shared certificate, distribution
-// cost linear in nodes, CA cost constant).
-func BenchmarkScalability_Provisioning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunScalability([]int{1, 2, 4, 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		renderOnce(b, "scalability", res.Render())
 	}
 }

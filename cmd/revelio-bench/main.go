@@ -6,13 +6,10 @@
 //	revelio-bench                 # run everything
 //	revelio-bench -table 1        # just Table 1
 //	revelio-bench -figure 5       # just Fig 5
-//	revelio-bench -table 4        # attestation throughput (fast path)
-//	revelio-bench -table 4 -table 5   # several tables in one run
+//	revelio-bench -table 2 -table 5   # several tables in one run
 //	revelio-bench -ablations      # just the ablation sweeps
 //	revelio-bench -quick          # scaled-down sizes and latencies
 //	revelio-bench -json           # machine-readable JSON instead of tables
-//	revelio-bench -baseline FILE  # fail on regression vs a stored -json run
-//	                              # (repeatable; files are merged per table)
 //	revelio-bench -chaos          # seeded chaos sweep (20 seeds by default)
 //	revelio-bench -chaos.seed 7   # replay exactly one chaos seed
 //	revelio-bench -chaos -chaos.gray       # graceful-degradation fault mix
@@ -63,8 +60,12 @@ func (t *tableList) Set(s string) error {
 	if err != nil {
 		return fmt.Errorf("bad table number %q", s)
 	}
-	if v != 0 { // -table 0 keeps its historical "no filter" meaning
+	switch v {
+	case 0: // -table 0 keeps its historical "no filter" meaning
+	case 1, 2, 3, 5:
 		*t = append(*t, v)
+	default:
+		return fmt.Errorf("no table %d (tables are 1, 2, 3 and 5)", v)
 	}
 	return nil
 }
@@ -78,29 +79,14 @@ func (t tableList) contains(n int) bool {
 	return false
 }
 
-// fileList collects repeated -baseline flags.
-type fileList []string
-
-func (f *fileList) String() string { return strings.Join(*f, ",") }
-
-func (f *fileList) Set(s string) error {
-	if s != "" {
-		*f = append(*f, s)
-	}
-	return nil
-}
-
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("revelio-bench", flag.ContinueOnError)
 	var tables tableList
-	fs.Var(&tables, "table", "run only this table (repeatable: -table 4 -table 5)")
+	fs.Var(&tables, "table", "run only this table: 1, 2, 3 or 5 (repeatable: -table 2 -table 5)")
 	figureNum := fs.Int("figure", 0, "run only this figure (5 or 6)")
 	ablations := fs.Bool("ablations", false, "run only the ablation sweeps")
 	quick := fs.Bool("quick", false, "scaled-down sizes and latencies")
 	jsonOut := fs.Bool("json", false, "emit one JSON document instead of rendered tables")
-	var baselines fileList
-	fs.Var(&baselines, "baseline", "JSON file from a previous -json run to regress against (repeatable; files are merged per experiment)")
-	tolerance := fs.Float64("tolerance", 0.5, "fractional throughput drop tolerated by -baseline (0.5 = half)")
 	chaosMode := fs.Bool("chaos", false, "run the seeded chaos sweep instead of tables/figures")
 	chaosSeed := fs.Int64("chaos.seed", 0, "replay exactly this chaos seed (implies -chaos)")
 	chaosSeeds := fs.Int("chaos.seeds", 20, "number of consecutive chaos seeds, starting at 1")
@@ -113,6 +99,9 @@ func run(args []string, stdout io.Writer) error {
 	chaosVerbose := fs.Bool("chaos.v", false, "log every injected chaos fault as it runs")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if f := *figureNum; f != 0 && f != 5 && f != 6 {
+		return fmt.Errorf("no figure %d (figures are 5 and 6)", f)
 	}
 
 	if *chaosMode || *chaosSeed != 0 {
@@ -140,16 +129,13 @@ func run(args []string, stdout io.Writer) error {
 		return (table != 0 && tables.contains(table)) || (figure != 0 && figure == *figureNum)
 	}
 
-	// results accumulates every experiment's structured output for -json
-	// and the -baseline comparison; without either, each result renders
-	// as it completes.
+	// results accumulates every experiment's structured output for -json;
+	// without it, each result renders as it completes.
 	results := map[string]any{}
-	collect := *jsonOut || len(baselines) > 0
 	emit := func(name string, res renderable) {
-		if collect {
+		if *jsonOut {
 			results[name] = res
-		}
-		if !*jsonOut {
+		} else {
 			fmt.Fprintln(stdout, res.Render())
 		}
 	}
@@ -205,22 +191,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		emit("table3", res)
 	}
-	if selected(4, 0) {
-		cfg := bench.DefaultTable4Config()
-		if *quick {
-			cfg = bench.Table4Config{
-				KDSRTT:      2 * time.Millisecond,
-				Concurrency: []int{1, 4},
-				ColdOps:     4,
-				Ops:         128,
-			}
-		}
-		res, err := bench.RunAttestationThroughput(cfg)
-		if err != nil {
-			return err
-		}
-		emit("table4", res)
-	}
 	if selected(5, 0) {
 		cfg := bench.DefaultTable5Config()
 		if *quick {
@@ -235,13 +205,6 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		emit("table5", res)
-	}
-	if selected(0, 0) && len(tables) == 0 && *figureNum == 0 {
-		scal, err := bench.RunScalability([]int{1, 2, 4, 8})
-		if err != nil {
-			return err
-		}
-		emit("scalability", scal)
 	}
 	if *ablations || (len(tables) == 0 && *figureNum == 0) {
 		verity, err := bench.RunAblationVerityBlockSize(nil)
@@ -266,31 +229,6 @@ func run(args []string, stdout io.Writer) error {
 		if err := enc.Encode(results); err != nil {
 			return err
 		}
-	}
-	if len(baselines) > 0 {
-		merged := map[string]any{}
-		for _, path := range baselines {
-			blob, err := os.ReadFile(path)
-			if err != nil {
-				return fmt.Errorf("read baseline: %w", err)
-			}
-			var doc map[string]any
-			if err := json.Unmarshal(blob, &doc); err != nil {
-				return fmt.Errorf("parse baseline %s: %w", path, err)
-			}
-			for k, v := range doc {
-				merged[k] = v
-			}
-		}
-		regressions, err := compareBaseline(results, merged, *tolerance)
-		if err != nil {
-			return err
-		}
-		name := strings.Join(baselines, "+")
-		if len(regressions) > 0 {
-			return fmt.Errorf("regressions vs %s:\n  %s", name, strings.Join(regressions, "\n  "))
-		}
-		fmt.Fprintf(os.Stderr, "revelio-bench: no regressions vs %s (tolerance %.2f)\n", name, *tolerance)
 	}
 	return nil
 }
@@ -355,84 +293,4 @@ func runChaos(stdout io.Writer, f chaosFlags) error {
 			len(res.FailedSeeds), len(res.Rows), res.FailedSeeds)
 	}
 	return nil
-}
-
-// compareBaseline judges the current run against a (possibly merged)
-// stored -json document. Only metrics that are stable across machines
-// are compared — ratios and exact cache-behaviour counters, plus
-// throughput with the configured tolerance — and only for experiments
-// present in both documents.
-func compareBaseline(current map[string]any, base map[string]any, tol float64) ([]string, error) {
-	blob, err := json.Marshal(current)
-	if err != nil {
-		return nil, err
-	}
-	var cur map[string]any
-	if err := json.Unmarshal(blob, &cur); err != nil {
-		return nil, err
-	}
-
-	var regressions []string
-	fail := func(format string, args ...any) {
-		regressions = append(regressions, fmt.Sprintf(format, args...))
-	}
-
-	if c, b := subMap(cur, "table4"), subMap(base, "table4"); c != nil && b != nil {
-		if cv, bv, ok := floatPair(c["speedup_fast_vs_cold"], b["speedup_fast_vs_cold"]); ok && cv < bv*(1-tol) {
-			fail("table4: fast-path speedup %.1fx dropped below %.1fx·(1-%.2f)", cv, bv, tol)
-		}
-		// Singleflight collapse is a count, not a speed: the cold burst
-		// must not cost one KDS round trip more than the baseline's.
-		if cv, bv, ok := floatPair(c["cold_burst_kds_hits"], b["cold_burst_kds_hits"]); ok && cv > bv {
-			fail("table4: cold burst cost %.0f KDS requests, baseline %.0f", cv, bv)
-		}
-		if cv, bv, ok := floatPair(maxRowMetric(c, "verifications_per_sec", "mode", "fast-path"),
-			maxRowMetric(b, "verifications_per_sec", "mode", "fast-path")); ok && cv < bv*(1-tol) {
-			fail("table4: fast-path throughput %.0f/s dropped below %.0f/s·(1-%.2f)", cv, bv, tol)
-		}
-	}
-	if c, b := subMap(cur, "table5"), subMap(base, "table5"); c != nil && b != nil {
-		if cv, bv, ok := floatPair(maxRowMetric(c, "requests_per_sec", "", ""),
-			maxRowMetric(b, "requests_per_sec", "", "")); ok && cv < bv*(1-tol) {
-			fail("table5: fleet throughput %.0f req/s dropped below %.0f·(1-%.2f)", cv, bv, tol)
-		}
-	}
-	return regressions, nil
-}
-
-func subMap(m map[string]any, key string) map[string]any {
-	sub, _ := m[key].(map[string]any)
-	return sub
-}
-
-// maxRowMetric returns the maximum of metric over m["rows"], optionally
-// filtered to rows where row[filterKey] == filterVal; nil when absent.
-func maxRowMetric(m map[string]any, metric, filterKey, filterVal string) any {
-	rows, _ := m["rows"].([]any)
-	var best any
-	for _, r := range rows {
-		row, _ := r.(map[string]any)
-		if row == nil {
-			continue
-		}
-		if filterKey != "" {
-			if v, _ := row[filterKey].(string); v != filterVal {
-				continue
-			}
-		}
-		v, ok := row[metric].(float64)
-		if !ok {
-			continue
-		}
-		if best == nil || v > best.(float64) {
-			best = v
-		}
-	}
-	return best
-}
-
-func floatPair(a, b any) (av, bv float64, ok bool) {
-	av, aok := a.(float64)
-	bv, bok := b.(float64)
-	return av, bv, aok && bok
 }

@@ -71,7 +71,6 @@
 //	Table 1  (boot delays)               -> BenchmarkTable1_BootDelays
 //	Table 2  (cert operations)           -> BenchmarkTable2_CertOperations
 //	Table 3  (client-side attestation)   -> BenchmarkTable3_ClientSide
-//	Table 4  (attestation throughput)    -> BenchmarkTable4_AttestationThroughput
 //	Table 5  (fleet scalability)         -> BenchmarkTable5_FleetScalability
 //	Fig 5    (dm-crypt I/O)              -> BenchmarkFig5_DmCryptIO
 //	Fig 6    (dm-verity reads)           -> BenchmarkFig6_DmVerityRead
@@ -90,17 +89,14 @@
 // target has an engine option — a guest's storage runs the way its
 // request sizes and GOMAXPROCS decide. go test -bench XTS ./internal/xts
 // shows the two block engines side by side.
-// Table 4 is this reproduction's extension of the paper's Table 3
-// caching argument: verifications/sec cold, with a warm VCEK cache, and
-// on the full attestation fast path (parsed-certificate caches, sharded
-// proof caches, and singleflight KDS fetches — see DESIGN.md's
-// "Attestation fast path"). Table 5 extends the §5.3 deployment story
-// to fleets under churn: provisioning and join latency plus
-// steady-state attested-TLS throughput swept over fleet sizes, driven
-// by the fleet lifecycle engine (see DESIGN.md's "Fleet lifecycle").
-// Every one of those verifications — a browser session's, a join's, the
-// gateway's first dial to a node — ends in one P-384 signature check,
-// sev.Report.Verify, and that runs on the repository's own kernel:
+// Table 5 extends the §5.3 deployment story to fleets under churn:
+// provisioning and join latency plus steady-state attested-TLS
+// throughput swept over fleet sizes, driven by the fleet lifecycle
+// engine (see DESIGN.md's "Fleet lifecycle").
+// Every attestation verification — a browser session's, a join's, the
+// gateway's first dial to a node — goes through the verifier's caches
+// (DESIGN.md's "Attestation fast path") and ends in one P-384 signature
+// check, sev.Report.Verify, which runs on the repository's own kernel:
 // internal/p384, a pure-Go verifier that is variable-time on purpose
 // (report, signature and VCEK key are all public) and exports nothing
 // but verification; signing and the certificate chain stay on
@@ -120,8 +116,7 @@
 // nodes are replaced (see DESIGN.md's "Attested gateway", "Gateway hot
 // path", "Resilience layer", and "Context-aware routing").
 // revelio-bench -json emits every result as one machine-readable JSON
-// document for tracking across revisions, and -baseline (repeatable;
-// files merge per experiment) regresses a run against stored documents.
+// document.
 // The chaos sweep (revelio-bench -chaos, bench.RunChaos) is not a
 // benchmark but a property check: seeded, deterministic fault schedules
 // — churn, KDS outages and partitions, policy storms, crashes mid-join

@@ -2,6 +2,7 @@ package attest
 
 import (
 	"context"
+	"crypto/x509"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -455,6 +456,88 @@ func TestWarmChainProofSkipsCertChainFetch(t *testing.T) {
 	}
 	if n := r.hits.Load() - before; n != 1 {
 		t.Errorf("fresh report under proven chain cost %d KDS round trips, want 1 (VCEK only)", n)
+	}
+}
+
+// burstGate counts the callers that have entered one certificate fetch
+// and closes all once every caller of the burst is inside it.
+type burstGate struct {
+	entered atomic.Int64
+	all     chan struct{}
+}
+
+func (g *burstGate) enter(callers int64) {
+	if g.entered.Add(1) == callers {
+		close(g.all)
+	}
+}
+
+// burstSource is a caching KDS client that reports, per fetch, when every
+// caller of a burst has entered it.
+type burstSource struct {
+	*kds.Client
+	callers     int64
+	vcek, chain burstGate
+}
+
+func (s *burstSource) VCEK(ctx context.Context, chipID sev.ChipID, tcb uint64) (*x509.Certificate, error) {
+	s.vcek.enter(s.callers)
+	return s.Client.VCEK(ctx, chipID, tcb)
+}
+
+func (s *burstSource) CertChain(ctx context.Context) (ask, ark *x509.Certificate, err error) {
+	s.chain.enter(s.callers)
+	return s.Client.CertChain(ctx)
+}
+
+// TestColdBurstCostsOneChainAndOneVCEKFetch: 16 concurrent cold
+// verifications through one verifier over a caching KDS client cost
+// exactly two KDS round trips, one VCEK and one chain. The KDS holds each
+// request until all 16 callers are inside that fetch, so none of them
+// finds the certificate cached: only the client's per-certificate flight
+// keeps the herd to one round trip each.
+func TestColdBurstCostsOneChainAndOneVCEKFetch(t *testing.T) {
+	const callers = 16
+	r := newRig(t)
+	src := &burstSource{
+		callers: callers,
+		vcek:    burstGate{all: make(chan struct{})},
+		chain:   burstGate{all: make(chan struct{})},
+	}
+	var vcekTrips, chainTrips atomic.Int64
+	kdsHandler := kds.NewServer(r.mfr)
+	server := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		gate, trips := src.vcek.all, &vcekTrips
+		if req.URL.Path == kds.CertChainPath {
+			gate, trips = src.chain.all, &chainTrips
+		}
+		trips.Add(1)
+		select {
+		case <-gate:
+			kdsHandler.ServeHTTP(w, req)
+		case <-time.After(30 * time.Second):
+			http.Error(w, "burst never assembled", http.StatusServiceUnavailable)
+		}
+	}))
+	t.Cleanup(server.Close)
+	src.Client = kds.NewClient(server.URL, nil)
+	src.SetCaching(true)
+
+	rep := r.report(t, sev.ReportData{14})
+	v := NewVerifier(src, NewStaticGolden(rep.Measurement))
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := v.VerifyReport(context.Background(), rep); err != nil {
+				t.Errorf("VerifyReport: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if vcek, chain := vcekTrips.Load(), chainTrips.Load(); vcek != 1 || chain != 1 {
+		t.Errorf("a cold burst of %d cost %d VCEK and %d chain round trips, want 1 and 1", callers, vcek, chain)
 	}
 }
 

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"time"
 
@@ -88,12 +87,4 @@ func (r *AblationPBKDF2Result) Render() string {
 	}
 	return "Ablation: PBKDF2 iteration count vs volume unlock latency\n" +
 		table([]string{"Iterations", "Unlock(ms)"}, rows)
-}
-
-// KDFThroughput measures raw PBKDF2 cost, a sanity anchor for the
-// iteration ablation.
-func KDFThroughput(iterations int) time.Duration {
-	start := time.Now()
-	_, _ = kdf.PBKDF2(sha256.New, []byte("pw"), []byte("salt"), iterations, 32)
-	return time.Since(start)
 }

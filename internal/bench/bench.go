@@ -8,14 +8,13 @@
 // Absolute numbers differ from the paper — the substrate is a software
 // simulation, not an EPYC 7313 testbed — but the comparisons the paper
 // makes (which operation dominates boot, how overhead scales with I/O
-// size, what the VCEK cache buys) are reproduced in shape. EXPERIMENTS.md
-// records the side-by-side values.
+// size, what the VCEK cache buys) are reproduced in shape.
 //
 // What the package reproduces is the paper's tables and figures plus
-// Tables 4 and 5 (attestation throughput, fleet scalability), as reports
-// whose tests check structure and counts, not speed. How fast the
-// gateway data plane is, steady and under churn, is not measured here:
-// that is the repository's benchmark (benchmark/, BENCHMARK.json).
+// Table 5 (fleet scalability), as reports whose tests check structure
+// and counts, not speed. How fast the gateway data plane and the
+// verification plane are is not measured here: that is the repository's
+// benchmark (benchmark/, BENCHMARK.json) and its per-layer ladder.
 package bench
 
 import (

@@ -5,6 +5,7 @@ import (
 	"crypto/tls"
 	"errors"
 	"io"
+	"math/big"
 	"net"
 	"sync"
 	"testing"
@@ -102,12 +103,14 @@ func TestRemoveLastNodeRefused(t *testing.T) {
 
 // Scenario 2: certificate rotation. The SP re-runs provisioning; every
 // live listener serves the renewed certificate on its next handshake,
-// and no client connection fails at any point.
+// and no client connection fails at any point. The fleet shares one
+// certificate (D3): the CA numbers its issuances, and a rotation of three
+// nodes moves the serial by exactly one.
 func TestScenarioCertificateRotation(t *testing.T) {
 	f := newTestFleet(t, 3)
 	ctx := context.Background()
 
-	leafSerial := func(addr string) string {
+	leafSerial := func(addr string) *big.Int {
 		conn, err := tls.Dial("tcp", addr, &tls.Config{
 			RootCAs:    f.d.CARootPool(),
 			ServerName: f.cfg.Domain,
@@ -116,7 +119,7 @@ func TestScenarioCertificateRotation(t *testing.T) {
 			t.Fatalf("dial %s: %v", addr, err)
 		}
 		defer func() { _ = conn.Close() }()
-		return conn.ConnectionState().PeerCertificates[0].SerialNumber.String()
+		return conn.ConnectionState().PeerCertificates[0].SerialNumber
 	}
 
 	before := leafSerial(f.d.Nodes[0].WebAddr())
@@ -128,11 +131,11 @@ func TestScenarioCertificateRotation(t *testing.T) {
 
 	// Every node converged on one new certificate without a restart.
 	first := leafSerial(f.d.Nodes[0].WebAddr())
-	if first == before {
-		t.Error("rotation did not change the served certificate")
+	if want := new(big.Int).Add(before, big.NewInt(1)); first.Cmp(want) != 0 {
+		t.Errorf("serial %v after rotating from %v, want %v: one CA issuance for the fleet", first, before, want)
 	}
 	for _, n := range f.d.Nodes[1:] {
-		if got := leafSerial(n.WebAddr()); got != first {
+		if got := leafSerial(n.WebAddr()); got.Cmp(first) != 0 {
 			t.Error("nodes serve different certificates after rotation")
 		}
 	}
@@ -143,7 +146,7 @@ func TestScenarioCertificateRotation(t *testing.T) {
 
 // Scenario 3: revocation storm. One registry revocation plus one policy
 // revision fails every fast-path layer closed fleet-wide: attestation
-// proof caches, RA-TLS peer memos, and resumable TLS sessions.
+// proof caches and resumable TLS sessions.
 func TestScenarioRevocationStorm(t *testing.T) {
 	f := newTestFleet(t, 2)
 	ctx := context.Background()
@@ -157,7 +160,7 @@ func TestScenarioRevocationStorm(t *testing.T) {
 	}
 
 	// Prime the RA-TLS path: a node-to-node style attested channel with
-	// a memoized peer and a resumable session.
+	// a resumable session, its peer's report proven in the verifier.
 	serverCert, err := ratls.CreateProviderCertificate(ctx, snp.NewNodeProvider(f.d.Nodes[0].VM, verifier), f.cfg.Domain)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +226,7 @@ func TestScenarioRevocationStorm(t *testing.T) {
 		}
 	}
 	if err := dial(); err == nil {
-		t.Error("ratls connection (memo + session cache) survived the storm")
+		t.Error("ratls connection (resumed session over a proven report) survived the storm")
 	}
 }
 

@@ -7,7 +7,7 @@
 // web extension and the SP node use, including the VCEK cache whose effect
 // Table 3 of the paper quantifies (778.9 ms cold vs 115.0 ms warm).
 //
-// Both sides sit on the attestation fast path (Table 4): the client
+// Both sides sit on the attestation fast path: the client
 // caches *parsed* certificates in a bounded TTL-LRU and collapses
 // concurrent cold misses for the same (chip, TCB) into one HTTP round
 // trip via singleflight; the server memoizes its PEM and DER response
