@@ -1,9 +1,17 @@
 package bench
 
 import (
+	"context"
+	"crypto/sha256"
+	"crypto/x509"
+	"math/big"
 	"strings"
 	"testing"
 	"time"
+
+	"revelio/internal/core"
+	"revelio/internal/imagebuild"
+	"revelio/internal/kdf"
 )
 
 func TestRunTable1(t *testing.T) {
@@ -224,5 +232,51 @@ func TestAblationPBKDF2(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "Iterations") {
 		t.Error("render lacks header")
+	}
+}
+
+// TestKDFThroughputMonotone: PBKDF2's cost grows with its iteration count,
+// counted in HMAC invocations rather than timed.
+func TestKDFThroughputMonotone(t *testing.T) {
+	rounds := func(iterations int) uint64 {
+		before := kdf.PBKDF2Rounds()
+		if _, err := kdf.PBKDF2(sha256.New, []byte("pw"), []byte("salt"), iterations, 32); err != nil {
+			t.Fatalf("pbkdf2: %v", err)
+		}
+		return kdf.PBKDF2Rounds() - before
+	}
+	if lo, hi := rounds(100), rounds(20000); lo != 100 || hi != 20000 {
+		t.Errorf("pbkdf2 ran %d and %d rounds for 100 and 20000 iterations", lo, hi)
+	}
+}
+
+// TestRunScalability: D3 as a count. Provisioning a cluster issues one
+// shared certificate whatever its size, so a fresh CA hands a cluster of
+// three the same serial it hands a single node.
+func TestRunScalability(t *testing.T) {
+	serial := func(nodes int) *big.Int {
+		reg := imagebuild.NewRegistry()
+		d, err := core.New(core.Config{
+			Spec:     imagebuild.CryptpadSpec(imagebuild.PublishUbuntuBase(reg)),
+			Registry: reg,
+			Nodes:    nodes,
+			Domain:   "svc.example.org",
+		})
+		if err != nil {
+			t.Fatalf("n=%d: %v", nodes, err)
+		}
+		defer d.Close()
+		prov, err := d.ProvisionCertificates(context.Background())
+		if err != nil {
+			t.Fatalf("n=%d: provision: %v", nodes, err)
+		}
+		cert, err := x509.ParseCertificate(prov.CertDER)
+		if err != nil {
+			t.Fatalf("n=%d: %v", nodes, err)
+		}
+		return cert.SerialNumber
+	}
+	if s1, s3 := serial(1), serial(3); s1.Cmp(s3) != 0 {
+		t.Errorf("serial %v for one node, %v for three: the CA issued per node", s1, s3)
 	}
 }
