@@ -34,7 +34,6 @@ var publicPackages = []string{
 	"apps/boundary",
 	"apps/cryptpad",
 	"apps/ic",
-	"bench",
 	"lint",
 }
 

@@ -44,7 +44,6 @@
 //	revelio/webclient            — the end-user browser + web extension
 //	revelio/apps/...             — the paper's use cases (cryptpad,
 //	                               boundary, ic)
-//	revelio/bench                — the experiment harness
 //
 // Provision obtains the shared certificate the way the paper's SP node
 // does (§5.3.1): a certbot-style DNS-01 flow against an in-process
@@ -64,9 +63,10 @@
 // # Reproduction inventory
 //
 // The implementation lives under internal/; see DESIGN.md for the system
-// inventory, examples/ for runnable entry points, and cmd/revelio-bench
+// inventory, examples/ for runnable entry points, and internal/bench
 // for the experiment harness that regenerates the paper's tables and
-// figures. The repository-root benchmarks mirror the harness:
+// figures (go run ./internal/bench/revelio-bench). Its benchmarks
+// (go test -bench . ./internal/bench) mirror the harness:
 //
 //	Table 1  (boot delays)               -> BenchmarkTable1_BootDelays
 //	Table 2  (cert operations)           -> BenchmarkTable2_CertOperations
@@ -75,7 +75,7 @@
 //	Fig 5    (dm-crypt I/O)              -> BenchmarkFig5_DmCryptIO
 //	Fig 6    (dm-verity reads)           -> BenchmarkFig6_DmVerityRead
 //	ablations                            -> BenchmarkAblation_*
-//	chaos    (seeded fault scheduler)    -> revelio-bench -chaos, bench.RunChaos
+//	chaos    (seeded fault scheduler)    -> go test ./internal/chaos -run '^TestChaosSeeds$'
 //	lint     (invariant analyzers)       -> revelio-lint ./...
 //
 // Fig 5's volume is aes-xts-plain64 as in the paper, and like kernel
@@ -117,12 +117,12 @@
 // path", "Resilience layer", and "Context-aware routing").
 // revelio-bench -json emits every result as one machine-readable JSON
 // document.
-// The chaos sweep (revelio-bench -chaos, bench.RunChaos) is not a
+// The chaos sweep (internal/chaos's TestChaosSeeds) is not a
 // benchmark but a property check: seeded, deterministic fault schedules
 // — churn, KDS outages and partitions, policy storms, crashes mid-join
-// and mid-rollout, cert-expiry waves, (with -chaos.gray) stalled-
-// node gray failures, overload storms, and slow-drip bodies, and
-// (with -chaos.routed) broken-canary rollouts and zone bursts against
+// and mid-rollout, cert-expiry waves, (with -chaos.rounds=gray)
+// stalled-node gray failures, overload storms, and slow-drip bodies,
+// and (with -chaos.rounds=routed) broken-canary rollouts and zone bursts against
 // a routing policy — run against a live fleet serving attested-TLS
 // traffic through the gateway, asserting zero failed requests outside
 // fault windows, fail-closed verification, gateway coherence,
@@ -130,8 +130,8 @@
 // amplification stays under budget, admitted requests meet their
 // deadlines), zero out-of-policy requests under the routed profile,
 // and leak-free teardown; a failing seed prints its full schedule and
-// -chaos.seed=N replays it byte for byte (see DESIGN.md's "Chaos
-// harness").
+// the go test command (-chaos.rounds=P -chaos.seed=N) that replays it
+// byte for byte (see DESIGN.md's "Chaos harness").
 // The repo's standing invariants — the error taxonomy, the
 // deterministic time/rand seams those chaos replays depend on, the
 // context-first lifecycle, and the lock and pool disciplines — are

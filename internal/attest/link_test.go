@@ -31,7 +31,7 @@ func (r *rig) chipReport(t *testing.T, seed string) *sev.Report {
 	return rep
 }
 
-func mintChip(t *testing.T, mfr *amdsp.Manufacturer, seed string) (*amdsp.SecureProcessor, *sev.Report) {
+func mintChip(t testing.TB, mfr *amdsp.Manufacturer, seed string) (*amdsp.SecureProcessor, *sev.Report) {
 	t.Helper()
 	sp, err := mfr.MintProcessor([]byte(seed), 2)
 	if err != nil {
@@ -44,7 +44,7 @@ func mintChip(t *testing.T, mfr *amdsp.Manufacturer, seed string) (*amdsp.Secure
 	return sp, rep
 }
 
-func launchGuest(t *testing.T, sp *amdsp.SecureProcessor) *amdsp.GuestChannel {
+func launchGuest(t testing.TB, sp *amdsp.SecureProcessor) *amdsp.GuestChannel {
 	t.Helper()
 	h := sp.LaunchStart(0, 0)
 	if err := sp.LaunchUpdate(h, measure.PageNormal, 0, []byte("fw"), "ovmf"); err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"revelio/attestation"
+	"revelio/internal/amdsp"
 	"revelio/internal/kds"
 	"revelio/internal/registry"
 	"revelio/internal/sev"
@@ -102,6 +103,36 @@ func TestErrorTaxonomy(t *testing.T) {
 			},
 			want: attestation.ErrKDSUnavailable,
 			not:  []error{attestation.ErrPolicyRejected, context.Canceled},
+		},
+		{
+			name: "chip unknown to the KDS",
+			verify: func(t *testing.T) error {
+				r := newRig(t)
+				// A chip another manufacturer minted: the KDS answers 404.
+				other, err := amdsp.NewManufacturer([]byte("attest-test-other"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, rep := mintChip(t, other, "chip")
+				_, err = NewVerifier(r.client, NewStaticGolden(rep.Measurement)).VerifyReport(context.Background(), rep)
+				return err
+			},
+			want:    kds.ErrNotFound,
+			parents: []error{attestation.ErrChainInvalid, attestation.ErrEvidenceInvalid},
+			not:     []error{attestation.ErrKDSUnavailable, attestation.ErrPolicyRejected},
+		},
+		{
+			name: "unparseable VCEK body",
+			verify: func(t *testing.T) error {
+				r := newRig(t)
+				rep := r.report(t, sev.ReportData{17})
+				url := vcekBodyServer(t, r.mfr, func() []byte { return []byte("not a certificate") })
+				_, err := NewVerifier(kds.NewClient(url, nil), NewStaticGolden(rep.Measurement)).VerifyReport(context.Background(), rep)
+				return err
+			},
+			want:    kds.ErrBadResponse,
+			parents: []error{attestation.ErrKDSUnavailable},
+			not:     []error{attestation.ErrEvidenceInvalid, attestation.ErrPolicyRejected},
 		},
 		{
 			name: "expired evidence",

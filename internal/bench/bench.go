@@ -2,8 +2,8 @@
 // and figure of the paper's evaluation (§6.2–§6.4). Each Run* function
 // executes the corresponding workload against the real substrates and
 // returns a result whose Render method prints paper-style rows; the
-// cmd/revelio-bench binary and the repository-root benchmarks are thin
-// wrappers around these functions.
+// revelio-bench command below this package and the Benchmark* functions
+// in its tests are thin wrappers around these functions.
 //
 // Absolute numbers differ from the paper — the substrate is a software
 // simulation, not an EPYC 7313 testbed — but the comparisons the paper

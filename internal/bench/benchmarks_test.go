@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's tables and figures. Each table or
-// figure has a Benchmark* entry point wrapping the internal/bench
-// harness; `go test -bench .` prints the paper-style rows once per
+// figure has a Benchmark* entry point wrapping the harness;
+// `go test -bench . ./internal/bench` prints the paper-style rows once per
 // target via b.Log on top of the usual ns/op accounting.
 //
 //	Table 1  -> BenchmarkTable1_BootDelays
@@ -10,7 +10,7 @@
 //	Fig 5    -> BenchmarkFig5_DmCryptIO
 //	Fig 6    -> BenchmarkFig6_DmVerityRead
 //	ablations -> BenchmarkAblation_*
-package revelio_test
+package bench_test
 
 import (
 	"sync"
@@ -98,7 +98,7 @@ func BenchmarkFig6_DmVerityRead(b *testing.B) {
 // BenchmarkTable2_CertOperations regenerates Table 2: SSL certificate
 // generation and distribution with mutual attestation. Network latencies
 // are scaled down from the defaults to keep bench runs quick; use
-// cmd/revelio-bench for paper-scale conditions.
+// revelio-bench for paper-scale conditions.
 func BenchmarkTable2_CertOperations(b *testing.B) {
 	cfg := bench.Table2Config{
 		SPNetRTT: time.Millisecond,
@@ -133,7 +133,7 @@ func BenchmarkTable3_ClientSide(b *testing.B) {
 // provisioning latency, single-node join latency, and steady-state
 // attested-TLS requests/sec, swept over fleet sizes. Node counts and
 // network latencies are scaled down from the paper-scale sweep (1–64
-// nodes) to keep bench runs quick; use cmd/revelio-bench -table 5 for
+// nodes) to keep bench runs quick; use revelio-bench -table 5 for
 // the full table.
 func BenchmarkTable5_FleetScalability(b *testing.B) {
 	cfg := bench.Table5Config{

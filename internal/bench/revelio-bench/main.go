@@ -1,5 +1,6 @@
 // Command revelio-bench regenerates the paper's evaluation tables and
-// figures (§6.2–§6.4) under paper-scale network conditions.
+// figures (§6.2–§6.4) under paper-scale network conditions, by calling
+// the internal/bench harness.
 //
 // Usage:
 //
@@ -10,15 +11,9 @@
 //	revelio-bench -ablations      # just the ablation sweeps
 //	revelio-bench -quick          # scaled-down sizes and latencies
 //	revelio-bench -json           # machine-readable JSON instead of tables
-//	revelio-bench -chaos          # seeded chaos sweep (20 seeds by default)
-//	revelio-bench -chaos.seed 7   # replay exactly one chaos seed
-//	revelio-bench -chaos -chaos.gray       # graceful-degradation fault mix
-//	revelio-bench -chaos -chaos.routed     # context-aware routing fault mix
-//	revelio-bench -chaos -chaos.out FILE   # persist every schedule (CI artifact)
 //
-// A failing chaos seed prints the violated invariant plus the full fault
-// schedule and exits nonzero; re-running with -chaos.seed=N replays the
-// schedule byte for byte.
+// Run it with `go run ./internal/bench/revelio-bench`. The seeded chaos
+// sweeps are not here: they are internal/chaos's TestChaosSeeds.
 package main
 
 import (
@@ -31,7 +26,7 @@ import (
 	"strings"
 	"time"
 
-	"revelio/bench"
+	"revelio/internal/bench"
 )
 
 func main() {
@@ -87,36 +82,11 @@ func run(args []string, stdout io.Writer) error {
 	ablations := fs.Bool("ablations", false, "run only the ablation sweeps")
 	quick := fs.Bool("quick", false, "scaled-down sizes and latencies")
 	jsonOut := fs.Bool("json", false, "emit one JSON document instead of rendered tables")
-	chaosMode := fs.Bool("chaos", false, "run the seeded chaos sweep instead of tables/figures")
-	chaosSeed := fs.Int64("chaos.seed", 0, "replay exactly this chaos seed (implies -chaos)")
-	chaosSeeds := fs.Int("chaos.seeds", 20, "number of consecutive chaos seeds, starting at 1")
-	chaosNodes := fs.Int("chaos.nodes", 2, "initial fleet size per chaos run")
-	chaosEvents := fs.Int("chaos.events", 8, "scheduled faults per chaos run")
-	chaosHeavy := fs.Bool("chaos.heavy", false, "include rollout-class chaos faults (nightly profile)")
-	chaosGray := fs.Bool("chaos.gray", false, "include graceful-degradation chaos faults (gray failures, overload storms, slow drip)")
-	chaosRouted := fs.Bool("chaos.routed", false, "install a context-aware routing policy and include the routing chaos faults (broken-canary rollouts, zone bursts)")
-	chaosOut := fs.String("chaos.out", "", "write every executed chaos schedule to this file")
-	chaosVerbose := fs.Bool("chaos.v", false, "log every injected chaos fault as it runs")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if f := *figureNum; f != 0 && f != 5 && f != 6 {
 		return fmt.Errorf("no figure %d (figures are 5 and 6)", f)
-	}
-
-	if *chaosMode || *chaosSeed != 0 {
-		return runChaos(stdout, chaosFlags{
-			seed:    *chaosSeed,
-			seeds:   *chaosSeeds,
-			nodes:   *chaosNodes,
-			events:  *chaosEvents,
-			heavy:   *chaosHeavy,
-			gray:    *chaosGray,
-			routed:  *chaosRouted,
-			out:     *chaosOut,
-			verbose: *chaosVerbose,
-			json:    *jsonOut,
-		})
 	}
 
 	selected := func(table, figure int) bool {
@@ -229,68 +199,6 @@ func run(args []string, stdout io.Writer) error {
 		if err := enc.Encode(results); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// chaosFlags carries the parsed -chaos.* flag values.
-type chaosFlags struct {
-	seed    int64
-	seeds   int
-	nodes   int
-	events  int
-	heavy   bool
-	gray    bool
-	routed  bool
-	out     string
-	verbose bool
-	json    bool
-}
-
-// runChaos executes the chaos sweep, persists schedules when asked, and
-// exits nonzero when any seed failed — after rendering the failure with
-// its seed and full schedule, so the replay recipe is always printed.
-func runChaos(stdout io.Writer, f chaosFlags) error {
-	cfg := bench.DefaultChaosConfig()
-	cfg.Seeds = f.seeds
-	cfg.Nodes = f.nodes
-	cfg.Events = f.events
-	cfg.Heavy = f.heavy
-	cfg.Gray = f.gray
-	cfg.Routed = f.routed
-	if f.seed != 0 {
-		cfg.FirstSeed, cfg.Seeds = f.seed, 1
-	}
-	if f.verbose {
-		cfg.Log = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	res, err := bench.RunChaos(cfg)
-	if err != nil {
-		return err
-	}
-	if f.out != "" {
-		var b strings.Builder
-		for _, row := range res.Rows {
-			b.WriteString(row.Schedule)
-		}
-		if err := os.WriteFile(f.out, []byte(b.String()), 0o644); err != nil {
-			return fmt.Errorf("write schedules: %w", err)
-		}
-	}
-	if f.json {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"chaos": res}); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintln(stdout, res.Render())
-	}
-	if len(res.FailedSeeds) > 0 {
-		return fmt.Errorf("chaos: %d of %d seeds failed: %v (replay with -chaos.seed=N)",
-			len(res.FailedSeeds), len(res.Rows), res.FailedSeeds)
 	}
 	return nil
 }

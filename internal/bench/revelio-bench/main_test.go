@@ -45,10 +45,14 @@ func TestRunJSONOutput(t *testing.T) {
 }
 
 // TestRunBadFlag: a flag or a table or figure number the command does not
-// know is an error, never a run that does nothing and exits 0.
+// know is an error, never a run that does nothing and exits 0. The chaos
+// sweeps live in internal/chaos, so no -chaos flag is known here.
 func TestRunBadFlag(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nope"},
+		{"-chaos"},
+		{"-chaos.seed", "7"},
+		{"-chaos.out", "schedules.txt"},
 		{"-table", "x"},
 		{"-table", "4"},
 		{"-table", "6"},

@@ -37,8 +37,10 @@
 //
 // A failing run's error carries the seed and the full schedule;
 // re-running with the same Config reproduces the schedule byte for
-// byte (`revelio-bench -chaos -chaos.seed=N`, or `go test
-// ./internal/chaos -chaos.seed=N`).
+// byte. TestChaosSeeds is the one runner: it maps a profile name to a
+// Config, sweeps a seed range, and prints each failing seed's replay
+// command (`go test ./internal/chaos -run '^TestChaosSeeds$'
+// -chaos.rounds=<profile> -chaos.seed=N`).
 package chaos
 
 import (
@@ -337,8 +339,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	sched := Generate(cfg)
 	res := &Result{Seed: cfg.Seed, Events: len(sched.Events), Schedule: sched.String()}
 	fail := func(step int, op Op, err error) error {
-		return fmt.Errorf("chaos: seed %d: %s at event %d: %v\nreplay with -chaos.seed=%d\n%s",
-			cfg.Seed, op, step, err, cfg.Seed, strings.TrimRight(res.Schedule, "\n"))
+		return fmt.Errorf("chaos: seed %d: %s at event %d: %v\n%s",
+			cfg.Seed, op, step, err, strings.TrimRight(res.Schedule, "\n"))
 	}
 
 	baseline := runtime.NumGoroutine()

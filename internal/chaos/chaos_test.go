@@ -3,7 +3,10 @@ package chaos
 import (
 	"context"
 	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -14,24 +17,17 @@ var (
 		"number of sequential seeds TestChaosSeeds runs (starting at 1)")
 	chaosRounds = flag.String("chaos.rounds", "small",
 		"profile: small (2 nodes, 8 events), gray (3 nodes, graceful-degradation faults), routed (3 nodes, context-aware routing faults), or nightly (4 nodes, 24 events, rollout faults)")
+	chaosOut = flag.String("chaos.out", "",
+		"write every executed schedule of TestChaosSeeds, in seed order, to this file")
 )
 
-// profileConfig maps the -chaos.rounds flag to a run configuration.
-func profileConfig(t *testing.T, seed int64) Config {
-	cfg := Config{Seed: seed, Log: t.Logf}
-	switch *chaosRounds {
-	case "nightly":
-		cfg.Nodes, cfg.Events, cfg.Clients, cfg.Heavy = 4, 24, 8, true
-	case "gray":
-		cfg.Nodes, cfg.Events, cfg.Clients, cfg.Gray = 3, 8, 4, true
-	case "routed":
-		cfg.Nodes, cfg.Events, cfg.Clients, cfg.Routed = 3, 8, 4, true
-	case "small":
-		cfg.Nodes, cfg.Events, cfg.Clients = 2, 8, 4
-	default:
-		t.Fatalf("unknown -chaos.rounds profile %q", *chaosRounds)
-	}
-	return cfg
+// profiles maps each -chaos.rounds name to its run shape; a run's Config
+// is its profile plus a seed.
+var profiles = map[string]Config{
+	"small":   {Nodes: 2, Events: 8, Clients: 4},
+	"gray":    {Nodes: 3, Events: 8, Clients: 4, Gray: true},
+	"routed":  {Nodes: 3, Events: 8, Clients: 4, Routed: true},
+	"nightly": {Nodes: 4, Events: 24, Clients: 8, Heavy: true},
 }
 
 // TestScheduleDeterministic: the same config generates the same
@@ -123,28 +119,64 @@ func TestScheduleMembershipStaysLegal(t *testing.T) {
 	}
 }
 
+// TestScheduleGolden: seeds 1–20 of each CI sweep profile generate
+// exactly the schedules committed under testdata/ — the sweeps'
+// -chaos.out files — so a generator change that would break replay of an
+// old failure shows up here, without standing up a fleet.
+func TestScheduleGolden(t *testing.T) {
+	for _, name := range []string{"small", "gray", "routed"} {
+		want, err := os.ReadFile(filepath.Join("testdata", name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		for seed := int64(1); seed <= 20; seed++ {
+			cfg := profiles[name]
+			cfg.Seed = seed
+			got.WriteString(Generate(cfg).String())
+		}
+		if got.String() != string(want) {
+			t.Errorf("%s: seeds 1-20 no longer generate testdata/%s.txt:\n%s", name, name, got.String())
+		}
+	}
+}
+
 // TestChaosSeeds runs the scheduler end to end against a live fleet and
 // gateway: one seed when -chaos.seed is set (exact replay), otherwise
-// seeds 1..-chaos.seeds. Any invariant violation fails with the seed
-// and full schedule in the error.
+// seeds 1..-chaos.seeds, all under the -chaos.rounds profile. A failing
+// seed fails its subtest with the violated invariant, the full schedule
+// and the command that replays it; the test ends with the list of
+// failed seeds. -chaos.out writes every seed's schedule, failed or not.
 func TestChaosSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos runs stand up live fleets; skipped in -short")
 	}
-	seeds := make([]int64, 0, *chaosSeeds)
+	profile, ok := profiles[*chaosRounds]
+	if !ok {
+		t.Fatalf("unknown -chaos.rounds profile %q", *chaosRounds)
+	}
+	var seeds []int64
 	if *chaosSeed != 0 {
 		seeds = append(seeds, *chaosSeed)
 	} else {
+		if *chaosSeeds < 1 {
+			t.Fatalf("-chaos.seeds=%d runs no seed", *chaosSeeds)
+		}
 		for s := int64(1); s <= int64(*chaosSeeds); s++ {
 			seeds = append(seeds, s)
 		}
 	}
+	var schedules strings.Builder
+	var failed []int64
 	for _, seed := range seeds {
-		seed := seed
-		t.Run("seed-"+strconv.FormatInt(seed, 10), func(t *testing.T) {
-			res, err := Run(context.Background(), profileConfig(t, seed))
+		passed := t.Run("seed-"+strconv.FormatInt(seed, 10), func(t *testing.T) {
+			cfg := profile
+			cfg.Seed, cfg.Log = seed, t.Logf
+			res, err := Run(context.Background(), cfg)
+			schedules.WriteString(res.Schedule)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%v\nreplay: go test ./internal/chaos -run '^TestChaosSeeds$' -chaos.rounds=%s -chaos.seed=%d",
+					err, *chaosRounds, seed)
 			}
 			t.Logf("seed %d: %d events, %d requests (%d windowed failures, %d shed), %d flushes, %d breaker opens, goroutine delta %d",
 				res.Seed, res.Events, res.Requests, res.WindowedFailures, res.Shedded,
@@ -156,5 +188,16 @@ func TestChaosSeeds(t *testing.T) {
 				t.Errorf("%d violations reported without an error", res.Violations)
 			}
 		})
+		if !passed {
+			failed = append(failed, seed)
+		}
+	}
+	if *chaosOut != "" {
+		if err := os.WriteFile(*chaosOut, []byte(schedules.String()), 0o644); err != nil {
+			t.Errorf("write schedules: %v", err)
+		}
+	}
+	if len(failed) > 0 {
+		t.Errorf("%d of %d seeds FAILED: %v", len(failed), len(seeds), failed)
 	}
 }

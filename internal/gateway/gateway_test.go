@@ -14,6 +14,7 @@ import (
 	"math/big"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"revelio/attestation"
+	"revelio/attestation/snp"
 	"revelio/internal/fleet"
 	"revelio/internal/measure"
 	"revelio/internal/ratls"
@@ -392,6 +394,47 @@ func TestGatewayRejectsUnattestedUpstream(t *testing.T) {
 	badAddr := plainUpstream(t, idHandler("bad"))
 	view := NewView(testDomain, serving(goodAddr), serving(badAddr))
 	g, client := startGateway(t, view, provider)
+
+	for i := 0; i < 10; i++ {
+		body, status := get(t, client, "https://"+g.Addr()+"/")
+		if status != http.StatusOK || body != "good" {
+			t.Fatalf("request %d: status=%d body=%q", i, status, body)
+		}
+	}
+	if s := g.Stats(); len(s.Ejected) != 1 || s.Ejected[0] != badAddr {
+		t.Errorf("ejected = %v, want [%s]", s.Ejected, badAddr)
+	}
+}
+
+// TestGatewayEjectsUpstreamOfUnknownChip: a node whose RA-TLS evidence
+// names a chip the KDS does not know (404) offers invalid evidence, not
+// a KDS outage: it is ejected like any other attestation reject, and its
+// requests are retried onto the attested node.
+func TestGatewayEjectsUpstreamOfUnknownChip(t *testing.T) {
+	trusted, err := snp.NewSimulator([]byte("gw-trusted"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown, err := snp.NewSimulator([]byte("gw-unknown"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kdsServer := httptest.NewServer(trusted.Handler())
+	t.Cleanup(kdsServer.Close)
+	image := []byte("gateway image")
+	goodSigner, golden, err := trusted.LaunchGuest([]byte("good"), 1, image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badSigner, _, err := unknown.LaunchGuest([]byte("bad"), 1, image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifier := snp.NewProvider(snp.NewVerifier(snp.NewKDSClient(kdsServer.URL, nil), snp.NewStaticGolden(golden)))
+
+	goodAddr := startUpstream(t, snp.NewNodeProvider(goodSigner, nil), idHandler("good"))
+	badAddr := startUpstream(t, snp.NewNodeProvider(badSigner, nil), idHandler("bad"))
+	g, client := startGateway(t, NewView(testDomain, serving(goodAddr), serving(badAddr)), verifier)
 
 	for i := 0; i < 10; i++ {
 		body, status := get(t, client, "https://"+g.Addr()+"/")

@@ -53,10 +53,14 @@ const (
 )
 
 var (
-	// ErrNotFound reports an unknown chip or malformed query.
-	ErrNotFound = errors.New("kds: certificate not found")
-	// ErrBadResponse reports an unparseable KDS payload.
-	ErrBadResponse = errors.New("kds: bad response")
+	// ErrNotFound reports an unknown chip or malformed query. A chip the
+	// KDS does not know has no VCEK to chain to, so the evidence naming
+	// it is invalid (attestation.ErrChainInvalid).
+	ErrNotFound = fmt.Errorf("%w: kds: certificate not found", attestation.ErrChainInvalid)
+	// ErrBadResponse reports an unparseable KDS payload (a VCEK or
+	// cert_chain body): the certificate source answered, but with nothing
+	// usable (attestation.ErrKDSUnavailable).
+	ErrBadResponse = fmt.Errorf("%w: kds: bad response", attestation.ErrKDSUnavailable)
 )
 
 // Server exposes a Manufacturer's certificate hierarchy over HTTP.

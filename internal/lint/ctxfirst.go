@@ -10,13 +10,12 @@ import (
 
 // ctxFacades are the packages allowed to mint root contexts: the SDK
 // facade (the top of the public stack — somebody has to own the root)
-// and the bench experiment drivers, which are process entrypoints in
-// library clothing. Everything else below the facade receives its
-// context from the caller. Package main (cmds, examples) is exempt by
-// construction.
+// and the internal/bench experiment drivers, which are process
+// entrypoints in library clothing. Everything else below the facade
+// receives its context from the caller. Package main (cmds, examples)
+// is exempt by construction.
 var ctxFacades = map[string]bool{
 	"revelio":                true,
-	"revelio/bench":          true,
 	"revelio/internal/bench": true,
 }
 
