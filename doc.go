@@ -47,12 +47,11 @@
 //
 // Provision obtains the shared certificate the way the paper's SP node
 // does (§5.3.1): a certbot-style DNS-01 flow against an in-process
-// Let's Encrypt stand-in, whose WAN round trips are modelled by
-// WithNetworkLatency's ca argument.
+// Let's Encrypt stand-in.
 //
-// Every lifecycle operation is context-first (Provision, RebootNode,
-// SetFirmware on a Service; AddNode, RemoveNode and the fleet scenarios
-// on a Fleet, the one membership owner): cancellation
+// Every lifecycle operation is context-first (Provision on a Service;
+// AddNode, RemoveNode, StageFirmware/RollOut and the other fleet
+// scenarios on a Fleet, the one membership owner): cancellation
 // surfaces as a wrapped context error, never poisons a fail-closed
 // cache, and never leaves a half-joined node behind. Verification
 // failures map onto the attestation taxonomy, so callers branch with

@@ -65,3 +65,36 @@ func TestCloseDoesNotWaitForSilentConnections(t *testing.T) {
 		t.Errorf("UndrainedCloses = %d after closing the listeners directly, want 0", got)
 	}
 }
+
+// TestClosedDeploymentRefusesWork: after Close, every call that would
+// launch a node or open a listener fails and opens nothing — nothing is
+// left to close what it would start.
+func TestClosedDeploymentRefusesWork(t *testing.T) {
+	cfg, _ := testConfig(1)
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := d.ProvisionCertificates(ctx); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+
+	if _, err := d.ProvisionCertificates(ctx); !errors.Is(err, errClosed) {
+		t.Errorf("ProvisionCertificates after Close: %v, want errClosed", err)
+	}
+	if err := d.StartWeb(nil); !errors.Is(err, errClosed) {
+		t.Errorf("StartWeb after Close: %v, want errClosed", err)
+	}
+	if err := d.StartNodeWeb(0); !errors.Is(err, errClosed) {
+		t.Errorf("StartNodeWeb after Close: %v, want errClosed", err)
+	}
+	if _, err := d.AddNode(ctx); !errors.Is(err, errClosed) {
+		t.Errorf("AddNode after Close: %v, want errClosed", err)
+	}
+	if len(d.Nodes) != 1 || d.Nodes[0].WebAddr() != "" || d.Nodes[0].UpstreamAddr() != "" {
+		t.Errorf("a closed deployment launched or opened something: %d nodes, web %q, upstream %q",
+			len(d.Nodes), d.Nodes[0].WebAddr(), d.Nodes[0].UpstreamAddr())
+	}
+}

@@ -49,6 +49,10 @@ import (
 // real serving health, not just a live listener.
 const HealthPath = "/.well-known/revelio/health"
 
+// errClosed refuses work on a deployment that Close has torn down: a
+// listener opened after Close would have nothing left to close it.
+var errClosed = errors.New("core: deployment closed")
+
 // Config describes a deployment.
 type Config struct {
 	// Spec is the image specification (see imagebuild profiles).
@@ -152,6 +156,7 @@ type Deployment struct {
 	cfg        Config
 	appHandler func(n *Node) http.Handler
 	closeOnce  sync.Once
+	closed     atomic.Bool       // set by Close; refuses joins, provisioning and web starts
 	kdsNet     *netlab.Transport // verifier-side KDS path (outage injection)
 	spNet      *netlab.Transport // SP-to-node control path (partition injection)
 	clients    []*http.Client    // every client we created, for idle-conn reaping
@@ -278,6 +283,11 @@ func New(cfg Config) (*Deployment, error) {
 	kdsClient := &http.Client{Transport: d.kdsNet}
 	d.clients = append(d.clients, kdsClient)
 	d.KDSClient = kds.NewClient(d.KDSServer.url, kdsClient, kds.WithClock(d.now))
+	// The verification plane runs with the full fast path: parsed-cert
+	// caching in the KDS client under the proof caches the verifier
+	// carries. The VCEK only changes on SNP firmware updates, so a fresh
+	// session need not pay a KDS round trip.
+	d.KDSClient.SetCaching(true)
 
 	if d.Image, err = imagebuild.NewBuilder(cfg.Registry).Build(cfg.Spec); err != nil {
 		d.Close()
@@ -334,11 +344,6 @@ func (d *Deployment) nextChipSeed() []byte {
 // the KDS. Fleet scenarios inject latency changes and outages through it
 // (netlab.Transport.SetOutage) to rehearse KDS failure and recovery.
 func (d *Deployment) KDSNet() *netlab.Transport { return d.kdsNet }
-
-// SPNet exposes the SP node's outbound transport to the nodes' control
-// servers. Chaos scenarios partition individual control links through it
-// (netlab.Transport.Partition) to rehearse provisioning-path failures.
-func (d *Deployment) SPNet() *netlab.Transport { return d.spNet }
 
 // KDSURL returns the simulated AMD KDS base URL. Per-link chaos faults
 // key netlab partitions on its host.
@@ -414,10 +419,14 @@ func (d *Deployment) launchNode(chipSeed []byte) (*Node, error) {
 // StartNodeWeb to open its HTTPS front end.
 //
 // A cancelled ctx aborts before any state changes: either the node is
-// fully launched and registered, or the deployment is untouched.
+// fully launched and registered, or the deployment is untouched. After
+// Close it fails and launches nothing.
 func (d *Deployment) AddNode(ctx context.Context) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("core: add node: %w", err)
+	}
+	if d.closed.Load() {
+		return 0, fmt.Errorf("core: add node: %w", errClosed)
 	}
 	node, err := d.launchNode(d.nextChipSeed())
 	if err != nil {
@@ -456,7 +465,7 @@ func (d *Deployment) RemoveNode(ctx context.Context, i int) (blockdev.Device, er
 // SetFirmware switches the deployment to a different measured firmware
 // build and returns the new golden measurement. Already-running nodes
 // keep their old measurement until relaunched; nodes launched afterwards
-// (AddNode, RebootNode) boot the new firmware. The caller owns the trust
+// (AddNode, rebootNode) boot the new firmware. The caller owns the trust
 // hand-over: with a registry policy, propose/vote the new golden before
 // rolling and revoke the old one after.
 //
@@ -477,16 +486,18 @@ func (d *Deployment) SetFirmware(ctx context.Context, version string) (measure.M
 	return golden, nil
 }
 
-// RebootNode power-cycles node i: the guest is relaunched on the same
+// rebootNode power-cycles node i: the guest is relaunched on the same
 // chip and the same disk, boots through measured direct boot again, and
 // — because its measurement is unchanged — unseals the persistent volume
 // and restores its TLS credentials without re-running provisioning. Its
-// control and web servers are restarted.
+// control and web servers are restarted. Production updates a node by
+// replacement (fleet.RollOut); this is the seam the tamper and sealing
+// tests boot through.
 //
 // ctx is honoured before the node's servers come down; past that point
 // the reboot runs to completion (or error) — a node stopped halfway
 // through a power cycle serves nobody.
-func (d *Deployment) RebootNode(ctx context.Context, i int) error {
+func (d *Deployment) rebootNode(ctx context.Context, i int) error {
 	if i < 0 || i >= len(d.Nodes) {
 		return fmt.Errorf("core: no node %d", i)
 	}
@@ -540,6 +551,9 @@ func (d *Deployment) RebootNode(ctx context.Context, i int) error {
 
 // ProvisionCertificates runs the SP node's Fig 4 flow across all nodes.
 func (d *Deployment) ProvisionCertificates(ctx context.Context) (*certmgr.ProvisionResult, error) {
+	if d.closed.Load() {
+		return nil, errClosed
+	}
 	urls := make([]string, len(d.Nodes))
 	for i, n := range d.Nodes {
 		urls[i] = n.ControlURL()
@@ -551,8 +565,12 @@ func (d *Deployment) ProvisionCertificates(ctx context.Context) (*certmgr.Provis
 // shared certificate. appHandler builds the per-node application handler
 // (the CryptPad server, the Boundary Node proxy, ...); the well-known
 // attestation endpoint is always mounted. Inbound access is gated by the
-// image's network policy for port 443.
+// image's network policy for port 443. After Close it fails and opens
+// nothing.
 func (d *Deployment) StartWeb(appHandler func(n *Node) http.Handler) error {
+	if d.closed.Load() {
+		return errClosed
+	}
 	d.appHandler = appHandler
 	for i, n := range d.Nodes {
 		if err := d.startNodeWeb(n); err != nil {
@@ -567,6 +585,9 @@ func (d *Deployment) StartWeb(appHandler func(n *Node) http.Handler) error {
 func (d *Deployment) StartNodeWeb(i int) error {
 	if i < 0 || i >= len(d.Nodes) {
 		return fmt.Errorf("core: no node %d", i)
+	}
+	if d.closed.Load() {
+		return errClosed
 	}
 	return d.startNodeWeb(d.Nodes[i])
 }
@@ -639,12 +660,14 @@ func (d *Deployment) CARootPool() *x509.CertPool {
 // tier first (stop user traffic), then node control servers, then the
 // KDS the nodes depend on — so nothing in flight dials a server that is
 // already gone. Close is idempotent and safe for concurrent use:
-// every call after the first is a no-op.
+// every call after the first is a no-op. After Close the deployment
+// refuses AddNode, ProvisionCertificates, StartWeb and StartNodeWeb.
 func (d *Deployment) Close() {
 	d.closeOnce.Do(d.close)
 }
 
 func (d *Deployment) close() {
+	d.closed.Store(true)
 	for _, n := range d.Nodes {
 		if n == nil {
 			continue

@@ -216,7 +216,7 @@ func bootReads(t *testing.T, d *Deployment, disk blockdev.Device) error {
 // TestUnreadRootfsBlockTamperFailsBoot: every boot re-hashes the whole
 // rootfs, so one flipped bit in a block that nothing reads while booting
 // — per-read verification alone lets it through — stops a launch, an
-// AddNode and a RebootNode before the node exists.
+// AddNode and a reboot before the node exists.
 func TestUnreadRootfsBlockTamperFailsBoot(t *testing.T) {
 	cfg, _ := testConfig(1)
 	d, err := New(cfg)
@@ -251,8 +251,8 @@ func TestUnreadRootfsBlockTamperFailsBoot(t *testing.T) {
 	}
 
 	tamper(d.Nodes[0].Disk())
-	if err := d.RebootNode(context.Background(), 0); !errors.Is(err, vm.ErrRootfsVerification) {
-		t.Errorf("RebootNode on a tampered disk: err = %v, want ErrRootfsVerification", err)
+	if err := d.rebootNode(context.Background(), 0); !errors.Is(err, vm.ErrRootfsVerification) {
+		t.Errorf("rebootNode on a tampered disk: err = %v, want ErrRootfsVerification", err)
 	}
 }
 
@@ -314,8 +314,8 @@ func TestRebootNodeRestoresService(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := d.RebootNode(context.Background(), 0); err != nil {
-		t.Fatalf("RebootNode: %v", err)
+	if err := d.rebootNode(context.Background(), 0); err != nil {
+		t.Fatalf("rebootNode: %v", err)
 	}
 	if d.Nodes[0].VM.Timings().FirstBoot {
 		t.Error("rebooted node flagged as first boot")
@@ -338,7 +338,7 @@ func TestRebootNodeRestoresService(t *testing.T) {
 	if _, err := d.Verifier.VerifyReport(context.Background(), rep); err != nil {
 		t.Errorf("rebooted node fails attestation: %v", err)
 	}
-	if err := d.RebootNode(context.Background(), 5); err == nil {
+	if err := d.rebootNode(context.Background(), 5); err == nil {
 		t.Error("reboot of nonexistent node succeeded")
 	}
 }
@@ -518,8 +518,47 @@ func TestSetFirmwareChangesGolden(t *testing.T) {
 	// In-place reboot across the measurement change must fail closed: the
 	// sealing key is measurement-derived, so the old node's persistent
 	// volume cannot unseal under the new firmware.
-	if err := d.RebootNode(context.Background(), 0); err == nil {
+	if err := d.rebootNode(context.Background(), 0); err == nil {
 		t.Error("in-place reboot across a measurement change succeeded")
+	}
+}
+
+// TestLifecycleCancellation: SetFirmware and the reboot seam refuse a
+// dead context with a wrapped context error and leave the deployment
+// unchanged — same golden, same firmware, the node's servers still up —
+// and the reboot succeeds under a live one.
+func TestLifecycleCancellation(t *testing.T) {
+	cfg, _ := testConfig(1)
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.ProvisionCertificates(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	golden, fw, control := d.Golden, d.Firmware, d.Nodes[0].Control
+	if err := d.rebootNode(dead, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("rebootNode(dead): %v", err)
+	}
+	if d.Nodes[0].Control != control {
+		t.Error("a cancelled reboot restarted the node's servers")
+	}
+	if _, err := d.SetFirmware(dead, "2031.01"); !errors.Is(err, context.Canceled) {
+		t.Errorf("SetFirmware(dead): %v", err)
+	}
+	if d.Golden != golden || d.Firmware != fw {
+		t.Error("golden or firmware changed by a cancelled SetFirmware")
+	}
+
+	if err := d.rebootNode(context.Background(), 0); err != nil {
+		t.Fatalf("rebootNode: %v", err)
+	}
+	if d.Golden != golden {
+		t.Error("golden changed without SetFirmware")
 	}
 }
 
@@ -573,11 +612,11 @@ func TestSPNetPartition(t *testing.T) {
 	}
 	defer d.Close()
 	host := strings.TrimPrefix(d.Nodes[0].ControlURL(), "http://")
-	d.SPNet().Partition(errors.New("control link cut"), host)
+	d.spNet.Partition(errors.New("control link cut"), host)
 	if _, err := d.ProvisionCertificates(context.Background()); err == nil {
 		t.Fatal("provisioning succeeded across a partitioned control link")
 	}
-	d.SPNet().HealPartition()
+	d.spNet.HealPartition()
 	if _, err := d.ProvisionCertificates(context.Background()); err != nil {
 		t.Errorf("provisioning after heal: %v", err)
 	}

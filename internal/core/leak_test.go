@@ -32,7 +32,7 @@ func lifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = resp.Body.Close()
-	if err := d.RebootNode(context.Background(), 1); err != nil {
+	if err := d.rebootNode(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if idx, err := d.AddNode(context.Background()); err != nil {

@@ -73,9 +73,10 @@ func TestEndpointSnapshots(t *testing.T) {
 	}
 }
 
-// TestLifecycleCancellation: AddNode and RemoveNode refuse a dead
-// context before any side effect — no node launched, none drained, no
-// new view version published — and succeed under a live one.
+// TestLifecycleCancellation: AddNode, RemoveNode and StageFirmware
+// refuse a dead context before any side effect — no node launched, none
+// drained, no rollout staged, no new view version published — and the
+// membership changes succeed under a live one.
 func TestLifecycleCancellation(t *testing.T) {
 	f := newTestFleet(t, 2)
 	dead, cancel := context.WithCancel(context.Background())
@@ -87,6 +88,16 @@ func TestLifecycleCancellation(t *testing.T) {
 	}
 	if err := f.RemoveNode(dead, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("RemoveNode(dead): %v", err)
+	}
+	golden := f.Golden()
+	if _, err := f.StageFirmware(dead, "2031.01"); !errors.Is(err, context.Canceled) {
+		t.Errorf("StageFirmware(dead): %v", err)
+	}
+	if f.Golden() != golden {
+		t.Error("golden changed by a cancelled StageFirmware")
+	}
+	if f.rolling != nil {
+		t.Error("a cancelled StageFirmware left a rollout staged")
 	}
 	if got := len(f.d.Nodes); got != 2 || f.Size() != 2 {
 		t.Errorf("cancelled operations left %d nodes, %d serving; want 2 and 2", got, f.Size())

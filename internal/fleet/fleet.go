@@ -94,8 +94,6 @@ type Config struct {
 	Nodes int
 	// Domain is the service's web domain (default "fleet.example.org").
 	Domain string
-	// FirmwareVersion selects the initial OVMF build.
-	FirmwareVersion string
 	// App builds the per-node application handler (nil serves only the
 	// well-known attestation endpoint).
 	App func(*core.Node) http.Handler
@@ -211,9 +209,6 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	if cfg.Domain == "" {
 		cfg.Domain = "fleet.example.org"
 	}
-	if cfg.FirmwareVersion == "" {
-		cfg.FirmwareVersion = firmware.DefaultVersion
-	}
 	if cfg.PersistSize <= 0 {
 		cfg.PersistSize = 256 * 1024
 	}
@@ -229,7 +224,7 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	d, err := core.New(core.Config{
 		Spec:            spec,
 		Registry:        imgReg,
-		FirmwareVersion: cfg.FirmwareVersion,
+		FirmwareVersion: firmware.DefaultVersion,
 		Nodes:           cfg.Nodes,
 		Domain:          cfg.Domain,
 		SPNetRTT:        cfg.SPNetRTT,
@@ -241,16 +236,11 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The verification plane runs with the full fast path: parsed-cert
-	// caching in the KDS client under the proof caches the verifier
-	// already carries.
-	d.KDSClient.SetCaching(true)
-
-	f := &Fleet{d: d, trust: trust, cfg: cfg, golden: d.Golden, fwVersion: cfg.FirmwareVersion,
+	f := &Fleet{d: d, trust: trust, cfg: cfg, golden: d.Golden, fwVersion: firmware.DefaultVersion,
 		verifier: snp.NewProvider(d.Verifier),
 		states:   make(map[string]EndpointState)}
 	f.releaseAdmission = f.memberMu.RUnlock
-	if err := f.approveMeasurement(d.Golden, "firmware "+cfg.FirmwareVersion); err != nil {
+	if err := f.approveMeasurement(d.Golden, "firmware "+firmware.DefaultVersion); err != nil {
 		d.Close()
 		return nil, err
 	}

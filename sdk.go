@@ -21,9 +21,6 @@ type (
 	Measurement = measure.Measurement
 	// Node is one running Revelio VM with its agent and servers.
 	Node = core.Node
-	// Deployment is the orchestration layer under a Service — exposed
-	// for power users; most callers stay on the Service methods.
-	Deployment = core.Deployment
 	// ProvisionReport reports a completed certificate-provisioning run,
 	// with the paper's Table 2 timing decomposition.
 	ProvisionReport = certmgr.ProvisionResult

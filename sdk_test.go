@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"sync"
 	"testing"
@@ -46,7 +47,7 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 			t.Fatalf("Provision: %v, want ErrUntrustedMeasurement", err)
 		}
 		ev := nodeEvidence(t, svc)
-		if _, err := svc.Provider().VerifyEvidence(ctx, ev); !errors.Is(err, attestation.ErrUntrustedMeasurement) {
+		if _, err := snp.NewProvider(svc.Verifier()).VerifyEvidence(ctx, ev); !errors.Is(err, attestation.ErrUntrustedMeasurement) {
 			t.Fatalf("Provider verify: %v, want ErrUntrustedMeasurement", err)
 		}
 	})
@@ -57,14 +58,15 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 		svc := newTestService(t, revelio.WithTrustRegistry(reg))
 		vote(t, reg, svc.Golden())
 		ev := nodeEvidence(t, svc)
-		if _, err := svc.Provider().VerifyEvidence(ctx, ev); err != nil {
+		provider := snp.NewProvider(svc.Verifier())
+		if _, err := provider.VerifyEvidence(ctx, ev); err != nil {
 			t.Fatalf("trusted evidence rejected: %v", err)
 		}
 		if err := reg.Revoke(svc.Golden()); err != nil {
 			t.Fatal(err)
 		}
 		svc.Verifier().InvalidatePolicy()
-		err := verifyErr(svc.Provider(), ev)
+		err := verifyErr(provider, ev)
 		if !errors.Is(err, attestation.ErrRevoked) || !errors.Is(err, attestation.ErrPolicyRejected) {
 			t.Fatalf("revoked golden: %v, want ErrRevoked (under ErrPolicyRejected)", err)
 		}
@@ -74,16 +76,20 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 	})
 
 	t.Run("KDS outage", func(t *testing.T) {
-		svc := newTestService(t)
-		ev := nodeEvidence(t, svc)
-		svc.Deployment().KDSNet().SetOutage(fmt.Errorf("backbone down"))
-		if err := verifyErr(svc.Provider(), ev); !errors.Is(err, attestation.ErrKDSUnavailable) {
-			t.Fatalf("outage: %v, want ErrKDSUnavailable", err)
+		f, err := revelio.NewFleet(ctx, revelio.FleetConfig{Domain: "sdk.test.example.org"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Failure not cached: recovery verifies immediately.
-		svc.Deployment().KDSNet().SetOutage(nil)
-		if _, err := svc.Provider().VerifyEvidence(ctx, ev); err != nil {
-			t.Fatalf("after recovery: %v", err)
+		t.Cleanup(f.Close)
+		// A joining node runs on a new chip, whose VCEK only the KDS has.
+		f.FailKDS(fmt.Errorf("backbone down"))
+		if _, err := f.AddNode(ctx); !errors.Is(err, attestation.ErrKDSUnavailable) {
+			t.Fatalf("join during outage: %v, want ErrKDSUnavailable", err)
+		}
+		// Failure not cached: the next join after recovery succeeds.
+		f.RestoreKDS()
+		if _, err := f.AddNode(ctx); err != nil {
+			t.Fatalf("join after recovery: %v", err)
 		}
 	})
 
@@ -154,38 +160,6 @@ func TestProvisionCancellation(t *testing.T) {
 	}
 }
 
-// TestLifecycleCancellation: the facade's ctx-first lifecycle methods
-// refuse a dead context with a wrapped context error and leave the
-// deployment unchanged. (Membership changes live on Fleet; their
-// cancellation contract is internal/fleet's TestLifecycleCancellation.)
-func TestLifecycleCancellation(t *testing.T) {
-	svc := newTestService(t)
-	if _, err := svc.Provision(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	golden := svc.Golden()
-	if err := svc.RebootNode(dead, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("RebootNode(dead): %v", err)
-	}
-	if _, err := svc.SetFirmware(dead, "2031.01"); !errors.Is(err, context.Canceled) {
-		t.Errorf("SetFirmware(dead): %v", err)
-	}
-	if svc.Golden() != golden {
-		t.Error("golden changed by a cancelled SetFirmware")
-	}
-
-	// The same operation succeeds under a live context.
-	if err := svc.RebootNode(context.Background(), 0); err != nil {
-		t.Fatalf("RebootNode: %v", err)
-	}
-	if svc.Golden() != golden {
-		t.Error("golden changed without SetFirmware")
-	}
-}
-
 // TestLeaderRemovalReElects: through the public fleet surface, removing
 // the standing leader promotes a survivor, so a later join still
 // acquires the shared key.
@@ -222,23 +196,67 @@ func TestLeaderRemovalReElects(t *testing.T) {
 	}
 }
 
-// TestServiceCloseIdempotent: Close twice and concurrently is a no-op.
+// TestServiceCloseIdempotent: Close twice and concurrently is a no-op,
+// and a closed service opens nothing — ServeWeb after Close fails, and
+// one racing Close leaves no listener behind (run under -race, the race
+// row also checks that Close and ServeWeb never touch a node at once).
 func TestServiceCloseIdempotent(t *testing.T) {
-	svc, err := revelio.New(context.Background(), revelio.WithDomain("close.sdk.example.org"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.Close()
-	svc.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
+	t.Run("repeated and concurrent", func(t *testing.T) {
+		svc, err := revelio.New(context.Background(), revelio.WithDomain("close.sdk.example.org"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.Close()
+		svc.Close()
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				svc.Close()
+			}()
+		}
+		wg.Wait()
+	})
+
+	t.Run("ServeWeb after Close", func(t *testing.T) {
+		svc := newTestService(t)
+		if _, err := svc.Provision(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		svc.Close()
+		if err := svc.ServeWeb(nil); err == nil {
+			t.Error("ServeWeb after Close succeeded")
+		}
+		if addr := svc.WebAddr(0); addr != "" {
+			t.Errorf("WebAddr(0) = %q after Close, want \"\"", addr)
+		}
+	})
+
+	t.Run("Close races ServeWeb", func(t *testing.T) {
+		svc := newTestService(t)
+		if _, err := svc.Provision(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_ = svc.ServeWeb(nil)
+		}()
 		go func() {
 			defer wg.Done()
 			svc.Close()
 		}()
-	}
-	wg.Wait()
+		wg.Wait()
+		// Whichever ran first, nothing is left listening.
+		if addr := svc.WebAddr(0); addr != "" {
+			if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+				_ = conn.Close()
+				t.Errorf("web listener %s still accepts connections after Close", addr)
+			}
+		}
+	})
 }
 
 // TestServeWebEndToEnd: the three-call happy path produces a live

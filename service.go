@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"revelio/attestation"
 	"revelio/attestation/snp"
@@ -21,13 +20,7 @@ type serviceConfig struct {
 	profile Profile
 	build   []BuildOption
 	domain  string
-	nodes   int
-
-	firmwareVersion string
-	trust           *TrustRegistry
-	persistSize     int64
-
-	kdsRTT, spNetRTT, caRTT time.Duration
+	trust   *TrustRegistry
 }
 
 // WithProfile selects the service image profile (default
@@ -38,18 +31,10 @@ func WithProfile(p Profile) Option { return func(c *serviceConfig) { c.profile =
 // "service.example.org").
 func WithDomain(domain string) Option { return func(c *serviceConfig) { c.domain = domain } }
 
-// WithNodes sets the number of confidential VMs (default 1).
-func WithNodes(n int) Option { return func(c *serviceConfig) { c.nodes = n } }
-
-// WithImage customizes the reproducible image build (name, version).
+// WithImage customizes the reproducible image build (name, version,
+// firmware).
 func WithImage(opts ...BuildOption) Option {
 	return func(c *serviceConfig) { c.build = append(c.build, opts...) }
-}
-
-// WithFirmwareVersion selects the measured OVMF build (default
-// DefaultFirmwareVersion).
-func WithFirmwareVersion(v string) Option {
-	return func(c *serviceConfig) { c.firmwareVersion = v }
 }
 
 // WithTrustRegistry judges measurements against a live trusted registry
@@ -60,20 +45,8 @@ func WithTrustRegistry(reg *TrustRegistry) Option {
 	return func(c *serviceConfig) { c.trust = reg }
 }
 
-// WithPersistSize overrides the sealed persistent-volume size.
-func WithPersistSize(bytes int64) Option {
-	return func(c *serviceConfig) { c.persistSize = bytes }
-}
-
-// WithNetworkLatency injects the paper's network conditions: kds on
-// verifier-to-KDS fetches, spNet on SP-to-guest calls, ca on
-// certificate issuance.
-func WithNetworkLatency(kds, spNet, ca time.Duration) Option {
-	return func(c *serviceConfig) { c.kdsRTT, c.spNetRTT, c.caRTT = kds, spNet, ca }
-}
-
 // Service is the SDK's front door: one attestable confidential-VM web
-// service — image built from sources, nodes booted through measured
+// service — image built from sources, a node booted through measured
 // direct boot, certificates provisioned with attestation, HTTPS served
 // from inside the TEE — driven through a context-first lifecycle.
 //
@@ -83,27 +56,25 @@ func WithNetworkLatency(kds, spNet, ca time.Duration) Option {
 //	report, err := svc.Provision(ctx)
 //	err = svc.ServeWeb(app)
 //
-// Verification is provider-neutral: Verifier returns the SEV-SNP
-// verifier, Provider its face behind the attestation interfaces.
+// Verifier returns the SEV-SNP verifier the service runs on;
+// snp.NewProvider wraps it behind the provider-neutral attestation
+// interfaces.
 //
-// A Service is one staged deployment with a fixed node set. Membership
-// that changes under traffic — joins, removals, leader re-election, an
-// attested gateway in front — belongs to a Fleet (NewFleet), the one
-// membership owner.
+// A Service is one staged deployment of a single node. Membership
+// that changes under traffic — joins, removals, leader re-election,
+// measured-image rollouts, an attested gateway in front — belongs to a
+// Fleet (NewFleet), the one membership owner.
 type Service struct {
-	d        *core.Deployment
-	domain   string
-	provider *snp.Provider
+	d *core.Deployment
 
-	// opMu serializes lifecycle operations (Provision, ServeWeb,
-	// RebootNode, SetFirmware): the deployment is not safe for
-	// concurrent mutation.
+	// opMu serializes Provision, ServeWeb and Close: the deployment is
+	// not safe for concurrent mutation.
 	opMu sync.Mutex
 
 	closeOnce sync.Once
 }
 
-// New builds the image, launches the nodes, and starts the control
+// New builds the image, launches the node, and starts the control
 // plane. The service is not yet provisioned (Provision) nor serving
 // (ServeWeb). Cancelling ctx aborts construction; a partially built
 // deployment is torn down before New returns.
@@ -111,7 +82,6 @@ func New(ctx context.Context, opts ...Option) (*Service, error) {
 	cfg := serviceConfig{
 		profile: ProfileCryptPad,
 		domain:  "service.example.org",
-		nodes:   1,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -119,29 +89,18 @@ func New(ctx context.Context, opts ...Option) (*Service, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("revelio: new service: %w", err)
 	}
-	build := cfg.build
-	if cfg.firmwareVersion != "" {
-		build = append(build, BuildFirmware(cfg.firmwareVersion))
-	}
-	spec, imgReg, fwVersion, err := resolveSpec(cfg.profile, build...)
+	spec, imgReg, fwVersion, err := resolveSpec(cfg.profile, cfg.build...)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.persistSize > 0 {
-		spec.PersistSize = cfg.persistSize
-	}
-	coreCfg := core.Config{
+	d, err := core.New(core.Config{
 		Spec:            spec,
 		Registry:        imgReg,
 		FirmwareVersion: fwVersion,
-		Nodes:           cfg.nodes,
+		Nodes:           1,
 		Domain:          cfg.domain,
-		KDSRTT:          cfg.kdsRTT,
-		SPNetRTT:        cfg.spNetRTT,
-		CARTT:           cfg.caRTT,
 		TrustRegistry:   cfg.trust,
-	}
-	d, err := core.New(coreCfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -149,19 +108,12 @@ func New(ctx context.Context, opts ...Option) (*Service, error) {
 		d.Close()
 		return nil, fmt.Errorf("revelio: new service: %w", err)
 	}
-	return &Service{d: d, domain: cfg.domain, provider: snp.NewProvider(d.Verifier)}, nil
+	return &Service{d: d}, nil
 }
-
-// Deployment exposes the underlying orchestration layer for operations
-// the facade does not surface.
-func (s *Service) Deployment() *Deployment { return s.d }
 
 // Golden returns the deployment's current golden measurement — what the
 // provider publishes and auditors verify by rebuilding from sources.
 func (s *Service) Golden() Measurement { return s.d.Golden }
-
-// Domain returns the service's web domain.
-func (s *Service) Domain() string { return s.domain }
 
 // Verifier returns the service's SEV-SNP verifier: the full
 // verification pipeline with its fast-path caches, shared by the SP
@@ -172,11 +124,6 @@ func (s *Service) Verifier() *snp.Verifier { return s.d.Verifier }
 // what an independent relying party (an auditor's own verifier) plugs
 // into snp.NewVerifier together with its own trust policy.
 func (s *Service) CertSource() attestation.CertSource { return s.d.KDSClient }
-
-// Provider returns the service's SEV-SNP attestation provider — the
-// neutral face of Verifier, which fails evidence tagged with any other
-// provider closed (attestation.ErrUnknownProvider).
-func (s *Service) Provider() *snp.Provider { return s.provider }
 
 // CARootPool returns the certificate pool browsers trust (the simulated
 // Let's Encrypt root).
@@ -203,29 +150,11 @@ func (s *Service) Provision(ctx context.Context) (*ProvisionReport, error) {
 // ServeWeb opens every node's HTTPS front end with the provisioned
 // credentials. app builds the per-node application handler (nil serves
 // only the well-known attestation endpoint); the attestation endpoint
-// is always mounted.
+// is always mounted. After Close it fails and opens nothing.
 func (s *Service) ServeWeb(app func(*Node) http.Handler) error {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
 	return s.d.StartWeb(app)
-}
-
-// RebootNode power-cycles node i through measured direct boot; an
-// unchanged measurement unseals the persistent volume and restores
-// credentials without re-provisioning.
-func (s *Service) RebootNode(ctx context.Context, i int) error {
-	s.opMu.Lock()
-	defer s.opMu.Unlock()
-	return s.d.RebootNode(ctx, i)
-}
-
-// SetFirmware switches the deployment to a different measured firmware
-// build and returns the new golden measurement (see
-// Deployment.SetFirmware for the trust hand-over contract).
-func (s *Service) SetFirmware(ctx context.Context, version string) (Measurement, error) {
-	s.opMu.Lock()
-	defer s.opMu.Unlock()
-	return s.d.SetFirmware(ctx, version)
 }
 
 // ObtainCertificate runs a DNS-01 issuance against the deployment's CA
@@ -237,5 +166,12 @@ func (s *Service) ObtainCertificate(ctx context.Context, domain string, csrDER [
 	return acme.NewClient(s.d.CA, s.d.Zone).ObtainCertificate(ctx, domain, csrDER)
 }
 
-// Close tears the service down. Idempotent and safe for concurrent use.
-func (s *Service) Close() { s.closeOnce.Do(s.d.Close) }
+// Close tears the service down, after any Provision or ServeWeb in
+// flight. Idempotent and safe for concurrent use.
+func (s *Service) Close() {
+	s.closeOnce.Do(func() {
+		s.opMu.Lock()
+		defer s.opMu.Unlock()
+		s.d.Close()
+	})
+}

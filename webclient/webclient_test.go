@@ -16,8 +16,9 @@ import (
 // service: discovery, registration, attested navigation, and the
 // measurement-mismatch failure mode.
 func TestAttestedNavigation(t *testing.T) {
+	const domain = "webclient.test.example.org"
 	ctx := context.Background()
-	svc, err := revelio.New(ctx, revelio.WithDomain("webclient.test.example.org"))
+	svc, err := revelio.New(ctx, revelio.WithDomain(domain))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +35,10 @@ func TestAttestedNavigation(t *testing.T) {
 	}
 
 	b := webclient.NewBrowser(svc.CARootPool(), 0)
-	b.Resolve(svc.Domain(), svc.WebAddr(0))
+	b.Resolve(domain, svc.WebAddr(0))
 	ext := webclient.NewExtension(b, svc.Verifier())
 
-	discovered, err := ext.Discover(ctx, svc.Domain())
+	discovered, err := ext.Discover(ctx, domain)
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -45,8 +46,8 @@ func TestAttestedNavigation(t *testing.T) {
 		t.Errorf("discovered measurement %s != golden", discovered)
 	}
 
-	ext.RegisterSite(svc.Domain(), svc.Golden())
-	resp, metrics, err := ext.Navigate(ctx, svc.Domain(), "/")
+	ext.RegisterSite(domain, svc.Golden())
+	resp, metrics, err := ext.Navigate(ctx, domain, "/")
 	if err != nil {
 		t.Fatalf("Navigate: %v", err)
 	}
@@ -57,8 +58,8 @@ func TestAttestedNavigation(t *testing.T) {
 	wrongExt := webclient.NewExtension(b, svc.Verifier())
 	var wrong revelio.Measurement
 	wrong[0] = 0xBB
-	wrongExt.RegisterSite(svc.Domain(), wrong)
-	if _, _, err := wrongExt.Navigate(ctx, svc.Domain(), "/"); !errors.Is(err, webclient.ErrMeasurementMismatch) {
+	wrongExt.RegisterSite(domain, wrong)
+	if _, _, err := wrongExt.Navigate(ctx, domain, "/"); !errors.Is(err, webclient.ErrMeasurementMismatch) {
 		t.Errorf("wrong golden: %v, want ErrMeasurementMismatch", err)
 	}
 }
