@@ -30,14 +30,16 @@
 // failed requests), and a policy-revision bump flushes the upstream
 // pools so revocations bite on the very next handshake.
 //
-// Degradation under failure and overload is governed by Config's
-// Resilience knobs: per-upstream circuit breakers fed by failed attempts
-// — a node slower than the per-try timeout counts as failed — with
-// active attested health probes re-admitting recovered nodes, a fixed
-// retry budget with jittered backoff, per-attempt deadlines carved from
-// the request deadline (propagated via DeadlineHeader), and
-// bounded-in-flight admission that sheds overload with 503 +
-// Retry-After.
+// Each request is admitted, routed, attempted and streamed, in that
+// order. Degradation under failure and overload is governed by Config's
+// Resilience knobs, whose zero value takes every default: per-upstream
+// circuit breakers fed by failed attempts — a node slower than the
+// per-try timeout counts as failed — with active attested health probes
+// re-admitting recovered nodes, a fixed retry budget with jittered
+// backoff, per-attempt deadlines carved from the request deadline
+// (propagated via DeadlineHeader; once it has passed, an attempt gets
+// 1ms, never the full per-try budget), and bounded-in-flight admission
+// that sheds overload with 503 + Retry-After.
 package gateway
 
 import (

@@ -30,16 +30,21 @@
 // lifecycle operation waits for admitted requests before closing a
 // node, so churn never surfaces as a failed request through the proxy.
 //
-// Degradation is governed by the resilience layer (see Resilience):
-// each upstream carries a circuit breaker fed by passive failure
-// observation and re-closed only by an active RA-TLS health probe, so
-// transport-failed nodes, and gray-failed ones slower than the per-try
-// timeout, leave rotation globally — distinct from, and composing with,
-// the fail-closed attestation ejection. Retries are paced by
-// exponential backoff with jitter under a fixed attempt budget, every
-// attempt gets its own response-header deadline carved from the request
-// deadline, and bounded in-flight admission sheds overload with 503 +
-// Retry-After instead of queueing behind the serving-view lock.
+// A request passes four stages, in ServeHTTP's order: admit (the
+// in-flight bound and the request deadline), route (the serving view
+// and one routing decision), attempt (the retry loop) and stream (the
+// response, or the one refusal the attempts ended in).
+//
+// Degradation is governed by the resilience layer (resilience.go, tuned
+// by Resilience): each upstream carries a circuit breaker fed by passive
+// failure observation and re-closed only by an active RA-TLS health
+// probe, so transport-failed nodes, and gray-failed ones slower than the
+// per-try timeout, leave rotation globally — distinct from, and
+// composing with, the fail-closed attestation ejection. Retries are
+// paced by exponential backoff with jitter under a fixed attempt budget,
+// every attempt gets its own response-header deadline carved from the
+// request deadline, and bounded in-flight admission sheds overload with
+// 503 + Retry-After instead of queueing behind the serving-view lock.
 package gateway
 
 import (
@@ -48,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand" //revelio:allow timeseam backoff jitter needs no replay: no test or chaos schedule depends on its values
 	"net"
 	"net/http"
 	"net/url"
@@ -62,7 +68,6 @@ import (
 	"revelio/internal/drain"
 	"revelio/internal/fleet"
 	"revelio/internal/ratls"
-	"revelio/internal/resilience"
 )
 
 var (
@@ -75,6 +80,10 @@ var (
 	// errTryTimeout reports an attempt whose per-try timer fired before its
 	// response headers were in hand.
 	errTryTimeout = errors.New("gateway: attempt outlived its per-try budget")
+	// errOverloaded refuses a request the gateway sheds: admission is
+	// full, the deadline cannot fit one attempt, or every healthy node
+	// stayed at its in-flight bound.
+	errOverloaded = errors.New("gateway: overloaded, retry later")
 )
 
 // DeadlineHeader carries a request's remaining deadline budget in
@@ -124,74 +133,6 @@ type Source interface {
 	Acquire() (fleet.Snapshot, func())
 }
 
-// Resilience configures the gateway's graceful-degradation layer. The
-// zero value means "all defaults"; every knob has one.
-type Resilience struct {
-	// RetryBudget caps upstream attempts per request, first attempt
-	// included (default 3). This — not the fleet size — bounds the
-	// worst-case attempt amplification of one client request.
-	RetryBudget int
-	// PerTryTimeout bounds one attempt's dial + request + response
-	// headers (default 2s). It is also installed as the transport's
-	// ResponseHeaderTimeout, so a node that accepts the connection and
-	// never answers fails the attempt instead of stalling the client.
-	PerTryTimeout time.Duration
-	// BackoffBase and BackoffMax shape the exponential equal-jitter
-	// backoff between attempts (defaults 5ms and 100ms).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BreakerFailures is how many consecutive failed attempts open an
-	// upstream's circuit breaker (default 3). An attempt that outlives
-	// PerTryTimeout fails, so this is also the gray-failure detector.
-	BreakerFailures int
-	// BreakerOpenFor is the open-state dwell before an active health
-	// probe may run (default 500ms).
-	BreakerOpenFor time.Duration
-	// ProbeInterval paces the background probe loop that re-admits
-	// breaker-open upstreams (default 250ms).
-	ProbeInterval time.Duration
-	// MaxInFlight bounds concurrently admitted requests per gateway
-	// (default 1024); beyond it requests shed with 503 + Retry-After.
-	MaxInFlight int
-	// Rand is the backoff jitter source returning values in [0, 1), and
-	// Now the breaker dwell clock — both injectable so chaos schedules
-	// and tests replay deterministically (defaults math/rand.Float64 and
-	// time.Now).
-	Rand func() float64
-	Now  func() time.Time
-}
-
-func (r Resilience) withDefaults() Resilience {
-	if r.RetryBudget <= 0 {
-		r.RetryBudget = 3
-	}
-	if r.PerTryTimeout <= 0 {
-		r.PerTryTimeout = 2 * time.Second
-	}
-	if r.BackoffBase <= 0 {
-		r.BackoffBase = 5 * time.Millisecond
-	}
-	if r.BackoffMax <= 0 {
-		r.BackoffMax = 100 * time.Millisecond
-	}
-	if r.BreakerFailures <= 0 {
-		r.BreakerFailures = 3
-	}
-	if r.BreakerOpenFor <= 0 {
-		r.BreakerOpenFor = 500 * time.Millisecond
-	}
-	if r.ProbeInterval <= 0 {
-		r.ProbeInterval = 250 * time.Millisecond
-	}
-	if r.MaxInFlight <= 0 {
-		r.MaxInFlight = 1024
-	}
-	if r.Now == nil {
-		r.Now = time.Now //revelio:allow timeseam the gateway clock seam's single real-time default
-	}
-	return r
-}
-
 // Config describes a gateway.
 type Config struct {
 	// Source publishes the serving view (required).
@@ -220,7 +161,7 @@ type upstream struct {
 	ep      fleet.Endpoint
 	pending atomic.Int64
 	ejected atomic.Bool
-	breaker *resilience.Breaker
+	breaker *breaker
 }
 
 // Stats is a point-in-time picture of the data plane.
@@ -287,9 +228,9 @@ type Gateway struct {
 	// perUpstream is the in-flight attempt bound per upstream:
 	// maxPerUpstream, lowered only by tests before Start.
 	perUpstream int64
-	retry       resilience.RetryPolicy
-	admission   *resilience.Admission
-	transport   *http.Transport
+	// inFlight counts admitted requests against res.MaxInFlight.
+	inFlight  atomic.Int64
+	transport *http.Transport
 	// rt is the round-tripper the data plane calls — g.transport in
 	// production, a stub in the allocation-guard tests, so the guard
 	// measures the gateway's own path rather than net/http internals.
@@ -343,16 +284,9 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:         cfg,
 		res:         res,
 		perUpstream: maxPerUpstream,
-		retry: resilience.RetryPolicy{
-			Budget:      res.RetryBudget,
-			BackoffBase: res.BackoffBase,
-			BackoffMax:  res.BackoffMax,
-			Rand:        res.Rand,
-		}.WithDefaults(),
-		admission: resilience.NewAdmission(res.MaxInFlight),
-		router:    newRouter(cfg.Routing),
-		ups:       make(map[string]*upstream),
-		probeStop: make(chan struct{}),
+		router:      newRouter(cfg.Routing),
+		ups:         make(map[string]*upstream),
+		probeStop:   make(chan struct{}),
 		transport: &http.Transport{
 			// No session cache: every upstream connection is a full
 			// handshake whose evidence cfg.Verifier judges.
@@ -397,16 +331,6 @@ func (g *Gateway) pull() {
 func (g *Gateway) observe(snap fleet.Snapshot) {
 	g.checkPolicyEpoch()
 	g.sync(snap)
-}
-
-// breakerConfig derives each upstream's breaker parameters from the
-// gateway's resilience knobs.
-func (g *Gateway) breakerConfig() resilience.BreakerConfig {
-	return resilience.BreakerConfig{
-		FailureThreshold: g.res.BreakerFailures,
-		OpenFor:          g.res.BreakerOpenFor,
-		Now:              g.res.Now,
-	}
 }
 
 // policyEpoch is the verifier's current policy revision, or 0 when the
@@ -477,10 +401,7 @@ func (g *Gateway) sync(snap fleet.Snapshot) {
 			keep[ep.UpstreamAddr] = up
 			continue
 		}
-		keep[ep.UpstreamAddr] = &upstream{
-			ep:      ep,
-			breaker: resilience.NewBreaker(g.breakerConfig()),
-		}
+		keep[ep.UpstreamAddr] = &upstream{ep: ep, breaker: &breaker{res: &g.res}}
 	}
 	g.ups = keep
 }
@@ -575,10 +496,7 @@ func isAttestationReject(err error) bool {
 	return errors.Is(err, attestation.ErrPolicyRejected) ||
 		errors.Is(err, attestation.ErrEvidenceInvalid) ||
 		errors.Is(err, attestation.ErrEvidenceExpired) ||
-		errors.Is(err, attestation.ErrUnknownProvider) ||
-		errors.Is(err, ratls.ErrNoEvidence) ||
-		errors.Is(err, ratls.ErrKeyMismatch) ||
-		errors.Is(err, ratls.ErrNoPeerCertificate)
+		errors.Is(err, attestation.ErrUnknownProvider)
 }
 
 // isHopByHop reports the connection-scoped headers a proxy must not
@@ -649,14 +567,6 @@ func retryable(r *http.Request) bool {
 	return r.Body == nil || r.Body == http.NoBody || r.GetBody != nil
 }
 
-// shedResponse refuses one request with 503 + Retry-After: the
-// machine-readable "back off briefly" that distinguishes deliberate
-// load shedding from upstream failure (502).
-func shedResponse(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	http.Error(w, "gateway: overloaded, retry later", http.StatusServiceUnavailable)
-}
-
 // sleepCtx pauses for d, reporting false if ctx fires first.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
 	//revelio:allow timeseam backoff must block in real time against a real ctx; an injected Now cannot fire a channel
@@ -670,19 +580,40 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// ServeHTTP proxies one request to the healthiest attested node. The
-// request holds the source admission for its lifetime, so fleet churn
-// drains through the gateway exactly as it does for direct clients.
+// ServeHTTP proxies one request to the healthiest attested node in four
+// stages: admit, route, attempt, stream. The request holds the source
+// admission for its lifetime, so fleet churn drains through the gateway
+// exactly as it does for direct clients.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// Admission runs before the serving view is touched: overload must
-	// shed promptly, not queue behind the drain lock.
-	if !g.admission.TryAcquire() {
-		g.shed.Add(1)
-		shedResponse(w)
+	deadline, err := g.admit(r)
+	if err != nil {
+		g.refuse(w, err)
 		return
 	}
-	defer g.admission.Release()
+	defer g.inFlight.Add(-1)
 
+	sc := scratchPool.Get().(*proxyScratch)
+	defer scratchPool.Put(sc)
+	// LIFO with the Put above: reset runs first, settling the in-flight
+	// attempt (also on the ErrAbortHandler panic path) and abandoning a
+	// tainted wire before the scratch re-enters the pool.
+	defer sc.reset()
+
+	release, domain, d := g.route(r.URL.Path)
+	defer release()
+	resp, refusal := g.attempt(sc, r, domain, d, deadline)
+	g.stream(w, sc, resp, refusal)
+}
+
+// admit is the first stage: the in-flight bound, then the request's
+// deadline. It runs before the serving view is touched, so overload
+// sheds promptly instead of queueing behind the drain lock. A nil error
+// hands the caller one in-flight slot to give back.
+func (g *Gateway) admit(r *http.Request) (time.Time, error) {
+	if g.inFlight.Add(1) > int64(g.res.MaxInFlight) {
+		g.inFlight.Add(-1)
+		return time.Time{}, errOverloaded
+	}
 	timeout := requestTimeout
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		// Compared as a count, before the conversion could overflow: a
@@ -694,9 +625,8 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if timeout < minDeadline {
 		// Deadline-aware shed: the caller's remaining budget cannot fit
 		// even one attempt, so refuse cheaply rather than burn a node.
-		g.shed.Add(1)
-		shedResponse(w)
-		return
+		g.inFlight.Add(-1)
+		return time.Time{}, errOverloaded
 	}
 	// The request deadline is a time.Time compared against the resilience
 	// clock, not a context.WithTimeout: the per-attempt context in forward
@@ -704,65 +634,68 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// timerCtx/stop-closure/request-clone allocations on every request.
 	// An inbound context deadline (from a fronting server or test) still
 	// wins when it is sooner.
-	ctx := r.Context()
 	deadline := g.res.Now().Add(timeout)
-	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
+	if dl, ok := r.Context().Deadline(); ok && dl.Before(deadline) {
 		deadline = dl
 	}
+	return deadline, nil
+}
 
-	sc := scratchPool.Get().(*proxyScratch)
-	defer scratchPool.Put(sc)
-	// LIFO with the Put above: reset runs first, settling the in-flight
-	// attempt (also on the ErrAbortHandler panic path) and abandoning a
-	// tainted wire before the scratch re-enters the pool.
-	defer sc.reset()
-
+// route is the second stage: it acquires the source's serving view for
+// the request's lifetime, observes it, and makes the request's routing
+// decision — once, so every attempt stays inside the same policy
+// verdict (rule, canary side). The caller invokes release when the
+// request completes.
+func (g *Gateway) route(path string) (release func(), domain string, d decision) {
 	snap, release := g.cfg.Source.Acquire()
-	defer release()
 	g.observe(snap)
 	g.requests.Add(1)
+	return release, snap.Domain, g.router.decide(path)
+}
 
-	// The routing decision is computed once per request and applied to
-	// every attempt, so retries stay inside the same policy verdict
-	// (rule, canary side).
-	var d decision
-	if g.router.enabled() {
-		d = g.router.decide(r.URL.Path)
-	}
-
-	var lastErr error
+// attempt is the third stage, the retry loop. Each try is paced by
+// backoff (from the second on), reads the clock once to both judge and
+// carve the deadline, picks an upstream and forwards to it; a failed
+// try ejects a node whose attestation no longer verifies, excludes the
+// node for the rest of the request and retries when the body can be
+// replayed. It returns the first response, or the one refusal the
+// tries ended in.
+func (g *Gateway) attempt(sc *proxyScratch, r *http.Request, domain string, d decision, deadline time.Time) (*http.Response, error) {
+	ctx := r.Context()
+	// refusal answers the request if no try is served. Once a try has
+	// reached a node (forwards > 0), that node's failure outranks the
+	// rest; before, a policy denial outranks saturation, which outranks
+	// an empty rotation.
+	refusal := ErrNoUpstreams
 	forwards := 0
-	sawSaturation := false
-	policyDenied := false
-	for attempt := 0; attempt < g.res.RetryBudget; attempt++ {
-		if attempt > 0 {
+	for try := 0; try < g.res.RetryBudget; try++ {
+		if try > 0 {
 			// Pace the retry, clamped to the remaining deadline; give up
 			// if the client hangs up mid-backoff.
-			pause := g.retry.Backoff(attempt)
-			if rem := deadline.Sub(g.res.Now()); pause > rem {
-				pause = rem
-			}
+			pause := min(backoff(try, g.res.BackoffBase, g.res.BackoffMax, rand.Float64()), deadline.Sub(g.res.Now()))
 			if pause <= 0 || !sleepCtx(ctx, pause) {
 				break
 			}
 		}
-		if deadline.Sub(g.res.Now()) < minDeadline {
+		remaining := deadline.Sub(g.res.Now())
+		if remaining < minDeadline {
 			break
 		}
 		up, saturated, denied := g.pick(d, sc)
 		if up == nil {
-			if denied {
-				// Tier 1 excluded every serving endpoint: retrying
-				// cannot help until the policy or the fleet changes.
-				policyDenied = true
-				break
-			}
-			if !saturated {
+			if denied || !saturated {
+				// Tier 1 excluded every serving endpoint, or no healthy
+				// node is left: retrying cannot help.
+				if denied && forwards == 0 {
+					refusal = ErrNoPolicyUpstreams
+				}
 				break
 			}
 			// Every healthy node is at its in-flight bound; the next
 			// backoff may free capacity.
-			sawSaturation = true
+			if forwards == 0 {
+				refusal = errOverloaded
+			}
 			continue
 		}
 		if forwards > 0 {
@@ -772,60 +705,59 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			g.retries.Add(1)
 		}
 		forwards++
-		resp, err := g.forward(ctx, sc, up, snap.Domain, r, deadline, g.res.RetryBudget-attempt)
-		if err != nil {
-			lastErr = err
-			expired := ctx.Err() != nil || !g.res.Now().Before(deadline)
-			if !expired {
-				// Canary accounting mirrors the breaker's rule: outcomes
-				// the client's own deadline caused are nobody's failure.
-				g.router.recordCanary(up.ep.Measurement, true)
-			}
-			if isAttestationReject(err) {
-				// Fail closed: the node no longer proves its measured
-				// state; out of rotation until the policy moves again.
-				up.ejected.Store(true)
-			}
-			sc.excluded = append(sc.excluded, up.ep.UpstreamAddr)
-			if expired || !retryable(r) {
-				break
-			}
-			continue
+		resp, err := g.forward(ctx, sc, up, domain, r, deadline, carve(g.res.PerTryTimeout, remaining, g.res.RetryBudget-try))
+		if err == nil {
+			// A 5xx is returned to the client as-is (the gateway does not
+			// retry served responses), but it counts against the canary:
+			// a failing canary image typically fails with clean 500s.
+			g.router.recordCanary(up.ep.Measurement, resp.StatusCode >= 500)
+			return resp, nil
 		}
-		// A 5xx is returned to the client as-is (the gateway does not
-		// retry served responses), but it counts against the canary:
-		// a failing canary image typically fails with clean 500s.
-		g.router.recordCanary(up.ep.Measurement, resp.StatusCode >= 500)
-		g.writeResponse(w, sc, resp)
-		return
+		refusal = fmt.Errorf("gateway: upstream failed: %w", err)
+		expired := ctx.Err() != nil || !g.res.Now().Before(deadline)
+		if !expired {
+			// Canary accounting mirrors the breaker's rule: outcomes
+			// the client's own deadline caused are nobody's failure.
+			g.router.recordCanary(up.ep.Measurement, true)
+		}
+		if isAttestationReject(err) {
+			// Fail closed: the node no longer proves its measured
+			// state; out of rotation until the policy moves again.
+			up.ejected.Store(true)
+		}
+		sc.excluded = append(sc.excluded, up.ep.UpstreamAddr)
+		if expired || !retryable(r) {
+			break
+		}
 	}
+	return nil, refusal
+}
+
+// refuse answers a request the gateway serves no response for. Overload
+// is 503 + Retry-After, the machine-readable "back off briefly" that
+// tells deliberate shedding from upstream failure. A policy refusal is
+// 503 without it: backing off does not help until the policy or the
+// fleet changes. Anything else is 502.
+func (g *Gateway) refuse(w http.ResponseWriter, refusal error) {
 	switch {
-	case lastErr != nil:
-		http.Error(w, fmt.Sprintf("gateway: upstream failed: %v", lastErr), http.StatusBadGateway)
-	case policyDenied:
-		// Serving endpoints exist but the routing policy excludes all of
-		// them. 503 without Retry-After: unlike a shed, backing off does
-		// not help until the policy or the fleet changes.
-		g.router.policyDeny.Add(1)
-		http.Error(w, ErrNoPolicyUpstreams.Error(), http.StatusServiceUnavailable)
-	case sawSaturation:
-		// Healthy nodes existed but stayed at capacity through every
-		// paced re-pick: that is overload, not failure.
+	case errors.Is(refusal, errOverloaded):
 		g.shed.Add(1)
-		shedResponse(w)
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, refusal.Error(), http.StatusServiceUnavailable)
+	case errors.Is(refusal, ErrNoPolicyUpstreams):
+		g.router.policyDeny.Add(1)
+		http.Error(w, refusal.Error(), http.StatusServiceUnavailable)
 	default:
-		http.Error(w, ErrNoUpstreams.Error(), http.StatusBadGateway)
+		http.Error(w, refusal.Error(), http.StatusBadGateway)
 	}
 }
 
-// forward sends one attempt to a node over RA-TLS. attemptsLeft (this
-// attempt included) shares the remaining request deadline between the
-// attempts still in budget. The outbound request is assembled in sc's
-// pooled wire scratch instead of r.Clone, and the per-attempt timer and
-// cancel are parked in sc (settled by writeResponse on success or the
-// caller's deferred reset otherwise) instead of returned as a closure.
-func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream, domain string, r *http.Request, deadline time.Time, attemptsLeft int) (*http.Response, error) {
-	perTry := resilience.CarveTry(g.res.PerTryTimeout, deadline.Sub(g.res.Now()), attemptsLeft)
+// forward sends one attempt to a node over RA-TLS with perTry as its
+// budget. The outbound request is assembled in sc's pooled wire scratch
+// instead of r.Clone, and the per-attempt timer and cancel are parked in
+// sc (settled by stream on success or the caller's deferred reset
+// otherwise) instead of returned as a closure.
+func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream, domain string, r *http.Request, deadline time.Time, perTry time.Duration) (*http.Response, error) {
 	// The per-try clock covers dial + request + response headers; once
 	// headers arrive the attempt has succeeded and the same timer is
 	// re-armed to the request deadline, so a slow client draining a long
@@ -933,7 +865,7 @@ func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream
 	}
 	// Headers arrived in time: the attempt has succeeded. Re-arm the
 	// stopped per-try timer to the remaining request deadline to bound
-	// body streaming, or cancel now if none remains; writeResponse (or
+	// body streaming, or cancel now if none remains; stream (or
 	// the deferred reset on abort) settles it.
 	if rem := deadline.Sub(g.res.Now()); rem > 0 {
 		timer.Reset(rem)
@@ -943,10 +875,15 @@ func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream
 	return resp, nil
 }
 
-// writeResponse streams one upstream response to the client through the
-// pooled copy buffer, then settles the attempt and — for bodyless
-// requests — marks the wire scratch clean for reuse.
-func (g *Gateway) writeResponse(w http.ResponseWriter, sc *proxyScratch, resp *http.Response) {
+// stream is the last stage: a refusal goes to refuse; a response is
+// copied to the client through the pooled copy buffer, after which the
+// attempt is settled and — for bodyless requests — the wire scratch is
+// marked clean for reuse.
+func (g *Gateway) stream(w http.ResponseWriter, sc *proxyScratch, resp *http.Response, refusal error) {
+	if refusal != nil {
+		g.refuse(w, refusal)
+		return
+	}
 	stripHopByHop(resp.Header)
 	wh := w.Header()
 	for k, vv := range resp.Header {
@@ -1133,7 +1070,7 @@ func (g *Gateway) Stats() Stats {
 		if up.ejected.Load() {
 			s.Ejected = append(s.Ejected, addr)
 		}
-		if up.breaker.State() != resilience.BreakerClosed {
+		if up.breaker.State() != breakerClosed {
 			s.BreakerOpen = append(s.BreakerOpen, addr)
 		}
 	}

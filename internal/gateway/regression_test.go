@@ -5,13 +5,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"revelio/internal/fleet"
-	"revelio/internal/resilience"
 )
 
 // TestGatewayStripsClientForwardedFor: the gateway is the trust
@@ -100,7 +100,7 @@ func TestStatsEjectedSorted(t *testing.T) {
 	for _, addr := range []string{"9.9.9.9:1", "1.1.1.1:1", "5.5.5.5:1"} {
 		up := &upstream{
 			ep:      fleet.Endpoint{UpstreamAddr: addr, State: fleet.StateServing},
-			breaker: resilience.NewBreaker(g.breakerConfig()),
+			breaker: &breaker{res: &g.res},
 		}
 		up.ejected.Store(true)
 		g.ups[addr] = up
@@ -216,5 +216,46 @@ func TestGatewayProbeNeverCountsATimedOutAnswer(t *testing.T) {
 	if s := g.Stats(); s.ProbeSuccesses != 0 || s.ProbeFailures != 1 || len(s.BreakerOpen) != 1 {
 		t.Errorf("probe answered after its deadline: %d successes, %d failures, breaker-open %v; want 0, 1 and the node",
 			s.ProbeSuccesses, s.ProbeFailures, s.BreakerOpen)
+	}
+}
+
+// TestGatewayNeverSendsAPassedDeadlineTheFullBudget: the node is never
+// sent more budget than the request has left. Regression: the attempt
+// judged the deadline on one clock reading and carved its budget from a
+// second one, and a carve that found the deadline already passed read
+// that as "no deadline" and armed the full 2s per-try budget. The clock
+// here moves 5ms per reading, so the two readings straddled the end of a
+// 10ms request.
+func TestGatewayNeverSendsAPassedDeadlineTheFullBudget(t *testing.T) {
+	const addr = "127.0.0.1:1"
+	var reads atomic.Int64
+	start := time.Now()
+	g, err := New(Config{
+		Source:   NewView(testDomain, serving(addr)),
+		Verifier: newTestProvider("passed-deadline"),
+		Resilience: Resilience{
+			ProbeInterval: time.Hour,
+			Now:           func() time.Time { return start.Add(time.Duration(reads.Add(1)) * 5 * time.Millisecond) },
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	var sent string
+	g.rt = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		sent = r.Header.Get(DeadlineHeader)
+		return okResponse("ok"), nil
+	})
+
+	req := httptest.NewRequest(http.MethodGet, "http://gw/", nil)
+	req.Header.Set(DeadlineHeader, "10")
+	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200 from the node", rec.Code)
+	}
+	if ms, err := strconv.Atoi(sent); err != nil || ms > 10 {
+		t.Errorf("the node was sent %s = %q, want at most the request's 10 ms", DeadlineHeader, sent)
 	}
 }

@@ -3,18 +3,20 @@ package gateway
 import (
 	"crypto/tls"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"revelio/attestation"
 	"revelio/internal/fleet"
-	"revelio/internal/resilience"
 )
 
 // startGatewayRes is startGateway with explicit resilience knobs.
@@ -520,7 +522,7 @@ func TestGatewayProbeTickDropsDepartedUpstream(t *testing.T) {
 		"the probe tick to pull the new view")
 	// A probe claimed by an earlier tick may still be in flight; it holds
 	// the breaker half-open until it reports.
-	waitFor(t, 3*time.Second, func() bool { return dead.breaker.State() == resilience.BreakerOpen },
+	waitFor(t, 3*time.Second, func() bool { return dead.breaker.State() == breakerOpen },
 		"the last in-flight probe to settle")
 
 	probes := g.probeFail.Load() + g.probeOK.Load()
@@ -560,4 +562,296 @@ func TestGatewayNewStartsOneGoroutine(t *testing.T) {
 	g.Close()
 	waitFor(t, 5*time.Second, func() bool { return gatewayGoroutines() == 0 },
 		"the probe loop to exit after Close")
+}
+
+// TestResilienceDefaults pins the documented knob table: the zero
+// Resilience takes every default, and a gateway built from it trips an
+// upstream's breaker after exactly three failed observations.
+func TestResilienceDefaults(t *testing.T) {
+	r := Resilience{}.withDefaults()
+	for _, c := range []struct {
+		knob      string
+		got, want any
+	}{
+		{"RetryBudget", r.RetryBudget, 3},
+		{"PerTryTimeout", r.PerTryTimeout, 2 * time.Second},
+		{"BackoffBase", r.BackoffBase, 5 * time.Millisecond},
+		{"BackoffMax", r.BackoffMax, 100 * time.Millisecond},
+		{"BreakerFailures", r.BreakerFailures, 3},
+		{"BreakerOpenFor", r.BreakerOpenFor, 500 * time.Millisecond},
+		{"ProbeInterval", r.ProbeInterval, 250 * time.Millisecond},
+		{"MaxInFlight", r.MaxInFlight, 1024},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.knob, c.got, c.want)
+		}
+	}
+	if r.Now == nil {
+		t.Error("Now has no default")
+	}
+
+	const addr = "127.0.0.1:1"
+	g, err := New(Config{Source: NewView(testDomain, serving(addr)), Verifier: newTestProvider("defaults")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	g.mu.Lock()
+	up := g.ups[addr]
+	g.mu.Unlock()
+	for i := 1; i <= 3; i++ {
+		if tripped := up.breaker.Observe(true); tripped != (i == 3) {
+			t.Fatalf("failure %d: tripped = %v, want the breaker to open on the third", i, tripped)
+		}
+	}
+}
+
+// fakeClock is an injectable clock for deterministic dwell tests.
+type fakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+}
+
+// newTestBreaker builds a breaker over a defaulted copy of res, as
+// sync does over the gateway's.
+func newTestBreaker(res Resilience) *breaker {
+	res = res.withDefaults()
+	return &breaker{res: &res}
+}
+
+func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(0, 0)}
+	b := newTestBreaker(Resilience{BreakerFailures: 3, BreakerOpenFor: time.Second, Now: clk.Now})
+
+	if !b.Allow() {
+		t.Fatal("fresh breaker must allow traffic")
+	}
+	if b.Observe(true) {
+		t.Fatal("first failure must not trip")
+	}
+	if b.Observe(true) {
+		t.Fatal("second failure must not trip")
+	}
+	if !b.Observe(true) {
+		t.Fatal("third consecutive failure must trip")
+	}
+	if b.Allow() {
+		t.Fatal("open breaker must not allow traffic")
+	}
+	if got := b.State(); got != breakerOpen {
+		t.Fatalf("state = %v, want open", got)
+	}
+}
+
+func TestBreakerSuccessResetsRun(t *testing.T) {
+	b := newTestBreaker(Resilience{BreakerFailures: 2})
+	b.Observe(true)
+	b.Observe(false) // a success resets the consecutive run
+	if b.Observe(true) {
+		t.Fatal("failure after reset must not trip at threshold 2")
+	}
+	if !b.Observe(true) {
+		t.Fatal("second consecutive failure must trip")
+	}
+}
+
+func TestBreakerIgnoresObservationsWhileNotClosed(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(0, 0)}
+	b := newTestBreaker(Resilience{BreakerFailures: 1, BreakerOpenFor: time.Second, Now: clk.Now})
+	b.Observe(true)
+	// Straggler success from an attempt admitted before the trip must not
+	// silently close the breaker — re-entry is the probe's decision.
+	b.Observe(false)
+	if got := b.State(); got != breakerOpen {
+		t.Fatalf("state after straggler success = %v, want open", got)
+	}
+}
+
+func TestBreakerProbeLifecycle(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(0, 0)}
+	b := newTestBreaker(Resilience{BreakerFailures: 1, BreakerOpenFor: time.Second, Now: clk.Now})
+	b.Observe(true)
+
+	if b.ProbeDue() {
+		t.Fatal("probe must not be due before the open dwell elapses")
+	}
+	clk.Advance(time.Second)
+	if !b.ProbeDue() {
+		t.Fatal("probe must be due after the dwell")
+	}
+	if b.ProbeDue() {
+		t.Fatal("only one caller may claim the probe")
+	}
+	if got := b.State(); got != breakerHalfOpen {
+		t.Fatalf("state = %v, want half-open", got)
+	}
+	if b.Allow() {
+		t.Fatal("half-open breaker must not admit regular traffic")
+	}
+
+	// Failed probe restarts the dwell.
+	if b.ProbeResult(false) {
+		t.Fatal("failed probe must not close the breaker")
+	}
+	if b.ProbeDue() {
+		t.Fatal("dwell must restart after a failed probe")
+	}
+	clk.Advance(time.Second)
+	if !b.ProbeDue() {
+		t.Fatal("probe must be due after the restarted dwell")
+	}
+	if !b.ProbeResult(true) {
+		t.Fatal("successful probe must close the breaker")
+	}
+	if !b.Allow() {
+		t.Fatal("closed breaker must admit traffic again")
+	}
+
+	// ProbeResult outside half-open is a no-op.
+	if b.ProbeResult(false) {
+		t.Fatal("ProbeResult while closed must be ignored")
+	}
+	if got := b.State(); got != breakerClosed {
+		t.Fatalf("state = %v, want closed", got)
+	}
+}
+
+func TestBackoffDeterministicUnderInjectedRand(t *testing.T) {
+	const base, limit = 8 * time.Millisecond, 20 * time.Millisecond
+	// Equal jitter: half fixed, half scaled by u. The exponential step
+	// doubles from base and caps at limit: retry 1 → 8ms, 2 → 16ms,
+	// 3+ → 20ms.
+	cases := []struct {
+		retry int
+		u     float64
+		want  time.Duration
+	}{
+		{1, 0, 4 * time.Millisecond},                            // 8/2 + 0*4
+		{2, 0.5, 12 * time.Millisecond},                         // 16/2 + 0.5*8
+		{3, 0.999, 10*time.Millisecond + 9990*time.Microsecond}, // 20/2 + .999*10
+		{4, 0, 10 * time.Millisecond},                           // capped at limit
+		{0, 0.5, 4*time.Millisecond + 2*time.Millisecond},       // as retry 1
+	}
+	for _, c := range cases {
+		if got := backoff(c.retry, base, limit, c.u); got != c.want {
+			t.Fatalf("backoff(%d, u=%v) = %v, want %v", c.retry, c.u, got, c.want)
+		}
+	}
+}
+
+func TestBackoffNeverZeroAndBounded(t *testing.T) {
+	const base, limit = 2 * time.Millisecond, 50 * time.Millisecond
+	for retry := 1; retry <= 12; retry++ {
+		for _, u := range []float64{0, 0.5, math.Nextafter(1, 0)} {
+			d := backoff(retry, base, limit, u)
+			if d <= 0 {
+				t.Fatalf("backoff(%d, u=%v) = %v, must be positive", retry, u, d)
+			}
+			if d > limit {
+				t.Fatalf("backoff(%d, u=%v) = %v exceeds the cap", retry, u, d)
+			}
+		}
+	}
+}
+
+// TestCarveTry: an attempt's budget is its share of the remaining
+// deadline, capped at the per-try ceiling and floored at 1ms. A deadline
+// that has already passed gets the floor: every request has one, so
+// remaining <= 0 never means "no deadline" and never earns the ceiling.
+func TestCarveTry(t *testing.T) {
+	cases := []struct {
+		name         string
+		perTry       time.Duration
+		remaining    time.Duration
+		attemptsLeft int
+		want         time.Duration
+	}{
+		{"deadline reached", 2 * time.Second, 0, 1, time.Millisecond},
+		{"deadline passed", 2 * time.Second, -time.Second, 3, time.Millisecond},
+		{"ample deadline", 2 * time.Second, 30 * time.Second, 3, 2 * time.Second},
+		{"tight deadline splits", 2 * time.Second, 3 * time.Second, 3, time.Second},
+		{"single attempt gets remainder", 2 * time.Second, 1500 * time.Millisecond, 1, 1500 * time.Millisecond},
+		{"floor at 1ms", 2 * time.Second, 100 * time.Microsecond, 2, time.Millisecond},
+		{"attemptsLeft clamped", 2 * time.Second, time.Second, 0, time.Second},
+	}
+	for _, c := range cases {
+		if got := carve(c.perTry, c.remaining, c.attemptsLeft); got != c.want {
+			t.Fatalf("%s: carve(%v, %v, %d) = %v, want %v",
+				c.name, c.perTry, c.remaining, c.attemptsLeft, got, c.want)
+		}
+	}
+}
+
+// TestAdmissionBound: admit holds at most MaxInFlight requests, admits
+// again once a slot is given back, and a deadline shed keeps no slot.
+func TestAdmissionBound(t *testing.T) {
+	g := &Gateway{res: Resilience{MaxInFlight: 2}.withDefaults()}
+	req := httptest.NewRequest(http.MethodGet, "http://gw/", nil)
+	admit := func() bool {
+		_, err := g.admit(req)
+		return err == nil
+	}
+	if !admit() || !admit() {
+		t.Fatal("admit must admit up to its bound")
+	}
+	if admit() {
+		t.Fatal("admit must refuse beyond its bound")
+	}
+	g.inFlight.Add(-1)
+	if !admit() {
+		t.Fatal("admit must admit again after a release")
+	}
+	g.inFlight.Add(-2)
+
+	dead := httptest.NewRequest(http.MethodGet, "http://gw/", nil)
+	dead.Header.Set(DeadlineHeader, "1")
+	if _, err := g.admit(dead); err == nil {
+		t.Fatal("a 1ms deadline must shed")
+	}
+	if got := g.inFlight.Load(); got != 0 {
+		t.Fatalf("in flight = %d, want 0", got)
+	}
+}
+
+func TestAdmissionConcurrentNeverExceedsBound(t *testing.T) {
+	const bound = 8
+	g := &Gateway{res: Resilience{MaxInFlight: bound}.withDefaults()}
+	req := httptest.NewRequest(http.MethodGet, "http://gw/", nil)
+	var wg sync.WaitGroup
+	var holders, violations atomic.Int64
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				if _, err := g.admit(req); err != nil {
+					continue
+				}
+				if holders.Add(1) > bound {
+					violations.Add(1)
+				}
+				holders.Add(-1)
+				g.inFlight.Add(-1)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := violations.Load(); n > 0 {
+		t.Fatalf("admitted holders exceeded the bound %d times", n)
+	}
+	if got := g.inFlight.Load(); got != 0 {
+		t.Fatalf("in flight after drain = %d, want 0", got)
+	}
 }

@@ -163,12 +163,6 @@ func newRouter(cfg Routing) *router {
 	}
 }
 
-// enabled reports whether any routing behavior is configured; when
-// false the gateway skips the policy tier entirely.
-func (rt *router) enabled() bool {
-	return rt.hasRules || rt.canaryOn
-}
-
 // observe tracks the snapshot's rollout context. A newly staged rollout
 // (PriorGolden flips non-nil, or the staged golden changes) resets the
 // canary accounting; the rollout ending (PriorGolden nil — commit or

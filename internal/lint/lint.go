@@ -8,10 +8,10 @@
 //	             sentinel taxonomy with %w, so errors.Is works across
 //	             layers and callers can fail closed on the class.
 //	timeseam   — no naked time.Now/Sleep/After or math/rand in the
-//	             seam-governed packages (chaos, resilience, gateway,
-//	             fleet); wall-clock reads must flow through the
-//	             injected clock/rand seams or seeded schedules stop
-//	             replaying byte for byte.
+//	             seam-governed packages (chaos, gateway, fleet);
+//	             wall-clock reads must flow through the injected
+//	             clock/rand seams or seeded schedules stop replaying
+//	             byte for byte.
 //	ctxfirst   — context-first lifecycle: exported functions take ctx
 //	             as the first parameter, library code below the SDK
 //	             facade never mints context.Background, and a held ctx

@@ -13,10 +13,9 @@ import (
 // original run — the schedule still prints byte-for-byte, but the
 // execution it drives no longer matches.
 var timeseamScope = map[string]bool{
-	"revelio/internal/chaos":      true,
-	"revelio/internal/resilience": true,
-	"revelio/internal/gateway":    true,
-	"revelio/internal/fleet":      true,
+	"revelio/internal/chaos":   true,
+	"revelio/internal/gateway": true,
+	"revelio/internal/fleet":   true,
 }
 
 // nakedTimeFuncs are the package-level time functions that read or
@@ -29,12 +28,12 @@ var nakedTimeFuncs = map[string]bool{
 }
 
 // Timeseam reports naked wall-clock and rand use in the seam-governed
-// packages. The injected seams (Resilience.Now/Rand, the chaos runner's
+// packages. The injected seams (Resilience.Now, the chaos runner's
 // clock) are defined in exactly one place each and carry their own
 // //revelio:allow timeseam directives.
 var Timeseam = &analysis.Analyzer{
 	Name: "timeseam",
-	Doc: "naked time.Now/Sleep/After or math/rand in internal/{chaos,resilience,gateway,fleet}: " +
+	Doc: "naked time.Now/Sleep/After or math/rand in internal/{chaos,gateway,fleet}: " +
 		"these packages must flow time and randomness through their injected seams " +
 		"or seeded chaos schedules stop replaying deterministically",
 	Run: runTimeseam,

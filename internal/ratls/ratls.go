@@ -18,16 +18,22 @@
 // production).
 package ratls
 
-import "errors"
+import (
+	"fmt"
 
+	"revelio/attestation"
+)
+
+// The RA-TLS sentinels sit in the attestation taxonomy, so a caller that
+// fails closed on its roots catches them too.
 var (
 	// ErrNoEvidence reports a peer certificate without the attestation
 	// extension.
-	ErrNoEvidence = errors.New("ratls: certificate carries no attestation evidence")
+	ErrNoEvidence = fmt.Errorf("%w: ratls: certificate carries no attestation evidence", attestation.ErrEvidenceInvalid)
 	// ErrKeyMismatch reports evidence that does not bind the
 	// certificate's own public key.
-	ErrKeyMismatch = errors.New("ratls: evidence does not bind certificate key")
+	ErrKeyMismatch = fmt.Errorf("%w: ratls: evidence does not bind certificate key", attestation.ErrBindingMismatch)
 	// ErrNoPeerCertificate reports a TLS connection without a peer
 	// certificate.
-	ErrNoPeerCertificate = errors.New("ratls: no peer certificate")
+	ErrNoPeerCertificate = fmt.Errorf("%w: ratls: no peer certificate", attestation.ErrEvidenceInvalid)
 )

@@ -167,8 +167,8 @@ func TestCertificateWithoutEvidenceRejected(t *testing.T) {
 	srv := httptest.NewTLSServer(http.NotFoundHandler())
 	t.Cleanup(srv.Close)
 	plain := srv.Certificate()
-	if _, err := VerifyProviderCertificate(context.Background(), r.provider(r.verifier), plain); !errors.Is(err, ErrNoEvidence) {
-		t.Errorf("err = %v, want ErrNoEvidence", err)
+	if _, err := VerifyProviderCertificate(context.Background(), r.provider(r.verifier), plain); !errors.Is(err, ErrNoEvidence) || !errors.Is(err, attestation.ErrEvidenceInvalid) {
+		t.Errorf("err = %v, want ErrNoEvidence under attestation.ErrEvidenceInvalid", err)
 	}
 }
 
@@ -200,8 +200,8 @@ func TestEvidenceTransplantRejected(t *testing.T) {
 	fake := *atkCert
 	fake.Extensions = append(append([]pkix.Extension(nil), fake.Extensions...),
 		pkix.Extension{Id: OIDAttestationEvidence, Value: evidenceJSON})
-	if _, err := VerifyProviderCertificate(context.Background(), r.provider(r.verifier), &fake); !errors.Is(err, ErrKeyMismatch) {
-		t.Errorf("err = %v, want ErrKeyMismatch", err)
+	if _, err := VerifyProviderCertificate(context.Background(), r.provider(r.verifier), &fake); !errors.Is(err, ErrKeyMismatch) || !errors.Is(err, attestation.ErrEvidenceInvalid) {
+		t.Errorf("err = %v, want ErrKeyMismatch under attestation.ErrEvidenceInvalid", err)
 	}
 }
 
