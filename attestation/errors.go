@@ -24,7 +24,6 @@ import (
 //	  └─ ErrBindingMismatch      — evidence does not bind its payload
 //	ErrEvidenceExpired           — evidence (or its chain) out of validity
 //	ErrKDSUnavailable            — certificate source unreachable
-//	ErrUnknownProvider           — no registered provider for evidence
 //
 // Interior nodes are reachable from their leaves: a revocation failure
 // satisfies both errors.Is(err, ErrRevoked) and
@@ -80,8 +79,4 @@ var (
 	// reached: transport failure or a non-2xx server response. Caller
 	// cancellations are not wrapped in it.
 	ErrKDSUnavailable = errors.New("attestation: certificate source unavailable")
-
-	// ErrUnknownProvider reports evidence naming a provider no verifier
-	// is registered for.
-	ErrUnknownProvider = errors.New("attestation: unknown evidence provider")
 )

@@ -1,14 +1,13 @@
 // Package snp is the SEV-SNP attestation provider of the public SDK: it
-// adapts Revelio's hardware-backed verification plane — attestation
+// exposes Revelio's hardware-backed verification plane — attestation
 // reports signed by the chip's VCEK, authenticated against the AMD KDS
-// — to the provider-neutral attestation interfaces, and re-exports the
-// pieces a relying party composes (verifier, KDS client, trust
-// policies) so no caller needs to reach into revelio/internal.
+// — as a Provider that issues and verifies report bundles, and
+// re-exports the pieces a relying party composes (verifier, KDS client,
+// trust policies) so no caller needs to reach into revelio/internal.
 package snp
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -21,9 +20,6 @@ import (
 	"revelio/internal/sev"
 	"revelio/internal/vm"
 )
-
-// ProviderName tags SEV-SNP evidence in the neutral envelope.
-const ProviderName = "sev-snp"
 
 // Re-exported verification-plane types: the concrete SEV-SNP machinery
 // under a public name. Aliases, not wrappers — a *snp.Verifier IS the
@@ -97,29 +93,21 @@ func NewKDSClient(base string, httpClient *http.Client, opts ...KDSClientOption)
 	return kds.NewClient(base, httpClient, opts...)
 }
 
-// quoteDoc is the JSON document inside an SEV-SNP evidence envelope:
-// just the report bundle.
-type quoteDoc struct {
-	Bundle *attest.Bundle `json:"bundle"`
-}
-
-// Provider adapts the SEV-SNP verification plane to the neutral
-// attestation.Provider contract. The verifier half wraps an
-// *attest.Verifier (sharing its policy, caches and revision); the
-// issuer half, when constructed with a ReportSigner, produces evidence
-// from inside the TEE.
+// Provider is both halves of SEV-SNP attestation over one verifier: the
+// verifier half wraps an *attest.Verifier (sharing its policy, caches
+// and revision); the issuer half, when constructed with a ReportSigner,
+// produces report bundles from inside the TEE. Its evidence is the
+// Bundle every hop ships — the well-known endpoint, the CSR fetch, the
+// join key exchange and the RA-TLS certificate extension alike.
 type Provider struct {
 	verifier *attest.Verifier
 	signer   ReportSigner // nil for a verify-only provider
 }
 
-var (
-	_ attestation.Verifier   = (*Provider)(nil)
-	_ attestation.Revisioned = (*Provider)(nil)
-)
+var _ attestation.Revisioned = (*Provider)(nil)
 
 // NewProvider creates a verify-only SEV-SNP provider over v. Use
-// WithSigner (or NewNodeProvider) where evidence must also be issued.
+// NewNodeProvider where evidence must also be issued.
 func NewProvider(v *attest.Verifier) *Provider {
 	return &Provider{verifier: v}
 }
@@ -130,9 +118,6 @@ func NewNodeProvider(signer ReportSigner, v *attest.Verifier) *Provider {
 	return &Provider{verifier: v, signer: signer}
 }
 
-// Name implements attestation.Provider.
-func (p *Provider) Name() string { return ProviderName }
-
 // Verifier exposes the underlying SEV-SNP verifier.
 func (p *Provider) Verifier() *attest.Verifier { return p.verifier }
 
@@ -142,9 +127,8 @@ func (p *Provider) PolicyRevision() uint64 { return p.verifier.PolicyRevision() 
 // InvalidatePolicy drops every cached proof below the provider.
 func (p *Provider) InvalidatePolicy() { p.verifier.InvalidatePolicy() }
 
-// Issue implements attestation.Issuer: a fresh report binding payload,
-// wrapped in the neutral envelope.
-func (p *Provider) Issue(_ context.Context, payload []byte) (*attestation.Evidence, error) {
+// Issue returns a bundle around a fresh report binding payload.
+func (p *Provider) Issue(_ context.Context, payload []byte) (*Bundle, error) {
 	if p.signer == nil {
 		return nil, fmt.Errorf("%w: snp: provider has no report signer (relying-party side)", errors.ErrUnsupported)
 	}
@@ -152,56 +136,11 @@ func (p *Provider) Issue(_ context.Context, payload []byte) (*attestation.Eviden
 	if err != nil {
 		return nil, fmt.Errorf("snp: obtain report: %w", err)
 	}
-	bundle, err := attest.NewBundle(report, payload)
-	if err != nil {
-		return nil, err
-	}
-	return EvidenceFromBundle(bundle)
+	return attest.NewBundle(report, payload)
 }
 
-// VerifyEvidence implements attestation.Verifier.
-func (p *Provider) VerifyEvidence(ctx context.Context, ev *attestation.Evidence) (*attestation.Result, error) {
-	if ev.Provider != ProviderName {
-		return nil, fmt.Errorf("%w: %q evidence given to the %s provider",
-			attestation.ErrUnknownProvider, ev.Provider, ProviderName)
-	}
-	var doc quoteDoc
-	if err := json.Unmarshal(ev.Document, &doc); err != nil || doc.Bundle == nil {
-		return nil, fmt.Errorf("%w: snp evidence document: %v", attestation.ErrEvidenceInvalid, err)
-	}
-	if ev.Payload != nil && string(ev.Payload) != string(doc.Bundle.Payload) {
-		return nil, fmt.Errorf("%w: envelope payload disagrees with bundle", attestation.ErrBindingMismatch)
-	}
-	res, err := p.verifier.VerifyBundle(ctx, doc.Bundle, vm.HashOf)
-	if err != nil {
-		return nil, err
-	}
-	return &attestation.Result{
-		Provider:    ProviderName,
-		Measurement: res.Report.Measurement,
-		TCB:         res.Report.TCBVersion,
-		Payload:     doc.Bundle.Payload,
-	}, nil
-}
-
-// EvidenceFromBundle wraps an existing report bundle — e.g. one fetched
-// from a node's well-known attestation endpoint — in the neutral
-// evidence envelope, so legacy bundle producers feed provider-neutral
-// consumers (the neutral ratls path, Fleet.VerifyFleet) unchanged.
-func EvidenceFromBundle(b *attest.Bundle) (*attestation.Evidence, error) {
-	doc, err := json.Marshal(quoteDoc{Bundle: b})
-	if err != nil {
-		return nil, fmt.Errorf("snp: encode evidence document: %w", err)
-	}
-	return &attestation.Evidence{Provider: ProviderName, Payload: b.Payload, Document: doc}, nil
-}
-
-// EvidenceFromBundleJSON wraps a JSON-encoded bundle (the well-known
-// endpoint's wire format) in the neutral envelope.
-func EvidenceFromBundleJSON(bundleJSON []byte) (*attestation.Evidence, error) {
-	b, err := attest.DecodeBundle(bundleJSON)
-	if err != nil {
-		return nil, err
-	}
-	return EvidenceFromBundle(b)
+// VerifyEvidence authenticates b's report, checks that it binds
+// b.Payload, and judges it against the verifier's policy.
+func (p *Provider) VerifyEvidence(ctx context.Context, b *Bundle) (*Result, error) {
+	return p.verifier.VerifyBundle(ctx, b, vm.HashOf)
 }

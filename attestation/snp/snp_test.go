@@ -2,11 +2,8 @@ package snp
 
 import (
 	"context"
-	"errors"
 	"net/http/httptest"
 	"testing"
-
-	"revelio/attestation"
 )
 
 type rig struct {
@@ -35,19 +32,16 @@ func newRig(t *testing.T) *rig {
 func TestProviderIssueVerify(t *testing.T) {
 	r := newRig(t)
 	p := NewNodeProvider(r.signer, r.verifier)
-	if p.Name() != ProviderName {
-		t.Errorf("Name() = %q", p.Name())
-	}
-	ev, err := p.Issue(context.Background(), []byte("tls key der"))
+	b, err := p.Issue(context.Background(), []byte("tls key der"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.VerifyEvidence(context.Background(), ev)
+	res, err := p.VerifyEvidence(context.Background(), b)
 	if err != nil {
 		t.Fatalf("VerifyEvidence: %v", err)
 	}
-	if res.Measurement != r.golden || res.Provider != ProviderName || res.TCB != 5 {
-		t.Errorf("result = %+v", res)
+	if res.Report.Measurement != r.golden || res.Report.TCBVersion != 5 || string(b.Payload) != "tls key der" {
+		t.Errorf("result = %+v over payload %q", res.Report, b.Payload)
 	}
 }
 
@@ -59,82 +53,6 @@ func TestVerifyOnlyProviderCannotIssue(t *testing.T) {
 	}
 	if p.Verifier() != r.verifier {
 		t.Error("Verifier() does not expose the wrapped verifier")
-	}
-}
-
-func TestEvidenceBundleBridge(t *testing.T) {
-	r := newRig(t)
-	p := NewNodeProvider(r.signer, r.verifier)
-	ev, err := p.Issue(context.Background(), []byte("payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The neutral envelope decodes as a bundle document and re-wraps.
-	wire, err := ev.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := attestation.DecodeEvidence(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.VerifyEvidence(context.Background(), back); err != nil {
-		t.Fatalf("re-decoded evidence: %v", err)
-	}
-
-	// A bare bundle (the well-known endpoint's wire format) bridges in.
-	report, err := r.signer.Report(HashOf([]byte("wk payload")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := report.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundle := &Bundle{ReportRaw: raw, Payload: []byte("wk payload")}
-	bundleJSON, err := bundle.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev2, err := EvidenceFromBundleJSON(bundleJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.VerifyEvidence(context.Background(), ev2); err != nil {
-		t.Fatalf("bridged bundle: %v", err)
-	}
-}
-
-func TestEnvelopePayloadMismatch(t *testing.T) {
-	r := newRig(t)
-	p := NewNodeProvider(r.signer, r.verifier)
-	ev, err := p.Issue(context.Background(), []byte("payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev.Payload = []byte("someone else's payload")
-	if _, err := p.VerifyEvidence(context.Background(), ev); !errors.Is(err, attestation.ErrBindingMismatch) {
-		t.Fatalf("payload mismatch: %v, want ErrBindingMismatch", err)
-	}
-}
-
-func TestWrongProviderAndBadDocument(t *testing.T) {
-	r := newRig(t)
-	p := NewProvider(r.verifier)
-	if _, err := p.VerifyEvidence(context.Background(), &attestation.Evidence{
-		Provider: "soft-tdx", Document: []byte("{}"),
-	}); !errors.Is(err, attestation.ErrUnknownProvider) {
-		t.Errorf("foreign tag: %v", err)
-	}
-	if _, err := p.VerifyEvidence(context.Background(), &attestation.Evidence{
-		Provider: ProviderName, Document: []byte("not json"),
-	}); !errors.Is(err, attestation.ErrEvidenceInvalid) {
-		t.Errorf("garbage document: %v", err)
-	}
-	if _, err := p.VerifyEvidence(context.Background(), &attestation.Evidence{
-		Provider: ProviderName, Document: []byte("{}"),
-	}); !errors.Is(err, attestation.ErrEvidenceInvalid) {
-		t.Errorf("empty document: %v", err)
 	}
 }
 

@@ -17,12 +17,14 @@
 // Around the Service sit the SDK's public packages:
 //
 //	revelio                      — Service builder, image builds, fleets
-//	revelio/attestation          — provider-neutral interfaces (Evidence,
-//	                               Provider, CertSource) and the typed
-//	                               error taxonomy (ErrPolicyRejected,
-//	                               ErrRevoked, ErrKDSUnavailable, ...)
-//	revelio/attestation/snp      — the SEV-SNP provider (verifier, KDS
-//	                               client, simulator)
+//	revelio/attestation          — the typed error taxonomy
+//	                               (ErrPolicyRejected, ErrRevoked,
+//	                               ErrKDSUnavailable, ...) and the
+//	                               verifier's seams (CertSource,
+//	                               TrustPolicy)
+//	revelio/attestation/snp      — the SEV-SNP provider (report
+//	                               bundles, verifier, KDS client,
+//	                               simulator)
 //	revelio/gateway              — the attested gateway data plane: a
 //	                               TLS-terminating reverse proxy whose
 //	                               RA-TLS upstreams balance across every

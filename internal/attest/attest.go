@@ -434,11 +434,13 @@ func (b *Bundle) Encode() ([]byte, error) {
 	return out, nil
 }
 
-// DecodeBundle parses a JSON bundle.
+// DecodeBundle parses a JSON bundle. Bytes that are not one are invalid
+// evidence (attestation.ErrEvidenceInvalid), like a bundle that does not
+// verify.
 func DecodeBundle(data []byte) (*Bundle, error) {
 	var b Bundle
 	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("attest: decode bundle: %w", err)
+		return nil, fmt.Errorf("attest: %w: decode bundle: %w", attestation.ErrEvidenceInvalid, err)
 	}
 	return &b, nil
 }

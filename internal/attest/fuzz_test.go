@@ -41,7 +41,6 @@ func classified(err error) bool {
 		attestation.ErrEvidenceInvalid,
 		attestation.ErrEvidenceExpired,
 		attestation.ErrKDSUnavailable,
-		attestation.ErrUnknownProvider,
 	} {
 		if errors.Is(err, sentinel) {
 			return true

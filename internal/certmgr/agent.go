@@ -241,7 +241,7 @@ func (a *Agent) fetchKeyFromLeader(ctx context.Context, leaderURL string) (*ecds
 	}
 	respBundle, err := attest.DecodeBundle(respBody)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: leader: %w", ErrPeerRejected, err)
 	}
 	// Attest the leader before trusting the payload.
 	if _, err := a.verifier.VerifyBundle(ctx, respBundle, vm.HashOf); err != nil {

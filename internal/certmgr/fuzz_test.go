@@ -26,7 +26,6 @@ func classified(err error) bool {
 		attestation.ErrEvidenceInvalid,
 		attestation.ErrEvidenceExpired,
 		attestation.ErrKDSUnavailable,
-		attestation.ErrUnknownProvider,
 	} {
 		if errors.Is(err, sentinel) {
 			return true
@@ -120,6 +119,9 @@ func FuzzVerifyCSRBundle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := attest.DecodeBundle(data)
 		if err != nil {
+			if !classified(err) {
+				t.Fatalf("unclassified decode failure: %v", err)
+			}
 			return // the handler answers 400 before any judgment
 		}
 		_, csr, err := verifyCSRBundle(context.Background(), c.verifier, b)

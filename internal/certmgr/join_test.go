@@ -7,11 +7,13 @@ import (
 	"crypto/rand"
 	"crypto/x509"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
+	"revelio/attestation"
 	"revelio/internal/attest"
 	"revelio/internal/registry"
 	"revelio/internal/sev"
@@ -335,5 +337,43 @@ func TestServingCertificateBuiltOncePerInstall(t *testing.T) {
 	}
 	if first.Leaf == nil || len(first.Certificate) != 1 {
 		t.Error("rotation modified the certificate earlier handshakes still hold")
+	}
+}
+
+// TestUndecodableBundleIsARefusal: bytes that are not a bundle, where a
+// node's CSR bundle or the leader's key response belongs, refuse that
+// peer under the attestation taxonomy — ErrNodeRejected at the SP,
+// ErrPeerRejected at the joiner — instead of surfacing as a bare decode
+// error. A node that cannot be reached is not refused.
+func TestUndecodableBundleIsARefusal(t *testing.T) {
+	c := newCluster(t, 1)
+	ctx := context.Background()
+	garbled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = io.WriteString(w, "{")
+	}))
+	t.Cleanup(garbled.Close)
+	c.sp.Approve(garbled.URL, c.approved[c.urls[0]])
+
+	for name, provision := range map[string]func() error{
+		"Provision": func() error {
+			_, err := c.sp.Provision(ctx, []string{garbled.URL})
+			return err
+		},
+		"ProvisionNode": func() error { return c.sp.ProvisionNode(ctx, garbled.URL, c.urls[0], nil) },
+	} {
+		if err := provision(); !errors.Is(err, ErrNodeRejected) || !errors.Is(err, attestation.ErrEvidenceInvalid) {
+			t.Errorf("%s of a node answering %q: %v, want ErrNodeRejected under ErrEvidenceInvalid", name, "{", err)
+		}
+	}
+
+	if _, err := c.agents[0].fetchKeyFromLeader(ctx, garbled.URL); !errors.Is(err, ErrPeerRejected) || !errors.Is(err, attestation.ErrEvidenceInvalid) {
+		t.Errorf("key from a leader answering %q: %v, want ErrPeerRejected under ErrEvidenceInvalid", "{", err)
+	}
+
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	c.sp.Approve(gone.URL, c.approved[c.urls[0]])
+	if _, err := c.sp.Provision(ctx, []string{gone.URL}); err == nil || errors.Is(err, ErrNodeRejected) || errors.Is(err, attestation.ErrEvidenceInvalid) {
+		t.Errorf("Provision of an unreachable node: %v, want a transport failure, not a refusal", err)
 	}
 }

@@ -229,7 +229,11 @@ func (sp *SPNode) fetchCSRBundle(ctx context.Context, baseURL string) (*attest.B
 	if err != nil {
 		return nil, err
 	}
-	return attest.DecodeBundle(body)
+	bundle, err := attest.DecodeBundle(body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrNodeRejected, err)
+	}
+	return bundle, nil
 }
 
 func (sp *SPNode) pushCertificate(ctx context.Context, baseURL string, msg certMsg) error {

@@ -112,8 +112,8 @@ type Fleet struct {
 	d     *core.Deployment
 	trust *registry.Registry
 	cfg   Config
-	// verifier is the fleet's provider-neutral verification plane: the
-	// deployment's SEV-SNP provider over its shared verifier.
+	// verifier is the fleet's verification plane: the deployment's
+	// SEV-SNP provider over its shared verifier.
 	verifier *snp.Provider
 
 	// opMu serializes lifecycle operations (add, remove, rotate, roll).
@@ -275,8 +275,8 @@ func (f *Fleet) approveMeasurement(m measure.Measurement, desc string) error {
 func (f *Fleet) Deployment() *core.Deployment { return f.d }
 
 // Mux exposes the fleet's verification plane: the SEV-SNP provider over
-// the deployment's shared verifier, which fails evidence tagged with any
-// other provider closed (attestation.ErrUnknownProvider).
+// the deployment's shared verifier, which judges the report bundles its
+// nodes ship (their RA-TLS certificates and well-known endpoints alike).
 func (f *Fleet) Mux() *snp.Provider { return f.verifier }
 
 // Golden returns the measurement the fleet currently converges on.
@@ -690,8 +690,7 @@ func (f *Fleet) webClient() *http.Client {
 // every node is provisioned, serving, and its well-known attestation
 // bundle verifies under the current trust policy. Verification runs
 // through the fleet's provider over the deployment's shared verifier,
-// so it exercises (and is protected by) both the neutral evidence
-// envelope and the attestation fast path.
+// so it exercises (and is protected by) the attestation fast path.
 func (f *Fleet) VerifyFleet(ctx context.Context) error {
 	f.memberMu.RLock()
 	nodes := append([]*core.Node(nil), f.serving...)
@@ -722,11 +721,11 @@ func (f *Fleet) VerifyFleet(ctx context.Context) error {
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("fleet: node %d attestation endpoint: status %d", i, resp.StatusCode)
 		}
-		evidence, err := snp.EvidenceFromBundleJSON(body)
+		bundle, err := snp.DecodeBundle(body)
 		if err != nil {
 			return fmt.Errorf("fleet: node %d bundle: %w", i, err)
 		}
-		if _, err := f.verifier.VerifyEvidence(ctx, evidence); err != nil {
+		if _, err := f.verifier.VerifyEvidence(ctx, bundle); err != nil {
 			return fmt.Errorf("fleet: node %d failed attestation: %w", i, err)
 		}
 	}

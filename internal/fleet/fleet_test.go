@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"revelio/attestation"
 	"revelio/attestation/snp"
 	"revelio/internal/attest"
 	"revelio/internal/ratls"
@@ -417,50 +416,5 @@ func TestFleetNewCancelled(t *testing.T) {
 	cancel()
 	if _, err := New(ctx, Config{Nodes: 1, Domain: "cancelled.test.example.org"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("New with dead ctx: %v, want context.Canceled", err)
-	}
-}
-
-// TestFleetMuxHasSNP: the fleet's verification plane is the SEV-SNP
-// provider.
-func TestFleetMuxHasSNP(t *testing.T) {
-	f, err := New(context.Background(), Config{Nodes: 1, Domain: "snp.test.example.org"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if got := f.Mux().Name(); got != snp.ProviderName {
-		t.Fatalf("fleet verifier is %q, want %s", got, snp.ProviderName)
-	}
-}
-
-// TestMixedProviderFleet: evidence from another TEE family presented to
-// an SEV-SNP fleet fails closed with the typed sentinel, before and
-// after a revocation storm, and never disturbs the fleet's own
-// verification: the storm fails the SNP nodes with ErrRevoked, not
-// ErrUnknownProvider.
-func TestMixedProviderFleet(t *testing.T) {
-	ctx := context.Background()
-	f, err := New(ctx, Config{Nodes: 2, Domain: "mixed.test.example.org"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	alien := &attestation.Evidence{Provider: "sgx", Document: []byte("{}")}
-	if _, err := f.Mux().VerifyEvidence(ctx, alien); !errors.Is(err, attestation.ErrUnknownProvider) {
-		t.Fatalf("alien evidence: %v, want ErrUnknownProvider", err)
-	}
-	if err := f.VerifyFleet(ctx); err != nil {
-		t.Fatalf("SNP fleet disturbed by alien evidence: %v", err)
-	}
-
-	if err := f.RevokeGolden(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.VerifyFleet(ctx); !errors.Is(err, attestation.ErrRevoked) {
-		t.Fatalf("VerifyFleet after storm: %v, want ErrRevoked", err)
-	}
-	if _, err := f.Mux().VerifyEvidence(ctx, alien); !errors.Is(err, attestation.ErrUnknownProvider) {
-		t.Fatalf("alien evidence after storm: %v, want ErrUnknownProvider", err)
 	}
 }

@@ -137,11 +137,11 @@ type Source interface {
 type Config struct {
 	// Source publishes the serving view (required).
 	Source Source
-	// Verifier judges upstream RA-TLS evidence — the fleet's SEV-SNP
-	// provider (Fleet.Mux) in production (required). When it implements
-	// attestation.Revisioned, its policy revision is the gateway's policy
-	// epoch.
-	Verifier attestation.Verifier
+	// Verifier judges the report bundle in each upstream's RA-TLS
+	// certificate — the fleet's SEV-SNP provider (Fleet.Mux) in
+	// production (required). When it implements attestation.Revisioned,
+	// its policy revision is the gateway's policy epoch.
+	Verifier ratls.Verifier
 	// GetCertificate resolves the downstream serving certificate per
 	// handshake (required for Start; ServeHTTP alone works without).
 	// Fleet.ServingCertificate is the usual implementation.
@@ -495,8 +495,7 @@ func preferCandidates(candidates []*upstream, d decision) []*upstream {
 func isAttestationReject(err error) bool {
 	return errors.Is(err, attestation.ErrPolicyRejected) ||
 		errors.Is(err, attestation.ErrEvidenceInvalid) ||
-		errors.Is(err, attestation.ErrEvidenceExpired) ||
-		errors.Is(err, attestation.ErrUnknownProvider)
+		errors.Is(err, attestation.ErrEvidenceExpired)
 }
 
 // isHopByHop reports the connection-scoped headers a proxy must not

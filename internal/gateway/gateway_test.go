@@ -8,7 +8,6 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/big"
@@ -23,26 +22,25 @@ import (
 
 	"revelio/attestation"
 	"revelio/attestation/snp"
+	"revelio/internal/attest"
 	"revelio/internal/fleet"
 	"revelio/internal/measure"
 	"revelio/internal/ratls"
+	"revelio/internal/sev"
 )
 
 const testDomain = "gw.test.example.org"
 
-// testProviderName tags the test provider's evidence.
-const testProviderName = "test-tee"
-
 // testProvider is the gateway tests' attestation provider, in the shape
-// of the fleet's SEV-SNP provider without the hardware: evidence is a
-// JSON document carrying a launch measurement and the bound payload,
-// policy revokes per measurement, and every policy change bumps a
-// monotone revision. Issue attests the provider's own golden
-// measurement; a testEnclave attests any other.
+// of the fleet's SEV-SNP provider without the hardware: a bundle's
+// "report" is the bare launch measurement it attests, policy revokes per
+// measurement, and every policy change bumps a monotone revision. Issue
+// attests the provider's own golden measurement; a testEnclave attests
+// any other.
 type testProvider struct {
 	golden measure.Measurement
 	rev    atomic.Uint64
-	// verified counts the evidence documents VerifyEvidence judged.
+	// verified counts the bundles VerifyEvidence judged.
 	verified atomic.Int64
 	mu       sync.Mutex
 	revoked  map[measure.Measurement]bool
@@ -65,50 +63,35 @@ func (p *testProvider) Revoke(m measure.Measurement) {
 	p.rev.Add(1)
 }
 
-func (p *testProvider) Issue(ctx context.Context, payload []byte) (*attestation.Evidence, error) {
+func (p *testProvider) Issue(ctx context.Context, payload []byte) (*attest.Bundle, error) {
 	return testEnclave(p.golden).Issue(ctx, payload)
 }
 
-func (p *testProvider) VerifyEvidence(_ context.Context, ev *attestation.Evidence) (*attestation.Result, error) {
-	if ev.Provider != testProviderName {
-		return nil, fmt.Errorf("%w: %q", attestation.ErrUnknownProvider, ev.Provider)
+func (p *testProvider) VerifyEvidence(_ context.Context, b *attest.Bundle) (*attest.Result, error) {
+	var m measure.Measurement
+	if len(b.ReportRaw) != len(m) {
+		return nil, fmt.Errorf("%w: %d-byte test report", attestation.ErrEvidenceInvalid, len(b.ReportRaw))
 	}
-	var doc testDoc
-	if err := json.Unmarshal(ev.Document, &doc); err != nil {
-		return nil, fmt.Errorf("%w: %v", attestation.ErrEvidenceInvalid, err)
-	}
-	if string(doc.Payload) != string(ev.Payload) {
-		return nil, attestation.ErrBindingMismatch
-	}
+	copy(m[:], b.ReportRaw)
 	p.verified.Add(1)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.revoked[doc.Measurement] {
-		return nil, fmt.Errorf("%w: %s", attestation.ErrRevoked, doc.Measurement)
+	if p.revoked[m] {
+		return nil, fmt.Errorf("%w: %s", attestation.ErrRevoked, m)
 	}
-	return &attestation.Result{Provider: testProviderName, Measurement: doc.Measurement, Payload: ev.Payload}, nil
+	return &attest.Result{Report: &sev.Report{Measurement: m}}, nil
 }
 
-// testDoc is the test provider's evidence document.
-type testDoc struct {
-	Measurement measure.Measurement `json:"measurement"`
-	Payload     []byte              `json:"payload"`
-}
-
-// testEnclave issues test-provider evidence for one measurement.
+// testEnclave issues test-provider bundles for one measurement.
 type testEnclave measure.Measurement
 
-func (e testEnclave) Issue(_ context.Context, payload []byte) (*attestation.Evidence, error) {
-	doc, err := json.Marshal(testDoc{Measurement: measure.Measurement(e), Payload: payload})
-	if err != nil {
-		return nil, err
-	}
-	return &attestation.Evidence{Provider: testProviderName, Payload: payload, Document: doc}, nil
+func (e testEnclave) Issue(_ context.Context, payload []byte) (*attest.Bundle, error) {
+	return &attest.Bundle{ReportRaw: e[:], Payload: payload}, nil
 }
 
 // startUpstream opens an RA-TLS server whose certificate evidence comes
 // from issuer, serving handler.
-func startUpstream(t *testing.T, issuer attestation.Issuer, handler http.Handler) (addr string) {
+func startUpstream(t *testing.T, issuer ratls.Issuer, handler http.Handler) (addr string) {
 	t.Helper()
 	cert, err := ratls.CreateProviderCertificate(context.Background(), issuer, testDomain)
 	if err != nil {
@@ -171,7 +154,7 @@ func serving(addr string) fleet.Endpoint {
 
 // startGateway builds and starts a gateway over the view, returning a
 // client that trusts whatever it serves.
-func startGateway(t *testing.T, src Source, v attestation.Verifier) (*Gateway, *http.Client) {
+func startGateway(t *testing.T, src Source, v ratls.Verifier) (*Gateway, *http.Client) {
 	t.Helper()
 	cert := selfSigned(t)
 	g, err := New(Config{
@@ -319,7 +302,7 @@ func TestGatewayPolicyEpochIsVerifierRevision(t *testing.T) {
 	addr := startUpstream(t, newTestProvider("epoch"), idHandler("a"))
 	// No probe tick: requests are the only observers, so the bumps below
 	// land between two observations exactly as written.
-	newGateway := func(t *testing.T, v attestation.Verifier) *Gateway {
+	newGateway := func(t *testing.T, v ratls.Verifier) *Gateway {
 		t.Helper()
 		g, err := New(Config{
 			Source:     NewView(testDomain, serving(addr)),
@@ -370,8 +353,8 @@ func TestGatewayPolicyEpochIsVerifierRevision(t *testing.T) {
 	t.Run("verifier without a revision", func(t *testing.T) {
 		provider := newTestProvider("epoch")
 		// The wrapper hides PolicyRevision: the gateway sees a plain
-		// attestation.Verifier.
-		g := newGateway(t, struct{ attestation.Verifier }{provider})
+		// ratls.Verifier.
+		g := newGateway(t, struct{ ratls.Verifier }{provider})
 		for i := 0; i < 50; i++ {
 			if i%10 == 0 {
 				provider.rev.Add(1)

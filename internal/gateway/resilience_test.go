@@ -15,12 +15,12 @@ import (
 	"testing"
 	"time"
 
-	"revelio/attestation"
 	"revelio/internal/fleet"
+	"revelio/internal/ratls"
 )
 
 // startGatewayRes is startGateway with explicit resilience knobs.
-func startGatewayRes(t *testing.T, src Source, v attestation.Verifier, res Resilience, tune ...func(*Gateway)) (*Gateway, *http.Client) {
+func startGatewayRes(t *testing.T, src Source, v ratls.Verifier, res Resilience, tune ...func(*Gateway)) (*Gateway, *http.Client) {
 	t.Helper()
 	cert := selfSigned(t)
 	g, err := New(Config{

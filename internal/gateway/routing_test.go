@@ -11,14 +11,14 @@ import (
 	"testing"
 	"time"
 
-	"revelio/attestation"
 	"revelio/internal/core"
 	"revelio/internal/fleet"
 	"revelio/internal/measure"
+	"revelio/internal/ratls"
 )
 
 // startGatewayRouted is startGateway with a routing policy installed.
-func startGatewayRouted(t *testing.T, src Source, v attestation.Verifier, routing Routing) (*Gateway, *http.Client) {
+func startGatewayRouted(t *testing.T, src Source, v ratls.Verifier, routing Routing) (*Gateway, *http.Client) {
 	t.Helper()
 	cert := selfSigned(t)
 	g, err := New(Config{

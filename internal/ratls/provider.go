@@ -14,20 +14,36 @@ import (
 	"math/big"
 	"time"
 
-	"revelio/attestation"
+	"revelio/internal/attest"
 )
 
-// OIDAttestationEvidence is the X.509 extension carrying a
-// provider-neutral attestation.Evidence envelope. A certificate minted
-// through CreateProviderCertificate can terminate a handshake verified
-// by the provider that issued its evidence.
+// OIDAttestationEvidence is the X.509 extension carrying the JSON report
+// bundle (attest.Bundle) whose payload is the certificate's public key —
+// the same bytes a node's well-known endpoint serves. A certificate
+// minted through CreateProviderCertificate can terminate a handshake
+// verified by the provider that issued its bundle.
 var OIDAttestationEvidence = asn1.ObjectIdentifier{1, 3, 6, 1, 4, 1, 56789, 2, 2}
 
+// Issuer produces a bundle binding a caller-chosen payload — the
+// TEE-side half of an attestation provider (snp.Provider in
+// production).
+type Issuer interface {
+	Issue(ctx context.Context, payload []byte) (*attest.Bundle, error)
+}
+
+// Verifier judges a bundle — the relying-party half of a provider. It
+// authenticates the report, checks that it binds the bundle's payload,
+// and maps every failure onto the attestation taxonomy. An interface,
+// not *snp.Provider, so tests can stand a fake TEE behind the gateway.
+type Verifier interface {
+	VerifyEvidence(ctx context.Context, b *attest.Bundle) (*attest.Result, error)
+}
+
 // CreateProviderCertificate builds a fresh key pair and a self-signed
-// certificate for commonName whose evidence — issued by any
-// attestation.Issuer — binds the certificate's
-// public key. The returned tls.Certificate is ready for a tls.Config.
-func CreateProviderCertificate(ctx context.Context, issuer attestation.Issuer, commonName string) (tls.Certificate, error) {
+// certificate for commonName whose bundle — issued by issuer — binds the
+// certificate's public key. The returned tls.Certificate is ready for a
+// tls.Config.
+func CreateProviderCertificate(ctx context.Context, issuer Issuer, commonName string) (tls.Certificate, error) {
 	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		return tls.Certificate{}, fmt.Errorf("ratls: generate key: %w", err)
@@ -36,11 +52,11 @@ func CreateProviderCertificate(ctx context.Context, issuer attestation.Issuer, c
 	if err != nil {
 		return tls.Certificate{}, fmt.Errorf("ratls: marshal key: %w", err)
 	}
-	evidence, err := issuer.Issue(ctx, pubDER)
+	bundle, err := issuer.Issue(ctx, pubDER)
 	if err != nil {
 		return tls.Certificate{}, fmt.Errorf("ratls: issue evidence: %w", err)
 	}
-	evidenceJSON, err := evidence.Encode()
+	evidenceJSON, err := bundle.Encode()
 	if err != nil {
 		return tls.Certificate{}, err
 	}
@@ -68,26 +84,21 @@ func CreateProviderCertificate(ctx context.Context, issuer attestation.Issuer, c
 	return tls.Certificate{Certificate: [][]byte{der}, PrivateKey: key}, nil
 }
 
-// ExtractEvidence parses the provider-neutral evidence envelope from a
-// certificate.
-func ExtractEvidence(cert *x509.Certificate) (*attestation.Evidence, error) {
+// ExtractEvidence decodes the report bundle a certificate carries.
+func ExtractEvidence(cert *x509.Certificate) (*attest.Bundle, error) {
 	for _, ext := range cert.Extensions {
 		if ext.Id.Equal(OIDAttestationEvidence) {
-			return attestation.DecodeEvidence(ext.Value)
+			return attest.DecodeBundle(ext.Value)
 		}
 	}
 	return nil, ErrNoEvidence
 }
 
-// VerifyProviderCertificate validates a provider-neutral RA-TLS
-// certificate: the embedded evidence must verify under v and bind this
-// certificate's public key.
-func VerifyProviderCertificate(ctx context.Context, v attestation.Verifier, cert *x509.Certificate) (*attestation.Result, error) {
-	evidence, err := ExtractEvidence(cert)
-	if err != nil {
-		return nil, err
-	}
-	res, err := v.VerifyEvidence(ctx, evidence)
+// VerifyProviderCertificate validates an RA-TLS certificate: the
+// embedded bundle must verify under v and bind this certificate's public
+// key.
+func VerifyProviderCertificate(ctx context.Context, v Verifier, cert *x509.Certificate) (*attest.Result, error) {
+	bundle, err := ExtractEvidence(cert)
 	if err != nil {
 		return nil, err
 	}
@@ -95,16 +106,15 @@ func VerifyProviderCertificate(ctx context.Context, v attestation.Verifier, cert
 	// is how CreateProviderCertificate's certificate carries it too: the
 	// bytes are compared as they stand, and a key encoded any other way is
 	// not the attested one.
-	if !bytes.Equal(cert.RawSubjectPublicKeyInfo, res.Payload) {
+	if !bytes.Equal(cert.RawSubjectPublicKeyInfo, bundle.Payload) {
 		return nil, ErrKeyMismatch
 	}
-	return res, nil
+	return v.VerifyEvidence(ctx, bundle)
 }
 
 // ProviderPeerVerifier returns a tls.Config.VerifyPeerCertificate
-// callback enforcing provider-neutral RA-TLS: the handshake completes
-// only if the peer's embedded evidence verifies under v and binds the
-// peer's TLS key. Use with InsecureSkipVerify (the CA path is
+// callback enforcing RA-TLS: the handshake completes only if the peer's
+// embedded bundle verifies under v and binds the peer's TLS key. Use with InsecureSkipVerify (the CA path is
 // intentionally bypassed — the HRoT replaces it).
 //
 // The callback keeps nothing: every handshake hands the certificate to v.
@@ -113,7 +123,7 @@ func VerifyProviderCertificate(ctx context.Context, v attestation.Verifier, cert
 // policy revision and re-judged against current policy on every hit — so
 // a revocation bites on the very next handshake, and a tampered or
 // substituted certificate is judged in full like any other.
-func ProviderPeerVerifier(v attestation.Verifier) func(rawCerts [][]byte, _ [][]*x509.Certificate) error {
+func ProviderPeerVerifier(v Verifier) func(rawCerts [][]byte, _ [][]*x509.Certificate) error {
 	return func(rawCerts [][]byte, _ [][]*x509.Certificate) error {
 		if len(rawCerts) == 0 {
 			return ErrNoPeerCertificate
@@ -128,16 +138,15 @@ func ProviderPeerVerifier(v attestation.Verifier) func(rawCerts [][]byte, _ [][]
 	}
 }
 
-// ProviderClientConfig builds a tls.Config for dialing a
-// provider-neutral RA-TLS server: the CA path is replaced by evidence
-// verification through v.
+// ProviderClientConfig builds a tls.Config for dialing an RA-TLS
+// server: the CA path is replaced by evidence verification through v.
 //
 // The config installs no ClientSessionCache, so by default every
 // connection is a full, verified handshake. A caller that adds one gets
 // resumption that still cannot outlive policy: a resumed handshake skips
 // VerifyPeerCertificate, so VerifyConnection puts the certificate the
 // session saved through the same callback, and v judges it afresh.
-func ProviderClientConfig(v attestation.Verifier) *tls.Config {
+func ProviderClientConfig(v Verifier) *tls.Config {
 	verifyPeer := ProviderPeerVerifier(v)
 	return &tls.Config{
 		InsecureSkipVerify:    true, //nolint:gosec // see ProviderPeerVerifier doc

@@ -12,10 +12,10 @@
 // This is the transport between the gateway and the nodes behind it,
 // where both ends know the golden values and no browser is involved.
 //
-// There is one dialect: the evidence is a provider-neutral
-// attestation.Evidence envelope, issued by any attestation.Issuer and
-// verified by any attestation.Verifier (the SEV-SNP provider's, in
-// production).
+// There is one dialect: the extension carries the JSON report bundle
+// (attest.Bundle) every other hop ships too — a node's well-known
+// endpoint serves the same format — issued by an Issuer and verified by
+// a Verifier (snp.Provider for both, in production).
 package ratls
 
 import (

@@ -3,9 +3,12 @@ package ratls
 import (
 	"bytes"
 	"context"
+	"crypto"
+	"crypto/rand"
 	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -119,10 +122,11 @@ func (r *rig) votedRegistry(t *testing.T) *registry.Registry {
 
 // TestCertificateCarriesCanonicalKeyEncoding: VerifyProviderCertificate
 // compares the certificate's SubjectPublicKeyInfo as it stands with the
-// attested payload, which is x509.MarshalPKIXPublicKey of the key. For a
+// bundle's payload, which is x509.MarshalPKIXPublicKey of the key. For a
 // certificate CreateProviderCertificate mints the two are the same bytes;
-// that, and the evidence binding exactly them, is what the comparison
-// rests on.
+// that, and the report binding exactly them, is what the comparison
+// rests on. The extension is the bundle as a well-known endpoint serves
+// it: attest.DecodeBundle reads it, and nothing wraps it.
 func TestCertificateCarriesCanonicalKeyEncoding(t *testing.T) {
 	r := newRig(t)
 	parsed, err := x509.ParseCertificate(r.mint(t).Certificate[0])
@@ -136,12 +140,15 @@ func TestCertificateCarriesCanonicalKeyEncoding(t *testing.T) {
 	if !bytes.Equal(parsed.RawSubjectPublicKeyInfo, canonical) {
 		t.Errorf("raw SubjectPublicKeyInfo\n %x is not MarshalPKIXPublicKey of the parsed key\n %x", parsed.RawSubjectPublicKeyInfo, canonical)
 	}
-	res, err := VerifyProviderCertificate(context.Background(), r.provider(r.verifier), parsed)
+	if _, err := VerifyProviderCertificate(context.Background(), r.provider(r.verifier), parsed); err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := ExtractEvidence(parsed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(res.Payload, canonical) {
-		t.Errorf("attested payload %x, want the key's canonical encoding %x", res.Payload, canonical)
+	if !bytes.Equal(bundle.Payload, canonical) {
+		t.Errorf("attested payload %x, want the key's canonical encoding %x", bundle.Payload, canonical)
 	}
 }
 
@@ -156,7 +163,7 @@ func TestCertificateCarriesValidEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("VerifyProviderCertificate: %v", err)
 	}
-	if res.Measurement != r.golden {
+	if res.Report.Measurement != r.golden {
 		t.Error("evidence measurement differs from golden")
 	}
 }
@@ -202,6 +209,53 @@ func TestEvidenceTransplantRejected(t *testing.T) {
 		pkix.Extension{Id: OIDAttestationEvidence, Value: evidenceJSON})
 	if _, err := VerifyProviderCertificate(context.Background(), r.provider(r.verifier), &fake); !errors.Is(err, ErrKeyMismatch) || !errors.Is(err, attestation.ErrEvidenceInvalid) {
 		t.Errorf("err = %v, want ErrKeyMismatch under attestation.ErrEvidenceInvalid", err)
+	}
+}
+
+// envelope wraps a bundle the way the provider-tagged RA-TLS extension
+// of earlier releases did: the payload beside a document holding the
+// bundle.
+func envelope(t testing.TB, b *attest.Bundle) []byte {
+	t.Helper()
+	out, err := json.Marshal(map[string]any{
+		"provider": "sev-snp",
+		"payload":  b.Payload,
+		"document": map[string]any{"bundle": b},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestEnvelopeExtensionRejected: a certificate whose extension wraps a
+// genuine bundle, bound to the certificate's own key, in the old
+// provider-tagged envelope carries no report where the bundle's belongs,
+// so it is refused as invalid evidence.
+func TestEnvelopeExtensionRejected(t *testing.T) {
+	r := newRig(t)
+	minted := r.mint(t)
+	parsed, err := x509.ParseCertificate(minted.Certificate[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := ExtractEvidence(parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := *parsed
+	tmpl.Extensions, tmpl.ExtraExtensions = nil, []pkix.Extension{{Id: OIDAttestationEvidence, Value: envelope(t, bundle)}}
+	key := minted.PrivateKey.(crypto.Signer)
+	der, err := x509.CreateCertificate(rand.Reader, &tmpl, &tmpl, key.Public(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyProviderCertificate(context.Background(), r.provider(r.verifier), wrapped); !errors.Is(err, attestation.ErrEvidenceInvalid) {
+		t.Errorf("envelope extension: %v, want ErrEvidenceInvalid", err)
 	}
 }
 
@@ -446,41 +500,53 @@ func TestPeerVerifierConcurrent(t *testing.T) {
 
 // FuzzExtractEvidence feeds hostile bytes to the one parser RA-TLS runs
 // on a peer's certificate before anything is verified: the evidence
-// extension. Whatever the bytes, extraction either fails or yields an
-// envelope that names a provider and whose encoding is stable across a
-// decode/encode round trip; it never panics.
+// extension. Whatever the bytes, extraction either fails under
+// ErrEvidenceInvalid or yields a bundle whose encoding is stable across
+// a decode/encode round trip; it never panics. And the fuzzed
+// certificate carries no key, so VerifyProviderCertificate always
+// refuses it under a root of the attestation taxonomy.
 func FuzzExtractEvidence(f *testing.F) {
 	r := newRig(f)
+	provider := r.provider(r.verifier)
 	parsed, err := x509.ParseCertificate(r.mint(f).Certificate[0])
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, ext := range parsed.Extensions {
-		if ext.Id.Equal(OIDAttestationEvidence) {
-			f.Add(ext.Value)
-		}
+	genuine, err := ExtractEvidence(parsed)
+	if err != nil {
+		f.Fatal(err)
 	}
+	encoded, err := genuine.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encoded)
 	f.Add([]byte(`{"provider":"sev-snp"}`))
 	f.Add([]byte(`{"provider":""}`))
-	f.Add([]byte("{"))
-	f.Add([]byte(nil))
+	f.Add([]byte(`{"report":"AAAA","payload":""}`))
+	f.Add([]byte("null"))
 	f.Fuzz(func(t *testing.T, value []byte) {
 		cert := &x509.Certificate{Extensions: []pkix.Extension{{Id: OIDAttestationEvidence, Value: value}}}
-		ev, err := ExtractEvidence(cert)
+		_, err := VerifyProviderCertificate(context.Background(), provider, cert)
+		if err == nil {
+			t.Fatal("a certificate without a key verified")
+		}
+		if !errors.Is(err, attestation.ErrEvidenceInvalid) && !errors.Is(err, attestation.ErrPolicyRejected) &&
+			!errors.Is(err, attestation.ErrEvidenceExpired) && !errors.Is(err, attestation.ErrKDSUnavailable) {
+			t.Fatalf("unclassified refusal: %v", err)
+		}
+		b, err := ExtractEvidence(cert)
 		if err != nil {
 			if !errors.Is(err, attestation.ErrEvidenceInvalid) {
 				t.Fatalf("unclassified failure: %v", err)
 			}
 			return
 		}
-		if ev.Provider == "" {
-			t.Fatal("extracted evidence names no provider")
-		}
-		encoded, err := ev.Encode()
+		encoded, err := b.Encode()
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		again, err := attestation.DecodeEvidence(encoded)
+		again, err := attest.DecodeBundle(encoded)
 		if err != nil {
 			t.Fatalf("round trip: %v", err)
 		}

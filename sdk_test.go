@@ -112,8 +112,8 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 	})
 }
 
-// nodeEvidence issues neutral evidence from node 0 of a service.
-func nodeEvidence(t *testing.T, svc *revelio.Service) *attestation.Evidence {
+// nodeEvidence issues a report bundle from node 0 of a service.
+func nodeEvidence(t *testing.T, svc *revelio.Service) *snp.Bundle {
 	t.Helper()
 	provider := snp.NewNodeProvider(svc.Node(0).VM, svc.Verifier())
 	ev, err := provider.Issue(context.Background(), []byte("facade test payload"))
@@ -123,7 +123,7 @@ func nodeEvidence(t *testing.T, svc *revelio.Service) *attestation.Evidence {
 	return ev
 }
 
-func verifyErr(v attestation.Verifier, ev *attestation.Evidence) error {
+func verifyErr(v *snp.Provider, ev *snp.Bundle) error {
 	_, err := v.VerifyEvidence(context.Background(), ev)
 	return err
 }

@@ -57,8 +57,8 @@ func WithTrustRegistry(reg *TrustRegistry) Option {
 //	err = svc.ServeWeb(app)
 //
 // Verifier returns the SEV-SNP verifier the service runs on;
-// snp.NewProvider wraps it behind the provider-neutral attestation
-// interfaces.
+// snp.NewProvider wraps it into the provider that verifies report
+// bundles (and, over a node's VM, issues them).
 //
 // A Service is one staged deployment of a single node. Membership
 // that changes under traffic — joins, removals, leader re-election,

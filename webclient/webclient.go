@@ -74,11 +74,10 @@ func NewBrowser(roots *x509.CertPool, rtt time.Duration) *Browser {
 
 // NewExtension attaches a Revelio extension to a browser, verifying
 // site evidence through the given SEV-SNP verifier (obtain one from
-// Service.Verifier or snp.NewVerifier). The extension is tied to the
-// SEV-SNP provider because the sites' well-known attestation endpoint
-// speaks the SEV report-bundle format; when that endpoint grows the
-// provider-neutral envelope, this surface will accept an
-// attestation.Verifier.
+// Service.Verifier or snp.NewVerifier). The sites' well-known
+// attestation endpoint serves the SEV-SNP report bundle, the one
+// evidence format every hop speaks — the gateway's RA-TLS upstream
+// certificates carry the same bundle.
 func NewExtension(b *Browser, verifier *snp.Verifier) *Extension {
 	return webext.New(b, verifier)
 }
