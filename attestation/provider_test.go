@@ -86,141 +86,153 @@ func (n *node) revoke(t *testing.T) {
 	n.provider.InvalidatePolicy()
 }
 
+// snpSubtest names each provider test's subtest after the provider under
+// test, so results read as TestProviderX/sev-snp.
+const snpSubtest = "sev-snp"
+
 func TestProviderConformance(t *testing.T) {
-	n := newNode(t)
-	ctx := context.Background()
-	payload := []byte("bound application payload")
+	t.Run(snpSubtest, func(t *testing.T) {
+		n := newNode(t)
+		ctx := context.Background()
+		payload := []byte("bound application payload")
 
-	// Round trip, through the bundle's wire encoding.
-	b, err := n.provider.Issue(ctx, payload)
-	if err != nil {
-		t.Fatalf("Issue: %v", err)
-	}
-	wire, err := b.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := snp.DecodeBundle(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := n.provider.VerifyEvidence(ctx, decoded)
-	if err != nil {
-		t.Fatalf("VerifyEvidence: %v", err)
-	}
-	if res.Report.Measurement != n.golden {
-		t.Errorf("result measurement = %s, want golden", res.Report.Measurement)
-	}
+		// Round trip, through the bundle's wire encoding.
+		b, err := n.provider.Issue(ctx, payload)
+		if err != nil {
+			t.Fatalf("Issue: %v", err)
+		}
+		wire, err := b.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := snp.DecodeBundle(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := n.provider.VerifyEvidence(ctx, decoded)
+		if err != nil {
+			t.Fatalf("VerifyEvidence: %v", err)
+		}
+		if res.Report.Measurement != n.golden {
+			t.Errorf("result measurement = %s, want golden", res.Report.Measurement)
+		}
 
-	// Payload substitution must fail the binding.
-	swapped := *decoded
-	swapped.Payload = []byte("some other payload")
-	if _, err := n.provider.VerifyEvidence(ctx, &swapped); !errors.Is(err, attestation.ErrBindingMismatch) {
-		t.Errorf("swapped payload: %v, want ErrBindingMismatch", err)
-	}
+		// Payload substitution must fail the binding.
+		swapped := *decoded
+		swapped.Payload = []byte("some other payload")
+		if _, err := n.provider.VerifyEvidence(ctx, &swapped); !errors.Is(err, attestation.ErrBindingMismatch) {
+			t.Errorf("swapped payload: %v, want ErrBindingMismatch", err)
+		}
 
-	// A flipped bit in the signed report must fail authentication.
-	tampered := *decoded
-	tampered.ReportRaw = append([]byte(nil), decoded.ReportRaw...)
-	tampered.ReportRaw[len(tampered.ReportRaw)/2] ^= 0x01
-	if _, err := n.provider.VerifyEvidence(ctx, &tampered); !errors.Is(err, attestation.ErrEvidenceInvalid) {
-		t.Errorf("tampered report: %v, want ErrEvidenceInvalid", err)
-	}
+		// A flipped bit in the signed report must fail authentication.
+		tampered := *decoded
+		tampered.ReportRaw = append([]byte(nil), decoded.ReportRaw...)
+		tampered.ReportRaw[len(tampered.ReportRaw)/2] ^= 0x01
+		if _, err := n.provider.VerifyEvidence(ctx, &tampered); !errors.Is(err, attestation.ErrEvidenceInvalid) {
+			t.Errorf("tampered report: %v, want ErrEvidenceInvalid", err)
+		}
 
-	// Untrusted (never-audited) measurement → ErrUntrustedMeasurement.
-	rogue, _, err := n.sim.LaunchGuest([]byte("chip-rogue"), 7, []byte("unaudited guest"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rogueBundle, err := snp.NewNodeProvider(rogue, n.verifier).Issue(ctx, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.provider.VerifyEvidence(ctx, rogueBundle); !errors.Is(err, attestation.ErrUntrustedMeasurement) {
-		t.Errorf("rogue measurement: %v, want ErrUntrustedMeasurement", err)
-	}
+		// Untrusted (never-audited) measurement → ErrUntrustedMeasurement.
+		rogue, _, err := n.sim.LaunchGuest([]byte("chip-rogue"), 7, []byte("unaudited guest"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rogueBundle, err := snp.NewNodeProvider(rogue, n.verifier).Issue(ctx, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.provider.VerifyEvidence(ctx, rogueBundle); !errors.Is(err, attestation.ErrUntrustedMeasurement) {
+			t.Errorf("rogue measurement: %v, want ErrUntrustedMeasurement", err)
+		}
 
-	// Revocation → ErrRevoked (and the ErrPolicyRejected parent), on a
-	// bundle the verifier has already proven.
-	n.revoke(t)
-	if _, err := n.provider.VerifyEvidence(ctx, decoded); !errors.Is(err, attestation.ErrRevoked) {
-		t.Errorf("revoked golden: %v, want ErrRevoked", err)
-	} else if !errors.Is(err, attestation.ErrPolicyRejected) {
-		t.Errorf("ErrRevoked must reach ErrPolicyRejected: %v", err)
-	}
+		// Revocation → ErrRevoked (and the ErrPolicyRejected parent), on a
+		// bundle the verifier has already proven.
+		n.revoke(t)
+		if _, err := n.provider.VerifyEvidence(ctx, decoded); !errors.Is(err, attestation.ErrRevoked) {
+			t.Errorf("revoked golden: %v, want ErrRevoked", err)
+		} else if !errors.Is(err, attestation.ErrPolicyRejected) {
+			t.Errorf("ErrRevoked must reach ErrPolicyRejected: %v", err)
+		}
+	})
 }
 
 func TestProviderExpiry(t *testing.T) {
-	n := newNode(t)
-	ctx := context.Background()
-	b, err := n.provider.Issue(ctx, []byte("payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.provider.VerifyEvidence(ctx, b); err != nil {
-		t.Fatalf("fresh evidence: %v", err)
-	}
-	// Jump far past every validity window (VCEK NotAfter).
-	n.clock.Advance(30 * 365 * 24 * time.Hour)
-	if _, err := n.provider.VerifyEvidence(ctx, b); !errors.Is(err, attestation.ErrEvidenceExpired) {
-		t.Errorf("expired evidence: %v, want ErrEvidenceExpired", err)
-	}
+	t.Run(snpSubtest, func(t *testing.T) {
+		n := newNode(t)
+		ctx := context.Background()
+		b, err := n.provider.Issue(ctx, []byte("payload"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.provider.VerifyEvidence(ctx, b); err != nil {
+			t.Fatalf("fresh evidence: %v", err)
+		}
+		// Jump far past every validity window (VCEK NotAfter).
+		n.clock.Advance(30 * 365 * 24 * time.Hour)
+		if _, err := n.provider.VerifyEvidence(ctx, b); !errors.Is(err, attestation.ErrEvidenceExpired) {
+			t.Errorf("expired evidence: %v, want ErrEvidenceExpired", err)
+		}
+	})
 }
 
 // TestProviderCancellation: a dead context surfaces as the context
 // error, never reclassified into the taxonomy.
 func TestProviderCancellation(t *testing.T) {
-	n := newNode(t)
-	b, err := n.provider.Issue(context.Background(), []byte("payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err = n.provider.VerifyEvidence(ctx, b)
-	if err == nil {
-		t.Skip("verification completed without touching the context (fully cached)")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled verify: %v, want context.Canceled", err)
-	}
-	if errors.Is(err, attestation.ErrKDSUnavailable) {
-		t.Errorf("cancellation misclassified as KDS outage: %v", err)
-	}
+	t.Run(snpSubtest, func(t *testing.T) {
+		n := newNode(t)
+		b, err := n.provider.Issue(context.Background(), []byte("payload"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, err = n.provider.VerifyEvidence(ctx, b)
+		if err == nil {
+			t.Skip("verification completed without touching the context (fully cached)")
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled verify: %v, want context.Canceled", err)
+		}
+		if errors.Is(err, attestation.ErrKDSUnavailable) {
+			t.Errorf("cancellation misclassified as KDS outage: %v", err)
+		}
+	})
 }
 
 // TestProviderRATLS runs the RA-TLS handshake with the provider as both
 // the certificate's issuer and the dialer's verifier, then revokes the
 // measurement: the very next handshake fails closed.
 func TestProviderRATLS(t *testing.T) {
-	n := newNode(t)
-	cert, err := ratls.CreateProviderCertificate(context.Background(), n.provider, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		_, _ = w.Write([]byte("attested hello"))
-	}))
-	srv.TLS = &tls.Config{Certificates: []tls.Certificate{cert}}
-	srv.StartTLS()
-	defer srv.Close()
-
-	dial := func() error {
-		client := &http.Client{Transport: &http.Transport{
-			TLSClientConfig: ratls.ProviderClientConfig(n.provider),
-		}}
-		defer client.CloseIdleConnections()
-		resp, err := client.Get(srv.URL)
+	t.Run(snpSubtest+"/direct", func(t *testing.T) {
+		n := newNode(t)
+		cert, err := ratls.CreateProviderCertificate(context.Background(), n.provider, "node.internal")
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		return resp.Body.Close()
-	}
-	if err := dial(); err != nil {
-		t.Fatalf("attested dial: %v", err)
-	}
-	n.revoke(t)
-	if err := dial(); err == nil {
-		t.Fatal("handshake succeeded after revocation")
-	}
+		srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			_, _ = w.Write([]byte("attested hello"))
+		}))
+		srv.TLS = &tls.Config{Certificates: []tls.Certificate{cert}}
+		srv.StartTLS()
+		defer srv.Close()
+
+		dial := func() error {
+			client := &http.Client{Transport: &http.Transport{
+				TLSClientConfig: ratls.ProviderClientConfig(n.provider),
+			}}
+			defer client.CloseIdleConnections()
+			resp, err := client.Get(srv.URL)
+			if err != nil {
+				return err
+			}
+			return resp.Body.Close()
+		}
+		if err := dial(); err != nil {
+			t.Fatalf("attested dial: %v", err)
+		}
+		n.revoke(t)
+		if err := dial(); err == nil {
+			t.Fatal("handshake succeeded after revocation")
+		}
+	})
 }
