@@ -7,7 +7,8 @@
 //
 // The companion TestNoInternalImportsInPublicConsumers asserts the
 // other half of the API contract: examples and commands build against
-// the public SDK only.
+// the public SDK only, and the system's own packages never import the
+// simulator.
 package revelio_test
 
 import (
@@ -180,34 +181,67 @@ func toSet(s string) map[string]struct{} {
 	return set
 }
 
-// TestNoInternalImportsInPublicConsumers asserts that every example and
-// command builds purely against the public SDK: no direct
-// revelio/internal imports anywhere under examples/ or cmd/.
+// importRules are the import edges the module forbids. Each row names
+// the directories it governs (walked recursively), the import-path
+// prefixes their files may not import, and whether _test.go files are
+// held to it too.
+var importRules = []struct {
+	dirs      []string
+	forbidden []string
+	tests     bool
+	why       string
+}{
+	{
+		dirs:      []string{"examples", "cmd"},
+		forbidden: []string{"revelio/internal/"},
+		tests:     true,
+		why:       "examples and cmds must consume the public SDK only",
+	},
+	{
+		dirs: []string{
+			"internal/attest", "internal/kds", "internal/sev", "internal/ratls",
+			"internal/gateway", "internal/certmgr", "internal/webext", "internal/browser",
+			"internal/dmcrypt", "internal/dmverity", "internal/rootfs", "internal/cache",
+			"internal/p384",
+		},
+		forbidden: []string{"revelio/internal/amdsp", "revelio/internal/hypervisor", "revelio/internal/netlab"},
+		why:       "the verification and data planes never import the simulator",
+	},
+}
+
+// TestNoInternalImportsInPublicConsumers holds every file under each
+// importRules row to that row: examples and commands build purely
+// against the public SDK, and the system never links the simulated
+// hardware it is tested on.
 func TestNoInternalImportsInPublicConsumers(t *testing.T) {
-	roots := []string{"examples", "cmd"}
 	fset := token.NewFileSet()
-	for _, root := range roots {
-		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") {
-				return nil
-			}
-			file, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-			if err != nil {
-				return fmt.Errorf("parse %s: %w", path, err)
-			}
-			for _, imp := range file.Imports {
-				importPath := strings.Trim(imp.Path.Value, `"`)
-				if strings.HasPrefix(importPath, "revelio/internal/") {
-					t.Errorf("%s imports %s — examples and cmds must consume the public SDK only", path, importPath)
+	for _, rule := range importRules {
+		for _, root := range rule.dirs {
+			err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+				if err != nil {
+					return err
 				}
+				if d.IsDir() || !strings.HasSuffix(path, ".go") ||
+					(!rule.tests && strings.HasSuffix(path, "_test.go")) {
+					return nil
+				}
+				file, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+				if err != nil {
+					return fmt.Errorf("parse %s: %w", path, err)
+				}
+				for _, imp := range file.Imports {
+					importPath := strings.Trim(imp.Path.Value, `"`)
+					for _, prefix := range rule.forbidden {
+						if strings.HasPrefix(importPath, prefix) {
+							t.Errorf("%s imports %s — %s", path, importPath, rule.why)
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }

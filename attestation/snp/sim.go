@@ -39,12 +39,17 @@ func (s *Simulator) Handler() http.Handler { return s.server }
 // the provider) together with its launch measurement — everything a
 // test or demo needs to issue verifiable evidence without a full VM.
 func (s *Simulator) LaunchGuest(chipSeed []byte, tcb uint64, blob []byte) (ReportSigner, Measurement, error) {
+	return s.launch(chipSeed, tcb, blob, "guest")
+}
+
+// launch mints a chip and launches a guest measured over blob and label.
+func (s *Simulator) launch(chipSeed []byte, tcb uint64, blob []byte, label string) (ReportSigner, Measurement, error) {
 	chip, err := s.mfr.MintProcessor(chipSeed, tcb)
 	if err != nil {
 		return nil, Measurement{}, err
 	}
 	h := chip.LaunchStart(0x30000, 1)
-	if err := chip.LaunchUpdate(h, measure.PageNormal, 0xFFC00000, blob, "guest"); err != nil {
+	if err := chip.LaunchUpdate(h, measure.PageNormal, 0xFFC00000, blob, label); err != nil {
 		return nil, Measurement{}, err
 	}
 	golden, err := chip.LaunchFinish(h)
@@ -70,19 +75,7 @@ type DemoEvidence struct {
 // MintDemo mints a chip from chipSeed, launches a minimal measured
 // guest, and returns a serialized sample report for it.
 func (s *Simulator) MintDemo(chipSeed []byte, tcb uint64) (*DemoEvidence, error) {
-	chip, err := s.mfr.MintProcessor(chipSeed, tcb)
-	if err != nil {
-		return nil, err
-	}
-	h := chip.LaunchStart(0x30000, 1)
-	if err := chip.LaunchUpdate(h, measure.PageNormal, 0xFFC00000, []byte("demo firmware"), "ovmf"); err != nil {
-		return nil, err
-	}
-	golden, err := chip.LaunchFinish(h)
-	if err != nil {
-		return nil, err
-	}
-	guest, err := chip.GuestChannel(h)
+	guest, golden, err := s.launch(chipSeed, tcb, []byte("demo firmware"), "ovmf")
 	if err != nil {
 		return nil, err
 	}
@@ -95,8 +88,8 @@ func (s *Simulator) MintDemo(chipSeed []byte, tcb uint64) (*DemoEvidence, error)
 		return nil, fmt.Errorf("snp: marshal demo report: %w", err)
 	}
 	return &DemoEvidence{
-		ChipID:    chip.ChipID(),
-		TCB:       chip.TCB(),
+		ChipID:    report.ChipID,
+		TCB:       report.TCBVersion,
 		Golden:    golden,
 		ReportRaw: raw,
 	}, nil

@@ -4,6 +4,8 @@ import (
 	"context"
 	"net/http/httptest"
 	"testing"
+
+	"revelio/internal/measure"
 )
 
 type rig struct {
@@ -87,5 +89,29 @@ func TestSimulatorDemo(t *testing.T) {
 	}
 	if res.Report.ChipID != ev.ChipID {
 		t.Error("verified chip differs from demo chip")
+	}
+}
+
+// TestDemoGoldenIsItsLedger pins the demo guest's launch to its one
+// measured page: revelio-kds prints this golden, and it must not move.
+func TestDemoGoldenIsItsLedger(t *testing.T) {
+	sim, err := NewSimulator([]byte("demo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := sim.MintDemo([]byte("demo-chip"), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger := measure.NewLedger()
+	if err := ledger.Extend(measure.PageNormal, 0xFFC00000, []byte("demo firmware"), "ovmf"); err != nil {
+		t.Fatal(err)
+	}
+	if want := ledger.Finalize(); ev.Golden != want {
+		t.Errorf("demo golden = %s, ledger recomputes %s", ev.Golden, want)
+	}
+	const printed = "4356b95eee6e57efbea944afa718953a8a366b9906cf70d8358f4045f3307857dae4954d4f2a4d40ff61a71f0be295e1"
+	if got := ev.Golden.String(); got != printed {
+		t.Errorf("demo golden = %s, revelio-kds has always printed %s", got, printed)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"crypto/sha512"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"encoding/asn1"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -47,13 +46,6 @@ var (
 	// ErrUnknownChip reports a VCEK request for a chip the manufacturer
 	// never minted.
 	ErrUnknownChip = errors.New("amdsp: unknown chip id")
-)
-
-// OID arcs for the VCEK certificate extensions carrying the chip identity
-// and TCB version (stand-ins for AMD's KDS extension OIDs).
-var (
-	OIDChipID = asn1.ObjectIdentifier{1, 3, 6, 1, 4, 1, 56789, 1, 1}
-	OIDTCB    = asn1.ObjectIdentifier{1, 3, 6, 1, 4, 1, 56789, 1, 2}
 )
 
 // certValidity is the fixed validity window of simulated certificates;
@@ -99,11 +91,19 @@ type Manufacturer struct {
 	ask    *x509.Certificate
 	notBef time.Time
 	mu     sync.Mutex
-	// minted is the ledger of fabricated chips: per chip, the VCEK public
-	// key at every TCB version it was minted or certified at, so issuing
-	// the certificate never repeats the derivation MintProcessor paid.
-	minted map[sev.ChipID]map[uint64]*ecdsa.PublicKey
+	// minted is the ledger of fabricated chips: per chip, the VCEK at
+	// every TCB version it was minted or certified at.
+	minted map[sev.ChipID]map[uint64]*vcekEntry
 	ops    opCounters
+}
+
+// vcekEntry is one chip's VCEK at one TCB version: the public key (so
+// issuing never repeats MintProcessor's derivation) and the certificate,
+// signed once under mu and served for the manufacturer's lifetime.
+type vcekEntry struct {
+	mu  sync.Mutex
+	pub *ecdsa.PublicKey // nil until derived
+	der []byte           // nil until issued
 }
 
 // opCounters are the manufacturer-wide P-384 operation counts; every chip
@@ -153,7 +153,7 @@ func NewManufacturer(seed []byte) (*Manufacturer, error) {
 	m := &Manufacturer{
 		secret: append([]byte(nil), seed...),
 		notBef: time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC),
-		minted: make(map[sev.ChipID]map[uint64]*ecdsa.PublicKey),
+		minted: make(map[sev.ChipID]map[uint64]*vcekEntry),
 	}
 	var err error
 	if m.arkKey, err = deriveECDSAKey(m.secret, "ark"); err != nil {
@@ -234,9 +234,11 @@ func (m *Manufacturer) MintProcessor(chipSeed []byte, tcb uint64) (*SecureProces
 	}
 	m.mu.Lock()
 	if m.minted[chipID] == nil {
-		m.minted[chipID] = make(map[uint64]*ecdsa.PublicKey)
+		m.minted[chipID] = make(map[uint64]*vcekEntry)
 	}
-	m.minted[chipID][tcb] = &vcek.PublicKey
+	if m.minted[chipID][tcb] == nil {
+		m.minted[chipID][tcb] = &vcekEntry{pub: &vcek.PublicKey}
+	}
 	m.mu.Unlock()
 	return &SecureProcessor{
 		chipID:   chipID,
@@ -255,78 +257,50 @@ func (m *Manufacturer) MintProcessor(chipSeed []byte, tcb uint64) (*SecureProces
 	}, nil
 }
 
-// VCEKCertDER issues the VCEK certificate for a minted chip at a TCB
-// version, signed by the ASK. This is what the KDS serves.
+// VCEKCertDER returns the VCEK certificate for a minted chip at a TCB
+// version, signed by the ASK once per (chip, TCB). This is what the KDS
+// serves. A failure, ErrUnknownChip included, is not remembered.
 func (m *Manufacturer) VCEKCertDER(chipID sev.ChipID, tcb uint64) ([]byte, error) {
 	m.mu.Lock()
-	pubs, ok := m.minted[chipID]
-	pub := pubs[tcb]
+	tcbs, ok := m.minted[chipID]
+	e := tcbs[tcb]
+	if ok && e == nil {
+		e = &vcekEntry{}
+		tcbs[tcb] = e
+	}
 	m.mu.Unlock()
 	if !ok {
 		return nil, ErrUnknownChip
 	}
-	if pub == nil {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.der != nil {
+		return append([]byte(nil), e.der...), nil
+	}
+	if e.pub == nil {
 		// A TCB version the chip was never minted at (a firmware update
 		// the KDS is asked about first): derive it now, once.
 		vcek, err := m.vcekKey(chipID, tcb)
 		if err != nil {
 			return nil, err
 		}
-		pub = &vcek.PublicKey
-		m.mu.Lock()
-		pubs[tcb] = pub
-		m.mu.Unlock()
+		e.pub = &vcek.PublicKey
 	}
-	var tcbBytes [8]byte
-	binary.BigEndian.PutUint64(tcbBytes[:], tcb)
 	tmpl := &x509.Certificate{
-		SerialNumber: deterministicSerial(chipID[:], tcbBytes[:]),
-		Subject:      pkix.Name{CommonName: "VCEK-SIM", Organization: []string{"AMD-SIM"}},
-		NotBefore:    m.notBef,
-		NotAfter:     m.notBef.Add(certValidity),
-		KeyUsage:     x509.KeyUsageDigitalSignature,
-		ExtraExtensions: []pkix.Extension{
-			{Id: OIDChipID, Value: chipID[:]},
-			{Id: OIDTCB, Value: tcbBytes[:]},
-		},
+		SerialNumber:    deterministicSerial(chipID[:], binary.BigEndian.AppendUint64(nil, tcb)),
+		Subject:         pkix.Name{CommonName: "VCEK-SIM", Organization: []string{"AMD-SIM"}},
+		NotBefore:       m.notBef,
+		NotAfter:        m.notBef.Add(certValidity),
+		KeyUsage:        x509.KeyUsageDigitalSignature,
+		ExtraExtensions: sev.VCEKExtensions(chipID, tcb),
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, m.ask, pub, m.askKey)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, m.ask, e.pub, m.askKey)
 	if err != nil {
 		return nil, fmt.Errorf("amdsp: create vcek cert: %w", err)
 	}
+	e.der = der
 	m.ops.vcekCertsMinted.Add(1)
-	return der, nil
-}
-
-// VCEKIdentity extracts the ChipID and TCB version embedded in a VCEK
-// certificate.
-func VCEKIdentity(cert *x509.Certificate) (sev.ChipID, uint64, error) {
-	var (
-		chipID  sev.ChipID
-		tcb     uint64
-		gotChip bool
-		gotTCB  bool
-	)
-	for _, ext := range cert.Extensions {
-		switch {
-		case ext.Id.Equal(OIDChipID):
-			if len(ext.Value) != sev.ChipIDSize {
-				return chipID, 0, fmt.Errorf("amdsp: chip id extension is %d bytes", len(ext.Value))
-			}
-			copy(chipID[:], ext.Value)
-			gotChip = true
-		case ext.Id.Equal(OIDTCB):
-			if len(ext.Value) != 8 {
-				return chipID, 0, fmt.Errorf("amdsp: tcb extension is %d bytes", len(ext.Value))
-			}
-			tcb = binary.BigEndian.Uint64(ext.Value)
-			gotTCB = true
-		}
-	}
-	if !gotChip || !gotTCB {
-		return chipID, 0, errors.New("amdsp: certificate lacks chip identity extensions")
-	}
-	return chipID, tcb, nil
+	return append([]byte(nil), der...), nil
 }
 
 // LaunchHandle identifies an in-progress or finished guest launch.

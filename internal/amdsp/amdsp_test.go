@@ -5,6 +5,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/x509"
 	"errors"
+	"sync"
 	"testing"
 
 	"revelio/internal/measure"
@@ -219,7 +220,7 @@ func TestVCEKCertChainValidates(t *testing.T) {
 		t.Errorf("VCEK chain verification: %v", err)
 	}
 
-	chipID, tcb, err := VCEKIdentity(vcekCert)
+	chipID, tcb, err := sev.VCEKIdentity(vcekCert)
 	if err != nil {
 		t.Fatalf("VCEKIdentity: %v", err)
 	}
@@ -251,14 +252,46 @@ func TestVCEKCertUnknownChip(t *testing.T) {
 	}
 }
 
-func TestVCEKIdentityMissingExtensions(t *testing.T) {
-	mfr, _ := newTestSetup(t)
-	ark, err := x509.ParseCertificate(mfr.ARKCertDER())
+// TestVCEKCertIssuedOnce: a refusal is not remembered, so a chip asked
+// about before it is minted is certified after; concurrent first requests
+// for one (chip, TCB) share one signature and every caller gets the same
+// certificate.
+func TestVCEKCertIssuedOnce(t *testing.T) {
+	mfr, err := NewManufacturer([]byte("issue-once"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := VCEKIdentity(ark); err == nil {
-		t.Error("ARK cert accepted as VCEK identity")
+	var chipID sev.ChipID
+	copy(chipID[:], mfr.chipSecret([]byte("late-chip")))
+	if _, err := mfr.VCEKCertDER(chipID, 3); !errors.Is(err, ErrUnknownChip) {
+		t.Fatalf("before minting: err = %v, want ErrUnknownChip", err)
+	}
+	if _, err := mfr.MintProcessor([]byte("late-chip"), 3); err != nil {
+		t.Fatal(err)
+	}
+
+	const callers = 16
+	ders := make([][]byte, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range ders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ders[i], errs[i] = mfr.VCEKCertDER(chipID, 3)
+		}()
+	}
+	wg.Wait()
+	for i := range ders {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(ders[i], ders[0]) {
+			t.Fatalf("caller %d got a different certificate", i)
+		}
+	}
+	if got := mfr.Stats().VCEKCertsMinted; got != 1 {
+		t.Errorf("%d callers signed %d certificates, want 1", callers, got)
 	}
 }
 
@@ -287,8 +320,9 @@ func TestCrossManufacturerIsolation(t *testing.T) {
 // TestStatsCountEachKeyOperationOnce: minting a chip derives its VCEK key
 // once and the certificate for the minted TCB reuses that public key; a
 // certificate for a TCB the chip was never minted at derives once more,
-// then never again; every report signed by any of the manufacturer's chips
-// is counted.
+// then never again; each (chip, TCB) certificate is signed once however
+// often it is asked for; every report signed by any of the manufacturer's
+// chips is counted.
 func TestStatsCountEachKeyOperationOnce(t *testing.T) {
 	mfr, sp := newTestSetup(t) // one chip minted at TCB 5
 	if got := mfr.Stats(); got != (Stats{VCEKKeysDerived: 1}) {
@@ -307,7 +341,7 @@ func TestStatsCountEachKeyOperationOnce(t *testing.T) {
 			t.Fatal("certificate does not carry the chip's VCEK key")
 		}
 	}
-	if got := mfr.Stats(); got != (Stats{VCEKKeysDerived: 1, VCEKCertsMinted: 2}) {
+	if got := mfr.Stats(); got != (Stats{VCEKKeysDerived: 1, VCEKCertsMinted: 1}) {
 		t.Errorf("after two certificates at the minted TCB: %+v", got)
 	}
 
@@ -320,7 +354,7 @@ func TestStatsCountEachKeyOperationOnce(t *testing.T) {
 	if _, err := mfr.VCEKCertDER(sp.ChipID(), sp.TCB()+1); err != nil {
 		t.Fatal(err)
 	}
-	if got := mfr.Stats(); got != (Stats{VCEKKeysDerived: 2, VCEKCertsMinted: 4}) {
+	if got := mfr.Stats(); got != (Stats{VCEKKeysDerived: 2, VCEKCertsMinted: 2}) {
 		t.Errorf("after two certificates at another TCB: %+v", got)
 	}
 	upgraded, err := mfr.MintProcessor([]byte("chip-0"), sp.TCB()+1)

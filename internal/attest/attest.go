@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"revelio/attestation"
-	"revelio/internal/amdsp"
 	"revelio/internal/measure"
 	"revelio/internal/p384"
 	"revelio/internal/sev"
@@ -360,7 +359,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		}
 	}
 
-	chipID, tcb, err := amdsp.VCEKIdentity(vcekCert)
+	chipID, tcb, err := sev.VCEKIdentity(vcekCert)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrIdentityMismatch, err)
 	}

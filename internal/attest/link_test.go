@@ -7,7 +7,6 @@ import (
 	"crypto/rand"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"encoding/binary"
 	"errors"
 	"math/big"
 	"net/http"
@@ -218,17 +217,13 @@ func (p *pki) caFor(cn string, key *ecdsa.PrivateKey, parent *x509.Certificate, 
 // serves it from now on.
 func (p *pki) endorse(chip *amdsp.SecureProcessor, pub any, ask *x509.Certificate, askKey *ecdsa.PrivateKey, notAfter time.Time) *x509.Certificate {
 	p.t.Helper()
-	id := chip.ChipID()
 	tmpl := &x509.Certificate{
-		SerialNumber: big.NewInt(time.Now().UnixNano()),
-		Subject:      pkix.Name{CommonName: "VCEK-TEST"},
-		NotBefore:    p.notBef,
-		NotAfter:     notAfter,
-		KeyUsage:     x509.KeyUsageDigitalSignature,
-		ExtraExtensions: []pkix.Extension{
-			{Id: amdsp.OIDChipID, Value: id[:]},
-			{Id: amdsp.OIDTCB, Value: binary.BigEndian.AppendUint64(nil, chip.TCB())},
-		},
+		SerialNumber:    big.NewInt(time.Now().UnixNano()),
+		Subject:         pkix.Name{CommonName: "VCEK-TEST"},
+		NotBefore:       p.notBef,
+		NotAfter:        notAfter,
+		KeyUsage:        x509.KeyUsageDigitalSignature,
+		ExtraExtensions: sev.VCEKExtensions(chip.ChipID(), chip.TCB()),
 	}
 	der, err := x509.CreateCertificate(rand.Reader, tmpl, ask, pub, askKey)
 	if err != nil {
@@ -238,7 +233,7 @@ func (p *pki) endorse(chip *amdsp.SecureProcessor, pub any, ask *x509.Certificat
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	p.serveVCEK(id, cert)
+	p.serveVCEK(chip.ChipID(), cert)
 	return cert
 }
 

@@ -69,13 +69,6 @@ func TestFenceAgainstModel(t *testing.T) {
 			val: func() *x509.Certificate { return new(x509.Certificate) }, same: samePtr[x509.Certificate],
 		})
 	})
-	t.Run("kds DER responses", func(t *testing.T) {
-		checkAgainstModel(t, instantiation[string, []byte]{
-			new: New[string, []byte], key: name, cap: exact,
-			val:  func() []byte { return make([]byte, 1) },
-			same: func(a, b []byte) bool { return &a[0] == &b[0] },
-		})
-	})
 }
 
 func checkAgainstModel[K comparable, V any](t *testing.T, in instantiation[K, V]) {

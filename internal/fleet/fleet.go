@@ -192,9 +192,6 @@ func (f *Fleet) crash(p CrashPoint) error {
 // cert-expiry-wave seam (see core.Deployment.SetClockSkew).
 func (f *Fleet) SetClockSkew(skew time.Duration) { f.d.SetClockSkew(skew) }
 
-// ClockSkew returns the current verification-plane clock offset.
-func (f *Fleet) ClockSkew() time.Duration { return f.d.ClockSkew() }
-
 // New builds the image, boots the initial nodes, provisions the shared
 // certificate through the SP node, and opens the web tier. The trust
 // policy is a live registry with the initial golden measurement voted

@@ -3,16 +3,15 @@
 // certificate chain that authenticates a VCEK, and therefore an
 // attestation report.
 //
-// The server side wraps an amdsp.Manufacturer; the client side is what the
-// web extension and the SP node use, including the VCEK cache whose effect
-// Table 3 of the paper quantifies (778.9 ms cold vs 115.0 ms warm).
+// The server side publishes an Issuer (the simulated manufacturer, or a
+// test's forgery); the client side is what the web extension and the SP
+// node use, including the VCEK cache whose effect Table 3 of the paper
+// quantifies (778.9 ms cold vs 115.0 ms warm).
 //
-// Both sides sit on the attestation fast path: the client
-// caches *parsed* certificates in a bounded TTL-LRU and collapses
-// concurrent cold misses for the same (chip, TCB) into one HTTP round
-// trip via singleflight; the server memoizes its PEM and DER response
-// encodings so repeated fetches never re-issue certificates. Failures are
-// never cached on either side.
+// The client sits on the attestation fast path: it caches *parsed*
+// certificates in a bounded TTL-LRU and collapses concurrent cold misses
+// for the same (chip, TCB) into one HTTP round trip via singleflight.
+// Failures are never cached.
 package kds
 
 import (
@@ -29,7 +28,6 @@ import (
 	"time"
 
 	"revelio/attestation"
-	"revelio/internal/amdsp"
 	"revelio/internal/cache"
 	"revelio/internal/sev"
 )
@@ -42,9 +40,9 @@ const (
 	// {prefix}/{chipid-hex}?tcb={n}.
 	VCEKPathPrefix = "/kds/v1/vcek/"
 
-	// vcekCacheSize bounds the client's parsed-VCEK LRU and the server's
-	// DER memo. One entry per (chip, TCB) pair; 1024 covers a
-	// thousand-node fleet with headroom for one TCB rotation.
+	// vcekCacheSize bounds the client's parsed-VCEK LRU. One entry per
+	// (chip, TCB) pair; 1024 covers a thousand-node fleet with headroom
+	// for one TCB rotation.
 	vcekCacheSize = 1024
 	// vcekTTL is how long a cached VCEK is served before the client
 	// re-fetches. The VCEK only rotates on SNP firmware updates, so a day
@@ -63,30 +61,29 @@ var (
 	ErrBadResponse = fmt.Errorf("%w: kds: bad response", attestation.ErrKDSUnavailable)
 )
 
-// Server exposes a Manufacturer's certificate hierarchy over HTTP.
+// Issuer is the certificate hierarchy a Server publishes; a VCEK it
+// cannot issue answers 404. amdsp.Manufacturer is one.
+type Issuer interface {
+	ARKCertDER() []byte
+	ASKCertDER() []byte
+	VCEKCertDER(chipID sev.ChipID, tcb uint64) ([]byte, error)
+}
+
+// Server exposes an Issuer's certificate hierarchy over HTTP.
 type Server struct {
-	mfr      *amdsp.Manufacturer
+	issuer   Issuer
 	mux      *http.ServeMux
-	chainPEM []byte                       // precomputed cert_chain response body
-	vcekDER  *cache.Cache[string, []byte] // memoized DER responses per (chip, tcb); never expire
-	flight   flight[[]byte]
+	chainPEM []byte // precomputed cert_chain response body
 }
 
 var _ http.Handler = (*Server)(nil)
 
-// NewServer creates a KDS front end for the manufacturer. The cert_chain
-// PEM body is encoded once here; VCEK DER responses are memoized per
-// (chip, TCB) on first issue.
-func NewServer(mfr *amdsp.Manufacturer) *Server {
-	s := &Server{
-		mfr:     mfr,
-		mux:     http.NewServeMux(),
-		vcekDER: cache.New[string, []byte](vcekCacheSize),
-	}
-	var chain []byte
-	chain = append(chain, pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: mfr.ASKCertDER()})...)
-	chain = append(chain, pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: mfr.ARKCertDER()})...)
-	s.chainPEM = chain
+// NewServer creates a KDS front end for the issuer. The cert_chain PEM
+// body is encoded once here; each VCEK request asks the issuer.
+func NewServer(issuer Issuer) *Server {
+	s := &Server{issuer: issuer, mux: http.NewServeMux()}
+	s.chainPEM = append(pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: issuer.ASKCertDER()}),
+		pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: issuer.ARKCertDER()})...)
 	s.mux.HandleFunc("GET "+CertChainPath, s.handleCertChain)
 	s.mux.HandleFunc("GET "+VCEKPathPrefix+"{chipid}", s.handleVCEK)
 	return s
@@ -113,23 +110,10 @@ func (s *Server) handleVCEK(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad tcb", http.StatusBadRequest)
 		return
 	}
-	key := r.PathValue("chipid") + ":" + strconv.FormatUint(tcb, 10)
-	der, hit := s.vcekDER.Get(key, 0, time.Time{})
-	if !hit {
-		// Issuing a VCEK certificate signs with the ASK — the expensive
-		// step; collapse concurrent first requests and memoize the DER.
-		der, err, _ = s.flight.Do(key, func() ([]byte, error) {
-			der, err := s.mfr.VCEKCertDER(chipID, tcb)
-			if err != nil {
-				return nil, err
-			}
-			s.vcekDER.Put(key, der, 0, time.Time{})
-			return der, nil
-		})
-		if err != nil {
-			http.Error(w, "unknown chip", http.StatusNotFound)
-			return
-		}
+	der, err := s.issuer.VCEKCertDER(chipID, tcb)
+	if err != nil {
+		http.Error(w, "unknown chip", http.StatusNotFound)
+		return
 	}
 	w.Header().Set("Content-Type", "application/pkix-cert")
 	_, _ = w.Write(der)

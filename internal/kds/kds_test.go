@@ -85,7 +85,7 @@ func TestVCEKFetchAndChainValidation(t *testing.T) {
 	}); err != nil {
 		t.Errorf("chain validation: %v", err)
 	}
-	chipID, tcb, err := amdsp.VCEKIdentity(vcek)
+	chipID, tcb, err := sev.VCEKIdentity(vcek)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,16 @@
 // The report layout is a fixed binary structure modelled on the SNP ABI's
 // ATTESTATION_REPORT: version, policy, TCB, measurement, 64 bytes of
 // caller-chosen REPORT_DATA, the chip identity, and an ECDSA P-384
-// signature by the VCEK over everything that precedes it.
+// signature by the VCEK over everything that precedes it. The package also
+// owns the VCEK certificate extensions naming that chip and TCB: verifiers
+// read them (VCEKIdentity), the simulated AMD-SP mints to them.
 package sev
 
 import (
 	"crypto/sha512"
+	"crypto/x509"
+	"crypto/x509/pkix"
+	"encoding/asn1"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -139,4 +144,51 @@ func (r *Report) UnmarshalBinary(data []byte) error {
 	copy(r.ChipID[:], rest)
 	r.Signature = append([]byte(nil), sig...)
 	return nil
+}
+
+// OID arcs for the VCEK certificate extensions carrying the chip identity
+// and TCB version (stand-ins for AMD's KDS extension OIDs).
+var (
+	oidChipID = asn1.ObjectIdentifier{1, 3, 6, 1, 4, 1, 56789, 1, 1}
+	oidTCB    = asn1.ObjectIdentifier{1, 3, 6, 1, 4, 1, 56789, 1, 2}
+)
+
+// VCEKExtensions returns the extensions naming the chip and TCB version a
+// VCEK endorses: the raw chip identity, and the TCB as 8 big-endian bytes.
+func VCEKExtensions(chipID ChipID, tcb uint64) []pkix.Extension {
+	return []pkix.Extension{
+		{Id: oidChipID, Value: chipID[:]},
+		{Id: oidTCB, Value: binary.BigEndian.AppendUint64(nil, tcb)},
+	}
+}
+
+// VCEKIdentity extracts the ChipID and TCB version embedded in a VCEK
+// certificate.
+func VCEKIdentity(cert *x509.Certificate) (ChipID, uint64, error) {
+	var (
+		chipID  ChipID
+		tcb     uint64
+		gotChip bool
+		gotTCB  bool
+	)
+	for _, ext := range cert.Extensions {
+		switch {
+		case ext.Id.Equal(oidChipID):
+			if len(ext.Value) != ChipIDSize {
+				return chipID, 0, fmt.Errorf("sev: chip id extension is %d bytes", len(ext.Value))
+			}
+			copy(chipID[:], ext.Value)
+			gotChip = true
+		case ext.Id.Equal(oidTCB):
+			if len(ext.Value) != 8 {
+				return chipID, 0, fmt.Errorf("sev: tcb extension is %d bytes", len(ext.Value))
+			}
+			tcb = binary.BigEndian.Uint64(ext.Value)
+			gotTCB = true
+		}
+	}
+	if !gotChip || !gotTCB {
+		return chipID, 0, errors.New("sev: certificate lacks chip identity extensions")
+	}
+	return chipID, tcb, nil
 }
