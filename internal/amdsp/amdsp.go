@@ -99,7 +99,10 @@ type Manufacturer struct {
 
 // vcekEntry is one chip's VCEK at one TCB version: the public key (so
 // issuing never repeats MintProcessor's derivation) and the certificate,
-// signed once under mu and served for the manufacturer's lifetime.
+// signed once under mu and served for the manufacturer's lifetime. The
+// ledger is unbounded by design, as AMD's KDS serves every TCB version
+// of a genuine chip: a request for a new TCB of a minted chip adds an
+// entry of about 1 KiB that is never evicted.
 type vcekEntry struct {
 	mu  sync.Mutex
 	pub *ecdsa.PublicKey // nil until derived
@@ -282,6 +285,11 @@ func (m *Manufacturer) VCEKCertDER(chipID sev.ChipID, tcb uint64) ([]byte, error
 		// the KDS is asked about first): derive it now, once.
 		vcek, err := m.vcekKey(chipID, tcb)
 		if err != nil {
+			m.mu.Lock()
+			if tcbs[tcb] == e {
+				delete(tcbs, tcb)
+			}
+			m.mu.Unlock()
 			return nil, err
 		}
 		e.pub = &vcek.PublicKey
