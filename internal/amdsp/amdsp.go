@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,11 +84,9 @@ func deterministicSerial(parts ...[]byte) *big.Int {
 // Manufacturer models AMD's signing infrastructure.
 type Manufacturer struct {
 	secret []byte
-	arkKey *ecdsa.PrivateKey
 	askKey *ecdsa.PrivateKey
 	arkDER []byte
 	askDER []byte
-	ark    *x509.Certificate
 	ask    *x509.Certificate
 	notBef time.Time
 	mu     sync.Mutex
@@ -98,15 +97,13 @@ type Manufacturer struct {
 }
 
 // vcekEntry is one chip's VCEK at one TCB version: the public key (so
-// issuing never repeats MintProcessor's derivation) and the certificate,
-// signed once under mu and served for the manufacturer's lifetime. The
-// ledger is unbounded by design, as AMD's KDS serves every TCB version
-// of a genuine chip: a request for a new TCB of a minted chip adds an
-// entry of about 1 KiB that is never evicted.
+// issuing never repeats the derivation) and the certificate, signed once
+// under mu. The ledger is unbounded by design: AMD's KDS serves every TCB
+// version of a genuine chip, and each entry is kept for good.
 type vcekEntry struct {
 	mu  sync.Mutex
-	pub *ecdsa.PublicKey // nil until derived
-	der []byte           // nil until issued
+	pub *ecdsa.PublicKey
+	der []byte // nil until issued
 }
 
 // opCounters are the manufacturer-wide P-384 operation counts; every chip
@@ -158,48 +155,47 @@ func NewManufacturer(seed []byte) (*Manufacturer, error) {
 		notBef: time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC),
 		minted: make(map[sev.ChipID]map[uint64]*vcekEntry),
 	}
-	var err error
-	if m.arkKey, err = deriveECDSAKey(m.secret, "ark"); err != nil {
+	arkKey, err := deriveECDSAKey(m.secret, "ark")
+	if err != nil {
 		return nil, err
 	}
 	if m.askKey, err = deriveECDSAKey(m.secret, "ask"); err != nil {
 		return nil, err
 	}
-
-	arkTmpl := &x509.Certificate{
-		SerialNumber:          deterministicSerial(m.secret, []byte("ark")),
-		Subject:               pkix.Name{CommonName: "ARK-SIM", Organization: []string{"AMD-SIM"}},
-		NotBefore:             m.notBef,
-		NotAfter:              m.notBef.Add(certValidity),
-		IsCA:                  true,
-		BasicConstraintsValid: true,
-		KeyUsage:              x509.KeyUsageCertSign,
+	var ark *x509.Certificate
+	if m.arkDER, ark, err = m.caCert("ark", arkKey, nil, arkKey); err != nil {
+		return nil, err
 	}
-	m.arkDER, err = x509.CreateCertificate(rand.Reader, arkTmpl, arkTmpl, &m.arkKey.PublicKey, m.arkKey)
-	if err != nil {
-		return nil, fmt.Errorf("amdsp: create ark cert: %w", err)
-	}
-	if m.ark, err = x509.ParseCertificate(m.arkDER); err != nil {
-		return nil, fmt.Errorf("amdsp: parse ark cert: %w", err)
-	}
-
-	askTmpl := &x509.Certificate{
-		SerialNumber:          deterministicSerial(m.secret, []byte("ask")),
-		Subject:               pkix.Name{CommonName: "ASK-SIM", Organization: []string{"AMD-SIM"}},
-		NotBefore:             m.notBef,
-		NotAfter:              m.notBef.Add(certValidity),
-		IsCA:                  true,
-		BasicConstraintsValid: true,
-		KeyUsage:              x509.KeyUsageCertSign,
-	}
-	m.askDER, err = x509.CreateCertificate(rand.Reader, askTmpl, m.ark, &m.askKey.PublicKey, m.arkKey)
-	if err != nil {
-		return nil, fmt.Errorf("amdsp: create ask cert: %w", err)
-	}
-	if m.ask, err = x509.ParseCertificate(m.askDER); err != nil {
-		return nil, fmt.Errorf("amdsp: parse ask cert: %w", err)
+	if m.askDER, m.ask, err = m.caCert("ask", m.askKey, ark, arkKey); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// caCert issues the CA certificate called name for key, signed by signer
+// under parent, or self-signed when parent is nil.
+func (m *Manufacturer) caCert(name string, key *ecdsa.PrivateKey, parent *x509.Certificate, signer *ecdsa.PrivateKey) ([]byte, *x509.Certificate, error) {
+	tmpl := &x509.Certificate{
+		SerialNumber:          deterministicSerial(m.secret, []byte(name)),
+		Subject:               pkix.Name{CommonName: strings.ToUpper(name) + "-SIM", Organization: []string{"AMD-SIM"}},
+		NotBefore:             m.notBef,
+		NotAfter:              m.notBef.Add(certValidity),
+		IsCA:                  true,
+		BasicConstraintsValid: true,
+		KeyUsage:              x509.KeyUsageCertSign,
+	}
+	if parent == nil {
+		parent = tmpl
+	}
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, parent, &key.PublicKey, signer)
+	if err != nil {
+		return nil, nil, fmt.Errorf("amdsp: create %s cert: %w", name, err)
+	}
+	cert, err := x509.ParseCertificate(der)
+	if err != nil {
+		return nil, nil, fmt.Errorf("amdsp: parse %s cert: %w", name, err)
+	}
+	return der, cert, nil
 }
 
 // ARKCertDER returns the DER-encoded root certificate.
@@ -235,14 +231,7 @@ func (m *Manufacturer) MintProcessor(chipSeed []byte, tcb uint64) (*SecureProces
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	if m.minted[chipID] == nil {
-		m.minted[chipID] = make(map[uint64]*vcekEntry)
-	}
-	if m.minted[chipID][tcb] == nil {
-		m.minted[chipID][tcb] = &vcekEntry{pub: &vcek.PublicKey}
-	}
-	m.mu.Unlock()
+	m.remember(chipID, tcb, &vcek.PublicKey)
 	return &SecureProcessor{
 		chipID:   chipID,
 		tcb:      tcb,
@@ -260,6 +249,20 @@ func (m *Manufacturer) MintProcessor(chipSeed []byte, tcb uint64) (*SecureProces
 	}, nil
 }
 
+// remember enters chipID's VCEK at tcb in the ledger unless it is there,
+// and returns the ledger's entry.
+func (m *Manufacturer) remember(chipID sev.ChipID, tcb uint64, pub *ecdsa.PublicKey) *vcekEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.minted[chipID] == nil {
+		m.minted[chipID] = make(map[uint64]*vcekEntry)
+	}
+	if m.minted[chipID][tcb] == nil {
+		m.minted[chipID][tcb] = &vcekEntry{pub: pub}
+	}
+	return m.minted[chipID][tcb]
+}
+
 // VCEKCertDER returns the VCEK certificate for a minted chip at a TCB
 // version, signed by the ASK once per (chip, TCB). This is what the KDS
 // serves. A failure, ErrUnknownChip included, is not remembered.
@@ -267,48 +270,38 @@ func (m *Manufacturer) VCEKCertDER(chipID sev.ChipID, tcb uint64) ([]byte, error
 	m.mu.Lock()
 	tcbs, ok := m.minted[chipID]
 	e := tcbs[tcb]
-	if ok && e == nil {
-		e = &vcekEntry{}
-		tcbs[tcb] = e
-	}
 	m.mu.Unlock()
 	if !ok {
 		return nil, ErrUnknownChip
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.der != nil {
-		return append([]byte(nil), e.der...), nil
-	}
-	if e.pub == nil {
+	if e == nil {
 		// A TCB version the chip was never minted at (a firmware update
-		// the KDS is asked about first): derive it now, once.
+		// the KDS is asked about first): derive it now.
 		vcek, err := m.vcekKey(chipID, tcb)
 		if err != nil {
-			m.mu.Lock()
-			if tcbs[tcb] == e {
-				delete(tcbs, tcb)
-			}
-			m.mu.Unlock()
 			return nil, err
 		}
-		e.pub = &vcek.PublicKey
+		e = m.remember(chipID, tcb, &vcek.PublicKey)
 	}
-	tmpl := &x509.Certificate{
-		SerialNumber:    deterministicSerial(chipID[:], binary.BigEndian.AppendUint64(nil, tcb)),
-		Subject:         pkix.Name{CommonName: "VCEK-SIM", Organization: []string{"AMD-SIM"}},
-		NotBefore:       m.notBef,
-		NotAfter:        m.notBef.Add(certValidity),
-		KeyUsage:        x509.KeyUsageDigitalSignature,
-		ExtraExtensions: sev.VCEKExtensions(chipID, tcb),
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.der == nil {
+		tmpl := &x509.Certificate{
+			SerialNumber:    deterministicSerial(chipID[:], binary.BigEndian.AppendUint64(nil, tcb)),
+			Subject:         pkix.Name{CommonName: "VCEK-SIM", Organization: []string{"AMD-SIM"}},
+			NotBefore:       m.notBef,
+			NotAfter:        m.notBef.Add(certValidity),
+			KeyUsage:        x509.KeyUsageDigitalSignature,
+			ExtraExtensions: sev.VCEKExtensions(chipID, tcb),
+		}
+		der, err := x509.CreateCertificate(rand.Reader, tmpl, m.ask, e.pub, m.askKey)
+		if err != nil {
+			return nil, fmt.Errorf("amdsp: create vcek cert: %w", err)
+		}
+		e.der = der
+		m.ops.vcekCertsMinted.Add(1)
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, m.ask, e.pub, m.askKey)
-	if err != nil {
-		return nil, fmt.Errorf("amdsp: create vcek cert: %w", err)
-	}
-	e.der = der
-	m.ops.vcekCertsMinted.Add(1)
-	return append([]byte(nil), der...), nil
+	return append([]byte(nil), e.der...), nil
 }
 
 // LaunchHandle identifies an in-progress or finished guest launch.

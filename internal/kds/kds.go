@@ -3,11 +3,10 @@
 // certificate chain that authenticates a VCEK, and therefore an
 // attestation report.
 //
-// The server side publishes an Issuer, an interface so that this package
-// never imports the simulated manufacturer that satisfies it; the client
-// side is what the web extension and the SP node use, including the VCEK
-// cache whose effect Table 3 of the paper quantifies (778.9 ms cold vs
-// 115.0 ms warm).
+// The server side publishes an Issuer, an interface so this package never
+// imports the simulator; the client side is what the web extension and the
+// SP node use, including the VCEK cache whose effect Table 3 of the paper
+// quantifies (778.9 ms cold vs 115.0 ms warm).
 //
 // The client sits on the attestation fast path: it caches *parsed*
 // certificates in a bounded TTL-LRU and collapses concurrent cold misses
