@@ -255,7 +255,7 @@ func TestVCEKCertUnknownChip(t *testing.T) {
 // TestVCEKCertIssuedOnce: a refusal is not remembered, so a chip asked
 // about before it is minted is certified after; concurrent first requests
 // for one (chip, TCB) share one signature and every caller gets the same
-// certificate.
+// certificate, at the minted TCB and at one the chip was never minted at.
 func TestVCEKCertIssuedOnce(t *testing.T) {
 	mfr, err := NewManufacturer([]byte("issue-once"))
 	if err != nil {
@@ -270,28 +270,32 @@ func TestVCEKCertIssuedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// TCB 3 is the one the chip was minted at; TCB 4 is a firmware
+	// update the KDS is asked about first.
 	const callers = 16
-	ders := make([][]byte, callers)
-	errs := make([]error, callers)
-	var wg sync.WaitGroup
-	for i := range ders {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ders[i], errs[i] = mfr.VCEKCertDER(chipID, 3)
-		}()
-	}
-	wg.Wait()
-	for i := range ders {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
+	for n, tcb := range []uint64{3, 4} {
+		ders := make([][]byte, callers)
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for i := range ders {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ders[i], errs[i] = mfr.VCEKCertDER(chipID, tcb)
+			}()
 		}
-		if !bytes.Equal(ders[i], ders[0]) {
-			t.Fatalf("caller %d got a different certificate", i)
+		wg.Wait()
+		for i := range ders {
+			if errs[i] != nil {
+				t.Fatalf("tcb %d, caller %d: %v", tcb, i, errs[i])
+			}
+			if !bytes.Equal(ders[i], ders[0]) {
+				t.Fatalf("tcb %d: caller %d got a different certificate", tcb, i)
+			}
 		}
-	}
-	if got := mfr.Stats().VCEKCertsMinted; got != 1 {
-		t.Errorf("%d callers signed %d certificates, want 1", callers, got)
+		if got, want := mfr.Stats().VCEKCertsMinted, uint64(n+1); got != want {
+			t.Errorf("after tcb %d: %d certificates signed, want %d", tcb, got, want)
+		}
 	}
 }
 
