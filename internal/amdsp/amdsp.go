@@ -45,8 +45,9 @@ var (
 	// ErrLaunchFinalized reports an update to an already finalized launch.
 	ErrLaunchFinalized = errors.New("amdsp: launch already finalized")
 	// ErrUnknownChip reports a VCEK request for a chip the manufacturer
-	// never minted.
-	ErrUnknownChip = errors.New("amdsp: unknown chip id")
+	// never minted. It wraps sev.ErrUnknownChip, which the KDS answers
+	// with 404.
+	ErrUnknownChip = fmt.Errorf("amdsp: %w", sev.ErrUnknownChip)
 )
 
 // certValidity is the fixed validity window of simulated certificates;

@@ -91,17 +91,17 @@ func TestRunFig6(t *testing.T) {
 	if len(res.Points) != len(sizes) {
 		t.Fatalf("points = %d", len(res.Points))
 	}
-	// Paper shape: verity reads are strictly slower (hashing per block).
+	// Paper shape, counted rather than timed: a cold verity read checks
+	// the data against tree blocks it reads from the hash device, which
+	// the plain read never touches. How much slower that makes it is a
+	// timing claim and belongs to benchmark/.
 	for _, p := range res.Points {
-		if p.Slowdown <= 1 {
-			t.Errorf("size %d: slowdown %.2f <= 1", p.SizeBytes, p.Slowdown)
+		if p.ColdHashReads <= 0 {
+			t.Errorf("size %d: cold row read %d hash blocks, want > 0", p.SizeBytes, p.ColdHashReads)
 		}
-		if p.VerityHot <= 0 || p.VerityCached <= 0 {
-			t.Errorf("size %d: warm rows not measured: %+v", p.SizeBytes, p)
+		if p.Plain <= 0 || p.Verity <= 0 || p.VerityHot <= 0 || p.VerityCached <= 0 {
+			t.Errorf("size %d: row not measured: %+v", p.SizeBytes, p)
 		}
-	}
-	if res.AvgSlowdown <= 1 {
-		t.Errorf("avg slowdown %.2f <= 1", res.AvgSlowdown)
 	}
 	out := res.Render()
 	for _, want := range []string{"average slowdown", "cold", "tree-warm", "data-warm"} {

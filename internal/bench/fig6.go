@@ -32,6 +32,10 @@ type Fig6Point struct {
 	// memory without touching the disk or SHA-256.
 	VerityCached time.Duration
 	Slowdown     float64 // verity/plain (cold, the paper's metric)
+	// ColdHashReads counts the hash-device reads of the cold row's read:
+	// the tree blocks it verified the data against. The plain row reads
+	// the data device only, so it reads none.
+	ColdHashReads int64
 }
 
 // Fig6Result reproduces Fig 6: read latency of files on the integrity-
@@ -81,6 +85,7 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 		return nil, fmt.Errorf("bench: fig6 format: %w", err)
 	}
 
+	hashStats := blockdev.NewStats(hashDev)
 	res := &Fig6Result{BlockSize: blockSize}
 	var sum float64
 	for _, size := range sizes {
@@ -99,36 +104,40 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 		plain := time.Since(start)
 
 		// read opens a fresh device and times its first read of the
-		// range, or with reread set its second.
-		read := func(cacheBlocks int, reread bool) (time.Duration, *dmverity.Device, error) {
-			dev, err := dmverity.OpenWithConfig(dataDev, hashDev, meta, meta.RootHash,
+		// range, or with reread set its second, counting the hash-device
+		// reads of the timed one.
+		read := func(cacheBlocks int, reread bool) (time.Duration, int64, *dmverity.Device, error) {
+			dev, err := dmverity.OpenWithConfig(dataDev, hashStats, meta, meta.RootHash,
 				dmverity.Config{CacheBlocks: cacheBlocks})
 			if err != nil {
-				return 0, nil, err
+				return 0, 0, nil, err
 			}
 			if reread {
 				if err := dev.ReadAt(buf, 0); err != nil {
-					return 0, nil, err
+					return 0, 0, nil, err
 				}
 			}
+			before, _, _, _ := hashStats.Counters()
 			start := time.Now()
 			if err := dev.ReadAt(buf, 0); err != nil {
-				return 0, nil, err
+				return 0, 0, nil, err
 			}
-			return time.Since(start), dev, nil
+			elapsed := time.Since(start)
+			after, _, _, _ := hashStats.Counters()
+			return elapsed, after - before, dev, nil
 		}
 
 		// The cold and data-warm rows run the production cache
 		// (dmverity.DefaultCacheBlocks): a size that does not fit
 		// re-verifies its data on the data-warm row too, and the row
 		// shows it.
-		verity, coldDev, err := read(dmverity.DefaultCacheBlocks, false)
+		verity, hashReads, coldDev, err := read(dmverity.DefaultCacheBlocks, false)
 		if err != nil {
 			return nil, err
 		}
 		// Tree-warm: data blocks never displace hash blocks, so a cache
 		// the size of the tree over the range holds that and no data.
-		verityHot, _, err := read(treeBlocksOver(meta, size), true)
+		verityHot, _, _, err := read(treeBlocksOver(meta, size), true)
 		if err != nil {
 			return nil, err
 		}
@@ -144,6 +153,7 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 		res.Points = append(res.Points, Fig6Point{
 			SizeBytes: size, Plain: plain, Verity: verity,
 			VerityHot: verityHot, VerityCached: verityCached, Slowdown: slowdown,
+			ColdHashReads: hashReads,
 		})
 	}
 	res.AvgSlowdown = sum / float64(len(res.Points))

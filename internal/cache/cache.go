@@ -1,8 +1,9 @@
 // Package cache is the repository's one bounded cache of things that
 // were expensive to prove: verified attestation reports and certificate
-// chains (attest) and VCEK certificates (kds). The attest verifier is the
-// only place an attestation verdict is cached; the layers above it
-// (RA-TLS, the gateway) ask it again on every handshake.
+// chains (attest), and the KDS client's parsed VCEK certificates and
+// ASK/ARK pair, one instance behind its one miss path (kds). The attest
+// verifier is the only place an attestation verdict is cached; the
+// layers above it (RA-TLS, the gateway) ask it again on every handshake.
 //
 // Every entry is stored under a fence — the revision it was proven at
 // and the time its proof stops holding — and the fence is enforced here,

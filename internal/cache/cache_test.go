@@ -41,13 +41,16 @@ func digest(i int) [sha256.Size]byte { return sha256.Sum256([]byte{byte(i), byte
 
 func name(i int) string { return fmt.Sprintf("node-%d", i) }
 
-func samePtr[T any](a, b *T) bool { return a == b }
-
 // chainProof mirrors attest's proof value: the proving certificate and
 // the expiry it hands on.
 type chainProof struct {
 	vcek     *x509.Certificate
 	notAfter time.Time
+}
+
+// kdsCerts mirrors the kds client's value: a VCEK, or the ASK/ARK pair.
+type kdsCerts struct {
+	vcek, ask, ark *x509.Certificate
 }
 
 func TestFenceAgainstModel(t *testing.T) {
@@ -63,10 +66,11 @@ func TestFenceAgainstModel(t *testing.T) {
 			cap: func(capacity int) int { return max(capacity/shardCount, 1) * shardCount },
 		})
 	})
-	t.Run("kds parsed VCEKs", func(t *testing.T) {
-		checkAgainstModel(t, instantiation[string, *x509.Certificate]{
-			new: New[string, *x509.Certificate], key: name, cap: exact,
-			val: func() *x509.Certificate { return new(x509.Certificate) }, same: samePtr[x509.Certificate],
+	t.Run("kds parsed certificates", func(t *testing.T) {
+		checkAgainstModel(t, instantiation[string, kdsCerts]{
+			new: New[string, kdsCerts], key: name, cap: exact,
+			val:  func() kdsCerts { return kdsCerts{vcek: new(x509.Certificate)} },
+			same: func(a, b kdsCerts) bool { return a == b },
 		})
 	})
 }

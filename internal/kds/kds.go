@@ -8,10 +8,11 @@
 // SP node use, including the VCEK cache whose effect Table 3 of the paper
 // quantifies (778.9 ms cold vs 115.0 ms warm).
 //
-// The client sits on the attestation fast path: it caches *parsed*
-// certificates in a bounded TTL-LRU and collapses concurrent cold misses
-// for the same (chip, TCB) into one HTTP round trip via singleflight.
-// Failures are never cached.
+// The client sits on the attestation fast path. It keeps *parsed*
+// certificates, each VCEK and the ASK/ARK pair, in one cache.Cache whose
+// every entry is served for vcekTTL, and reaches the network through one
+// miss path that collapses concurrent misses for a key into one HTTP
+// round trip. Failures are never cached.
 package kds
 
 import (
@@ -24,7 +25,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"revelio/attestation"
@@ -40,14 +42,17 @@ const (
 	// {prefix}/{chipid-hex}?tcb={n}.
 	VCEKPathPrefix = "/kds/v1/vcek/"
 
-	// vcekCacheSize bounds the client's parsed-VCEK LRU. One entry per
-	// (chip, TCB) pair; 1024 covers a thousand-node fleet with headroom
-	// for one TCB rotation.
+	// vcekCacheSize bounds the VCEKs the client's cache holds, which
+	// also holds the ASK/ARK pair. One entry per (chip, TCB) pair; 1024
+	// covers a thousand-node fleet with headroom for one TCB rotation.
 	vcekCacheSize = 1024
-	// vcekTTL is how long a cached VCEK is served before the client
-	// re-fetches. The VCEK only rotates on SNP firmware updates, so a day
-	// is conservative.
+	// vcekTTL is how long a cached VCEK or ASK/ARK pair is served before
+	// the client re-fetches. The VCEK only rotates on SNP firmware
+	// updates, the ASK less often, so a day is conservative.
 	vcekTTL = 24 * time.Hour
+	// chainKey is the ASK/ARK pair's cache and flight key; no VCEK key
+	// (chipidhex:tcb) equals it.
+	chainKey = "cert_chain"
 )
 
 var (
@@ -61,8 +66,10 @@ var (
 	ErrBadResponse = fmt.Errorf("%w: kds: bad response", attestation.ErrKDSUnavailable)
 )
 
-// Issuer is the certificate hierarchy a Server publishes; a VCEK it
-// cannot issue answers 404. amdsp.Manufacturer is one.
+// Issuer is the certificate hierarchy a Server publishes. A VCEK it
+// cannot issue because it never minted the chip (an error wrapping
+// sev.ErrUnknownChip) answers 404; any other failure answers 500.
+// amdsp.Manufacturer is one.
 type Issuer interface {
 	ARKCertDER() []byte
 	ASKCertDER() []byte
@@ -111,17 +118,22 @@ func (s *Server) handleVCEK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	der, err := s.issuer.VCEKCertDER(chipID, tcb)
-	if err != nil {
+	if errors.Is(err, sev.ErrUnknownChip) {
 		http.Error(w, "unknown chip", http.StatusNotFound)
+		return
+	}
+	if err != nil {
+		http.Error(w, "issuer fault", http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/pkix-cert")
 	_, _ = w.Write(der)
 }
 
-// chainPair is the parsed ASK/ARK pair the client caches.
-type chainPair struct {
-	ask, ark *x509.Certificate
+// certs is one parsed KDS answer as the client caches it: a VCEK, or the
+// ASK/ARK pair.
+type certs struct {
+	vcek, ask, ark *x509.Certificate
 }
 
 // Client fetches and caches KDS certificates. Certificates returned from
@@ -132,13 +144,9 @@ type Client struct {
 	http *http.Client
 	now  func() time.Time
 
-	vcek    *cache.Cache[string, *x509.Certificate] // parsed VCEKs per chipidhex:tcb, each served for vcekTTL
-	vflight flight[*x509.Certificate]
-	cflight flight[chainPair]
-
-	mu      sync.Mutex
-	caching bool
-	chain   *chainPair // parsed cert_chain, nil until fetched
+	caching atomic.Bool
+	cache   *cache.Cache[string, certs] // the ASK/ARK pair under chainKey, each VCEK under chipidhex:tcb
+	flight  flight[certs]
 }
 
 // ClientOption configures a Client.
@@ -156,10 +164,10 @@ func NewClient(base string, httpClient *http.Client, opts ...ClientOption) *Clie
 		httpClient = http.DefaultClient
 	}
 	c := &Client{
-		base: base,
-		http: httpClient,
-		now:  time.Now,
-		vcek: cache.New[string, *x509.Certificate](vcekCacheSize),
+		base:  base,
+		http:  httpClient,
+		now:   time.Now,
+		cache: cache.New[string, certs](vcekCacheSize + 1), // every VCEK plus the ASK/ARK pair
 	}
 	for _, o := range opts {
 		o(c)
@@ -170,32 +178,12 @@ func NewClient(base string, httpClient *http.Client, opts ...ClientOption) *Clie
 // SetCaching toggles the VCEK/chain cache. The paper's Table 3 motivates
 // caching: the VCEK only changes on SNP firmware updates. Disabling
 // clears all cached state. Concurrent duplicate fetches are collapsed by
-// singleflight regardless of this setting.
+// the flight regardless of this setting.
 func (c *Client) SetCaching(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.caching = on
+	c.caching.Store(on)
 	if !on {
-		c.vcek.Purge()
-		c.chain = nil
+		c.cache.Purge()
 	}
-}
-
-// vcekNotAfter is when a VCEK cached now stops being served.
-func (c *Client) vcekNotAfter() time.Time { return c.now().Add(vcekTTL) }
-
-func (c *Client) cachingOn() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.caching
-}
-
-// sharedFlightDied reports a shared singleflight result that failed only
-// because the *leader's* context died while ours is still live — the one
-// case where a follower should retry rather than inherit the failure.
-func sharedFlightDied(ctx context.Context, err error, shared bool) bool {
-	return shared && err != nil && ctx.Err() == nil &&
-		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
 func (c *Client) get(ctx context.Context, url string) ([]byte, error) {
@@ -228,22 +216,60 @@ func (c *Client) get(ctx context.Context, url string) ([]byte, error) {
 	return body, nil
 }
 
+// lookup is the client's one path to the KDS. A hit returns the parsed
+// certificates cached under key. A miss fetches the body at path(key)
+// and parses it, once per key however many callers miss together, and
+// caches the result for vcekTTL. An error is never cached, nor is
+// anything while caching is off.
+func (c *Client) lookup(ctx context.Context, key string, path func(key string) string, parse func([]byte) (certs, error)) (certs, error) {
+	if c.caching.Load() {
+		if v, ok := c.cache.Get(key, 0, c.now()); ok {
+			return v, nil
+		}
+	}
+	fill := func() (certs, error) {
+		// Re-check under the flight: a caller that missed the cache just
+		// before a previous leader completed must not fetch again.
+		if c.caching.Load() {
+			if v, ok := c.cache.Get(key, 0, c.now()); ok {
+				return v, nil
+			}
+		}
+		body, err := c.get(ctx, c.base+path(key))
+		if err != nil {
+			return certs{}, err
+		}
+		v, err := parse(body)
+		if err != nil {
+			return certs{}, err
+		}
+		if c.caching.Load() {
+			c.cache.Put(key, v, 0, c.now().Add(vcekTTL))
+			if !c.caching.Load() { // SetCaching(false) purged before the Put
+				c.cache.Delete(key)
+			}
+		}
+		return v, nil
+	}
+	v, err, shared := c.flight.Do(key, fill)
+	if shared && err != nil && ctx.Err() == nil &&
+		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		// Only the leader's context died; ours is live, so retry under it
+		// rather than inherit the failure.
+		v, err, _ = c.flight.Do(key, fill)
+	}
+	return v, err
+}
+
+func chainPath(string) string { return CertChainPath }
+
 // CertChain fetches the ASK and ARK certificates (in that order). The
 // parsed pair is cached, so repeated calls cost neither a round trip nor
 // a pem.Decode/x509.ParseCertificate pass; concurrent cold calls share
 // one fetch.
 func (c *Client) CertChain(ctx context.Context) (ask, ark *x509.Certificate, err error) {
-	c.mu.Lock()
-	cached := c.chain
-	c.mu.Unlock()
-	if cached != nil {
-		return cached.ask, cached.ark, nil
-	}
-	pair, err := c.fetchChain(ctx, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pair.ask, pair.ark, nil
+	v, err := c.lookup(ctx, chainKey, chainPath, parseCertChain)
+	return v.ask, v.ark, err
 }
 
 // parseCertChain parses a cert_chain response: PEM blocks, each a
@@ -251,8 +277,8 @@ func (c *Client) CertChain(ctx context.Context) (ask, ark *x509.Certificate, err
 // are skipped, as pem.Decode skips them. Every failure wraps
 // ErrBadResponse. The body comes from the network, so the parser holds
 // up under FuzzParseCertChain.
-func parseCertChain(body []byte) (chainPair, error) {
-	var certs []*x509.Certificate
+func parseCertChain(body []byte) (certs, error) {
+	var parsed []*x509.Certificate
 	rest := body
 	for {
 		var block *pem.Block
@@ -262,45 +288,30 @@ func parseCertChain(body []byte) (chainPair, error) {
 		}
 		cert, err := x509.ParseCertificate(block.Bytes)
 		if err != nil {
-			return chainPair{}, fmt.Errorf("%w: %v", ErrBadResponse, err)
+			return certs{}, fmt.Errorf("%w: %v", ErrBadResponse, err)
 		}
-		certs = append(certs, cert)
+		parsed = append(parsed, cert)
 	}
-	if len(certs) != 2 {
-		return chainPair{}, fmt.Errorf("%w: got %d certificates, want 2", ErrBadResponse, len(certs))
+	if len(parsed) != 2 {
+		return certs{}, fmt.Errorf("%w: got %d certificates, want 2", ErrBadResponse, len(parsed))
 	}
-	return chainPair{ask: certs[0], ark: certs[1]}, nil
+	return certs{ask: parsed[0], ark: parsed[1]}, nil
 }
 
-func (c *Client) fetchChain(ctx context.Context, retry bool) (chainPair, error) {
-	pair, err, shared := c.cflight.Do("chain", func() (chainPair, error) {
-		// Re-check under the flight: a caller that missed the cache just
-		// before a previous leader completed must not fetch again.
-		c.mu.Lock()
-		cached := c.chain
-		c.mu.Unlock()
-		if cached != nil {
-			return *cached, nil
-		}
-		body, err := c.get(ctx, c.base+CertChainPath)
-		if err != nil {
-			return chainPair{}, err
-		}
-		pair, err := parseCertChain(body)
-		if err != nil {
-			return chainPair{}, err
-		}
-		c.mu.Lock()
-		if c.caching {
-			c.chain = &pair
-		}
-		c.mu.Unlock()
-		return pair, nil
-	})
-	if retry && sharedFlightDied(ctx, err, shared) {
-		return c.fetchChain(ctx, false) // the leader's caller bailed; retry under our context
+// vcekPath is the KDS path of the VCEK under key, chipidhex:tcb.
+func vcekPath(key string) string {
+	chip, tcb, _ := strings.Cut(key, ":")
+	return VCEKPathPrefix + chip + "?tcb=" + tcb
+}
+
+// parseVCEK parses a VCEK response, one DER certificate. A failure
+// wraps ErrBadResponse.
+func parseVCEK(der []byte) (certs, error) {
+	cert, err := x509.ParseCertificate(der)
+	if err != nil {
+		return certs{}, fmt.Errorf("%w: %v", ErrBadResponse, err)
 	}
-	return pair, err
+	return certs{vcek: cert}, nil
 }
 
 // VCEK fetches the VCEK certificate for a chip at a TCB version. Hits are
@@ -309,36 +320,6 @@ func (c *Client) fetchChain(ctx context.Context, retry bool) (chainPair, error) 
 // Errors are never cached — the next call retries.
 func (c *Client) VCEK(ctx context.Context, chipID sev.ChipID, tcb uint64) (*x509.Certificate, error) {
 	key := hex.EncodeToString(chipID[:]) + ":" + strconv.FormatUint(tcb, 10)
-	if c.cachingOn() {
-		if cert, ok := c.vcek.Get(key, 0, c.now()); ok {
-			return cert, nil
-		}
-	}
-	fetch := func() (*x509.Certificate, error) {
-		// Re-check under the flight: a caller that missed the cache just
-		// before a previous leader completed must not fetch again.
-		if c.cachingOn() {
-			if cert, ok := c.vcek.Get(key, 0, c.now()); ok {
-				return cert, nil
-			}
-		}
-		url := fmt.Sprintf("%s%s%s?tcb=%d", c.base, VCEKPathPrefix, hex.EncodeToString(chipID[:]), tcb)
-		der, err := c.get(ctx, url)
-		if err != nil {
-			return nil, err
-		}
-		cert, err := x509.ParseCertificate(der)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadResponse, err)
-		}
-		if c.cachingOn() {
-			c.vcek.Put(key, cert, 0, c.vcekNotAfter())
-		}
-		return cert, nil
-	}
-	cert, err, shared := c.vflight.Do(key, fetch)
-	if sharedFlightDied(ctx, err, shared) {
-		cert, err, _ = c.vflight.Do(key, fetch) // leader's caller bailed; retry under our context
-	}
-	return cert, err
+	v, err := c.lookup(ctx, key, vcekPath, parseVCEK)
+	return v.vcek, err
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"revelio/attestation"
 	"revelio/internal/amdsp"
 	"revelio/internal/cache"
 	"revelio/internal/sev"
@@ -101,6 +102,27 @@ func TestVCEKUnknownChip(t *testing.T) {
 	bogus[5] = 1
 	if _, err := c.VCEK(context.Background(), bogus, 9); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown chip: err = %v, want ErrNotFound", err)
+	}
+}
+
+// faultyIssuer is a manufacturer whose VCEK signing fails for a reason
+// other than an unknown chip.
+type faultyIssuer struct{ *amdsp.Manufacturer }
+
+func (faultyIssuer) VCEKCertDER(sev.ChipID, uint64) ([]byte, error) {
+	return nil, errors.New("signing hardware fault")
+}
+
+// TestVCEKIssuerFault: an issuer that fails for any reason but an
+// unknown chip answers 500, which the client reports as the KDS being
+// unavailable, not as evidence naming a chip with no VCEK.
+func TestVCEKIssuerFault(t *testing.T) {
+	env := newTestEnv(t)
+	server := httptest.NewServer(NewServer(faultyIssuer{env.mfr}))
+	t.Cleanup(server.Close)
+	_, err := NewClient(server.URL, nil).VCEK(context.Background(), env.sp.ChipID(), env.sp.TCB())
+	if !errors.Is(err, attestation.ErrKDSUnavailable) || errors.Is(err, attestation.ErrChainInvalid) {
+		t.Errorf("issuer fault: err = %v, want ErrKDSUnavailable and not ErrChainInvalid", err)
 	}
 }
 
@@ -338,6 +360,79 @@ func TestVCEKTTLExpiry(t *testing.T) {
 	}
 }
 
+// TestCertChainTTLExpiry: the cached ASK/ARK pair is fenced like a
+// VCEK. Past vcekTTL it is fetched again, and SetCaching(false) clears
+// it with everything else.
+func TestCertChainTTLExpiry(t *testing.T) {
+	env := newTestEnv(t)
+	now := time.Now()
+	var mu sync.Mutex
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	c := NewClient(env.server.URL, nil, WithClock(clock))
+	c.SetCaching(true)
+	ctx := context.Background()
+	fetches := func() int64 {
+		t.Helper()
+		before := env.hits.Load()
+		if _, _, err := c.CertChain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return env.hits.Load() - before
+	}
+
+	if n := fetches(); n != 1 {
+		t.Fatalf("cold chain: %d round trips, want 1", n)
+	}
+	if n := fetches(); n != 0 {
+		t.Errorf("within TTL: %d round trips, want 0", n)
+	}
+	mu.Lock()
+	now = now.Add(vcekTTL + time.Second)
+	mu.Unlock()
+	if n := fetches(); n != 1 {
+		t.Errorf("past TTL: %d round trips, want 1", n)
+	}
+	if n := fetches(); n != 0 {
+		t.Errorf("refetched pair not cached: %d round trips", n)
+	}
+	c.SetCaching(false)
+	c.SetCaching(true)
+	if n := fetches(); n != 1 {
+		t.Errorf("after SetCaching(false): %d round trips, want 1", n)
+	}
+}
+
+// TestVCEKHitAllocs: a VCEK cache hit allocates only its key (the hex
+// encoding, its string and the concatenation), and a chain hit nothing:
+// the URL is built on a miss alone.
+func TestVCEKHitAllocs(t *testing.T) {
+	env := newTestEnv(t)
+	c := NewClient(env.server.URL, nil)
+	c.SetCaching(true)
+	ctx := context.Background()
+	if _, err := c.VCEK(ctx, env.sp.ChipID(), env.sp.TCB()); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.VCEK(ctx, env.sp.ChipID(), env.sp.TCB()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("VCEK cache hit: %v allocs, want at most 3", allocs)
+	}
+	if _, _, err := c.CertChain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _, _ = c.CertChain(ctx) }); allocs != 0 {
+		t.Errorf("CertChain cache hit: %v allocs, want 0", allocs)
+	}
+}
+
 // TestVCEKFailureNotCached: a failed fetch is re-attempted — negative
 // results never stick.
 func TestVCEKFailureNotCached(t *testing.T) {
@@ -363,7 +458,7 @@ func TestVCEKFailureNotCached(t *testing.T) {
 func TestVCEKCacheBounded(t *testing.T) {
 	env := newTestEnv(t)
 	c := NewClient(env.server.URL, nil)
-	c.vcek = cache.New[string, *x509.Certificate](4) // a small LRU in place of vcekCacheSize
+	c.cache = cache.New[string, certs](4) // a small LRU in place of vcekCacheSize
 	c.SetCaching(true)
 	ctx := context.Background()
 
@@ -372,7 +467,7 @@ func TestVCEKCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := c.vcek.Len(); n > 4 {
+	if n := c.cache.Len(); n > 4 {
 		t.Errorf("cache holds %d entries, cap 4", n)
 	}
 	// The most recent entry is still a hit…

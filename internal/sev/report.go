@@ -44,6 +44,10 @@ var (
 	ErrBadReport = errors.New("sev: bad report encoding")
 	// ErrBadSignature reports a report whose signature does not verify.
 	ErrBadSignature = errors.New("sev: report signature invalid")
+	// ErrUnknownChip reports a VCEK asked for a chip its issuer never
+	// minted. An issuer wraps it; the KDS answers it with 404 and any
+	// other issuer failure with 500.
+	ErrUnknownChip = errors.New("sev: unknown chip id")
 )
 
 // ChipID uniquely identifies a processor.

@@ -7,6 +7,7 @@ package revelio_test
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -275,6 +276,41 @@ func TestServeWebEndToEnd(t *testing.T) {
 	}
 	if svc.WebAddr(0) == "" {
 		t.Fatal("no web address after ServeWeb")
+	}
+}
+
+// TestImageProfilesPinned pins what an auditor publishes for each image
+// profile: its dm-verity root hash and its golden launch measurement
+// under the default OVMF build. A change to either means every deployed
+// node's measurement changed, so it must be deliberate.
+func TestImageProfilesPinned(t *testing.T) {
+	for _, tt := range []struct {
+		profile            revelio.Profile
+		verityRoot, golden string
+	}{
+		{revelio.ProfileBoundaryNode,
+			"49928ca8e0f9727a08a2762039e22e6eaa8b59bce046efa633c6f8ca9cd064c3",
+			"1ad264888e71173d07c944114f241c2f7256ed4a61e942b6f1a09b6c1cb1ada6cadb2bec42949fb93a82d26c2bf293b5"},
+		{revelio.ProfileCryptPad,
+			"985167753df3096cf9356122e72f5fa6a8fc1ccb9c781298f09bea8abc5209f0",
+			"4cc2326af792918021d8ec16135a1c44475054ccf5b7013a91952822a9a4e323766597babc2de1a727f54a8afe38af9b"},
+	} {
+		t.Run(string(tt.profile), func(t *testing.T) {
+			build, err := revelio.BuildImage(tt.profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if build.FirmwareVersion != "2023.05" {
+				t.Errorf("firmware %q, want 2023.05", build.FirmwareVersion)
+			}
+			root := build.Manifest().RootHash
+			if got := hex.EncodeToString(root[:]); got != tt.verityRoot {
+				t.Errorf("verity root %s, want %s", got, tt.verityRoot)
+			}
+			if got := build.Golden.String(); got != tt.golden {
+				t.Errorf("golden %s, want %s", got, tt.golden)
+			}
+		})
 	}
 }
 
