@@ -8,12 +8,14 @@
 // The companion TestNoInternalImportsInPublicConsumers asserts the
 // other half of the API contract: examples and commands build against
 // the public SDK only, and the system's own packages never import the
-// simulator.
+// simulator. TestRelyingPartyNeverLinksTheGuest holds the client side and
+// the verifier to that transitively.
 package revelio_test
 
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"os"
@@ -248,6 +250,53 @@ func TestNoInternalImportsInPublicConsumers(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// relyingParty are the packages an end user's side runs — the verifier
+// and its formats, the KDS client, RA-TLS, the browser and its extension
+// — and guestSide the simulated guest and hardware, which none of them
+// may link, directly or through any chain of imports: a relying party
+// that links the guest can end up trusting what the guest computes
+// instead of checking it.
+var (
+	relyingParty = []string{
+		"internal/attest", "internal/kds", "internal/sev", "internal/ratls",
+		"internal/browser", "internal/webext", "internal/cache", "internal/p384",
+	}
+	guestSide = []string{"internal/vm", "internal/hypervisor", "internal/amdsp", "internal/netlab"}
+)
+
+// TestRelyingPartyNeverLinksTheGuest walks the non-test imports of each
+// relyingParty package through the module and fails on every guestSide
+// package it reaches, printing the chain of imports that reached it.
+func TestRelyingPartyNeverLinksTheGuest(t *testing.T) {
+	for _, root := range relyingParty {
+		via := map[string]string{root: ""} // package -> the package that first imported it
+		queue := []string{root}
+		for len(queue) > 0 {
+			dir := queue[0]
+			queue = queue[1:]
+			if slices.Contains(guestSide, dir) {
+				chain := []string{dir}
+				for p := via[dir]; p != ""; p = via[p] {
+					chain = append(chain, p)
+				}
+				slices.Reverse(chain)
+				t.Errorf("%s links the guest: %s", root, strings.Join(chain, " → "))
+			}
+			pkg, err := build.ImportDir(dir, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", dir, err)
+			}
+			for _, imp := range pkg.Imports {
+				next, ok := strings.CutPrefix(imp, "revelio/")
+				if _, seen := via[next]; ok && !seen {
+					via[next] = dir
+					queue = append(queue, next)
+				}
 			}
 		}
 	}

@@ -1,9 +1,8 @@
 // Package attestation is the leaf of Revelio's public SDK: the typed
 // error taxonomy every verification failure maps onto, and the small
 // interfaces the SEV-SNP verification plane (attestation/snp) is built
-// over — where it gets its certificates (CertSource), how it judges a
-// measurement (TrustPolicy, RevocationChecker, JudgeMeasurement) and how
-// a caching verifier exposes its policy revision (Revisioned).
+// over: where it gets its certificates (CertSource) and how it judges a
+// measurement (TrustPolicy, RevocationChecker, JudgeMeasurement).
 //
 // The package carries no verification logic, so every layer of the
 // system — including the internal verification plane — can import it
@@ -19,18 +18,6 @@ import (
 	"revelio/internal/measure"
 	"revelio/internal/sev"
 )
-
-// Revisioned is the optional capability a verifier exposes when it
-// caches verdicts (snp.Provider and snp.Verifier do): InvalidatePolicy
-// bumps the revision, and every proof the verifier cached under an
-// older one is dead. The verifier is the only layer that caches a
-// verdict; the gateway reads the revision as its policy epoch, flushing
-// its warm connection pools and rotating its downstream session-ticket
-// key when it moves.
-type Revisioned interface {
-	// PolicyRevision returns the current policy revision.
-	PolicyRevision() uint64
-}
 
 // TrustPolicy decides whether a measurement is a golden value. The
 // trusted registry and static golden sets implement it.

@@ -1,14 +1,15 @@
 // Package snp is the SEV-SNP attestation provider of the public SDK: it
 // exposes Revelio's hardware-backed verification plane — attestation
 // reports signed by the chip's VCEK, authenticated against the AMD KDS
-// — as a Provider that issues and verifies report bundles, and
-// re-exports the pieces a relying party composes (verifier, KDS client,
-// trust policies) so no caller needs to reach into revelio/internal.
+// — through one relying-party object, the Verifier, which verifies
+// report bundles and owns their REPORT_DATA binding; a Provider pairs it
+// with a guest's report signer to issue them. It re-exports the pieces a
+// relying party composes (verifier, KDS client, trust policies) so no
+// caller needs to reach into revelio/internal.
 package snp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -18,7 +19,6 @@ import (
 	"revelio/internal/kds"
 	"revelio/internal/measure"
 	"revelio/internal/sev"
-	"revelio/internal/vm"
 )
 
 // Re-exported verification-plane types: the concrete SEV-SNP machinery
@@ -80,9 +80,6 @@ func WithClock(now func() time.Time) Option { return attest.WithClock(now) }
 // DecodeBundle parses a JSON report bundle.
 func DecodeBundle(data []byte) (*Bundle, error) { return attest.DecodeBundle(data) }
 
-// HashOf is the REPORT_DATA binding hash (SHA-512).
-func HashOf(blob []byte) ReportData { return vm.HashOf(blob) }
-
 // ParseMeasurement parses a hex measurement.
 func ParseMeasurement(s string) (Measurement, error) { return measure.ParseMeasurement(s) }
 
@@ -93,54 +90,27 @@ func NewKDSClient(base string, httpClient *http.Client, opts ...KDSClientOption)
 	return kds.NewClient(base, httpClient, opts...)
 }
 
-// Provider is both halves of SEV-SNP attestation over one verifier: the
-// verifier half wraps an *attest.Verifier (sharing its policy, caches
-// and revision); the issuer half, when constructed with a ReportSigner,
-// produces report bundles from inside the TEE. Its evidence is the
-// Bundle every hop ships — the well-known endpoint, the CSR fetch, the
-// join key exchange and the RA-TLS certificate extension alike.
+// Provider is both halves of SEV-SNP attestation: the embedded verifier
+// is the relying party (its policy, caches and revision, promoted), and
+// the signer produces report bundles from inside the TEE. Its evidence is
+// the Bundle every hop ships — the well-known endpoint, the CSR fetch,
+// the join key exchange and the RA-TLS certificate extension alike.
 type Provider struct {
-	verifier *attest.Verifier
-	signer   ReportSigner // nil for a verify-only provider
+	*Verifier
+	signer ReportSigner
 }
 
-var _ attestation.Revisioned = (*Provider)(nil)
-
-// NewProvider creates a verify-only SEV-SNP provider over v. Use
-// NewNodeProvider where evidence must also be issued.
-func NewProvider(v *attest.Verifier) *Provider {
-	return &Provider{verifier: v}
+// NewNodeProvider creates a provider: signer issues evidence from inside
+// the TEE, v verifies it as a relying party.
+func NewNodeProvider(signer ReportSigner, v *Verifier) *Provider {
+	return &Provider{Verifier: v, signer: signer}
 }
-
-// NewNodeProvider creates a full provider: signer issues evidence from
-// inside the TEE, v verifies it as a relying party.
-func NewNodeProvider(signer ReportSigner, v *attest.Verifier) *Provider {
-	return &Provider{verifier: v, signer: signer}
-}
-
-// Verifier exposes the underlying SEV-SNP verifier.
-func (p *Provider) Verifier() *attest.Verifier { return p.verifier }
-
-// PolicyRevision implements attestation.Revisioned.
-func (p *Provider) PolicyRevision() uint64 { return p.verifier.PolicyRevision() }
-
-// InvalidatePolicy drops every cached proof below the provider.
-func (p *Provider) InvalidatePolicy() { p.verifier.InvalidatePolicy() }
 
 // Issue returns a bundle around a fresh report binding payload.
 func (p *Provider) Issue(_ context.Context, payload []byte) (*Bundle, error) {
-	if p.signer == nil {
-		return nil, fmt.Errorf("%w: snp: provider has no report signer (relying-party side)", errors.ErrUnsupported)
-	}
-	report, err := p.signer.Report(vm.HashOf(payload))
+	report, err := p.signer.Report(sev.HashOf(payload))
 	if err != nil {
 		return nil, fmt.Errorf("snp: obtain report: %w", err)
 	}
 	return attest.NewBundle(report, payload)
-}
-
-// VerifyEvidence authenticates b's report, checks that it binds
-// b.Payload, and judges it against the verifier's policy.
-func (p *Provider) VerifyEvidence(ctx context.Context, b *Bundle) (*Result, error) {
-	return p.verifier.VerifyBundle(ctx, b, vm.HashOf)
 }

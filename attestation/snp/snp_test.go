@@ -47,24 +47,16 @@ func TestProviderIssueVerify(t *testing.T) {
 	}
 }
 
-func TestVerifyOnlyProviderCannotIssue(t *testing.T) {
-	r := newRig(t)
-	p := NewProvider(r.verifier)
-	if _, err := p.Issue(context.Background(), []byte("x")); err == nil {
-		t.Fatal("verify-only provider issued evidence")
-	}
-	if p.Verifier() != r.verifier {
-		t.Error("Verifier() does not expose the wrapped verifier")
-	}
-}
-
 func TestRevisionPassThrough(t *testing.T) {
 	r := newRig(t)
-	p := NewProvider(r.verifier)
-	before := p.PolicyRevision()
+	p := NewNodeProvider(r.signer, r.verifier)
+	before := r.verifier.PolicyRevision()
 	p.InvalidatePolicy()
 	if got := p.PolicyRevision(); got != before+1 {
-		t.Errorf("revision = %d, want %d", got, before+1)
+		t.Errorf("provider revision = %d, want %d", got, before+1)
+	}
+	if got := r.verifier.PolicyRevision(); got != before+1 {
+		t.Errorf("verifier revision = %d, want %d: the provider does not share it", got, before+1)
 	}
 }
 

@@ -67,7 +67,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err = verifier.VerifyBundle(ctx, bundle, snp.HashOf)
+		res, err = verifier.VerifyEvidence(ctx, bundle)
 		if err != nil {
 			return err
 		}

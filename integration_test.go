@@ -22,6 +22,7 @@ import (
 	"revelio/internal/hypervisor"
 	"revelio/internal/imagebuild"
 	"revelio/internal/kds"
+	"revelio/internal/sev"
 	"revelio/internal/vm"
 )
 
@@ -108,7 +109,7 @@ func TestStackedImageBootsAndAttests(t *testing.T) {
 	if res.Report.Measurement != golden {
 		t.Errorf("attested measurement %s != golden %s", res.Report.Measurement, golden)
 	}
-	if res.Report.ReportData != vm.HashOf(id.CSRDER) {
+	if res.Report.ReportData != sev.HashOf(id.CSRDER) {
 		t.Error("identity report does not bind the CSR")
 	}
 	csr, err := x509.ParseCertificateRequest(id.CSRDER)

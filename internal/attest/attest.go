@@ -8,7 +8,9 @@
 // verify the report's signature, and finally judge the measurement
 // against a trust policy (hard-coded golden values or a trusted
 // registry). Bundles add the REPORT_DATA binding between a report and a
-// payload (public key or CSR).
+// payload (public key or CSR), which the verifier checks itself: the
+// binding is sev.HashOf, or sev.HashOfWithNonce for a challenged bundle,
+// and no caller supplies it.
 package attest
 
 import (
@@ -23,6 +25,7 @@ import (
 	"time"
 
 	"revelio/attestation"
+	"revelio/internal/cache"
 	"revelio/internal/measure"
 	"revelio/internal/p384"
 	"revelio/internal/sev"
@@ -92,7 +95,7 @@ func (g StaticGolden) IsTrusted(m measure.Measurement) bool {
 
 // Verifier validates attestation reports end to end.
 //
-// Positive verifications are memoized in two sharded proof caches — one
+// Positive verifications are memoized in two proof caches — one
 // keyed by report digest (skips the whole chain walk + ECDSA signature
 // check for already-proven reports) and one keyed by certificate digest,
 // which holds two tiers: a proof per VCEK DER (skips the chain walk when a
@@ -111,8 +114,8 @@ type Verifier struct {
 	minTCB uint64
 	now    func() time.Time
 
-	reports   *proofCache // report digest -> proof; nil = disabled
-	chains    *proofCache // VCEK DER / ASK+ARK DER digest -> proof; nil = disabled
+	reports   *cache.Cache[proofKey, proof] // report digest -> proof; nil = disabled
+	chains    *cache.Cache[proofKey, proof] // VCEK DER / ASK+ARK DER digest -> proof; nil = disabled
 	noCache   bool
 	policyRev atomic.Uint64
 
@@ -210,8 +213,8 @@ func NewVerifier(source CertSource, policy TrustPolicy, opts ...Option) *Verifie
 		o(v)
 	}
 	if !v.noCache {
-		v.reports = newProofCache()
-		v.chains = newProofCache()
+		v.reports = cache.New[proofKey, proof](reportCacheSize)
+		v.chains = cache.New[proofKey, proof](reportCacheSize)
 	}
 	return v
 }
@@ -444,14 +447,28 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 	return &b, nil
 }
 
-// VerifyBundle verifies the bundle's report and the REPORT_DATA binding
-// to its payload, returning the verification result.
-func (v *Verifier) VerifyBundle(ctx context.Context, b *Bundle, hashOf func([]byte) sev.ReportData) (*Result, error) {
+// VerifyEvidence verifies the bundle's report and its binding to the
+// payload, REPORT_DATA = sev.HashOf(payload), returning the verification
+// result. It is what every hop's relying party runs: the SP node and the
+// leader on a CSR or key bundle, the gateway on an RA-TLS certificate.
+func (v *Verifier) VerifyEvidence(ctx context.Context, b *Bundle) (*Result, error) {
+	return v.verifyBound(ctx, b, sev.HashOf(b.Payload))
+}
+
+// VerifyNonceBound is VerifyEvidence for a bundle the relying party
+// challenged with nonce: REPORT_DATA must be
+// sev.HashOfWithNonce(payload, nonce), so a bundle issued before the
+// challenge — or for no challenge — fails the binding.
+func (v *Verifier) VerifyNonceBound(ctx context.Context, b *Bundle, nonce []byte) (*Result, error) {
+	return v.verifyBound(ctx, b, sev.HashOfWithNonce(b.Payload, nonce))
+}
+
+func (v *Verifier) verifyBound(ctx context.Context, b *Bundle, want sev.ReportData) (*Result, error) {
 	var report sev.Report
 	if err := report.UnmarshalBinary(b.ReportRaw); err != nil {
 		return nil, fmt.Errorf("attest: %w: %w", attestation.ErrEvidenceInvalid, err)
 	}
-	if report.ReportData != hashOf(b.Payload) {
+	if report.ReportData != want {
 		return nil, ErrReportDataMismatch
 	}
 	return v.VerifyReport(ctx, &report)

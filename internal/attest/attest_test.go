@@ -16,7 +16,6 @@ import (
 	"revelio/internal/measure"
 	"revelio/internal/registry"
 	"revelio/internal/sev"
-	"revelio/internal/vm"
 )
 
 type rig struct {
@@ -206,7 +205,7 @@ func TestRegistryAsTrustPolicy(t *testing.T) {
 func TestBundleBinding(t *testing.T) {
 	r := newRig(t)
 	payload := []byte("public-key-der-bytes")
-	rep := r.report(t, vm.HashOf(payload))
+	rep := r.report(t, sev.HashOf(payload))
 	bundle, err := NewBundle(rep, payload)
 	if err != nil {
 		t.Fatal(err)
@@ -221,24 +220,63 @@ func TestBundleBinding(t *testing.T) {
 	}
 
 	v := NewVerifier(r.client, nil)
-	if _, err := v.VerifyBundle(context.Background(), back, vm.HashOf); err != nil {
-		t.Fatalf("VerifyBundle: %v", err)
+	if _, err := v.VerifyEvidence(context.Background(), back); err != nil {
+		t.Fatalf("VerifyEvidence: %v", err)
 	}
 
 	// Swapped payload breaks the binding.
 	back.Payload = []byte("attacker-key")
-	if _, err := v.VerifyBundle(context.Background(), back, vm.HashOf); !errors.Is(err, ErrReportDataMismatch) {
+	if _, err := v.VerifyEvidence(context.Background(), back); !errors.Is(err, ErrReportDataMismatch) {
 		t.Errorf("err = %v, want ErrReportDataMismatch", err)
 	}
 
 	// Corrupt report bytes are rejected structurally.
 	back.ReportRaw = []byte("junk")
-	if _, err := v.VerifyBundle(context.Background(), back, vm.HashOf); !errors.Is(err, sev.ErrBadReport) {
+	if _, err := v.VerifyEvidence(context.Background(), back); !errors.Is(err, sev.ErrBadReport) {
 		t.Errorf("err = %v, want ErrBadReport", err)
 	}
 
 	if _, err := DecodeBundle([]byte("{")); err == nil {
 		t.Error("bad JSON bundle accepted")
+	}
+}
+
+// TestNonceBoundBinding: a challenged bundle verifies only under the
+// nonce it answers, and the two bindings never stand in for each other
+// (sev.HashOfWithNonce is domain-separated from sev.HashOf).
+func TestNonceBoundBinding(t *testing.T) {
+	r := newRig(t)
+	ctx := context.Background()
+	payload, nonce := []byte("tls-key-der"), []byte("challenge-0001")
+	bundleOver := func(data sev.ReportData) *Bundle {
+		b, err := NewBundle(r.report(t, data), payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	fresh := bundleOver(sev.HashOfWithNonce(payload, nonce))
+	plain := bundleOver(sev.HashOf(payload))
+
+	v := NewVerifier(r.client, nil)
+	if _, err := v.VerifyNonceBound(ctx, fresh, nonce); err != nil {
+		t.Fatalf("VerifyNonceBound: %v", err)
+	}
+	for name, verify := range map[string]func() error{
+		"other nonce": func() error {
+			_, err := v.VerifyNonceBound(ctx, fresh, []byte("challenge-0002"))
+			return err
+		},
+		"unchallenged bundle": func() error { _, err := v.VerifyNonceBound(ctx, plain, nonce); return err },
+		"empty nonce":         func() error { _, err := v.VerifyNonceBound(ctx, plain, nil); return err },
+		"challenged bundle as plain": func() error {
+			_, err := v.VerifyEvidence(ctx, fresh)
+			return err
+		},
+	} {
+		if err := verify(); !errors.Is(err, ErrReportDataMismatch) {
+			t.Errorf("%s: err = %v, want ErrReportDataMismatch", name, err)
+		}
 	}
 }
 

@@ -5,13 +5,12 @@ import (
 	"crypto/x509"
 	"time"
 
-	"revelio/internal/cache"
 	"revelio/internal/p384"
 	"revelio/internal/sev"
 )
 
-// reportCacheSize bounds the verifier's proof caches (entries across all
-// shards, for each of the report and VCEK-chain caches).
+// reportCacheSize bounds each of the verifier's proof caches (the report
+// cache and the VCEK-chain cache) to this many entries.
 const reportCacheSize = 4096
 
 // proofKey is the SHA-256 of the evidence being memoized: the full
@@ -56,12 +55,4 @@ type proof struct {
 	vcek     *x509.Certificate // the chain-validated VCEK that proved the evidence; nil for an ASK-link proof
 	key      *p384.PublicKey   // vcek's key with its verification tables (≈ 4.6 KB); set on a VCEK's chain proof only
 	notAfter time.Time         // earliest NotAfter in the proving chain, handed on to proofs built on this one
-}
-
-// proofCache is sharded so concurrent verifiers (one per handshake on a
-// busy node) don't serialize on one mutex.
-type proofCache = cache.Cache[proofKey, proof]
-
-func newProofCache() *proofCache {
-	return cache.NewSharded[proofKey, proof](reportCacheSize, func(k proofKey) uint8 { return k[0] })
 }

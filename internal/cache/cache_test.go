@@ -56,14 +56,9 @@ type kdsCerts struct {
 func TestFenceAgainstModel(t *testing.T) {
 	t.Run("attest proofs", func(t *testing.T) {
 		checkAgainstModel(t, instantiation[[sha256.Size]byte, chainProof]{
-			new: func(capacity int) *Cache[[sha256.Size]byte, chainProof] {
-				return NewSharded[[sha256.Size]byte, chainProof](capacity, func(k [sha256.Size]byte) uint8 { return k[0] })
-			},
-			key:  digest,
+			new: New[[sha256.Size]byte, chainProof], key: digest, cap: exact,
 			val:  func() chainProof { return chainProof{vcek: new(x509.Certificate)} },
 			same: func(a, b chainProof) bool { return a == b },
-			// Per-shard bounds: capacity/16 each, at least one.
-			cap: func(capacity int) int { return max(capacity/shardCount, 1) * shardCount },
 		})
 	})
 	t.Run("kds parsed certificates", func(t *testing.T) {
@@ -89,7 +84,7 @@ func checkAgainstModel[K comparable, V any](t *testing.T, in instantiation[K, V]
 		for seed := int64(1); seed <= 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			c := in.new(shape.capacity)
-			roomy := shape.keys*shardCount <= shape.capacity // fits even if every key lands in one shard
+			roomy := shape.keys <= shape.capacity
 			model := map[K]modelEntry[V]{}
 			rev := uint64(1)
 			now := time.Unix(1_700_000_000, 0)
@@ -159,50 +154,46 @@ func TestFenceUnderConcurrency(t *testing.T) {
 		rev      uint64
 		notAfter time.Time
 	}
-	for _, c := range []*Cache[[sha256.Size]byte, stamped]{
-		New[[sha256.Size]byte, stamped](16),
-		NewSharded[[sha256.Size]byte, stamped](64, func(k [sha256.Size]byte) uint8 { return k[0] }),
-	} {
-		var (
-			mu    sync.Mutex // guards rev and now, the callers' fence
-			rev   = uint64(1)
-			now   = time.Unix(1_700_000_000, 0)
-			fence = func() (uint64, time.Time) {
-				mu.Lock()
-				defer mu.Unlock()
-				return rev, now
-			}
-			wg sync.WaitGroup
-		)
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(g)))
-				for i := 0; i < 3000; i++ {
-					k := digest(rng.Intn(48))
-					r, at := fence()
-					switch rng.Intn(10) {
-					case 0:
-						mu.Lock()
-						rev++
-						mu.Unlock()
-					case 1:
-						mu.Lock()
-						now = now.Add(time.Second)
-						mu.Unlock()
-					case 2:
-						c.Purge()
-					case 3, 4, 5:
-						c.Put(k, stamped{r, at.Add(3 * time.Second)}, r, at.Add(3*time.Second))
-					default:
-						if v, ok := c.Get(k, r, at); ok && (v.rev != r || at.After(v.notAfter)) {
-							t.Errorf("stale hit: stored at rev %d until %v, served at rev %d, %v", v.rev, v.notAfter, r, at)
-						}
+	c := New[[sha256.Size]byte, stamped](16)
+	var (
+		mu    sync.Mutex // guards rev and now, the callers' fence
+		rev   = uint64(1)
+		now   = time.Unix(1_700_000_000, 0)
+		fence = func() (uint64, time.Time) {
+			mu.Lock()
+			defer mu.Unlock()
+			return rev, now
+		}
+		wg sync.WaitGroup
+	)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 3000; i++ {
+				k := digest(rng.Intn(48))
+				r, at := fence()
+				switch rng.Intn(10) {
+				case 0:
+					mu.Lock()
+					rev++
+					mu.Unlock()
+				case 1:
+					mu.Lock()
+					now = now.Add(time.Second)
+					mu.Unlock()
+				case 2:
+					c.Purge()
+				case 3, 4, 5:
+					c.Put(k, stamped{r, at.Add(3 * time.Second)}, r, at.Add(3*time.Second))
+				default:
+					if v, ok := c.Get(k, r, at); ok && (v.rev != r || at.After(v.notAfter)) {
+						t.Errorf("stale hit: stored at rev %d until %v, served at rev %d, %v", v.rev, v.notAfter, r, at)
 					}
 				}
-			}(g)
-		}
-		wg.Wait()
+			}
+		}(g)
 	}
+	wg.Wait()
 }

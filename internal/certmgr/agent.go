@@ -154,7 +154,7 @@ func (a *Agent) handleCSRBundle(w http.ResponseWriter) {
 // signed by the key it carries — which proves the measured VM holds that
 // key's private half.
 func verifyCSRBundle(ctx context.Context, verifier *attest.Verifier, b *attest.Bundle) (*attest.Result, *x509.CertificateRequest, error) {
-	res, err := verifier.VerifyBundle(ctx, b, vm.HashOf)
+	res, err := verifier.VerifyEvidence(ctx, b)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -244,7 +244,7 @@ func (a *Agent) fetchKeyFromLeader(ctx context.Context, leaderURL string) (*ecds
 		return nil, fmt.Errorf("%w: leader: %w", ErrPeerRejected, err)
 	}
 	// Attest the leader before trusting the payload.
-	if _, err := a.verifier.VerifyBundle(ctx, respBundle, vm.HashOf); err != nil {
+	if _, err := a.verifier.VerifyEvidence(ctx, respBundle); err != nil {
 		return nil, fmt.Errorf("%w: leader: %w", ErrPeerRejected, err)
 	}
 	keyDER, err := eciesDecrypt(id.Key, respBundle.Payload)
@@ -398,7 +398,7 @@ func (a *Agent) handleKeyRequest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	report, err := a.report(vm.HashOf(encKey))
+	report, err := a.report(sev.HashOf(encKey))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -441,7 +441,7 @@ func (a *Agent) handleWellKnown(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad nonce", http.StatusBadRequest)
 		return
 	}
-	report, err := a.report(vm.HashOfWithNonce(wk.pubDER, nonce))
+	report, err := a.report(sev.HashOfWithNonce(wk.pubDER, nonce))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -463,7 +463,7 @@ func (a *Agent) discoveryBundle(wk *wellKnown) ([]byte, error) {
 	if wk.discoveryJSON != nil {
 		return wk.discoveryJSON, nil
 	}
-	report, err := a.report(vm.HashOf(wk.pubDER))
+	report, err := a.report(sev.HashOf(wk.pubDER))
 	if err != nil {
 		return nil, err
 	}

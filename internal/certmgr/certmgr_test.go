@@ -443,7 +443,7 @@ func TestWellKnownBundleBindsTLSKey(t *testing.T) {
 	}
 	for i, a := range c.agents {
 		bundle := c.discoveryBundle(t, i)
-		if _, err := c.verifier.VerifyBundle(context.Background(), bundle, vm.HashOf); err != nil {
+		if _, err := c.verifier.VerifyEvidence(context.Background(), bundle); err != nil {
 			t.Errorf("agent %d serving bundle: %v", i, err)
 		}
 		// The bundle's payload is the shared TLS public key.

@@ -14,7 +14,6 @@ import (
 	"revelio/internal/attest"
 	"revelio/internal/p384"
 	"revelio/internal/sev"
-	"revelio/internal/vm"
 )
 
 // classified reports whether a refusal of verifyCSRBundle is one a caller
@@ -107,7 +106,7 @@ func FuzzVerifyCSRBundle(f *testing.F) {
 		if err := report.Verify(key); err != nil {
 			return err
 		}
-		if report.ReportData != vm.HashOf(b.Payload) {
+		if report.ReportData != sev.HashOf(b.Payload) {
 			return errors.New("report does not bind the payload")
 		}
 		if report.Measurement != c.golden {

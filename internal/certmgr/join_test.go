@@ -17,7 +17,6 @@ import (
 	"revelio/internal/attest"
 	"revelio/internal/registry"
 	"revelio/internal/sev"
-	"revelio/internal/vm"
 )
 
 // keyRequest posts bundle to the cluster's leader and returns the status.
@@ -39,7 +38,7 @@ func (c *cluster) keyRequest(t *testing.T, bundle *attest.Bundle) int {
 // *sends* (but not of what it runs) could present.
 func attested(t *testing.T, a *Agent, payload []byte) *attest.Bundle {
 	t.Helper()
-	report, err := a.vm.Report(vm.HashOf(payload))
+	report, err := a.vm.Report(sev.HashOf(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestDiscoveryBundleFollowsRotation(t *testing.T) {
 		if !bytes.Equal(bundle.Payload, wantDER) || bytes.Equal(bundle.Payload, old.Payload) {
 			t.Errorf("agent %d serves a bundle for the key before the rotation", i)
 		}
-		if _, err := c.verifier.VerifyBundle(ctx, bundle, vm.HashOf); err != nil {
+		if _, err := c.verifier.VerifyEvidence(ctx, bundle); err != nil {
 			t.Errorf("agent %d: %v", i, err)
 		}
 	}
@@ -283,7 +282,7 @@ func TestDiscoveryBundleFailureIsNotCached(t *testing.T) {
 		t.Fatalf("failed report: status %d, want 500", rec.Code)
 	}
 	a.report = genuine
-	if _, err := c.verifier.VerifyBundle(context.Background(), c.discoveryBundle(t, 0), vm.HashOf); err != nil {
+	if _, err := c.verifier.VerifyEvidence(context.Background(), c.discoveryBundle(t, 0)); err != nil {
 		t.Errorf("request after the failure: %v", err)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"revelio/internal/imagebuild"
 	"revelio/internal/kds"
 	"revelio/internal/measure"
+	"revelio/internal/netguard"
 	"revelio/internal/netlab"
 	"revelio/internal/ratls"
 	"revelio/internal/registry"
@@ -564,8 +565,11 @@ func (d *Deployment) ProvisionCertificates(ctx context.Context) (*certmgr.Provis
 // StartWeb brings up each node's HTTPS front end with the provisioned
 // shared certificate. appHandler builds the per-node application handler
 // (the CryptPad server, the Boundary Node proxy, ...); the well-known
-// attestation endpoint is always mounted. Inbound access is gated by the
-// image's network policy for port 443. After Close it fails and opens
+// attestation endpoint is always mounted. A node whose measured network
+// policy denies inbound TCP 443 gets neither the front end nor its
+// RA-TLS upstream listener (an error wrapping netguard.ErrDenied). That
+// port is the only part of the policy enforced: the SP-facing control
+// listener and the outbound bit are not. After Close it fails and opens
 // nothing.
 func (d *Deployment) StartWeb(appHandler func(n *Node) http.Handler) error {
 	if d.closed.Load() {
@@ -593,6 +597,10 @@ func (d *Deployment) StartNodeWeb(i int) error {
 }
 
 func (d *Deployment) startNodeWeb(n *Node) error {
+	// Both listeners below stand for the image's HTTPS port.
+	if err := n.VM.Firewall().Check(netguard.Inbound, 443); err != nil {
+		return err
+	}
 	// Refuse to open the listener before provisioning completed...
 	if _, _, err := n.Agent.TLSCredentials(); err != nil {
 		return err

@@ -16,6 +16,7 @@ import (
 	"revelio/internal/certmgr"
 	"revelio/internal/dmverity"
 	"revelio/internal/imagebuild"
+	"revelio/internal/netguard"
 	"revelio/internal/registry"
 	"revelio/internal/rootfs"
 	"revelio/internal/vm"
@@ -98,6 +99,29 @@ func TestStartWebBeforeProvisionFails(t *testing.T) {
 	defer d.Close()
 	if err := d.StartWeb(nil); !errors.Is(err, certmgr.ErrNotReady) {
 		t.Errorf("err = %v, want ErrNotReady", err)
+	}
+}
+
+// TestStartWebHonoursNetworkPolicy: the measured network policy is what
+// opens the web tier. An image that admits no inbound TCP 443 still
+// provisions over its control listener, but StartWeb opens neither its
+// HTTPS front end nor its RA-TLS upstream listener.
+func TestStartWebHonoursNetworkPolicy(t *testing.T) {
+	cfg, _ := testConfig(1)
+	cfg.Spec.Policy = netguard.Policy{AllowedInboundTCP: []uint16{8443}}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.ProvisionCertificates(context.Background()); err != nil {
+		t.Fatalf("ProvisionCertificates: %v", err)
+	}
+	if err := d.StartWeb(nil); !errors.Is(err, netguard.ErrDenied) {
+		t.Fatalf("StartWeb: err = %v, want ErrDenied", err)
+	}
+	if n := d.Nodes[0]; n.WebAddr() != "" || n.UpstreamAddr() != "" {
+		t.Errorf("listeners opened under a policy denying tcp/443: web %q, upstream %q", n.WebAddr(), n.UpstreamAddr())
 	}
 }
 

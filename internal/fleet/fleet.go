@@ -112,9 +112,6 @@ type Fleet struct {
 	d     *core.Deployment
 	trust *registry.Registry
 	cfg   Config
-	// verifier is the fleet's verification plane: the deployment's
-	// SEV-SNP provider over its shared verifier.
-	verifier *snp.Provider
 
 	// opMu serializes lifecycle operations (add, remove, rotate, roll).
 	opMu sync.Mutex
@@ -234,8 +231,7 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	f := &Fleet{d: d, trust: trust, cfg: cfg, golden: d.Golden, fwVersion: firmware.DefaultVersion,
-		verifier: snp.NewProvider(d.Verifier),
-		states:   make(map[string]EndpointState)}
+		states: make(map[string]EndpointState)}
 	f.releaseAdmission = f.memberMu.RUnlock
 	if err := f.approveMeasurement(d.Golden, "firmware "+firmware.DefaultVersion); err != nil {
 		d.Close()
@@ -271,10 +267,10 @@ func (f *Fleet) approveMeasurement(m measure.Measurement, desc string) error {
 // Deployment exposes the underlying core deployment.
 func (f *Fleet) Deployment() *core.Deployment { return f.d }
 
-// Mux exposes the fleet's verification plane: the SEV-SNP provider over
-// the deployment's shared verifier, which judges the report bundles its
-// nodes ship (their RA-TLS certificates and well-known endpoints alike).
-func (f *Fleet) Mux() *snp.Provider { return f.verifier }
+// Mux exposes the fleet's verification plane: the deployment's shared
+// SEV-SNP verifier, which judges the report bundles its nodes ship
+// (their RA-TLS certificates and well-known endpoints alike).
+func (f *Fleet) Mux() *snp.Verifier { return f.d.Verifier }
 
 // Golden returns the measurement the fleet currently converges on.
 func (f *Fleet) Golden() measure.Measurement {
@@ -686,8 +682,8 @@ func (f *Fleet) webClient() *http.Client {
 // VerifyFleet checks the full-fleet invariant an auditor cares about:
 // every node is provisioned, serving, and its well-known attestation
 // bundle verifies under the current trust policy. Verification runs
-// through the fleet's provider over the deployment's shared verifier,
-// so it exercises (and is protected by) the attestation fast path.
+// through the deployment's shared verifier, so it exercises (and is
+// protected by) the attestation fast path.
 func (f *Fleet) VerifyFleet(ctx context.Context) error {
 	f.memberMu.RLock()
 	nodes := append([]*core.Node(nil), f.serving...)
@@ -722,7 +718,7 @@ func (f *Fleet) VerifyFleet(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("fleet: node %d bundle: %w", i, err)
 		}
-		if _, err := f.verifier.VerifyEvidence(ctx, bundle); err != nil {
+		if _, err := f.Mux().VerifyEvidence(ctx, bundle); err != nil {
 			return fmt.Errorf("fleet: node %d failed attestation: %w", i, err)
 		}
 	}

@@ -138,9 +138,9 @@ type Config struct {
 	// Source publishes the serving view (required).
 	Source Source
 	// Verifier judges the report bundle in each upstream's RA-TLS
-	// certificate — the fleet's SEV-SNP provider (Fleet.Mux) in
-	// production (required). When it implements attestation.Revisioned,
-	// its policy revision is the gateway's policy epoch.
+	// certificate — the fleet's SEV-SNP verifier (Fleet.Mux) in
+	// production (required). Its policy revision is the gateway's policy
+	// epoch.
 	Verifier ratls.Verifier
 	// GetCertificate resolves the downstream serving certificate per
 	// handshake (required for Start; ServeHTTP alone works without).
@@ -193,7 +193,7 @@ type Stats struct {
 	// because the upstream copy failed after headers were sent.
 	TruncatedResponses int64
 	// PolicyEpoch is the gateway's policy epoch: the verifier's current
-	// policy revision, 0 when the verifier has none.
+	// policy revision.
 	PolicyEpoch uint64
 	// ViewVersion is the serving-view version the routing table last
 	// reconciled against.
@@ -236,9 +236,6 @@ type Gateway struct {
 	// measures the gateway's own path rather than net/http internals.
 	rt     http.RoundTripper
 	router *router
-	// rev is the verifier's policy-revision source, nil when it has none:
-	// its monotone PolicyRevision is the gateway's policy epoch.
-	rev attestation.Revisioned
 
 	mu      sync.Mutex
 	ups     map[string]*upstream // by UpstreamAddr
@@ -304,8 +301,7 @@ func New(cfg Config) (*Gateway, error) {
 		},
 	}
 	g.rt = g.transport
-	g.rev, _ = cfg.Verifier.(attestation.Revisioned)
-	g.flushedEpoch.Store(g.policyEpoch())
+	g.flushedEpoch.Store(cfg.Verifier.PolicyRevision())
 	g.pull()
 	// Probe loop, the gateway's one background goroutine: breaker-open
 	// upstreams re-enter rotation only through a successful attested
@@ -333,15 +329,6 @@ func (g *Gateway) observe(snap fleet.Snapshot) {
 	g.sync(snap)
 }
 
-// policyEpoch is the verifier's current policy revision, or 0 when the
-// verifier has none.
-func (g *Gateway) policyEpoch() uint64 {
-	if g.rev == nil {
-		return 0
-	}
-	return g.rev.PolicyRevision()
-}
-
 // checkPolicyEpoch flushes the upstream pools when the verifier's policy
 // revision moved since the last flush: pooled connections were verified
 // under the old policy, and fail-closed means they must re-prove
@@ -352,7 +339,7 @@ func (g *Gateway) policyEpoch() uint64 {
 // exactly one request flush per move, however many bumps it spans, and
 // an older reading never moves the flushed epoch back.
 func (g *Gateway) checkPolicyEpoch() {
-	epoch := g.policyEpoch()
+	epoch := g.cfg.Verifier.PolicyRevision()
 	old := g.flushedEpoch.Load()
 	if epoch <= old || !g.flushedEpoch.CompareAndSwap(old, epoch) {
 		return
@@ -1062,7 +1049,7 @@ func (g *Gateway) Stats() Stats {
 		TruncatedResponses: g.truncated.Load(),
 	}
 	g.router.snapshotStats(&s)
-	s.PolicyEpoch = g.policyEpoch()
+	s.PolicyEpoch = g.cfg.Verifier.PolicyRevision()
 	g.mu.Lock()
 	s.ViewVersion = g.version
 	for addr, up := range g.ups {

@@ -349,22 +349,6 @@ func TestGatewayPolicyEpochIsVerifierRevision(t *testing.T) {
 			t.Errorf("PolicyEpoch = %d, want 5", s.PolicyEpoch)
 		}
 	})
-
-	t.Run("verifier without a revision", func(t *testing.T) {
-		provider := newTestProvider("epoch")
-		// The wrapper hides PolicyRevision: the gateway sees a plain
-		// ratls.Verifier.
-		g := newGateway(t, struct{ ratls.Verifier }{provider})
-		for i := 0; i < 50; i++ {
-			if i%10 == 0 {
-				provider.rev.Add(1)
-			}
-			proxyOnce(t, g)
-		}
-		if s := g.Stats(); s.PolicyFlushes != 0 || s.PolicyEpoch != 0 {
-			t.Errorf("PolicyFlushes = %d, PolicyEpoch = %d; want 0 and 0", s.PolicyFlushes, s.PolicyEpoch)
-		}
-	})
 }
 
 // TestGatewayRejectsUnattestedUpstream: a node serving a plain TLS
@@ -413,7 +397,7 @@ func TestGatewayEjectsUpstreamOfUnknownChip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifier := snp.NewProvider(snp.NewVerifier(snp.NewKDSClient(kdsServer.URL, nil), snp.NewStaticGolden(golden)))
+	verifier := snp.NewVerifier(snp.NewKDSClient(kdsServer.URL, nil), snp.NewStaticGolden(golden))
 
 	goodAddr := startUpstream(t, snp.NewNodeProvider(goodSigner, nil), idHandler("good"))
 	badAddr := startUpstream(t, snp.NewNodeProvider(badSigner, nil), idHandler("bad"))

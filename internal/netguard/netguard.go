@@ -5,8 +5,11 @@
 // path into a running VM (requirement F4).
 //
 // The policy is a rootfs config file — so it is covered by dm-verity and
-// reflected in the attestation measurement — and is enforced by the
-// guest's connection router at runtime.
+// reflected in the attestation measurement. What the running system
+// enforces of it is the web tier: a node opens its HTTPS front end and
+// its RA-TLS upstream listener only if the policy admits inbound TCP 443
+// (core.Deployment.StartWeb). The outbound bit and the SP-facing control
+// listener are not enforced.
 package netguard
 
 import (

@@ -31,12 +31,17 @@ type Issuer interface {
 	Issue(ctx context.Context, payload []byte) (*attest.Bundle, error)
 }
 
-// Verifier judges a bundle — the relying-party half of a provider. It
-// authenticates the report, checks that it binds the bundle's payload,
-// and maps every failure onto the attestation taxonomy. An interface,
-// not *snp.Provider, so tests can stand a fake TEE behind the gateway.
+// Verifier judges a bundle — the relying party, *attest.Verifier
+// (snp.Verifier) in production. It authenticates the report, checks that
+// it binds the bundle's payload, and maps every failure onto the
+// attestation taxonomy. Its policy revision fences every verdict it
+// caches: when InvalidatePolicy moves it, nothing proven under an older
+// one is served again, and the gateway reads it as its policy epoch. An
+// interface, not *attest.Verifier, so tests can stand a fake TEE behind
+// the gateway.
 type Verifier interface {
 	VerifyEvidence(ctx context.Context, b *attest.Bundle) (*attest.Result, error)
+	PolicyRevision() uint64
 }
 
 // CreateProviderCertificate builds a fresh key pair and a self-signed

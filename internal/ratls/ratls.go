@@ -14,8 +14,9 @@
 //
 // There is one dialect: the extension carries the JSON report bundle
 // (attest.Bundle) every other hop ships too — a node's well-known
-// endpoint serves the same format — issued by an Issuer and verified by
-// a Verifier (snp.Provider for both, in production).
+// endpoint serves the same format — issued by an Issuer (snp.Provider,
+// in production) and verified by a Verifier (the SEV-SNP verifier
+// itself, snp.Verifier).
 package ratls
 
 import (

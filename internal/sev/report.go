@@ -7,7 +7,9 @@
 // caller-chosen REPORT_DATA, the chip identity, and an ECDSA P-384
 // signature by the VCEK over everything that precedes it. The package also
 // owns the VCEK certificate extensions naming that chip and TCB: verifiers
-// read them (VCEKIdentity), the simulated AMD-SP mints to them.
+// read them (VCEKIdentity), the simulated AMD-SP mints to them. And it
+// owns the REPORT_DATA binding (HashOf, HashOfWithNonce): the guest
+// computes it to request a report, the verifier to check one.
 package sev
 
 import (
@@ -56,6 +58,28 @@ type ChipID [ChipIDSize]byte
 // ReportData is the caller-chosen payload cryptographically bound into a
 // report (hash of a public key or CSR in Revelio's protocol).
 type ReportData [ReportDataSize]byte
+
+// HashOf returns the 64-byte REPORT_DATA binding for a blob.
+func HashOf(blob []byte) ReportData {
+	return ReportData(sha512.Sum512(blob))
+}
+
+// HashOfWithNonce returns the REPORT_DATA binding for a blob under a
+// verifier-chosen nonce — the freshness challenge for the well-known
+// attestation endpoint. The encoding is domain-separated from HashOf so
+// a nonce-less report can never be replayed as a nonce-bound one.
+func HashOfWithNonce(blob, nonce []byte) ReportData {
+	h := sha512.New()
+	h.Write([]byte("revelio-nonce-bound/v1"))
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(nonce)))
+	h.Write(n[:])
+	h.Write(nonce)
+	h.Write(blob)
+	var out ReportData
+	h.Sum(out[:0])
+	return out
+}
 
 // Report is a parsed attestation report.
 type Report struct {

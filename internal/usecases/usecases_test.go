@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"revelio/attestation/snp"
 	"revelio/internal/boundary"
 	"revelio/internal/browser"
 	"revelio/internal/core"
@@ -486,7 +485,7 @@ func TestBoundaryNodeBehindGateway(t *testing.T) {
 	}
 	gw, err := gateway.New(gateway.Config{
 		Source:         view,
-		Verifier:       snp.NewProvider(d.Verifier),
+		Verifier:       d.Verifier,
 		GetCertificate: d.Nodes[0].Agent.ServingCertificate,
 	})
 	if err != nil {

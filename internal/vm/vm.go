@@ -21,10 +21,8 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
-	"crypto/sha512"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -74,28 +72,6 @@ type Identity struct {
 	CSRDER []byte
 	// CSRReport carries SHA-512(CSRDER) as REPORT_DATA.
 	CSRReport *sev.Report
-}
-
-// HashOf returns the 64-byte REPORT_DATA binding for a blob.
-func HashOf(blob []byte) sev.ReportData {
-	return sev.ReportData(sha512.Sum512(blob))
-}
-
-// HashOfWithNonce returns the REPORT_DATA binding for a blob under a
-// verifier-chosen nonce — the freshness challenge for the well-known
-// attestation endpoint. The encoding is domain-separated from HashOf so
-// a nonce-less report can never be replayed as a nonce-bound one.
-func HashOfWithNonce(blob, nonce []byte) sev.ReportData {
-	h := sha512.New()
-	h.Write([]byte("revelio-nonce-bound/v1"))
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(nonce)))
-	h.Write(n[:])
-	h.Write(nonce)
-	h.Write(blob)
-	var out sev.ReportData
-	h.Sum(out[:0])
-	return out
 }
 
 // BootConfig configures a guest boot.
@@ -262,7 +238,7 @@ func createIdentity(guest *hypervisor.Guest, domain string) (*Identity, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vm: create csr: %w", err)
 	}
-	csrReport, err := guest.Channel.Report(HashOf(csrDER))
+	csrReport, err := guest.Channel.Report(sev.HashOf(csrDER))
 	if err != nil {
 		return nil, fmt.Errorf("vm: csr report: %w", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"revelio/internal/hypervisor"
 	"revelio/internal/imagebuild"
 	"revelio/internal/netguard"
+	"revelio/internal/sev"
 )
 
 // testRig bundles the full stack under a booted guest.
@@ -101,7 +102,7 @@ func TestIdentityReportsVerify(t *testing.T) {
 	v := bootRig(t, r)
 	id := v.Identity()
 
-	if id.CSRReport.ReportData != HashOf(id.CSRDER) {
+	if id.CSRReport.ReportData != sev.HashOf(id.CSRDER) {
 		t.Error("csr report does not bind the CSR")
 	}
 	// The CSR carries the identity key and proves possession of it, which
@@ -280,7 +281,7 @@ func TestFirewallFromImagePolicy(t *testing.T) {
 func TestFreshReportMatchesBootMeasurement(t *testing.T) {
 	r := newRig(t)
 	v := bootRig(t, r)
-	rep, err := v.Report(HashOf([]byte("nonce")))
+	rep, err := v.Report(sev.HashOf([]byte("nonce")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,6 @@ import (
 	"revelio/internal/attest"
 	"revelio/internal/browser"
 	"revelio/internal/measure"
-	"revelio/internal/sev"
-	"revelio/internal/vm"
 )
 
 // The extension's user-facing failure modes. They live inside the SDK's
@@ -221,7 +219,7 @@ func (e *Extension) Discover(ctx context.Context, domain string) (measure.Measur
 	if err != nil {
 		return measure.Measurement{}, fmt.Errorf("%w: %q: %w", ErrNoAttestation, domain, err)
 	}
-	res, err := e.verifier.VerifyBundle(ctx, bundle, vm.HashOf)
+	res, err := e.verifier.VerifyEvidence(ctx, bundle)
 	if err != nil {
 		return measure.Measurement{}, fmt.Errorf("%w: %w", ErrAttestationFailed, err)
 	}
@@ -320,9 +318,7 @@ func (e *Extension) attestSite(ctx context.Context, domain string, s *site, metr
 
 	// Validate the report: VCEK chain via KDS, signature, and the
 	// REPORT_DATA binding to the served TLS public key and our nonce.
-	res, err := e.verifier.VerifyBundle(ctx, bundle, func(payload []byte) sev.ReportData {
-		return vm.HashOfWithNonce(payload, nonce)
-	})
+	res, err := e.verifier.VerifyNonceBound(ctx, bundle, nonce)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrAttestationFailed, err)
 	}

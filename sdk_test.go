@@ -48,8 +48,8 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 			t.Fatalf("Provision: %v, want ErrUntrustedMeasurement", err)
 		}
 		ev := nodeEvidence(t, svc)
-		if _, err := snp.NewProvider(svc.Verifier()).VerifyEvidence(ctx, ev); !errors.Is(err, attestation.ErrUntrustedMeasurement) {
-			t.Fatalf("Provider verify: %v, want ErrUntrustedMeasurement", err)
+		if _, err := svc.Verifier().VerifyEvidence(ctx, ev); !errors.Is(err, attestation.ErrUntrustedMeasurement) {
+			t.Fatalf("Verifier verify: %v, want ErrUntrustedMeasurement", err)
 		}
 	})
 
@@ -59,15 +59,15 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 		svc := newTestService(t, revelio.WithTrustRegistry(reg))
 		vote(t, reg, svc.Golden())
 		ev := nodeEvidence(t, svc)
-		provider := snp.NewProvider(svc.Verifier())
-		if _, err := provider.VerifyEvidence(ctx, ev); err != nil {
+		verifier := svc.Verifier()
+		if _, err := verifier.VerifyEvidence(ctx, ev); err != nil {
 			t.Fatalf("trusted evidence rejected: %v", err)
 		}
 		if err := reg.Revoke(svc.Golden()); err != nil {
 			t.Fatal(err)
 		}
-		svc.Verifier().InvalidatePolicy()
-		err := verifyErr(provider, ev)
+		verifier.InvalidatePolicy()
+		err := verifyErr(verifier, ev)
 		if !errors.Is(err, attestation.ErrRevoked) || !errors.Is(err, attestation.ErrPolicyRejected) {
 			t.Fatalf("revoked golden: %v, want ErrRevoked (under ErrPolicyRejected)", err)
 		}
@@ -97,7 +97,7 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 	t.Run("TCB floor", func(t *testing.T) {
 		svc := newTestService(t)
 		strict := snp.NewVerifier(svc.CertSource(), snp.NewStaticGolden(svc.Golden()), snp.WithMinTCB(99))
-		if err := verifyErr(snp.NewProvider(strict), nodeEvidence(t, svc)); !errors.Is(err, attestation.ErrTCBTooOld) {
+		if err := verifyErr(strict, nodeEvidence(t, svc)); !errors.Is(err, attestation.ErrTCBTooOld) {
 			t.Fatalf("TCB floor: %v, want ErrTCBTooOld", err)
 		}
 	})
@@ -107,7 +107,7 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 		future := time.Now().Add(40 * 365 * 24 * time.Hour)
 		late := snp.NewVerifier(svc.CertSource(), snp.NewStaticGolden(svc.Golden()),
 			snp.WithClock(func() time.Time { return future }))
-		if err := verifyErr(snp.NewProvider(late), nodeEvidence(t, svc)); !errors.Is(err, attestation.ErrEvidenceExpired) {
+		if err := verifyErr(late, nodeEvidence(t, svc)); !errors.Is(err, attestation.ErrEvidenceExpired) {
 			t.Fatalf("expired: %v, want ErrEvidenceExpired", err)
 		}
 	})
@@ -124,7 +124,7 @@ func nodeEvidence(t *testing.T, svc *revelio.Service) *snp.Bundle {
 	return ev
 }
 
-func verifyErr(v *snp.Provider, ev *snp.Bundle) error {
+func verifyErr(v *snp.Verifier, ev *snp.Bundle) error {
 	_, err := v.VerifyEvidence(context.Background(), ev)
 	return err
 }

@@ -56,9 +56,10 @@ func WithTrustRegistry(reg *TrustRegistry) Option {
 //	report, err := svc.Provision(ctx)
 //	err = svc.ServeWeb(app)
 //
-// Verifier returns the SEV-SNP verifier the service runs on;
-// snp.NewProvider wraps it into the provider that verifies report
-// bundles (and, over a node's VM, issues them).
+// Verifier returns the SEV-SNP verifier the service runs on: the one
+// relying party, which verifies report bundles and checks their
+// REPORT_DATA binding itself. snp.NewNodeProvider pairs it with a
+// node's VM to issue them.
 //
 // A Service is one staged deployment of a single node. Membership
 // that changes under traffic — joins, removals, leader re-election,
