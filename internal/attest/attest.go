@@ -7,10 +7,13 @@
 // chain, check the VCEK's embedded chip identity against the report,
 // verify the report's signature, and finally judge the measurement
 // against a trust policy (hard-coded golden values or a trusted
-// registry). Bundles add the REPORT_DATA binding between a report and a
-// payload (public key or CSR), which the verifier checks itself: the
-// binding is sev.HashOf, or sev.HashOfWithNonce for a challenged bundle,
-// and no caller supplies it.
+// registry). The chain is validated by one walk over the fixed VCEK → ASK
+// → ARK shape (walkChain), which applies crypto/x509's checks in
+// crypto/x509's order and verifies ECDSA P-384 links on internal/p384,
+// against an ASK key prepared once per proven ASK→ARK link. Bundles add
+// the REPORT_DATA binding between a report and a payload (public key or
+// CSR), which the verifier checks itself: the binding is sev.HashOf, or
+// sev.HashOfWithNonce for a challenged bundle, and no caller supplies it.
 package attest
 
 import (
@@ -19,7 +22,6 @@ import (
 	"crypto/sha256"
 	"crypto/x509"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -104,7 +106,8 @@ func (g StaticGolden) IsTrusted(m measure.Measurement) bool {
 // finds the key's tables built) and a proof of the ASK→ARK link per
 // ASK+ARK DER pair (a VCEK never seen before — a new chip joining — is
 // walked only as far as the proven ASK: one signature check instead of
-// two). Policy judgments (TCB floor, chip allow-list, measurement trust)
+// two, against the ASK's prepared key, which the link proof carries).
+// Policy judgments (TCB floor, chip allow-list, measurement trust)
 // are re-run on every hit, so a registry revocation fails a cached report
 // immediately. Failures are never cached.
 type Verifier struct {
@@ -146,7 +149,8 @@ type Stats struct {
 	// KeysPrepared counts VCEK keys validated and given their
 	// verification tables (p384.NewPublicKey, about two signature checks'
 	// worth of work): one per chain walk that got as far as the key, none
-	// on a chain hit, which finds the key in the proof.
+	// on a chain hit, which finds the key in the proof. The ASK's and
+	// ARK's keys, prepared by a whole walk, are not counted.
 	KeysPrepared uint64 `json:"keys_prepared"`
 }
 
@@ -319,43 +323,35 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		// The ASK→ARK link is the same for every chip. Once a whole walk
 		// has proven it for this exact ASK and ARK, under this policy
 		// revision and while both are inside their validity window, the
-		// walk for a new VCEK anchors at the ASK. Any other ASK or ARK DER
-		// — rotated or forged — misses and walks the whole chain.
-		var lkey proofKey
-		linkProven := false
+		// walk for a new VCEK anchors at the ASK, against the ASK key the
+		// proof carries. Any other ASK or ARK DER — rotated or forged —
+		// misses and walks the whole chain.
+		var (
+			lkey proofKey
+			link *proof
+		)
 		if v.chains != nil {
 			lkey = linkProofKey(ask, ark)
-			_, linkProven = v.chains.Get(lkey, rev, now)
-		}
-		opts := x509.VerifyOptions{
-			Roots:       x509.NewCertPool(),
-			CurrentTime: now,
-			KeyUsages:   []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
+			if p, ok := v.chains.Get(lkey, rev, now); ok {
+				link = &p
+			}
 		}
 		links := uint64(2) // VCEK→ASK and ASK→ARK
-		if linkProven {
+		if link != nil {
 			links = 1
 			v.linkHits.Add(1)
-			opts.Roots.AddCert(ask)
-		} else {
-			opts.Roots.AddCert(ark)
-			opts.Intermediates = x509.NewCertPool()
-			opts.Intermediates.AddCert(ask)
 		}
-		if _, err := vcekCert.Verify(opts); err != nil {
-			var invalid x509.CertificateInvalidError
-			if errors.As(err, &invalid) && invalid.Reason == x509.Expired {
-				return nil, fmt.Errorf("%w: %v", ErrEvidenceExpired, err)
-			}
-			return nil, fmt.Errorf("%w: %v", ErrChainInvalid, err)
+		askKey, err := walkChain(vcekCert, ask, ark, now, link)
+		if err != nil {
+			return nil, err
 		}
 		v.linksVerified.Add(links)
 		linkNotAfter := ask.NotAfter
 		if ark.NotAfter.Before(linkNotAfter) {
 			linkNotAfter = ark.NotAfter
 		}
-		if !linkProven && v.chains != nil {
-			v.chains.Put(lkey, proof{notAfter: linkNotAfter}, rev, linkNotAfter)
+		if link == nil && v.chains != nil {
+			v.chains.Put(lkey, proof{key: askKey, notAfter: linkNotAfter}, rev, linkNotAfter)
 		}
 		if linkNotAfter.Before(notAfter) {
 			notAfter = linkNotAfter

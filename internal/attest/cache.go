@@ -53,6 +53,6 @@ func linkProofKey(ask, ark *x509.Certificate) proofKey {
 // its cached result.
 type proof struct {
 	vcek     *x509.Certificate // the chain-validated VCEK that proved the evidence; nil for an ASK-link proof
-	key      *p384.PublicKey   // vcek's key with its verification tables (≈ 4.6 KB); set on a VCEK's chain proof only
+	key      *p384.PublicKey   // the prepared key (≈ 4.6 KB) of vcek, or of the ASK in an ASK-link proof; nil for a report proof and for an ASK not on P-384
 	notAfter time.Time         // earliest NotAfter in the proving chain, handed on to proofs built on this one
 }

@@ -383,9 +383,11 @@ func (d *Deployment) launchNode(chipSeed []byte) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The agent's client is owned by the node, not the deployment-level
-	// list: a removed node's client is reaped with the node, so fleets
-	// under continuous churn do not accumulate connection pools.
+	// The agent's client, and its connection pool, are the node's own:
+	// kept on the node rather than in the deployment-level list, and
+	// closed with the node, so fleets under continuous churn neither
+	// accumulate pools nor, closing one, drop another client's
+	// connections (the verifier's to the KDS among them).
 	client := netlab.Client(d.cfg.SPNetRTT, nil)
 	agent := certmgr.NewAgent(guestVM, d.Verifier, client)
 	control, err := startHTTP(agent)

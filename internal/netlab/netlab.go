@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -19,8 +20,10 @@ import (
 type Transport struct {
 	// RTT is added to every round trip (one sleep per request).
 	RTT time.Duration
-	// Inner handles the actual request; nil selects
-	// http.DefaultTransport.
+	// Inner handles the actual request; nil selects a connection pool
+	// of this transport's own (http.DefaultTransport's settings), so that
+	// CloseIdleConnections reaches this transport's connections and no
+	// one else's.
 	Inner http.RoundTripper
 	// Fail, if non-nil, is consulted per request; a non-nil error aborts
 	// the request (MITM blackholing, dead KDS, ...). Set it before the
@@ -45,6 +48,18 @@ type Transport struct {
 	// promptly, the payload crawls.
 	drip     atomic.Pointer[time.Duration]
 	requests atomic.Int64
+
+	ownOnce sync.Once
+	own     *http.Transport // the pool a nil Inner selects, made on first use
+}
+
+// inner is the round tripper requests go out through.
+func (t *Transport) inner() http.RoundTripper {
+	if t.Inner != nil {
+		return t.Inner
+	}
+	t.ownOnce.Do(func() { t.own = http.DefaultTransport.(*http.Transport).Clone() })
+	return t.own
 }
 
 type outageState struct{ err error }
@@ -157,11 +172,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		time.Sleep(rtt)
 	}
 	t.requests.Add(1)
-	inner := t.Inner
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	resp, err := inner.RoundTrip(req)
+	resp, err := t.inner().RoundTrip(req)
 	if err == nil && resp.Body != nil {
 		if d := t.drip.Load(); d != nil {
 			resp.Body = &dripBody{inner: resp.Body, pause: *d, chunk: 512}
@@ -181,11 +192,7 @@ func (t *Transport) Requests() int64 { return t.requests.Load() }
 // without it, every netlab-wrapped client would strand keep-alive
 // goroutines past teardown.
 func (t *Transport) CloseIdleConnections() {
-	inner := t.Inner
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	if c, ok := inner.(interface{ CloseIdleConnections() }); ok {
+	if c, ok := t.inner().(interface{ CloseIdleConnections() }); ok {
 		c.CloseIdleConnections()
 	}
 }

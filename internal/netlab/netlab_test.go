@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -331,5 +333,44 @@ func TestRelayForwardsCountsAndCuts(t *testing.T) {
 	get() // the client redials through the still-open relay
 	if n := relay.Accepted(); n != 2 {
 		t.Fatalf("%d connections after a cut, want 2", n)
+	}
+}
+
+// TestCloseIdleConnectionsReachesOnlyItsOwnPool: two transports with a nil
+// Inner pool their connections apart — closing one's idle connections
+// leaves the other's keep-alive connection to reuse.
+func TestCloseIdleConnectionsReachesOnlyItsOwnPool(t *testing.T) {
+	var dials atomic.Int64
+	server := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	}))
+	server.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	server.Start()
+	defer server.Close()
+
+	kept, closed := &http.Client{Transport: &Transport{}}, &http.Client{Transport: &Transport{}}
+	defer kept.CloseIdleConnections()
+	get := func(c *http.Client) {
+		t.Helper()
+		resp, err := c.Get(server.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+	}
+	get(kept)
+	get(closed)
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("two transports dialed %d times, want one connection each", n)
+	}
+	closed.CloseIdleConnections()
+	get(kept)
+	if n := dials.Load(); n != 2 {
+		t.Errorf("closing another transport's idle connections cost this one its connection: %d dials", n)
 	}
 }

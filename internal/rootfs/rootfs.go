@@ -6,7 +6,10 @@
 // size. Determinism is the point — internal/imagebuild relies on
 // byte-identical archives for reproducible builds (paper requirement F5).
 // The archive is consumed through a verity-protected device, so every read
-// of file contents is integrity-checked at the block layer.
+// of file contents is integrity-checked at the block layer. Open reads a
+// file through the device without holding it — ReadAt into the caller's
+// buffer, WriteTo through one pooled buffer — and ReadFile is Open plus
+// one allocation of the whole file.
 package rootfs
 
 import (
@@ -14,9 +17,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"sort"
 	"strings"
+	"sync"
 
 	"revelio/internal/blockdev"
 )
@@ -230,18 +235,94 @@ func (r *deviceReader) skip(n int64) error {
 	return nil
 }
 
-// ReadFile returns the contents of the named file, verified through the
-// backing device.
-func (f *FS) ReadFile(path string) ([]byte, error) {
+// Open returns the named file for reading through the backing device:
+// every byte it hands out has been verified there, as by ReadFile, and
+// none is held by the file itself.
+func (f *FS) Open(path string) (*Reader, error) {
 	e, ok := f.index[path]
 	if !ok {
 		return nil, &fs.PathError{Op: "open", Path: path, Err: fs.ErrNotExist}
 	}
-	out := make([]byte, e.size)
-	if err := f.dev.ReadAt(out, e.off); err != nil {
-		return nil, fmt.Errorf("rootfs: read %q: %w", path, err)
+	return &Reader{dev: f.dev, path: path, e: e}, nil
+}
+
+// ReadFile returns the contents of the named file, verified through the
+// backing device.
+func (f *FS) ReadFile(path string) ([]byte, error) {
+	r, err := f.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, r.e.size)
+	if err := r.read(out, 0); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// Reader reads one file of an image. It is an io.ReaderAt and an
+// io.WriterTo, safe for concurrent use.
+type Reader struct {
+	dev  blockdev.Device
+	path string
+	e    entry
+}
+
+// ReadAt implements io.ReaderAt over the file's contents.
+func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("rootfs: read %q: negative offset", r.path)
+	}
+	if off >= r.e.size {
+		return 0, io.EOF
+	}
+	n := int(min(int64(len(p)), r.e.size-off))
+	if err := r.read(p[:n], off); err != nil {
+		return 0, err
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// streamChunk is what WriteTo reads at once: the largest I/O the block
+// layer issues, so that a read of a verity device is at most one batch of
+// blocks.
+const streamChunk = 64 << 10
+
+var streamBufs = sync.Pool{New: func() any { return new([streamChunk]byte) }}
+
+// WriteTo implements io.WriterTo: it streams the file to w through one
+// pooled buffer, a run of whole device blocks at a time, so a caller that
+// only needs the contents verified (or passed on) never holds them all.
+func (r *Reader) WriteTo(w io.Writer) (int64, error) {
+	buf := streamBufs.Get().(*[streamChunk]byte)
+	defer streamBufs.Put(buf)
+	var done int64
+	for done < r.e.size {
+		// Chunks end on streamChunk boundaries of the device, so every
+		// read but a file's first and last covers whole blocks.
+		start := r.e.off + done
+		n := min(r.e.size-done, (start/streamChunk+1)*streamChunk-start)
+		if err := r.read(buf[:n], done); err != nil {
+			return done, err
+		}
+		m, err := w.Write(buf[:n])
+		done += int64(m)
+		if err != nil {
+			return done, err
+		}
+	}
+	return done, nil
+}
+
+// read fills p from the file at off, all or nothing.
+func (r *Reader) read(p []byte, off int64) error {
+	if err := r.dev.ReadAt(p, r.e.off+off); err != nil {
+		return fmt.Errorf("rootfs: read %q: %w", r.path, err)
+	}
+	return nil
 }
 
 // Stat returns size and mode for the named file.

@@ -3,11 +3,13 @@ package rootfs
 import (
 	"bytes"
 	"errors"
+	"io"
 	"io/fs"
 	"testing"
 	"testing/quick"
 
 	"revelio/internal/blockdev"
+	"revelio/internal/dmverity"
 )
 
 func sampleFiles() []File {
@@ -233,4 +235,96 @@ func FuzzMount(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestOpenReadsWhatReadFileReads: Open's ReadAt and WriteTo hand out the
+// bytes ReadFile does, at any offset and across chunk boundaries, with
+// io.ReaderAt's end-of-file contract.
+func TestOpenReadsWhatReadFileReads(t *testing.T) {
+	big := make([]byte, 3*streamChunk+777)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	files := append(sampleFiles(), File{Path: "usr/bin/big", Content: big, Mode: 0o755})
+	fsys := mountArchive(t, files)
+	for _, f := range files {
+		r, err := fsys.Open(f.Path)
+		if err != nil {
+			t.Fatalf("Open(%q): %v", f.Path, err)
+		}
+		var streamed bytes.Buffer
+		if n, err := r.WriteTo(&streamed); err != nil || n != int64(len(f.Content)) || !bytes.Equal(streamed.Bytes(), f.Content) {
+			t.Errorf("%s: WriteTo = %d, %v; contents equal: %v", f.Path, n, err, bytes.Equal(streamed.Bytes(), f.Content))
+		}
+		got, err := io.ReadAll(io.NewSectionReader(r, 0, int64(len(f.Content))))
+		if err != nil || !bytes.Equal(got, f.Content) {
+			t.Errorf("%s: ReadAt through a SectionReader: %v; contents equal: %v", f.Path, err, bytes.Equal(got, f.Content))
+		}
+	}
+
+	r, err := fsys.Open("usr/bin/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, 1000)
+	if n, err := r.ReadAt(p, streamChunk-500); n != len(p) || err != nil || !bytes.Equal(p, big[streamChunk-500:streamChunk+500]) {
+		t.Errorf("ReadAt across a chunk boundary: %d, %v", n, err)
+	}
+	if n, err := r.ReadAt(p, int64(len(big))-10); n != 10 || err != io.EOF || !bytes.Equal(p[:10], big[len(big)-10:]) {
+		t.Errorf("ReadAt over the end: %d, %v; want 10, io.EOF", n, err)
+	}
+	if n, err := r.ReadAt(p, int64(len(big))); n != 0 || err != io.EOF {
+		t.Errorf("ReadAt at the end: %d, %v; want 0, io.EOF", n, err)
+	}
+	if _, err := r.ReadAt(p, -1); err == nil || err == io.EOF {
+		t.Errorf("ReadAt at a negative offset: %v", err)
+	}
+	if _, err := fsys.Open("no/such/file"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Open(missing): %v, want fs.ErrNotExist", err)
+	}
+}
+
+// TestTamperedBlockFailsEveryRead: a data block flipped after the image
+// is mounted fails ReadFile, Open's ReadAt and its WriteTo alike, with
+// dm-verity's *MismatchError, and never hands out a byte of it.
+func TestTamperedBlockFailsEveryRead(t *testing.T) {
+	content := bytes.Repeat([]byte{0x5A}, 4*BlockSize)
+	archive, err := Build([]File{{Path: "usr/bin/svc", Content: content, Mode: 0o755}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := blockdev.NewMemFrom(archive)
+	hashes, meta, err := dmverity.Format(data, dmverity.Params{BlockSize: BlockSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := dmverity.Open(data, hashes, meta, meta.RootHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys, err := Mount(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := data.FlipBit(2*BlockSize+100, 3); err != nil { // inside the file, past what Mount reads
+		t.Fatal(err)
+	}
+	r, err := fsys.Open("usr/bin/svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mismatch *dmverity.MismatchError
+	if _, err := fsys.ReadFile("usr/bin/svc"); !errors.As(err, &mismatch) {
+		t.Errorf("ReadFile: %v, want *dmverity.MismatchError", err)
+	}
+	if _, err := r.ReadAt(make([]byte, 10), 2*BlockSize); !errors.As(err, &mismatch) {
+		t.Errorf("ReadAt: %v, want *dmverity.MismatchError", err)
+	}
+	var streamed bytes.Buffer
+	if _, err := r.WriteTo(&streamed); !errors.As(err, &mismatch) {
+		t.Errorf("WriteTo: %v, want *dmverity.MismatchError", err)
+	}
+	if streamed.Len() != 0 {
+		t.Errorf("WriteTo handed out %d bytes of a tampered read", streamed.Len())
+	}
 }
