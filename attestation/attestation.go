@@ -1,7 +1,7 @@
 // Package attestation is the leaf of Revelio's public SDK: the typed
 // error taxonomy every verification failure maps onto, and the small
 // interfaces the SEV-SNP verification plane (attestation/snp) is built
-// over: where it gets its certificates (CertSource) and how it judges a
+// over: where it gets its VCEKs (CertSource) and how it judges a
 // measurement (TrustPolicy, RevocationChecker, JudgeMeasurement).
 //
 // The package carries no verification logic, so every layer of the
@@ -47,15 +47,14 @@ func JudgeMeasurement(policy TrustPolicy, m measure.Measurement) error {
 	return fmt.Errorf("%w: %s", ErrUntrustedMeasurement, m)
 }
 
-// CertSource supplies the certificates that authenticate SEV-SNP
-// evidence: the VCEK for a chip/TCB pair and the ASK/ARK chain above
-// it. It is the seam that decouples the verification plane from a
-// concrete KDS client — an HTTP client against the (simulated) AMD KDS,
-// a pre-fetched offline bundle, or a test double all satisfy it.
+// CertSource supplies the certificate that authenticates SEV-SNP
+// evidence: the VCEK for a chip/TCB pair. It is the seam that decouples
+// the verification plane from a concrete KDS client — an HTTP client
+// against the (simulated) AMD KDS, a pre-fetched offline bundle, or a
+// test double all satisfy it. The ASK and ARK above every VCEK are not
+// asked of it: a verifier carries its product line's, so whoever answers
+// for the source never picks the root it is judged by.
 type CertSource interface {
 	// VCEK returns the VCEK certificate for a chip at a TCB version.
 	VCEK(ctx context.Context, chipID sev.ChipID, tcb uint64) (*x509.Certificate, error)
-	// CertChain returns the ASK (intermediate) and ARK (root)
-	// certificates, in that order.
-	CertChain(ctx context.Context) (ask, ark *x509.Certificate, err error)
 }

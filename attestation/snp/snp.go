@@ -59,8 +59,9 @@ type (
 	}
 )
 
-// NewVerifier creates a verifier fetching certificates from source and
-// judging measurements with policy.
+// NewVerifier creates a verifier fetching VCEKs from source, judging
+// each against the product line's ASK and ARK it carries, and judging
+// measurements with policy.
 func NewVerifier(source attestation.CertSource, policy TrustPolicy, opts ...Option) *Verifier {
 	return attest.NewVerifier(source, policy, opts...)
 }

@@ -2,10 +2,23 @@ package snp
 
 import (
 	"context"
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
+	"crypto/sha512"
+	"crypto/x509"
+	"encoding/pem"
+	"errors"
+	"io"
+	"math/big"
+	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"revelio/attestation"
 	"revelio/internal/measure"
+	"revelio/internal/sev"
 )
 
 type rig struct {
@@ -105,5 +118,105 @@ func TestDemoGoldenIsItsLedger(t *testing.T) {
 	const printed = "4356b95eee6e57efbea944afa718953a8a366b9906cf70d8358f4045f3307857dae4954d4f2a4d40ff61a71f0be295e1"
 	if got := ev.Golden.String(); got != printed {
 		t.Errorf("demo golden = %s, revelio-kds has always printed %s", got, printed)
+	}
+}
+
+// TestForgedChainRefused is the forged-chain row on the public surface.
+// Whoever answers on the verifier→KDS hop serves an ARK and an ASK of its
+// own, under the names the genuine KDS publishes, and a VCEK that ASK
+// issued over the attacker's key for a chip of its choosing; the report
+// that key signs claims the golden measurement. The verifier fetches only
+// the VCEK, judges it against the ASK it carries, refuses it as
+// ErrChainInvalid, and proves nothing.
+func TestForgedChainRefused(t *testing.T) {
+	r := newRig(t)
+	genuine := httptest.NewServer(r.sim.Handler())
+	t.Cleanup(genuine.Close)
+	resp, err := http.Get(genuine.URL + CertChainPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	published, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names [][]byte // the published ASK's and ARK's, in that order
+	for rest := published; ; {
+		var block *pem.Block
+		if block, rest = pem.Decode(rest); block == nil {
+			break
+		}
+		cert, err := x509.ParseCertificate(block.Bytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, cert.RawSubject)
+	}
+	if len(names) != 2 {
+		t.Fatalf("the KDS publishes %d certificates, want the ASK and the ARK", len(names))
+	}
+
+	issue := func(tmpl, parent *x509.Certificate, key, signer *ecdsa.PrivateKey) *x509.Certificate {
+		t.Helper()
+		tmpl.SerialNumber = big.NewInt(1)
+		tmpl.NotBefore, tmpl.NotAfter = time.Now().Add(-time.Hour), time.Now().Add(24*time.Hour)
+		if parent == nil {
+			parent = tmpl
+		}
+		der, err := x509.CreateCertificate(rand.Reader, tmpl, parent, &key.PublicKey, signer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert, err := x509.ParseCertificate(der)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cert
+	}
+	var keys [3]*ecdsa.PrivateKey
+	for i := range keys {
+		if keys[i], err = ecdsa.GenerateKey(elliptic.P384(), rand.Reader); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arkKey, askKey, vcekKey := keys[0], keys[1], keys[2]
+	ca := func(name []byte) *x509.Certificate {
+		return &x509.Certificate{RawSubject: name, IsCA: true, BasicConstraintsValid: true, KeyUsage: x509.KeyUsageCertSign}
+	}
+	ark := issue(ca(names[1]), nil, arkKey, arkKey)
+	ask := issue(ca(names[0]), ark, askKey, arkKey)
+	chip := ChipID{0: 0xA7}
+	vcek := issue(&x509.Certificate{KeyUsage: x509.KeyUsageDigitalSignature, ExtraExtensions: sev.VCEKExtensions(chip, 5)}, ask, vcekKey, askKey)
+
+	payload := []byte("the attacker's TLS key")
+	report := &Report{Version: sev.ReportVersion, TCBVersion: 5, Measurement: r.golden, ReportData: sev.HashOf(payload), ChipID: chip}
+	digest := sha512.Sum384(report.SignedBytes())
+	if report.Signature, err = ecdsa.SignASN1(rand.Reader, vcekKey, digest[:]); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := report.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := append(pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: ask.Raw}),
+		pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: ark.Raw})...)
+	attacker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == CertChainPath {
+			_, _ = w.Write(chain)
+			return
+		}
+		_, _ = w.Write(vcek.Raw)
+	}))
+	t.Cleanup(attacker.Close)
+
+	v := NewVerifier(NewKDSClient(attacker.URL, nil), NewStaticGolden(r.golden))
+	for range 2 {
+		if _, err := v.VerifyEvidence(context.Background(), &Bundle{ReportRaw: raw, Payload: payload}); !errors.Is(err, attestation.ErrChainInvalid) {
+			t.Fatalf("evidence under a forged chain: err = %v, want ErrChainInvalid", err)
+		}
+	}
+	if s := v.Stats(); s.ReportsVerified != 0 || s.ChainLinksVerified != 0 || s.KeysPrepared != 0 {
+		t.Errorf("a forged chain proved something: %+v", s)
 	}
 }

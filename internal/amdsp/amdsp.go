@@ -1,12 +1,14 @@
 // Package amdsp is the software stand-in for the AMD Secure Processor and
 // the manufacturer key hierarchy behind it.
 //
-// A Manufacturer models AMD: it owns the ARK (root) and ASK (intermediate)
-// signing keys and mints SecureProcessors, each with a unique ChipID and a
-// Versioned Chip Endorsement Key (VCEK) derived from the manufacturer
-// secret, the chip identity and the TCB version — so a TCB update rotates
-// the VCEK exactly as on real silicon. The Manufacturer also issues the
-// ARK→ASK→VCEK X.509 chain that internal/kds serves.
+// A Manufacturer models AMD: it mints SecureProcessors, each with a
+// unique ChipID and a Versioned Chip Endorsement Key (VCEK) derived from
+// the manufacturer secret, the chip identity and the TCB version — so a
+// TCB update rotates the VCEK exactly as on real silicon — and issues the
+// VCEK certificates internal/kds serves under the product line's ASK,
+// which internal/sev carries for the verifier: the simulator conforms to
+// that chain. Every Manufacturer derives the ASK's key from one
+// product-line secret; none holds the ARK's.
 //
 // A SecureProcessor executes guest launches: LaunchStart/Update/Finish
 // maintain the measurement ledger, and the post-launch guest channel hands
@@ -25,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,13 +83,18 @@ func deterministicSerial(parts ...[]byte) *big.Int {
 	return new(big.Int).SetBytes(h.Sum(nil)[:16])
 }
 
+// productASKKey is the product line's ASK key, derived once per process
+// from the product line's secret. The certificate internal/sev carries
+// for it was issued once, under an ARK key that was then thrown away.
+var productASKKey = sync.OnceValues(func() (*ecdsa.PrivateKey, error) {
+	return deriveECDSAKey([]byte("revelio-sim product line"), "ask")
+})
+
 // Manufacturer models AMD's signing infrastructure.
 type Manufacturer struct {
 	secret []byte
 	askKey *ecdsa.PrivateKey
-	arkDER []byte
-	askDER []byte
-	ask    *x509.Certificate
+	ask    *x509.Certificate // the product line's, as internal/sev carries it
 	notBef time.Time
 	mu     sync.Mutex
 	// minted is the ledger of fabricated chips: per chip, the VCEK at
@@ -145,65 +151,28 @@ func (m *Manufacturer) Stats() Stats {
 	}
 }
 
-// NewManufacturer creates a manufacturer whose entire key hierarchy is
-// deterministically derived from seed.
+// NewManufacturer creates a manufacturer whose chips are deterministically
+// derived from seed. Their VCEKs are issued under the product line's ASK.
 func NewManufacturer(seed []byte) (*Manufacturer, error) {
 	if len(seed) == 0 {
 		return nil, errors.New("amdsp: empty manufacturer seed")
 	}
-	m := &Manufacturer{
+	ask, _, err := sev.ProductChain()
+	if err != nil {
+		return nil, fmt.Errorf("amdsp: %w", err)
+	}
+	askKey, err := productASKKey()
+	if err != nil {
+		return nil, err
+	}
+	return &Manufacturer{
 		secret: append([]byte(nil), seed...),
+		askKey: askKey,
+		ask:    ask,
 		notBef: time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC),
 		minted: make(map[sev.ChipID]map[uint64]*vcekEntry),
-	}
-	arkKey, err := deriveECDSAKey(m.secret, "ark")
-	if err != nil {
-		return nil, err
-	}
-	if m.askKey, err = deriveECDSAKey(m.secret, "ask"); err != nil {
-		return nil, err
-	}
-	var ark *x509.Certificate
-	if m.arkDER, ark, err = m.caCert("ark", arkKey, nil, arkKey); err != nil {
-		return nil, err
-	}
-	if m.askDER, m.ask, err = m.caCert("ask", m.askKey, ark, arkKey); err != nil {
-		return nil, err
-	}
-	return m, nil
+	}, nil
 }
-
-// caCert issues the CA certificate called name for key, signed by signer
-// under parent, or self-signed when parent is nil.
-func (m *Manufacturer) caCert(name string, key *ecdsa.PrivateKey, parent *x509.Certificate, signer *ecdsa.PrivateKey) ([]byte, *x509.Certificate, error) {
-	tmpl := &x509.Certificate{
-		SerialNumber:          deterministicSerial(m.secret, []byte(name)),
-		Subject:               pkix.Name{CommonName: strings.ToUpper(name) + "-SIM", Organization: []string{"AMD-SIM"}},
-		NotBefore:             m.notBef,
-		NotAfter:              m.notBef.Add(certValidity),
-		IsCA:                  true,
-		BasicConstraintsValid: true,
-		KeyUsage:              x509.KeyUsageCertSign,
-	}
-	if parent == nil {
-		parent = tmpl
-	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, parent, &key.PublicKey, signer)
-	if err != nil {
-		return nil, nil, fmt.Errorf("amdsp: create %s cert: %w", name, err)
-	}
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		return nil, nil, fmt.Errorf("amdsp: parse %s cert: %w", name, err)
-	}
-	return der, cert, nil
-}
-
-// ARKCertDER returns the DER-encoded root certificate.
-func (m *Manufacturer) ARKCertDER() []byte { return append([]byte(nil), m.arkDER...) }
-
-// ASKCertDER returns the DER-encoded intermediate certificate.
-func (m *Manufacturer) ASKCertDER() []byte { return append([]byte(nil), m.askDER...) }
 
 // chipSecret derives per-chip secret material.
 func (m *Manufacturer) chipSecret(chipSeed []byte) []byte {

@@ -198,17 +198,13 @@ func TestVCEKCertChainValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	roots := x509.NewCertPool()
-	ark, err := x509.ParseCertificate(mfr.ARKCertDER())
+	ask, ark, err := sev.ProductChain()
 	if err != nil {
 		t.Fatal(err)
 	}
+	roots := x509.NewCertPool()
 	roots.AddCert(ark)
 	inters := x509.NewCertPool()
-	ask, err := x509.ParseCertificate(mfr.ASKCertDER())
-	if err != nil {
-		t.Fatal(err)
-	}
 	inters.AddCert(ask)
 
 	if _, err := vcekCert.Verify(x509.VerifyOptions{
@@ -240,6 +236,30 @@ func TestVCEKCertChainValidates(t *testing.T) {
 	}
 	if err := report.Verify(sp.VCEKPublic()); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestProductASKKeyIsCarried: the ASK key every Manufacturer derives is
+// the key of the ASK certificate internal/sev carries, and that
+// certificate keeps the simulator's window: the simulator conforms to the
+// verifier's chain.
+func TestProductASKKeyIsCarried(t *testing.T) {
+	ask, ark, err := sev.ProductChain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := productASKKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !key.PublicKey.Equal(ask.PublicKey) {
+		t.Error("the derived ASK key is not the carried ASK's")
+	}
+	mfr, _ := newTestSetup(t)
+	for _, c := range []*x509.Certificate{ask, ark} {
+		if !c.NotBefore.Equal(mfr.notBef) || !c.NotAfter.Equal(mfr.notBef.Add(certValidity)) {
+			t.Errorf("%s valid %s to %s, want the simulator's window from %s", c.Subject.CommonName, c.NotBefore, c.NotAfter, mfr.notBef)
+		}
 	}
 }
 

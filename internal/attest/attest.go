@@ -3,14 +3,15 @@
 // attestation report (§5.3, §5.3.2).
 //
 // Verification is the five-step pipeline the paper describes: fetch the
-// ARK/ASK chain and the VCEK from the KDS, validate the certificate
-// chain, check the VCEK's embedded chip identity against the report,
-// verify the report's signature, and finally judge the measurement
-// against a trust policy (hard-coded golden values or a trusted
-// registry). The chain is validated by one walk over the fixed VCEK → ASK
-// → ARK shape (walkChain), which applies crypto/x509's checks in
-// crypto/x509's order and verifies ECDSA P-384 links on internal/p384,
-// against an ASK key prepared once per proven ASK→ARK link. Bundles add
+// VCEK from the KDS, validate its chain up to the product line's ASK and
+// ARK, which the verifier carries (internal/sev) and never fetches, check
+// the VCEK's embedded chip identity against the report, verify the
+// report's signature, and finally judge the measurement against a trust
+// policy (hard-coded golden values or a trusted registry). The chain is
+// validated by one walk over the fixed VCEK → ASK → ARK shape (walkChain),
+// which applies crypto/x509's checks in crypto/x509's order and verifies
+// the VCEK's ECDSA P-384 signature on internal/p384, against the ASK's
+// key, prepared with the once-per-process check of the ASK→ARK link. Bundles add
 // the REPORT_DATA binding between a report and a payload (public key or
 // CSR), which the verifier checks itself: the binding is sev.HashOf, or
 // sev.HashOfWithNonce for a challenged bundle, and no caller supplies it.
@@ -69,10 +70,9 @@ var (
 // time"). It is the SDK-wide attestation.TrustPolicy contract.
 type TrustPolicy = attestation.TrustPolicy
 
-// CertSource supplies the VCEK and ASK/ARK certificates that
-// authenticate a report — the seam that used to be a hard *kds.Client
-// dependency. *kds.Client satisfies it; so do offline bundles and test
-// doubles.
+// CertSource supplies the VCEK certificate that authenticates a report —
+// the seam that used to be a hard *kds.Client dependency. *kds.Client
+// satisfies it; so do offline bundles and test doubles.
 type CertSource = attestation.CertSource
 
 // StaticGolden is a fixed set of golden measurements.
@@ -97,34 +97,33 @@ func (g StaticGolden) IsTrusted(m measure.Measurement) bool {
 
 // Verifier validates attestation reports end to end.
 //
-// Positive verifications are memoized in two proof caches — one
-// keyed by report digest (skips the whole chain walk + ECDSA signature
-// check for already-proven reports) and one keyed by certificate digest,
-// which holds two tiers: a proof per VCEK DER (skips the chain walk when a
-// fresh report arrives under a known VCEK, the warm-session case, and
-// carries the VCEK's prepared P-384 key, so that report's signature check
-// finds the key's tables built) and a proof of the ASK→ARK link per
-// ASK+ARK DER pair (a VCEK never seen before — a new chip joining — is
-// walked only as far as the proven ASK: one signature check instead of
-// two, against the ASK's prepared key, which the link proof carries).
-// Policy judgments (TCB floor, chip allow-list, measurement trust)
-// are re-run on every hit, so a registry revocation fails a cached report
-// immediately. Failures are never cached.
+// Positive verifications are memoized in two proof tiers — one keyed by
+// report digest (skips the chain walk and the ECDSA signature check for
+// already-proven reports) and one keyed by VCEK DER digest (skips the
+// chain walk when a fresh report arrives under a known VCEK, the
+// warm-session case, and carries the VCEK's prepared P-384 key, so that
+// report's signature check finds the key's tables built). A VCEK never
+// seen before — a new chip joining — costs one signature check, against
+// the carried ASK's prepared key. Policy judgments (TCB floor, chip
+// allow-list, measurement trust) are re-run on every hit, so a registry
+// revocation fails a cached report immediately. Failures are never
+// cached.
 type Verifier struct {
-	source CertSource
-	policy TrustPolicy
-	chips  map[sev.ChipID]struct{} // nil = any chip
-	minTCB uint64
-	now    func() time.Time
+	source  CertSource
+	policy  TrustPolicy
+	chips   map[sev.ChipID]struct{} // nil = any chip
+	minTCB  uint64
+	now     func() time.Time
+	carried func() (*chain, error) // the ASK and ARK every VCEK is judged against: productChain
 
 	reports   *cache.Cache[proofKey, proof] // report digest -> proof; nil = disabled
-	chains    *cache.Cache[proofKey, proof] // VCEK DER / ASK+ARK DER digest -> proof; nil = disabled
+	chains    *cache.Cache[proofKey, proof] // VCEK DER digest -> proof; nil = disabled
 	noCache   bool
 	policyRev atomic.Uint64
 
-	reportsVerified, linksVerified  atomic.Uint64
-	reportHits, chainHits, linkHits atomic.Uint64
-	keysPrepared                    atomic.Uint64
+	reportsVerified, linksVerified atomic.Uint64
+	reportHits, chainHits          atomic.Uint64
+	keysPrepared                   atomic.Uint64
 }
 
 // Stats is an exact count of the P-384 verifications and key preparations
@@ -135,22 +134,20 @@ type Stats struct {
 	// ReportsVerified counts report signatures checked and found good.
 	ReportsVerified uint64 `json:"reports_verified"`
 	// ChainLinksVerified counts certificate signatures checked by
-	// successful chain walks: two for a whole VCEK→ASK→ARK walk, one for a
-	// walk anchored at an ASK whose link to the ARK was already proven.
+	// successful chain walks: one, the VCEK→ASK link, per walk. The
+	// carried ASK→ARK link is checked once per process and counts in no
+	// Verifier's Stats.
 	ChainLinksVerified uint64 `json:"chain_links_verified"`
 	// ReportHits counts verifications answered from the report-proof
 	// tier (no cryptography; policy re-judged).
 	ReportHits uint64 `json:"report_hits"`
 	// ChainHits counts chain walks skipped because the VCEK was proven.
 	ChainHits uint64 `json:"chain_hits"`
-	// LinkHits counts chain walks shortened because the ASK→ARK link was
-	// proven.
-	LinkHits uint64 `json:"link_hits"`
 	// KeysPrepared counts VCEK keys validated and given their
 	// verification tables (p384.NewPublicKey, about two signature checks'
 	// worth of work): one per chain walk that got as far as the key, none
-	// on a chain hit, which finds the key in the proof. The ASK's and
-	// ARK's keys, prepared by a whole walk, are not counted.
+	// on a chain hit, which finds the key in the proof. The carried ASK's
+	// key, prepared once per process, is not counted.
 	KeysPrepared uint64 `json:"keys_prepared"`
 }
 
@@ -161,7 +158,6 @@ func (s Stats) Sub(earlier Stats) Stats {
 		ChainLinksVerified: s.ChainLinksVerified - earlier.ChainLinksVerified,
 		ReportHits:         s.ReportHits - earlier.ReportHits,
 		ChainHits:          s.ChainHits - earlier.ChainHits,
-		LinkHits:           s.LinkHits - earlier.LinkHits,
 		KeysPrepared:       s.KeysPrepared - earlier.KeysPrepared,
 	}
 }
@@ -173,7 +169,6 @@ func (v *Verifier) Stats() Stats {
 		ChainLinksVerified: v.linksVerified.Load(),
 		ReportHits:         v.reportHits.Load(),
 		ChainHits:          v.chainHits.Load(),
-		LinkHits:           v.linkHits.Load(),
 		KeysPrepared:       v.keysPrepared.Load(),
 	}
 }
@@ -207,12 +202,12 @@ func WithMinTCB(tcb uint64) Option { return func(v *Verifier) { v.minTCB = tcb }
 // behaviour, kept for benchmarking the cold path.
 func WithoutReportCache() Option { return func(v *Verifier) { v.noCache = true } }
 
-// NewVerifier creates a verifier fetching certificates from source
-// (typically a *kds.Client, but any CertSource works) and judging
-// measurements with policy. Proof caching is on by default; see
-// WithoutReportCache.
+// NewVerifier creates a verifier fetching VCEKs from source (typically a
+// *kds.Client, but any CertSource works), judging each against the
+// product line's ASK and ARK, and judging measurements with policy. Proof
+// caching is on by default; see WithoutReportCache.
 func NewVerifier(source CertSource, policy TrustPolicy, opts ...Option) *Verifier {
-	v := &Verifier{source: source, policy: policy, now: time.Now}
+	v := &Verifier{source: source, policy: policy, now: time.Now, carried: productChain}
 	for _, o := range opts {
 		o(v)
 	}
@@ -288,74 +283,35 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 	if err != nil {
 		return nil, fmt.Errorf("attest: fetch vcek: %w", err)
 	}
-	// Classify expiry before the chain walk so out-of-validity evidence
-	// maps to ErrEvidenceExpired rather than a generic chain failure.
-	if now.After(vcekCert.NotAfter) {
-		return nil, fmt.Errorf("%w: VCEK expired %s", ErrEvidenceExpired, vcekCert.NotAfter.Format(time.RFC3339))
-	}
 
 	// Chain walk, skipped when this exact VCEK DER was already proven at
 	// this policy revision (a fresh nonce-bound report from a known node
 	// pays only the signature check, against the key the proof carries —
-	// the warm-session case). The ASK/ARK chain is only fetched when the
-	// walk actually runs. Proofs expire at the earliest NotAfter of the
-	// whole proving chain, so a cached proof never outlives any validity
-	// check the walk performed.
+	// the warm-session case). Proofs hold only where the windows of the
+	// whole proving chain overlap, so a cached proof never answers at a
+	// clock where any validity check the walk performed would fail.
 	var (
 		ckey        proofKey
 		chainProof  proof
 		chainProven bool
 	)
-	notAfter := vcekCert.NotAfter
 	if v.chains != nil {
 		ckey = sha256.Sum256(vcekCert.Raw)
 		chainProof, chainProven = v.chains.Get(ckey, rev, now)
 	}
-	key := chainProof.key
+	key, notBefore, notAfter := chainProof.key, chainProof.notBefore, chainProof.notAfter
 	if chainProven {
 		v.chainHits.Add(1)
-		notAfter = chainProof.notAfter
 	} else {
-		ask, ark, err := v.source.CertChain(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("attest: fetch cert chain: %w", err)
-		}
-		// The ASK→ARK link is the same for every chip. Once a whole walk
-		// has proven it for this exact ASK and ARK, under this policy
-		// revision and while both are inside their validity window, the
-		// walk for a new VCEK anchors at the ASK, against the ASK key the
-		// proof carries. Any other ASK or ARK DER — rotated or forged —
-		// misses and walks the whole chain.
-		var (
-			lkey proofKey
-			link *proof
-		)
-		if v.chains != nil {
-			lkey = linkProofKey(ask, ark)
-			if p, ok := v.chains.Get(lkey, rev, now); ok {
-				link = &p
-			}
-		}
-		links := uint64(2) // VCEK→ASK and ASK→ARK
-		if link != nil {
-			links = 1
-			v.linkHits.Add(1)
-		}
-		askKey, err := walkChain(vcekCert, ask, ark, now, link)
+		c, err := v.carried()
 		if err != nil {
 			return nil, err
 		}
-		v.linksVerified.Add(links)
-		linkNotAfter := ask.NotAfter
-		if ark.NotAfter.Before(linkNotAfter) {
-			linkNotAfter = ark.NotAfter
+		if err := walkChain(vcekCert, c, now); err != nil {
+			return nil, err
 		}
-		if link == nil && v.chains != nil {
-			v.chains.Put(lkey, proof{key: askKey, notAfter: linkNotAfter}, rev, linkNotAfter)
-		}
-		if linkNotAfter.Before(notAfter) {
-			notAfter = linkNotAfter
-		}
+		v.linksVerified.Add(1)
+		notBefore, notAfter = overlap(vcekCert, c.ask, c.ark)
 	}
 
 	chipID, tcb, err := sev.VCEKIdentity(vcekCert)
@@ -380,7 +336,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		}
 		v.keysPrepared.Add(1)
 		if v.chains != nil {
-			v.chains.Put(ckey, proof{vcek: vcekCert, key: key, notAfter: notAfter}, rev, notAfter)
+			v.chains.Put(ckey, proof{vcek: vcekCert, key: key, notBefore: notBefore, notAfter: notAfter}, rev, notBefore, notAfter)
 		}
 	}
 	if err := report.Verify(key); err != nil {
@@ -392,7 +348,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		return nil, err
 	}
 	if v.reports != nil {
-		v.reports.Put(rkey, proof{vcek: vcekCert, notAfter: notAfter}, rev, notAfter)
+		v.reports.Put(rkey, proof{vcek: vcekCert}, rev, notBefore, notAfter)
 	}
 	return &Result{Report: report, VCEK: vcekCert}, nil
 }

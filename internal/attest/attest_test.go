@@ -477,9 +477,63 @@ func TestProofExpiresWithVCEKValidity(t *testing.T) {
 	}
 }
 
+// TestProofHoldsOnlyFromNotBefore: a proof answers only inside the
+// validity windows of the chain that made it, at both ends. With the
+// verifier's clock moved to an hour before the VCEK's NotBefore, the
+// proven report and a fresh report under the proven VCEK are refused as
+// a verifier with empty caches refuses them, ErrEvidenceExpired, and no
+// proof answers; with the clock back, both verify again.
+func TestProofHoldsOnlyFromNotBefore(t *testing.T) {
+	r := newRig(t)
+	var (
+		mu  sync.Mutex
+		now = time.Now()
+	)
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	setClock := func(t time.Time) {
+		mu.Lock()
+		defer mu.Unlock()
+		now = t
+	}
+	v := NewVerifier(r.client, nil, WithClock(clock))
+	ctx := context.Background()
+	proven := r.report(t, sev.ReportData{15})
+	res, err := v.VerifyReport(ctx, proven)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := map[string]*sev.Report{"proven report": proven, "fresh report under the proven VCEK": r.report(t, sev.ReportData{16})}
+
+	restore := clock()
+	setClock(res.VCEK.NotBefore.Add(-time.Hour))
+	before := v.Stats()
+	for name, rep := range reports {
+		if _, err := NewVerifier(r.client, nil, WithClock(clock)).VerifyReport(ctx, rep); !errors.Is(err, ErrEvidenceExpired) {
+			t.Fatalf("%s, empty caches: err = %v, want ErrEvidenceExpired", name, err)
+		}
+		if _, err := v.VerifyReport(ctx, rep); !errors.Is(err, ErrEvidenceExpired) {
+			t.Errorf("%s before the VCEK's NotBefore: err = %v, want ErrEvidenceExpired", name, err)
+		}
+	}
+	if got := v.Stats().Sub(before); got.ReportHits != 0 || got.ChainHits != 0 {
+		t.Errorf("a proof answered before the VCEK's NotBefore: %+v", got)
+	}
+
+	setClock(restore)
+	for name, rep := range reports {
+		if _, err := v.VerifyReport(ctx, rep); err != nil {
+			t.Errorf("%s, clock restored: %v", name, err)
+		}
+	}
+}
+
 // TestWarmChainProofSkipsCertChainFetch: with the chain proof warm, a
 // fresh report on a *cache-disabled* KDS client fetches only the VCEK —
-// the ASK/ARK chain fetch is deferred until a chain walk actually runs.
+// as every verification does: the ASK and ARK are carried, never fetched.
 func TestWarmChainProofSkipsCertChainFetch(t *testing.T) {
 	r := newRig(t) // client caching off
 	v := NewVerifier(r.client, nil)
@@ -497,61 +551,43 @@ func TestWarmChainProofSkipsCertChainFetch(t *testing.T) {
 	}
 }
 
-// burstGate counts the callers that have entered one certificate fetch
-// and closes all once every caller of the burst is inside it.
-type burstGate struct {
-	entered atomic.Int64
-	all     chan struct{}
-}
-
-func (g *burstGate) enter(callers int64) {
-	if g.entered.Add(1) == callers {
-		close(g.all)
-	}
-}
-
-// burstSource is a caching KDS client that reports, per fetch, when every
-// caller of a burst has entered it.
+// burstSource is a caching KDS client whose VCEK fetch closes all once
+// every caller of a burst has entered it.
 type burstSource struct {
 	*kds.Client
-	callers     int64
-	vcek, chain burstGate
+	callers, entered atomic.Int64
+	all              chan struct{}
 }
 
 func (s *burstSource) VCEK(ctx context.Context, chipID sev.ChipID, tcb uint64) (*x509.Certificate, error) {
-	s.vcek.enter(s.callers)
+	if s.entered.Add(1) == s.callers.Load() {
+		close(s.all)
+	}
 	return s.Client.VCEK(ctx, chipID, tcb)
 }
 
-func (s *burstSource) CertChain(ctx context.Context) (ask, ark *x509.Certificate, err error) {
-	s.chain.enter(s.callers)
-	return s.Client.CertChain(ctx)
-}
-
-// TestColdBurstCostsOneChainAndOneVCEKFetch: 16 concurrent cold
-// verifications through one verifier over a caching KDS client cost
-// exactly two KDS round trips, one VCEK and one chain. The KDS holds each
-// request until all 16 callers are inside that fetch, so none of them
-// finds the certificate cached: only the client's per-certificate flight
-// keeps the herd to one round trip each.
-func TestColdBurstCostsOneChainAndOneVCEKFetch(t *testing.T) {
+// TestColdBurstCostsOneVCEKFetch: 16 concurrent cold verifications through
+// one verifier over a caching KDS client cost exactly one KDS round trip,
+// the VCEK's, and no cert_chain round trip. The KDS holds the VCEK request
+// until all 16 callers are inside the fetch, so none of them finds the
+// certificate cached: only the client's per-certificate flight keeps the
+// herd to one round trip.
+func TestColdBurstCostsOneVCEKFetch(t *testing.T) {
 	const callers = 16
 	r := newRig(t)
-	src := &burstSource{
-		callers: callers,
-		vcek:    burstGate{all: make(chan struct{})},
-		chain:   burstGate{all: make(chan struct{})},
-	}
+	src := &burstSource{all: make(chan struct{})}
+	src.callers.Store(callers)
 	var vcekTrips, chainTrips atomic.Int64
 	kdsHandler := kds.NewServer(r.mfr)
 	server := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		gate, trips := src.vcek.all, &vcekTrips
 		if req.URL.Path == kds.CertChainPath {
-			gate, trips = src.chain.all, &chainTrips
+			chainTrips.Add(1)
+			kdsHandler.ServeHTTP(w, req)
+			return
 		}
-		trips.Add(1)
+		vcekTrips.Add(1)
 		select {
-		case <-gate:
+		case <-src.all:
 			kdsHandler.ServeHTTP(w, req)
 		case <-time.After(30 * time.Second):
 			http.Error(w, "burst never assembled", http.StatusServiceUnavailable)
@@ -574,8 +610,8 @@ func TestColdBurstCostsOneChainAndOneVCEKFetch(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if vcek, chain := vcekTrips.Load(), chainTrips.Load(); vcek != 1 || chain != 1 {
-		t.Errorf("a cold burst of %d cost %d VCEK and %d chain round trips, want 1 and 1", callers, vcek, chain)
+	if vcek, chain := vcekTrips.Load(), chainTrips.Load(); vcek != 1 || chain != 0 {
+		t.Errorf("a cold burst of %d cost %d VCEK and %d cert_chain round trips, want 1 and 0", callers, vcek, chain)
 	}
 }
 

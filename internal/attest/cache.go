@@ -15,11 +15,9 @@ const reportCacheSize = 4096
 
 // proofKey is the SHA-256 of the evidence being memoized: the full
 // serialized report (signed bytes plus signature) for report proofs, or
-// the raw certificate DER for chain proofs (the VCEK's, or the ASK's and
-// ARK's for a link proof). Any bit flipped in the
-// evidence changes the key, so tampered evidence can never hit a cached
-// proof — it falls through to full cryptographic verification and fails
-// there.
+// the VCEK's raw DER for chain proofs. Any bit flipped in the evidence
+// changes the key, so tampered evidence can never hit a cached proof — it
+// falls through to full cryptographic verification and fails there.
 type proofKey [sha256.Size]byte
 
 // reportProofKey digests everything the ECDSA verification covers: the
@@ -32,27 +30,32 @@ func reportProofKey(r *sev.Report) proofKey {
 	return sha256.Sum256(append(r.AppendSigned(buf[:0]), sig[:]...))
 }
 
-// linkProofKey digests the ASK and ARK certificates whose link a whole
-// chain walk proved. The label keeps it apart from a VCEK's key in the
-// same cache; DER is self-delimiting, so the pair cannot be re-split.
-func linkProofKey(ask, ark *x509.Certificate) proofKey {
-	h := sha256.New()
-	h.Write([]byte("revelio/ask-ark-link"))
-	h.Write(ask.Raw)
-	h.Write(ark.Raw)
-	var k proofKey
-	h.Sum(k[:0])
-	return k
-}
-
 // proof is one cached positive verification result. Only successes are
 // ever stored; failures always re-run the full pipeline. The cache's
 // fence serves a proof only at the policy revision it was minted under
-// and while the verifier's clock is inside the proving chain's validity
-// window — the chain walk's CurrentTime check must not be outlived by
-// its cached result.
+// and while the verifier's clock is inside every validity window of the
+// proving chain — at neither end may a cached result outlive the chain
+// walk's checks of the clock.
 type proof struct {
-	vcek     *x509.Certificate // the chain-validated VCEK that proved the evidence; nil for an ASK-link proof
-	key      *p384.PublicKey   // the prepared key (≈ 4.6 KB) of vcek, or of the ASK in an ASK-link proof; nil for a report proof and for an ASK not on P-384
-	notAfter time.Time         // earliest NotAfter in the proving chain, handed on to proofs built on this one
+	vcek *x509.Certificate // the chain-validated VCEK that proved the evidence
+	key  *p384.PublicKey   // vcek's prepared key (≈ 4.6 KB); nil for a report proof
+	// notBefore and notAfter bound the chain proof's fence — the latest
+	// NotBefore and the earliest NotAfter of VCEK, ASK and ARK — and are
+	// handed on to the report proofs built on it.
+	notBefore, notAfter time.Time
+}
+
+// overlap is where the validity windows of certs overlap: the fence of a
+// proof they made.
+func overlap(certs ...*x509.Certificate) (notBefore, notAfter time.Time) {
+	notBefore, notAfter = certs[0].NotBefore, certs[0].NotAfter
+	for _, c := range certs[1:] {
+		if c.NotBefore.After(notBefore) {
+			notBefore = c.NotBefore
+		}
+		if c.NotAfter.Before(notAfter) {
+			notAfter = c.NotAfter
+		}
+	}
+	return notBefore, notAfter
 }

@@ -10,79 +10,101 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"revelio/internal/p384"
+	"revelio/internal/sev"
 )
 
-// walkChain judges the chain vcek → ask → ark at now, the one chain shape
-// SEV-SNP has. It applies, in the same order, every check crypto/x509's
-// Verify applies to this chain (isValid and buildChains, with any extended
-// key usage accepted), so that a chain failing two of them fails with the
-// class x509 gives: ErrEvidenceExpired for a certificate out of its
-// window, ErrChainInvalid for everything else. It adds one verdict of its
-// own, the chain's order: the served ASK must issue the VCEK, and the
-// served ARK must be self-issued and self-signed, where x509 accepts any
-// path from the VCEK to a certificate it is handed as a root.
-//
-// link, when non-nil, is the proof a whole walk left of this exact ASK→ARK
-// link: the ARK is not looked at again (the proof's fence holds its
-// NotAfter) and the VCEK's signature is checked against the ASK key the
-// proof carries. Without one the walk checks both links and the ARK, and
-// returns the ASK's prepared key for the proof the caller stores — nil
-// when the ASK's key is not on P-384 (AMD's own ASKs are RSA-PSS).
-func walkChain(vcek, ask, ark *x509.Certificate, now time.Time, link *proof) (*p384.PublicKey, error) {
-	if len(vcek.UnhandledCriticalExtensions) > 0 {
-		return nil, fmt.Errorf("%w: VCEK has an unhandled critical extension", ErrChainInvalid)
+// chain is the ASK and ARK every VCEK is judged against, with the link
+// between them checked (checkLink) and the ASK's key prepared for the VCEK
+// signatures below it — nil when that key is not on P-384 (AMD's own ASKs
+// are RSA-PSS), whose signatures crypto/x509 checks.
+type chain struct {
+	ask, ark *x509.Certificate
+	askKey   *p384.PublicKey
+}
+
+// productChain is the product line's chain as internal/sev carries it,
+// checked once per process: the root a verifier judges by is never one
+// served to it. A chain that fails the check fails every verification.
+var productChain = sync.OnceValues(func() (*chain, error) {
+	ask, ark, err := sev.ProductChain()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrChainInvalid, err)
 	}
-	if err := inWindow("VCEK", vcek, now); err != nil {
-		return nil, err
-	}
-	var askKey *p384.PublicKey
-	if link != nil {
-		askKey = link.key
-	} else {
-		askKey = prepareKey(ask)
-	}
-	if err := issuedBy("ASK", ask, askKey, now, true, vcek); err != nil {
-		return nil, err
-	}
-	if link != nil {
-		return askKey, nil
-	}
+	return checkLink(ask, ark)
+})
+
+// checkLink judges the ASK→ARK link, once: the ASK names the ARK as its
+// issuer, x509's loop check, the ASK's signature under the ARK's key, and
+// the trust anchor's own shape — the ARK names and signs itself. Nothing
+// here reads a clock. The ASK's and ARK's windows, and the checks that
+// look at a VCEK below them, are walkChain's, at the verifier's clock.
+func checkLink(ask, ark *x509.Certificate) (*chain, error) {
 	arkKey := prepareKey(ark)
-	if err := issuedBy("ARK", ark, arkKey, now, false, vcek, ask); err != nil {
+	if err := signs("ARK", ark, arkKey, ask); err != nil {
 		return nil, err
 	}
-	// The trust anchor. The ARK is taken as served, so all the walk can
-	// ask of it is that it is a root: it names and signs itself. A pinned
-	// ARK is compared here, and nowhere else.
 	if !bytes.Equal(ark.RawIssuer, ark.RawSubject) {
 		return nil, fmt.Errorf("%w: ARK is not self-issued", ErrChainInvalid)
 	}
 	if err := signedBy(ark, ark, arkKey); err != nil {
 		return nil, fmt.Errorf("%w: ARK is not self-signed: %v", ErrChainInvalid, err)
 	}
-	return askKey, nil
+	return &chain{ask: ask, ark: ark, askKey: prepareKey(ask)}, nil
 }
 
-// issuedBy checks that parent, named role, issued the last certificate of
-// chain (the certificates below parent, VCEK first), with x509's checks
-// on a candidate parent in x509's order: the issuer name, the loop check,
-// the signature (which puts the CA constraints on parent), then parent's
-// own critical extensions, validity window, name constraints, CA flag
-// when parent is an intermediate, and path length.
-func issuedBy(role string, parent *x509.Certificate, key *p384.PublicKey, now time.Time, intermediate bool, chain ...*x509.Certificate) error {
-	child := chain[len(chain)-1]
+// walkChain judges vcek under c at now. With checkLink's checks made
+// once, it applies, in the same order, every other check crypto/x509's
+// Verify applies to the chain vcek → ask → ark (isValid and buildChains,
+// with any extended key usage accepted), so that a chain failing two of
+// them fails with the class x509 gives: ErrEvidenceExpired for a
+// certificate out of its window, ErrChainInvalid for everything else. It
+// checks one signature, the VCEK's, against the ASK key c carries.
+func walkChain(vcek *x509.Certificate, c *chain, now time.Time) error {
+	if len(vcek.UnhandledCriticalExtensions) > 0 {
+		return fmt.Errorf("%w: VCEK has an unhandled critical extension", ErrChainInvalid)
+	}
+	if err := inWindow("VCEK", vcek, now); err != nil {
+		return err
+	}
+	if err := signs("ASK", c.ask, c.askKey, vcek); err != nil {
+		return err
+	}
+	if err := vouches("ASK", c.ask, now, true, vcek); err != nil {
+		return err
+	}
+	// The ARK as the issuer of the ASK above this VCEK: what the VCEK adds
+	// to checkLink's loop check, then the ARK's own checks as a parent.
+	if sameEntity(c.ark, vcek) {
+		return fmt.Errorf("%w: the ARK cannot issue the ASK above %s", ErrChainInvalid, vcek.Subject)
+	}
+	return vouches("ARK", c.ark, now, false, vcek, c.ask)
+}
+
+// signs checks that parent, named role, issued child, with x509's checks
+// of a candidate parent in x509's order: the issuer name, the loop check,
+// and the signature, which puts the CA constraints on parent.
+func signs(role string, parent *x509.Certificate, key *p384.PublicKey, child *x509.Certificate) error {
 	if !bytes.Equal(child.RawIssuer, parent.RawSubject) {
 		return fmt.Errorf("%w: %s does not name the %s as its issuer", ErrChainInvalid, child.Subject, role)
 	}
-	if slices.ContainsFunc(chain, func(c *x509.Certificate) bool { return sameEntity(parent, c) }) {
+	if sameEntity(parent, child) {
 		return fmt.Errorf("%w: the %s cannot issue %s", ErrChainInvalid, role, child.Subject)
 	}
 	if err := signedBy(child, parent, key); err != nil {
 		return fmt.Errorf("%w: %s is not signed by the %s: %v", ErrChainInvalid, child.Subject, role, err)
 	}
+	return nil
+}
+
+// vouches applies x509's checks of parent, named role, as the issuer of
+// chain's last certificate, in x509's order: parent's own critical
+// extensions, validity window, name constraints, CA flag when parent is
+// an intermediate, and path length.
+func vouches(role string, parent *x509.Certificate, now time.Time, intermediate bool, chain ...*x509.Certificate) error {
 	if len(parent.UnhandledCriticalExtensions) > 0 {
 		return fmt.Errorf("%w: %s has an unhandled critical extension", ErrChainInvalid, role)
 	}

@@ -21,27 +21,21 @@ import (
 	"time"
 
 	"revelio/internal/amdsp"
-	"revelio/internal/p384"
 	"revelio/internal/sev"
 )
 
 // x509Verdict is the chain check VerifyReport made before walkChain, kept
 // as the walk's oracle: crypto/x509's Verify with the ARK as the root and
-// the ASK as the intermediate, or, once the ASK→ARK link is proven, with
-// the ASK as the root.
-func x509Verdict(vcek, ask, ark *x509.Certificate, now time.Time, linkProven bool) error {
+// the ASK as the intermediate.
+func x509Verdict(vcek, ask, ark *x509.Certificate, now time.Time) error {
 	opts := x509.VerifyOptions{
-		Roots:       x509.NewCertPool(),
-		CurrentTime: now,
-		KeyUsages:   []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
+		Roots:         x509.NewCertPool(),
+		Intermediates: x509.NewCertPool(),
+		CurrentTime:   now,
+		KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
 	}
-	if linkProven {
-		opts.Roots.AddCert(ask)
-	} else {
-		opts.Roots.AddCert(ark)
-		opts.Intermediates = x509.NewCertPool()
-		opts.Intermediates.AddCert(ask)
-	}
+	opts.Roots.AddCert(ark)
+	opts.Intermediates.AddCert(ask)
 	if _, err := vcek.Verify(opts); err != nil {
 		var invalid x509.CertificateInvalidError
 		if errors.As(err, &invalid) && invalid.Reason == x509.Expired {
@@ -417,94 +411,69 @@ func createV1(tmpl, parent *x509.Certificate, pub crypto.PublicKey, signer crypt
 	}{asn1.RawValue{FullBytes: tbs}, algo, asn1.BitString{Bytes: sig, BitLength: 8 * len(sig)}})
 }
 
-// verdicts is one spec judged by the walk and by the oracle, for a whole
-// walk and, where the served ASK and ARK link up, for a walk anchored at
-// the proven link.
+// verdicts is one spec judged by the walk — checkLink over the served ASK
+// and ARK, then walkChain over the served VCEK — and by the oracle.
 type verdicts struct {
-	walk, x509           string
-	linkWalk, linkX509   string // "" when the link never proves
-	orderOnly, linkOrder bool
+	walk, x509 string
+	// orderOnly: only the chain's order is at issue, which x509 does not
+	// judge. linkBroken: checkLink refused the ASK and ARK, and with them
+	// every VCEK at every clock.
+	orderOnly, linkBroken bool
 }
 
 func judge(s chainSpec) (verdicts, bool) {
-	k := chainKeys()
-	b, ok := s.build(k)
+	b, ok := s.build(chainKeys())
 	if !ok {
 		return verdicts{}, false
 	}
 	slot := serves[s.serve]
 	vcek, ask, ark := b.certs[slot[0]], b.certs[slot[1]], b.certs[slot[2]]
 	now := chainBase.Add(s.skew)
-	_, err := walkChain(vcek, ask, ark, now, nil)
-	v := verdicts{walk: chainClass(err), x509: chainClass(x509Verdict(vcek, ask, ark, now, false))}
+	type checked struct {
+		c   *chain
+		err error
+	}
+	link := remember(struct{ ask, ark string }{string(ask.Raw), string(ark.Raw)}, func() checked {
+		c, err := checkLink(ask, ark)
+		return checked{c, err}
+	})
+	err := link.err
+	if err == nil {
+		err = walkChain(vcek, link.c, now)
+	}
+	v := verdicts{walk: chainClass(err), x509: chainClass(x509Verdict(vcek, ask, ark, now)), linkBroken: link.err != nil}
 	// What the walk judges and x509 does not: the served ARK named as the
 	// VCEK's issuer, the VCEK being the ARK, an ARK that is not self-issued
 	// and self-signed.
 	v.orderOnly = v.walk != v.x509 && (bytes.Equal(ark.RawSubject, vcek.RawIssuer) || bytes.Equal(vcek.Raw, ark.Raw) ||
 		!bytes.Equal(ark.RawIssuer, ark.RawSubject) || ark.CheckSignatureFrom(ark) != nil)
-
-	// The link is proven by a whole walk for an honest VCEK under the
-	// served ASK, at the base time; then the spec's VCEK is walked against
-	// the proof at the spec's clock.
-	link := remember(struct{ ask, ark string }{string(ask.Raw), string(ark.Raw)}, func() *proof {
-		askKey := b.keys[slot[1]]
-		honest := &x509.Certificate{
-			SerialNumber: big.NewInt(99), Subject: pkix.Name{CommonName: "VCEK"},
-			NotBefore: chainBase.Add(-time.Hour), NotAfter: chainBase.Add(1000 * time.Hour),
-			KeyUsage: x509.KeyUsageDigitalSignature, SignatureAlgorithm: sigAlg(askKey, 0),
-		}
-		der, err := x509.CreateCertificate(rand.Reader, honest, ask, k.p384[roleVCEK].Public(), askKey)
-		if err != nil {
-			return nil
-		}
-		if honest, err = x509.ParseCertificate(der); err != nil {
-			return nil
-		}
-		key, err := walkChain(honest, ask, ark, chainBase, nil)
-		if err != nil {
-			return nil
-		}
-		return &proof{key: key}
-	})
-	if link == nil {
-		return v, true
-	}
-	_, err = walkChain(vcek, ask, nil, now, link)
-	v.linkWalk = chainClass(err)
-	v.linkX509 = chainClass(x509Verdict(vcek, ask, nil, now, true))
-	v.linkOrder = bytes.Equal(vcek.Raw, ask.Raw) // x509 takes a VCEK that is its root as proven
 	return v, true
 }
 
-// agree reports whether the walk's verdict is x509's, or, where only the
-// chain's order is at issue, a refusal of the order.
-func agree(walk, oracle string, orderOnly bool) bool {
-	return walk == oracle || orderOnly && walk == "invalid"
+// agree reports whether the walk's verdict is x509's, or a refusal where
+// x509 differs for a reason the walk judges apart: the chain's order, or
+// a link checkLink refused with no clock, where x509 may find a window
+// closed before it looks at the link's signature.
+func (v verdicts) agree() bool {
+	return v.walk == v.x509 || v.walk == "invalid" && (v.orderOnly || v.linkBroken && v.x509 == "expired")
 }
 
 // FuzzChainMatchesX509 builds an ARK → ASK → VCEK chain under mutated
 // validity windows, basic constraints, key usage, path length, critical
 // extensions, name constraints, keys and signature algorithms, issuer
 // names, signers and signatures, serves it in any order at any clock, and
-// holds the walk to crypto/x509's verdict and error class: on the whole
-// walk, and on a walk anchored at the ASK→ARK link an honest VCEK proved.
-// The walk may differ on one verdict only, the chain's order, and only by
-// refusing.
+// holds the walk — the ASK→ARK link checked once, then the VCEK walked
+// under it — to crypto/x509's verdict and error class. The walk may
+// differ only by refusing: a chain whose order is wrong, or whose link is
+// broken at every clock.
 func FuzzChainMatchesX509(f *testing.F) {
 	for _, row := range chainRows {
 		f.Add(row.ops)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := decodeChain(data)
-		v, ok := judge(s)
-		if !ok {
-			return
-		}
-		if !agree(v.walk, v.x509, v.orderOnly) {
-			t.Fatalf("whole walk: walk %s, x509 %s (%+v)", v.walk, v.x509, s)
-		}
-		if v.linkWalk != "" && !agree(v.linkWalk, v.linkX509, v.linkOrder) {
-			t.Fatalf("walk from a proven link: walk %s, x509 %s (%+v)", v.linkWalk, v.linkX509, s)
+		if v, ok := judge(s); ok && !v.agree() {
+			t.Fatalf("walk %s, x509 %s (%+v)", v.walk, v.x509, s)
 		}
 	})
 }
@@ -513,7 +482,8 @@ func ops(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 // chainRows name one chain per check of the walk — each one's refusal,
 // and the neighbours that must still pass — with the verdict both the walk
-// and x509 give it (x509's own verdict differs only on the order rows).
+// and x509 give it (x509's own verdict differs only on the order rows and
+// where a broken link meets a closed window).
 var chainRows = []struct {
 	name       string
 	ops        []byte
@@ -529,6 +499,8 @@ var chainRows = []struct {
 	{"VCEK with the ASK's name and key", ops(op(roleVCEK, opSubject, roleASK), op(roleVCEK, opKey, 1), op(roleASK, opKey, 1)), "invalid", "invalid"},
 	{"VCEK with the ASK's name, key and another subjectAltName", ops(op(roleVCEK, opSubject, roleASK), op(roleVCEK, opKey, 1), op(roleASK, opKey, 1), op(roleVCEK, opNames, 1)), "ok", "ok"},
 	{"VCEK with the ASK's name", op(roleVCEK, opSubject, roleASK), "ok", "ok"},
+	{"VCEK with the ARK's name and key", ops(op(roleVCEK, opSubject, roleARK), op(roleVCEK, opKey, 1), op(roleARK, opKey, 1)), "invalid", "invalid"},
+	{"VCEK with the ARK's name", op(roleVCEK, opSubject, roleARK), "ok", "ok"},
 	{"VCEK with the ASK's key", ops(op(roleVCEK, opKey, 1), op(roleASK, opKey, 1)), "ok", "ok"},
 	{"VCEK signed with SHA-256", op(roleVCEK, opSigAlg, 1), "ok", "ok"},
 	{"VCEK signature corrupt under SHA-512", ops(op(roleVCEK, opSigAlg, 2), op(roleVCEK, opCorrupt, 0)), "invalid", "invalid"},
@@ -550,7 +522,9 @@ var chainRows = []struct {
 	{"ASK names another issuer", op(roleASK, opRenameIssuer, 0), "invalid", "invalid"},
 	{"ASK signed by another key", op(roleASK, opWrongSigner, 0), "invalid", "invalid"},
 	{"ASK signature corrupt", op(roleASK, opCorrupt, 0), "invalid", "invalid"},
-	{"ASK expired, its signature corrupt", ops(op(roleASK, opNotAfter, -2), op(roleASK, opCorrupt, 0)), "expired", "expired"},
+	// checkLink refuses the ASK's signature with no clock; x509 finds the
+	// ASK's window closed first.
+	{"ASK expired, its signature corrupt", ops(op(roleASK, opNotAfter, -2), op(roleASK, opCorrupt, 0)), "invalid", "expired"},
 	{"ASK on P-256", op(roleASK, opKey, 1), "ok", "ok"},
 	{"ARK not a CA", op(roleARK, opCA, 0), "invalid", "invalid"},
 	{"ARK may not sign certificates", op(roleARK, opKeyUsage, 2), "invalid", "invalid"},
@@ -574,8 +548,7 @@ var chainRows = []struct {
 	{"ARK signed by another key", op(roleARK, opWrongSigner, 0), "invalid", "ok"},
 }
 
-// TestChainWalkRows holds each row to its verdict on the walk and on x509,
-// and to agreement on a walk from the proven link.
+// TestChainWalkRows holds each row to its verdict on the walk and on x509.
 func TestChainWalkRows(t *testing.T) {
 	for _, row := range chainRows {
 		v, ok := judge(decodeChain(row.ops))
@@ -583,19 +556,17 @@ func TestChainWalkRows(t *testing.T) {
 			t.Errorf("%s: does not build", row.name)
 			continue
 		}
-		if v.walk != row.walk || v.x509 != row.x509 {
+		if v.walk != row.walk || v.x509 != row.x509 || !v.agree() {
 			t.Errorf("%s: walk %s, x509 %s; want %s, %s", row.name, v.walk, v.x509, row.walk, row.x509)
-		}
-		if v.linkWalk != "" && !agree(v.linkWalk, v.linkX509, v.linkOrder) {
-			t.Errorf("%s, from a proven link: walk %s, x509 %s", row.name, v.linkWalk, v.linkX509)
 		}
 	}
 }
 
-// TestChainWalkJudgesOrder: served as the chain the other way round — the
-// ARK in the ASK's place — a genuine VCEK no longer verifies. crypto/x509
-// accepted it, because with the ASK handed over as the root it never looks
-// at the certificate served as the intermediate.
+// TestChainWalkJudgesOrder: carried the other way round — the ARK in the
+// ASK's place — the chain fails checkLink, and a genuine VCEK no longer
+// verifies: nor does any other, at any clock, and nothing is cached.
+// crypto/x509 accepted it, because with the ASK handed over as the root it
+// never looks at the certificate served as the intermediate.
 func TestChainWalkJudgesOrder(t *testing.T) {
 	mfr, err := amdsp.NewManufacturer([]byte("chain-order"))
 	if err != nil {
@@ -605,29 +576,36 @@ func TestChainWalkJudgesOrder(t *testing.T) {
 	p := newPKI(t, far)
 	ark := p.ark
 	ask, askKey := p.ca("ASK-TEST", ark, p.arkKey, far)
-	chip, rep := mintChip(t, mfr, "chip")
-	vcek := p.endorse(chip, chipKey(t, mfr, chip), ask, askKey, far)
-	p.serve(ark, ask)
+	var reports []*sev.Report
+	for _, seed := range []string{"chip-a", "chip-b"} {
+		chip, rep := mintChip(t, mfr, seed)
+		vcek := p.endorse(chip, chipKey(t, mfr, chip), ask, askKey, far)
+		if err := x509Verdict(vcek, ark, ask, time.Now()); err != nil {
+			t.Fatalf("x509 on the swapped pair: %v, want it accepted", err)
+		}
+		reports = append(reports, rep)
+	}
 
-	if err := x509Verdict(vcek, ark, ask, time.Now(), false); err != nil {
-		t.Fatalf("x509 on the swapped pair: %v, want it accepted", err)
+	v := carrying(NewVerifier(p, nil), ark, ask)
+	for _, rep := range append(reports, reports...) {
+		if _, err := v.VerifyReport(context.Background(), rep); !errors.Is(err, ErrChainInvalid) {
+			t.Fatalf("swapped ASK and ARK: err = %v, want ErrChainInvalid", err)
+		}
 	}
-	v := NewVerifier(p, nil)
-	if _, err := v.VerifyReport(context.Background(), rep); !errors.Is(err, ErrChainInvalid) {
-		t.Fatalf("swapped ASK and ARK: err = %v, want ErrChainInvalid", err)
+	if n := v.chains.Len() + v.reports.Len(); n != 0 {
+		t.Errorf("a refused chain left %d proofs", n)
 	}
-	if n := v.chains.Len(); n != 0 {
-		t.Errorf("a refused walk left %d proofs", n)
-	}
-	p.serve(ask, ark)
-	if _, err := v.VerifyReport(context.Background(), rep); err != nil {
-		t.Fatalf("served in order: %v", err)
+	carrying(v, ask, ark)
+	for _, rep := range reports {
+		if _, err := v.VerifyReport(context.Background(), rep); err != nil {
+			t.Fatalf("carried in order: %v", err)
+		}
 	}
 }
 
 // TestChainWalkRSAPSS: AMD's ARK and ASK keys are RSA, signing with
-// RSA-PSS. Such a chain goes through crypto/x509's signature check, the
-// link proof carries no key, and a second chip still anchors at the ASK.
+// RSA-PSS. Such a chain goes through crypto/x509's signature check, and
+// the carried chain holds no prepared ASK key.
 func TestChainWalkRSAPSS(t *testing.T) {
 	mfr, err := amdsp.NewManufacturer([]byte("chain-rsa-pss"))
 	if err != nil {
@@ -638,28 +616,11 @@ func TestChainWalkRSAPSS(t *testing.T) {
 	p := newPKI(t, far)
 	issue := func(tmpl, parent *x509.Certificate, pub crypto.PublicKey, signer crypto.Signer) *x509.Certificate {
 		t.Helper()
-		tmpl.SerialNumber = big.NewInt(time.Now().UnixNano())
-		tmpl.NotBefore, tmpl.NotAfter = p.notBef, far
 		tmpl.SignatureAlgorithm = x509.SHA384WithRSAPSS
-		if parent == nil {
-			parent = tmpl
-		}
-		der, err := x509.CreateCertificate(rand.Reader, tmpl, parent, pub, signer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cert, err := x509.ParseCertificate(der)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cert
+		return p.issue(tmpl, parent, pub, signer, signer, far)
 	}
-	ca := func(cn string) *x509.Certificate {
-		return &x509.Certificate{Subject: pkix.Name{CommonName: cn}, IsCA: true, BasicConstraintsValid: true, KeyUsage: x509.KeyUsageCertSign}
-	}
-	ark := issue(ca("ARK-Milan"), nil, k.rsa[roleARK].Public(), k.rsa[roleARK])
-	ask := issue(ca("SEV-Milan"), ark, k.rsa[roleASK].Public(), k.rsa[roleARK])
-	p.serve(ask, ark)
+	ark := issue(caTemplate(pkix.Name{CommonName: "ARK-Milan"}), nil, k.rsa[roleARK].Public(), k.rsa[roleARK])
+	ask := issue(caTemplate(pkix.Name{CommonName: "SEV-Milan"}), ark, k.rsa[roleASK].Public(), k.rsa[roleARK])
 	var reports []*sev.Report
 	for _, seed := range []string{"chip-a", "chip-b"} {
 		chip, rep := mintChip(t, mfr, seed)
@@ -672,122 +633,94 @@ func TestChainWalkRSAPSS(t *testing.T) {
 		reports = append(reports, rep)
 	}
 
-	v := NewVerifier(p, nil)
+	v := carrying(NewVerifier(p, nil), ask, ark)
 	for _, rep := range reports {
 		if _, err := v.VerifyReport(context.Background(), rep); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := v.Stats(), (Stats{ReportsVerified: 2, ChainLinksVerified: 3, LinkHits: 1, KeysPrepared: 2}); got != want {
+	if got, want := v.Stats(), (Stats{ReportsVerified: 2, ChainLinksVerified: 2, KeysPrepared: 2}); got != want {
 		t.Errorf("two chips under an RSA-PSS chain: %+v, want %+v", got, want)
 	}
-	link, ok := v.chains.Get(linkProofKey(ask, ark), v.PolicyRevision(), time.Now())
-	if !ok || link.key != nil {
-		t.Errorf("link proof %v with key %v, want one without a key", ok, link.key)
+	if c, err := v.carried(); err != nil || c.askKey != nil {
+		t.Errorf("carried chain %v with ASK key %v, want one without a key", err, c.askKey)
 	}
 }
 
-// TestChainLinkProofCarriesASKKey: the ASK's prepared key lives in the
-// ASK-link proof. The whole walk that stores the proof prepares it, a new
-// chip's walk finds it there, a policy-revision bump takes it with the
-// proof, and the next whole walk prepares another.
-func TestChainLinkProofCarriesASKKey(t *testing.T) {
+// TestChainLinkCarriesASKKey: the product line's ASK→ARK link is checked,
+// and the ASK's key prepared, once per process. Every verifier judges by
+// the same checked chain; the key is the one the ASK signs VCEKs with;
+// InvalidatePolicy drops the proofs and leaves the chain; and the key a
+// walk prepares is the VCEK's, never the ASK's again.
+func TestChainLinkCarriesASKKey(t *testing.T) {
 	r := newRig(t)
-	v := NewVerifier(r.client, nil)
 	ctx := context.Background()
-	ask, ark, err := r.client.CertChain(ctx)
+	c, err := productChain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	askKey := func() *p384.PublicKey {
-		t.Helper()
-		link, ok := v.chains.Get(linkProofKey(ask, ark), v.PolicyRevision(), time.Now())
-		if !ok {
-			return nil
-		}
-		if link.key == nil {
-			t.Fatal("ASK-link proof without the ASK's key")
-		}
-		vcek, err := r.client.VCEK(ctx, r.sp.ChipID(), r.sp.TCB())
-		if err != nil {
-			t.Fatal(err)
-		}
-		digest := sha512.Sum384(vcek.RawTBSCertificate)
-		if !link.key.Verify(digest[:], vcek.Signature) {
-			t.Fatal("the proof's key is not the ASK's")
-		}
-		return link.key
+	if c.askKey == nil {
+		t.Fatal("the product line's ASK is on P-384, and its key is not prepared")
 	}
-	if askKey() != nil {
-		t.Fatal("a key before any walk")
+	vcek, err := r.client.VCEK(ctx, r.sp.ChipID(), r.sp.TCB())
+	if err != nil {
+		t.Fatal(err)
 	}
+	digest := sha512.Sum384(vcek.RawTBSCertificate)
+	if !c.askKey.Verify(digest[:], vcek.Signature) {
+		t.Fatal("the carried key is not the ASK that issued the VCEK")
+	}
+
+	v := NewVerifier(r.client, nil)
 	if _, err := v.VerifyReport(ctx, r.report(t, sev.ReportData{1})); err != nil {
 		t.Fatal(err)
 	}
-	first := askKey()
-	if first == nil {
-		t.Fatal("no link proof after a whole walk")
-	}
+	v.InvalidatePolicy()
 	if _, err := v.VerifyReport(ctx, r.chipReport(t, "chip-b")); err != nil {
 		t.Fatal(err)
 	}
-	if got := askKey(); got != first {
-		t.Error("a link hit replaced the ASK's key")
+	if got, err := v.carried(); err != nil || got != c {
+		t.Errorf("verifier judges by %p (%v), the process checked %p", got, err, c)
 	}
-	v.InvalidatePolicy()
-	if askKey() != nil {
-		t.Fatal("the ASK's key outlived InvalidatePolicy")
+	if again, _ := productChain(); again != c {
+		t.Error("the product chain was checked twice")
 	}
-	if _, err := v.VerifyReport(ctx, r.chipReport(t, "chip-c")); err != nil {
-		t.Fatal(err)
-	}
-	if got := askKey(); got == nil || got == first {
-		t.Errorf("after the next whole walk: key %p, first %p; want a new one", got, first)
-	}
-	if got, want := v.Stats(), (Stats{ReportsVerified: 3, ChainLinksVerified: 5, LinkHits: 1, KeysPrepared: 3}); got != want {
+	if got, want := v.Stats(), (Stats{ReportsVerified: 2, ChainLinksVerified: 2, KeysPrepared: 2}); got != want {
 		t.Errorf("%+v, want %+v (KeysPrepared counts VCEK keys only)", got, want)
 	}
 }
 
-// BenchmarkChainWalk times the check a joining chip's VCEK gets once the
-// ASK→ARK link is proven — the walk from the link proof, and the
-// crypto/x509 verification it replaced — and a whole walk.
+// BenchmarkChainWalk times the check a joining chip's VCEK gets — the walk
+// under the carried chain, and the crypto/x509 verification of the whole
+// chain it replaced — and checkLink, which a process runs once.
 func BenchmarkChainWalk(b *testing.B) {
 	honest := decodeChain(nil)
-	chain, ok := honest.build(chainKeys())
+	built, ok := honest.build(chainKeys())
 	if !ok {
 		b.Fatal("honest chain does not build")
 	}
-	vcek, ask, ark := chain.certs[roleVCEK], chain.certs[roleASK], chain.certs[roleARK]
-	askKey, err := walkChain(vcek, ask, ark, chainBase, nil)
+	vcek, ask, ark := built.certs[roleVCEK], built.certs[roleASK], built.certs[roleARK]
+	c, err := checkLink(ask, ark)
 	if err != nil {
 		b.Fatal(err)
 	}
-	link := &proof{key: askKey}
-	b.Run("link/walk", func(b *testing.B) {
+	b.Run("walk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := walkChain(vcek, ask, nil, chainBase, link); err != nil {
+			if err := walkChain(vcek, c, chainBase); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("link/x509", func(b *testing.B) {
+	b.Run("x509", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := x509Verdict(vcek, ask, nil, chainBase, true); err != nil {
+			if err := x509Verdict(vcek, ask, ark, chainBase); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("whole/walk", func(b *testing.B) {
+	b.Run("link", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := walkChain(vcek, ask, ark, chainBase, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("whole/x509", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := x509Verdict(vcek, ask, ark, chainBase, false); err != nil {
+			if _, err := checkLink(ask, ark); err != nil {
 				b.Fatal(err)
 			}
 		}

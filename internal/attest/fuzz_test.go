@@ -15,6 +15,7 @@ import (
 	"revelio/attestation"
 	"revelio/internal/amdsp"
 	"revelio/internal/kds"
+	"revelio/internal/sev"
 )
 
 // vcekBodyServer stands up mfr's simulated KDS with every VCEK answered
@@ -77,10 +78,14 @@ func FuzzVCEKResponse(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	ask, _, err := sev.ProductChain()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(genuine)
 	f.Add(genuine[:len(genuine)/2])                                            // truncated
 	f.Add(pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: genuine})) // PEM, not DER
-	f.Add(mfr.ASKCertDER())                                                    // the ASK in the VCEK's place
+	f.Add(ask.Raw)                                                             // the ASK in the VCEK's place
 	f.Add(otherChip)                                                           // another chip's VCEK
 	f.Add(otherTCB)                                                            // this chip's VCEK at another TCB
 	f.Add([]byte("not a certificate"))

@@ -1,7 +1,9 @@
 package attest
 
 import (
+	"bytes"
 	"context"
+	"crypto"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -11,6 +13,7 @@ import (
 	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,9 +77,10 @@ func chipKey(t *testing.T, mfr *amdsp.Manufacturer, chip *amdsp.SecureProcessor)
 	return cert.PublicKey.(*ecdsa.PublicKey)
 }
 
-// TestChainLinkProvenOncePerChain: the first chip pays the whole
-// VCEK→ASK→ARK walk, every later chip one link, a fresh report under a
-// known VCEK none, a repeated report nothing at all — and Stats says so.
+// TestChainLinkProvenOncePerChain: the ASK→ARK link is checked once per
+// process, so every chip — the first one too — pays one link, its VCEK's;
+// a fresh report under a known VCEK none, a repeated report nothing at
+// all — and Stats says so.
 func TestChainLinkProvenOncePerChain(t *testing.T) {
 	r := newRig(t)
 	v := NewVerifier(r.client, nil)
@@ -86,7 +90,7 @@ func TestChainLinkProvenOncePerChain(t *testing.T) {
 	if _, err := v.VerifyReport(ctx, first); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := v.Stats(), (Stats{ReportsVerified: 1, ChainLinksVerified: 2, KeysPrepared: 1}); got != want {
+	if got, want := v.Stats(), (Stats{ReportsVerified: 1, ChainLinksVerified: 1, KeysPrepared: 1}); got != want {
 		t.Fatalf("first chip: %+v, want %+v", got, want)
 	}
 	for _, seed := range []string{"chip-b", "chip-c"} {
@@ -94,7 +98,7 @@ func TestChainLinkProvenOncePerChain(t *testing.T) {
 			t.Fatalf("%s: %v", seed, err)
 		}
 	}
-	if got, want := v.Stats(), (Stats{ReportsVerified: 3, ChainLinksVerified: 4, LinkHits: 2, KeysPrepared: 3}); got != want {
+	if got, want := v.Stats(), (Stats{ReportsVerified: 3, ChainLinksVerified: 3, KeysPrepared: 3}); got != want {
 		t.Fatalf("two more chips: %+v, want %+v", got, want)
 	}
 	if _, err := v.VerifyReport(ctx, r.report(t, sev.ReportData{2})); err != nil {
@@ -103,52 +107,43 @@ func TestChainLinkProvenOncePerChain(t *testing.T) {
 	if _, err := v.VerifyReport(ctx, first); err != nil {
 		t.Fatal(err)
 	}
-	want := Stats{ReportsVerified: 4, ChainLinksVerified: 4, LinkHits: 2, ChainHits: 1, ReportHits: 1, KeysPrepared: 3}
+	want := Stats{ReportsVerified: 4, ChainLinksVerified: 3, ChainHits: 1, ReportHits: 1, KeysPrepared: 3}
 	if got := v.Stats(); got != want {
 		t.Errorf("fresh + repeated report: %+v, want %+v", got, want)
 	}
 
-	// Without proof caches every chip walks the whole chain.
+	// Without proof caches every report walks its VCEK's link.
 	cold := NewVerifier(r.client, nil, WithoutReportCache())
 	for _, seed := range []string{"chip-b", "chip-c"} {
 		if _, err := cold.VerifyReport(ctx, r.chipReport(t, seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := cold.Stats(), (Stats{ReportsVerified: 2, ChainLinksVerified: 4, KeysPrepared: 2}); got != want {
+	if got, want := cold.Stats(), (Stats{ReportsVerified: 2, ChainLinksVerified: 2, KeysPrepared: 2}); got != want {
 		t.Errorf("uncached verifier: %+v, want %+v", got, want)
 	}
 }
 
-// TestChainLinkProofDroppedByInvalidatePolicy: a policy-revision bump
-// takes the link proof with every other proof — the next new chip walks
-// the whole chain again.
-func TestChainLinkProofDroppedByInvalidatePolicy(t *testing.T) {
-	r := newRig(t)
-	v := NewVerifier(r.client, nil)
-	ctx := context.Background()
-	if _, err := v.VerifyReport(ctx, r.report(t, sev.ReportData{1})); err != nil {
-		t.Fatal(err)
-	}
-	v.InvalidatePolicy()
-	if _, err := v.VerifyReport(ctx, r.chipReport(t, "chip-b")); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := v.Stats(), (Stats{ReportsVerified: 2, ChainLinksVerified: 4, KeysPrepared: 2}); got != want {
-		t.Errorf("after InvalidatePolicy: %+v, want %+v (no link hit)", got, want)
-	}
+// carrying has v judge every VCEK against ask and ark, checked as the
+// product line's chain is, instead of the product line's: the seam for a
+// test that builds its own PKI.
+func carrying(v *Verifier, ask, ark *x509.Certificate) *Verifier {
+	c, err := checkLink(ask, ark)
+	v.carried = func() (*chain, error) { return c, err }
+	return v
 }
 
 // pki is a hand-built ARK→ASK→VCEK hierarchy over real chips' VCEK keys,
-// served as a CertSource: the tests pick every certificate's signer and
-// validity, which the simulated manufacturer fixes.
+// serving its VCEKs as a CertSource: the tests pick every certificate's
+// signer and validity, which the simulated manufacturer fixes, and have a
+// verifier carry its ASK and ARK.
 type pki struct {
-	t        *testing.T
-	notBef   time.Time
-	arkKey   *ecdsa.PrivateKey
-	mu       sync.Mutex
-	ark, ask *x509.Certificate
-	vceks    map[sev.ChipID]*x509.Certificate
+	t      *testing.T
+	notBef time.Time
+	arkKey *ecdsa.PrivateKey
+	ark    *x509.Certificate
+	mu     sync.Mutex
+	vceks  map[sev.ChipID]*x509.Certificate
 }
 
 var _ CertSource = (*pki)(nil)
@@ -160,18 +155,6 @@ func (p *pki) VCEK(_ context.Context, chip sev.ChipID, _ uint64) (*x509.Certific
 		return c, nil
 	}
 	return nil, errors.New("pki: unknown chip")
-}
-
-func (p *pki) CertChain(context.Context) (*x509.Certificate, *x509.Certificate, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ask, p.ark, nil
-}
-
-func (p *pki) serve(ask, ark *x509.Certificate) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.ask, p.ark = ask, ark
 }
 
 // ca issues a CA certificate for a fresh P-384 key; a nil parent makes it
@@ -189,19 +172,23 @@ func (p *pki) ca(cn string, parent *x509.Certificate, parentKey *ecdsa.PrivateKe
 // a renewal.
 func (p *pki) caFor(cn string, key *ecdsa.PrivateKey, parent *x509.Certificate, parentKey *ecdsa.PrivateKey, notAfter time.Time) *x509.Certificate {
 	p.t.Helper()
-	tmpl := &x509.Certificate{
-		SerialNumber:          big.NewInt(time.Now().UnixNano()),
-		Subject:               pkix.Name{CommonName: cn},
-		NotBefore:             p.notBef,
-		NotAfter:              notAfter,
-		IsCA:                  true,
-		BasicConstraintsValid: true,
-		KeyUsage:              x509.KeyUsageCertSign,
-	}
+	return p.issue(caTemplate(pkix.Name{CommonName: cn}), parent, &key.PublicKey, key, parentKey, notAfter)
+}
+
+func caTemplate(subject pkix.Name) *x509.Certificate {
+	return &x509.Certificate{Subject: subject, IsCA: true, BasicConstraintsValid: true, KeyUsage: x509.KeyUsageCertSign}
+}
+
+// issue signs tmpl, valid from the PKI's start to notAfter, over pub with
+// signer under parent, or self-signed by key when parent is nil.
+func (p *pki) issue(tmpl, parent *x509.Certificate, pub any, key, signer crypto.Signer, notAfter time.Time) *x509.Certificate {
+	p.t.Helper()
+	tmpl.SerialNumber = big.NewInt(time.Now().UnixNano())
+	tmpl.NotBefore, tmpl.NotAfter = p.notBef, notAfter
 	if parent == nil {
-		parent, parentKey = tmpl, key
+		parent, signer = tmpl, key
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, parent, &key.PublicKey, parentKey)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, parent, pub, signer)
 	if err != nil {
 		p.t.Fatal(err)
 	}
@@ -215,24 +202,13 @@ func (p *pki) caFor(cn string, key *ecdsa.PrivateKey, parent *x509.Certificate, 
 // endorse issues a VCEK certificate for chip under the given ASK, over pub
 // (chipKey(chip), unless the test wants the certificate to lie), and
 // serves it from now on.
-func (p *pki) endorse(chip *amdsp.SecureProcessor, pub any, ask *x509.Certificate, askKey *ecdsa.PrivateKey, notAfter time.Time) *x509.Certificate {
+func (p *pki) endorse(chip *amdsp.SecureProcessor, pub any, ask *x509.Certificate, askKey crypto.Signer, notAfter time.Time) *x509.Certificate {
 	p.t.Helper()
-	tmpl := &x509.Certificate{
-		SerialNumber:    big.NewInt(time.Now().UnixNano()),
+	cert := p.issue(&x509.Certificate{
 		Subject:         pkix.Name{CommonName: "VCEK-TEST"},
-		NotBefore:       p.notBef,
-		NotAfter:        notAfter,
 		KeyUsage:        x509.KeyUsageDigitalSignature,
 		ExtraExtensions: sev.VCEKExtensions(chip.ChipID(), chip.TCB()),
-	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, ask, pub, askKey)
-	if err != nil {
-		p.t.Fatal(err)
-	}
-	cert, err := x509.ParseCertificate(der)
-	if err != nil {
-		p.t.Fatal(err)
-	}
+	}, ask, pub, nil, askKey, notAfter)
 	p.serveVCEK(chip.ChipID(), cert)
 	return cert
 }
@@ -252,28 +228,36 @@ func newPKI(t *testing.T, arkNotAfter time.Time) *pki {
 	return p
 }
 
-// TestChainLinkProofExpiresWithEarlierOfASKAndARK: the link proof lives
-// only while *both* certificates of the link are valid. The ARK case is
-// the one a missing fence would get wrong — anchored at a still-valid ASK,
-// a walk past the ARK's expiry would succeed where the whole walk fails.
+// TestChainLinkProofExpiresWithEarlierOfASKAndARK: a proof lives only
+// while both certificates of the ASK→ARK link are valid, at both ends of
+// their windows. The link is checked once, with no clock, so its window
+// is checked on every walk and held in every proof's fence. The ARK rows
+// are the ones a missing fence would get wrong: a proof of a VCEK under a
+// valid ASK would answer outside the ARK's window, where a walk fails.
 func TestChainLinkProofExpiresWithEarlierOfASKAndARK(t *testing.T) {
 	mfr, err := amdsp.NewManufacturer([]byte("link-expiry"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
+	early, late := start.Add(-2*time.Hour), start.Add(-30*time.Minute)
 	soon, far := start.Add(time.Hour), start.Add(10*365*24*time.Hour)
 	for _, tt := range []struct {
-		name             string
-		arkNotAfter, ask time.Time
+		name     string
+		ark, ask [2]time.Time // NotBefore, NotAfter
+		skew     time.Duration
 	}{
-		{"ARK expires first", soon, far},
-		{"ASK expires first", far, soon},
+		{"ARK expires first", [2]time.Time{early, soon}, [2]time.Time{early, far}, 2 * time.Hour},
+		{"ASK expires first", [2]time.Time{early, far}, [2]time.Time{early, soon}, 2 * time.Hour},
+		{"ARK issued last", [2]time.Time{late, far}, [2]time.Time{early, far}, -time.Hour},
+		{"ASK issued last", [2]time.Time{early, far}, [2]time.Time{late, far}, -time.Hour},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			p := newPKI(t, tt.arkNotAfter)
-			ask, askKey := p.ca("ASK-TEST", p.ark, p.arkKey, tt.ask)
-			p.serve(ask, p.ark)
+			p := &pki{t: t, notBef: tt.ark[0], vceks: map[sev.ChipID]*x509.Certificate{}}
+			p.ark, p.arkKey = p.ca("ARK-TEST", nil, nil, tt.ark[1])
+			p.notBef = tt.ask[0]
+			ask, askKey := p.ca("ASK-TEST", p.ark, p.arkKey, tt.ask[1])
+			p.notBef = early // the VCEKs'
 			chipA, repA := mintChip(t, mfr, tt.name+"/a")
 			chipB, repB := mintChip(t, mfr, tt.name+"/b")
 			chipC, repC := mintChip(t, mfr, tt.name+"/c")
@@ -282,7 +266,7 @@ func TestChainLinkProofExpiresWithEarlierOfASKAndARK(t *testing.T) {
 			}
 
 			var skew atomic.Int64
-			v := NewVerifier(p, nil, WithClock(func() time.Time { return start.Add(time.Duration(skew.Load())) }))
+			v := carrying(NewVerifier(p, nil, WithClock(func() time.Time { return start.Add(time.Duration(skew.Load())) })), ask, p.ark)
 			ctx := context.Background()
 			if _, err := v.VerifyReport(ctx, repA); err != nil {
 				t.Fatal(err)
@@ -290,20 +274,20 @@ func TestChainLinkProofExpiresWithEarlierOfASKAndARK(t *testing.T) {
 			if _, err := v.VerifyReport(ctx, repB); err != nil {
 				t.Fatal(err)
 			}
-			if got := v.Stats(); got.LinkHits != 1 || got.ChainLinksVerified != 3 {
-				t.Fatalf("inside validity: %+v, want the second chip anchored at the ASK", got)
+			if got := v.Stats(); got.ChainLinksVerified != 2 {
+				t.Fatalf("inside validity: %+v, want one link per chip", got)
 			}
 
-			skew.Store(int64(2 * time.Hour)) // past the earlier NotAfter, inside every other
+			skew.Store(int64(tt.skew)) // outside the link's window, inside the VCEKs'
 			if _, err := v.VerifyReport(ctx, repC); !errors.Is(err, ErrEvidenceExpired) {
-				t.Errorf("new chip past the link's expiry: err = %v, want ErrEvidenceExpired", err)
+				t.Errorf("new chip outside the link's window: err = %v, want ErrEvidenceExpired", err)
 			}
-			// The proofs that rest on the link died with it.
+			// The proofs that rest on the link do not hold there either.
 			if _, err := v.VerifyReport(ctx, repA); !errors.Is(err, ErrEvidenceExpired) {
-				t.Errorf("proven report past the link's expiry: err = %v, want ErrEvidenceExpired", err)
+				t.Errorf("proven report outside the link's window: err = %v, want ErrEvidenceExpired", err)
 			}
-			if got := v.Stats(); got.LinkHits != 1 {
-				t.Errorf("link proof served past its expiry: %+v", got)
+			if got := v.Stats(); got.ReportHits != 0 || got.ChainHits != 0 {
+				t.Errorf("a proof served outside the link's window: %+v", got)
 			}
 
 			skew.Store(0) // the same evidence verifies again once the clock is back
@@ -314,85 +298,75 @@ func TestChainLinkProofExpiresWithEarlierOfASKAndARK(t *testing.T) {
 	}
 }
 
-// TestChainLinkProofIsForOneASKAndARK: the proof is keyed by the exact
-// certificates. A rotated ASK walks its own whole chain; a forged ASK is
-// rejected whether the attacker swaps the served chain or only the VCEK —
-// all while the genuine link proof sits in the cache and keeps serving.
-func TestChainLinkProofIsForOneASKAndARK(t *testing.T) {
-	mfr, err := amdsp.NewManufacturer([]byte("link-identity"))
+// TestChainWalkRefusesForgedChain is the forged-chain row. Whoever answers
+// for the KDS keeps an ARK and an ASK of its own, the ASK under the
+// product line's name, and serves a VCEK that ASK issued over a real
+// chip's key. The verifier never asks for an ASK or an ARK: it judges the
+// VCEK against the ASK it carries, refuses it, and caches nothing. A VCEK
+// the carried ASK did not issue is refused the same way when its issuer
+// chains to a genuine root: an ASK rotated under the hand-built PKI's ARK,
+// to a verifier carrying the first.
+func TestChainWalkRefusesForgedChain(t *testing.T) {
+	mfr, err := amdsp.NewManufacturer([]byte("forged-chain"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	genuine, _, err := sev.ProductChain()
 	if err != nil {
 		t.Fatal(err)
 	}
 	far := time.Now().Add(10 * 365 * 24 * time.Hour)
-	p := newPKI(t, far)
-	ask, askKey := p.ca("ASK-TEST", p.ark, p.arkKey, far)
-	rotated, rotatedKey := p.ca("ASK-TEST", p.ark, p.arkKey, far)
-	forged, forgedKey := p.ca("ASK-TEST", nil, nil, far) // same name, not signed by the ARK
-	p.serve(ask, p.ark)
+	p := newPKI(t, far) // the attacker's ARK
+	forgedKey, err := ecdsa.GenerateKey(elliptic.P384(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := p.issue(caTemplate(genuine.Subject), p.ark, &forgedKey.PublicKey, nil, p.arkKey, far)
+	if !bytes.Equal(forged.RawSubject, genuine.RawSubject) {
+		t.Fatal("the forged ASK does not carry the product line's name")
+	}
+	chip, rep := mintChip(t, mfr, "chip")
+	p.endorse(chip, chipKey(t, mfr, chip), forged, forgedKey, far)
 
 	v := NewVerifier(p, nil)
 	ctx := context.Background()
-	verify := func(seed string, vcekASK *x509.Certificate, vcekKey *ecdsa.PrivateKey) error {
-		chip, rep := mintChip(t, mfr, seed)
-		p.endorse(chip, chipKey(t, mfr, chip), vcekASK, vcekKey, far)
-		_, err := v.VerifyReport(ctx, rep)
-		return err
+	for range 2 {
+		if _, err := v.VerifyReport(ctx, rep); !errors.Is(err, ErrChainInvalid) {
+			t.Fatalf("VCEK under a forged chain: err = %v, want ErrChainInvalid", err)
+		}
+	}
+	if got := v.Stats(); got != (Stats{}) {
+		t.Errorf("a forged chain verified something: %+v", got)
+	}
+	if n := v.chains.Len() + v.reports.Len(); n != 0 {
+		t.Errorf("a forged chain left %d proofs", n)
+	}
+	// The refusal is the chain's: the chip's genuine VCEK verifies.
+	der, err := mfr.VCEKCertDER(chip.ChipID(), chip.TCB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vcek, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.serveVCEK(chip.ChipID(), vcek)
+	if _, err := v.VerifyReport(ctx, rep); err != nil {
+		t.Fatalf("genuine VCEK: %v", err)
 	}
 
-	if err := verify("genuine-1", ask, askKey); err != nil {
-		t.Fatal(err)
-	}
-	if err := verify("genuine-2", ask, askKey); err != nil {
-		t.Fatal(err)
-	}
-	base := v.Stats()
-	if base.LinkHits != 1 {
-		t.Fatalf("link not proven: %+v", base)
-	}
-
-	// Only the VCEK is forged: the walk anchors at the genuine ASK and the
-	// forged ASK's signature does not verify under it.
-	if err := verify("forged-vcek", forged, forgedKey); !errors.Is(err, ErrChainInvalid) {
-		t.Errorf("VCEK signed by a forged ASK: err = %v, want ErrChainInvalid", err)
-	}
-	// The served chain is forged too: another DER, so a miss and a whole
-	// walk, which finds the forged ASK does not chain to the ARK.
-	p.serve(forged, p.ark)
-	if err := verify("forged-chain", forged, forgedKey); !errors.Is(err, ErrChainInvalid) {
-		t.Errorf("forged ASK served in the chain: err = %v, want ErrChainInvalid", err)
-	}
-	if got := v.Stats(); got.ChainLinksVerified != base.ChainLinksVerified || got.ReportsVerified != base.ReportsVerified {
-		t.Errorf("a forged chain verified something: %+v -> %+v", base, got)
-	}
-	// A failed walk proves nothing: the forged pair is still a miss.
-	if err := verify("forged-again", forged, forgedKey); !errors.Is(err, ErrChainInvalid) {
-		t.Errorf("forged ASK, second attempt: err = %v, want ErrChainInvalid", err)
-	}
-
-	// A legitimately rotated ASK misses the old proof and earns its own.
-	p.serve(rotated, p.ark)
-	if err := verify("rotated-1", rotated, rotatedKey); err != nil {
-		t.Fatalf("rotated ASK: %v", err)
-	}
-	if got := v.Stats(); got.ChainLinksVerified != base.ChainLinksVerified+2 || got.LinkHits != base.LinkHits+1 {
-		t.Errorf("rotated ASK: %+v -> %+v, want one whole walk; the one link hit is forged-vcek's", base, got)
-	}
-	if err := verify("rotated-2", rotated, rotatedKey); err != nil {
-		t.Fatal(err)
-	}
-	// The genuine link proof was there throughout.
-	p.serve(ask, p.ark)
-	if err := verify("genuine-3", ask, askKey); err != nil {
-		t.Fatal(err)
-	}
-	if got := v.Stats(); got.LinkHits != base.LinkHits+3 || got.ChainLinksVerified != base.ChainLinksVerified+4 {
-		t.Errorf("after rotation and return: %+v -> %+v", base, got)
+	ask, _ := p.ca("ASK-TEST", p.ark, p.arkKey, far)
+	rotated, rotatedKey := p.ca("ASK-TEST", p.ark, p.arkKey, far)
+	other, otherRep := mintChip(t, mfr, "rotated")
+	p.endorse(other, chipKey(t, mfr, other), rotated, rotatedKey, far)
+	if _, err := carrying(NewVerifier(p, nil), ask, p.ark).VerifyReport(ctx, otherRep); !errors.Is(err, ErrChainInvalid) {
+		t.Errorf("VCEK under an ASK the verifier does not carry: err = %v, want ErrChainInvalid", err)
 	}
 }
 
-// TestChainWalkCachesNothingWhenKDSFailsMidWalk: the VCEK arrives, then
-// the cert_chain fetch hangs until the caller gives up. Nothing of the
-// half-finished walk is kept; the retry walks the whole chain.
+// TestChainWalkCachesNothingWhenKDSFailsMidWalk: the VCEK fetch hangs
+// until the caller gives up. Nothing of the half-finished verification is
+// kept; the retry walks the VCEK's link.
 func TestChainWalkCachesNothingWhenKDSFailsMidWalk(t *testing.T) {
 	mfr, err := amdsp.NewManufacturer([]byte("link-outage"))
 	if err != nil {
@@ -403,7 +377,7 @@ func TestChainWalkCachesNothingWhenKDSFailsMidWalk(t *testing.T) {
 	var stalled atomic.Int64
 	inner := kds.NewServer(mfr)
 	server := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if block.Load() && r.URL.Path == kds.CertChainPath {
+		if block.Load() && strings.HasPrefix(r.URL.Path, kds.VCEKPathPrefix) {
 			stalled.Add(1)
 			<-r.Context().Done()
 			return
@@ -427,17 +401,17 @@ func TestChainWalkCachesNothingWhenKDSFailsMidWalk(t *testing.T) {
 	}
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("walk cut by cancellation: err = %v, want context.Canceled", err)
+		t.Fatalf("verification cut by cancellation: err = %v, want context.Canceled", err)
 	}
 	if n := v.chains.Len() + v.reports.Len(); n != 0 {
-		t.Errorf("%d proofs cached by a walk that never finished", n)
+		t.Errorf("%d proofs cached by a verification that never finished", n)
 	}
 
 	block.Store(false)
 	if _, err := v.VerifyReport(context.Background(), rep); err != nil {
 		t.Fatalf("retry after the outage: %v", err)
 	}
-	if got, want := v.Stats(), (Stats{ReportsVerified: 1, ChainLinksVerified: 2, KeysPrepared: 1}); got != want {
+	if got, want := v.Stats(), (Stats{ReportsVerified: 1, ChainLinksVerified: 1, KeysPrepared: 1}); got != want {
 		t.Errorf("retry: %+v, want %+v", got, want)
 	}
 }

@@ -1,17 +1,18 @@
 // Package cache is the repository's one bounded cache of things that
-// were expensive to prove: verified attestation reports and certificate
-// chains (attest), and the KDS client's parsed VCEK certificates and
-// ASK/ARK pair, one instance behind its one miss path (kds). The attest
-// verifier is the only place an attestation verdict is cached; the
-// layers above it (RA-TLS, the gateway) ask it again on every handshake.
+// were expensive to prove: verified attestation reports and VCEK chains
+// (attest), and the KDS client's parsed certificates, one instance behind
+// its one miss path (kds). The attest verifier is the only place an
+// attestation verdict is cached; the layers above it (RA-TLS, the
+// gateway) ask it again on every handshake.
 //
 // Every entry is stored under a fence — the revision it was proven at
-// and the time its proof stops holding — and the fence is enforced here,
-// once: an entry is never served at another revision, never after its
-// notAfter, and a stale entry is dropped the moment a lookup sees it. A
-// caller that bumps its revision therefore invalidates everything it
-// stored without touching the cache, which is how a revocation bites
-// through every layer on the very next lookup.
+// and the interval its proof holds in, notBefore through notAfter — and
+// the fence is enforced here, once: an entry is never served at another
+// revision, never before its notBefore, never after its notAfter, and a
+// stale entry is dropped the moment a lookup sees it. A caller that bumps
+// its revision therefore invalidates everything it stored without
+// touching the cache, which is how a revocation bites through every layer
+// on the very next lookup.
 //
 // A cache is one exact LRU under one mutex. A lookup holds it for a map
 // probe and a list splice, and no caller runs enough of them to contend
@@ -38,10 +39,11 @@ type Cache[K comparable, V any] struct {
 }
 
 type entry[K comparable, V any] struct {
-	key      K
-	val      V
-	rev      uint64
-	notAfter time.Time // zero = never expires
+	key       K
+	val       V
+	rev       uint64
+	notBefore time.Time // zero = no lower bound
+	notAfter  time.Time // zero = never expires
 }
 
 // New returns a cache holding at most capacity entries (at least one)
@@ -52,9 +54,9 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 }
 
 // Get returns the entry for k if it was stored at revision rev and now
-// is not past its notAfter (x509 semantics: valid through notAfter
-// inclusive). An entry that fails either test is removed, so dead
-// entries never occupy capacity.
+// is inside its interval (x509 semantics: valid from notBefore through
+// notAfter, both inclusive). An entry that fails either test is removed,
+// so dead entries never occupy capacity.
 func (c *Cache[K, V]) Get(k K, rev uint64, now time.Time) (v V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -63,7 +65,7 @@ func (c *Cache[K, V]) Get(k K, rev uint64, now time.Time) (v V, ok bool) {
 		return v, false
 	}
 	e := el.Value.(*entry[K, V])
-	if e.rev != rev || (!e.notAfter.IsZero() && now.After(e.notAfter)) {
+	if e.rev != rev || now.Before(e.notBefore) || (!e.notAfter.IsZero() && now.After(e.notAfter)) {
 		c.lru.Remove(el)
 		delete(c.idx, k)
 		return v, false
@@ -72,11 +74,12 @@ func (c *Cache[K, V]) Get(k K, rev uint64, now time.Time) (v V, ok bool) {
 	return e.val, true
 }
 
-// Put stores v under k, fenced by rev and notAfter (the zero time means
+// Put stores v under k, fenced by rev and the interval notBefore through
+// notAfter (a zero notBefore means no lower bound, a zero notAfter that
 // the entry never expires), replacing any entry for k and evicting the
 // least recently used entry of a full cache.
-func (c *Cache[K, V]) Put(k K, v V, rev uint64, notAfter time.Time) {
-	e := &entry[K, V]{key: k, val: v, rev: rev, notAfter: notAfter}
+func (c *Cache[K, V]) Put(k K, v V, rev uint64, notBefore, notAfter time.Time) {
+	e := &entry[K, V]{key: k, val: v, rev: rev, notBefore: notBefore, notAfter: notAfter}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.idx[k]; ok {

@@ -12,17 +12,18 @@ import (
 
 // The fence is the security property every user of this package leans
 // on, so it is tested against a model: an unbounded map that remembers
-// the revision and notAfter each value was stored under. Over random
-// interleavings of every operation the cache offers, plus the two ways
+// the revision and interval each value was stored under. Over random
+// interleavings of every operation the cache offers, plus the three ways
 // a caller invalidates without touching it (bumping its revision, its
-// clock passing notAfter), a lookup must return exactly what the model
-// filtered by the fence holds — or, where capacity may have evicted it,
-// a miss. It must never return a value the fence excludes.
+// clock passing notAfter, its clock moving back before notBefore), a
+// lookup must return exactly what the model filtered by the fence holds —
+// or, where capacity may have evicted it, a miss. It must never return a
+// value the fence excludes.
 
 type modelEntry[V any] struct {
-	val      V
-	rev      uint64
-	notAfter time.Time
+	val                 V
+	rev                 uint64
+	notBefore, notAfter time.Time
 }
 
 // instantiation is one of the key/value shapes the repository builds
@@ -42,10 +43,10 @@ func digest(i int) [sha256.Size]byte { return sha256.Sum256([]byte{byte(i), byte
 func name(i int) string { return fmt.Sprintf("node-%d", i) }
 
 // chainProof mirrors attest's proof value: the proving certificate and
-// the expiry it hands on.
+// the interval it hands on.
 type chainProof struct {
-	vcek     *x509.Certificate
-	notAfter time.Time
+	vcek                *x509.Certificate
+	notBefore, notAfter time.Time
 }
 
 // kdsCerts mirrors the kds client's value: a VCEK, or the ASK/ARK pair.
@@ -95,21 +96,25 @@ func checkAgainstModel[K comparable, V any](t *testing.T, in instantiation[K, V]
 			for step := 0; step < 2000; step++ {
 				k := in.key(rng.Intn(shape.keys))
 				switch op := rng.Intn(100); {
-				case op < 35: // put, expiring or not
-					var notAfter time.Time
+				case op < 35: // put, bounded below or not, expiring or not
+					var notBefore, notAfter time.Time
+					if rng.Intn(2) > 0 {
+						notBefore = now.Add(-time.Duration(rng.Intn(30)) * time.Second)
+					}
 					if rng.Intn(3) > 0 {
 						notAfter = now.Add(time.Duration(rng.Intn(50)) * time.Second)
 					}
 					v := in.val()
-					c.Put(k, v, rev, notAfter)
-					model[k] = modelEntry[V]{val: v, rev: rev, notAfter: notAfter}
+					c.Put(k, v, rev, notBefore, notAfter)
+					model[k] = modelEntry[V]{val: v, rev: rev, notBefore: notBefore, notAfter: notAfter}
 					if got, ok := c.Get(k, rev, now); !ok || !in.same(got, v) {
 						fail(step, "a value just stored is not served")
 					}
 				case op < 80: // get
 					got, ok := c.Get(k, rev, now)
 					want, held := model[k]
-					live := held && want.rev == rev && (want.notAfter.IsZero() || !now.After(want.notAfter))
+					live := held && want.rev == rev && !now.Before(want.notBefore) &&
+						(want.notAfter.IsZero() || !now.After(want.notAfter))
 					if held && !live {
 						delete(model, k) // dropped on sight
 					}
@@ -125,9 +130,11 @@ func checkAgainstModel[K comparable, V any](t *testing.T, in instantiation[K, V]
 					}
 				case op < 86: // the caller's revision moves on
 					rev++
-				case op < 92: // the caller's clock moves on, sometimes past every notAfter
+				case op < 90: // the caller's clock moves on, sometimes past every notAfter
 					now = now.Add(time.Duration(rng.Intn(40)) * time.Second)
-				case op < 97:
+				case op < 94: // the caller's clock moves back, sometimes before every notBefore
+					now = now.Add(-time.Duration(rng.Intn(40)) * time.Second)
+				case op < 98:
 					c.Delete(k)
 					delete(model, k)
 				default:
@@ -151,8 +158,8 @@ func checkAgainstModel[K comparable, V any](t *testing.T, in instantiation[K, V]
 // hit from a good one without a lock-step model.
 func TestFenceUnderConcurrency(t *testing.T) {
 	type stamped struct {
-		rev      uint64
-		notAfter time.Time
+		rev                 uint64
+		notBefore, notAfter time.Time
 	}
 	c := New[[sha256.Size]byte, stamped](16)
 	var (
@@ -186,10 +193,10 @@ func TestFenceUnderConcurrency(t *testing.T) {
 				case 2:
 					c.Purge()
 				case 3, 4, 5:
-					c.Put(k, stamped{r, at.Add(3 * time.Second)}, r, at.Add(3*time.Second))
+					c.Put(k, stamped{r, at, at.Add(3 * time.Second)}, r, at, at.Add(3*time.Second))
 				default:
-					if v, ok := c.Get(k, r, at); ok && (v.rev != r || at.After(v.notAfter)) {
-						t.Errorf("stale hit: stored at rev %d until %v, served at rev %d, %v", v.rev, v.notAfter, r, at)
+					if v, ok := c.Get(k, r, at); ok && (v.rev != r || at.Before(v.notBefore) || at.After(v.notAfter)) {
+						t.Errorf("stale hit: stored at rev %d from %v until %v, served at rev %d, %v", v.rev, v.notBefore, v.notAfter, r, at)
 					}
 				}
 			}

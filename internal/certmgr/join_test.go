@@ -175,11 +175,10 @@ func TestJoinKeyRequestIsAProofHit(t *testing.T) {
 	got := c.verifier.Stats()
 	want := before
 	want.ReportsVerified += 2    // the SP on the joiner, the joiner on the leader's response
-	want.ChainLinksVerified += 1 // the joiner's VCEK, anchored at the proven ASK
-	want.LinkHits++
-	want.KeysPrepared++ // the joiner's VCEK key, with that walk; the leader's came with its proof
-	want.ChainHits++    // the leader's VCEK, proven at provisioning
-	want.ReportHits++   // the leader on the joiner
+	want.ChainLinksVerified += 1 // the joiner's VCEK, under the carried ASK
+	want.KeysPrepared++          // the joiner's VCEK key, with that walk; the leader's came with its proof
+	want.ChainHits++             // the leader's VCEK, proven at provisioning
+	want.ReportHits++            // the leader on the joiner
 	if got != want {
 		t.Errorf("join cost %+v, want %+v", got, want)
 	}

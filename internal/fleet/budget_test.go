@@ -41,8 +41,7 @@ func TestJoinSignatureBudget(t *testing.T) {
 		},
 		verified: attest.Stats{
 			ReportsVerified:    2, // SP node on the joiner's CSR report; joiner on the leader's response
-			ChainLinksVerified: 1, // new VCEK → ASK; ASK → ARK was proven at provisioning
-			LinkHits:           1,
+			ChainLinksVerified: 1, // new VCEK → ASK; the carried ASK → ARK is checked once per process
 			KeysPrepared:       1, // the new VCEK's key tables, by the SP node with that walk; nobody prepares it again
 			ChainHits:          1, // the leader's VCEK, proven at provisioning: its key comes with the proof
 			ReportHits:         1, // leader on the CSR report the SP node just verified

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"testing"
 
-	"revelio/internal/amdsp"
+	"revelio/internal/sev"
 )
 
 // pemBlocks returns the PEM blocks of body, in order.
@@ -27,11 +27,7 @@ func pemBlocks(body []byte) []*pem.Block {
 // certificates the body's two PEM blocks carry, in order — but never a
 // panic and never an unclassified failure.
 func FuzzParseCertChain(f *testing.F) {
-	mfr, err := amdsp.NewManufacturer([]byte("kds-fuzz-seed"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	chain := NewServer(mfr).chainPEM // the simulated KDS's real response
+	chain := []byte(sev.ProductChainPEM()) // the simulated KDS's real response
 	blocks := pemBlocks(chain)
 	if len(blocks) != 2 {
 		f.Fatalf("simulated KDS chain has %d blocks, want 2", len(blocks))
@@ -40,10 +36,10 @@ func FuzzParseCertChain(f *testing.F) {
 	f.Add(chain)
 	f.Add(chain[:len(chain)/2])                                  // truncated inside the ARK block
 	f.Add(ask)                                                   // one certificate
-	f.Add(append(bytes.Clone(ark), ask...))                      // reordered: parsed, order is the chain walk's to judge
+	f.Add(append(bytes.Clone(ark), ask...))                      // reordered: parsed; no verifier reads it
 	f.Add(append(bytes.Clone(chain), ask...))                    // three blocks
 	f.Add(append([]byte("junk\n"), chain...))                    // text around the blocks
-	f.Add(mfr.ASKCertDER())                                      // DER, not PEM
+	f.Add(blocks[0].Bytes)                                       // DER, not PEM
 	f.Add([]byte("not a certificate chain"))                     // no PEM at all
 	f.Add(bytes.Replace(chain, []byte("MII"), []byte("AII"), 1)) // a block that is not a certificate
 

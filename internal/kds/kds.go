@@ -3,16 +3,16 @@
 // certificate chain that authenticates a VCEK, and therefore an
 // attestation report.
 //
-// The server side publishes an Issuer, an interface so this package never
-// imports the simulator; the client side is what the web extension and the
-// SP node use, including the VCEK cache whose effect Table 3 of the paper
-// quantifies (778.9 ms cold vs 115.0 ms warm).
+// The server side publishes an Issuer's VCEKs, an interface so this
+// package never imports the simulator, and the product line's ASK and ARK
+// as internal/sev carries them; the client side is what the web extension
+// and the SP node use to fetch VCEKs, including the cache whose effect
+// Table 3 of the paper quantifies (778.9 ms cold vs 115.0 ms warm).
 //
 // The client sits on the attestation fast path. It keeps *parsed*
-// certificates, each VCEK and the ASK/ARK pair, in one cache.Cache whose
-// every entry is served for vcekTTL, and reaches the network through one
-// miss path that collapses concurrent misses for a key into one HTTP
-// round trip. Failures are never cached.
+// certificates in one cache.Cache whose every entry is served for vcekTTL,
+// and reaches the network through one miss path that collapses concurrent
+// misses for a key into one HTTP round trip. Failures are never cached.
 package kds
 
 import (
@@ -35,7 +35,7 @@ import (
 )
 
 const (
-	// CertChainPath serves the concatenated ASK and ARK certificates in
+	// CertChainPath serves the product line's ASK and ARK certificates in
 	// PEM, intermediate first, mirroring AMD's cert_chain endpoint.
 	CertChainPath = "/kds/v1/cert_chain"
 	// VCEKPathPrefix serves DER VCEK certificates at
@@ -66,43 +66,37 @@ var (
 	ErrBadResponse = fmt.Errorf("%w: kds: bad response", attestation.ErrKDSUnavailable)
 )
 
-// Issuer is the certificate hierarchy a Server publishes. A VCEK it
-// cannot issue because it never minted the chip (an error wrapping
-// sev.ErrUnknownChip) answers 404; any other failure answers 500.
+// Issuer issues the VCEKs a Server publishes, under the product line's
+// ASK. A VCEK it cannot issue because it never minted the chip (an error
+// wrapping sev.ErrUnknownChip) answers 404; any other failure answers 500.
 // amdsp.Manufacturer is one.
 type Issuer interface {
-	ARKCertDER() []byte
-	ASKCertDER() []byte
 	VCEKCertDER(chipID sev.ChipID, tcb uint64) ([]byte, error)
 }
 
-// Server exposes an Issuer's certificate hierarchy over HTTP.
+// Server exposes an Issuer's VCEKs, and the product line's chain above
+// them, over HTTP.
 type Server struct {
-	issuer   Issuer
-	mux      *http.ServeMux
-	chainPEM []byte // precomputed cert_chain response body
+	issuer Issuer
+	mux    *http.ServeMux
 }
 
 var _ http.Handler = (*Server)(nil)
 
-// NewServer creates a KDS front end for the issuer. The cert_chain PEM
-// body is encoded once here; each VCEK request asks the issuer.
+// NewServer creates a KDS front end for the issuer; each VCEK request
+// asks it.
 func NewServer(issuer Issuer) *Server {
 	s := &Server{issuer: issuer, mux: http.NewServeMux()}
-	s.chainPEM = append(pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: issuer.ASKCertDER()}),
-		pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: issuer.ARKCertDER()})...)
-	s.mux.HandleFunc("GET "+CertChainPath, s.handleCertChain)
+	s.mux.HandleFunc("GET "+CertChainPath, func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/x-pem-file")
+		_, _ = io.WriteString(w, sev.ProductChainPEM())
+	})
 	s.mux.HandleFunc("GET "+VCEKPathPrefix+"{chipid}", s.handleVCEK)
 	return s
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-func (s *Server) handleCertChain(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/x-pem-file")
-	_, _ = w.Write(s.chainPEM)
-}
 
 func (s *Server) handleVCEK(w http.ResponseWriter, r *http.Request) {
 	raw, err := hex.DecodeString(r.PathValue("chipid"))
@@ -244,7 +238,10 @@ func (c *Client) lookup(ctx context.Context, key string, path func(key string) s
 			return certs{}, err
 		}
 		if c.caching.Load() {
-			c.cache.Put(key, v, 0, c.now().Add(vcekTTL))
+			// No lower bound: the TTL counts from this fetch, and whether
+			// a certificate is valid at the clock is the verifier's to
+			// judge, on its own fence.
+			c.cache.Put(key, v, 0, time.Time{}, c.now().Add(vcekTTL))
 			if !c.caching.Load() { // SetCaching(false) purged before the Put
 				c.cache.Delete(key)
 			}
@@ -263,10 +260,10 @@ func (c *Client) lookup(ctx context.Context, key string, path func(key string) s
 
 func chainPath(string) string { return CertChainPath }
 
-// CertChain fetches the ASK and ARK certificates (in that order). The
-// parsed pair is cached, so repeated calls cost neither a round trip nor
-// a pem.Decode/x509.ParseCertificate pass; concurrent cold calls share
-// one fetch.
+// CertChain fetches the ASK and ARK certificates (in that order). No
+// verifier calls it, since verifiers carry the pair: its one caller is the
+// benchmark's kds.cert_chain_miss_us rung. The parsed pair is cached, and
+// concurrent cold calls share one fetch.
 func (c *Client) CertChain(ctx context.Context) (ask, ark *x509.Certificate, err error) {
 	v, err := c.lookup(ctx, chainKey, chainPath, parseCertChain)
 	return v.ask, v.ark, err

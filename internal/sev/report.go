@@ -7,9 +7,13 @@
 // caller-chosen REPORT_DATA, the chip identity, and an ECDSA P-384
 // signature by the VCEK over everything that precedes it. The package also
 // owns the VCEK certificate extensions naming that chip and TCB: verifiers
-// read them (VCEKIdentity), the simulated AMD-SP mints to them. And it
-// owns the REPORT_DATA binding (HashOf, HashOfWithNonce): the guest
-// computes it to request a report, the verifier to check one.
+// read them (VCEKIdentity), the simulated AMD-SP mints to them. It owns
+// the REPORT_DATA binding (HashOf, HashOfWithNonce): the guest computes it
+// to request a report, the verifier to check one. And it owns the product
+// line's ASK and ARK certificates (ProductChain), committed once as AMD
+// publishes them and embedded: the verifier judges every VCEK against
+// them, the simulated manufacturer issues under them, and the simulated
+// KDS serves them (ProductChainPEM).
 package sev
 
 import (
