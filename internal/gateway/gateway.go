@@ -8,14 +8,14 @@
 // attestation bundle — proxied from a real node — bound to that same
 // key.
 //
-// Upstream, every connection is RA-TLS: the transport dials the nodes'
-// upstream listeners and verifies, per handshake, the attestation
-// evidence embedded in their certificates through an attestation
-// verifier — the fleet's SEV-SNP provider. Verification is fail-closed:
-// a node whose evidence stops verifying (revoked measurement, expired
-// evidence, unknown provider) is ejected from rotation, and a bump of
-// the verifier's policy revision flushes the connection pools so
-// already-established upstreams re-prove themselves.
+// Upstream, every connection is RA-TLS: the gateway's connection pool
+// (connpool.go) dials the nodes' upstream listeners and verifies, per
+// handshake, the attestation evidence embedded in their certificates
+// through an attestation verifier — the fleet's SEV-SNP provider.
+// Verification is fail-closed: a node whose evidence stops verifying
+// (revoked measurement, expired evidence, unknown provider) is ejected
+// from rotation, and a bump of the verifier's policy revision flushes
+// the pool so already-established upstreams re-prove themselves.
 //
 // Routing is context-aware and runs in four tiers per attempt: the
 // policy filter (Config.Routing — hard rule constraints over the
@@ -96,9 +96,11 @@ var (
 // serving-view admission that fleet drains wait on.
 const DeadlineHeader = "Revelio-Deadline-Ms"
 
-// upstreamIdleTimeout ages out pooled upstream connections nobody
-// closed: a node removed from the fleet closes its own servers (which
-// evicts its connections at once), one that merely vanishes does not.
+// upstreamIdleTimeout bounds how long an upstream connection may sit
+// idle in the pool and still be reused: the pool closes an older one
+// when an attempt would have taken it. A departed node's connections do
+// not wait for it; sync's caller closes them when the view drops the
+// node.
 const upstreamIdleTimeout = 90 * time.Second
 
 // dialTimeout bounds one upstream dial and, separately, its RA-TLS
@@ -106,7 +108,8 @@ const upstreamIdleTimeout = 90 * time.Second
 const dialTimeout = 10 * time.Second
 
 const (
-	// maxIdleConnsPerHost bounds the warm connection pool per node.
+	// maxIdleConnsPerHost bounds the idle connections the pool keeps per
+	// node; a connection finishing beyond it is closed.
 	maxIdleConnsPerHost = 64
 	// writeTimeout bounds writing one response to a downstream client. A
 	// proxied request holds the serving-view admission for its lifetime —
@@ -229,9 +232,9 @@ type Gateway struct {
 	// maxPerUpstream, lowered only by tests before Start.
 	perUpstream int64
 	// inFlight counts admitted requests against res.MaxInFlight.
-	inFlight  atomic.Int64
-	transport *http.Transport
-	// rt is the round-tripper the data plane calls — g.transport in
+	inFlight atomic.Int64
+	pool     *connPool
+	// rt is the round-tripper the data plane calls — g.pool in
 	// production, a stub in the allocation-guard tests, so the guard
 	// measures the gateway's own path rather than net/http internals.
 	rt     http.RoundTripper
@@ -284,23 +287,11 @@ func New(cfg Config) (*Gateway, error) {
 		router:      newRouter(cfg.Routing),
 		ups:         make(map[string]*upstream),
 		probeStop:   make(chan struct{}),
-		transport: &http.Transport{
-			// No session cache: every upstream connection is a full
-			// handshake whose evidence cfg.Verifier judges.
-			TLSClientConfig:     ratls.ProviderClientConfig(cfg.Verifier),
-			TLSHandshakeTimeout: dialTimeout,
-			DialContext: (&net.Dialer{
-				Timeout: dialTimeout,
-			}).DialContext,
-			MaxIdleConnsPerHost: maxIdleConnsPerHost,
-			IdleConnTimeout:     upstreamIdleTimeout,
-			// The per-attempt header deadline: a node that accepts the
-			// connection but never sends headers fails this attempt
-			// instead of pinning the client until writeTimeout.
-			ResponseHeaderTimeout: res.PerTryTimeout,
-		},
+		// No session cache: every upstream connection is a full
+		// handshake whose evidence cfg.Verifier judges.
+		pool: newConnPool(ratls.ProviderClientConfig(cfg.Verifier), res.Now),
 	}
-	g.rt = g.transport
+	g.rt = g.pool
 	g.flushedEpoch.Store(cfg.Verifier.PolicyRevision())
 	g.pull()
 	// Probe loop, the gateway's one background goroutine: breaker-open
@@ -321,12 +312,15 @@ func (g *Gateway) pull() {
 }
 
 // observe is the one way the gateway learns the serving view: it checks
-// the policy epoch, then reconciles the routing table with snap. Every
-// request calls it with the snapshot it was admitted under; the probe
-// tick and Stats pull one for it.
+// the policy epoch, then reconciles the routing table with snap, and on
+// a new view closes the idle connections to nodes it no longer lists.
+// Every request calls it with the snapshot it was admitted under; the
+// probe tick and Stats pull one for it.
 func (g *Gateway) observe(snap fleet.Snapshot) {
 	g.checkPolicyEpoch()
-	g.sync(snap)
+	if g.sync(snap) {
+		g.pool.retain(snap.Endpoints)
+	}
 }
 
 // checkPolicyEpoch flushes the upstream pools when the verifier's policy
@@ -345,7 +339,7 @@ func (g *Gateway) checkPolicyEpoch() {
 		return
 	}
 	g.flushes.Add(1)
-	g.transport.CloseIdleConnections()
+	g.pool.closeIdle()
 	g.mu.Lock()
 	for _, up := range g.ups {
 		up.ejected.Store(false)
@@ -360,18 +354,15 @@ func (g *Gateway) checkPolicyEpoch() {
 }
 
 // sync reconciles the routing table with a snapshot, preserving pending
-// counts, ejection state, and breaker state for surviving endpoints.
-// Whichever caller of observe sees a version first consumes it; for
-// everyone else it is a version compare. A departed endpoint's
-// pooled connections are not flushed here: the node closes its own
-// servers on removal, which evicts its idle connections from the pool,
-// pick can no longer select it, and flushing the whole transport would
-// cost every surviving node its warm RA-TLS connections too.
-func (g *Gateway) sync(snap fleet.Snapshot) {
+// counts, ejection state, and breaker state for surviving endpoints, and
+// reports whether it consumed a new version. Whichever caller of observe
+// sees a version first consumes it; for everyone else it is a version
+// compare.
+func (g *Gateway) sync(snap fleet.Snapshot) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if snap.Version <= g.version && g.version != 0 {
-		return
+		return false
 	}
 	g.version = snap.Version
 	g.domain = snap.Domain
@@ -391,6 +382,7 @@ func (g *Gateway) sync(snap fleet.Snapshot) {
 		keep[ep.UpstreamAddr] = &upstream{ep: ep, breaker: &breaker{res: &g.res}}
 	}
 	g.ups = keep
+	return true
 }
 
 // pick selects the upstream for one attempt through the four routing
@@ -531,7 +523,7 @@ func stripHopByHop(h http.Header) {
 
 // copyOutboundHeaders fills dst (a pooled, cleared workspace) with the
 // forwardable subset of the inbound headers. Value slices are shared,
-// not copied — the transport only reads them — so the copy allocates
+// not copied — the round-tripper only reads them — so the copy allocates
 // nothing beyond first-use map growth, which the pool amortizes. The
 // gateway-owned headers (DeadlineHeader, X-Forwarded-For) are skipped
 // here and written by forward from pooled scratch.
@@ -755,7 +747,9 @@ func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream
 	sc.tryTimer, sc.tryCancel = timer, cancel
 
 	wire := sc.wire
-	if wire == nil {
+	if wire == nil || wire.inFlight {
+		// A wire an earlier attempt of this request tainted may still be
+		// read by that attempt's body writer.
 		wire = &wireScratch{hdr: make(http.Header, 16)}
 		sc.wire = wire
 	}
@@ -814,24 +808,29 @@ func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream
 		Host:             host,
 	}
 	// WithContext's shallow copy is the one unavoidable allocation here:
-	// the transport mutates and retains the *Request it is handed, so a
-	// fresh shell per attempt it gets — but its URL, header map, and
-	// header value slices all point into the pooled wire scratch, which
-	// is why the wire carries the inFlight taint below.
+	// the round-tripper keeps the *Request it is handed (resp.Request, a
+	// body writer), so a fresh shell per attempt it gets — but its URL,
+	// header map, and header value slices all point into the pooled wire
+	// scratch, which is why a request with a body taints the wire below.
 	outreq := wire.req.WithContext(tryCtx)
 
 	up.pending.Add(1)
-	wire.inFlight = true
+	// A body is written by a goroutine of the pool's that can outlive
+	// RoundTrip — after an early answer, or after an error — still
+	// reading the wire's URL and header map, so that wire stays tainted
+	// (inFlight) and reset abandons it rather than re-pool it. A request
+	// without a body is written and answered on this goroutine: once
+	// RoundTrip returns, nothing else holds the wire.
+	wire.inFlight = body != nil
 	resp, err := g.rt.RoundTrip(outreq)
 	up.pending.Add(-1)
 	if err == nil && !timer.Stop() {
 		// The per-try timer fired first, so this attempt had already
-		// failed. A response can still come back: cancelling the request
-		// closes the TLS connection with a close_notify, a stalled node's
-		// handler takes that as its client leaving and returns — an empty
-		// 200 — and the transport may read that answer before it sees the
-		// socket close. It answers a request the gateway abandoned; it is
-		// never served.
+		// failed. A response can still come back: the timer can fire
+		// after the headers were read and before RoundTrip returned them,
+		// and a stalled node's handler answers the interrupted request —
+		// an empty 200 — as its client leaving. It answers a request the
+		// gateway abandoned; it is never served.
 		_ = resp.Body.Close()
 		resp, err = nil, errTryTimeout
 	}
@@ -843,9 +842,6 @@ func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream
 		}
 	}
 	if err != nil {
-		// The transport's write loop may still reference the request
-		// memory after an error, so the wire stays tainted (inFlight) and
-		// reset will abandon it rather than re-pool it.
 		sc.finishAttempt()
 		return nil, err
 	}
@@ -863,8 +859,8 @@ func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream
 
 // stream is the last stage: a refusal goes to refuse; a response is
 // copied to the client through the pooled copy buffer, after which the
-// attempt is settled and — for bodyless requests — the wire scratch is
-// marked clean for reuse.
+// attempt is settled. Closing the body read to EOF hands the upstream
+// connection back to the pool.
 func (g *Gateway) stream(w http.ResponseWriter, sc *proxyScratch, resp *http.Response, refusal error) {
 	if refusal != nil {
 		g.refuse(w, refusal)
@@ -897,7 +893,6 @@ func (g *Gateway) stream(w http.ResponseWriter, sc *proxyScratch, resp *http.Res
 	}
 	_ = resp.Body.Close()
 	sc.finishAttempt()
-	sc.wireClean()
 }
 
 // probeLoop drives active health probing: every ProbeInterval it pulls
@@ -937,7 +932,8 @@ func (g *Gateway) probeLoop() {
 
 // probe sends one attested health check to a half-open upstream and
 // reports the outcome to its breaker. Probes ride the gateway's RA-TLS
-// transport, so a node whose attestation stopped verifying cannot pass.
+// connection pool, so a node whose attestation stopped verifying cannot
+// pass.
 func (g *Gateway) probe(up *upstream, domain string) {
 	//revelio:allow ctxfirst probes are the gateway's own background process (stopped via probeStop); no caller context exists to thread
 	ctx, cancel := context.WithTimeout(context.Background(), g.res.PerTryTimeout)
@@ -1084,5 +1080,5 @@ func (g *Gateway) Close() {
 	if server != nil {
 		server.Stop(2 * time.Second)
 	}
-	g.transport.CloseIdleConnections()
+	g.pool.close()
 }

@@ -93,6 +93,14 @@ func (e testEnclave) Issue(_ context.Context, payload []byte) (*attest.Bundle, e
 // from issuer, serving handler.
 func startUpstream(t *testing.T, issuer ratls.Issuer, handler http.Handler) (addr string) {
 	t.Helper()
+	return startUpstreamWith(t, issuer, handler, nil)
+}
+
+// startUpstreamWith is startUpstream with tune applied to the server
+// before it serves (nil: none), for tests that watch or steer the node's
+// connections through ConnState.
+func startUpstreamWith(t *testing.T, issuer ratls.Issuer, handler http.Handler, tune func(*http.Server)) (addr string) {
+	t.Helper()
 	cert, err := ratls.CreateProviderCertificate(context.Background(), issuer, testDomain)
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +110,9 @@ func startUpstream(t *testing.T, issuer ratls.Issuer, handler http.Handler) (add
 		t.Fatal(err)
 	}
 	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+	if tune != nil {
+		tune(srv)
+	}
 	go func() { _ = srv.Serve(tls.NewListener(ln, &tls.Config{Certificates: []tls.Certificate{cert}})) }()
 	t.Cleanup(func() { _ = srv.Close() })
 	return ln.Addr().String()

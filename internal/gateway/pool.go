@@ -16,8 +16,8 @@ import (
 // per-attempt deadline string, pick and exclusion sets — live in pooled
 // scratch reused across requests. Every Get is balanced by a Put on
 // every return path (the poolescape analyzer enforces it), and nothing
-// pooled is reused while the transport might still reference it (see
-// wireScratch.inFlight).
+// pooled is reused while the round-tripper might still reference it
+// (see wireScratch.inFlight).
 
 // copyBufSize is the chunk size for pooled body streaming — io.Copy's
 // internal default, made explicit so the response path and the probe
@@ -61,7 +61,7 @@ var msTable = func() (t [msTableSize]string) {
 // forces the copy through the pooled buffer.
 type writerOnly struct{ io.Writer }
 
-// wireScratch is the transport-visible part of the per-request scratch:
+// wireScratch is the round-tripper-visible part of the per-request scratch:
 // the outbound request shell, its URL and header workspace, and the
 // single-value slices backing the headers the gateway owns. It is
 // reused across requests only when the previous attempt provably
@@ -73,13 +73,13 @@ type wireScratch struct {
 	dlVal  [1]string // DeadlineHeader value slice
 	xffVal [1]string // X-Forwarded-For value slice
 	numBuf [20]byte  // strconv.AppendInt fallback workspace
-	// inFlight is the taint bit. It is set before the shell is handed to
-	// RoundTrip and cleared only at the single provably-clean point: a
-	// bodyless request whose response streamed to EOF and closed. After
-	// a transport error the write loop may still read the request memory
-	// asynchronously, so a wire still marked in flight is abandoned to
-	// the garbage collector and the next attempt allocates a fresh one —
-	// the failure path pays, the steady path stays zero-alloc.
+	// inFlight is the taint bit, set when the shell handed to RoundTrip
+	// carries a body: the connection pool writes a body on a goroutine
+	// that can outlive RoundTrip (an early answer, an error) and still
+	// read the request memory. A tainted wire is abandoned to the garbage
+	// collector and the next attempt, a retry of the same request
+	// included, allocates a fresh one — requests with a body pay, the
+	// bodyless steady path stays zero-alloc.
 	inFlight bool
 }
 
@@ -105,7 +105,7 @@ func (w *wireScratch) msText(ms int64) string {
 // proxyScratch is the pooled per-request workspace for ServeHTTP: the
 // exclusion and candidate sets the retry loop reuses, the
 // ReaderFrom-defeating writer wrapper, the per-attempt timer/cancel
-// pair, and the transport-visible wire scratch.
+// pair, and the round-tripper-visible wire scratch.
 type proxyScratch struct {
 	excluded []string    // upstreams failed by earlier attempts this request
 	picks    []*upstream // pick's candidate workspace
@@ -131,17 +131,6 @@ func (sc *proxyScratch) finishAttempt() {
 	if sc.tryCancel != nil {
 		sc.tryCancel()
 		sc.tryCancel = nil
-	}
-}
-
-// wireClean marks the wire reusable after a provably clean completion:
-// headers succeeded and the body streamed to EOF. Requests that carried
-// a body are never marked clean — an early (pre-body-EOF) response
-// leaves the transport's write loop with live references — so they
-// trade one wire allocation for certainty.
-func (sc *proxyScratch) wireClean() {
-	if w := sc.wire; w != nil && w.req.Body == nil {
-		w.inFlight = false
 	}
 }
 

@@ -14,9 +14,10 @@ type Resilience struct {
 	// worst-case attempt amplification of one client request.
 	RetryBudget int
 	// PerTryTimeout bounds one attempt's dial + request + response
-	// headers (default 2s). It is also installed as the transport's
-	// ResponseHeaderTimeout, so a node that accepts the connection and
-	// never answers fails the attempt instead of stalling the client.
+	// headers (default 2s): when it fires, the attempt's context moves
+	// the upstream connection's deadline to the past, so a node that
+	// accepts the connection and never answers fails the attempt instead
+	// of stalling the client.
 	PerTryTimeout time.Duration
 	// BackoffBase and BackoffMax shape the exponential equal-jitter
 	// backoff between attempts (defaults 5ms and 100ms).
