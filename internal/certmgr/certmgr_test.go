@@ -118,12 +118,19 @@ func newClusterUnder(t testing.TB, nodes int, trust *registry.Registry) *cluster
 // own disk copy (nodes do not share storage).
 func (c *cluster) bootNode(t testing.TB, chipSeed []byte) *vm.VM {
 	t.Helper()
+	return c.bootNodeOn(t, chipSeed, c.fw)
+}
+
+// bootNodeOn is bootNode under the given firmware: any build but c.fw
+// measures differently from the cluster's golden value.
+func (c *cluster) bootNodeOn(t testing.TB, chipSeed []byte, fw *firmware.Firmware) *vm.VM {
+	t.Helper()
 	sp, err := c.mfr.MintProcessor(chipSeed, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	guest, err := hypervisor.New(sp).Launch(hypervisor.Config{
-		Firmware: c.fw,
+		Firmware: fw,
 		Blobs: hypervisor.BootBlobs{
 			Kernel: c.img.Kernel, Initrd: c.img.Initrd, Cmdline: c.img.Cmdline,
 		},

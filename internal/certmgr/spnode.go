@@ -14,6 +14,7 @@ import (
 
 	"revelio/internal/acme"
 	"revelio/internal/attest"
+	"revelio/internal/par"
 	"revelio/internal/sev"
 )
 
@@ -28,6 +29,9 @@ var (
 )
 
 // Timings decomposes one provisioning run, mirroring Table 2's rows.
+// Each row is the wall time of its phase run over all nodes: evidence is
+// retrieved from every node at once, then validated at once, and the
+// certificate is pushed to the leader and then to the others at once.
 type Timings struct {
 	EvidenceRetrieval  time.Duration
 	EvidenceValidation time.Duration
@@ -109,6 +113,10 @@ type nodeEvidence struct {
 // report-CSR bundles, attest every node, obtain the certificate for the
 // leader's CSR, and distribute it (each non-leader then pulls the key
 // from the leader as a side effect of the distribution POST).
+//
+// The phases run in that order, and each runs over every node at once.
+// Nothing is obtained or pushed unless every node passed validation, and
+// when nodes fail, the first failing node in URL order decides the error.
 func (sp *SPNode) Provision(ctx context.Context, nodeURLs []string) (*ProvisionResult, error) {
 	if len(nodeURLs) == 0 {
 		return nil, ErrNoNodes
@@ -116,23 +124,27 @@ func (sp *SPNode) Provision(ctx context.Context, nodeURLs []string) (*ProvisionR
 
 	// Step 1: retrieve evidence.
 	t0 := time.Now()
-	evidence := make([]nodeEvidence, 0, len(nodeURLs))
-	for _, url := range nodeURLs {
-		bundle, err := sp.fetchCSRBundle(ctx, url)
+	evidence := make([]nodeEvidence, len(nodeURLs))
+	err := par.Each(len(nodeURLs), func(i int) error {
+		bundle, err := sp.fetchCSRBundle(ctx, nodeURLs[i])
 		if err != nil {
-			return nil, fmt.Errorf("certmgr: fetch csr bundle from %s: %w", url, err)
+			return fmt.Errorf("certmgr: fetch csr bundle from %s: %w", nodeURLs[i], err)
 		}
-		evidence = append(evidence, nodeEvidence{url: url, bundle: bundle})
+		evidence[i] = nodeEvidence{url: nodeURLs[i], bundle: bundle}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	retrieval := time.Since(t0)
 
 	// Step 2: validate evidence — measurement, chain, REPORT_DATA/CSR
 	// binding, and the chip/address allow-list.
 	t0 = time.Now()
-	for i := range evidence {
-		if err := sp.validateEvidence(ctx, &evidence[i]); err != nil {
-			return nil, err
-		}
+	if err := par.Each(len(evidence), func(i int) error {
+		return sp.validateEvidence(ctx, &evidence[i])
+	}); err != nil {
+		return nil, err
 	}
 	validation := time.Since(t0)
 
@@ -145,13 +157,22 @@ func (sp *SPNode) Provision(ctx context.Context, nodeURLs []string) (*ProvisionR
 	}
 	generation := time.Since(t0)
 
-	// Step 4: distribute the certificate (leader first, so it is ready to
-	// answer key requests the moment the others learn its address).
+	// Step 4: distribute the certificate — to the leader first, so it is
+	// ready to answer key requests before any other node learns its
+	// address, then to the others at once.
 	t0 = time.Now()
-	for _, ev := range evidence {
-		if err := sp.pushCertificate(ctx, ev.url, certMsg{CertDER: certDER, LeaderURL: leader.url}); err != nil {
-			return nil, fmt.Errorf("certmgr: distribute to %s: %w", ev.url, err)
+	msg := certMsg{CertDER: certDER, LeaderURL: leader.url}
+	push := func(i int) error {
+		if err := sp.pushCertificate(ctx, evidence[i].url, msg); err != nil {
+			return fmt.Errorf("certmgr: distribute to %s: %w", evidence[i].url, err)
 		}
+		return nil
+	}
+	if err := push(0); err != nil {
+		return nil, err
+	}
+	if err := par.Each(len(evidence)-1, func(i int) error { return push(i + 1) }); err != nil {
+		return nil, err
 	}
 	distribution := time.Since(t0)
 

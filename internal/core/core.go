@@ -36,6 +36,7 @@ import (
 	"revelio/internal/measure"
 	"revelio/internal/netguard"
 	"revelio/internal/netlab"
+	"revelio/internal/par"
 	"revelio/internal/ratls"
 	"revelio/internal/registry"
 	"revelio/internal/sev"
@@ -256,8 +257,10 @@ func (d *Deployment) stopServers(n *Node) {
 // request or a connection outlived the drain.
 func (d *Deployment) UndrainedCloses() int64 { return d.undrained.Load() }
 
-// New builds the image, launches the nodes and starts the control plane.
-// Call ProvisionCertificates and StartWeb afterwards, and Close when done.
+// New builds the image, launches the nodes (all at once, each on the
+// chip seed and locality of its place in node order) and starts the
+// control plane. Call ProvisionCertificates and StartWeb afterwards, and
+// Close when done.
 func New(cfg Config) (*Deployment, error) {
 	if cfg.Nodes <= 0 {
 		return nil, errors.New("core: need at least one node")
@@ -312,14 +315,31 @@ func New(cfg Config) (*Deployment, error) {
 		return nil, err
 	}
 
-	approved := make(map[string]sev.ChipID, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		node, err := d.launchNode(d.nextChipSeed())
+	// Chip seeds and localities are handed out in node order; the
+	// launches, which share nothing but the image, then run at once.
+	// d.Nodes keeps node order, and a failed launch closes every node
+	// that did launch (Close skips the empty slots).
+	seeds := make([][]byte, cfg.Nodes)
+	localities := make([]string, cfg.Nodes)
+	for i := range seeds {
+		seeds[i], localities[i] = d.nextChipSeed(), d.locality(i)
+	}
+	d.Nodes = make([]*Node, cfg.Nodes)
+	err = par.Each(cfg.Nodes, func(i int) error {
+		node, err := d.launchNode(seeds[i], localities[i])
 		if err != nil {
-			d.Close()
-			return nil, fmt.Errorf("core: launch node %d: %w", i, err)
+			return fmt.Errorf("core: launch node %d: %w", i, err)
 		}
-		d.Nodes = append(d.Nodes, node)
+		d.Nodes[i] = node
+		return nil
+	})
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	d.launches = cfg.Nodes
+	approved := make(map[string]sev.ChipID, cfg.Nodes)
+	for _, node := range d.Nodes {
 		approved[node.ControlURL()] = node.Chip
 	}
 
@@ -341,6 +361,15 @@ func (d *Deployment) nextChipSeed() []byte {
 	return seed
 }
 
+// locality returns the zone label of the k-th successful launch:
+// Config.Localities round-robin, or "" when the deployment runs unzoned.
+func (d *Deployment) locality(k int) string {
+	if len(d.cfg.Localities) == 0 {
+		return ""
+	}
+	return d.cfg.Localities[k%len(d.cfg.Localities)]
+}
+
 // KDSNet exposes the transport between the deployment's verifiers and
 // the KDS. Fleet scenarios inject latency changes and outages through it
 // (netlab.Transport.SetOutage) to rehearse KDS failure and recovery.
@@ -359,8 +388,9 @@ func (d *Deployment) bootBlobs() hypervisor.BootBlobs {
 }
 
 // launchNode mints a chip, launches the guest, boots the VM and starts
-// the agent control server.
-func (d *Deployment) launchNode(chipSeed []byte) (*Node, error) {
+// the agent control server. It touches no deployment state, so several
+// launches may run at once.
+func (d *Deployment) launchNode(chipSeed []byte, locality string) (*Node, error) {
 	chip, err := d.Manufacturer.MintProcessor(chipSeed, 7)
 	if err != nil {
 		return nil, err
@@ -397,11 +427,6 @@ func (d *Deployment) launchNode(chipSeed []byte) (*Node, error) {
 		client.CloseIdleConnections()
 		return nil, err
 	}
-	var locality string
-	if len(d.cfg.Localities) > 0 {
-		locality = d.cfg.Localities[d.launches%len(d.cfg.Localities)]
-	}
-	d.launches++
 	return &Node{
 		VM:       guestVM,
 		Agent:    agent,
@@ -431,10 +456,11 @@ func (d *Deployment) AddNode(ctx context.Context) (int, error) {
 	if d.closed.Load() {
 		return 0, fmt.Errorf("core: add node: %w", errClosed)
 	}
-	node, err := d.launchNode(d.nextChipSeed())
+	node, err := d.launchNode(d.nextChipSeed(), d.locality(d.launches))
 	if err != nil {
 		return 0, fmt.Errorf("core: add node: %w", err)
 	}
+	d.launches++
 	d.Nodes = append(d.Nodes, node)
 	d.SP.Approve(node.ControlURL(), node.Chip)
 	return len(d.Nodes) - 1, nil
@@ -565,25 +591,27 @@ func (d *Deployment) ProvisionCertificates(ctx context.Context) (*certmgr.Provis
 }
 
 // StartWeb brings up each node's HTTPS front end with the provisioned
-// shared certificate. appHandler builds the per-node application handler
-// (the CryptPad server, the Boundary Node proxy, ...); the well-known
+// shared certificate, every node at once. appHandler builds the per-node
+// application handler (the CryptPad server, the Boundary Node proxy,
+// ...) and may be called for several nodes at once; the well-known
 // attestation endpoint is always mounted. A node whose measured network
 // policy denies inbound TCP 443 gets neither the front end nor its
 // RA-TLS upstream listener (an error wrapping netguard.ErrDenied). That
 // port is the only part of the policy enforced: the SP-facing control
-// listener and the outbound bit are not. After Close it fails and opens
-// nothing.
+// listener and the outbound bit are not. When nodes fail, the error is
+// the lowest-numbered one's, and the nodes that did open keep serving.
+// After Close it fails and opens nothing.
 func (d *Deployment) StartWeb(appHandler func(n *Node) http.Handler) error {
 	if d.closed.Load() {
 		return errClosed
 	}
 	d.appHandler = appHandler
-	for i, n := range d.Nodes {
-		if err := d.startNodeWeb(n); err != nil {
+	return par.Each(len(d.Nodes), func(i int) error {
+		if err := d.startNodeWeb(d.Nodes[i]); err != nil {
 			return fmt.Errorf("core: node %d: %w", i, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // StartNodeWeb opens node i's HTTPS front end — the per-node half of

@@ -264,7 +264,7 @@ func TestUnreadRootfsBlockTamperFailsBoot(t *testing.T) {
 	// Nodes launched from here on clone the tampered image; node 0 keeps
 	// the chunks it cloned before.
 	tamper(d.Image.Disk)
-	if _, err := d.launchNode(d.nextChipSeed()); !errors.Is(err, vm.ErrRootfsVerification) {
+	if _, err := d.launchNode(d.nextChipSeed(), ""); !errors.Is(err, vm.ErrRootfsVerification) {
 		t.Errorf("launchNode on a tampered image: err = %v, want ErrRootfsVerification", err)
 	}
 	if _, err := d.AddNode(context.Background()); !errors.Is(err, vm.ErrRootfsVerification) {

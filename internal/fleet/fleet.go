@@ -95,7 +95,8 @@ type Config struct {
 	// Domain is the service's web domain (default "fleet.example.org").
 	Domain string
 	// App builds the per-node application handler (nil serves only the
-	// well-known attestation endpoint).
+	// well-known attestation endpoint). New calls it for every initial
+	// node at once, so it must be safe for concurrent use.
 	App func(*core.Node) http.Handler
 	// SPNetRTT/KDSRTT/CARTT inject the paper's network conditions.
 	SPNetRTT, KDSRTT, CARTT time.Duration
@@ -468,8 +469,10 @@ func (f *Fleet) ReplaceNode(ctx context.Context, i int) (int, error) {
 }
 
 // RotateCertificates re-runs the full Fig 4 provisioning over the
-// current membership: fresh CA issuance for the (possibly re-elected)
-// leader's CSR, distribution to every agent, atomic install. Live
+// current membership (SPNode.Provision: each phase over every node at
+// once): fresh CA issuance for the (possibly re-elected) leader's CSR,
+// distribution to the leader and then to every other agent, atomic
+// install. Live
 // listeners pick the new certificate up on the next handshake; clients
 // connected through the rotation never see a failure because the old
 // certificate serves until the install and both chain to the same CA.

@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -27,6 +28,7 @@ import (
 	"revelio/internal/blockdev"
 	"revelio/internal/dmverity"
 	"revelio/internal/netguard"
+	"revelio/internal/par"
 	"revelio/internal/rootfs"
 )
 
@@ -218,19 +220,27 @@ func NewNonHermeticBuilder(reg *Registry) *Builder {
 }
 
 // deterministicBlob generates service binary content from a seed so the
-// same spec always yields the same bytes.
+// same spec always yields the same bytes: output block i is
+// SHA-256(seed || i as 8 little-endian bytes). Each block depends only on
+// its counter, so the counter range is split over GOMAXPROCS workers,
+// each writing its own blocks with one reused hash state; the bytes are
+// identical at any worker count.
 func deterministicBlob(seed string, size int) []byte {
-	out := make([]byte, 0, size+sha256.Size)
-	counter := uint64(0)
-	for len(out) < size {
-		h := sha256.New()
-		h.Write([]byte(seed))
+	blocks := (size + sha256.Size - 1) / sha256.Size
+	out := make([]byte, blocks*sha256.Size)
+	workers := min(runtime.GOMAXPROCS(0), blocks)
+	_ = par.Each(workers, func(w int) error {
+		h, s := sha256.New(), []byte(seed)
 		var c [8]byte
-		binary.LittleEndian.PutUint64(c[:], counter)
-		h.Write(c[:])
-		out = h.Sum(out)
-		counter++
-	}
+		for i := w * blocks / workers; i < (w+1)*blocks/workers; i++ {
+			h.Reset()
+			h.Write(s)
+			binary.LittleEndian.PutUint64(c[:], uint64(i))
+			h.Write(c[:])
+			h.Sum(out[i*sha256.Size : i*sha256.Size])
+		}
+		return nil
+	})
 	return out[:size]
 }
 

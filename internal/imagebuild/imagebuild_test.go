@@ -2,7 +2,10 @@ package imagebuild
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -257,5 +260,42 @@ func TestManifestMatchesArtifacts(t *testing.T) {
 	}
 	if img.Manifest.Name != "test-image" || img.Manifest.Version != "0.1.0" {
 		t.Error("manifest identity mismatch")
+	}
+}
+
+// deterministicBlob's bytes do not depend on how many workers made
+// them: every size around a block edge, at 1 to 5 workers, against the
+// one-block-at-a-time definition.
+func TestDeterministicBlobAnyWorkerCount(t *testing.T) {
+	serial := func(seed string, size int) []byte {
+		var out []byte
+		for i := uint64(0); len(out) < size; i++ {
+			var c [8]byte
+			binary.LittleEndian.PutUint64(c[:], i)
+			sum := sha256.Sum256(append([]byte(seed), c[:]...))
+			out = append(out, sum[:]...)
+		}
+		return out[:size]
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for procs := 1; procs <= 5; procs++ {
+		runtime.GOMAXPROCS(procs)
+		for _, size := range []int{1, 31, 32, 33, 95, 96, 97, 4096, 48*kib + 7} {
+			if got := deterministicBlob("seed/svc", size); !bytes.Equal(got, serial("seed/svc", size)) {
+				t.Errorf("GOMAXPROCS=%d size %d: bytes differ from the serial definition", procs, size)
+			}
+		}
+	}
+}
+
+// BenchmarkBuild is the image build a deployment does once at stand-up:
+// publish the pinned base, then build the CryptPad profile on it.
+func BenchmarkBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		reg := NewRegistry()
+		if _, err := NewBuilder(reg).Build(CryptpadSpec(PublishUbuntuBase(reg))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

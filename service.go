@@ -140,7 +140,10 @@ func (s *Service) WebAddr(i int) string { return s.d.Nodes[i].WebAddr() }
 // Provision runs the SP node's certificate-management flow (Fig 4)
 // across all nodes: attest every guest, obtain the shared certificate
 // for the elected leader's CSR, and distribute it over mutually
-// attested channels. Failures map onto the attestation taxonomy
+// attested channels. Evidence retrieval, validation and the non-leader
+// pushes each run over every node at once. No certificate is requested
+// unless every node passed, and when nodes fail the first failing
+// node's error is returned. Failures map onto the attestation taxonomy
 // (errors.Is against attestation.Err*).
 func (s *Service) Provision(ctx context.Context) (*ProvisionReport, error) {
 	s.opMu.Lock()
@@ -149,9 +152,10 @@ func (s *Service) Provision(ctx context.Context) (*ProvisionReport, error) {
 }
 
 // ServeWeb opens every node's HTTPS front end with the provisioned
-// credentials. app builds the per-node application handler (nil serves
-// only the well-known attestation endpoint); the attestation endpoint
-// is always mounted. After Close it fails and opens nothing.
+// credentials, every node at once. app builds the per-node application
+// handler (nil serves only the well-known attestation endpoint) and may
+// be called for several nodes at once; the attestation endpoint is
+// always mounted. After Close it fails and opens nothing.
 func (s *Service) ServeWeb(app func(*Node) http.Handler) error {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
