@@ -4,33 +4,45 @@ import (
 	"bufio"
 	"context"
 	"crypto/tls"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"revelio/internal/fleet"
 )
 
+// roundTripper runs one upstream attempt: tryBy bounds its dial, its
+// request and its response headers, reqBy the response body, and ctx
+// ending interrupts it. The connection pool is the gateway's; tests
+// substitute a canned upstream.
+type roundTripper interface {
+	roundTrip(ctx context.Context, req *http.Request, tryBy, reqBy time.Time) (*http.Response, error)
+}
+
 // connPool is the gateway's upstream connection manager and the
-// round-tripper behind Gateway.rt. It keeps, per upstream address, a
+// roundTripper behind Gateway.rt. It keeps, per upstream address, a
 // stack of idle RA-TLS connections, and runs each attempt as one
 // HTTP/1.1 exchange on the caller's goroutine: take an idle connection
 // or dial one, write the request, read the response. The wire codec is
 // net/http's (Request.Write, ReadResponse); what it leaves out is
 // net/http's Transport, with its two goroutines per connection and the
 // hand-offs between them on every request. A connection goes back to
-// the pool only when its exchange provably finished (connBody.Close).
+// the pool only when its exchange provably finished and it holds no
+// byte past the response (connBody.Close), and leaves it only if no
+// byte arrived while it sat idle (take).
 type connPool struct {
 	// tlsConfig judges every new connection's evidence through the
 	// gateway's verifier. It installs no session cache, so every dial is
 	// a full handshake.
 	tlsConfig *tls.Config
-	dialer    net.Dialer
 	// now is the gateway's clock seam; it ages idle connections.
 	now func() time.Time
 
@@ -50,7 +62,6 @@ type connPool struct {
 func newConnPool(tlsConfig *tls.Config, now func() time.Time) *connPool {
 	return &connPool{
 		tlsConfig: tlsConfig,
-		dialer:    net.Dialer{Timeout: dialTimeout},
 		now:       now,
 		idle:      make(map[string][]*poolConn),
 	}
@@ -70,6 +81,12 @@ type poolConn struct {
 	// abort is interrupt, bound once at dial so that the per-exchange
 	// context.AfterFunc does not allocate a method value.
 	abort func()
+	// sock is the TCP socket under conn, for take's look at it; nil when
+	// conn runs over no socket. peek is peekSocket bound once, and spoke
+	// its finding.
+	sock  syscall.RawConn
+	peek  func(fd uintptr)
+	spoke bool
 }
 
 // connWriter is what a poolConn's buffered writer writes to. Its
@@ -100,34 +117,36 @@ func closeConns(conns []*poolConn) {
 	}
 }
 
-// RoundTrip runs one attempt on a pooled or fresh connection to
-// req.URL.Host. The request's context bounds all of it: when the context
-// ends, the connection's deadline moves to the past, which fails the
-// dial, the write or the read in progress, and the connection is closed
-// rather than pooled.
-func (p *connPool) RoundTrip(req *http.Request) (*http.Response, error) {
-	ctx := req.Context()
-	pc := p.take(req.URL.Host)
+// roundTrip runs one attempt on a pooled or fresh connection to
+// req.URL.Host. The connection's deadline is the attempt's clock: tryBy
+// until the response headers are in, reqBy after. Past it, the runtime's
+// poller fails a read or a write before it reaches the socket, so an
+// answer that comes later is never read. When ctx ends, the deadline
+// moves to the past at once. Either way the connection is closed rather
+// than pooled.
+func (p *connPool) roundTrip(ctx context.Context, req *http.Request, tryBy, reqBy time.Time) (*http.Response, error) {
+	pc := p.take(req.URL.Host, tryBy)
 	for {
 		if pc == nil {
 			var err error
-			if pc, err = p.dial(ctx, req.URL.Host); err != nil {
+			if pc, err = p.dial(ctx, req.URL.Host, tryBy); err != nil {
 				if req.Body != nil {
 					_ = req.Body.Close()
 				}
 				return nil, err
 			}
 		}
-		resp, answered, err := pc.exchange(ctx, req)
+		resp, answered, err := pc.exchange(ctx, req, reqBy)
 		if err == nil {
 			return resp, nil
 		}
-		// A node may hang up on a connection while it sits idle here, and
-		// the exchange that takes it learns so only by failing before any
-		// answer. Like net/http's Transport, redial once for a request
-		// that can be sent again: no node refused it, so this is no
-		// gateway retry and nothing the breaker counts.
-		if !pc.reused || answered || ctx.Err() != nil || !replayable(req) {
+		// A node may hang up on an idle connection just after take looked
+		// at it, and the exchange that took it learns so only by failing
+		// before any answer. Like net/http's Transport, redial once for a
+		// request that can be sent again: no node refused it, so this is
+		// no gateway retry and nothing the breaker counts. An attempt out
+		// of time is not redialled.
+		if !pc.reused || answered || ctx.Err() != nil || errors.Is(err, os.ErrDeadlineExceeded) || !replayable(req) {
 			return nil, err
 		}
 		if req.Body != nil && req.Body != http.NoBody {
@@ -162,11 +181,30 @@ func replayable(r *http.Request) bool {
 	return key || xkey
 }
 
-// take pops addr's most recently used idle connection, or returns nil.
+// take hands out addr's most recently used idle connection that the
+// node sent nothing on while it sat idle, with tryBy as its deadline, or
+// returns nil. A connection the node spoke on — bytes nobody asked for,
+// a close_notify, a hang-up — is closed and the next one looked at.
+func (p *connPool) take(addr string, tryBy time.Time) *poolConn {
+	for {
+		pc := p.pop(addr)
+		if pc == nil {
+			return nil
+		}
+		if pc.sock == nil || pc.sock.Control(pc.peek) == nil && !pc.spoke {
+			_ = pc.conn.SetDeadline(tryBy)
+			pc.reused = true
+			return pc
+		}
+		pc.close()
+	}
+}
+
+// pop removes addr's most recently used idle connection, or returns nil.
 // Connections stack in the order they went idle, so when the top one is
 // older than upstreamIdleTimeout every one under it is too, and all of
 // them are closed.
-func (p *connPool) take(addr string) *poolConn {
+func (p *connPool) pop(addr string) *poolConn {
 	now := p.now()
 	var pc *poolConn
 	var stale []*poolConn
@@ -184,10 +222,18 @@ func (p *connPool) take(addr string) *poolConn {
 	}
 	p.mu.Unlock()
 	closeConns(stale)
-	if pc != nil {
-		pc.reused = true
-	}
 	return pc
+}
+
+// drained reports that pc holds no byte past the response just read:
+// none in its bufio.Reader, none in crypto/tls's buffers. With the
+// deadline in the past, Peek returns a buffered byte if there is one and
+// fails without reaching the socket if there is none; a timeout error
+// sticks in neither reader.
+func (pc *poolConn) drained() bool {
+	pc.interrupt()
+	_, err := pc.br.Peek(1)
+	return errors.Is(err, os.ErrDeadlineExceeded)
 }
 
 // put pools a connection whose exchange finished cleanly. It closes it
@@ -208,26 +254,29 @@ func (p *connPool) put(pc *poolConn) {
 }
 
 // dial opens a fresh RA-TLS connection to addr: the TCP dial and the
-// handshake, in which the verifier judges the node's evidence, each
-// within dialTimeout and both within ctx.
-func (p *connPool) dial(ctx context.Context, addr string) (*poolConn, error) {
+// handshake, in which the verifier judges the node's evidence, both
+// within ctx and by tryBy, which stays the connection's deadline.
+func (p *connPool) dial(ctx context.Context, addr string, tryBy time.Time) (*poolConn, error) {
 	p.mu.Lock()
 	gen := p.gen
 	p.mu.Unlock()
-	raw, err := p.dialer.DialContext(ctx, "tcp", addr)
+	d := net.Dialer{Deadline: tryBy}
+	raw, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	_ = raw.SetDeadline(tryBy)
 	conn := tls.Client(raw, p.tlsConfig)
-	hsCtx, cancel := context.WithTimeout(ctx, dialTimeout)
-	err = conn.HandshakeContext(hsCtx)
-	cancel()
-	if err != nil {
+	if err := conn.HandshakeContext(ctx); err != nil {
 		_ = raw.Close()
 		return nil, err
 	}
 	pc := &poolConn{pool: p, addr: addr, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(connWriter{conn}), gen: gen}
 	pc.abort = pc.interrupt
+	if sc, ok := raw.(syscall.Conn); ok {
+		pc.sock, _ = sc.SyscallConn()
+		pc.peek = pc.peekSocket
+	}
 	return pc, nil
 }
 
@@ -275,14 +324,15 @@ const (
 	exchWriteFailed
 )
 
-// exchange sends req on pc and reads the response headers. A request
+// exchange sends req on pc and reads the response headers, then moves
+// the connection's deadline to reqBy for the body. A request
 // without a body is written on the caller's goroutine. A body is
 // written by a goroutine that lives only while it is sent, so that a
 // node's early answer — a 413 to an upload it will not read — is read
 // and relayed while the upload is still going. answered reports that a
 // response byte arrived: a reused connection that failed before one may
 // be redialled.
-func (pc *poolConn) exchange(ctx context.Context, req *http.Request) (resp *http.Response, answered bool, err error) {
+func (pc *poolConn) exchange(ctx context.Context, req *http.Request, reqBy time.Time) (resp *http.Response, answered bool, err error) {
 	body := &connBody{pc: pc, stop: context.AfterFunc(ctx, pc.abort)}
 	if req.Body == nil || req.Body == http.NoBody {
 		err = pc.write(req)
@@ -310,6 +360,12 @@ func (pc *poolConn) exchange(ctx context.Context, req *http.Request) (resp *http
 			err = ctx.Err()
 		}
 		return nil, answered, fmt.Errorf("exchange with %s: %w", pc.addr, err)
+	}
+	_ = pc.conn.SetDeadline(reqBy)
+	if ctx.Err() != nil {
+		// ctx ended while the headers were read, and its interrupt may
+		// have landed before the move to reqBy: it must stand.
+		pc.interrupt()
 	}
 	body.r = resp.Body
 	body.keep = !resp.Close
@@ -376,15 +432,16 @@ func (b *connBody) Read(p []byte) (int, error) {
 
 // Close hands the connection back to the pool when the exchange
 // provably finished with it: the body was read to EOF, the response
-// leaves the connection open, the request was written in full and the
-// context never interrupted it. Otherwise it closes the connection,
-// which also ends a body writer still sending.
+// leaves the connection open, the request was written in full, the
+// context never interrupted it and no byte past the response is
+// buffered. Otherwise it closes the connection, which also ends a body
+// writer still sending.
 func (b *connBody) Close() error {
 	if b.closed {
 		return nil
 	}
 	b.closed = true
-	if b.stop() && b.eof && b.keep && b.written() {
+	if b.stop() && b.eof && b.keep && b.written() && b.pc.drained() {
 		b.pc.pool.put(b.pc)
 	} else {
 		b.pc.close()

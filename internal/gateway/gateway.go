@@ -76,10 +76,6 @@ var (
 	ErrNoUpstreams = errors.New("gateway: no healthy upstream endpoints")
 	// ErrClosed reports use of a closed gateway.
 	ErrClosed = errors.New("gateway: closed")
-
-	// errTryTimeout reports an attempt whose per-try timer fired before its
-	// response headers were in hand.
-	errTryTimeout = errors.New("gateway: attempt outlived its per-try budget")
 	// errOverloaded refuses a request the gateway sheds: admission is
 	// full, the deadline cannot fit one attempt, or every healthy node
 	// stayed at its in-flight bound.
@@ -102,10 +98,6 @@ const DeadlineHeader = "Revelio-Deadline-Ms"
 // not wait for it; sync's caller closes them when the view drops the
 // node.
 const upstreamIdleTimeout = 90 * time.Second
-
-// dialTimeout bounds one upstream dial and, separately, its RA-TLS
-// handshake.
-const dialTimeout = 10 * time.Second
 
 const (
 	// maxIdleConnsPerHost bounds the idle connections the pool keeps per
@@ -234,10 +226,10 @@ type Gateway struct {
 	// inFlight counts admitted requests against res.MaxInFlight.
 	inFlight atomic.Int64
 	pool     *connPool
-	// rt is the round-tripper the data plane calls — g.pool in
+	// rt runs the data plane's attempts and probes — g.pool in
 	// production, a stub in the allocation-guard tests, so the guard
 	// measures the gateway's own path rather than net/http internals.
-	rt     http.RoundTripper
+	rt     roundTripper
 	router *router
 
 	mu      sync.Mutex
@@ -572,9 +564,9 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	sc := scratchPool.Get().(*proxyScratch)
 	defer scratchPool.Put(sc)
-	// LIFO with the Put above: reset runs first, settling the in-flight
-	// attempt (also on the ErrAbortHandler panic path) and abandoning a
-	// tainted wire before the scratch re-enters the pool.
+	// LIFO with the Put above: reset runs first, also on the
+	// ErrAbortHandler panic path, and abandons a tainted wire before the
+	// scratch re-enters the pool.
 	defer sc.reset()
 
 	release, domain, d := g.route(r.URL.Path)
@@ -607,11 +599,10 @@ func (g *Gateway) admit(r *http.Request) (time.Time, error) {
 		return time.Time{}, errOverloaded
 	}
 	// The request deadline is a time.Time compared against the resilience
-	// clock, not a context.WithTimeout: the per-attempt context in forward
-	// is the only context machinery on the path, which saves the
-	// timerCtx/stop-closure/request-clone allocations on every request.
-	// An inbound context deadline (from a fronting server or test) still
-	// wins when it is sooner.
+	// clock, not a context.WithTimeout: each attempt carries it to the
+	// upstream connection as that connection's deadline, so no context
+	// or timer is made per request. An inbound context deadline (from a
+	// fronting server or test) still wins when it is sooner.
 	deadline := g.res.Now().Add(timeout)
 	if dl, ok := r.Context().Deadline(); ok && dl.Before(deadline) {
 		deadline = dl
@@ -732,20 +723,8 @@ func (g *Gateway) refuse(w http.ResponseWriter, refusal error) {
 
 // forward sends one attempt to a node over RA-TLS with perTry as its
 // budget. The outbound request is assembled in sc's pooled wire scratch
-// instead of r.Clone, and the per-attempt timer and cancel are parked in
-// sc (settled by stream on success or the caller's deferred reset
-// otherwise) instead of returned as a closure.
-func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream, domain string, r *http.Request, deadline time.Time, perTry time.Duration) (*http.Response, error) {
-	// The per-try clock covers dial + request + response headers; once
-	// headers arrive the attempt has succeeded and the same timer is
-	// re-armed to the request deadline, so a slow client draining a long
-	// body is bounded by the deadline and writeTimeout, not mistaken for
-	// a stalled node.
-	tryCtx, cancel := context.WithCancel(parent)
-	//revelio:allow timeseam the per-try cancel must fire in real time to abort a real RoundTrip; deadline judgments stay on the seam
-	timer := time.AfterFunc(perTry, cancel)
-	sc.tryTimer, sc.tryCancel = timer, cancel
-
+// instead of r.Clone.
+func (g *Gateway) forward(ctx context.Context, sc *proxyScratch, up *upstream, domain string, r *http.Request, deadline time.Time, perTry time.Duration) (*http.Response, error) {
 	wire := sc.wire
 	if wire == nil || wire.inFlight {
 		// A wire an earlier attempt of this request tainted may still be
@@ -785,7 +764,6 @@ func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream
 	if r.GetBody != nil {
 		b, err := r.GetBody()
 		if err != nil {
-			sc.finishAttempt()
 			return nil, err
 		}
 		body = b
@@ -807,54 +785,35 @@ func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream
 		TransferEncoding: r.TransferEncoding,
 		Host:             host,
 	}
-	// WithContext's shallow copy is the one unavoidable allocation here:
-	// the round-tripper keeps the *Request it is handed (resp.Request, a
-	// body writer), so a fresh shell per attempt it gets — but its URL,
-	// header map, and header value slices all point into the pooled wire
-	// scratch, which is why a request with a body taints the wire below.
-	outreq := wire.req.WithContext(tryCtx)
+
+	// The attempt's clock is the upstream connection's deadline: perTry
+	// bounds the dial, the request and the response headers; once they
+	// are in, the attempt has succeeded, and what is left of the request
+	// deadline bounds the body, so a slow client draining a long body is
+	// not mistaken for a stalled node. Both are placed on the real clock
+	// the connection is judged by; the seam's reading converts the
+	// request deadline.
+	now := wallNow()
+	tryBy, reqBy := now.Add(perTry), now.Add(deadline.Sub(g.res.Now()))
 
 	up.pending.Add(1)
 	// A body is written by a goroutine of the pool's that can outlive
-	// RoundTrip — after an early answer, or after an error — still
-	// reading the wire's URL and header map, so that wire stays tainted
-	// (inFlight) and reset abandons it rather than re-pool it. A request
-	// without a body is written and answered on this goroutine: once
-	// RoundTrip returns, nothing else holds the wire.
+	// roundTrip — after an early answer, or after an error — still
+	// reading the wire's request, URL and header map, so that wire stays
+	// tainted (inFlight) and reset abandons it rather than re-pool it. A
+	// request without a body is written and answered on this goroutine:
+	// once roundTrip returns, nothing else holds the wire.
 	wire.inFlight = body != nil
-	resp, err := g.rt.RoundTrip(outreq)
+	resp, err := g.rt.roundTrip(ctx, &wire.req, tryBy, reqBy)
 	up.pending.Add(-1)
-	if err == nil && !timer.Stop() {
-		// The per-try timer fired first, so this attempt had already
-		// failed. A response can still come back: the timer can fire
-		// after the headers were read and before RoundTrip returned them,
-		// and a stalled node's handler answers the interrupted request —
-		// an empty 200 — as its client leaving. It answers a request the
-		// gateway abandoned; it is never served.
-		_ = resp.Body.Close()
-		resp, err = nil, errTryTimeout
-	}
-	if parent.Err() == nil && g.res.Now().Before(deadline) {
+	if ctx.Err() == nil && g.res.Now().Before(deadline) {
 		// Only outcomes the request deadline did not cause feed the
 		// breaker: a client hanging up is not the node's fault.
 		if up.breaker.Observe(err != nil) {
 			g.breakerOpens.Add(1)
 		}
 	}
-	if err != nil {
-		sc.finishAttempt()
-		return nil, err
-	}
-	// Headers arrived in time: the attempt has succeeded. Re-arm the
-	// stopped per-try timer to the remaining request deadline to bound
-	// body streaming, or cancel now if none remains; stream (or
-	// the deferred reset on abort) settles it.
-	if rem := deadline.Sub(g.res.Now()); rem > 0 {
-		timer.Reset(rem)
-	} else {
-		cancel()
-	}
-	return resp, nil
+	return resp, err
 }
 
 // stream is the last stage: a refusal goes to refuse; a response is
@@ -886,13 +845,11 @@ func (g *Gateway) stream(w http.ResponseWriter, sc *proxyScratch, resp *http.Res
 		// truncation cannot be turned into an error response. Abort the
 		// downstream connection instead of letting the server close out
 		// the encoding as if the body were complete — a silently
-		// truncated 200 is worse than a torn connection. The deferred
-		// reset releases the try context.
+		// truncated 200 is worse than a torn connection.
 		g.truncated.Add(1)
 		panic(http.ErrAbortHandler)
 	}
 	_ = resp.Body.Close()
-	sc.finishAttempt()
 }
 
 // probeLoop drives active health probing: every ProbeInterval it pulls
@@ -933,11 +890,12 @@ func (g *Gateway) probeLoop() {
 // probe sends one attested health check to a half-open upstream and
 // reports the outcome to its breaker. Probes ride the gateway's RA-TLS
 // connection pool, so a node whose attestation stopped verifying cannot
-// pass.
+// pass, and PerTryTimeout bounds all of a probe the way it bounds an
+// attempt's headers: as the connection's deadline, past which a late
+// answer is never read.
 func (g *Gateway) probe(up *upstream, domain string) {
 	//revelio:allow ctxfirst probes are the gateway's own background process (stopped via probeStop); no caller context exists to thread
-	ctx, cancel := context.WithTimeout(context.Background(), g.res.PerTryTimeout)
-	defer cancel()
+	ctx := context.Background()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		"https://"+up.ep.UpstreamAddr+fleet.HealthPath, nil)
 	if err != nil {
@@ -948,10 +906,9 @@ func (g *Gateway) probe(up *upstream, domain string) {
 	if domain != "" {
 		req.Host = domain
 	}
-	resp, err := g.rt.RoundTrip(req)
-	// An answer read after the probe's own deadline is the stalled node
-	// answering the cancellation (see forward), not a sign of health.
-	ok := err == nil && ctx.Err() == nil && resp.StatusCode == http.StatusOK
+	by := wallNow().Add(g.res.PerTryTimeout)
+	resp, err := g.rt.roundTrip(ctx, req, by, by)
+	ok := err == nil && resp.StatusCode == http.StatusOK
 	if err == nil {
 		// Drain through the pooled copy buffer (writerOnly masks
 		// io.Discard's ReadFrom, which would otherwise bypass it).

@@ -1,13 +1,11 @@
 package gateway
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"net/url"
 	"strconv"
 	"sync"
-	"time"
 )
 
 // This file is the gateway's arm of the PR-2 sync.Pool discipline: the
@@ -73,9 +71,9 @@ type wireScratch struct {
 	dlVal  [1]string // DeadlineHeader value slice
 	xffVal [1]string // X-Forwarded-For value slice
 	numBuf [20]byte  // strconv.AppendInt fallback workspace
-	// inFlight is the taint bit, set when the shell handed to RoundTrip
+	// inFlight is the taint bit, set when the shell handed to roundTrip
 	// carries a body: the connection pool writes a body on a goroutine
-	// that can outlive RoundTrip (an early answer, an error) and still
+	// that can outlive roundTrip (an early answer, an error) and still
 	// read the request memory. A tainted wire is abandoned to the garbage
 	// collector and the next attempt, a retry of the same request
 	// included, allocates a fresh one — requests with a body pay, the
@@ -104,41 +102,19 @@ func (w *wireScratch) msText(ms int64) string {
 
 // proxyScratch is the pooled per-request workspace for ServeHTTP: the
 // exclusion and candidate sets the retry loop reuses, the
-// ReaderFrom-defeating writer wrapper, the per-attempt timer/cancel
-// pair, and the round-tripper-visible wire scratch.
+// ReaderFrom-defeating writer wrapper, and the round-tripper-visible
+// wire scratch.
 type proxyScratch struct {
 	excluded []string    // upstreams failed by earlier attempts this request
 	picks    []*upstream // pick's candidate workspace
 	wo       writerOnly  // body-copy destination, Writer set per response
 	wire     *wireScratch
-
-	// tryTimer/tryCancel are the in-flight attempt's per-try clock and
-	// context release, parked here after headers arrive so forward does
-	// not return a freshly allocated closure; finishAttempt settles them.
-	tryTimer  *time.Timer
-	tryCancel context.CancelFunc
 }
 
-// finishAttempt settles the in-flight attempt's timer and context. Safe
-// to call when none is pending; reset calls it too, so a panic path
-// (ErrAbortHandler) still releases the try context via the deferred
-// reset.
-func (sc *proxyScratch) finishAttempt() {
-	if sc.tryTimer != nil {
-		sc.tryTimer.Stop()
-		sc.tryTimer = nil
-	}
-	if sc.tryCancel != nil {
-		sc.tryCancel()
-		sc.tryCancel = nil
-	}
-}
-
-// reset returns the scratch to its pooled state: attempt settled,
-// workspaces emptied without shrinking, pointers dropped so nothing
-// from the finished request is retained, and a tainted wire abandoned.
+// reset returns the scratch to its pooled state: workspaces emptied
+// without shrinking, pointers dropped so nothing from the finished
+// request is retained, and a tainted wire abandoned.
 func (sc *proxyScratch) reset() {
-	sc.finishAttempt()
 	sc.excluded = sc.excluded[:0]
 	for i := range sc.picks {
 		sc.picks[i] = nil

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -113,10 +114,13 @@ func TestStatsEjectedSorted(t *testing.T) {
 	}
 }
 
-// roundTripFunc stands in for the transport behind the Gateway.rt seam.
+// roundTripFunc stands in for the connection pool behind the Gateway.rt
+// seam.
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
-func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+func (f roundTripFunc) roundTrip(_ context.Context, r *http.Request, _, _ time.Time) (*http.Response, error) {
+	return f(r)
+}
 
 // okResponse is a 200 carrying body.
 func okResponse(body string) *http.Response {
@@ -128,19 +132,26 @@ func okResponse(body string) *http.Response {
 }
 
 // TestGatewayNeverServesATimedOutAttempt: a response that arrives after
-// its attempt's per-try timer fired belongs to a request the gateway had
-// already cancelled, and is not served. Regression: the transport can
-// hand back a stalled node's answer to that cancellation — the empty 200
-// its handler writes once its request context ends — and forward checked
-// only RoundTrip's error, so the client got status 200 with an empty
-// body while the breaker counted a success.
+// its attempt's per-try budget ran out belongs to a request the gateway
+// had already given up on, and is not served. Regression: a stalled
+// node answers the abandoned request — the empty 200 its handler writes
+// once its request context ends — and a per-try timer racing the
+// response let the client get status 200 with an empty body while the
+// breaker counted a success. The node here is a real stalled RA-TLS
+// upstream: the attempt's clock is its connection's deadline, so the
+// late answer is never read.
 func TestGatewayNeverServesATimedOutAttempt(t *testing.T) {
-	const stalled, healthy = "127.0.0.1:1", "127.0.0.1:2"
+	provider := newTestProvider("late")
+	stalled := &stallHandler{id: "stalled"}
+	stalled.stalled.Store(true)
+	stalledAddr := startUpstream(t, provider, stalled)
+	healthyAddr := startUpstream(t, provider, idHandler("ok"))
 	g, err := New(Config{
-		Source:   NewView(testDomain, serving(stalled), serving(healthy)),
-		Verifier: newTestProvider("late"),
+		Source:   NewView(testDomain, serving(stalledAddr), serving(healthyAddr)),
+		Verifier: provider,
+		// The budget covers a real RA-TLS handshake, slow under -race.
 		Resilience: Resilience{
-			PerTryTimeout: 50 * time.Millisecond,
+			PerTryTimeout: 250 * time.Millisecond,
 			BackoffBase:   time.Millisecond,
 			BackoffMax:    2 * time.Millisecond,
 			ProbeInterval: time.Hour,
@@ -150,47 +161,42 @@ func TestGatewayNeverServesATimedOutAttempt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	var stalledTries int
-	g.rt = roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		if r.URL.Host == stalled {
-			stalledTries++
-			<-r.Context().Done()
-			return okResponse(""), nil
-		}
-		return okResponse("ok"), nil
-	})
 
 	// Which node an attempt tries first is the balancer's choice; send
 	// requests until one has met the stalled node.
-	for i := 0; i < 50 && stalledTries == 0; i++ {
+	for i := 0; i < 50 && stalled.hits.Load() == 0; i++ {
 		rec := httptest.NewRecorder()
 		g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "http://gw/", nil))
 		if rec.Code != http.StatusOK || rec.Body.String() != "ok" {
 			t.Fatalf("request %d: status=%d body=%q, want the healthy node's ok", i, rec.Code, rec.Body.String())
 		}
 	}
-	if stalledTries != 1 {
-		t.Fatalf("the stalled node was tried %d times, want 1", stalledTries)
+	if n := stalled.hits.Load(); n != 1 {
+		t.Fatalf("the stalled node was tried %d times, want 1", n)
 	}
 	if s := g.Stats(); s.Retries != 1 {
 		t.Errorf("Retries = %d, want 1: the timed-out attempt is retried on the healthy node", s.Retries)
 	}
 }
 
-// TestGatewayProbeNeverCountsATimedOutAnswer: the health probe has the
-// attempt's race. A stalled node answers the probe's cancellation with
-// an empty 200; counted as a success, it closed the breaker and put the
+// TestGatewayProbeNeverCountsATimedOutAnswer: the health probe is timed
+// like an attempt. A stalled node answers an abandoned probe with an
+// empty 200; counted as a success, it closed the breaker and put the
 // stalled node back in rotation — how TestGatewayProbeReadmitsRecoveredUpstream
-// missed its window under load.
+// missed its window under load. Driven against a real stalled RA-TLS
+// upstream, as TestGatewayNeverServesATimedOutAttempt is.
 func TestGatewayProbeNeverCountsATimedOutAnswer(t *testing.T) {
-	const stalled = "127.0.0.1:1"
+	provider := newTestProvider("late-probe")
+	stalledNode := &stallHandler{id: "stalled"}
+	stalledNode.stalled.Store(true)
+	stalled := startUpstream(t, provider, stalledNode)
 	var elapsed atomic.Int64
 	start := time.Now()
 	g, err := New(Config{
 		Source:   NewView(testDomain, serving(stalled)),
-		Verifier: newTestProvider("late-probe"),
+		Verifier: provider,
 		Resilience: Resilience{
-			PerTryTimeout:   50 * time.Millisecond,
+			PerTryTimeout:   250 * time.Millisecond,
 			BreakerFailures: 1,
 			ProbeInterval:   time.Hour,
 			Now:             func() time.Time { return start.Add(time.Duration(elapsed.Load())) },
@@ -200,10 +206,6 @@ func TestGatewayProbeNeverCountsATimedOutAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	g.rt = roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		<-r.Context().Done()
-		return okResponse(""), nil
-	})
 	g.mu.Lock()
 	up := g.ups[stalled]
 	g.mu.Unlock()

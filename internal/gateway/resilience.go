@@ -14,10 +14,10 @@ type Resilience struct {
 	// worst-case attempt amplification of one client request.
 	RetryBudget int
 	// PerTryTimeout bounds one attempt's dial + request + response
-	// headers (default 2s): when it fires, the attempt's context moves
-	// the upstream connection's deadline to the past, so a node that
-	// accepts the connection and never answers fails the attempt instead
-	// of stalling the client.
+	// headers (default 2s). It is the upstream connection's deadline
+	// until the headers are in, so a node that accepts the connection
+	// and never answers fails the attempt instead of stalling the
+	// client, and an answer it sends later is never read.
 	PerTryTimeout time.Duration
 	// BackoffBase and BackoffMax shape the exponential equal-jitter
 	// backoff between attempts (defaults 5ms and 100ms).
@@ -71,6 +71,11 @@ func (r Resilience) withDefaults() Resilience {
 	}
 	return r
 }
+
+// wallNow reads the real clock, the one the runtime's poller judges a
+// connection's deadline by: an attempt's two instants are placed on it.
+// Every deadline judgment of the gateway's own stays on Resilience.Now.
+func wallNow() time.Time { return time.Now() } //revelio:allow timeseam connection deadlines are judged on the real clock
 
 // breakerState is a circuit breaker's position in its state machine.
 type breakerState int32

@@ -111,36 +111,92 @@ func waitFor(t *testing.T, within time.Duration, cond func() bool, msg string) {
 // TestGatewayStalledUpstreamFailsOverWithinPerTryBudget: a node that
 // accepts the connection and never sends response headers must cost a
 // request at most the per-try budget before it fails over — not the
-// 30s writeTimeout it cost before the per-attempt deadline existed.
+// 30s writeTimeout it cost before the per-attempt deadline existed. So
+// must a node that accepts TCP and never completes the RA-TLS handshake:
+// the dial and the handshake run under the attempt's deadline too.
 func TestGatewayStalledUpstreamFailsOverWithinPerTryBudget(t *testing.T) {
-	provider := newTestProvider("stall")
-
-	stalled := &stallHandler{id: "stalled"}
-	stalled.stalled.Store(true)
-	stalledAddr := startUpstream(t, provider, stalled)
-	okAddr := startUpstream(t, provider, idHandler("ok"))
-
-	view := NewView(testDomain, serving(stalledAddr), serving(okAddr))
-	g, client := startGatewayRes(t, view, provider, Resilience{
-		PerTryTimeout:  250 * time.Millisecond,
-		BreakerOpenFor: time.Minute, // keep the tripped node out for the whole test
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     4 * time.Millisecond,
-	})
-
-	// Every request must land on the healthy node within roughly one
-	// per-try budget, whichever node the balancer tries first.
-	for i := 0; i < 6; i++ {
-		start := time.Now()
-		body, status := get(t, client, "https://"+g.Addr()+"/")
-		elapsed := time.Since(start)
-		if status != http.StatusOK || body != "ok" {
-			t.Fatalf("request %d: status=%d body=%q", i, status, body)
-		}
-		if elapsed > 1500*time.Millisecond {
-			t.Fatalf("request %d took %v; failover must cost at most the per-try budget", i, elapsed)
-		}
+	rows := []struct {
+		name string
+		// start opens the stalled node and counts the tries it sees.
+		start func(t *testing.T, provider *testProvider) (addr string, tries *atomic.Int64)
+	}{
+		{"handler stalls", func(t *testing.T, provider *testProvider) (string, *atomic.Int64) {
+			stalled := &stallHandler{id: "stalled"}
+			stalled.stalled.Store(true)
+			return startUpstream(t, provider, stalled), &stalled.hits
+		}},
+		{"handshake never completes", func(t *testing.T, _ *testProvider) (string, *atomic.Int64) {
+			return silent(t)
+		}},
 	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			provider := newTestProvider("stall")
+			stalledAddr, tries := row.start(t, provider)
+			okAddr := startUpstream(t, provider, idHandler("ok"))
+
+			view := NewView(testDomain, serving(stalledAddr), serving(okAddr))
+			g, client := startGatewayRes(t, view, provider, Resilience{
+				PerTryTimeout:  250 * time.Millisecond,
+				BreakerOpenFor: time.Minute, // keep the tripped node out for the whole test
+				BackoffBase:    time.Millisecond,
+				BackoffMax:     4 * time.Millisecond,
+			})
+
+			// Every request must land on the healthy node within roughly
+			// one per-try budget, whichever node the balancer tries first;
+			// past six, requests go on until one has met the stalled node.
+			for i := 0; i < 50 && (i < 6 || tries.Load() == 0); i++ {
+				start := time.Now()
+				body, status := get(t, client, "https://"+g.Addr()+"/")
+				elapsed := time.Since(start)
+				if status != http.StatusOK || body != "ok" {
+					t.Fatalf("request %d: status=%d body=%q", i, status, body)
+				}
+				if elapsed > 1500*time.Millisecond {
+					t.Fatalf("request %d took %v; failover must cost at most the per-try budget", i, elapsed)
+				}
+			}
+			if tries.Load() == 0 {
+				t.Fatal("no request met the stalled node")
+			}
+		})
+	}
+}
+
+// silent opens a listener that accepts every connection and never
+// writes a byte or closes it — a node whose handshake never completes —
+// counting accepts.
+func silent(t *testing.T) (addr string, accepts *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n atomic.Int64
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			n.Add(1)
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			_ = c.Close()
+		}
+	})
+	return ln.Addr().String(), &n
 }
 
 // TestGatewayBreakerStopsPicksAfterTrip: consecutive transport failures

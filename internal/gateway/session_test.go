@@ -28,8 +28,14 @@ func resumeHandler() http.Handler {
 // downstream listener needed) and returns the upstream's body.
 func proxyOnce(t *testing.T, g *Gateway) string {
 	t.Helper()
+	return proxyPath(t, g, "/")
+}
+
+// proxyPath is proxyOnce for a GET of path.
+func proxyPath(t *testing.T, g *Gateway, path string) string {
+	t.Helper()
 	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodGet, "http://gw/", nil)
+	req := httptest.NewRequest(http.MethodGet, "http://gw"+path, nil)
 	g.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("proxied request: status %d, body %q", rec.Code, rec.Body.String())
