@@ -75,15 +75,6 @@ type (
 	Snapshot = fleet.Snapshot
 	// Endpoint is one node in a serving view.
 	Endpoint = fleet.Endpoint
-	// EndpointState is a node's serving-lifecycle position.
-	EndpointState = fleet.EndpointState
-)
-
-// Endpoint lifecycle states.
-const (
-	StateJoining  = fleet.StateJoining
-	StateServing  = fleet.StateServing
-	StateDraining = fleet.StateDraining
 )
 
 const (

@@ -539,7 +539,7 @@ func containsAddr(addrs []string, addr string) bool {
 // application answers again, a successful probe (not client traffic)
 // re-admits it.
 func (r *run) grayFailure(ctx context.Context, which int) error {
-	serving := r.f.Endpoints().Serving()
+	serving := r.f.Endpoints().Endpoints
 	if len(serving) < 2 {
 		return nil // need a healthy peer to absorb the failover
 	}

@@ -418,7 +418,7 @@ func (d *Deployment) launchNode(chipSeed []byte, locality string) (*Node, error)
 	// closed with the node, so fleets under continuous churn neither
 	// accumulate pools nor, closing one, drop another client's
 	// connections (the verifier's to the KDS among them).
-	client := netlab.Client(d.cfg.SPNetRTT, nil)
+	client := netlab.Client(d.cfg.SPNetRTT)
 	agent := certmgr.NewAgent(guestVM, d.Verifier, client)
 	control, err := startHTTP(agent)
 	if err != nil {
@@ -555,7 +555,7 @@ func (d *Deployment) rebootNode(ctx context.Context, i int) error {
 		return fmt.Errorf("core: reboot node %d: %w", i, err)
 	}
 	n.client.CloseIdleConnections()
-	client := netlab.Client(d.cfg.SPNetRTT, nil)
+	client := netlab.Client(d.cfg.SPNetRTT)
 	agent := certmgr.NewAgent(guestVM, d.Verifier, client)
 	if err := agent.RestoreFromPersist(); err != nil {
 		client.CloseIdleConnections()

@@ -8,21 +8,34 @@ import (
 
 // TestCrashMidJoinRollsBack: a crash injected at either join crash point
 // aborts the join, and the engine's rollback leaves the fleet at its old
-// size with the deployment consistent and still serviceable.
+// size with the deployment consistent and still serviceable. The joining
+// node is never published: the view at the crash lists only serving
+// nodes, and the aborted join leaves the view version where it was.
 func TestCrashMidJoinRollsBack(t *testing.T) {
 	f := newTestFleet(t, 2)
 	ctx := context.Background()
 	boom := errors.New("injected crash")
 	for _, point := range []CrashPoint{CrashJoinAfterLaunch, CrashJoinAfterProvision} {
 		point := point
+		var atCrash Snapshot
 		f.SetCrashHook(func(p CrashPoint) error {
 			if p == point {
+				atCrash = f.Endpoints()
 				return boom
 			}
 			return nil
 		})
+		before := f.Endpoints().Version
 		if _, err := f.AddNode(ctx); !errors.Is(err, boom) {
 			t.Fatalf("AddNode with crash at %s: err = %v, want %v", point, err, boom)
+		}
+		for _, ep := range atCrash.Endpoints {
+			if ep.WebAddr == "" || ep.UpstreamAddr == "" {
+				t.Errorf("crash at %s: view lists %s, which does not serve", point, ep.ControlURL)
+			}
+		}
+		if got := f.Endpoints().Version; got != before {
+			t.Errorf("crash at %s: aborted join moved the view version %d -> %d", point, before, got)
 		}
 		if got := f.Size(); got != 2 {
 			t.Fatalf("crash at %s: size = %d, want 2", point, got)

@@ -7,36 +7,19 @@ import (
 	"revelio/internal/measure"
 )
 
-// EndpointState is a node's position in the serving lifecycle, published
-// through the endpoint snapshot API.
-type EndpointState string
-
-const (
-	// StateJoining marks a node that is launched but not yet serving:
-	// it is being attested and provisioned and must receive no traffic.
-	StateJoining EndpointState = "joining"
-	// StateServing marks a fully provisioned node whose web tier is up.
-	StateServing EndpointState = "serving"
-	// StateDraining marks a node about to leave: in-flight requests are
-	// completing, new traffic should route elsewhere.
-	StateDraining EndpointState = "draining"
-)
-
 // Endpoint is one node in the fleet's published serving view.
 type Endpoint struct {
 	// ControlURL is the node's control-plane base URL (its stable
 	// identity across the snapshot stream).
 	ControlURL string
-	// WebAddr is the CA-certified HTTPS front end (host:port); empty
-	// until the node's web tier is up.
+	// WebAddr is the CA-certified HTTPS front end (host:port).
 	WebAddr string
 	// UpstreamAddr is the node's RA-TLS upstream listener (host:port) —
-	// what an attested gateway dials; empty until the web tier is up.
+	// what an attested gateway dials; an endpoint without one receives
+	// no traffic from it.
 	UpstreamAddr string
 	// Leader reports whether the node holds the leader role.
 	Leader bool
-	// State is the node's serving-lifecycle position.
-	State EndpointState
 	// Measurement is the launch measurement the node booted with.
 	Measurement measure.Measurement
 	// TCB is the trusted-computing-base version the node's chip reports —
@@ -59,8 +42,10 @@ type Snapshot struct {
 	Domain string
 	// LeaderURL is the standing leader's control URL.
 	LeaderURL string
-	// Endpoints lists every known node with its state; route traffic
-	// only to StateServing entries.
+	// Endpoints lists the nodes that may receive traffic: each one's
+	// web tier and upstream listener are up. A joining node is listed
+	// only once it serves; a removal drops a node in the same drain that
+	// waits out every request admitted against a view still listing it.
 	Endpoints []Endpoint
 	// Golden is the measurement the fleet currently trusts for new
 	// launches. While a rollout is staged it is the *new* (canary) golden
@@ -74,29 +59,17 @@ type Snapshot struct {
 	PriorGolden *measure.Measurement
 }
 
-// Serving returns the endpoints that may receive traffic.
-func (s Snapshot) Serving() []Endpoint {
-	out := make([]Endpoint, 0, len(s.Endpoints))
-	for _, ep := range s.Endpoints {
-		if ep.State == StateServing {
-			out = append(out, ep)
-		}
-	}
-	return out
-}
-
 // NodeEndpoint renders one serving node's published view — the single
 // mapping from a core.Node to its Endpoint, shared by the fleet engine
 // and the tests that publish a static view.
 // The node's web tier must be up (or stably down): callers synchronize
 // with whatever starts and stops the node's servers.
-func NodeEndpoint(n *core.Node, leaderURL string, state EndpointState) Endpoint {
+func NodeEndpoint(n *core.Node, leaderURL string) Endpoint {
 	return Endpoint{
 		ControlURL:   n.ControlURL(),
 		WebAddr:      n.WebAddr(),
 		UpstreamAddr: n.UpstreamAddr(),
 		Leader:       n.ControlURL() == leaderURL,
-		State:        state,
 		Measurement:  n.VM.Measurement(),
 		TCB:          n.TCB(),
 		Locality:     n.Locality(),
@@ -116,32 +89,7 @@ func (f *Fleet) snapshotLocked() Snapshot {
 		snap.PriorGolden = &prior
 	}
 	for _, n := range f.serving {
-		state := StateServing
-		if s, ok := f.states[n.ControlURL()]; ok {
-			state = s
-		}
-		snap.Endpoints = append(snap.Endpoints, NodeEndpoint(n, f.leaderURL, state))
-	}
-	// Nodes outside the serving view (joining ones) are published too,
-	// so consumers can watch a join progress; their state says they
-	// must not receive traffic yet. Only their stable fields are read —
-	// the join is concurrently starting their web and upstream servers,
-	// and those addresses are meaningless until the node serves.
-	for url, s := range f.states {
-		if s != StateJoining {
-			continue
-		}
-		for _, n := range f.d.Nodes {
-			if n.ControlURL() == url {
-				snap.Endpoints = append(snap.Endpoints, Endpoint{
-					ControlURL:  url,
-					State:       s,
-					Measurement: n.VM.Measurement(),
-					TCB:         n.TCB(),
-					Locality:    n.Locality(),
-				})
-			}
-		}
+		snap.Endpoints = append(snap.Endpoints, NodeEndpoint(n, f.leaderURL))
 	}
 	return snap
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestEndpointSnapshots: the published serving view carries every node
-// with URL, upstream address, leader role and measurement; versions are
-// strictly monotone across a join and a removal.
+// with URL, upstream address, leader role and measurement; a join and a
+// removal each publish exactly one new version.
 func TestEndpointSnapshots(t *testing.T) {
 	ctx := context.Background()
 	f, err := New(ctx, Config{Nodes: 2, Domain: "endpoints.test.example.org"})
@@ -25,7 +25,7 @@ func TestEndpointSnapshots(t *testing.T) {
 	if snap.Domain != "endpoints.test.example.org" {
 		t.Fatalf("snapshot domain = %q", snap.Domain)
 	}
-	if got := len(snap.Serving()); got != 2 {
+	if got := len(snap.Endpoints); got != 2 {
 		t.Fatalf("serving endpoints = %d, want 2", got)
 	}
 	leaders := 0
@@ -47,15 +47,15 @@ func TestEndpointSnapshots(t *testing.T) {
 		t.Fatalf("snapshot marks %d leaders, want 1", leaders)
 	}
 
-	// Drive a join and a removal: every lifecycle step publishes a new
-	// version, strictly increasing, and the final view is back to 2
-	// serving nodes.
+	// Drive a join and a removal: each takes the membership write lock
+	// once and publishes once, and the final view is back to 2 serving
+	// nodes.
 	last := snap.Version
 	bumped := func(after string) {
 		t.Helper()
 		v := f.Endpoints().Version
-		if v <= last {
-			t.Fatalf("snapshot version after %s went %d -> %d", after, last, v)
+		if v != last+1 {
+			t.Fatalf("snapshot version after %s went %d -> %d, want +1", after, last, v)
 		}
 		last = v
 	}
@@ -68,7 +68,7 @@ func TestEndpointSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	bumped("RemoveNode")
-	if got := len(f.Endpoints().Serving()); got != 2 {
+	if got := len(f.Endpoints().Endpoints); got != 2 {
 		t.Fatalf("serving endpoints after churn = %d, want 2", got)
 	}
 }
@@ -128,14 +128,14 @@ func TestAcquireDrains(t *testing.T) {
 	defer f.Close()
 
 	snap, release := f.Acquire()
-	if len(snap.Serving()) != 2 {
-		t.Fatalf("acquired %d serving endpoints, want 2", len(snap.Serving()))
+	if len(snap.Endpoints) != 2 {
+		t.Fatalf("acquired %d serving endpoints, want 2", len(snap.Endpoints))
 	}
 	removed := make(chan error, 1)
 	go func() { removed <- f.RemoveNode(ctx, 1) }()
 
 	// The removal must not complete while the admission is held. It
-	// publishes the draining state and then parks on the write lock.
+	// parks on the write lock.
 	select {
 	case err := <-removed:
 		t.Fatalf("RemoveNode completed under an active admission: %v", err)

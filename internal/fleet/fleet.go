@@ -129,9 +129,6 @@ type Fleet struct {
 	// is fully up. A joining node enters it strictly after provisioning
 	// and web start; a leaving node exits it before its servers close.
 	serving []*core.Node
-	// states annotates nodes with their lifecycle position (joining /
-	// draining) for the published snapshot; absence means StateServing.
-	states map[string]EndpointState
 	// version counts serving-view changes; snap caches the immutable
 	// snapshot for the current version (rebuilt by publishLocked, read
 	// by Endpoints/Acquire).
@@ -231,8 +228,7 @@ func New(ctx context.Context, cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{d: d, trust: trust, cfg: cfg, golden: d.Golden, fwVersion: firmware.DefaultVersion,
-		states: make(map[string]EndpointState)}
+	f := &Fleet{d: d, trust: trust, cfg: cfg, golden: d.Golden, fwVersion: firmware.DefaultVersion}
 	f.releaseAdmission = f.memberMu.RUnlock
 	if err := f.approveMeasurement(d.Golden, "firmware "+firmware.DefaultVersion); err != nil {
 		d.Close()
@@ -335,27 +331,19 @@ func (f *Fleet) addNodeLocked(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	// Nothing is published before the node serves, so an aborted join
+	// only takes the node back out of the deployment. The rollback must
+	// complete even when the failure was ctx itself dying: a
+	// launched-but-unserving node must never survive a join.
+	abortJoin := func() { _, _ = f.d.RemoveNode(context.WithoutCancel(ctx), idx) }
 	if err := f.crash(CrashJoinAfterLaunch); err != nil {
-		// Rollback must complete even when the failure was ctx itself
-		// dying: a launched-but-unserving node must never survive a join.
-		_, _ = f.d.RemoveNode(context.WithoutCancel(ctx), idx)
+		abortJoin()
 		return 0, err
 	}
 	node := f.d.Nodes[idx]
-	f.memberMu.Lock()
+	f.memberMu.RLock()
 	leaderURL, certDER := f.leaderURL, f.certDER
-	// Publish the join in progress: consumers see the node as
-	// StateJoining — visible, but ineligible for traffic.
-	f.states[node.ControlURL()] = StateJoining
-	f.publishLocked()
-	f.memberMu.Unlock()
-	abortJoin := func() {
-		f.memberMu.Lock()
-		delete(f.states, node.ControlURL())
-		f.publishLocked()
-		f.memberMu.Unlock()
-		_, _ = f.d.RemoveNode(context.WithoutCancel(ctx), idx)
-	}
+	f.memberMu.RUnlock()
 	if err := f.d.SP.ProvisionNode(ctx, node.ControlURL(), leaderURL, certDER); err != nil {
 		abortJoin()
 		return 0, fmt.Errorf("fleet: provision joining node: %w", err)
@@ -369,7 +357,6 @@ func (f *Fleet) addNodeLocked(ctx context.Context) (int, error) {
 		return 0, fmt.Errorf("fleet: start web on joining node: %w", err)
 	}
 	f.memberMu.Lock()
-	delete(f.states, node.ControlURL())
 	f.serving = append(f.serving, node)
 	f.publishLocked()
 	f.memberMu.Unlock()
@@ -402,22 +389,15 @@ func (f *Fleet) removeNodeLocked(ctx context.Context, i int) error {
 	}
 	node := f.d.Nodes[i]
 
-	// Announce the drain first: consumers (the gateway) see the node
-	// flip to StateDraining and stop routing *new* requests to it while
-	// requests already admitted keep completing against open servers.
-	f.memberMu.Lock()
-	f.states[node.ControlURL()] = StateDraining
-	f.publishLocked()
-	f.memberMu.Unlock()
-
-	// Re-elect if needed and take the node out of the serving view.
-	// Acquiring the write lock waits out every in-flight request, so by
-	// the time we close the node's servers nothing is talking to them.
+	// Re-elect if needed and take the node out of the serving view. The
+	// write lock waits out every admitted request, and no request is
+	// admitted while it is waited for (sync.RWMutex admits no reader
+	// behind a waiting writer), so one acquisition is the whole drain:
+	// once it is held nothing is talking to the node, and once it is
+	// released no view lists the node.
 	f.memberMu.Lock()
 	if node.ControlURL() == f.leaderURL {
 		if err := f.electLeaderLocked(i); err != nil {
-			delete(f.states, node.ControlURL())
-			f.publishLocked()
 			f.memberMu.Unlock()
 			return err
 		}
@@ -428,7 +408,6 @@ func (f *Fleet) removeNodeLocked(ctx context.Context, i int) error {
 			break
 		}
 	}
-	delete(f.states, node.ControlURL())
 	f.publishLocked()
 	f.memberMu.Unlock()
 

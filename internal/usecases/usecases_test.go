@@ -481,7 +481,7 @@ func TestBoundaryNodeBehindGateway(t *testing.T) {
 	// stands in for one with a fixed view of the two nodes.
 	view := staticSource{Version: 1, Domain: domain}
 	for _, n := range d.Nodes {
-		view.Endpoints = append(view.Endpoints, fleet.NodeEndpoint(n, "", fleet.StateServing))
+		view.Endpoints = append(view.Endpoints, fleet.NodeEndpoint(n, ""))
 	}
 	gw, err := gateway.New(gateway.Config{
 		Source:         view,
