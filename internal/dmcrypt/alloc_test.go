@@ -18,8 +18,9 @@ func newDevice(t testing.TB, dataBytes int64) *Device {
 	return dev
 }
 
-// TestSerialReadZeroAllocs is the allocs/op guard for the single-sector
-// hot path: with pooled sector buffers, steady-state aligned reads and
+// TestSerialReadZeroAllocs is the allocs/op guard for single-sector
+// requests: an aligned read decrypts in place in the caller's buffer and
+// a write goes through spanPool, so steady-state aligned reads and
 // writes must not allocate at all.
 func TestSerialReadZeroAllocs(t *testing.T) {
 	if race.Enabled {
@@ -47,9 +48,9 @@ func TestSerialReadZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchedSpanZeroAllocs is the allocs/op guard for the batched path a
-// 64 KiB pad write or read takes: the span, read-modify-write edge
-// sectors included, comes from spanPool, so neither the aligned nor the
+// TestBatchedSpanZeroAllocs is the allocs/op guard for the span a 64 KiB
+// pad write or read takes: the span, read-modify-write edge sectors
+// included, comes from spanPool, so neither the aligned nor the
 // unaligned request allocates in steady state.
 func TestBatchedSpanZeroAllocs(t *testing.T) {
 	if race.Enabled {
@@ -78,8 +79,8 @@ func TestBatchedSpanZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSerialSectorRead reports allocs/op for the pooled serial read
-// path (run with -benchmem to see the guard's numbers over time).
+// BenchmarkSerialSectorRead reports allocs/op for single-sector reads
+// (run with -benchmem to see the guard's numbers over time).
 func BenchmarkSerialSectorRead(b *testing.B) {
 	dev := newDevice(b, 64*SectorSize)
 	buf := make([]byte, SectorSize)

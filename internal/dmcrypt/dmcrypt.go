@@ -235,17 +235,12 @@ func open(dev blockdev.Device, masterKey []byte) (*Device, error) {
 	}, nil
 }
 
-// minBatchSectors is the request size below which the engine goes sector
-// by sector: one span read or write of the inner device beats per-sector
-// I/O from 4 KiB up.
-const minBatchSectors = 8
-
 // Device is an opened dm-crypt target: a plaintext view of the encrypted
 // data area. It implements blockdev.Device. Concurrent reads are safe;
 // writes to disjoint sectors are safe (sector updates are read-modify-
 // write within a single sector only). A request runs on its caller's
-// goroutine, and the bytes it leaves on disk are the same whichever of
-// the two request-size paths produced them.
+// goroutine as one inner read or write of the aligned span it covers,
+// plus, for a write, one inner read per unaligned edge sector.
 type Device struct {
 	inner   blockdev.Device
 	cipher  *xts.Cipher
@@ -257,9 +252,9 @@ var _ blockdev.Device = (*Device)(nil)
 // Size implements blockdev.Device: the plaintext data-area size.
 func (d *Device) Size() int64 { return d.dataLen }
 
-// spanPool recycles the sector-aligned scratch of batched requests. A
-// buffer only ever grows (the GC empties idle pools, so one large
-// request does not pin its buffer).
+// spanPool recycles the sector-aligned scratch of unaligned reads and of
+// writes. A buffer only ever grows (the GC empties idle pools, so one
+// large request does not pin its buffer).
 var spanPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // grow returns *bp resized to n bytes; the contents are stale.
@@ -270,9 +265,8 @@ func grow(bp *[]byte, n int64) []byte {
 	return (*bp)[:n]
 }
 
-// ReadAt implements blockdev.Device. Small requests decrypt per sector;
-// larger ones fetch the whole aligned span in one inner read and decrypt
-// it with one span call.
+// ReadAt implements blockdev.Device: the whole aligned span of the
+// request is fetched in one inner read and decrypted with one span call.
 func (d *Device) ReadAt(p []byte, off int64) error {
 	if err := blockdev.CheckRange(d.dataLen, off, len(p)); err != nil {
 		return err
@@ -282,10 +276,6 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 	}
 	first := off / SectorSize
 	last := (off + int64(len(p)) - 1) / SectorSize
-	nSectors := last - first + 1
-	if nSectors < minBatchSectors {
-		return d.readSerial(p, off)
-	}
 
 	// Sector-aligned requests decrypt in place in p; unaligned ones go
 	// through a pooled span covering the aligned extent.
@@ -294,7 +284,7 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 	}
 	bp := spanPool.Get().(*[]byte)
 	defer spanPool.Put(bp)
-	span := grow(bp, nSectors*SectorSize)
+	span := grow(bp, (last-first+1)*SectorSize)
 	if err := d.readSpan(span, first); err != nil {
 		return err
 	}
@@ -302,6 +292,8 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 	return nil
 }
 
+// readSpan fills span, whole sectors from sector first on, with their
+// plaintext.
 func (d *Device) readSpan(span []byte, first int64) error {
 	if err := d.inner.ReadAt(span, headerBytes+first*SectorSize); err != nil {
 		return err
@@ -309,34 +301,11 @@ func (d *Device) readSpan(span []byte, first int64) error {
 	return d.cipher.DecryptSectors(span, span, uint64(first), SectorSize)
 }
 
-// sectorPool recycles the per-call sector scratch buffers of the
-// per-sector read/write paths, keeping the steady-state single-sector
-// hot path allocation-free (guarded by TestSerialReadZeroAllocs).
-var sectorPool = sync.Pool{New: func() any {
-	b := make([]byte, SectorSize)
-	return &b
-}}
-
-func (d *Device) readSerial(p []byte, off int64) error {
-	bufp := sectorPool.Get().(*[]byte)
-	defer sectorPool.Put(bufp)
-	sector := *bufp
-	for n := 0; n < len(p); {
-		s := (off + int64(n)) / SectorSize
-		inner := (off + int64(n)) % SectorSize
-		if err := d.readSector(s, sector); err != nil {
-			return err
-		}
-		n += copy(p[n:], sector[inner:])
-	}
-	return nil
-}
-
-// WriteAt implements blockdev.Device, encrypting per sector with
-// read-modify-write at unaligned edges. Requests spanning enough sectors
-// take the batched path: the edge sectors (at most two) are read and
-// decrypted into a pooled span, the span is encrypted, and one inner
-// write lands the whole request.
+// WriteAt implements blockdev.Device: the edge sectors a request covers
+// only in part (at most two, and one when it lies inside a single
+// sector) are read and decrypted into a pooled span, p is copied over
+// them, the span is encrypted, and one inner write lands the whole
+// request.
 func (d *Device) WriteAt(p []byte, off int64) error {
 	if err := blockdev.CheckRange(d.dataLen, off, len(p)); err != nil {
 		return err
@@ -348,22 +317,20 @@ func (d *Device) WriteAt(p []byte, off int64) error {
 	end := off + int64(len(p))
 	last := (end - 1) / SectorSize
 	nSectors := last - first + 1
-	if nSectors < minBatchSectors {
-		return d.writeSerial(p, off)
-	}
 
 	bp := spanPool.Get().(*[]byte)
 	defer spanPool.Put(bp)
 	span := grow(bp, nSectors*SectorSize)
 	// Read-modify-write for the unaligned edges. Together with p they
 	// define every byte of the (stale) pooled span.
-	if off%SectorSize != 0 {
-		if err := d.readSector(first, span[:SectorSize]); err != nil {
+	head := off%SectorSize != 0
+	if head {
+		if err := d.readSpan(span[:SectorSize], first); err != nil {
 			return err
 		}
 	}
-	if end%SectorSize != 0 {
-		if err := d.readSector(last, span[(nSectors-1)*SectorSize:]); err != nil {
+	if end%SectorSize != 0 && (last > first || !head) {
+		if err := d.readSpan(span[(nSectors-1)*SectorSize:], last); err != nil {
 			return err
 		}
 	}
@@ -372,47 +339,4 @@ func (d *Device) WriteAt(p []byte, off int64) error {
 		return err
 	}
 	return d.inner.WriteAt(span, headerBytes+first*SectorSize)
-}
-
-func (d *Device) writeSerial(p []byte, off int64) error {
-	bufp := sectorPool.Get().(*[]byte)
-	encp := sectorPool.Get().(*[]byte)
-	defer sectorPool.Put(bufp)
-	defer sectorPool.Put(encp)
-	sector, enc := *bufp, *encp
-	for n := 0; n < len(p); {
-		s := (off + int64(n)) / SectorSize
-		inner := (off + int64(n)) % SectorSize
-		count := SectorSize - int(inner)
-		if count > len(p)-n {
-			count = len(p) - n
-		}
-		if inner != 0 || count != SectorSize {
-			if err := d.readSector(s, sector); err != nil {
-				return err
-			}
-		}
-		copy(sector[inner:], p[n:n+count])
-		if err := d.writeSector(s, sector, enc); err != nil {
-			return err
-		}
-		n += count
-	}
-	return nil
-}
-
-func (d *Device) readSector(s int64, buf []byte) error {
-	if err := d.inner.ReadAt(buf, headerBytes+s*SectorSize); err != nil {
-		return err
-	}
-	return d.cipher.Decrypt(buf, buf, uint64(s))
-}
-
-// writeSector encrypts buf into the caller-provided scratch buffer enc
-// before writing, so bulk writes stay allocation-free per sector.
-func (d *Device) writeSector(s int64, buf, enc []byte) error {
-	if err := d.cipher.Encrypt(enc, buf, uint64(s)); err != nil {
-		return err
-	}
-	return d.inner.WriteAt(enc, headerBytes+s*SectorSize)
 }

@@ -297,9 +297,11 @@ func TestPBKDF2HeaderFromEarlierFormatStillOpens(t *testing.T) {
 	}
 }
 
-// TestInnerIOCounts pins what a 64 KiB request costs the device below:
-// one inner write, preceded by one inner read per unaligned edge, and one
-// inner read. It runs on one CPU: a 1-vCPU guest batches like any other.
+// TestInnerIOCounts pins what a request costs the device below: one
+// inner write, preceded by one inner read per unaligned edge sector (one
+// read when the request lies inside a single sector), and one inner
+// read, whatever the request's size. It runs on one CPU: a 1-vCPU guest
+// takes the same path as any other.
 func TestInnerIOCounts(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	inner := blockdev.NewStats(blockdev.NewMem(headerBytes + 256*1024))
@@ -312,15 +314,21 @@ func TestInnerIOCounts(t *testing.T) {
 		name          string
 		io            func(p []byte, off int64) error
 		off           int64
+		n             int
 		reads, writes int64
 	}{
-		{"aligned write", dev.WriteAt, 64 * 1024, 0, 1},
-		{"unaligned write", dev.WriteAt, 64*1024 + 100, 2, 1},
-		{"aligned read", dev.ReadAt, 64 * 1024, 1, 0},
-		{"unaligned read", dev.ReadAt, 64*1024 + 100, 1, 0},
+		{"aligned write", dev.WriteAt, 64 * 1024, 64 * 1024, 0, 1},
+		{"unaligned write", dev.WriteAt, 64*1024 + 100, 64 * 1024, 2, 1},
+		{"aligned read", dev.ReadAt, 64 * 1024, 64 * 1024, 1, 0},
+		{"unaligned read", dev.ReadAt, 64*1024 + 100, 64 * 1024, 1, 0},
+		// The agent's credential blob: one whole sector and a tail.
+		{"551-byte write", dev.WriteAt, 0, 551, 1, 1},
+		{"3 aligned sectors write", dev.WriteAt, 1024, 3 * SectorSize, 0, 1},
+		// Both edges fall in one sector, which is read once.
+		{"sub-sector write", dev.WriteAt, 700, 100, 1, 1},
 	} {
 		r0, _, w0, _ := inner.Counters()
-		if err := tc.io(buf, tc.off); err != nil {
+		if err := tc.io(buf[:tc.n], tc.off); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		r1, _, w1, _ := inner.Counters()

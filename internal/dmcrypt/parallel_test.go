@@ -11,7 +11,7 @@ import (
 	"revelio/internal/blockdev"
 )
 
-// bigSectors is a request size far above minBatchSectors: 256 KiB.
+// bigSectors is a large request size: 256 KiB.
 const bigSectors = 512
 
 const parVolSize = headerBytes + 4*bigSectors*SectorSize
@@ -37,8 +37,7 @@ func pairVol(t *testing.T) (refRaw, raw *blockdev.Mem, ref, dev *Device) {
 }
 
 // bySector issues the request [off, off+len(p)) one sector at a time:
-// every piece stays inside one sector, so each takes the per-sector
-// engine, the reference the batched engine is compared against.
+// every piece stays inside one sector.
 func bySector(p []byte, off int64, io func(p []byte, off int64) error) error {
 	for len(p) > 0 {
 		n := min(int64(len(p)), SectorSize-off%SectorSize)
@@ -54,7 +53,10 @@ func bySector(p []byte, off int64, io func(p []byte, off int64) error) error {
 // one request and, on a twin volume, one sector at a time, and requires
 // byte-identical ciphertext on disk and byte-identical plaintext on
 // read-back either way — the on-disk format must not depend on the size
-// or alignment of the request that wrote it.
+// or alignment of the request that wrote it. Both take the same span
+// code, so every sector a write touched is also held to the per-sector
+// XTS encryption (xts.Cipher.Encrypt under its sector number) of the
+// plaintext it should now hold.
 func TestParallelMatchesSerial(t *testing.T) {
 	cases := []struct {
 		name string
@@ -63,8 +65,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}{
 		{"sub-sector", 700, 100},
 		{"single sector aligned", 2 * SectorSize, SectorSize},
-		{"below batch threshold", 0, (minBatchSectors - 1) * SectorSize},
-		{"at batch threshold", 0, minBatchSectors * SectorSize},
+		{"7 sectors", 0, 7 * SectorSize},
+		{"8 sectors", 0, 8 * SectorSize},
 		{"aligned span", 4 * SectorSize, 64 * SectorSize},
 		{"unaligned head", 100, 32 * SectorSize},
 		{"unaligned tail", 3 * SectorSize, 32*SectorSize + 213},
@@ -74,6 +76,20 @@ func TestParallelMatchesSerial(t *testing.T) {
 		{"whole device", 0, 4 * bigSectors * SectorSize},
 	}
 	refRaw, raw, ref, dev := pairVol(t)
+	// want is the plaintext the data area should hold, starting from
+	// what the fresh volume's ciphertext decrypts to sector by sector.
+	want := make([]byte, dev.Size())
+	if err := raw.ReadAt(want, headerBytes); err != nil {
+		t.Fatal(err)
+	}
+	for s := int64(0); s < dev.Size()/SectorSize; s++ {
+		sector := want[s*SectorSize : (s+1)*SectorSize]
+		if err := dev.cipher.Decrypt(sector, sector, uint64(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc := make([]byte, SectorSize)
+	onDisk := make([]byte, SectorSize)
 	rng := rand.New(rand.NewSource(99))
 	for _, tc := range cases {
 		data := make([]byte, tc.n)
@@ -86,6 +102,18 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 		if !bytes.Equal(refRaw.Snapshot(), raw.Snapshot()) {
 			t.Fatalf("%s: ciphertext differs from the per-sector reference", tc.name)
+		}
+		copy(want[tc.off:], data)
+		for s := tc.off / SectorSize; s <= (tc.off+int64(tc.n)-1)/SectorSize; s++ {
+			if err := dev.cipher.Encrypt(enc, want[s*SectorSize:(s+1)*SectorSize], uint64(s)); err != nil {
+				t.Fatal(err)
+			}
+			if err := raw.ReadAt(onDisk, headerBytes+s*SectorSize); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(onDisk, enc) {
+				t.Fatalf("%s: sector %d differs from its per-sector XTS encryption", tc.name, s)
+			}
 		}
 		// Read what the one request wrote back both ways.
 		whole := make([]byte, tc.n)

@@ -31,13 +31,14 @@ func newVerifiedDevice(t testing.TB, blocks int64) *Device {
 }
 
 // TestVerifiedReadZeroAllocs is the allocs/op guard for the two read
-// hot paths. Verifying one block with its tree path cached (a data miss
-// under a warm tree: the capacity-1 device below caches its one leaf
+// hot paths. Verifying blocks with their tree path cached (a data miss
+// under a warm tree: the capacity-1 devices below cache their one leaf
 // hash block and, data never displacing hash blocks, nothing else) uses
 // pooled scratch and pooled SHA-256 states. Serving cached blocks is a
-// plain copy on the caller's goroutine, whatever the worker count:
-// shards allocates its WaitGroup and closures, so zero
-// allocations on the multi-block read also proves there was no fan-out.
+// plain copy. Both run on the caller's goroutine whatever the worker
+// count: a fan-out allocates its goroutines and closures, so zero
+// allocations on the 4-worker multi-block reads also proves there was
+// none.
 func TestVerifiedReadZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -46,15 +47,16 @@ func TestVerifiedReadZeroAllocs(t *testing.T) {
 	warm := newVerifiedDevice(t, 256)
 	bs := int64(warm.meta.BlockSize)
 	treeOnly := openWorkers(t, warm.data, warm.hash, warm.meta, Config{CacheBlocks: 1}, 1)
+	treeWide := openWorkers(t, warm.data, warm.hash, warm.meta, Config{CacheBlocks: 1}, 4)
 	stats := blockdev.NewStats(warm.data)
 	wide := openWorkers(t, stats, warm.hash, warm.meta, Config{}, 4)
 	span := make([]byte, 16*bs) // 64 KiB
-	for _, dev := range []*Device{warm, treeOnly, wide} {
+	for _, dev := range []*Device{warm, treeOnly, treeWide, wide} {
 		if err := dev.ReadAt(span, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cached(treeOnly, dataKey(0)) {
+	if cached(treeOnly, dataKey(0)) || cached(treeWide, dataKey(0)) {
 		t.Fatal("capacity-1 device cached a data block; its read would not exercise the verify path")
 	}
 	coldOps, _, _, _ := stats.Counters()
@@ -67,6 +69,7 @@ func TestVerifiedReadZeroAllocs(t *testing.T) {
 	}{
 		{"cached single-block", warm, buf},
 		{"verified single-block, warm tree", treeOnly, buf},
+		{"verified 64 KiB multi-block, warm tree, 4 workers", treeWide, span},
 		{"cached 64 KiB multi-block, 4 workers", wide, span},
 	} {
 		if allocs := testing.AllocsPerRun(100, func() {

@@ -199,8 +199,8 @@ func formatWorkers(data blockdev.Device, params Params, workers int) (*blockdev.
 
 	// Compute level digests bottom-up in memory, then lay the levels out
 	// contiguously on a fresh hash device. Each digest depends only on
-	// its own block, so every level is hashed by a sharded worker pool;
-	// workers write disjoint slots of the level slice and the result is
+	// its own block, so every level is split into shards hashed at once;
+	// shards write disjoint slots of the level slice and the result is
 	// bit-identical at any worker count. The bottom level — by far the
 	// widest — batches its data reads instead of one round-trip per
 	// block.
@@ -305,11 +305,11 @@ func formatWorkers(data blockdev.Device, params Params, workers int) (*blockdev.
 // data blocks whose digests matched the tree — are kept in one bounded
 // cache (see Config.CacheBlocks), the way the guest's page cache sits
 // above dm-verity on Linux. A read copies the blocks it finds there and
-// verifies only the rest: batched inner reads, sharded across the worker
-// pool when the run of missing blocks is long enough. A block enters the
-// cache only after its digest matched, and an evicted block is fully
-// re-verified on next use, so every byte ever returned was checked
-// against the trusted root hash when it entered guest memory.
+// verifies only the rest, on the caller's goroutine in batched inner
+// reads. A block enters the cache only after its digest matched, and an
+// evicted block is fully re-verified on next use, so every byte ever
+// returned was checked against the trusted root hash when it entered
+// guest memory.
 type Device struct {
 	data     blockdev.Device
 	hash     blockdev.Device
@@ -323,8 +323,8 @@ type Device struct {
 	lastLevel int
 
 	cache *blockCache
-	// workers is how many goroutines VerifyAll and a long run of missing
-	// blocks shard over: GOMAXPROCS at open. Tests vary it.
+	// workers is how many shards VerifyAll splits the device into:
+	// GOMAXPROCS at open. Tests vary it.
 	workers int
 }
 
@@ -415,12 +415,11 @@ func (d *Device) verifyHashBlock(level int, idx int64, evict bool) ([]byte, erro
 	return block, nil
 }
 
-// readBatchBlocks bounds how many data blocks one worker fetches per
-// inner read — 128 KiB batches at the default 4 KiB block size.
+// readBatchBlocks bounds how many data blocks a run fetches per inner
+// read — 128 KiB batches at the default 4 KiB block size.
 const (
 	readBatchBlocks   = 32
 	formatBatchBlocks = 64
-	minParallelBlocks = 4
 )
 
 // copyBlock copies into p, which holds the device bytes from off on, the
@@ -486,20 +485,8 @@ func (d *Device) verifyRun(first, n int64, p []byte, off int64) error {
 	return nil
 }
 
-// readMisses verifies the uncached data blocks [first, first+n) of a
-// read into p (device bytes from off on). Runs of at least
-// minParallelBlocks blocks are sharded across the worker pool.
-func (d *Device) readMisses(p []byte, off, first, n int64) error {
-	if d.workers == 1 || n < minParallelBlocks {
-		return d.verifyRun(first, n, p, off)
-	}
-	return shards(d.workers, n, func(lo, hi int64) error {
-		return d.verifyRun(first+lo, hi-lo, p, off)
-	})
-}
-
-// ReadAt implements blockdev.Device. Blocks of the request found in the
-// verified-block cache are copied out on the caller's goroutine; each
+// ReadAt implements blockdev.Device on the caller's goroutine. Blocks of
+// the request found in the verified-block cache are copied out; each
 // maximal run of missing blocks is read from the data device and
 // verified block by block (see verifyRun). Any mismatch anywhere fails
 // the whole read, and nothing unverified is ever copied into p.
@@ -522,7 +509,7 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 			continue
 		}
 		if missFrom >= 0 {
-			if err := d.readMisses(p, off, missFrom, i-missFrom); err != nil {
+			if err := d.verifyRun(missFrom, i-missFrom, p, off); err != nil {
 				return err
 			}
 			missFrom = -1
@@ -530,7 +517,7 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 		copyBlock(p, off, i*bs, block)
 	}
 	if missFrom >= 0 {
-		return d.readMisses(p, off, missFrom, last+1-missFrom)
+		return d.verifyRun(missFrom, last+1-missFrom, p, off)
 	}
 	return nil
 }
@@ -544,10 +531,10 @@ func (d *Device) Size() int64 { return d.meta.DataBlocks * int64(d.meta.BlockSiz
 
 // VerifyAll walks the entire device, re-reading and re-hashing every
 // data block whether or not it is cached. This is the "dm-verity verify"
-// boot service of Table 1; it shards the walk across the worker pool and
-// batches its data reads. Being a scan it evicts nothing, but blocks it
-// has just verified fill free cache slots, so the reads that follow a
-// boot do not hash them a second time.
+// boot service of Table 1; it splits the walk into d.workers shards
+// verified at once and batches their data reads. Being a scan it evicts
+// nothing, but blocks it has just verified fill free cache slots, so the
+// reads that follow a boot do not hash them a second time.
 func (d *Device) VerifyAll() error {
 	return shards(d.workers, d.meta.DataBlocks, func(lo, hi int64) error {
 		return d.verifyRun(lo, hi-lo, nil, 0)

@@ -11,8 +11,8 @@ import (
 	"revelio/internal/blockdev"
 )
 
-// openWorkers opens a device that shards VerifyAll and long runs of
-// missing blocks over the given worker count instead of GOMAXPROCS.
+// openWorkers opens a device that shards VerifyAll over the given worker
+// count instead of GOMAXPROCS.
 func openWorkers(t testing.TB, data, hashDev blockdev.Device, meta *Metadata, cfg Config, workers int) *Device {
 	t.Helper()
 	dev, err := OpenWithConfig(data, hashDev, meta, meta.RootHash, cfg)
@@ -78,8 +78,8 @@ func TestSerialFormattedRootHashPinned(t *testing.T) {
 	}
 }
 
-// TestParallelReadMatchesSerial reads the same windows through the
-// serial and parallel engines and requires identical plaintext.
+// TestParallelReadMatchesSerial reads the same windows through devices
+// opened with 1 and 8 workers and requires identical plaintext.
 func TestParallelReadMatchesSerial(t *testing.T) {
 	raw := fixtureData(24)
 	data := blockdev.NewMemFrom(raw)
@@ -96,7 +96,7 @@ func TestParallelReadMatchesSerial(t *testing.T) {
 	}{
 		{"one block", 0, DefaultBlockSize},
 		{"sub-block", 1000, 800},
-		{"below threshold", 0, (minParallelBlocks - 1) * DefaultBlockSize},
+		{"3 blocks", 0, 3 * DefaultBlockSize},
 		{"aligned span", 4 * DefaultBlockSize, 12 * DefaultBlockSize},
 		{"unaligned both", 4*DefaultBlockSize + 17, 9*DefaultBlockSize + 201},
 		{"whole device", 0, 24 * DefaultBlockSize},

@@ -2,6 +2,7 @@ package dmverity
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -43,6 +44,13 @@ func TestShardsReportError(t *testing.T) {
 	})
 	if !errors.Is(err, want) {
 		t.Errorf("err = %v, want %v", err, want)
+	}
+	// With every shard failing, the lowest range's error is returned.
+	err = shards(4, 100, func(lo, hi int64) error {
+		return fmt.Errorf("shard [%d,%d)", lo, hi)
+	})
+	if err == nil || err.Error() != "shard [0,25)" {
+		t.Errorf("err = %v, want the lowest shard's", err)
 	}
 }
 

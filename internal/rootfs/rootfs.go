@@ -340,14 +340,3 @@ func (f *FS) List() []string {
 	copy(out, f.paths)
 	return out
 }
-
-// Glob returns sorted paths with the given prefix.
-func (f *FS) Glob(prefix string) []string {
-	var out []string
-	for _, p := range f.paths {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	return out
-}

@@ -136,13 +136,6 @@ func TestListAndGlob(t *testing.T) {
 	if len(list) != 3 || list[0] != "etc/config.json" || list[2] != "usr/bin/nginx" {
 		t.Errorf("List = %v", list)
 	}
-	etc := fsys.Glob("etc/")
-	if len(etc) != 2 {
-		t.Errorf("Glob(etc/) = %v", etc)
-	}
-	if got := fsys.Glob("zzz"); got != nil {
-		t.Errorf("Glob(zzz) = %v, want nil", got)
-	}
 }
 
 // Property: any set of distinct valid paths round-trips.

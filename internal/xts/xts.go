@@ -91,8 +91,8 @@ func (c *Cipher) Decrypt(plaintext, ciphertext []byte, sector uint64) error {
 // EncryptSectors encrypts a span of consecutive whole sectors in one
 // call: src holds len(src)/sectorSize sectors, the first numbered
 // firstSector, each encrypted under its own plain64 tweak exactly as a
-// per-sector Encrypt loop would. dst may alias src. This is the batch
-// unit dm-crypt's worker pool shards over.
+// per-sector Encrypt loop would. dst may alias src. dm-crypt encrypts
+// every write's whole aligned span in one call.
 func (c *Cipher) EncryptSectors(dst, src []byte, firstSector uint64, sectorSize int) error {
 	return c.processSectors(dst, src, firstSector, sectorSize, true)
 }
